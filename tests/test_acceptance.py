@@ -14,9 +14,11 @@ than any implementation gap:
   where the empty partition avoids every part but its image does not.
 """
 
+import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,7 @@ from partbounds.verify import (
 )
 
 PREC = 128
+GOLDEN = Path(__file__).resolve().parents[1] / "docs" / "golden"
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -335,6 +338,11 @@ def test_criterion_11_inequality_registry(table):
             f"{report.cases} cases, min margin {report.info['min_margin']:.3e} "
             f"({report.info['min_margin_case']}), {elapsed:.1f}s")
     assert report.passed, report.failures
+    frozen = json.loads((GOLDEN / "registry-rows.json").read_text())
+    assert [
+        {key: row[key] for key in ("case", "points", "worst_margin_exact", "worst_point")}
+        for row in report.rows
+    ] == frozen
     assert elapsed < 60.0
 
 

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from partbounds.errors import PreconditionError
@@ -177,3 +180,19 @@ class TestInequalitySuite:
         first = run_suite("inequalities", case="exp-convexity-half", table=table)
         second = run_suite("inequalities", case="exp-convexity-half", table=table)
         assert first.rows == second.rows
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "docs" / "golden"
+
+
+def test_summaries_match_golden():
+    # every suite but the registry at n_max 150, with the timing zeroed
+    golden = json.loads((GOLDEN / "suite-summaries-150.json").read_text())
+    summaries = []
+    for name in SUITE_NAMES:
+        if name == "inequalities":
+            continue
+        summary = run_suite(name, n_max=150).summary()
+        summary["seconds"] = 0.0
+        summaries.append(json.loads(json.dumps(summary)))
+    assert summaries == golden
