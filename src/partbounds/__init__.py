@@ -9,9 +9,7 @@ from .errors import (
     StabilizationError,
 )
 from .exact import (
-    Partition,
     PartitionTable,
-    ShiftedIndex,
     default_table,
     delta_r_j_direct,
     dyson_rank_count,
@@ -30,11 +28,9 @@ __all__ = [
     "DEFAULT_PRECISION",
     "Enclosure",
     "PartboundsError",
-    "Partition",
     "PartitionTable",
     "PrecisionError",
     "PreconditionError",
-    "ShiftedIndex",
     "StabilizationError",
     "default_table",
     "delta_r_j_direct",

@@ -4,7 +4,8 @@ Single-value subcommands (exact, ratio, fjn, krank, nonkary) print one JSON
 document with the exact quantity, its enclosure, and the containment flag;
 verify runs a named sweep (or all of them) and reports per-suite outcomes,
 optionally dumping per-case rows to CSV.  Exit codes: 0 all checks passed,
-1 a verification failed, 2 usage or precondition error.
+1 a verification failed, 2 usage or precondition error (an input past a
+ceiling, a negative --n-max/--j-max, or an unwritable --json/--csv path).
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
-from .enclosure import Enclosure
+from .enclosure import DEFAULT_PRECISION, Enclosure
 from .errors import PartboundsError, PreconditionError
 from .estimates import (
+    fjn_licensed,
     fjn_ratio_interval,
     krank_boundary_value,
     krank_diff_interval,
@@ -27,15 +29,17 @@ from .estimates import (
     nonkary_diff_check,
     ratio_interval,
 )
-from .exact import default_table, f_jn, nu_k, p_enumerate_oracle, p_exact
+from .exact import f_jn, nu_k, p_enumerate_oracle, p_exact
 from .inequalities import DEFAULT_SEED
-from .rademacher import DEFAULT_PRECISION
 from .reports import ReportDocument, fraction_str, interval_payload, write_csv
 from .verify import SUITE_NAMES, run_suite
 
 PRECISION_ENV = "PARTBOUNDS_PRECISION"
+# Largest working precision accepted, in bits (about 1233 decimal digits).
+MAX_PRECISION = 4096
 
-_Handled = Tuple[ReportDocument, List[Dict[str, Any]]]
+# parameters, results, passed, CSV rows
+_Handled = Tuple[Dict[str, Any], Dict[str, Any], bool, List[Dict[str, Any]]]
 
 
 def _resolve_precision(value: Optional[int]) -> int:
@@ -52,6 +56,8 @@ def _resolve_precision(value: Optional[int]) -> int:
             ) from None
     if value < 16:
         raise PreconditionError("requires precision >= 16")
+    if value > MAX_PRECISION:
+        raise PreconditionError(f"requires precision <= {MAX_PRECISION}")
     return value
 
 
@@ -62,7 +68,6 @@ def _interval_block(enclosure: Enclosure, exact: Fraction) -> Dict[str, Any]:
 
 
 def _cmd_exact(args: argparse.Namespace) -> _Handled:
-    started = time.perf_counter()
     n = args.n
     if n < 0:
         raise PreconditionError("requires n >= 0")
@@ -74,24 +79,14 @@ def _cmd_exact(args: argparse.Namespace) -> _Handled:
         passed = value == expected
         results["enumeration"] = str(expected)
         results["agreement"] = passed
-    doc = ReportDocument(
-        command="exact",
-        parameters={"n": n, "oracle": bool(args.oracle)},
-        results=results,
-        passed=passed,
-        exit_code=0 if passed else 1,
-        seconds=round(time.perf_counter() - started, 6),
-    )
-    return doc, []
+    return {"n": n, "oracle": bool(args.oracle)}, results, passed, []
 
 
 def _cmd_ratio(args: argparse.Namespace) -> _Handled:
-    started = time.perf_counter()
     prec = _resolve_precision(args.precision)
     n, j = args.n, args.j
     estimate = ratio_interval(n, j, prec)
-    table = default_table()
-    exact = Fraction(p_exact(n - j, table), p_exact(n, table))
+    exact = Fraction(p_exact(n - j), p_exact(n))
     enclosure = estimate.product
     mid = enclosure.midpoint()
     results = {
@@ -103,58 +98,39 @@ def _cmd_ratio(args: argparse.Namespace) -> _Handled:
         "containment_margin": enclosure.containment_margin(exact),
     }
     passed = results["interval"]["contained"]
-    doc = ReportDocument(
-        command="ratio",
-        parameters={"n": n, "j": j, "precision": prec},
-        results=results,
-        passed=passed,
-        exit_code=0 if passed else 1,
-        seconds=round(time.perf_counter() - started, 6),
-    )
-    return doc, []
+    return {"n": n, "j": j, "precision": prec}, results, passed, []
 
 
 def _cmd_fjn(args: argparse.Namespace) -> _Handled:
-    started = time.perf_counter()
     prec = _resolve_precision(args.precision)
     n, j = args.n, args.j
     estimate = fjn_ratio_interval(n, j, prec)
-    table = default_table()
-    exact = Fraction(f_jn(n, j, table), p_exact(n, table))
+    difference = f_jn(n, j)
+    exact = Fraction(difference, p_exact(n))
     enclosure = estimate.total
     mid = enclosure.midpoint()
     results = {
         "n": n,
         "j": j,
-        "difference": str(f_jn(n, j, table)),
+        "difference": str(difference),
         "exact": fraction_str(exact),
         "interval": _interval_block(enclosure, exact),
         "relative_width": float(enclosure.width() / abs(mid)) if mid else None,
         "containment_margin": enclosure.containment_margin(exact),
     }
     passed = results["interval"]["contained"]
-    doc = ReportDocument(
-        command="fjn",
-        parameters={"n": n, "j": j, "precision": prec},
-        results=results,
-        passed=passed,
-        exit_code=0 if passed else 1,
-        seconds=round(time.perf_counter() - started, 6),
-    )
-    return doc, []
+    return {"n": n, "j": j, "precision": prec}, results, passed, []
 
 
 def _cmd_krank(args: argparse.Namespace) -> _Handled:
-    started = time.perf_counter()
     prec = _resolve_precision(args.precision)
     k, m, n = args.k, args.m, args.n
     enc_ratio = krank_ratio_interval(k, m, n, prec)
     enc_diff = krank_diff_interval(k, m, n, prec)
-    table = default_table()
-    denom = p_exact(n - k - m + 1, table)
-    count = krank_boundary_value(k, m, n, table)
+    denom = p_exact(n - k - m + 1)
+    count = krank_boundary_value(k, m, n)
     ratio_exact = Fraction(count, denom)
-    diff_exact = Fraction(count - krank_boundary_value(k, m + 1, n, table), denom)
+    diff_exact = Fraction(count - krank_boundary_value(k, m + 1, n), denom)
     results = {
         "k": k,
         "m": m,
@@ -175,51 +151,32 @@ def _cmd_krank(args: argparse.Namespace) -> _Handled:
         results["ratio"]["interval"]["contained"]
         and results["difference"]["interval"]["contained"]
     )
-    doc = ReportDocument(
-        command="krank",
-        parameters={"k": k, "m": m, "n": n, "precision": prec},
-        results=results,
-        passed=passed,
-        exit_code=0 if passed else 1,
-        seconds=round(time.perf_counter() - started, 6),
-    )
-    return doc, []
+    return {"k": k, "m": m, "n": n, "precision": prec}, results, passed, []
 
 
 def _cmd_nonkary(args: argparse.Namespace) -> _Handled:
-    started = time.perf_counter()
     prec = _resolve_precision(args.precision)
     n, k = args.n, args.k
-    table = default_table()
-    value = nu_k(n, k, table)
+    value = nu_k(n, k)
     results: Dict[str, Any] = {"n": n, "k": k, "nu": str(value)}
     passed = True
-    licensed = n >= 14 and 16 * k * k < n
+    licensed = fjn_licensed(n, k)
     if n >= 2 and 2 * k <= n:
-        positive = nonkary_diff_check(n, k, table)
-        results["difference"] = str(f_jn(n, k, table))
+        positive = nonkary_diff_check(n, k)
+        results["difference"] = str(f_jn(n, k))
         results["difference_positive"] = positive
         if licensed:
             passed = positive
     if licensed:
         estimate = fjn_ratio_interval(n, k, prec)
-        exact = Fraction(f_jn(n, k, table), p_exact(n, table))
+        exact = Fraction(f_jn(n, k), p_exact(n))
         results["ratio_exact"] = fraction_str(exact)
         results["ratio_interval"] = _interval_block(estimate.total, exact)
         passed = passed and results["ratio_interval"]["contained"]
-    doc = ReportDocument(
-        command="nonkary",
-        parameters={"n": n, "k": k, "precision": prec},
-        results=results,
-        passed=passed,
-        exit_code=0 if passed else 1,
-        seconds=round(time.perf_counter() - started, 6),
-    )
-    return doc, []
+    return {"n": n, "k": k, "precision": prec}, results, passed, []
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Handled:
-    started = time.perf_counter()
     prec = _resolve_precision(args.precision)
     if args.case is not None and args.suite not in ("inequalities", "all"):
         raise PreconditionError("--case requires the inequalities suite")
@@ -240,23 +197,16 @@ def _cmd_verify(args: argparse.Namespace) -> _Handled:
     rows = [
         {"suite": report.suite, **row} for report in reports for row in report.rows
     ]
-    passed = all(report.passed for report in reports)
-    doc = ReportDocument(
-        command="verify",
-        parameters={
-            "suite": args.suite,
-            "n_max": args.n_max,
-            "j_max": args.j_max,
-            "precision": prec,
-            "seed": args.seed,
-            "case": args.case,
-        },
-        results={"suites": [report.summary() for report in reports]},
-        passed=passed,
-        exit_code=0 if passed else 1,
-        seconds=round(time.perf_counter() - started, 3),
-    )
-    return doc, rows
+    parameters = {
+        "suite": args.suite,
+        "n_max": args.n_max,
+        "j_max": args.j_max,
+        "precision": prec,
+        "seed": args.seed,
+        "case": args.case,
+    }
+    results = {"suites": [report.summary() for report in reports]}
+    return parameters, results, all(report.passed for report in reports), rows
 
 
 def _add_precision_flag(parser: argparse.ArgumentParser) -> None:
@@ -363,8 +313,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        doc, rows = args.handler(args)
+        parameters, results, passed, rows = args.handler(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -374,13 +325,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     except AssertionError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 1
+    doc = ReportDocument(
+        command=args.command,
+        parameters=parameters,
+        results=results,
+        passed=passed,
+        exit_code=0 if passed else 1,
+        seconds=round(time.perf_counter() - started, 6),
+    )
     text = doc.to_json()
     print(text)
-    if args.json_path is not None:
-        with open(args.json_path, "w") as handle:
-            handle.write(text + "\n")
-    if getattr(args, "csv", None) is not None:
-        write_csv(args.csv, rows)
+    try:
+        if args.json_path is not None:
+            with open(args.json_path, "w") as handle:
+                handle.write(text + "\n")
+        if getattr(args, "csv", None) is not None:
+            write_csv(args.csv, rows)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return doc.exit_code
 
 

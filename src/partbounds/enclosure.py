@@ -14,8 +14,9 @@ Precision is always an argument; no global mpmath state is touched.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from types import SimpleNamespace
 
-import mpmath
 from mpmath import libmp
 
 DEFAULT_PRECISION = 128
@@ -53,11 +54,6 @@ def fraction_from_raw(raw):
     if exp >= 0:
         return Fraction(man * (1 << exp))
     return Fraction(man, 1 << (-exp))
-
-
-def mpf_from_raw(raw):
-    """Wrap a raw libmp float as an mpmath.mpf without re-rounding."""
-    return mpmath.mp.make_mpf(raw)
 
 
 def exact_decimal(value: Fraction) -> str:
@@ -143,14 +139,6 @@ class Enclosure:
     @property
     def hi_fraction(self) -> Fraction:
         return fraction_from_raw(self.hi)
-
-    @property
-    def lo_mpf(self):
-        return mpf_from_raw(self.lo)
-
-    @property
-    def hi_mpf(self):
-        return mpf_from_raw(self.hi)
 
     def width(self) -> Fraction:
         return self.hi_fraction - self.lo_fraction
@@ -324,3 +312,21 @@ def sqrt_enclosure(value, prec=DEFAULT_PRECISION):
 def exp_enclosure(value, prec=DEFAULT_PRECISION):
     """Enclosure of exp(value) for an exact int or Fraction."""
     return Enclosure.from_exact(value, prec).exp()
+
+
+@lru_cache(maxsize=None)
+def constants(prec: int) -> SimpleNamespace:
+    """Enclosures of pi, sqrt 2, sqrt 3, sqrt 6, sqrt(2 pi) and delta_c."""
+    pi = Enclosure.pi(prec)
+    sqrt2 = sqrt_enclosure(2, prec)
+    sqrt3 = sqrt_enclosure(3, prec)
+    sqrt_two_pi = (2 * pi).sqrt()
+    return SimpleNamespace(
+        pi=pi,
+        sqrt2=sqrt2,
+        sqrt3=sqrt3,
+        sqrt6=sqrt_enclosure(6, prec),
+        sqrt_two_pi=sqrt_two_pi,
+        # sqrt(3)/(sqrt(2) pi) - sqrt(3)/sqrt(2 pi), about -0.3011
+        delta_c=sqrt3 / (sqrt2 * pi) - sqrt3 / sqrt_two_pi,
+    )

@@ -21,28 +21,27 @@ against each enclosure.
 
 The license windows are enforced on exact integers: j < sqrt(N)/2 is
 equivalent to 4j^2 < n, j < sqrt(N)/4 to 16j^2 < n, and j <= sqrt(N) to
-j^2 < n, because 24 j^2 multiples can never equal 24n - 1.
+j^2 < n, because 24 j^2 multiples can never equal 24n - 1.  The *_j_top
+functions below are the one source of these windows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from types import SimpleNamespace
-from typing import Optional
+from functools import lru_cache
 
-from .enclosure import DEFAULT_PRECISION, Enclosure, sqrt_enclosure
+from .enclosure import DEFAULT_PRECISION, Enclosure, constants
 from .errors import PreconditionError
 from .exact import (
     LISTING_BOUND,
-    PartitionTable,
-    ShiftedIndex,
-    default_table,
     enumerate_partitions,
     f_jn,
     nu_k,
     p_exact,
+    shifted_index,
 )
 
 __all__ = [
@@ -52,6 +51,8 @@ __all__ = [
     "MapCheck",
     "RatioEstimate",
     "convexity_certificate",
+    "fjn_j_top",
+    "fjn_licensed",
     "fjn_ratio_interval",
     "injection_inequality",
     "injection_map_check",
@@ -59,7 +60,9 @@ __all__ = [
     "krank_diff_interval",
     "krank_ratio_interval",
     "nonkary_diff_check",
+    "prop21_j_top",
     "ratio_interval",
+    "ratio_j_top",
 ]
 
 RATIO_RADIUS_1 = Fraction(271, 100)
@@ -71,35 +74,32 @@ KRANK_RATIO_RADIUS_2 = Fraction(1350)
 KRANK_DIFF_RADIUS_A = Fraction(2079)
 KRANK_DIFF_RADIUS_B = Fraction(3929)
 
-_const_cache: dict = {}
+
+def ratio_j_top(n: int) -> int:
+    """Largest j with 4j^2 < n (two-factor ratio license)."""
+    return math.isqrt((n - 1) // 4)
 
 
-def _consts(prec: int) -> SimpleNamespace:
-    c = _const_cache.get(prec)
-    if c is None:
-        pi = Enclosure.pi(prec)
-        sqrt2 = sqrt_enclosure(2, prec)
-        sqrt3 = sqrt_enclosure(3, prec)
-        sqrt6 = sqrt_enclosure(6, prec)
-        sqrt_two_pi = (2 * pi).sqrt()
-        c = SimpleNamespace(
-            pi=pi,
-            sqrt2=sqrt2,
-            sqrt3=sqrt3,
-            sqrt6=sqrt6,
-            sqrt_two_pi=sqrt_two_pi,
-            # sqrt(3)/(sqrt(2) pi) - sqrt(3)/sqrt(2 pi), about -0.3011
-            delta_c=sqrt3 / (sqrt2 * pi) - sqrt3 / sqrt_two_pi,
-        )
-        _const_cache[prec] = c
-    return c
+def fjn_j_top(n: int) -> int:
+    """Largest j with 16j^2 < n (second-difference license)."""
+    return math.isqrt((n - 1) // 16)
+
+
+def prop21_j_top(n: int) -> int:
+    """Largest j with j^2 < n (one-term truncation license)."""
+    return math.isqrt(n - 1)
+
+
+def fjn_licensed(n: int, j: int) -> bool:
+    """Is (n, j), j >= 1, inside the analytic second-difference license?"""
+    return n >= 14 and j <= fjn_j_top(n)
 
 
 @dataclass(frozen=True)
 class RatioEstimate:
     """Enclosure of p(n-j)/p(n) as exponential * factor1 * factor2."""
 
-    index: ShiftedIndex
+    N: Fraction
     j: int
     exponential_factor: Enclosure
     factor1: Enclosure
@@ -112,7 +112,7 @@ class RatioEstimate:
 class FjnEstimate:
     """Enclosure of f(j,n)/p(n) as 1 + exp2*termA - exp1*termB."""
 
-    index: ShiftedIndex
+    N: Fraction
     j: int
     termA: Enclosure
     termB: Enclosure
@@ -148,10 +148,6 @@ class MapCheck:
     preserves_avoidance: bool
 
 
-def _shifted(n: int) -> Fraction:
-    return Fraction(24 * n - 1, 24)
-
-
 def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> RatioEstimate:
     """Enclosure of p(n-j)/p(n) for n >= 14, 0 <= j < sqrt(N)/2.
 
@@ -163,10 +159,10 @@ def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> RatioEstima
         raise PreconditionError("requires n >= 14")
     if j < 0:
         raise PreconditionError("requires j >= 0")
-    if 4 * j * j >= n:
+    if j > ratio_j_top(n):
         raise PreconditionError("requires j < sqrt(N)/2, i.e. 4j^2 < n")
-    c = _consts(prec)
-    N = _shifted(n)
+    c = constants(prec)
+    N = shifted_index(n)
     Ne = Enclosure.from_exact(N, prec)
     sqrtN = Ne.sqrt()
     expf = (-(c.pi * j / (c.sqrt6 * sqrtN))).exp()
@@ -180,7 +176,7 @@ def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> RatioEstima
     center2 = 1 + c.sqrt3 / (c.pi * c.sqrt2 * sqrtN)
     factor2 = center2.plus_minus(Enclosure.from_exact(RATIO_RADIUS_2 / N, prec))
     return RatioEstimate(
-        index=ShiftedIndex.of(n),
+        N=N,
         j=j,
         exponential_factor=expf,
         factor1=factor1,
@@ -203,10 +199,10 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> FjnEsti
         raise PreconditionError("requires n >= 14")
     if j < 1:
         raise PreconditionError("requires j >= 1")
-    if 16 * j * j >= n:
+    if j > fjn_j_top(n):
         raise PreconditionError("requires j < sqrt(N)/4, i.e. 16j^2 < n")
-    c = _consts(prec)
-    N = _shifted(n)
+    c = constants(prec)
+    N = shifted_index(n)
     Ne = Enclosure.from_exact(N, prec)
     sqrtN = Ne.sqrt()
     exp1 = (-(c.pi * j / (c.sqrt6 * sqrtN))).exp()
@@ -219,7 +215,7 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> FjnEsti
     )
     termB = centerB.plus_minus(Enclosure.from_exact(FJN_RADIUS_B / N, prec))
     return FjnEstimate(
-        index=ShiftedIndex.of(n),
+        N=N,
         j=j,
         termA=termA,
         termB=termB,
@@ -235,8 +231,8 @@ def _analytic_convexity(n: int, j: int, prec: int) -> bool:
     #   (iii) -1 < delta_c/sqrt N + j/N - pi j^2/(4 sqrt6 N^{3/2}) + 3926/N < 0
     # together force f(j,n)/p(n) > 0; each comparison must hold for the
     # whole interval, else the chain is inconclusive
-    c = _consts(prec)
-    N = _shifted(n)
+    c = constants(prec)
+    N = shifted_index(n)
     Ne = Enclosure.from_exact(N, prec)
     sqrtN = Ne.sqrt()
     B = (
@@ -256,10 +252,7 @@ def _analytic_convexity(n: int, j: int, prec: int) -> bool:
 
 
 def convexity_certificate(
-    n: int,
-    j: int,
-    prec: int = DEFAULT_PRECISION,
-    table: Optional[PartitionTable] = None,
+    n: int, j: int, prec: int = DEFAULT_PRECISION
 ) -> ConvexityCertificate:
     """Certify p(n) - 2p(n-j) + p(n-2j) >= 0.
 
@@ -274,15 +267,13 @@ def convexity_certificate(
         raise PreconditionError("requires j >= 1")
     if 2 * j > n:
         raise PreconditionError("requires 2j <= n")
-    if n >= 14 and 16 * j * j < n and _analytic_convexity(n, j, prec):
+    if fjn_licensed(n, j) and _analytic_convexity(n, j, prec):
         return ConvexityCertificate(n=n, j=j, holds=True, kind=CertificateKind.ANALYTIC)
-    holds = f_jn(n, j, table if table is not None else default_table()) >= 0
+    holds = f_jn(n, j) >= 0
     return ConvexityCertificate(n=n, j=j, holds=holds, kind=CertificateKind.EXACT)
 
 
-def krank_boundary_value(
-    k: int, m: int, n: int, table: Optional[PartitionTable] = None
-) -> int:
+def krank_boundary_value(k: int, m: int, n: int) -> int:
     """Count of partitions of n with k-rank m, on the range m > n/2 where it
     collapses to p(n-k-m+1) - p(n-k-m)."""
     if k < 1:
@@ -291,12 +282,7 @@ def krank_boundary_value(
         raise PreconditionError("requires n >= 0")
     if 2 * m <= n:
         raise PreconditionError("requires m > n/2")
-    t = table if table is not None else default_table()
-    return p_exact(n - k - m + 1, t) - p_exact(n - k - m, t)
-
-
-def _ell(k: int, m: int, n: int) -> Fraction:
-    return Fraction(24 * (n - k - m) + 23, 24)
+    return p_exact(n - k - m + 1) - p_exact(n - k - m)
 
 
 def _check_krank_domain(k: int, m: int, n: int) -> None:
@@ -306,10 +292,6 @@ def _check_krank_domain(k: int, m: int, n: int) -> None:
         raise PreconditionError("requires m > n/2")
     if n - k - m < 16:
         raise PreconditionError("requires ell > 16, i.e. n - k - m >= 16")
-
-
-_krank_ratio_cache: dict = {}
-_krank_diff_cache: dict = {}
 
 
 def krank_ratio_interval(
@@ -323,12 +305,14 @@ def krank_ratio_interval(
     Depends on (k, m, n) only through n-k-m; cached on it.
     """
     _check_krank_domain(k, m, n)
-    key = (n - k - m, prec)
-    hit = _krank_ratio_cache.get(key)
-    if hit is not None:
-        return hit
-    c = _consts(prec)
-    ell = _ell(k, m, n)
+    return _krank_ratio(n - k - m, prec)
+
+
+@lru_cache(maxsize=None)
+def _krank_ratio(lp: int, prec: int) -> Enclosure:
+    # lp = n - k - m, and ell = lp + 23/24 is the shift of lp + 1
+    c = constants(prec)
+    ell = shifted_index(lp + 1)
     Le = Enclosure.from_exact(ell, prec)
     sqrtL = Le.sqrt()
     u = (-(c.pi / (c.sqrt6 * sqrtL))).exp()
@@ -336,9 +320,7 @@ def krank_ratio_interval(
     f1 = center1.plus_minus(Enclosure.from_exact(KRANK_RATIO_RADIUS_1 / ell, prec))
     center2 = 1 + c.sqrt3 / (c.pi * c.sqrt2 * sqrtL)
     f2 = center2.plus_minus(Enclosure.from_exact(KRANK_RATIO_RADIUS_2 / ell, prec))
-    result = 1 - u * f1 * f2
-    _krank_ratio_cache[key] = result
-    return result
+    return 1 - u * f1 * f2
 
 
 def krank_diff_interval(
@@ -353,12 +335,13 @@ def krank_diff_interval(
     j = 1 second-difference estimate keeps explicit.  Cached on n-k-m.
     """
     _check_krank_domain(k, m, n)
-    key = (n - k - m, prec)
-    hit = _krank_diff_cache.get(key)
-    if hit is not None:
-        return hit
-    c = _consts(prec)
-    ell = _ell(k, m, n)
+    return _krank_diff(n - k - m, prec)
+
+
+@lru_cache(maxsize=None)
+def _krank_diff(lp: int, prec: int) -> Enclosure:
+    c = constants(prec)
+    ell = shifted_index(lp + 1)
     Le = Enclosure.from_exact(ell, prec)
     sqrtL = Le.sqrt()
     u = (-(c.pi / (c.sqrt6 * sqrtL))).exp()
@@ -366,14 +349,10 @@ def krank_diff_interval(
     termA = centerA.plus_minus(Enclosure.from_exact(KRANK_DIFF_RADIUS_A / ell, prec))
     centerB = 2 + 2 * c.delta_c / sqrtL
     termB = centerB.plus_minus(Enclosure.from_exact(KRANK_DIFF_RADIUS_B / ell, prec))
-    result = 1 + u * u * termA - u * termB
-    _krank_diff_cache[key] = result
-    return result
+    return 1 + u * u * termA - u * termB
 
 
-def nonkary_diff_check(
-    n: int, k: int, table: Optional[PartitionTable] = None
-) -> bool:
+def nonkary_diff_check(n: int, k: int) -> bool:
     """Is nu_k(n) - nu_k(n-k) positive?  Computed exactly.
 
     Also cross-checks the collapse nu_k(n) - nu_k(n-k) = f(k,n) before
@@ -385,27 +364,23 @@ def nonkary_diff_check(
         raise PreconditionError("requires k >= 1")
     if 2 * k > n:
         raise PreconditionError("requires 2k <= n")
-    t = table if table is not None else default_table()
-    diff = nu_k(n, k, t) - nu_k(n - k, k, t)
-    if diff != f_jn(n, k, t):
+    diff = nu_k(n, k) - nu_k(n - k, k)
+    if diff != f_jn(n, k):
         raise AssertionError(
             f"nu_{k}({n}) - nu_{k}({n - k}) disagrees with the second difference"
         )
     return diff > 0
 
 
-def injection_inequality(
-    n: int, j: int, ell: int, table: Optional[PartitionTable] = None
-) -> bool:
+def injection_inequality(n: int, j: int, ell: int) -> bool:
     """Exact check of p(n-ell) - p(n-ell-j) <= p(n) - p(n-j).
 
     Arguments below zero follow the p(m < 0) = 0 convention; no inputs are
     rejected.  The inequality is witnessed by the map on partitions checked
     separately by injection_map_check.
     """
-    t = table if table is not None else default_table()
-    lhs = p_exact(n - ell, t) - p_exact(n - ell - j, t)
-    rhs = p_exact(n, t) - p_exact(n - j, t)
+    lhs = p_exact(n - ell) - p_exact(n - ell - j)
+    rhs = p_exact(n) - p_exact(n - j)
     return lhs <= rhs
 
 

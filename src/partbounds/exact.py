@@ -10,8 +10,6 @@ can serve as oracles for the fast path.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -20,62 +18,21 @@ from .errors import PreconditionError
 
 ENUMERATION_BOUND = 90
 LISTING_BOUND = 45
+# Largest index the shared table grows to: growing from empty to it took
+# about 10 s and 32 MB on a 2-vCPU VM.  Every suite stays below 10^4.
+TABLE_CEILING = 100_000
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A non-increasing sequence of positive parts with their sum."""
-
-    parts: tuple
-    weight: int
-
-    def __post_init__(self):
-        if any(x <= 0 for x in self.parts):
-            raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError("parts must be non-increasing")
-        if sum(self.parts) != self.weight:
-            raise ValueError("weight must equal the sum of parts")
-
-    @classmethod
-    def from_parts(cls, parts):
-        parts = tuple(parts)
-        return cls(parts, sum(parts))
-
-    def rank(self) -> int:
-        """Largest part minus number of parts."""
-        if not self.parts:
-            raise ValueError("rank of the empty partition is undefined")
-        return self.parts[0] - len(self.parts)
-
-
-@dataclass(frozen=True)
-class ShiftedIndex:
-    """An integer n paired with the exact shift N = n - 1/24."""
-
-    n: int
-    N: Fraction
-
-    def __post_init__(self):
-        if self.N != self.n - Fraction(1, 24):
-            raise ValueError("N must equal n - 1/24 exactly")
-
-    @classmethod
-    def of(cls, n: int) -> "ShiftedIndex":
-        return cls(n, Fraction(24 * n - 1, 24))
+def shifted_index(n: int) -> Fraction:
+    """The exact shift N = n - 1/24 shared by every estimate."""
+    return Fraction(24 * n - 1, 24)
 
 
 class PartitionTable:
-    """Memoized exact values of p(n), grown by the pentagonal recurrence.
-
-    Growth is serialized by a lock; reads of already-computed entries are
-    plain list indexing and safe to share across threads after a warm-up
-    call to ensure().
-    """
+    """Memoized exact values of p(n), grown by the pentagonal recurrence."""
 
     def __init__(self):
         self._values = [1]
-        self._lock = threading.Lock()
 
     def __len__(self):
         return len(self._values)
@@ -84,23 +41,24 @@ class PartitionTable:
         """Grow the table so that p(0..n) are all available."""
         if n < len(self._values):
             return
-        with self._lock:
-            vals = self._values
-            while len(vals) <= n:
-                m = len(vals)
-                total = 0
-                k = 1
-                while True:
-                    g = k * (3 * k - 1) // 2
-                    if g > m:
-                        break
-                    term = vals[m - g]
-                    g += k  # second pentagonal number k(3k+1)/2
-                    if g <= m:
-                        term += vals[m - g]
-                    total += term if (k & 1) else -term
-                    k += 1
-                vals.append(total)
+        if n > TABLE_CEILING:
+            raise PreconditionError(f"requires n <= {TABLE_CEILING} (partition table ceiling)")
+        vals = self._values
+        while len(vals) <= n:
+            m = len(vals)
+            total = 0
+            k = 1
+            while True:
+                g = k * (3 * k - 1) // 2
+                if g > m:
+                    break
+                term = vals[m - g]
+                g += k  # second pentagonal number k(3k+1)/2
+                if g <= m:
+                    term += vals[m - g]
+                total += term if (k & 1) else -term
+                k += 1
+            vals.append(total)
 
     def p(self, m: int) -> int:
         """p(m), with p(m) = 0 for m < 0."""
@@ -117,11 +75,9 @@ def default_table() -> PartitionTable:
     return _default_table
 
 
-def p_exact(n: int, table: PartitionTable | None = None) -> int:
+def p_exact(n: int) -> int:
     """Exact number of partitions of n (0 for negative n)."""
-    if table is None:
-        table = _default_table
-    return table.p(n)
+    return _default_table.p(n)
 
 
 def p_enumerate_oracle(n: int) -> int:
@@ -149,7 +105,7 @@ def p_enumerate_oracle(n: int) -> int:
     return count(n, n)
 
 
-def f_jn(n: int, j: int, table: PartitionTable | None = None) -> int:
+def f_jn(n: int, j: int) -> int:
     """Second j-shifted difference p(n) - 2p(n-j) + p(n-2j)."""
     if n < 2:
         raise PreconditionError("requires n >= 2")
@@ -157,11 +113,11 @@ def f_jn(n: int, j: int, table: PartitionTable | None = None) -> int:
         raise PreconditionError("requires j >= 1")
     if 2 * j > n:
         raise PreconditionError("requires 2j <= n")
-    p = (table or _default_table).p
+    p = _default_table.p
     return p(n) - 2 * p(n - j) + p(n - 2 * j)
 
 
-def delta_r_j_direct(n: int, j: int, r: int, table: PartitionTable | None = None) -> int:
+def delta_r_j_direct(n: int, j: int, r: int) -> int:
     """r-fold j-shifted backward difference of p at n, by the binomial sum."""
     if r < 1:
         raise PreconditionError("requires r >= 1")
@@ -169,7 +125,7 @@ def delta_r_j_direct(n: int, j: int, r: int, table: PartitionTable | None = None
         raise PreconditionError("requires j >= 1")
     if r * j > n:
         raise PreconditionError("requires rj <= n")
-    p = (table or _default_table).p
+    p = _default_table.p
     return sum((-1) ** i * comb(r, i) * p(n - i * j) for i in range(r + 1))
 
 
@@ -192,13 +148,13 @@ def series_delta_coeffs(j: int, r: int, n_max: int) -> list:
     return coeffs
 
 
-def nu_k(n: int, k: int, table: PartitionTable | None = None) -> int:
+def nu_k(n: int, k: int) -> int:
     """Number of partitions of n with no part equal to k: p(n) - p(n-k)."""
     if n < 0:
         raise PreconditionError("requires n >= 0")
     if k < 1:
         raise PreconditionError("requires k >= 1")
-    p = (table or _default_table).p
+    p = _default_table.p
     return p(n) - p(n - k)
 
 

@@ -22,15 +22,21 @@ Sampling conventions:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
-from .enclosure import Enclosure, exp_enclosure, sqrt_enclosure
+from .enclosure import (
+    DEFAULT_PRECISION,
+    Enclosure,
+    constants,
+    exp_enclosure,
+    sqrt_enclosure,
+)
 from .errors import PreconditionError
-from .estimates import _consts
+from .estimates import fjn_j_top
+from .exact import shifted_index
 from .rademacher import h_error
 
 Point = Tuple
@@ -40,10 +46,9 @@ Sampler = Callable[[int, int, random.Random], Iterable[Point]]
 GRID_POINTS = 10_000
 RANDOM_POINTS = 1_000
 DEFAULT_SEED = 8191
-DEFAULT_PRECISION = 128
 
 # Least shifted index in the licensed range, 14 - 1/24.
-_CORNER = Fraction(335, 24)
+_CORNER = shifted_index(14)
 # Truncation point for unbounded domains.
 _CAP = Fraction(10_000)
 # Relative pull-in applied to both domain endpoints.
@@ -95,11 +100,6 @@ def _interval_sampler(lo: Fraction, hi: Fraction) -> Sampler:
     return sample
 
 
-def _licensed_j_max(n: int) -> int:
-    # Largest j with 16 j^2 < n; at least 1 for every n >= 17.
-    return math.isqrt((n - 1) // 16)
-
-
 def _pair_sampler(n_lo: int, n_hi: int) -> Sampler:
     """Admissible integer pairs (n, j) with 16 j^2 < n.
 
@@ -111,7 +111,7 @@ def _pair_sampler(n_lo: int, n_hi: int) -> Sampler:
         count = 0
         n = n_lo
         while count < grid and n <= n_hi:
-            jm = _licensed_j_max(n)
+            jm = fjn_j_top(n)
             if jm >= 1:
                 for j in sorted({1, max(1, jm // 2), jm}):
                     if count >= grid:
@@ -121,7 +121,7 @@ def _pair_sampler(n_lo: int, n_hi: int) -> Sampler:
             n += 1
         for _ in range(rand):
             n = rng.randint(n_lo, n_hi)
-            jm = _licensed_j_max(n)
+            jm = fjn_j_top(n)
             if jm >= 1:
                 yield (n, rng.randint(1, jm))
 
@@ -169,7 +169,7 @@ def _margin_exp_convexity(point: Point, prec: int) -> Enclosure:
 
 def _envelope(x: Fraction, prec: int) -> Enclosure:
     # sqrt(x) exp(-(pi/2) sqrt(x/2))
-    c = _consts(prec)
+    c = constants(prec)
     decay = (-(c.pi / 2) * sqrt_enclosure(x / 2, prec)).exp()
     return sqrt_enclosure(x, prec) * decay
 
@@ -182,14 +182,14 @@ def _margin_tail_envelope(point: Point, prec: int) -> Enclosure:
 def _margin_envelope_decreasing(point: Point, prec: int) -> Enclosure:
     # d/dx log(sqrt(x) exp(-(pi/2) sqrt(x/2))) < 0 iff pi sqrt(x) > 2 sqrt(2).
     (x,) = point
-    c = _consts(prec)
+    c = constants(prec)
     return c.pi * sqrt_enclosure(x, prec) - 2 * c.sqrt2
 
 
 def _margin_shifted_envelope(point: Point, prec: int) -> Enclosure:
     (x,) = point
     y = x - sqrt_enclosure(x, prec) / 2
-    c = _consts(prec)
+    c = constants(prec)
     decay = (-(c.pi / 2) * (y / 2).sqrt()).exp()
     return Fraction(11, 10) - x * y.sqrt() * decay
 
@@ -201,7 +201,7 @@ def _margin_concavity(point: Point, prec: int) -> Enclosure:
 
 def _correction_sum(x: Fraction, prec: int) -> Enclosure:
     # sqrt(3)/(sqrt(2) pi sqrt(x)) + h_error(x)
-    c = _consts(prec)
+    c = constants(prec)
     return c.sqrt3 / (c.sqrt2 * c.pi * sqrt_enclosure(x, prec)) + h_error(x, prec)
 
 
@@ -212,7 +212,7 @@ def _margin_correction_sum(point: Point, prec: int) -> Enclosure:
 
 def _margin_exp_argument(point: Point, prec: int) -> Enclosure:
     (x,) = point
-    c = _consts(prec)
+    c = constants(prec)
     inner = Fraction(1, 10) / sqrt_enclosure(x, prec) + Fraction(1, 4)
     value = c.pi / (40 * c.sqrt6) + c.pi * c.pi / 24 * inner * inner
     return Fraction(1, 10) - value
@@ -225,8 +225,8 @@ def _margin_shift_ratio(point: Point, prec: int) -> Enclosure:
 
 def _margin_collapse_056(point: Point, prec: int) -> Enclosure:
     n, j = point
-    c = _consts(prec)
-    nn = Fraction(24 * n - 1, 24)
+    c = constants(prec)
+    nn = shifted_index(n)
     n32 = nn * sqrt_enclosure(nn, prec)
     worst = None
     # The bound is used with both the plain and the doubled shift; the
@@ -245,15 +245,15 @@ def _margin_collapse_056(point: Point, prec: int) -> Enclosure:
 
 
 def _margin_collapse_131(point: Point, prec: int) -> Enclosure:
-    c = _consts(prec)
+    c = constants(prec)
     value = Fraction(3, 10) * c.sqrt3 / c.sqrt_two_pi + Fraction(11, 10)
     return Fraction(131, 100) - value
 
 
 def _margin_collapse_271(point: Point, prec: int) -> Enclosure:
     n, j = point
-    c = _consts(prec)
-    nn = Fraction(24 * n - 1, 24)
+    c = constants(prec)
+    nn = shifted_index(n)
     sq = sqrt_enclosure(nn, prec)
     b2 = -(c.sqrt3 / (c.sqrt_two_pi * sq))
     worst = None
@@ -267,7 +267,7 @@ def _margin_collapse_271(point: Point, prec: int) -> Enclosure:
 
 def _margin_collapse_1350(point: Point, prec: int) -> Enclosure:
     (x,) = point
-    c = _consts(prec)
+    c = constants(prec)
     h = h_error(x, prec)
     s = c.sqrt3 / (c.sqrt2 * c.pi * sqrt_enclosure(x, prec)) + h
     return 1350 - x * (h + 100 * s * s)
@@ -275,8 +275,8 @@ def _margin_collapse_1350(point: Point, prec: int) -> Enclosure:
 
 def _margin_collapse_2075(point: Point, prec: int) -> Enclosure:
     n, j = point
-    c = _consts(prec)
-    nn = Fraction(24 * n - 1, 24)
+    c = constants(prec)
+    nn = shifted_index(n)
     sq = sqrt_enclosure(nn, prec)
     b1 = c.sqrt3 / (c.sqrt2 * c.pi * sq)
     b2 = (
@@ -290,8 +290,8 @@ def _margin_collapse_2075(point: Point, prec: int) -> Enclosure:
 
 def _margin_collapse_3926(point: Point, prec: int) -> Enclosure:
     n, j = point
-    c = _consts(prec)
-    nn = Fraction(24 * n - 1, 24)
+    c = constants(prec)
+    nn = shifted_index(n)
     sq = sqrt_enclosure(nn, prec)
     b1 = c.sqrt3 / (c.sqrt2 * c.pi * sq)
     b2 = (
@@ -305,7 +305,7 @@ def _margin_collapse_3926(point: Point, prec: int) -> Enclosure:
 
 def _bessel_halforder(y: Fraction, prec: int) -> Enclosure:
     # [e^y (1 - 1/y) + e^{-y} (1 + 1/y)] / sqrt(2 pi y)
-    c = _consts(prec)
+    c = constants(prec)
     ey = exp_enclosure(y, prec)
     iy = 1 / y
     numerator = ey * (1 - iy) + (1 / ey) * (1 + iy)
@@ -314,7 +314,7 @@ def _bessel_halforder(y: Fraction, prec: int) -> Enclosure:
 
 def _margin_bessel_tail(point: Point, prec: int) -> Enclosure:
     (x,) = point
-    c = _consts(prec)
+    c = constants(prec)
     total = Enclosure.from_exact(0, prec)
     for k in range(2, TAIL_TERMS + 1):
         total = total + _bessel_halforder(x / k, prec)
@@ -520,15 +520,3 @@ def run_case(
             worst_point = point
     assert worst is not None
     return InequalityResult(case.name, count, worst, worst_point, worst > 0)
-
-
-def run_all(
-    names: Optional[Sequence[str]] = None,
-    grid: Optional[int] = None,
-    rand: Optional[int] = None,
-    prec: int = DEFAULT_PRECISION,
-    seed: int = DEFAULT_SEED,
-) -> list:
-    """Run the named cases (default: all) and collect their results."""
-    cases = CASES if names is None else tuple(_lookup(n) for n in names)
-    return [run_case(c, grid, rand, prec, seed) for c in cases]

@@ -19,24 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
 
-import mpmath
-
-from .enclosure import DEFAULT_PRECISION, Enclosure, sqrt_enclosure
+from .enclosure import DEFAULT_PRECISION, Enclosure, constants
 from .errors import PreconditionError, StabilizationError
-from .exact import PartitionTable, default_table, p_exact
+from .exact import shifted_index
 from .special import bessel_I32_closed, kloosterman_A, mp_context, to_fraction
 
 __all__ = [
     "ErrorBudget",
-    "RademacherPartial",
     "h_error",
-    "leading_asymptotic_ratio",
     "proposition21_budget",
     "proposition21_interval",
-    "rademacher_partial",
     "rademacher_round",
 ]
 
@@ -47,17 +41,6 @@ def _working_precision(n: int, prec: int) -> int:
     magnitude = math.pi * math.sqrt(2 * n / 3) * 1.4427
     wp = max(prec, int(magnitude) + 48)
     return ((wp + 31) // 32) * 32
-
-
-@dataclass(frozen=True)
-class RademacherPartial:
-    """A truncated series evaluation: K terms at a fixed working precision."""
-
-    n: int
-    K: int
-    prec: int
-    value: mpmath.mpf
-    terms: tuple
 
 
 def _series_state(n: int, prec: int):
@@ -72,17 +55,6 @@ def _term(ctx, wp: int, X, n: int, k: int):
     A = kloosterman_A(k, n, wp)
     bess = bessel_I32_closed(to_fraction(X / k), wp)
     return ctx.convert(A) / k * ctx.convert(bess)
-
-
-def rademacher_partial(n: int, K: int, prec: int = DEFAULT_PRECISION) -> RademacherPartial:
-    """Sum of the first K series terms, including the global prefactor."""
-    if n < 1:
-        raise PreconditionError("requires n >= 1")
-    if K < 1:
-        raise PreconditionError("requires K >= 1")
-    wp, ctx, X, prefactor = _series_state(n, prec)
-    terms = tuple(_term(ctx, wp, X, n, k) for k in range(1, K + 1))
-    return RademacherPartial(n=n, K=K, prec=wp, value=prefactor * ctx.fsum(terms), terms=terms)
 
 
 def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
@@ -136,10 +108,10 @@ def h_error(x, prec: int = DEFAULT_PRECISION) -> Enclosure:
     if xf <= 0:
         raise PreconditionError("requires x > 0")
     xe = Enclosure.from_exact(xf, prec)
-    pi = Enclosure.pi(prec)
-    sqrt3 = sqrt_enclosure(3, prec)
+    c = constants(prec)
+    pi = c.pi
     first = 2 * pi * pi / 3 * xe * (-(pi * (2 * xe / 3).sqrt())).exp()
-    second = 8 * pi / sqrt3 * xe.sqrt() * (-(pi / 2 * (xe / 2).sqrt())).exp()
+    second = 8 * pi / c.sqrt3 * xe.sqrt() * (-(pi / 2 * (xe / 2).sqrt())).exp()
     return first + second
 
 
@@ -151,26 +123,16 @@ class ErrorBudget:
     tail_bound: Enclosure
 
 
-_prop21_cache: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _prop21(m: int, prec: int):
-    key = (m, prec)
-    hit = _prop21_cache.get(key)
-    if hit is not None:
-        return hit
-    M = Fraction(24 * m - 1, 24)
+    M = shifted_index(m)
     Me = Enclosure.from_exact(M, prec)
-    pi = Enclosure.pi(prec)
-    sqrt3 = sqrt_enclosure(3, prec)
-    sqrt2 = sqrt_enclosure(2, prec)
-    prefactor = (pi * (2 * Me / 3).sqrt()).exp() / (4 * sqrt3 * Me)
-    correction = sqrt3 / (sqrt2 * pi * Me.sqrt())
+    c = constants(prec)
+    prefactor = (c.pi * (2 * Me / 3).sqrt()).exp() / (4 * c.sqrt3 * Me)
+    correction = c.sqrt3 / (c.sqrt2 * c.pi * Me.sqrt())
     tail = h_error(M, prec)
     enclosure = prefactor * (1 - correction).plus_minus(tail)
-    result = (enclosure, ErrorBudget(main_correction=correction, tail_bound=tail))
-    _prop21_cache[key] = result
-    return result
+    return enclosure, ErrorBudget(main_correction=correction, tail_bound=tail)
 
 
 def proposition21_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
@@ -194,15 +156,3 @@ def proposition21_budget(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Error
     """The width sources behind proposition21_interval for the same (n, j)."""
     proposition21_interval(n, j, prec)
     return _prop21(n - j, prec)[1]
-
-
-def leading_asymptotic_ratio(n: int, table: Optional[PartitionTable] = None,
-                             prec: int = DEFAULT_PRECISION) -> mpmath.mpf:
-    """p(n) * 4 sqrt(3) n * e^{-pi sqrt(2n/3)}; tends to 1 from below."""
-    if n < 1:
-        raise PreconditionError("requires n >= 1")
-    wp = _working_precision(n, prec) + 16
-    ctx = mp_context(wp)
-    p = p_exact(n, table if table is not None else default_table())
-    ratio = ctx.mpf(p) * 4 * ctx.sqrt(3) * n * ctx.exp(-ctx.pi * ctx.sqrt(ctx.mpf(2 * n) / 3))
-    return mpmath.mp.make_mpf(mpmath.libmp.mpf_pos(ratio._mpf_, prec, "n"))

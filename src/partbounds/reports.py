@@ -39,11 +39,6 @@ def fraction_str(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Inverse of fraction_str and of exact_decimal."""
-    return Fraction(text)
-
-
 def decimal_directed(value: Fraction, digits: int, rounding: str) -> str:
     """Decimal string of a rational at the given digit count, rounded one way.
 
@@ -96,7 +91,8 @@ class SuiteReport:
 
     failures lists human-readable descriptions (capped upstream); info holds
     sweep-level measurements such as worst margins; rows are per-case records
-    destined for CSV and are only populated when requested.
+    destined for CSV and are only populated when requested.  A sweep that
+    decided no case has shown nothing, so it does not pass.
     """
 
     suite: str
@@ -108,7 +104,7 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.cases > 0 and not self.failures
 
     def summary(self) -> Dict[str, Any]:
         return {

@@ -19,23 +19,19 @@ import mpmath
 from mpmath import libmp
 from mpmath.ctx_mp import MPContext
 
-from .enclosure import DEFAULT_PRECISION
+from .enclosure import DEFAULT_PRECISION, fraction_from_raw
 from .errors import PrecisionError, PreconditionError
 
-_contexts = {}
 
-
+@lru_cache(maxsize=None)
 def mp_context(prec: int) -> MPContext:
     """A cached mpmath context pinned at the given precision.
 
     The global mpmath.mp is never touched; every consumer asks for an
     explicit precision instead.
     """
-    ctx = _contexts.get(prec)
-    if ctx is None:
-        ctx = MPContext()
-        ctx.prec = prec
-        _contexts[prec] = ctx
+    ctx = MPContext()
+    ctx.prec = prec
     return ctx
 
 
@@ -46,13 +42,7 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)
     if hasattr(x, "_mpf_"):
-        sign, man, exp, bc = x._mpf_
-        if man == 0 and exp != 0:
-            raise ValueError("non-finite value")
-        man = int(man)
-        if sign:
-            man = -man
-        return Fraction(man, 1) * Fraction(2) ** exp
+        return fraction_from_raw(x._mpf_)
     raise TypeError(f"cannot take {type(x).__name__} exactly")
 
 

@@ -14,14 +14,16 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .enclosure import DEFAULT_PRECISION
 from .errors import PreconditionError
 from .estimates import (
     CertificateKind,
     convexity_certificate,
+    fjn_j_top,
     fjn_ratio_interval,
     injection_inequality,
     injection_map_check,
@@ -29,19 +31,19 @@ from .estimates import (
     krank_diff_interval,
     krank_ratio_interval,
     nonkary_diff_check,
+    prop21_j_top,
     ratio_interval,
+    ratio_j_top,
 )
 from .exact import (
     ENUMERATION_BOUND,
-    PartitionTable,
-    default_table,
     dyson_rank_count,
     f_jn,
     p_enumerate_oracle,
     p_exact,
 )
 from .inequalities import CASES, DEFAULT_SEED, InequalityResult, _lookup, run_case
-from .rademacher import DEFAULT_PRECISION, proposition21_interval, rademacher_round
+from .rademacher import proposition21_interval, rademacher_round
 from .reports import SuiteReport, fraction_str
 from .special import (
     bessel_I32_closed,
@@ -89,21 +91,6 @@ RATIO_RADIUS_MASS = Fraction(271, 100) + 1350
 INJECTION_COUNTEREXAMPLE = (1, 1, 1)
 
 
-def ratio_j_top(n: int) -> int:
-    """Largest j with 4j^2 < n (two-factor ratio license)."""
-    return math.isqrt((n - 1) // 4)
-
-
-def fjn_j_top(n: int) -> int:
-    """Largest j with 16j^2 < n (second-difference license)."""
-    return math.isqrt((n - 1) // 16)
-
-
-def prop21_j_top(n: int) -> int:
-    """Largest j with j^2 < n (one-term truncation license)."""
-    return math.isqrt(n - 1)
-
-
 class _Recorder:
     """Counts cases and collects failure descriptions up to a cap."""
 
@@ -137,7 +124,6 @@ class SweepOptions:
     seed: int = DEFAULT_SEED
     case: Optional[str] = None
     collect_rows: bool = False
-    table: PartitionTable = field(default_factory=default_table)
 
     def j_cap(self, j_top: int) -> int:
         return j_top if self.j_max is None else min(j_top, self.j_max)
@@ -150,10 +136,9 @@ def _suite_oracles(o: SweepOptions) -> _Outcome:
     rec = _Recorder()
     rows: List[Dict[str, Any]] = []
     top = min(o.n_max if o.n_max is not None else 60, ENUMERATION_BOUND)
-    o.table.ensure(top)
     for n in range(top + 1):
         expected = p_enumerate_oracle(n)
-        got = p_exact(n, o.table)
+        got = p_exact(n)
         if got == expected:
             rec.ok()
         else:
@@ -226,11 +211,10 @@ def _suite_rademacher(o: SweepOptions) -> _Outcome:
     rows: List[Dict[str, Any]] = []
     rounds_top = o.n_max if o.n_max is not None else 2000
     prop_top = (3 * rounds_top) // 2
-    o.table.ensure(max(rounds_top, prop_top))
 
     for n in range(1, rounds_top + 1):
         got = rademacher_round(n, o.prec)
-        want = p_exact(n, o.table)
+        want = p_exact(n)
         if got == want:
             rec.ok()
         else:
@@ -250,7 +234,7 @@ def _suite_rademacher(o: SweepOptions) -> _Outcome:
             hit = memo.get(m)
             if hit is None:
                 enc = proposition21_interval(n, j, o.prec)
-                value = p_exact(m, o.table)
+                value = p_exact(m)
                 hit = (enc.contains(value), enc.containment_margin(value))
                 memo[m] = hit
                 if o.collect_rows:
@@ -277,23 +261,22 @@ def _suite_containment_ratio(o: SweepOptions) -> _Outcome:
     rec = _Recorder()
     rows: List[Dict[str, Any]] = []
     top = o.n_max if o.n_max is not None else 5000
-    o.table.ensure(top)
     worst = math.inf
     max_c = Fraction(0)
     max_c_at: Optional[Tuple[int, int]] = None
     for n in range(14, top + 1):
-        pn = p_exact(n, o.table)
+        pn = p_exact(n)
         for j in range(0, o.j_cap(ratio_j_top(n)) + 1):
             est = ratio_interval(n, j, o.prec)
             enc = est.product
-            exact = Fraction(p_exact(n - j, o.table), pn)
+            exact = Fraction(p_exact(n - j), pn)
             contained = enc.contains(exact)
             margin = enc.containment_margin(exact)
             worst = min(worst, margin)
             mid = enc.midpoint()
             c_val = None
             if mid:
-                c = (enc.width() / 2 / abs(mid)) * est.index.N / RATIO_RADIUS_MASS
+                c = (enc.width() / 2 / abs(mid)) * est.N / RATIO_RADIUS_MASS
                 c_val = float(c)
                 if c > max_c:
                     max_c, max_c_at = c, (n, j)
@@ -323,14 +306,13 @@ def _suite_containment_fjn(o: SweepOptions) -> _Outcome:
     rec = _Recorder()
     rows: List[Dict[str, Any]] = []
     top = o.n_max if o.n_max is not None else 5000
-    o.table.ensure(top)
     worst = math.inf
     min_lower = Fraction(10)
     for n in range(14, top + 1):
-        pn = p_exact(n, o.table)
+        pn = p_exact(n)
         for j in range(1, o.j_cap(fjn_j_top(n)) + 1):
             est = fjn_ratio_interval(n, j, o.prec)
-            exact = Fraction(f_jn(n, j, o.table), pn)
+            exact = Fraction(f_jn(n, j), pn)
             contained = est.total.contains(exact)
             margin = est.total.containment_margin(exact)
             worst = min(worst, margin)
@@ -356,12 +338,11 @@ def _suite_convexity(o: SweepOptions) -> _Outcome:
     rows: List[Dict[str, Any]] = []
     top = o.n_max if o.n_max is not None else 10_000
     inj_top = min(top, 2000)
-    o.table.ensure(max(top, inj_top))
 
     # n <= 13 has no analytic license; every case must settle exactly
     for n in range(2, min(13, top) + 1):
         for j in range(1, o.j_cap(n // 2) + 1):
-            cert = convexity_certificate(n, j, o.prec, o.table)
+            cert = convexity_certificate(n, j, o.prec)
             if cert.holds and cert.kind is CertificateKind.EXACT:
                 rec.ok()
             else:
@@ -371,7 +352,7 @@ def _suite_convexity(o: SweepOptions) -> _Outcome:
     analytic = 0
     for n in range(14, top + 1):
         for j in range(1, o.j_cap(fjn_j_top(n)) + 1):
-            cert = convexity_certificate(n, j, o.prec, o.table)
+            cert = convexity_certificate(n, j, o.prec)
             licensed += 1
             if cert.kind is CertificateKind.ANALYTIC:
                 analytic += 1
@@ -389,7 +370,7 @@ def _suite_convexity(o: SweepOptions) -> _Outcome:
             for ell in range(0, 21):
                 if (n, j, ell) == INJECTION_COUNTEREXAMPLE:
                     continue
-                if injection_inequality(n, j, ell, o.table):
+                if injection_inequality(n, j, ell):
                     rec.ok()
                 else:
                     rec.fail(f"injection inequality fails at (n, j, ell) = ({n}, {j}, {ell})")
@@ -419,7 +400,7 @@ def _suite_convexity(o: SweepOptions) -> _Outcome:
         "analytic_target_met": fraction_analytic >= 0.9,
         "injection_top": inj_top,
         "unguarded_origin_triple": str(INJECTION_COUNTEREXAMPLE),
-        "unguarded_origin_holds": injection_inequality(*INJECTION_COUNTEREXAMPLE, o.table),
+        "unguarded_origin_holds": injection_inequality(*INJECTION_COUNTEREXAMPLE),
         "map_instances": map_checks,
     }
     return rec, info, rows
@@ -429,11 +410,10 @@ def _suite_krank(o: SweepOptions) -> _Outcome:
     rec = _Recorder()
     rows: List[Dict[str, Any]] = []
     top = o.n_max if o.n_max is not None else 500
-    o.table.ensure(max(top, 31))
 
     for n in range(4, min(30, top) + 1):
         for m in range(n // 2 + 1, n + 2):
-            got = krank_boundary_value(2, m, n, o.table)
+            got = krank_boundary_value(2, m, n)
             want = dyson_rank_count(n, m)
             if got == want:
                 rec.ok()
@@ -451,13 +431,11 @@ def _suite_krank(o: SweepOptions) -> _Outcome:
                 lp = n - k - m
                 hit = memo.get(lp)
                 if hit is None:
-                    denom = p_exact(lp + 1, o.table)
-                    ratio_exact = Fraction(
-                        krank_boundary_value(k, m, n, o.table), denom
-                    )
+                    denom = p_exact(lp + 1)
+                    ratio_exact = Fraction(krank_boundary_value(k, m, n), denom)
                     diff_exact = Fraction(
-                        krank_boundary_value(k, m, n, o.table)
-                        - krank_boundary_value(k, m + 1, n, o.table),
+                        krank_boundary_value(k, m, n)
+                        - krank_boundary_value(k, m + 1, n),
                         denom,
                     )
                     enc_r = krank_ratio_interval(k, m, n, o.prec)
@@ -507,12 +485,11 @@ def _suite_nonkary(o: SweepOptions) -> _Outcome:
     rows: List[Dict[str, Any]] = []
     top = o.n_max if o.n_max is not None else 10_000
     identity_top = min(top, 500)
-    o.table.ensure(top)
 
     for n in range(2, identity_top + 1):
         for k in range(1, o.j_cap(n // 2) + 1):
             try:
-                nonkary_diff_check(n, k, o.table)
+                nonkary_diff_check(n, k)
                 rec.ok()
             except AssertionError as exc:
                 rec.fail(f"identity at (n, k) = ({n}, {k}): {exc}")
@@ -521,7 +498,7 @@ def _suite_nonkary(o: SweepOptions) -> _Outcome:
     for n in range(2, top + 1):
         for k in range(1, o.j_cap(fjn_j_top(n)) + 1):
             positives += 1
-            if nonkary_diff_check(n, k, o.table):
+            if nonkary_diff_check(n, k):
                 rec.ok()
             else:
                 rec.fail(f"avoided-part count not increasing at (n, k) = ({n}, {k})")
@@ -616,7 +593,6 @@ def run_suite(
     seed: int = DEFAULT_SEED,
     case: Optional[str] = None,
     collect_rows: bool = False,
-    table: Optional[PartitionTable] = None,
 ) -> SuiteReport:
     """Run one named sweep and return its report."""
     runner = _SUITES.get(name)
@@ -626,6 +602,10 @@ def run_suite(
         )
     if case is not None and name != "inequalities":
         raise PreconditionError("--case only applies to the inequalities suite")
+    if n_max is not None and n_max < 0:
+        raise PreconditionError("requires n_max >= 0")
+    if j_max is not None and j_max < 0:
+        raise PreconditionError("requires j_max >= 0")
     options = SweepOptions(
         n_max=n_max,
         j_max=j_max,
@@ -633,7 +613,6 @@ def run_suite(
         seed=seed,
         case=case,
         collect_rows=collect_rows,
-        table=table if table is not None else default_table(),
     )
     started = time.perf_counter()
     rec, info, rows = runner(options)

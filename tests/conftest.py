@@ -3,9 +3,7 @@ import pytest
 from partbounds.exact import default_table
 
 
-@pytest.fixture(scope="session")
-def table():
-    """Shared partition table, pre-grown once for the whole run."""
-    t = default_table()
-    t.ensure(10050)
-    return t
+@pytest.fixture(scope="session", autouse=True)
+def _warm_table():
+    """Pre-grow the shared partition table once for the whole run."""
+    default_table().ensure(10050)

@@ -25,6 +25,7 @@ import pytest
 from partbounds.estimates import (
     CertificateKind,
     convexity_certificate,
+    fjn_j_top,
     fjn_ratio_interval,
     injection_inequality,
     injection_map_check,
@@ -32,7 +33,9 @@ from partbounds.estimates import (
     krank_diff_interval,
     krank_ratio_interval,
     nonkary_diff_check,
+    prop21_j_top,
     ratio_interval,
+    ratio_j_top,
 )
 from partbounds.exact import dyson_rank_count, f_jn, p_enumerate_oracle, p_exact
 from partbounds.rademacher import proposition21_interval, rademacher_round
@@ -44,14 +47,7 @@ from partbounds.special import (
     kloosterman_imag_residue,
     to_fraction,
 )
-from partbounds.verify import (
-    BESSEL_GRID,
-    RATIO_RADIUS_MASS,
-    fjn_j_top,
-    prop21_j_top,
-    ratio_j_top,
-    run_suite,
-)
+from partbounds.verify import BESSEL_GRID, RATIO_RADIUS_MASS, run_suite
 
 PREC = 128
 GOLDEN = Path(__file__).resolve().parents[1] / "docs" / "golden"
@@ -62,9 +58,9 @@ def _report(num: int, label: str, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {label}: {status} ({detail})")
 
 
-def test_criterion_01_exact_engine_matches_enumeration(table):
+def test_criterion_01_exact_engine_matches_enumeration():
     started = time.perf_counter()
-    mismatches = [n for n in range(61) if p_exact(n, table) != p_enumerate_oracle(n)]
+    mismatches = [n for n in range(61) if p_exact(n) != p_enumerate_oracle(n)]
     elapsed = time.perf_counter() - started
     ok = not mismatches and elapsed < 5.0
     _report(1, "recurrence equals enumeration on 0..60", ok,
@@ -73,9 +69,9 @@ def test_criterion_01_exact_engine_matches_enumeration(table):
     assert elapsed < 5.0
 
 
-def test_criterion_02_series_round_reconstructs(table):
+def test_criterion_02_series_round_reconstructs():
     started = time.perf_counter()
-    bad = [n for n in range(1, 2001) if rademacher_round(n, PREC) != p_exact(n, table)]
+    bad = [n for n in range(1, 2001) if rademacher_round(n, PREC) != p_exact(n)]
     elapsed = time.perf_counter() - started
     ok = not bad and elapsed < 120.0
     _report(2, "certified series round on 1..2000", ok,
@@ -84,7 +80,7 @@ def test_criterion_02_series_round_reconstructs(table):
     assert elapsed < 120.0
 
 
-def test_criterion_03_one_term_truncation_contains(table):
+def test_criterion_03_one_term_truncation_contains():
     started = time.perf_counter()
     failures = []
     # the enclosure and the enclosed value both depend only on m = n - j
@@ -96,7 +92,7 @@ def test_criterion_03_one_term_truncation_contains(table):
                 continue
             held = seen.get(m)
             if held is None:
-                held = proposition21_interval(n, j, PREC).contains(p_exact(m, table))
+                held = proposition21_interval(n, j, PREC).contains(p_exact(m))
                 seen[m] = held
             if not held:
                 failures.append((n, j))
@@ -108,21 +104,21 @@ def test_criterion_03_one_term_truncation_contains(table):
     assert elapsed < 120.0
 
 
-def test_criterion_04_ratio_containment_and_width(table):
+def test_criterion_04_ratio_containment_and_width():
     started = time.perf_counter()
     failures = []
     max_c = Fraction(0)
     cases = 0
     for n in range(14, 5001):
-        pn = p_exact(n, table)
+        pn = p_exact(n)
         for j in range(ratio_j_top(n) + 1):
             est = ratio_interval(n, j, PREC)
             cases += 1
-            if not est.product.contains(Fraction(p_exact(n - j, table), pn)):
+            if not est.product.contains(Fraction(p_exact(n - j), pn)):
                 failures.append((n, j))
             mid = est.product.midpoint()
             if mid:
-                c = (est.product.width() / 2 / abs(mid)) * est.index.N / RATIO_RADIUS_MASS
+                c = (est.product.width() / 2 / abs(mid)) * est.N / RATIO_RADIUS_MASS
                 if c > max_c:
                     max_c = c
     elapsed = time.perf_counter() - started
@@ -135,15 +131,15 @@ def test_criterion_04_ratio_containment_and_width(table):
     assert elapsed < 300.0
 
 
-def test_criterion_05_second_difference_containment(table):
+def test_criterion_05_second_difference_containment():
     started = time.perf_counter()
     failures = []
     cases = 0
     for n in range(14, 5001):
-        pn = p_exact(n, table)
+        pn = p_exact(n)
         for j in range(1, fjn_j_top(n) + 1):
             cases += 1
-            exact = Fraction(f_jn(n, j, table), pn)
+            exact = Fraction(f_jn(n, j), pn)
             if not fjn_ratio_interval(n, j, PREC).total.contains(exact):
                 failures.append((n, j))
     elapsed = time.perf_counter() - started
@@ -155,20 +151,20 @@ def test_criterion_05_second_difference_containment(table):
 
 
 @pytest.fixture(scope="module")
-def convexity_sweep(table):
+def convexity_sweep():
     """One pass over the full convexity range, shared by both criterion-6
     tests: (small block all exact and holding, licensed block all holding,
     licensed case count, analytically decided count)."""
     small_ok = True
     for n in range(2, 14):
         for j in range(1, n // 2 + 1):
-            cert = convexity_certificate(n, j, PREC, table)
+            cert = convexity_certificate(n, j, PREC)
             small_ok = small_ok and cert.holds and cert.kind is CertificateKind.EXACT
     licensed = analytic = 0
     all_hold = True
     for n in range(14, 10_001):
         for j in range(1, fjn_j_top(n) + 1):
-            cert = convexity_certificate(n, j, PREC, table)
+            cert = convexity_certificate(n, j, PREC)
             licensed += 1
             analytic += cert.kind is CertificateKind.ANALYTIC
             all_hold = all_hold and cert.holds
@@ -198,13 +194,13 @@ def test_criterion_06_analytic_share_target(convexity_sweep):
     assert fraction >= 0.9
 
 
-def test_criterion_07_boundary_rank_counts(table):
+def test_criterion_07_boundary_rank_counts():
     started = time.perf_counter()
     failures = [
         (m, n)
         for n in range(4, 31)
         for m in range(n // 2 + 1, n + 2)
-        if krank_boundary_value(2, m, n, table) != dyson_rank_count(n, m)
+        if krank_boundary_value(2, m, n) != dyson_rank_count(n, m)
     ]
     elapsed = time.perf_counter() - started
     ok = not failures
@@ -213,7 +209,7 @@ def test_criterion_07_boundary_rank_counts(table):
     assert not failures, failures
 
 
-def test_criterion_08_rank_enclosures_contain(table):
+def test_criterion_08_rank_enclosures_contain():
     started = time.perf_counter()
     failures = []
     # both enclosures and both exact values depend only on lp = n - k - m
@@ -226,9 +222,9 @@ def test_criterion_08_rank_enclosures_contain(table):
                 lp = n - k - m
                 held = seen.get(lp)
                 if held is None:
-                    denom = p_exact(lp + 1, table)
-                    ratio = Fraction(denom - p_exact(lp, table), denom)
-                    diff = Fraction(f_jn(lp + 1, 1, table), denom)
+                    denom = p_exact(lp + 1)
+                    ratio = Fraction(denom - p_exact(lp), denom)
+                    diff = Fraction(f_jn(lp + 1, 1), denom)
                     held = (
                         krank_ratio_interval(k, m, n, PREC).contains(ratio)
                         and krank_diff_interval(k, m, n, PREC).contains(diff)
@@ -257,20 +253,20 @@ def test_criterion_08_difference_positivity_floor():
     assert positive
 
 
-def test_criterion_09_nonkary_identity_and_growth(table):
+def test_criterion_09_nonkary_identity_and_growth():
     started = time.perf_counter()
     identity_failures = []
     for n in range(2, 501):
         for k in range(1, n // 2 + 1):
             try:
-                nonkary_diff_check(n, k, table)
+                nonkary_diff_check(n, k)
             except AssertionError:
                 identity_failures.append((n, k))
     growth_failures = [
         (n, k)
         for n in range(2, 10_001)
         for k in range(1, fjn_j_top(n) + 1)
-        if not nonkary_diff_check(n, k, table)
+        if not nonkary_diff_check(n, k)
     ]
     elapsed = time.perf_counter() - started
     ok = not identity_failures and not growth_failures
@@ -281,7 +277,7 @@ def test_criterion_09_nonkary_identity_and_growth(table):
     assert not growth_failures, growth_failures[:10]
 
 
-def test_criterion_10_shift_inequality_sweep(table):
+def test_criterion_10_shift_inequality_sweep():
     started = time.perf_counter()
     failures = []
     cases = 0
@@ -291,7 +287,7 @@ def test_criterion_10_shift_inequality_sweep(table):
                 if (n, j, ell) == (1, 1, 1):
                     continue
                 cases += 1
-                if not injection_inequality(n, j, ell, table):
+                if not injection_inequality(n, j, ell):
                     failures.append((n, j, ell))
     elapsed = time.perf_counter() - started
     ok = not failures
@@ -305,8 +301,8 @@ def test_criterion_10_shift_inequality_sweep(table):
     reason="the lone failing triple: the empty partition avoids every part "
     "but its image (1) does not avoid 1",
 )
-def test_criterion_10_degenerate_origin_triple(table):
-    holds = injection_inequality(1, 1, 1, table)
+def test_criterion_10_degenerate_origin_triple():
+    holds = injection_inequality(1, 1, 1)
     _report(10, "shift inequality at (1, 1, 1)", holds, "p(0)-p(-1) vs p(1)-p(0)")
     assert holds
 
@@ -329,9 +325,9 @@ def test_criterion_10_shift_map_instances():
     assert not failures, failures
 
 
-def test_criterion_11_inequality_registry(table):
+def test_criterion_11_inequality_registry():
     started = time.perf_counter()
-    report = run_suite("inequalities", table=table)
+    report = run_suite("inequalities")
     elapsed = time.perf_counter() - started
     ok = report.passed and elapsed < 60.0
     _report(11, "registered inequalities, fixed seed", ok,

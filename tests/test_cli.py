@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from partbounds.cli import main
-from partbounds.exact import default_table, f_jn, p_exact
+from partbounds.cli import MAX_PRECISION, main
+from partbounds.exact import TABLE_CEILING, f_jn, p_exact
 
 GOLDEN = Path(__file__).resolve().parents[1] / "docs" / "golden"
 
@@ -65,8 +65,7 @@ class TestRatio:
         code, doc = run_json(capsys, "ratio", "100", "2")
         assert code == 0
         results = doc["results"]
-        table = default_table()
-        assert Fraction(results["exact"]) == Fraction(p_exact(98, table), p_exact(100, table))
+        assert Fraction(results["exact"]) == Fraction(p_exact(98), p_exact(100))
         recheck_interval(results["interval"], Fraction(results["exact"]))
         assert results["relative_width"] > 0
         assert doc["passed"] is True
@@ -93,7 +92,7 @@ class TestFjn:
         code, doc = run_json(capsys, "fjn", "2000", "10")
         assert code == 0
         results = doc["results"]
-        assert int(results["difference"]) == f_jn(2000, 10, default_table())
+        assert int(results["difference"]) == f_jn(2000, 10)
         recheck_interval(results["interval"], Fraction(results["exact"]))
 
     def test_preconditions_surface(self, capsys):
@@ -194,18 +193,51 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
     def test_all_runs_every_suite(self, capsys):
+        # 17 is the least n_max at which every suite decides a case
         code, doc = run_json(
             capsys,
             "verify",
             "all",
             "--n-max",
-            "16",
+            "17",
             "--case",
             "geometric-series-100",
         )
         assert code == 0
         names = [suite["suite"] for suite in doc["results"]["suites"]]
         assert len(names) == 8
+
+
+class TestInputLimits:
+    def test_json_write_failure_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, captured = run(capsys, "ratio", "100", "2", "--json", str(target))
+        assert code == 2
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+    def test_csv_write_failure_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, captured = run(
+            capsys, "verify", "nonkary", "--n-max", "20", "--csv", str(target)
+        )
+        assert code == 2
+        assert captured.err.startswith("error:")
+
+    def test_table_ceiling(self, capsys):
+        code, captured = run(capsys, "exact", str(TABLE_CEILING + 1))
+        assert code == 2
+        assert str(TABLE_CEILING) in captured.err
+
+    def test_precision_ceiling(self, capsys):
+        code, captured = run(capsys, "ratio", "100", "2", "--precision", "2000000000")
+        assert code == 2
+        assert str(MAX_PRECISION) in captured.err
+
+    def test_negative_n_max_is_usage_error(self, capsys):
+        code, captured = run(capsys, "verify", "containment-ratio", "--n-max", "-5")
+        assert code == 2
+        assert "n_max >= 0" in captured.err
 
 
 class TestPrecisionResolution:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partbounds.enclosure import Enclosure
+from partbounds.enclosure import Enclosure, constants
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
     CertificateKind,
@@ -17,14 +17,12 @@ from partbounds.estimates import (
     krank_ratio_interval,
     nonkary_diff_check,
     ratio_interval,
-    _consts,
-    _shifted,
 )
-from partbounds.exact import dyson_rank_count, f_jn, nu_k, p_exact
+from partbounds.exact import dyson_rank_count, f_jn, nu_k, p_exact, shifted_index
 
 
-def exact_ratio(n, j, table):
-    return Fraction(p_exact(n - j, table), p_exact(n, table))
+def exact_ratio(n, j):
+    return Fraction(p_exact(n - j), p_exact(n))
 
 
 class TestRatioInterval:
@@ -32,17 +30,17 @@ class TestRatioInterval:
         for n in (14, 100, 1000):
             assert ratio_interval(n, 0).product.contains(1)
 
-    def test_spot_values(self, table):
+    def test_spot_values(self):
         assert ratio_interval(14, 1).product.contains(Fraction(101, 135))
         est = ratio_interval(1000, 15)
-        assert est.product.contains(exact_ratio(1000, 15, table))
+        assert est.product.contains(exact_ratio(1000, 15))
 
-    def test_containment_sweep(self, table):
+    def test_containment_sweep(self):
         for n in range(14, 600, 13):
             j = 0
             while 4 * j * j < n:
                 est = ratio_interval(n, j)
-                assert est.product.contains(exact_ratio(n, j, table)), (n, j)
+                assert est.product.contains(exact_ratio(n, j)), (n, j)
                 j += 1
 
     def test_product_is_factor_product(self):
@@ -53,7 +51,7 @@ class TestRatioInterval:
     def test_factor_radii(self):
         n = 500
         est = ratio_interval(n, 2)
-        N = _shifted(n)
+        N = shifted_index(n)
         # bracket half-width = stated radius + center interval fuzz
         for factor, radius in ((est.factor1, Fraction(271, 100)),
                                (est.factor2, Fraction(1350))):
@@ -63,7 +61,7 @@ class TestRatioInterval:
     def test_width_scales_inversely(self):
         # width * N stays bounded by the two radii plus cross terms
         worst = max(
-            ratio_interval(n, 0).product.width() * _shifted(n)
+            ratio_interval(n, 0).product.width() * shifted_index(n)
             for n in range(20, 2000, 97)
         )
         assert worst < 2 * (Fraction(271, 100) + 1350) * 2
@@ -78,18 +76,18 @@ class TestRatioInterval:
 
 
 class TestFjnInterval:
-    def test_spot_values(self, table):
+    def test_spot_values(self):
         est = fjn_ratio_interval(17, 1)
-        assert est.total.contains(Fraction(f_jn(17, 1, table), p_exact(17, table)))
+        assert est.total.contains(Fraction(f_jn(17, 1), p_exact(17)))
         est = fjn_ratio_interval(2000, 10)
-        assert est.total.contains(Fraction(f_jn(2000, 10, table), p_exact(2000, table)))
+        assert est.total.contains(Fraction(f_jn(2000, 10), p_exact(2000)))
 
-    def test_containment_sweep(self, table):
+    def test_containment_sweep(self):
         for n in range(17, 600, 7):
             j = 1
             while 16 * j * j < n:
                 est = fjn_ratio_interval(n, j)
-                exact = Fraction(f_jn(n, j, table), p_exact(n, table))
+                exact = Fraction(f_jn(n, j), p_exact(n))
                 assert est.total.contains(exact), (n, j)
                 j += 1
 
@@ -109,7 +107,7 @@ class TestFjnInterval:
     def test_term_radii(self):
         n = 500
         est = fjn_ratio_interval(n, 2)
-        N = _shifted(n)
+        N = shifted_index(n)
         for term, radius in ((est.termA, Fraction(2075)), (est.termB, Fraction(3926))):
             half = term.width() / 2
             assert abs(half - radius / N) < Fraction(1, 10**20)
@@ -126,37 +124,37 @@ class TestFjnInterval:
 class TestExponentialGap:
     def test_x_between_minus_one_and_zero(self):
         # X = e^{-2a} - 2e^{-a} = t^2 - 2t with t in (0,1)
-        c = _consts(128)
+        c = constants(128)
         for n, j in ((4, 1), (17, 1), (100, 3), (1000, 4), (5000, 17)):
-            Ne = Enclosure.from_exact(_shifted(n), 128)
+            Ne = Enclosure.from_exact(shifted_index(n), 128)
             t = (-(c.pi * j / (c.sqrt6 * Ne.sqrt()))).exp()
             X = t * t - 2 * t
             assert X.lo_fraction > -1 and X.hi_fraction < 0, (n, j)
 
 
 class TestConvexity:
-    def test_small_cases_exact(self, table):
+    def test_small_cases_exact(self):
         for n in range(2, 14):
             for j in range(1, n // 2 + 1):
-                cert = convexity_certificate(n, j, table=table)
+                cert = convexity_certificate(n, j)
                 assert cert.holds and cert.kind is CertificateKind.EXACT, (n, j)
 
-    def test_spot(self, table):
-        assert convexity_certificate(2, 1, table=table)
-        assert convexity_certificate(14, 1, table=table)
+    def test_spot(self):
+        assert convexity_certificate(2, 1)
+        assert convexity_certificate(14, 1)
 
-    def test_licensed_sweep(self, table):
+    def test_licensed_sweep(self):
         for n in range(17, 400):
             j = 1
             while 16 * j * j < n:
-                assert convexity_certificate(n, j, table=table).holds, (n, j)
+                assert convexity_certificate(n, j).holds, (n, j)
                 j += 1
 
-    def test_desk_scale_falls_back_to_exact(self, table):
+    def test_desk_scale_falls_back_to_exact(self):
         # the analytic chain needs its bracket negative, which fails until
         # N reaches billions; every desk-scale case resolves exactly
         for n in (17, 100, 1000, 9973):
-            cert = convexity_certificate(n, 1, table=table)
+            cert = convexity_certificate(n, 1)
             assert cert.holds and cert.kind is CertificateKind.EXACT
 
     def test_analytic_branch_at_astronomic_index(self):
@@ -174,17 +172,17 @@ class TestConvexity:
 
 
 class TestKrankBoundary:
-    def test_known_value(self, table):
-        assert krank_boundary_value(1, 20, 30, table) == 12
+    def test_known_value(self):
+        assert krank_boundary_value(1, 20, 30) == 12
 
-    def test_vanishes_when_arguments_negative(self, table):
-        assert krank_boundary_value(5, 20, 20, table) == 0
+    def test_vanishes_when_arguments_negative(self):
+        assert krank_boundary_value(5, 20, 20) == 0
 
-    def test_matches_rank_enumeration(self, table):
+    def test_matches_rank_enumeration(self):
         for n in range(4, 17):
             for m in range(n // 2 + 1, n + 2):
                 expected = dyson_rank_count(n, m)
-                assert krank_boundary_value(2, m, n, table) == expected, (m, n)
+                assert krank_boundary_value(2, m, n) == expected, (m, n)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -194,22 +192,22 @@ class TestKrankBoundary:
 
 
 class TestKrankRatio:
-    def test_containment_spot(self, table):
+    def test_containment_spot(self):
         enc = krank_ratio_interval(2, 40, 70)
         lp = 70 - 2 - 40
-        exact = Fraction(p_exact(lp + 1, table) - p_exact(lp, table), p_exact(lp + 1, table))
+        exact = Fraction(p_exact(lp + 1) - p_exact(lp), p_exact(lp + 1))
         assert enc.contains(exact)
         assert 0 < exact < 1
 
-    def test_containment_sweep(self, table):
+    def test_containment_sweep(self):
         for n in range(60, 140, 11):
             for k in (1, 2, 3):
                 for m in range(n // 2 + 1, n - k - 15):
                     lp = n - k - m
                     enc = krank_ratio_interval(k, m, n)
                     exact = Fraction(
-                        p_exact(lp + 1, table) - p_exact(lp, table),
-                        p_exact(lp + 1, table),
+                        p_exact(lp + 1) - p_exact(lp),
+                        p_exact(lp + 1),
                     )
                     assert enc.contains(exact), (k, m, n)
                     assert 0 < exact < 1
@@ -229,24 +227,24 @@ class TestKrankRatio:
 
 
 class TestKrankDiff:
-    def test_both_normalizations_contained(self, table):
+    def test_both_normalizations_contained(self):
         # the stated collapse indexes the second difference at n-k-m; the
         # recurrence gives n-k-m+1; the enclosure is wide enough for both
         enc = krank_diff_interval(1, 60, 100)
         lp = 100 - 1 - 60
-        denom = p_exact(lp + 1, table)
-        assert enc.contains(Fraction(f_jn(lp, 1, table), denom))
-        assert enc.contains(Fraction(f_jn(lp + 1, 1, table), denom))
+        denom = p_exact(lp + 1)
+        assert enc.contains(Fraction(f_jn(lp, 1), denom))
+        assert enc.contains(Fraction(f_jn(lp + 1, 1), denom))
 
-    def test_containment_sweep(self, table):
+    def test_containment_sweep(self):
         for n in range(80, 200, 17):
             for k in (1, 2):
                 for m in range(n // 2 + 1, n - k - 15, 3):
                     lp = n - k - m
                     enc = krank_diff_interval(k, m, n)
-                    denom = p_exact(lp + 1, table)
-                    assert enc.contains(Fraction(f_jn(lp, 1, table), denom)), (k, m, n)
-                    assert enc.contains(Fraction(f_jn(lp + 1, 1, table), denom)), (k, m, n)
+                    denom = p_exact(lp + 1)
+                    assert enc.contains(Fraction(f_jn(lp, 1), denom)), (k, m, n)
+                    assert enc.contains(Fraction(f_jn(lp + 1, 1), denom)), (k, m, n)
 
     def test_midpoint_matches_unit_shift_estimate(self):
         # the shift-1 second-difference brackets keep 2j/N and pi j^2 terms
@@ -256,8 +254,8 @@ class TestKrankDiff:
         n = 100
         fj = fjn_ratio_interval(n, 1)
         kd = krank_diff_interval(1, 101, 201)  # 201 - 1 - 101 = n - 1
-        c = _consts(128)
-        N = _shifted(n)
+        c = constants(128)
+        N = shifted_index(n)
         Ne = Enclosure.from_exact(N, 128)
         sqrtN = Ne.sqrt()
         e1 = (-(c.pi / (c.sqrt6 * sqrtN))).exp()
@@ -282,21 +280,21 @@ class TestKrankDiff:
 
 
 class TestNonkary:
-    def test_spot(self, table):
-        assert nonkary_diff_check(2, 1, table)
-        assert nonkary_diff_check(500, 5, table)
+    def test_spot(self):
+        assert nonkary_diff_check(2, 1)
+        assert nonkary_diff_check(500, 5)
 
-    def test_collapse_identity_directly(self, table):
+    def test_collapse_identity_directly(self):
         for n in range(2, 200):
             for k in range(1, n // 2 + 1):
-                lhs = nu_k(n, k, table) - nu_k(n - k, k, table)
-                assert lhs == f_jn(n, k, table), (n, k)
+                lhs = nu_k(n, k) - nu_k(n - k, k)
+                assert lhs == f_jn(n, k), (n, k)
 
-    def test_positive_on_licensed_sweep(self, table):
+    def test_positive_on_licensed_sweep(self):
         for n in range(17, 2000, 13):
             k = 1
             while 16 * k * k < n:
-                assert nonkary_diff_check(n, k, table), (n, k)
+                assert nonkary_diff_check(n, k), (n, k)
                 k += 1
 
     def test_preconditions(self):
@@ -309,21 +307,21 @@ class TestNonkary:
 
 
 class TestInjection:
-    def test_unique_counterexample_at_origin(self, table):
+    def test_unique_counterexample_at_origin(self):
         # p(0) - p(-1) = 1 > 0 = p(1) - p(0): the inequality genuinely
         # fails at n = j = ell = 1; freeze that as a regression fact
-        assert not injection_inequality(1, 1, 1, table)
+        assert not injection_inequality(1, 1, 1)
 
-    def test_zero_shift_is_equality(self, table):
+    def test_zero_shift_is_equality(self):
         # ell = 0 compares the same difference with itself
         for n, j in ((25, 4), (100, 7)):
-            assert injection_inequality(n, j, 0, table)
+            assert injection_inequality(n, j, 0)
 
-    def test_sweep(self, table):
+    def test_sweep(self):
         for n in range(2, 200):
             for j in (1, 2, 5, 8):
                 for ell in (0, 1, 2, 5, 8):
-                    assert injection_inequality(n, j, ell, table), (n, j, ell)
+                    assert injection_inequality(n, j, ell), (n, j, ell)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -331,8 +329,8 @@ class TestInjection:
         j=st.integers(min_value=1, max_value=30),
         ell=st.integers(min_value=0, max_value=30),
     )
-    def test_property(self, table, n, j, ell):
-        assert injection_inequality(n, j, ell, table)
+    def test_property(self, n, j, ell):
+        assert injection_inequality(n, j, ell)
 
     def test_map_instances(self):
         mc = injection_map_check(12, 2, 3)

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from partbounds.errors import PreconditionError
 from partbounds.exact import (
-    Partition,
+    TABLE_CEILING,
     PartitionTable,
-    ShiftedIndex,
     delta_r_j_direct,
     dyson_rank_count,
     enumerate_partitions,
@@ -19,6 +18,7 @@ from partbounds.exact import (
     p_enumerate_oracle,
     p_exact,
     series_delta_coeffs,
+    shifted_index,
 )
 from fractions import Fraction
 
@@ -32,15 +32,15 @@ def test_p_small_values():
         assert p_exact(n) == expected
 
 
-def test_p_reference_points(table):
-    assert p_exact(100, table) == 190569292
-    assert p_exact(200, table) == 3972999029388
-    assert p_exact(1000, table) == 24061467864032622473692149727991
+def test_p_reference_points():
+    assert p_exact(100) == 190569292
+    assert p_exact(200) == 3972999029388
+    assert p_exact(1000) == 24061467864032622473692149727991
 
 
-def test_p_negative_is_zero(table):
-    assert table.p(-1) == 0
-    assert table.p(-100) == 0
+def test_p_negative_is_zero():
+    assert p_exact(-1) == 0
+    assert p_exact(-100) == 0
 
 
 def test_fresh_table_growth():
@@ -50,9 +50,16 @@ def test_fresh_table_growth():
     assert len(t) == 31
 
 
-def test_p_monotone(table):
+def test_table_ceiling():
+    t = PartitionTable()
+    with pytest.raises(PreconditionError, match=str(TABLE_CEILING)):
+        t.ensure(TABLE_CEILING + 1)
+    assert len(t) == 1
+
+
+def test_p_monotone():
     for n in range(1, 2000):
-        assert table.p(n) >= table.p(n - 1)
+        assert p_exact(n) >= p_exact(n - 1)
 
 
 def test_enumeration_oracle_small():
@@ -124,13 +131,13 @@ def test_series_j3_r2_nonnegative():
     assert all(c >= 0 for c in series_delta_coeffs(3, 2, 20))
 
 
-def test_series_three_way_agreement(table):
+def test_series_three_way_agreement():
     # direct difference, binomial sum, and series extraction must agree
     for j in (1, 2, 5, 9):
         coeffs = series_delta_coeffs(j, 2, 200)
         for n in range(2 * j, 201, 7):
-            direct = table.p(n) - 2 * table.p(n - j) + table.p(n - 2 * j)
-            assert coeffs[n] == direct == delta_r_j_direct(n, j, 2, table)
+            direct = p_exact(n) - 2 * p_exact(n - j) + p_exact(n - 2 * j)
+            assert coeffs[n] == direct == delta_r_j_direct(n, j, 2)
 
 
 def test_nu_values():
@@ -164,9 +171,9 @@ def test_enumerate_partitions_of_5():
         assert all(a >= b for a, b in zip(lam, lam[1:]))
 
 
-def test_enumerate_partitions_count_matches(table):
+def test_enumerate_partitions_count_matches():
     for n in range(13):
-        assert sum(1 for _ in enumerate_partitions(n)) == table.p(n)
+        assert sum(1 for _ in enumerate_partitions(n)) == p_exact(n)
 
 
 def test_dyson_rank_counts_sum_to_p():
@@ -180,21 +187,7 @@ def test_dyson_rank_spot():
     assert dyson_rank_count(4, 3) == 1
 
 
-def test_partition_type_validation():
-    lam = Partition.from_parts((3, 2, 2, 1))
-    assert lam.weight == 8
-    assert lam.rank() == 3 - 4 == -1
-    with pytest.raises(ValueError):
-        Partition((1, 2), 3)
-    with pytest.raises(ValueError):
-        Partition((2, 0), 2)
-    with pytest.raises(ValueError):
-        Partition((2, 1), 4)
-
-
 def test_shifted_index():
-    s = ShiftedIndex.of(14)
-    assert s.N == Fraction(335, 24)
-    assert s.N == 14 - Fraction(1, 24)
-    with pytest.raises(ValueError):
-        ShiftedIndex(3, Fraction(1, 2))
+    assert shifted_index(14) == Fraction(335, 24)
+    assert shifted_index(14) == 14 - Fraction(1, 24)
+    assert shifted_index(1) == Fraction(23, 24)

@@ -11,7 +11,6 @@ from partbounds.inequalities import (
     CASE_INDEX,
     DEFAULT_SEED,
     abs_upper,
-    run_all,
     run_case,
 )
 
@@ -92,11 +91,6 @@ class TestWorstMargins:
         res = run_case("collapse-056", grid=40, rand=10)
         n, j = res.worst_point
         assert n >= 17 and j >= 1 and 16 * j * j < n
-
-    def test_run_all_subset_preserves_order(self):
-        results = run_all(["collapse-131", "shift-ratio-02"], grid=5, rand=2)
-        assert [r.name for r in results] == ["collapse-131", "shift-ratio-02"]
-        assert all(r.passed for r in results)
 
 
 class TestFrozenSpots:

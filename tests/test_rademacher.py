@@ -5,34 +5,34 @@ import pytest
 from partbounds.errors import PreconditionError
 from partbounds.exact import p_exact
 from partbounds.rademacher import (
+    _series_state,
+    _term,
     h_error,
-    leading_asymptotic_ratio,
     proposition21_budget,
     proposition21_interval,
-    rademacher_partial,
     rademacher_round,
 )
 from partbounds.special import bessel_I32_closed, mp_context, to_fraction
 
 
 class TestRound:
-    def test_matches_exact_small(self, table):
+    def test_matches_exact_small(self):
         for n in range(1, 61):
-            assert rademacher_round(n) == p_exact(n, table), n
+            assert rademacher_round(n) == p_exact(n), n
 
-    def test_matches_exact_spot(self, table):
+    def test_matches_exact_spot(self):
         for n in (100, 200, 663, 1000, 1729, 2000):
-            assert rademacher_round(n) == p_exact(n, table), n
+            assert rademacher_round(n) == p_exact(n), n
 
-    def test_matches_exact_near_term_boundaries(self, table):
+    def test_matches_exact_near_term_boundaries(self):
         # Indices where a partial sum hovers within 1/4 of the wrong integer
         # for several consecutive depths; the tail certificate must not stop
         # there.
         for n in (1597, 1807, 1818, 1948, 1982):
-            assert rademacher_round(n) == p_exact(n, table), n
+            assert rademacher_round(n) == p_exact(n), n
 
-    def test_higher_precision_agrees(self, table):
-        assert rademacher_round(150, prec=256) == p_exact(150, table)
+    def test_higher_precision_agrees(self):
+        assert rademacher_round(150, prec=256) == p_exact(150)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -40,24 +40,13 @@ class TestRound:
 
 
 class TestPartial:
-    def test_converges_to_value(self, table):
-        p100 = p_exact(100, table)
-        part = rademacher_partial(100, 8)
-        assert abs(part.value - p100) < 0.25
-        one = rademacher_partial(100, 1)
-        assert abs(one.value / p100 - 1) < 0.05
-
-    def test_metadata(self):
-        part = rademacher_partial(100, 5, prec=128)
-        assert part.n == 100 and part.K == 5
-        assert len(part.terms) == 5
-        assert part.prec >= 128 and part.prec % 32 == 0
-
-    def test_preconditions(self):
-        with pytest.raises(PreconditionError):
-            rademacher_partial(0, 3)
-        with pytest.raises(PreconditionError):
-            rademacher_partial(5, 0)
+    def test_converges_to_value(self):
+        # the first K series terms, summed as rademacher_round sums them
+        p100 = p_exact(100)
+        wp, ctx, X, prefactor = _series_state(100, 128)
+        terms = [_term(ctx, wp, X, 100, k) for k in range(1, 9)]
+        assert abs(prefactor * ctx.fsum(terms) - p100) < 0.25
+        assert abs(prefactor * terms[0] / p100 - 1) < 0.05
 
 
 class TestErrorEnvelope:
@@ -85,33 +74,33 @@ class TestErrorEnvelope:
 
 
 class TestLeadingEnclosure:
-    def test_contains_small(self, table):
+    def test_contains_small(self):
         enc = proposition21_interval(14, 0)
         assert enc.contains(135)
         assert Fraction(5) < enc.lo_fraction < Fraction(6)
         assert Fraction(263) < enc.hi_fraction < Fraction(264)
 
-    def test_contains_shifted(self, table):
-        assert proposition21_interval(100, 10).contains(p_exact(90, table))
+    def test_contains_shifted(self):
+        assert proposition21_interval(100, 10).contains(p_exact(90))
 
     def test_depends_only_on_difference(self):
         a = proposition21_interval(100, 10)
         b = proposition21_interval(90, 0)
         assert a.lo == b.lo and a.hi == b.hi
 
-    def test_relative_width_narrows(self, table):
+    def test_relative_width_narrows(self):
         enc = proposition21_interval(500, 0)
-        assert enc.contains(p_exact(500, table))
+        assert enc.contains(p_exact(500))
         rel = enc.width() / enc.midpoint()
         assert Fraction(1, 10**9) < rel < Fraction(12, 10**9)
 
-    def test_containment_sweep(self, table):
+    def test_containment_sweep(self):
         for n in range(2, 302, 7):
             for j in (0, 1, 5):
                 if n - j < 2:
                     continue
                 enc = proposition21_interval(n, j)
-                assert enc.contains(p_exact(n - j, table)), (n, j)
+                assert enc.contains(p_exact(n - j)), (n, j)
 
     def test_budget_components(self):
         budget = proposition21_budget(500, 0)
@@ -130,14 +119,16 @@ class TestLeadingEnclosure:
 
 
 class TestAsymptoticRatio:
-    def test_window_and_monotone(self, table):
-        vals = [leading_asymptotic_ratio(n, table) for n in (500, 1000, 2000)]
+    def test_window_and_monotone(self):
+        # p(n) 4 sqrt(3) n e^{-pi sqrt(2n/3)} tends to 1 from below
+        ctx = mp_context(192)
+        vals = [
+            ctx.mpf(p_exact(n)) * 4 * ctx.sqrt(3) * n
+            * ctx.exp(-ctx.pi * ctx.sqrt(ctx.mpf(2 * n) / 3))
+            for n in (500, 1000, 2000)
+        ]
         assert all(0.9 < v < 1.1 for v in vals)
         assert vals[0] < vals[1] < vals[2]
-
-    def test_precondition(self):
-        with pytest.raises(PreconditionError):
-            leading_asymptotic_ratio(0)
 
 
 class TestTailDomination:

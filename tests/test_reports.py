@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from partbounds import __version__
-from partbounds.enclosure import Enclosure
+from partbounds.enclosure import Enclosure, exact_decimal
 from partbounds.reports import (
     ReportDocument,
     SuiteReport,
@@ -14,7 +14,6 @@ from partbounds.reports import (
     decimal_directed,
     fraction_str,
     interval_payload,
-    parse_fraction,
     write_csv,
 )
 
@@ -46,11 +45,11 @@ class TestFractionStrings:
 
     def test_round_trip(self):
         for value in (Fraction(190569292), Fraction(-7, 360), Fraction(24 * 100 - 1, 24)):
-            assert parse_fraction(fraction_str(value)) == value
+            assert Fraction(fraction_str(value)) == value
 
     def test_parse_decimal_strings(self):
-        # exact_decimal output is also parseable
-        assert parse_fraction("0.125") == Fraction(1, 8)
+        # exact_decimal output parses back to the same rational
+        assert Fraction(exact_decimal(Fraction(1, 8))) == Fraction(1, 8)
 
 
 class TestDecimalDirected:

@@ -4,14 +4,8 @@ from pathlib import Path
 import pytest
 
 from partbounds.errors import PreconditionError
-from partbounds.verify import (
-    SUITE_NAMES,
-    _Recorder,
-    fjn_j_top,
-    prop21_j_top,
-    ratio_j_top,
-    run_suite,
-)
+from partbounds.estimates import fjn_j_top, prop21_j_top, ratio_j_top
+from partbounds.verify import SUITE_NAMES, _Recorder, run_suite
 
 
 class TestLicenseTops:
@@ -56,13 +50,26 @@ class TestRunSuite:
         with pytest.raises(PreconditionError, match="--case"):
             run_suite("krank", case="reciprocal-125")
 
-    def test_suite_names_all_runnable_small(self, table):
+    @pytest.mark.parametrize("bound", ["n_max", "j_max"])
+    def test_negative_bounds_rejected(self, bound):
+        with pytest.raises(PreconditionError, match=f"{bound} >= 0"):
+            run_suite("containment-ratio", **{bound: -5})
+
+    def test_no_cases_is_not_passed(self):
+        # no n in 14..13 to decide
+        report = run_suite("containment-ratio", n_max=13)
+        assert report.cases == 0
+        assert report.failures == []
+        assert not report.passed
+        assert report.summary()["passed"] is False
+
+    def test_suite_names_all_runnable_small(self):
         # every suite completes and passes at token scale
         for name in SUITE_NAMES:
             if name == "inequalities":
-                report = run_suite(name, case="geometric-series-100", table=table)
+                report = run_suite(name, case="geometric-series-100")
             else:
-                report = run_suite(name, n_max=20, table=table)
+                report = run_suite(name, n_max=20)
             assert report.suite == name
             assert report.passed, report.failures
             assert report.cases > 0
@@ -70,8 +77,8 @@ class TestRunSuite:
 
 
 class TestOracleSuite:
-    def test_info_fields(self, table):
-        report = run_suite("oracles", n_max=10, table=table)
+    def test_info_fields(self):
+        report = run_suite("oracles", n_max=10)
         assert report.info["enumeration_top"] == 10
         assert report.info["reciprocity_pairs"] == 774
         assert report.info["max_kloosterman_residue"] < 2.0**-64
@@ -79,40 +86,38 @@ class TestOracleSuite:
 
 
 class TestRademacherSuite:
-    def test_truncation_range_scales(self, table):
-        report = run_suite("rademacher", n_max=40, table=table)
+    def test_truncation_range_scales(self):
+        report = run_suite("rademacher", n_max=40)
         assert report.passed
         assert report.info["rounds_top"] == 40
         assert report.info["truncation_top"] == 60
         assert 0 < report.info["worst_truncation_margin"] <= 0.5
 
-    def test_rows_only_on_request(self, table):
-        bare = run_suite("rademacher", n_max=20, table=table)
+    def test_rows_only_on_request(self):
+        bare = run_suite("rademacher", n_max=20)
         assert bare.rows == []
-        detailed = run_suite("rademacher", n_max=20, collect_rows=True, table=table)
+        detailed = run_suite("rademacher", n_max=20, collect_rows=True)
         checks = {row["check"] for row in detailed.rows}
         assert checks == {"round", "one-term-truncation"}
 
 
 class TestContainmentSuites:
-    def test_ratio_sweep_counts(self, table):
-        report = run_suite("containment-ratio", n_max=100, j_max=0, table=table)
+    def test_ratio_sweep_counts(self):
+        report = run_suite("containment-ratio", n_max=100, j_max=0)
         assert report.passed
         assert report.cases == 87  # one j=0 case per n in 14..100
         assert report.info["max_width_constant"] <= 2
 
-    def test_ratio_rows(self, table):
-        report = run_suite(
-            "containment-ratio", n_max=20, collect_rows=True, table=table
-        )
+    def test_ratio_rows(self):
+        report = run_suite("containment-ratio", n_max=20, collect_rows=True)
         assert report.passed
         row = report.rows[0]
         assert row["n"] == 14 and row["j"] == 0
         assert row["contained"] is True
         assert 0 < row["margin"] <= 0.5
 
-    def test_fjn_sweep(self, table):
-        report = run_suite("containment-fjn", n_max=100, table=table)
+    def test_fjn_sweep(self):
+        report = run_suite("containment-fjn", n_max=100)
         assert report.passed
         # licensed pairs start at n = 17
         assert report.cases == sum(fjn_j_top(n) for n in range(17, 101))
@@ -120,39 +125,39 @@ class TestContainmentSuites:
 
 
 class TestConvexitySuite:
-    def test_small_block_exact_and_fraction_reported(self, table):
-        report = run_suite("convexity", n_max=60, table=table)
+    def test_small_block_exact_and_fraction_reported(self):
+        report = run_suite("convexity", n_max=60)
         assert report.passed
         assert report.info["analytic_fraction"] == 0.0
         assert report.info["analytic_target_met"] is False
         assert report.info["unguarded_origin_holds"] is False
         assert report.info["map_instances"] > 50
 
-    def test_licensed_count(self, table):
-        report = run_suite("convexity", n_max=40, table=table)
+    def test_licensed_count(self):
+        report = run_suite("convexity", n_max=40)
         assert report.info["licensed_cases"] == sum(
             fjn_j_top(n) for n in range(14, 41)
         )
 
 
 class TestKrankSuite:
-    def test_distinct_differences(self, table):
-        report = run_suite("krank", n_max=70, table=table)
+    def test_distinct_differences(self):
+        report = run_suite("krank", n_max=70)
         assert report.passed
         # k = 1, n = 70 reaches m = 36..53, i.e. ell' = 16..33
         assert report.info["distinct_differences"] == 18
         assert report.info["diff_positive_at_floor"] is False
         assert report.info["diff_lower_at_floor"] < 0
 
-    def test_identity_only_below_enclosure_threshold(self, table):
-        report = run_suite("krank", n_max=30, table=table)
+    def test_identity_only_below_enclosure_threshold(self):
+        report = run_suite("krank", n_max=30)
         assert report.passed
         assert report.info["distinct_differences"] == 0
 
 
 class TestNonkarySuite:
-    def test_passes_and_counts(self, table):
-        report = run_suite("nonkary", n_max=100, table=table)
+    def test_passes_and_counts(self):
+        report = run_suite("nonkary", n_max=100)
         assert report.passed
         assert report.info["identity_top"] == 100
         assert report.info["licensed_cases"] == sum(
@@ -161,8 +166,8 @@ class TestNonkarySuite:
 
 
 class TestInequalitySuite:
-    def test_case_filter_and_rows(self, table):
-        report = run_suite("inequalities", case="reciprocal-125", table=table)
+    def test_case_filter_and_rows(self):
+        report = run_suite("inequalities", case="reciprocal-125")
         assert report.passed
         assert report.cases == 1
         assert len(report.rows) == 1
@@ -172,13 +177,13 @@ class TestInequalitySuite:
         assert row["worst_margin"] > 0
         assert report.info["min_margin_case"] == "reciprocal-125"
 
-    def test_unknown_case(self, table):
+    def test_unknown_case(self):
         with pytest.raises(PreconditionError, match="unknown inequality case"):
-            run_suite("inequalities", case="nope", table=table)
+            run_suite("inequalities", case="nope")
 
-    def test_deterministic(self, table):
-        first = run_suite("inequalities", case="exp-convexity-half", table=table)
-        second = run_suite("inequalities", case="exp-convexity-half", table=table)
+    def test_deterministic(self):
+        first = run_suite("inequalities", case="exp-convexity-half")
+        second = run_suite("inequalities", case="exp-convexity-half")
         assert first.rows == second.rows
 
 
