@@ -18,8 +18,8 @@ from .errors import PreconditionError
 
 ENUMERATION_BOUND = 90
 LISTING_BOUND = 45
-# Largest index the shared table grows to: growing from empty to it took
-# about 10 s and 32 MB on a 2-vCPU VM.  Every suite stays below 10^4.
+# Largest index the table grows to: growing from empty to it took about
+# 10 s and 32 MB on a 2-vCPU VM.  No verify suite needs more than 10^4.
 TABLE_CEILING = 100_000
 
 
@@ -38,7 +38,7 @@ class PartitionTable:
         return len(self._values)
 
     def ensure(self, n: int):
-        """Grow the table so that p(0..n) are all available."""
+        """Grow the table so that p(0..n) are all available (n <= TABLE_CEILING)."""
         if n < len(self._values):
             return
         if n > TABLE_CEILING:
