@@ -29,6 +29,9 @@ _UP = "c"    # toward +inf
 # guard-bit argument is empirical rather than proven, so we pad the result.
 _TRANSCENDENTAL_SLACK = 8
 
+_mul = libmp.mpf_mul
+_div = libmp.mpf_div
+
 ExactScalar = (int, Fraction)
 
 
@@ -185,6 +188,10 @@ class Enclosure:
             if other.prec != self.prec:
                 raise ValueError("mixed-precision interval arithmetic")
             return other
+        if isinstance(other, int) and other.bit_length() <= self.prec:
+            # exact at this precision: both directed conversions give it
+            raw = libmp.from_int(other)
+            return Enclosure(raw, raw, self.prec)
         if isinstance(other, ExactScalar):
             return Enclosure.from_exact(other, self.prec)
         return None
@@ -209,29 +216,53 @@ class Enclosure:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        p = self.prec
+        return Enclosure(
+            libmp.mpf_sub(self.lo, o.hi, p, _DOWN),
+            libmp.mpf_sub(self.hi, o.lo, p, _UP),
+            p,
+        )
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        p = self.prec
+        return Enclosure(
+            libmp.mpf_sub(o.lo, self.hi, p, _DOWN),
+            libmp.mpf_sub(o.hi, self.lo, p, _UP),
+            p,
+        )
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         p = self.prec
-        pairs = ((self.lo, o.lo), (self.lo, o.hi), (self.hi, o.lo), (self.hi, o.hi))
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        # Sign-case table: unless a factor straddles zero, the signs pick the
+        # two extreme endpoint products.  Directed rounding is monotone, so
+        # these are the endpoints the four-product search below would find.
+        # A set sign bit on hi means hi < 0; a clear one on lo means lo >= 0.
+        if not a[0]:
+            if not c[0]:
+                return Enclosure(_mul(a, c, p, _DOWN), _mul(b, d, p, _UP), p)
+            if d[0]:
+                return Enclosure(_mul(b, c, p, _DOWN), _mul(a, d, p, _UP), p)
+        elif b[0]:
+            if not c[0]:
+                return Enclosure(_mul(a, d, p, _DOWN), _mul(b, c, p, _UP), p)
+            if d[0]:
+                return Enclosure(_mul(b, d, p, _DOWN), _mul(a, c, p, _UP), p)
         lo = None
         hi = None
-        for a, b in pairs:
-            d = libmp.mpf_mul(a, b, p, _DOWN)
-            u = libmp.mpf_mul(a, b, p, _UP)
-            if lo is None or libmp.mpf_lt(d, lo):
-                lo = d
-            if hi is None or libmp.mpf_gt(u, hi):
-                hi = u
+        for x, y in ((a, c), (a, d), (b, c), (b, d)):
+            down = _mul(x, y, p, _DOWN)
+            up = _mul(x, y, p, _UP)
+            if lo is None or libmp.mpf_lt(down, lo):
+                lo = down
+            if hi is None or libmp.mpf_gt(up, hi):
+                hi = up
         return Enclosure(lo, hi, p)
 
     __rmul__ = __mul__
@@ -240,19 +271,25 @@ class Enclosure:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not (o.strictly_positive() or o.strictly_negative()):
-            raise ZeroDivisionError("interval divisor straddles zero")
         p = self.prec
-        pairs = ((self.lo, o.lo), (self.lo, o.hi), (self.hi, o.lo), (self.hi, o.hi))
+        a, b, c, d = self.lo, self.hi, o.lo, o.hi
+        if not c[0] and c[1]:
+            # positive divisor and a dividend of one sign: as in __mul__
+            if not a[0]:
+                return Enclosure(_div(a, d, p, _DOWN), _div(b, c, p, _UP), p)
+            if b[0]:
+                return Enclosure(_div(a, c, p, _DOWN), _div(b, d, p, _UP), p)
+        elif not (o.strictly_positive() or o.strictly_negative()):
+            raise ZeroDivisionError("interval divisor straddles zero")
         lo = None
         hi = None
-        for a, b in pairs:
-            d = libmp.mpf_div(a, b, p, _DOWN)
-            u = libmp.mpf_div(a, b, p, _UP)
-            if lo is None or libmp.mpf_lt(d, lo):
-                lo = d
-            if hi is None or libmp.mpf_gt(u, hi):
-                hi = u
+        for x, y in ((a, c), (a, d), (b, c), (b, d)):
+            down = _div(x, y, p, _DOWN)
+            up = _div(x, y, p, _UP)
+            if lo is None or libmp.mpf_lt(down, lo):
+                lo = down
+            if hi is None or libmp.mpf_gt(up, hi):
+                hi = up
         return Enclosure(lo, hi, p)
 
     def __rtruediv__(self, other):

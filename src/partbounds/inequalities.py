@@ -27,11 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Tuple
 
+from mpmath import libmp
+
 from .enclosure import (
     DEFAULT_PRECISION,
     Enclosure,
     constants,
     exp_enclosure,
+    fraction_from_raw,
     sqrt_enclosure,
 )
 from .errors import PreconditionError
@@ -65,7 +68,7 @@ def abs_upper(e: Enclosure) -> Fraction:
 
 
 def _min_lo(a: Optional[Enclosure], b: Enclosure) -> Enclosure:
-    if a is None or b.lo_fraction < a.lo_fraction:
+    if a is None or libmp.mpf_lt(b.lo, a.lo):
         return b
     return a
 
@@ -340,6 +343,12 @@ class InequalityCase:
     sampler: Sampler
     grid_points: int = GRID_POINTS
     random_points: int = RANDOM_POINTS
+    terms: int = 1
+
+    @property
+    def cost(self) -> int:
+        """Relative running time: sampled points times margin terms per point."""
+        return (self.grid_points + self.random_points) * self.terms
 
 
 @dataclass(frozen=True)
@@ -472,6 +481,7 @@ CASES: Tuple[InequalityCase, ...] = (
         _interval_sampler(Fraction(20), Fraction(100)),
         grid_points=100,
         random_points=30,
+        terms=TAIL_TERMS,
     ),
     InequalityCase(
         "bessel-simplify-half",
@@ -509,14 +519,16 @@ def run_case(
     if rand < 0:
         raise PreconditionError("requires rand >= 0")
     rng = random.Random(seed)
-    worst: Optional[Fraction] = None
+    # raw lower endpoints compare exactly; only the worst becomes a Fraction
+    worst = None
     worst_point: Point = ()
     count = 0
     for point in case.sampler(grid, rand, rng):
-        lo = case.margin(point, prec).lo_fraction
+        lo = case.margin(point, prec).lo
         count += 1
-        if worst is None or lo < worst:
+        if worst is None or libmp.mpf_lt(lo, worst):
             worst = lo
             worst_point = point
     assert worst is not None
-    return InequalityResult(case.name, count, worst, worst_point, worst > 0)
+    margin = fraction_from_raw(worst)
+    return InequalityResult(case.name, count, margin, worst_point, margin > 0)

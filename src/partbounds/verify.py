@@ -4,8 +4,9 @@ full scale and reports counted cases, failures, and worst observed margins.
 Default ranges are the ones the package promises to satisfy, so running
 every suite back to back is the complete verification gate.  Sweep loops
 are deterministic; only the inequality registry fans out across worker
-processes (one per registered case), and its output is reassembled in
-registry order, so parallel and sequential runs produce identical reports.
+processes.  Its cases are dispatched longest first, one at a time, and the
+results are reassembled in registry order, so parallel and sequential runs
+produce identical reports.
 """
 
 from __future__ import annotations
@@ -42,7 +43,14 @@ from .exact import (
     p_enumerate_oracle,
     p_exact,
 )
-from .inequalities import CASES, DEFAULT_SEED, InequalityResult, _lookup, run_case
+from .inequalities import (
+    CASE_INDEX,
+    CASES,
+    DEFAULT_SEED,
+    InequalityResult,
+    _lookup,
+    run_case,
+)
 from .rademacher import proposition21_interval, rademacher_round
 from .reports import SuiteReport, fraction_str
 from .special import (
@@ -512,20 +520,33 @@ def _ineq_case_task(args: Tuple[str, int, int]) -> InequalityResult:
     return run_case(name, prec=prec, seed=seed)
 
 
+def _dispatch_order(names: List[str]) -> List[int]:
+    """Indices of `names`, longest case first; equal costs keep their order."""
+    return sorted(range(len(names)), key=lambda i: -CASE_INDEX[names[i]].cost)
+
+
 def _run_inequality_cases(
     names: List[str], prec: int, seed: int
 ) -> List[InequalityResult]:
     workers = min(len(names), os.cpu_count() or 1)
+    pool = None
     if workers > 1:
+        # only a pool that cannot start falls back; a case's error propagates
         try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(workers) as pool:
-                return pool.map(
-                    _ineq_case_task, [(name, prec, seed) for name in names]
-                )
+            pool = multiprocessing.get_context("fork").Pool(workers)
         except (ImportError, OSError, ValueError):
             pass
-    return [run_case(name, prec=prec, seed=seed) for name in names]
+    if pool is None:
+        return [run_case(name, prec=prec, seed=seed) for name in names]
+    # longest-processing-time first, one case per task, so the longest case
+    # does not start last behind a chunk of short ones
+    order = _dispatch_order(names)
+    with pool:
+        done = pool.map(
+            _ineq_case_task, [(names[i], prec, seed) for i in order], chunksize=1
+        )
+    by_index = dict(zip(order, done))
+    return [by_index[i] for i in range(len(names))]
 
 
 def _point_str(point: Tuple) -> str:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from partbounds.enclosure import (
     Enclosure,
@@ -177,3 +178,79 @@ def test_raw_fraction_round_trip(v):
 def test_exact_decimal_round_trip(num, k):
     fr = Fraction(num, 1 << k)
     assert Fraction(exact_decimal(fr)) == fr
+
+
+# -- bit-identity of the sign-case kernel ---------------------------------
+#
+# The reference code below is the general form the kernel replaced: products
+# and quotients search all four endpoint pairs, subtraction adds the negated
+# operand, and an int operand goes through both directed conversions.
+
+def _four_pair_search(op, x, y, prec):
+    lo = hi = None
+    for a, b in ((x.lo, y.lo), (x.lo, y.hi), (x.hi, y.lo), (x.hi, y.hi)):
+        down = op(a, b, prec, "f")
+        up = op(a, b, prec, "c")
+        if lo is None or libmp.mpf_lt(down, lo):
+            lo = down
+        if hi is None or libmp.mpf_gt(up, hi):
+            hi = up
+    return lo, hi
+
+
+def _negated_sum(x, y, prec):
+    # x + (-y)
+    return (
+        libmp.mpf_add(x.lo, libmp.mpf_neg(y.hi), prec, "f"),
+        libmp.mpf_add(x.hi, libmp.mpf_neg(y.lo), prec, "c"),
+    )
+
+
+def _directed_int(k, prec):
+    return Enclosure(libmp.from_int(k, prec, "f"), libmp.from_int(k, prec, "c"), prec)
+
+
+positive = st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(10**6),
+                        max_denominator=10**9)
+
+
+@st.composite
+def intervals(draw):
+    kind = draw(st.sampled_from(["positive", "negative", "straddling", "zero-low",
+                                 "zero-high", "point"]))
+    u, v = sorted((draw(positive), draw(positive)))
+    return {
+        "positive": (u, v),
+        "negative": (-v, -u),
+        "straddling": (-u, v),
+        "zero-low": (Fraction(0), v),
+        "zero-high": (-v, Fraction(0)),
+        "point": (u, u),
+    }[kind]
+
+
+def _endpoints(e):
+    return e.lo, e.hi
+
+
+@given(
+    a=intervals(),
+    b=intervals(),
+    k=st.integers(min_value=-(2**200), max_value=2**200),
+    prec=st.sampled_from([53, 128]),
+)
+@settings(max_examples=500, deadline=None)
+def test_kernel_endpoints_match_general_form(a, b, k, prec):
+    x = Enclosure.from_bounds(*a, prec=prec)
+    y = Enclosure.from_bounds(*b, prec=prec)
+    assert _endpoints(x * y) == _four_pair_search(libmp.mpf_mul, x, y, prec)
+    if y.strictly_positive() or y.strictly_negative():
+        assert _endpoints(x / y) == _four_pair_search(libmp.mpf_div, x, y, prec)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    assert _endpoints(x - y) == _negated_sum(x, y, prec)
+    kk = _directed_int(k, prec)
+    assert _endpoints(k - x) == _negated_sum(kk, x, prec)
+    assert _endpoints(x * k) == _four_pair_search(libmp.mpf_mul, x, kk, prec)
+    assert _endpoints(k * x) == _endpoints(x * k)

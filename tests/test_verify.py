@@ -1,11 +1,22 @@
+import dataclasses
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from partbounds import inequalities
+from partbounds.enclosure import Enclosure
 from partbounds.errors import PreconditionError
 from partbounds.estimates import fjn_j_top, prop21_j_top, ratio_j_top
-from partbounds.verify import SUITE_NAMES, _Recorder, run_suite
+from partbounds.verify import (
+    SUITE_NAMES,
+    _dispatch_order,
+    _Recorder,
+    _run_inequality_cases,
+    run_suite,
+)
 
 
 class TestLicenseTops:
@@ -185,6 +196,53 @@ class TestInequalitySuite:
         first = run_suite("inequalities", case="exp-convexity-half")
         second = run_suite("inequalities", case="exp-convexity-half")
         assert first.rows == second.rows
+
+
+class TestInequalityDispatch:
+    # cheap copies of one case at several grid sizes, listed out of cost order
+    GRIDS = (20, 240, 5, 120, 60)
+
+    def _register(self, monkeypatch):
+        base = inequalities.CASE_INDEX["reciprocal-125"]
+        names = []
+        for grid in self.GRIDS:
+            case = dataclasses.replace(
+                base, name=f"dispatch-{grid}", grid_points=grid, random_points=grid // 4
+            )
+            monkeypatch.setitem(inequalities.CASE_INDEX, case.name, case)
+            names.append(case.name)
+        return names
+
+    def test_results_keep_registry_order(self, monkeypatch):
+        names = self._register(monkeypatch)
+        order = _dispatch_order(names)
+        assert [names[i] for i in order] == [
+            "dispatch-240", "dispatch-120", "dispatch-60", "dispatch-20", "dispatch-5"
+        ]
+        expected = [inequalities.run_case(name) for name in names]
+        for cpus in (2, 1):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert _run_inequality_cases(names, 128, inequalities.DEFAULT_SEED) == expected
+
+    def test_longest_case_dispatched_first(self):
+        names = [case.name for case in inequalities.CASES]
+        assert names[_dispatch_order(names)[0]] == "bessel-tail-sum"
+
+    def test_case_error_propagates_without_rerun(self, monkeypatch, tmp_path):
+        # every evaluation leaves a marker, so a sequential rerun would show
+        def margin(point, prec):
+            os.close(tempfile.mkstemp(dir=tmp_path)[0])
+            one = Enclosure.from_exact(1, prec)
+            return Enclosure(one.hi, Enclosure.from_exact(0, prec).lo, prec)
+
+        case = dataclasses.replace(
+            inequalities.CASE_INDEX["collapse-131"], name="raises", margin=margin
+        )
+        monkeypatch.setitem(inequalities.CASE_INDEX, case.name, case)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(ValueError, match="endpoints out of order"):
+            _run_inequality_cases(["raises", "collapse-131"], 128, 1)
+        assert len(list(tmp_path.iterdir())) == 1
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "docs" / "golden"
