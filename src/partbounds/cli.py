@@ -30,7 +30,7 @@ from .estimates import (
     ratio_interval,
 )
 from .exact import f_jn, nu_k, p_enumerate_oracle, p_exact
-from .inequalities import DEFAULT_SEED
+from .inequalities import DEFAULT_SEED, _lookup
 from .reports import ReportDocument, fraction_str, interval_payload, write_csv
 from .verify import SUITE_NAMES, run_suite
 
@@ -178,8 +178,11 @@ def _cmd_nonkary(args: argparse.Namespace) -> _Handled:
 
 def _cmd_verify(args: argparse.Namespace) -> _Handled:
     prec = _resolve_precision(args.precision)
-    if args.case is not None and args.suite not in ("inequalities", "all"):
-        raise PreconditionError("--case requires the inequalities suite")
+    if args.case is not None:
+        if args.suite not in ("inequalities", "all"):
+            raise PreconditionError("--case requires the inequalities suite")
+        # an unknown case exits before any suite runs, not after the others
+        _lookup(args.case)
     collect = args.csv is not None
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = [

@@ -21,6 +21,13 @@ from mpmath import libmp
 
 DEFAULT_PRECISION = 128
 
+# Entries kept by each per-index enclosure memo (the proposition 2.1 and
+# k-rank caches).  It exceeds the most distinct keys any sweep or query
+# stream asks for: 2999 truncation targets in the default rademacher suite,
+# at most 500 k-rank shifts in the benchmark's query catalogue, and 233 in
+# the default krank suite.
+MEMO_MAXSIZE = 4096
+
 _DOWN = "f"  # toward -inf
 _UP = "c"    # toward +inf
 

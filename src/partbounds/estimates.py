@@ -33,7 +33,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .enclosure import DEFAULT_PRECISION, Enclosure, constants
+from .enclosure import DEFAULT_PRECISION, MEMO_MAXSIZE, Enclosure, constants
 from .errors import PreconditionError
 from .exact import (
     LISTING_BOUND,
@@ -172,9 +172,9 @@ def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> RatioEstima
         - c.pi * j * j / (4 * c.sqrt6 * Ne * sqrtN)
         - c.sqrt3 / (c.sqrt_two_pi * sqrtN)
     )
-    factor1 = center1.plus_minus(Enclosure.from_exact(RATIO_RADIUS_1 / N, prec))
+    factor1 = center1.plus_minus(RATIO_RADIUS_1 / N)
     center2 = 1 + c.sqrt3 / (c.pi * c.sqrt2 * sqrtN)
-    factor2 = center2.plus_minus(Enclosure.from_exact(RATIO_RADIUS_2 / N, prec))
+    factor2 = center2.plus_minus(RATIO_RADIUS_2 / N)
     return RatioEstimate(
         N=N,
         j=j,
@@ -209,11 +209,11 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> FjnEsti
     exp2 = exp1 * exp1
     jj = Fraction(2 * j) / N
     centerA = 1 + c.delta_c / sqrtN + jj - c.pi * j * j / (c.sqrt6 * Ne * sqrtN)
-    termA = centerA.plus_minus(Enclosure.from_exact(FJN_RADIUS_A / N, prec))
+    termA = centerA.plus_minus(FJN_RADIUS_A / N)
     centerB = (
         2 + 2 * c.delta_c / sqrtN + jj - c.pi * j * j / (2 * c.sqrt6 * Ne * sqrtN)
     )
-    termB = centerB.plus_minus(Enclosure.from_exact(FJN_RADIUS_B / N, prec))
+    termB = centerB.plus_minus(FJN_RADIUS_B / N)
     return FjnEstimate(
         N=N,
         j=j,
@@ -308,7 +308,7 @@ def krank_ratio_interval(
     return _krank_ratio(n - k - m, prec)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _krank_ratio(lp: int, prec: int) -> Enclosure:
     # lp = n - k - m, and ell = lp + 23/24 is the shift of lp + 1
     c = constants(prec)
@@ -317,9 +317,9 @@ def _krank_ratio(lp: int, prec: int) -> Enclosure:
     sqrtL = Le.sqrt()
     u = (-(c.pi / (c.sqrt6 * sqrtL))).exp()
     center1 = 1 - c.sqrt3 / (c.sqrt_two_pi * sqrtL)
-    f1 = center1.plus_minus(Enclosure.from_exact(KRANK_RATIO_RADIUS_1 / ell, prec))
+    f1 = center1.plus_minus(KRANK_RATIO_RADIUS_1 / ell)
     center2 = 1 + c.sqrt3 / (c.pi * c.sqrt2 * sqrtL)
-    f2 = center2.plus_minus(Enclosure.from_exact(KRANK_RATIO_RADIUS_2 / ell, prec))
+    f2 = center2.plus_minus(KRANK_RATIO_RADIUS_2 / ell)
     return 1 - u * f1 * f2
 
 
@@ -338,7 +338,7 @@ def krank_diff_interval(
     return _krank_diff(n - k - m, prec)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _krank_diff(lp: int, prec: int) -> Enclosure:
     c = constants(prec)
     ell = shifted_index(lp + 1)
@@ -346,9 +346,9 @@ def _krank_diff(lp: int, prec: int) -> Enclosure:
     sqrtL = Le.sqrt()
     u = (-(c.pi / (c.sqrt6 * sqrtL))).exp()
     centerA = 1 + c.delta_c / sqrtL
-    termA = centerA.plus_minus(Enclosure.from_exact(KRANK_DIFF_RADIUS_A / ell, prec))
+    termA = centerA.plus_minus(KRANK_DIFF_RADIUS_A / ell)
     centerB = 2 + 2 * c.delta_c / sqrtL
-    termB = centerB.plus_minus(Enclosure.from_exact(KRANK_DIFF_RADIUS_B / ell, prec))
+    termB = centerB.plus_minus(KRANK_DIFF_RADIUS_B / ell)
     return 1 + u * u * termA - u * termB
 
 

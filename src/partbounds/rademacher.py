@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .enclosure import DEFAULT_PRECISION, Enclosure, constants
+from .enclosure import DEFAULT_PRECISION, MEMO_MAXSIZE, Enclosure, constants
 from .errors import PreconditionError, StabilizationError
 from .exact import shifted_index
 from .special import bessel_I32_closed, kloosterman_A, mp_context, to_fraction
@@ -123,7 +123,7 @@ class ErrorBudget:
     tail_bound: Enclosure
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_MAXSIZE)
 def _prop21(m: int, prec: int):
     M = shifted_index(m)
     Me = Enclosure.from_exact(M, prec)

@@ -71,6 +71,9 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     return _dedekind_reduced(h % k, k)
 
 
+# _cis_pi and _kloosterman_cached stay unbounded: their key counts grow with
+# the series length, and a bound below them could make the rademacher suite
+# recompute terms, a cost that has not been measured.
 @lru_cache(maxsize=None)
 def _cis_pi(num: int, den: int, wp: int):
     # (cos, sin) of pi*num/den as raw mpfs at working precision

@@ -2,7 +2,8 @@
 full scale and reports counted cases, failures, and worst observed margins.
 
 Default ranges are the ones the package promises to satisfy, so running
-every suite back to back is the complete verification gate.  Sweep loops
+every suite back to back is the complete verification gate; the acceptance
+tests read these reports instead of sweeping a second time.  Sweep loops
 are deterministic; only the inequality registry fans out across worker
 processes.  Its cases are dispatched longest first, one at a time, and the
 results are reassembled in registry order, so parallel and sequential runs
@@ -62,17 +63,6 @@ from .special import (
     to_fraction,
 )
 
-SUITE_NAMES = (
-    "oracles",
-    "rademacher",
-    "containment-ratio",
-    "containment-fjn",
-    "convexity",
-    "krank",
-    "nonkary",
-    "inequalities",
-)
-
 FAILURE_CAP = 200
 
 # x values for closed-form vs quadrature Bessel agreement; spans the
@@ -109,8 +99,13 @@ class _Recorder:
         self.failures: List[str] = []
         self.overflow = 0
 
-    def ok(self) -> None:
-        self.cases += 1
+    def check(self, passed: bool, message: str, *args: Any) -> None:
+        """Count one case; a failed one records message % args, formatted
+        only then, so passing cases pay no float conversion."""
+        if passed:
+            self.cases += 1
+        else:
+            self.fail(message % args)
 
     def fail(self, message: str) -> None:
         self.cases += 1
@@ -147,10 +142,8 @@ def _suite_oracles(o: SweepOptions) -> _Outcome:
     for n in range(top + 1):
         expected = p_enumerate_oracle(n)
         got = p_exact(n)
-        if got == expected:
-            rec.ok()
-        else:
-            rec.fail(f"p({n}): recurrence {got} != enumeration {expected}")
+        rec.check(got == expected, "p(%d): recurrence %d != enumeration %d",
+                  n, got, expected)
         if o.collect_rows:
             rows.append(
                 {"check": "partition-enumeration", "n": n, "value": str(got),
@@ -167,10 +160,7 @@ def _suite_oracles(o: SweepOptions) -> _Outcome:
             rhs = Fraction(-1, 4) + (
                 Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)
             ) / 12
-            if lhs == rhs:
-                rec.ok()
-            else:
-                rec.fail(f"reciprocity fails at (h, k) = ({h}, {k})")
+            rec.check(lhs == rhs, "reciprocity fails at (h, k) = (%d, %d)", h, k)
 
     residue_bound = Fraction(1, 2**64)
     max_residue = Fraction(0)
@@ -179,13 +169,11 @@ def _suite_oracles(o: SweepOptions) -> _Outcome:
             amp = abs(to_fraction(kloosterman_A(k, n, o.prec)))
             residue = abs(to_fraction(kloosterman_imag_residue(k, n, o.prec)))
             max_residue = max(max_residue, residue)
-            if amp <= k and residue < residue_bound:
-                rec.ok()
-            else:
-                rec.fail(
-                    f"A_{k}({n}): |A| = {float(amp):.3f} (cap {k}), "
-                    f"residue = {float(residue):.3e}"
-                )
+            rec.check(
+                amp <= k and residue < residue_bound,
+                "A_%d(%d): |A| = %.3f (cap %d), residue = %.3e",
+                k, n, amp, k, residue,
+            )
 
     rel_bound = Fraction(1, 10**15)
     max_rel = Fraction(0)
@@ -195,10 +183,7 @@ def _suite_oracles(o: SweepOptions) -> _Outcome:
         rel = abs(closed - quad) / abs(closed)
         max_rel = max(max_rel, rel)
         ok = rel <= rel_bound
-        if ok:
-            rec.ok()
-        else:
-            rec.fail(f"Bessel closed vs quadrature at x = {x}: rel {float(rel):.3e}")
+        rec.check(ok, "Bessel closed vs quadrature at x = %s: rel %.3e", x, rel)
         if o.collect_rows:
             rows.append(
                 {"check": "bessel-agreement", "x": fraction_str(x),
@@ -223,10 +208,7 @@ def _suite_rademacher(o: SweepOptions) -> _Outcome:
     for n in range(1, rounds_top + 1):
         got = rademacher_round(n, o.prec)
         want = p_exact(n)
-        if got == want:
-            rec.ok()
-        else:
-            rec.fail(f"round({n}) = {got}, off by {got - want}")
+        rec.check(got == want, "round(%d) = %d, off by %d", n, got, got - want)
         if o.collect_rows:
             rows.append({"check": "round", "n": n, "passed": got == want})
 
@@ -252,10 +234,7 @@ def _suite_rademacher(o: SweepOptions) -> _Outcome:
                     )
             contained, margin = hit
             worst = min(worst, margin)
-            if contained:
-                rec.ok()
-            else:
-                rec.fail(f"p({m}) escapes its one-term truncation interval")
+            rec.check(contained, "p(%d) escapes its one-term truncation interval", m)
 
     info = {
         "rounds_top": rounds_top,
@@ -288,10 +267,7 @@ def _suite_containment_ratio(o: SweepOptions) -> _Outcome:
                 c_val = float(c)
                 if c > max_c:
                     max_c, max_c_at = c, (n, j)
-            if contained:
-                rec.ok()
-            else:
-                rec.fail(f"ratio({n}, {j}): exact value escapes the enclosure")
+            rec.check(contained, "ratio(%d, %d): exact value escapes the enclosure", n, j)
             if o.collect_rows:
                 rows.append(
                     {"n": n, "j": j, "contained": contained, "margin": margin,
@@ -325,10 +301,7 @@ def _suite_containment_fjn(o: SweepOptions) -> _Outcome:
             margin = est.total.containment_margin(exact)
             worst = min(worst, margin)
             min_lower = min(min_lower, est.total.lo_fraction)
-            if contained:
-                rec.ok()
-            else:
-                rec.fail(f"fjn({n}, {j}): exact value escapes the enclosure")
+            rec.check(contained, "fjn(%d, %d): exact value escapes the enclosure", n, j)
             if o.collect_rows:
                 rows.append(
                     {"n": n, "j": j, "contained": contained, "margin": margin}
@@ -351,10 +324,10 @@ def _suite_convexity(o: SweepOptions) -> _Outcome:
     for n in range(2, min(13, top) + 1):
         for j in range(1, o.j_cap(n // 2) + 1):
             cert = convexity_certificate(n, j, o.prec)
-            if cert.holds and cert.kind is CertificateKind.EXACT:
-                rec.ok()
-            else:
-                rec.fail(f"convexity({n}, {j}): holds={cert.holds}, kind={cert.kind.value}")
+            rec.check(
+                cert.holds and cert.kind is CertificateKind.EXACT,
+                "convexity(%d, %d): holds=%s, kind=%s", n, j, cert.holds, cert.kind.value,
+            )
 
     licensed = 0
     analytic = 0
@@ -364,10 +337,7 @@ def _suite_convexity(o: SweepOptions) -> _Outcome:
             licensed += 1
             if cert.kind is CertificateKind.ANALYTIC:
                 analytic += 1
-            if cert.holds:
-                rec.ok()
-            else:
-                rec.fail(f"convexity({n}, {j}) does not hold")
+            rec.check(cert.holds, "convexity(%d, %d) does not hold", n, j)
             if o.collect_rows:
                 rows.append({"n": n, "j": j, "kind": cert.kind.value, "holds": cert.holds})
 
@@ -378,10 +348,10 @@ def _suite_convexity(o: SweepOptions) -> _Outcome:
             for ell in range(0, 21):
                 if (n, j, ell) == INJECTION_COUNTEREXAMPLE:
                     continue
-                if injection_inequality(n, j, ell):
-                    rec.ok()
-                else:
-                    rec.fail(f"injection inequality fails at (n, j, ell) = ({n}, {j}, {ell})")
+                rec.check(
+                    injection_inequality(n, j, ell),
+                    "injection inequality fails at (n, j, ell) = (%d, %d, %d)", n, j, ell,
+                )
 
     map_checks = 0
     for n in range(6, min(inj_top, 30) + 1, 3):
@@ -391,13 +361,11 @@ def _suite_convexity(o: SweepOptions) -> _Outcome:
                     continue
                 map_checks += 1
                 mc = injection_map_check(n, j, ell)
-                if mc.injective and mc.preserves_avoidance:
-                    rec.ok()
-                else:
-                    rec.fail(
-                        f"shift map at (n, j, ell) = ({n}, {j}, {ell}): "
-                        f"injective={mc.injective}, preserves={mc.preserves_avoidance}"
-                    )
+                rec.check(
+                    mc.injective and mc.preserves_avoidance,
+                    "shift map at (n, j, ell) = (%d, %d, %d): injective=%s, preserves=%s",
+                    n, j, ell, mc.injective, mc.preserves_avoidance,
+                )
 
     info = {
         "n_top": top,
@@ -423,10 +391,9 @@ def _suite_krank(o: SweepOptions) -> _Outcome:
         for m in range(n // 2 + 1, n + 2):
             got = krank_boundary_value(2, m, n)
             want = dyson_rank_count(n, m)
-            if got == want:
-                rec.ok()
-            else:
-                rec.fail(f"rank count at (m, n) = ({m}, {n}): {got} != {want}")
+            rec.check(
+                got == want, "rank count at (m, n) = (%d, %d): %d != %d", m, n, got, want
+            )
 
     # both enclosures and both exact values depend only on ell' = n - k - m,
     # so each distinct difference is decided once and replayed per (k, m, n)
@@ -464,14 +431,9 @@ def _suite_krank(o: SweepOptions) -> _Outcome:
                 ok_r, margin_r, ok_d, margin_d = hit
                 worst_ratio = min(worst_ratio, margin_r)
                 worst_diff = min(worst_diff, margin_d)
-                if ok_r:
-                    rec.ok()
-                else:
-                    rec.fail(f"rank ratio at (k, m, n) = ({k}, {m}, {n}) not contained")
-                if ok_d:
-                    rec.ok()
-                else:
-                    rec.fail(f"rank difference at (k, m, n) = ({k}, {m}, {n}) not contained")
+                where = (k, m, n)
+                rec.check(ok_r, "rank ratio at (k, m, n) = %s not contained", where)
+                rec.check(ok_d, "rank difference at (k, m, n) = %s not contained", where)
 
     # positivity of the difference enclosure's lower endpoint at the stated
     # floor ell' = 10^4; the numbers come out negative there (the radii are
@@ -496,20 +458,21 @@ def _suite_nonkary(o: SweepOptions) -> _Outcome:
 
     for n in range(2, identity_top + 1):
         for k in range(1, o.j_cap(n // 2) + 1):
+            error = None
             try:
                 nonkary_diff_check(n, k)
-                rec.ok()
             except AssertionError as exc:
-                rec.fail(f"identity at (n, k) = ({n}, {k}): {exc}")
+                error = exc
+            rec.check(error is None, "identity at (n, k) = (%d, %d): %s", n, k, error)
 
     positives = 0
     for n in range(2, top + 1):
         for k in range(1, o.j_cap(fjn_j_top(n)) + 1):
             positives += 1
-            if nonkary_diff_check(n, k):
-                rec.ok()
-            else:
-                rec.fail(f"avoided-part count not increasing at (n, k) = ({n}, {k})")
+            rec.check(
+                nonkary_diff_check(n, k),
+                "avoided-part count not increasing at (n, k) = (%d, %d)", n, k,
+            )
 
     info = {"identity_top": identity_top, "n_top": top, "licensed_cases": positives}
     return rec, info, rows
@@ -565,13 +528,9 @@ def _suite_inequalities(o: SweepOptions) -> _Outcome:
     min_margin: Optional[Fraction] = None
     min_case = ""
     for result in results:
-        if result.passed:
-            rec.ok()
-        else:
-            rec.fail(
-                f"{result.name}: worst margin {float(result.worst_margin):.3e} "
-                f"at {_point_str(result.worst_point)}"
-            )
+        point = _point_str(result.worst_point)
+        rec.check(result.passed, "%s: worst margin %.3e at %s",
+                  result.name, result.worst_margin, point)
         if min_margin is None or result.worst_margin < min_margin:
             min_margin, min_case = result.worst_margin, result.name
         rows.append(
@@ -580,7 +539,7 @@ def _suite_inequalities(o: SweepOptions) -> _Outcome:
                 "points": result.points,
                 "worst_margin": float(result.worst_margin),
                 "worst_margin_exact": fraction_str(result.worst_margin),
-                "worst_point": _point_str(result.worst_point),
+                "worst_point": point,
                 "passed": result.passed,
             }
         )
@@ -603,6 +562,8 @@ _SUITES: Dict[str, Callable[[SweepOptions], _Outcome]] = {
     "nonkary": _suite_nonkary,
     "inequalities": _suite_inequalities,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from partbounds import cli
 from partbounds.cli import MAX_PRECISION, main
 from partbounds.exact import TABLE_CEILING, f_jn, p_exact
 
@@ -186,6 +187,16 @@ class TestVerifyCommand:
     def test_case_with_other_suite_rejected(self, capsys):
         code, captured = run(capsys, "verify", "krank", "--case", "reciprocal-125")
         assert code == 2
+
+    def test_unknown_case_exits_before_any_suite(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: calls.append(args))
+        code, captured = run(
+            capsys, "verify", "all", "--n-max", "20", "--case", "no-such-case"
+        )
+        assert code == 2
+        assert calls == []
+        assert "unknown inequality case 'no-such-case'" in captured.err
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

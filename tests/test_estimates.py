@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partbounds.enclosure import Enclosure, constants
+from partbounds.enclosure import MEMO_MAXSIZE, Enclosure, constants
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
     CertificateKind,
+    _krank_diff,
+    _krank_ratio,
     convexity_certificate,
     fjn_ratio_interval,
     injection_inequality,
@@ -19,6 +21,7 @@ from partbounds.estimates import (
     ratio_interval,
 )
 from partbounds.exact import dyson_rank_count, f_jn, nu_k, p_exact, shifted_index
+from partbounds.rademacher import _prop21
 
 
 def exact_ratio(n, j):
@@ -352,3 +355,16 @@ class TestInjection:
             injection_map_check(12, 2, 12)
         with pytest.raises(PreconditionError):
             injection_map_check(12, 0, 3)
+
+
+@pytest.mark.parametrize(
+    "memo, first", [(_krank_ratio, 16), (_krank_diff, 16), (_prop21, 2)]
+)
+def test_memo_size_is_bounded(memo, first):
+    # more distinct keys than the bound, at the least precision to stay cheap
+    assert memo.cache_info().maxsize == MEMO_MAXSIZE
+    for key in range(first, first + MEMO_MAXSIZE + 10):
+        memo(key, 16)
+        assert memo.cache_info().currsize <= MEMO_MAXSIZE
+    assert memo.cache_info().currsize == MEMO_MAXSIZE
+    memo.cache_clear()

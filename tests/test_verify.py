@@ -1,8 +1,6 @@
 import dataclasses
-import json
 import os
 import tempfile
-from pathlib import Path
 
 import pytest
 
@@ -45,11 +43,23 @@ class TestRecorder:
         rec = _Recorder()
         for i in range(205):
             rec.fail(f"case {i}")
-        rec.ok()
+        rec.check(True, "")
         rec.close()
         assert rec.cases == 206
         assert len(rec.failures) == 201
         assert rec.failures[-1] == "... plus 5 more failures"
+
+    def test_check_formats_only_failures(self):
+        class Loud:
+            def __float__(self):
+                raise AssertionError("a passing case formatted its message")
+
+        rec = _Recorder()
+        rec.check(True, "x = %.3e", Loud())
+        rec.check(False, "case %d at x = %.3e", 7, 0.5)
+        rec.close()
+        assert rec.cases == 2
+        assert rec.failures == ["case 7 at x = 5.000e-01"]
 
 
 class TestRunSuite:
@@ -245,17 +255,5 @@ class TestInequalityDispatch:
         assert len(list(tmp_path.iterdir())) == 1
 
 
-GOLDEN = Path(__file__).resolve().parents[1] / "docs" / "golden"
-
-
-def test_summaries_match_golden():
-    # every suite but the registry at n_max 150, with the timing zeroed
-    golden = json.loads((GOLDEN / "suite-summaries-150.json").read_text())
-    summaries = []
-    for name in SUITE_NAMES:
-        if name == "inequalities":
-            continue
-        summary = run_suite(name, n_max=150).summary()
-        summary["seconds"] = 0.0
-        summaries.append(json.loads(json.dumps(summary)))
-    assert summaries == golden
+def test_summaries_match_golden(golden_summaries):
+    golden_summaries(lambda name: run_suite(name, n_max=150), "suite-summaries-150.json")
