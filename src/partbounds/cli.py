@@ -31,7 +31,13 @@ from .estimates import (
 )
 from .exact import f_jn, nu_k, p_enumerate_oracle, p_exact
 from .inequalities import DEFAULT_SEED, _lookup
-from .reports import ReportDocument, fraction_str, interval_payload, write_csv
+from .reports import (
+    ReportDocument,
+    fraction_str,
+    interval_payload,
+    optional_float,
+    write_csv,
+)
 from .verify import SUITE_NAMES, run_suite
 
 PRECISION_ENV = "PARTBOUNDS_PRECISION"
@@ -71,32 +77,38 @@ def _cmd_exact(args: argparse.Namespace) -> _Handled:
     n = args.n
     if n < 0:
         raise PreconditionError("requires n >= 0")
+    # the oracle refuses n past its bound before the table grows to n
+    expected = p_enumerate_oracle(n) if args.oracle else None
     value = p_exact(n)
     results: Dict[str, Any] = {"n": n, "p": str(value), "digits": len(str(value))}
     passed = True
     if args.oracle:
-        expected = p_enumerate_oracle(n)
         passed = value == expected
         results["enumeration"] = str(expected)
         results["agreement"] = passed
     return {"n": n, "oracle": bool(args.oracle)}, results, passed, []
 
 
+def _margin_results(enclosure: Enclosure, exact: Fraction) -> Dict[str, Any]:
+    """The exact value, its enclosure, and where it lies in it; the margin
+    is computed once and its sign is the contained flag."""
+    margin = enclosure.containment_margin(exact)
+    return {
+        "exact": fraction_str(exact),
+        "interval": {**interval_payload(enclosure), "contained": margin >= 0},
+        "relative_width": optional_float(enclosure.relative_width()),
+        "containment_margin": float(margin),
+    }
+
+
 def _cmd_ratio(args: argparse.Namespace) -> _Handled:
     prec = _resolve_precision(args.precision)
     n, j = args.n, args.j
     estimate = ratio_interval(n, j, prec)
-    exact = Fraction(p_exact(n - j), p_exact(n))
-    enclosure = estimate.product
-    mid = enclosure.midpoint()
-    results = {
-        "n": n,
-        "j": j,
-        "exact": fraction_str(exact),
-        "interval": _interval_block(enclosure, exact),
-        "relative_width": float(enclosure.width() / abs(mid)) if mid else None,
-        "containment_margin": enclosure.containment_margin(exact),
-    }
+    # p(n) first: an n past the ceiling exits before the table grows to n - j
+    pn = p_exact(n)
+    results = {"n": n, "j": j,
+               **_margin_results(estimate.product, Fraction(p_exact(n - j), pn))}
     passed = results["interval"]["contained"]
     return {"n": n, "j": j, "precision": prec}, results, passed, []
 
@@ -107,17 +119,8 @@ def _cmd_fjn(args: argparse.Namespace) -> _Handled:
     estimate = fjn_ratio_interval(n, j, prec)
     difference = f_jn(n, j)
     exact = Fraction(difference, p_exact(n))
-    enclosure = estimate.total
-    mid = enclosure.midpoint()
-    results = {
-        "n": n,
-        "j": j,
-        "difference": str(difference),
-        "exact": fraction_str(exact),
-        "interval": _interval_block(enclosure, exact),
-        "relative_width": float(enclosure.width() / abs(mid)) if mid else None,
-        "containment_margin": enclosure.containment_margin(exact),
-    }
+    results = {"n": n, "j": j, "difference": str(difference),
+               **_margin_results(estimate.total, exact)}
     passed = results["interval"]["contained"]
     return {"n": n, "j": j, "precision": prec}, results, passed, []
 

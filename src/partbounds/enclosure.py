@@ -150,11 +150,10 @@ class Enclosure:
     def hi_fraction(self) -> Fraction:
         return fraction_from_raw(self.hi)
 
-    def width(self) -> Fraction:
-        return self.hi_fraction - self.lo_fraction
-
-    def midpoint(self) -> Fraction:
-        return (self.lo_fraction + self.hi_fraction) / 2
+    def relative_width(self) -> Fraction | None:
+        """Width over |midpoint|, exact; None when the midpoint is 0."""
+        lo, hi = self.lo_fraction, self.hi_fraction
+        return None if lo == -hi else 2 * (hi - lo) / abs(lo + hi)
 
     # -- predicates ----------------------------------------------------
 
@@ -168,19 +167,17 @@ class Enclosure:
         v = Fraction(value)
         return self.lo_fraction <= v <= self.hi_fraction
 
-    def containment_margin(self, value) -> float:
+    def containment_margin(self, value) -> Fraction:
         """Distance from value to the nearer endpoint, as a fraction of width.
 
-        Positive inside (max 0.5 at the midpoint), negative outside.  Exact
-        rational arithmetic; only the final report number is a float.
+        Exact, and its sign is the containment verdict: 1/2 at the midpoint,
+        0 on an endpoint, negative outside.  A point enclosure has no width,
+        so its margin is the signed distance itself.
         """
         v = Fraction(value)
-        lo = self.lo_fraction
-        hi = self.hi_fraction
-        if hi == lo:
-            return 0.0 if v == lo else float("-inf")
-        m = min(v - lo, hi - v) / (hi - lo)
-        return float(m)
+        lo, hi = self.lo_fraction, self.hi_fraction
+        margin = min(v - lo, hi - v)
+        return margin if hi == lo else margin / (hi - lo)
 
     def strictly_positive(self) -> bool:
         return libmp.mpf_gt(self.lo, libmp.fzero)

@@ -14,7 +14,7 @@ import dataclasses
 import decimal
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from . import __version__
 from .enclosure import Enclosure, exact_decimal
@@ -37,6 +37,11 @@ def fraction_str(value) -> str:
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
+
+
+def optional_float(value) -> Optional[float]:
+    """float(value) for a report field, or None (JSON null) for None."""
+    return None if value is None else float(value)
 
 
 def decimal_directed(value: Fraction, digits: int, rounding: str) -> str:

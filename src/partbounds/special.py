@@ -71,17 +71,20 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     return _dedekind_reduced(h % k, k)
 
 
-# _cis_pi and _kloosterman_cached stay unbounded: their key counts grow with
-# the series length, and a bound below them could make the rademacher suite
-# recompute terms, a cost that has not been measured.
-@lru_cache(maxsize=None)
+# Entries kept by each series memo below: one process running the default
+# oracles and rademacher suites left 29930 _cis_pi and 16059
+# _kloosterman_cached keys (2234 and 1275 after oracles alone).
+SERIES_MEMO_MAXSIZE = 65536
+
+
+@lru_cache(maxsize=SERIES_MEMO_MAXSIZE)
 def _cis_pi(num: int, den: int, wp: int):
     # (cos, sin) of pi*num/den as raw mpfs at working precision
     x = libmp.from_rational(num, den, wp + 10, "n")
     return libmp.mpf_cos_sin_pi(x, wp, "n")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SERIES_MEMO_MAXSIZE)
 def _kloosterman_cached(k: int, n_mod_k: int, prec: int):
     wp = prec + 16
     re = libmp.fzero

@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .enclosure import DEFAULT_PRECISION
+from .enclosure import DEFAULT_PRECISION, Enclosure
 from .errors import PreconditionError
 from .estimates import (
+    RATIO_RADIUS_1,
+    RATIO_RADIUS_2,
     CertificateKind,
     convexity_certificate,
     fjn_j_top,
@@ -39,6 +41,7 @@ from .estimates import (
 )
 from .exact import (
     ENUMERATION_BOUND,
+    default_table,
     dyson_rank_count,
     f_jn,
     p_enumerate_oracle,
@@ -50,10 +53,11 @@ from .inequalities import (
     DEFAULT_SEED,
     InequalityResult,
     _lookup,
+    _min_lo,
     run_case,
 )
 from .rademacher import proposition21_interval, rademacher_round
-from .reports import SuiteReport, fraction_str
+from .reports import SuiteReport, fraction_str, optional_float
 from .special import (
     bessel_I32_closed,
     bessel_I32_quadrature,
@@ -82,7 +86,7 @@ BESSEL_GRID = (
 
 # relative half-width of the two-factor ratio enclosure is budgeted by the
 # two stated radii over N; the recorded constant divides by their mass
-RATIO_RADIUS_MASS = Fraction(271, 100) + 1350
+RATIO_RADIUS_MASS = RATIO_RADIUS_1 + RATIO_RADIUS_2
 
 # the one unguarded triple where p(n-ell) - p(n-ell-j) <= p(n) - p(n-j)
 # fails: the empty partition avoids every part, but (1) does not avoid 1
@@ -204,6 +208,7 @@ def _suite_rademacher(o: SweepOptions) -> _Outcome:
     rows: List[Dict[str, Any]] = []
     rounds_top = o.n_max if o.n_max is not None else 2000
     prop_top = (3 * rounds_top) // 2
+    default_table().ensure(prop_top)
 
     for n in range(1, rounds_top + 1):
         got = rademacher_round(n, o.prec)
@@ -214,32 +219,27 @@ def _suite_rademacher(o: SweepOptions) -> _Outcome:
 
     # the one-term truncation interval depends on (n, j) only through n - j,
     # so containment is decided once per distinct difference
-    memo: Dict[int, Tuple[bool, float]] = {}
-    worst = math.inf
+    memo: Dict[int, Fraction] = {}
     for n in range(1, prop_top + 1):
         for j in range(0, o.j_cap(prop21_j_top(n)) + 1):
             m = n - j
             if m < 2:
                 continue
-            hit = memo.get(m)
-            if hit is None:
+            margin = memo.get(m)
+            if margin is None:
                 enc = proposition21_interval(n, j, o.prec)
-                value = p_exact(m)
-                hit = (enc.contains(value), enc.containment_margin(value))
-                memo[m] = hit
+                margin = memo[m] = enc.containment_margin(p_exact(m))
                 if o.collect_rows:
                     rows.append(
                         {"check": "one-term-truncation", "m": m,
-                         "contained": hit[0], "margin": hit[1]}
+                         "contained": margin >= 0, "margin": float(margin)}
                     )
-            contained, margin = hit
-            worst = min(worst, margin)
-            rec.check(contained, "p(%d) escapes its one-term truncation interval", m)
+            rec.check(margin >= 0, "p(%d) escapes its one-term truncation interval", m)
 
     info = {
         "rounds_top": rounds_top,
         "truncation_top": prop_top,
-        "worst_truncation_margin": worst,
+        "worst_truncation_margin": optional_float(min(memo.values(), default=None)),
     }
     return rec, info, rows
 
@@ -248,30 +248,26 @@ def _suite_containment_ratio(o: SweepOptions) -> _Outcome:
     rec = _Recorder()
     rows: List[Dict[str, Any]] = []
     top = o.n_max if o.n_max is not None else 5000
-    worst = math.inf
+    default_table().ensure(top)
+    worst: Optional[Fraction] = None
     max_c = Fraction(0)
     max_c_at: Optional[Tuple[int, int]] = None
     for n in range(14, top + 1):
         pn = p_exact(n)
         for j in range(0, o.j_cap(ratio_j_top(n)) + 1):
             est = ratio_interval(n, j, o.prec)
-            enc = est.product
-            exact = Fraction(p_exact(n - j), pn)
-            contained = enc.contains(exact)
-            margin = enc.containment_margin(exact)
-            worst = min(worst, margin)
-            mid = enc.midpoint()
-            c_val = None
-            if mid:
-                c = (enc.width() / 2 / abs(mid)) * est.N / RATIO_RADIUS_MASS
-                c_val = float(c)
-                if c > max_c:
-                    max_c, max_c_at = c, (n, j)
-            rec.check(contained, "ratio(%d, %d): exact value escapes the enclosure", n, j)
+            margin = est.product.containment_margin(Fraction(p_exact(n - j), pn))
+            worst = margin if worst is None else min(worst, margin)
+            rel = est.product.relative_width()
+            # the relative half-width in units of the radius mass over N
+            c = None if rel is None else rel * est.N / (2 * RATIO_RADIUS_MASS)
+            if c is not None and c > max_c:
+                max_c, max_c_at = c, (n, j)
+            rec.check(margin >= 0, "ratio(%d, %d): exact value escapes the enclosure", n, j)
             if o.collect_rows:
                 rows.append(
-                    {"n": n, "j": j, "contained": contained, "margin": margin,
-                     "width_constant": c_val}
+                    {"n": n, "j": j, "contained": margin >= 0, "margin": float(margin),
+                     "width_constant": optional_float(c)}
                 )
     if max_c > 2:
         rec.fail(
@@ -279,7 +275,7 @@ def _suite_containment_ratio(o: SweepOptions) -> _Outcome:
         )
     info = {
         "n_top": top,
-        "worst_margin": worst,
+        "worst_margin": optional_float(worst),
         "max_width_constant": float(max_c),
         "max_width_constant_at": str(max_c_at),
     }
@@ -290,26 +286,25 @@ def _suite_containment_fjn(o: SweepOptions) -> _Outcome:
     rec = _Recorder()
     rows: List[Dict[str, Any]] = []
     top = o.n_max if o.n_max is not None else 5000
-    worst = math.inf
-    min_lower = Fraction(10)
+    default_table().ensure(top)
+    worst: Optional[Fraction] = None
+    least: Optional[Enclosure] = None
     for n in range(14, top + 1):
         pn = p_exact(n)
         for j in range(1, o.j_cap(fjn_j_top(n)) + 1):
-            est = fjn_ratio_interval(n, j, o.prec)
-            exact = Fraction(f_jn(n, j), pn)
-            contained = est.total.contains(exact)
-            margin = est.total.containment_margin(exact)
-            worst = min(worst, margin)
-            min_lower = min(min_lower, est.total.lo_fraction)
-            rec.check(contained, "fjn(%d, %d): exact value escapes the enclosure", n, j)
+            total = fjn_ratio_interval(n, j, o.prec).total
+            margin = total.containment_margin(Fraction(f_jn(n, j), pn))
+            worst = margin if worst is None else min(worst, margin)
+            least = _min_lo(least, total)
+            rec.check(margin >= 0, "fjn(%d, %d): exact value escapes the enclosure", n, j)
             if o.collect_rows:
                 rows.append(
-                    {"n": n, "j": j, "contained": contained, "margin": margin}
+                    {"n": n, "j": j, "contained": margin >= 0, "margin": float(margin)}
                 )
     info = {
         "n_top": top,
-        "worst_margin": worst,
-        "min_lower_endpoint": float(min_lower),
+        "worst_margin": optional_float(worst),
+        "min_lower_endpoint": None if least is None else float(least.lo_fraction),
     }
     return rec, info, rows
 
@@ -318,6 +313,7 @@ def _suite_convexity(o: SweepOptions) -> _Outcome:
     rec = _Recorder()
     rows: List[Dict[str, Any]] = []
     top = o.n_max if o.n_max is not None else 10_000
+    default_table().ensure(top)
     inj_top = min(top, 2000)
 
     # n <= 13 has no analytic license; every case must settle exactly
@@ -386,6 +382,8 @@ def _suite_krank(o: SweepOptions) -> _Outcome:
     rec = _Recorder()
     rows: List[Dict[str, Any]] = []
     top = o.n_max if o.n_max is not None else 500
+    # the largest index read is p(ell' + 1), ell' = n - k - m <= ceil(n/2) - 2
+    default_table().ensure((top + 1) // 2 - 1)
 
     for n in range(4, min(30, top) + 1):
         for m in range(n // 2 + 1, n + 2):
@@ -397,53 +395,49 @@ def _suite_krank(o: SweepOptions) -> _Outcome:
 
     # both enclosures and both exact values depend only on ell' = n - k - m,
     # so each distinct difference is decided once and replayed per (k, m, n)
-    memo: Dict[int, Tuple[bool, float, bool, float]] = {}
-    worst_ratio = math.inf
-    worst_diff = math.inf
+    memo: Dict[int, Tuple[Fraction, Fraction]] = {}
     for k in range(1, 6):
         for n in range(2 * k + 33, top + 1):
             for m in range(n // 2 + 1, n - k - 16 + 1):
                 lp = n - k - m
-                hit = memo.get(lp)
-                if hit is None:
+                margins = memo.get(lp)
+                if margins is None:
                     denom = p_exact(lp + 1)
-                    ratio_exact = Fraction(krank_boundary_value(k, m, n), denom)
-                    diff_exact = Fraction(
-                        krank_boundary_value(k, m, n)
-                        - krank_boundary_value(k, m + 1, n),
-                        denom,
-                    )
+                    count = krank_boundary_value(k, m, n)
+                    diff = count - krank_boundary_value(k, m + 1, n)
                     enc_r = krank_ratio_interval(k, m, n, o.prec)
                     enc_d = krank_diff_interval(k, m, n, o.prec)
-                    hit = (
-                        enc_r.contains(ratio_exact),
-                        enc_r.containment_margin(ratio_exact),
-                        enc_d.contains(diff_exact),
-                        enc_d.containment_margin(diff_exact),
+                    margins = memo[lp] = (
+                        enc_r.containment_margin(Fraction(count, denom)),
+                        enc_d.containment_margin(Fraction(diff, denom)),
                     )
-                    memo[lp] = hit
                     if o.collect_rows:
                         rows.append(
-                            {"ell_prime": lp, "ratio_contained": hit[0],
-                             "ratio_margin": hit[1], "diff_contained": hit[2],
-                             "diff_margin": hit[3]}
+                            {"ell_prime": lp, "ratio_contained": margins[0] >= 0,
+                             "ratio_margin": float(margins[0]),
+                             "diff_contained": margins[1] >= 0,
+                             "diff_margin": float(margins[1])}
                         )
-                ok_r, margin_r, ok_d, margin_d = hit
-                worst_ratio = min(worst_ratio, margin_r)
-                worst_diff = min(worst_diff, margin_d)
+                # a margin's sign is its numerator's; over half a million
+                # replays that int test is far cheaper than margin >= 0
+                margin_r, margin_d = margins
                 where = (k, m, n)
-                rec.check(ok_r, "rank ratio at (k, m, n) = %s not contained", where)
-                rec.check(ok_d, "rank difference at (k, m, n) = %s not contained", where)
+                rec.check(margin_r.numerator >= 0,
+                          "rank ratio at (k, m, n) = %s not contained", where)
+                rec.check(margin_d.numerator >= 0,
+                          "rank difference at (k, m, n) = %s not contained", where)
 
     # positivity of the difference enclosure's lower endpoint at the stated
     # floor ell' = 10^4; the numbers come out negative there (the radii are
     # far larger than the centered gap), which is reported, not failed
     probe = krank_diff_interval(1, 10_002, 20_003, o.prec)
+    worst_ratio = min((r for r, _ in memo.values()), default=None)
+    worst_diff = min((d for _, d in memo.values()), default=None)
     info = {
         "n_top": top,
         "distinct_differences": len(memo),
-        "worst_ratio_margin": worst_ratio,
-        "worst_diff_margin": worst_diff,
+        "worst_ratio_margin": optional_float(worst_ratio),
+        "worst_diff_margin": optional_float(worst_diff),
         "diff_lower_at_floor": float(probe.lo_fraction),
         "diff_positive_at_floor": probe.strictly_positive(),
     }
@@ -454,6 +448,7 @@ def _suite_nonkary(o: SweepOptions) -> _Outcome:
     rec = _Recorder()
     rows: List[Dict[str, Any]] = []
     top = o.n_max if o.n_max is not None else 10_000
+    default_table().ensure(top)
     identity_top = min(top, 500)
 
     for n in range(2, identity_top + 1):

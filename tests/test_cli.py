@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partbounds import cli
 from partbounds.cli import MAX_PRECISION, main
-from partbounds.exact import TABLE_CEILING, f_jn, p_exact
+from partbounds.exact import TABLE_CEILING, default_table, f_jn, p_exact
 
 GOLDEN = Path(__file__).resolve().parents[1] / "docs" / "golden"
 
@@ -59,6 +63,13 @@ class TestExact:
         code, captured = run(capsys, "exact", "120", "--oracle")
         assert code == 2
         assert "90" in captured.err
+
+    def test_oracle_bound_checked_before_table_grows(self, capsys):
+        size = len(default_table())
+        code, captured = run(capsys, "exact", str(TABLE_CEILING), "--oracle")
+        assert code == 2
+        assert "90" in captured.err
+        assert len(default_table()) == size
 
 
 class TestRatio:
@@ -219,6 +230,23 @@ class TestVerifyCommand:
         assert len(names) == 8
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("suite, n_max, nulls", [
+    ("containment-fjn", 16, ["worst_margin", "min_lower_endpoint"]),
+    ("containment-ratio", 13, ["worst_margin"]),
+    ("krank", 13, ["worst_ratio_margin", "worst_diff_margin"]),
+    ("rademacher", 1, ["worst_truncation_margin"]),
+])
+def test_undecided_suite_prints_strict_json(capsys, suite, n_max, nulls):
+    _, captured = run(capsys, "verify", suite, "--n-max", str(n_max))
+    doc = json.loads(captured.out, parse_constant=_reject_constant)
+    info = doc["results"]["suites"][0]["info"]
+    assert [info[key] for key in nulls] == [None] * len(nulls)
+
+
 class TestInputLimits:
     def test_json_write_failure_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
@@ -239,6 +267,14 @@ class TestInputLimits:
         code, captured = run(capsys, "exact", str(TABLE_CEILING + 1))
         assert code == 2
         assert str(TABLE_CEILING) in captured.err
+
+    def test_ratio_past_ceiling_exits_before_growing(self, capsys):
+        # p(n - j) is within the ceiling, p(n) is not
+        size = len(default_table())
+        code, captured = run(capsys, "ratio", str(TABLE_CEILING + 1), "1")
+        assert code == 2
+        assert str(TABLE_CEILING) in captured.err
+        assert len(default_table()) == size
 
     def test_precision_ceiling(self, capsys):
         code, captured = run(capsys, "ratio", "100", "2", "--precision", "2000000000")
@@ -293,3 +329,55 @@ class TestGoldenDocuments:
             suite["seconds"] = 0.0
         golden = json.loads((GOLDEN / "verify-reciprocal-125.json").read_text())
         assert doc == golden
+
+
+# -- argv fuzzing of the single-value commands --------------------------------
+#
+# Integers stay at most 12000, a short growth past the table conftest.py
+# pre-grows; indices between that and the ceiling would grow the table for
+# seconds per example, so no refused input may reach them either.
+
+_integers = st.one_of(
+    st.sampled_from([0, 1, 13, 14, 15, 16, 17]),
+    st.integers(min_value=-(10**6), max_value=-1),
+    st.integers(min_value=0, max_value=12_000),
+    st.sampled_from([TABLE_CEILING + 1, 2**70]),
+).map(str)
+_tokens = st.one_of(_integers, st.sampled_from(["x", "1.5", "", "1e3", "-", "--", "0x10"]))
+_precisions = st.one_of(
+    st.integers(min_value=16, max_value=MAX_PRECISION),
+    st.sampled_from([-1, 0, 15, MAX_PRECISION + 1, 2**70]),
+).map(str)
+
+
+@st.composite
+def _single_value_argv(draw):
+    command = draw(st.sampled_from(["exact", "ratio", "fjn", "krank", "nonkary"]))
+    if command == "krank":
+        argv = [command]
+        for flag in ("--k", "--m", "--n"):
+            argv += [flag, draw(_tokens)]
+    else:
+        arity = 1 if command == "exact" else 2
+        argv = [command] + [draw(_tokens) for _ in range(arity)]
+    if command == "exact":
+        if draw(st.booleans()):
+            argv.append("--oracle")
+    elif draw(st.booleans()):
+        argv += ["--precision", draw(_precisions)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_single_value_argv())
+def test_single_value_argv_exits_cleanly(argv):
+    size = len(default_table())
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, sink.getvalue())
+    # a refused index past the ceiling must not grow the table first
+    assert len(default_table()) <= max(size, 12_001), argv

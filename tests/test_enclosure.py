@@ -109,13 +109,13 @@ def test_exp_known_points():
     assert e0.contains(1)
     e1 = exp_enclosure(1)
     assert e1.lo_fraction < E_45 < e1.hi_fraction
-    assert e1.width() < Fraction(1, 10**30)
+    assert e1.hi_fraction - e1.lo_fraction < Fraction(1, 10**30)
 
 
 def test_pi_enclosure():
     pi = Enclosure.pi()
     assert pi.lo_fraction < PI_45 < pi.hi_fraction
-    assert pi.width() < Fraction(1, 10**30)
+    assert pi.hi_fraction - pi.lo_fraction < Fraction(1, 10**30)
     tight = Enclosure.pi(prec=256)
     assert pi.contains(tight)
 
@@ -165,6 +165,34 @@ def test_containment_margin():
     assert e.containment_margin(Fraction(1, 2)) == pytest.approx(0.5)
     assert e.containment_margin(Fraction(1, 10)) == pytest.approx(0.1)
     assert e.containment_margin(2) < 0
+
+
+def test_containment_margin_is_exact():
+    e = Enclosure.from_bounds(0, 1)
+    assert e.containment_margin(Fraction(1, 2)) == Fraction(1, 2)
+    assert e.containment_margin(1) == 0
+    # a point enclosure has no width: its margin is the signed distance
+    point = Enclosure.from_exact(3)
+    assert point.containment_margin(3) == 0
+    assert point.containment_margin(5) == -2
+
+
+def test_tiny_escape_has_negative_margin():
+    # the margin -10^-400 rounds to -0.0 as a float, and -0.0 >= 0 holds
+    e = Enclosure.from_bounds(0, 10**300)
+    v = -Fraction(1, 10**100)
+    assert not e.contains(v)
+    assert e.containment_margin(v) < 0
+
+
+def test_relative_width():
+    for lo, hi in ((Fraction(1), Fraction(3)), (Fraction(-5), Fraction(-1, 7)),
+                   (Fraction(-1), Fraction(4))):
+        e = Enclosure.from_bounds(lo, hi)
+        lo, hi = e.lo_fraction, e.hi_fraction
+        assert e.relative_width() == (hi - lo) / abs((lo + hi) / 2)
+    assert Enclosure.from_bounds(-1, 1).relative_width() is None
+    assert Enclosure.from_exact(0).relative_width() is None
 
 
 @given(v=rationals)
@@ -254,3 +282,28 @@ def test_kernel_endpoints_match_general_form(a, b, k, prec):
     assert _endpoints(k - x) == _negated_sum(kk, x, prec)
     assert _endpoints(x * k) == _four_pair_search(libmp.mpf_mul, x, kk, prec)
     assert _endpoints(k * x) == _endpoints(x * k)
+
+
+# -- one decision: the sign of the exact margin is the verdict ------------
+
+@st.composite
+def margin_probes(draw):
+    """An enclosure at precision 53 or 128, point or not, and a value at,
+    just inside or just outside one of its endpoints."""
+    prec = draw(st.sampled_from([53, 128]))
+    if draw(st.booleans()):
+        # a dyadic value exact at both precisions gives lo == hi
+        value = Fraction(draw(st.integers(-(2**40), 2**40)), 2 ** draw(st.integers(0, 60)))
+        e = Enclosure.from_exact(value, prec)
+    else:
+        e = Enclosure.from_bounds(*draw(intervals()), prec)
+    endpoint = draw(st.sampled_from([e.lo_fraction, e.hi_fraction]))
+    step = Fraction(1, 2 ** draw(st.integers(1, 1500)))
+    return e, endpoint + draw(st.sampled_from([-1, 0, 1])) * step
+
+
+@settings(max_examples=400, deadline=None)
+@given(probe=margin_probes())
+def test_margin_sign_is_the_containment_verdict(probe):
+    e, v = probe
+    assert (e.containment_margin(v) >= 0) == e.contains(v)

@@ -66,7 +66,8 @@ class TestErrorEnvelope:
             assert b.hi_fraction < a.lo_fraction
 
     def test_tight(self):
-        assert h_error(12).width() < Fraction(1, 10**30)
+        enc = h_error(12)
+        assert enc.hi_fraction - enc.lo_fraction < Fraction(1, 10**30)
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
@@ -91,7 +92,7 @@ class TestLeadingEnclosure:
     def test_relative_width_narrows(self):
         enc = proposition21_interval(500, 0)
         assert enc.contains(p_exact(500))
-        rel = enc.width() / enc.midpoint()
+        rel = enc.relative_width()
         assert Fraction(1, 10**9) < rel < Fraction(12, 10**9)
 
     def test_containment_sweep(self):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from partbounds import special
 from partbounds.errors import PreconditionError
 from partbounds.special import (
     bessel_I32_closed,
@@ -193,3 +194,11 @@ class TestBessel:
             bessel_I32_quadrature(Fraction(10**4 + 1))
         with pytest.raises(PreconditionError):
             bessel_I32_quadrature(0)
+
+
+def test_series_memos_are_bounded():
+    # the most keys one process used at the default oracles + rademacher
+    # ranges: 29930 (_cis_pi) and 16059 (_kloosterman_cached)
+    for memo, keys in ((special._cis_pi, 29930), (special._kloosterman_cached, 16059)):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and maxsize >= keys

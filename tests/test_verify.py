@@ -4,10 +4,11 @@ import tempfile
 
 import pytest
 
-from partbounds import inequalities
+from partbounds import exact, inequalities, verify
 from partbounds.enclosure import Enclosure
 from partbounds.errors import PreconditionError
 from partbounds.estimates import fjn_j_top, prop21_j_top, ratio_j_top
+from partbounds.exact import default_table
 from partbounds.verify import (
     SUITE_NAMES,
     _dispatch_order,
@@ -95,6 +96,47 @@ class TestRunSuite:
             assert report.passed, report.failures
             assert report.cases > 0
             assert report.seconds >= 0
+
+
+# the n_max of each sweep whose largest table read is the given index or more
+_PAST_TABLE = {
+    "rademacher": lambda top: top,  # reads p up to 3 n_max / 2
+    "containment-ratio": lambda top: top,
+    "containment-fjn": lambda top: top,
+    "convexity": lambda top: top,
+    "krank": lambda top: 2 * top + 1,  # reads p up to about n_max / 2
+    "nonkary": lambda top: top,
+}
+
+
+class TestTableCeiling:
+    @pytest.mark.parametrize("name", sorted(_PAST_TABLE))
+    def test_exits_before_first_case(self, name, monkeypatch):
+        # with the ceiling just below the grown table, any read past it fails
+        top = len(default_table())
+        monkeypatch.setattr(exact, "TABLE_CEILING", top - 1)
+
+        def decide(*args):
+            raise AssertionError("a case ran before the ceiling was checked")
+
+        monkeypatch.setattr(verify._Recorder, "check", decide)
+        monkeypatch.setattr(verify._Recorder, "fail", decide)
+        with pytest.raises(PreconditionError, match="table ceiling"):
+            run_suite(name, n_max=_PAST_TABLE[name](top))
+        assert len(default_table()) == top
+
+
+class TestOneDecision:
+    SMALL = {"rademacher": 20, "containment-ratio": 30, "containment-fjn": 30, "krank": 40}
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_suites_decide_by_margin_alone(self, name, monkeypatch):
+        def contains(self, value):
+            raise AssertionError("containment decided twice")
+
+        monkeypatch.setattr(Enclosure, "contains", contains)
+        report = run_suite(name, n_max=self.SMALL[name])
+        assert report.passed, report.failures
 
 
 class TestOracleSuite:
