@@ -69,7 +69,7 @@ def _resolve_precision(value: Optional[int]) -> int:
 
 def _interval_block(enclosure: Enclosure, exact: Fraction) -> Dict[str, Any]:
     block = interval_payload(enclosure)
-    block["contained"] = enclosure.contains(exact)
+    block["contained"] = enclosure.containment_margin(exact) >= 0
     return block
 
 
@@ -90,14 +90,12 @@ def _cmd_exact(args: argparse.Namespace) -> _Handled:
 
 
 def _margin_results(enclosure: Enclosure, exact: Fraction) -> Dict[str, Any]:
-    """The exact value, its enclosure, and where it lies in it; the margin
-    is computed once and its sign is the contained flag."""
-    margin = enclosure.containment_margin(exact)
+    """The exact value, its enclosure, and where it lies in it."""
     return {
         "exact": fraction_str(exact),
-        "interval": {**interval_payload(enclosure), "contained": margin >= 0},
+        "interval": _interval_block(enclosure, exact),
         "relative_width": optional_float(enclosure.relative_width()),
-        "containment_margin": float(margin),
+        "containment_margin": float(enclosure.containment_margin(exact)),
     }
 
 

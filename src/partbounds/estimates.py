@@ -1,6 +1,8 @@
 """Interval enclosures for partition ratios and differences.
 
-Four families, all sharing the shifted index N = n - 1/24:
+Four families, all sharing the shifted index N = n - 1/24; shifted_terms is
+the one source of N, sqrt N and the j-free brackets for them, for
+rademacher's one-term truncation and for the registry margins:
 
   * ratio_interval        p(n-j)/p(n), a product of one decaying exponential
                           and two explicit bracketed factors;
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 from .enclosure import DEFAULT_PRECISION, MEMO_MAXSIZE, Enclosure, constants
 from .errors import PreconditionError
@@ -63,6 +66,7 @@ __all__ = [
     "prop21_j_top",
     "ratio_interval",
     "ratio_j_top",
+    "shifted_terms",
 ]
 
 RATIO_RADIUS_1 = Fraction(271, 100)
@@ -70,7 +74,6 @@ RATIO_RADIUS_2 = Fraction(1350)
 FJN_RADIUS_A = Fraction(2075)
 FJN_RADIUS_B = Fraction(3926)
 KRANK_RATIO_RADIUS_1 = Fraction(101, 25)
-KRANK_RATIO_RADIUS_2 = Fraction(1350)
 KRANK_DIFF_RADIUS_A = Fraction(2079)
 KRANK_DIFF_RADIUS_B = Fraction(3929)
 
@@ -100,24 +103,19 @@ class RatioEstimate:
     """Enclosure of p(n-j)/p(n) as exponential * factor1 * factor2."""
 
     N: Fraction
-    j: int
     exponential_factor: Enclosure
     factor1: Enclosure
     factor2: Enclosure
     product: Enclosure
-    prec: int
 
 
 @dataclass(frozen=True)
 class FjnEstimate:
     """Enclosure of f(j,n)/p(n) as 1 + exp2*termA - exp1*termB."""
 
-    N: Fraction
-    j: int
     termA: Enclosure
     termB: Enclosure
     total: Enclosure
-    prec: int
 
 
 class CertificateKind(Enum):
@@ -148,6 +146,33 @@ class MapCheck:
     preserves_avoidance: bool
 
 
+@lru_cache(maxsize=MEMO_MAXSIZE)
+def shifted_terms(n: int, prec: int) -> SimpleNamespace:
+    """Enclosures of the j-free terms at N = n - 1/24, built once per (n, prec).
+
+    N (exact) and Ne (its enclosure), sqrt6_sqrtN (the denominator of every
+    exponent), sqrt6_N_sqrtN (callers scale it by 2 or 4, which commutes with
+    directed rounding), sqrt3_over_sqrt_two_pi = sqrt3/(sqrt(2 pi) sqrt N),
+    sqrt3_over_pi_sqrt2 = sqrt3/(sqrt2 pi sqrt N), delta_c_over_sqrtN, and
+    the bracket (1 + sqrt3/(sqrt2 pi sqrt N)) +- 1350/N.
+    """
+    c = constants(prec)
+    N = shifted_index(n)
+    Ne = Enclosure.from_exact(N, prec)
+    sqrtN = Ne.sqrt()
+    sqrt3_over_pi_sqrt2 = c.sqrt3 / (c.pi * c.sqrt2 * sqrtN)
+    return SimpleNamespace(
+        N=N,
+        Ne=Ne,
+        sqrt6_sqrtN=c.sqrt6 * sqrtN,
+        sqrt6_N_sqrtN=c.sqrt6 * Ne * sqrtN,
+        sqrt3_over_sqrt_two_pi=c.sqrt3 / (c.sqrt_two_pi * sqrtN),
+        sqrt3_over_pi_sqrt2=sqrt3_over_pi_sqrt2,
+        delta_c_over_sqrtN=c.delta_c / sqrtN,
+        bracket=(1 + sqrt3_over_pi_sqrt2).plus_minus(RATIO_RADIUS_2 / N),
+    )
+
+
 def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> RatioEstimate:
     """Enclosure of p(n-j)/p(n) for n >= 14, 0 <= j < sqrt(N)/2.
 
@@ -162,27 +187,21 @@ def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> RatioEstima
     if j > ratio_j_top(n):
         raise PreconditionError("requires j < sqrt(N)/2, i.e. 4j^2 < n")
     c = constants(prec)
-    N = shifted_index(n)
-    Ne = Enclosure.from_exact(N, prec)
-    sqrtN = Ne.sqrt()
-    expf = (-(c.pi * j / (c.sqrt6 * sqrtN))).exp()
+    t = shifted_terms(n, prec)
+    expf = (-(c.pi * j / t.sqrt6_sqrtN)).exp()
     center1 = (
         1
-        + Fraction(j) / N
-        - c.pi * j * j / (4 * c.sqrt6 * Ne * sqrtN)
-        - c.sqrt3 / (c.sqrt_two_pi * sqrtN)
+        + Fraction(j) / t.N
+        - c.pi * j * j / (4 * t.sqrt6_N_sqrtN)
+        - t.sqrt3_over_sqrt_two_pi
     )
-    factor1 = center1.plus_minus(RATIO_RADIUS_1 / N)
-    center2 = 1 + c.sqrt3 / (c.pi * c.sqrt2 * sqrtN)
-    factor2 = center2.plus_minus(RATIO_RADIUS_2 / N)
+    factor1 = center1.plus_minus(RATIO_RADIUS_1 / t.N)
     return RatioEstimate(
-        N=N,
-        j=j,
+        N=t.N,
         exponential_factor=expf,
         factor1=factor1,
-        factor2=factor2,
-        product=expf * factor1 * factor2,
-        prec=prec,
+        factor2=t.bracket,
+        product=expf * factor1 * t.bracket,
     )
 
 
@@ -202,25 +221,20 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> FjnEsti
     if j > fjn_j_top(n):
         raise PreconditionError("requires j < sqrt(N)/4, i.e. 16j^2 < n")
     c = constants(prec)
-    N = shifted_index(n)
-    Ne = Enclosure.from_exact(N, prec)
-    sqrtN = Ne.sqrt()
-    exp1 = (-(c.pi * j / (c.sqrt6 * sqrtN))).exp()
+    t = shifted_terms(n, prec)
+    exp1 = (-(c.pi * j / t.sqrt6_sqrtN)).exp()
     exp2 = exp1 * exp1
-    jj = Fraction(2 * j) / N
-    centerA = 1 + c.delta_c / sqrtN + jj - c.pi * j * j / (c.sqrt6 * Ne * sqrtN)
-    termA = centerA.plus_minus(FJN_RADIUS_A / N)
+    jj = Fraction(2 * j) / t.N
+    centerA = 1 + t.delta_c_over_sqrtN + jj - c.pi * j * j / t.sqrt6_N_sqrtN
+    termA = centerA.plus_minus(FJN_RADIUS_A / t.N)
     centerB = (
-        2 + 2 * c.delta_c / sqrtN + jj - c.pi * j * j / (2 * c.sqrt6 * Ne * sqrtN)
+        2 + 2 * t.delta_c_over_sqrtN + jj - c.pi * j * j / (2 * t.sqrt6_N_sqrtN)
     )
-    termB = centerB.plus_minus(FJN_RADIUS_B / N)
+    termB = centerB.plus_minus(FJN_RADIUS_B / t.N)
     return FjnEstimate(
-        N=N,
-        j=j,
         termA=termA,
         termB=termB,
         total=1 + exp2 * termA - exp1 * termB,
-        prec=prec,
     )
 
 
@@ -232,21 +246,19 @@ def _analytic_convexity(n: int, j: int, prec: int) -> bool:
     # together force f(j,n)/p(n) > 0; each comparison must hold for the
     # whole interval, else the chain is inconclusive
     c = constants(prec)
-    N = shifted_index(n)
-    Ne = Enclosure.from_exact(N, prec)
-    sqrtN = Ne.sqrt()
+    t = shifted_terms(n, prec)
     B = (
-        c.delta_c / sqrtN
-        + Fraction(j) / N
-        - c.pi * j * j / (4 * c.sqrt6 * Ne * sqrtN)
-        + FJN_RADIUS_B / N
+        t.delta_c_over_sqrtN
+        + Fraction(j) / t.N
+        - c.pi * j * j / (4 * t.sqrt6_N_sqrtN)
+        + FJN_RADIUS_B / t.N
     )
     if not (B.strictly_negative() and B.lo_fraction > -1):
         return False
-    second = Fraction(j) / N - 3 * c.pi * j * j / (4 * c.sqrt6 * Ne * sqrtN)
+    second = Fraction(j) / t.N - 3 * c.pi * j * j / (4 * t.sqrt6_N_sqrtN)
     if not second.lo_fraction >= 0:
         return False
-    exp1 = (-(c.pi * j / (c.sqrt6 * sqrtN))).exp()
+    exp1 = (-(c.pi * j / t.sqrt6_sqrtN)).exp()
     X = exp1 * exp1 - 2 * exp1
     return X.strictly_negative() and X.lo_fraction > -1
 
@@ -311,16 +323,10 @@ def krank_ratio_interval(
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _krank_ratio(lp: int, prec: int) -> Enclosure:
     # lp = n - k - m, and ell = lp + 23/24 is the shift of lp + 1
-    c = constants(prec)
-    ell = shifted_index(lp + 1)
-    Le = Enclosure.from_exact(ell, prec)
-    sqrtL = Le.sqrt()
-    u = (-(c.pi / (c.sqrt6 * sqrtL))).exp()
-    center1 = 1 - c.sqrt3 / (c.sqrt_two_pi * sqrtL)
-    f1 = center1.plus_minus(KRANK_RATIO_RADIUS_1 / ell)
-    center2 = 1 + c.sqrt3 / (c.pi * c.sqrt2 * sqrtL)
-    f2 = center2.plus_minus(KRANK_RATIO_RADIUS_2 / ell)
-    return 1 - u * f1 * f2
+    t = shifted_terms(lp + 1, prec)
+    u = (-(constants(prec).pi / t.sqrt6_sqrtN)).exp()
+    f1 = (1 - t.sqrt3_over_sqrt_two_pi).plus_minus(KRANK_RATIO_RADIUS_1 / t.N)
+    return 1 - u * f1 * t.bracket
 
 
 def krank_diff_interval(
@@ -340,15 +346,10 @@ def krank_diff_interval(
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _krank_diff(lp: int, prec: int) -> Enclosure:
-    c = constants(prec)
-    ell = shifted_index(lp + 1)
-    Le = Enclosure.from_exact(ell, prec)
-    sqrtL = Le.sqrt()
-    u = (-(c.pi / (c.sqrt6 * sqrtL))).exp()
-    centerA = 1 + c.delta_c / sqrtL
-    termA = centerA.plus_minus(KRANK_DIFF_RADIUS_A / ell)
-    centerB = 2 + 2 * c.delta_c / sqrtL
-    termB = centerB.plus_minus(KRANK_DIFF_RADIUS_B / ell)
+    t = shifted_terms(lp + 1, prec)
+    u = (-(constants(prec).pi / t.sqrt6_sqrtN)).exp()
+    termA = (1 + t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_A / t.N)
+    termB = (2 + 2 * t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_B / t.N)
     return 1 + u * u * termA - u * termB
 
 

@@ -38,7 +38,7 @@ from .enclosure import (
     sqrt_enclosure,
 )
 from .errors import PreconditionError
-from .estimates import fjn_j_top
+from .estimates import fjn_j_top, shifted_terms
 from .exact import shifted_index
 from .rademacher import h_error
 
@@ -56,6 +56,10 @@ _CORNER = shifted_index(14)
 _CAP = Fraction(10_000)
 # Relative pull-in applied to both domain endpoints.
 _EDGE = Fraction(1, 10**9)
+
+# Uncached: the collapse cases visit thousands of indices, and a full memo
+# of their terms adds about 6 MB to a pool worker's 27 MB peak.
+_terms = shifted_terms.__wrapped__
 
 # The infinite Bessel tail is checked as a long partial sum; anything the
 # partial sum proves is implied for every shorter truncation as well.
@@ -256,14 +260,13 @@ def _margin_collapse_131(point: Point, prec: int) -> Enclosure:
 def _margin_collapse_271(point: Point, prec: int) -> Enclosure:
     n, j = point
     c = constants(prec)
-    nn = shifted_index(n)
-    sq = sqrt_enclosure(nn, prec)
-    b2 = -(c.sqrt3 / (c.sqrt_two_pi * sq))
+    t = _terms(n, prec)
+    b2 = -t.sqrt3_over_sqrt_two_pi
     worst = None
     for big_j in (j, 2 * j):
-        b1 = Fraction(big_j) / nn - c.pi * big_j**2 / (4 * c.sqrt6 * nn * sq)
-        err = _product_error(b1, Fraction(14, 25) / nn, b2, Fraction(131, 100) / nn)
-        margin = Enclosure.from_exact(Fraction(271, 100) - nn * err, prec)
+        b1 = Fraction(big_j) / t.N - c.pi * big_j**2 / (4 * t.sqrt6_N_sqrtN)
+        err = _product_error(b1, Fraction(14, 25) / t.N, b2, Fraction(131, 100) / t.N)
+        margin = Enclosure.from_exact(Fraction(271, 100) - t.N * err, prec)
         worst = _min_lo(worst, margin)
     return worst
 
@@ -279,31 +282,29 @@ def _margin_collapse_1350(point: Point, prec: int) -> Enclosure:
 def _margin_collapse_2075(point: Point, prec: int) -> Enclosure:
     n, j = point
     c = constants(prec)
-    nn = shifted_index(n)
-    sq = sqrt_enclosure(nn, prec)
-    b1 = c.sqrt3 / (c.sqrt2 * c.pi * sq)
+    t = _terms(n, prec)
+    b1 = t.sqrt3_over_pi_sqrt2
     b2 = (
-        Fraction(2 * j) / nn
-        - c.pi * j**2 / (c.sqrt6 * nn * sq)
-        - c.sqrt3 / (c.sqrt_two_pi * sq)
+        Fraction(2 * j) / t.N
+        - c.pi * j**2 / t.sqrt6_N_sqrtN
+        - t.sqrt3_over_sqrt_two_pi
     )
-    err = _product_error(b1, Fraction(1350) / nn, b2, Fraction(271, 100) / nn)
-    return Enclosure.from_exact(2075 - nn * err, prec)
+    err = _product_error(b1, Fraction(1350) / t.N, b2, Fraction(271, 100) / t.N)
+    return Enclosure.from_exact(2075 - t.N * err, prec)
 
 
 def _margin_collapse_3926(point: Point, prec: int) -> Enclosure:
     n, j = point
     c = constants(prec)
-    nn = shifted_index(n)
-    sq = sqrt_enclosure(nn, prec)
-    b1 = c.sqrt3 / (c.sqrt2 * c.pi * sq)
+    t = _terms(n, prec)
+    b1 = t.sqrt3_over_pi_sqrt2
     b2 = (
-        Fraction(j) / nn
-        - c.pi * j**2 / (4 * c.sqrt6 * nn * sq)
-        - c.sqrt3 / (c.sqrt_two_pi * sq)
+        Fraction(j) / t.N
+        - c.pi * j**2 / (4 * t.sqrt6_N_sqrtN)
+        - t.sqrt3_over_sqrt_two_pi
     )
-    err = _product_error(b1, Fraction(1350) / nn, b2, Fraction(271, 100) / nn)
-    return Enclosure.from_exact(3926 - 2 * nn * err, prec)
+    err = _product_error(b1, Fraction(1350) / t.N, b2, Fraction(271, 100) / t.N)
+    return Enclosure.from_exact(3926 - 2 * t.N * err, prec)
 
 
 def _bessel_halforder(y: Fraction, prec: int) -> Enclosure:

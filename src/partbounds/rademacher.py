@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .enclosure import DEFAULT_PRECISION, MEMO_MAXSIZE, Enclosure, constants
 from .errors import PreconditionError, StabilizationError
-from .exact import shifted_index
+from .estimates import shifted_terms
 from .special import bessel_I32_closed, kloosterman_A, mp_context, to_fraction
 
 __all__ = [
@@ -125,12 +125,11 @@ class ErrorBudget:
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _prop21(m: int, prec: int):
-    M = shifted_index(m)
-    Me = Enclosure.from_exact(M, prec)
+    t = shifted_terms(m, prec)
     c = constants(prec)
-    prefactor = (c.pi * (2 * Me / 3).sqrt()).exp() / (4 * c.sqrt3 * Me)
-    correction = c.sqrt3 / (c.sqrt2 * c.pi * Me.sqrt())
-    tail = h_error(M, prec)
+    prefactor = (c.pi * (2 * t.Ne / 3).sqrt()).exp() / (4 * c.sqrt3 * t.Ne)
+    correction = t.sqrt3_over_pi_sqrt2
+    tail = h_error(t.N, prec)
     enclosure = prefactor * (1 - correction).plus_minus(tail)
     return enclosure, ErrorBudget(main_correction=correction, tail_bound=tail)
 

@@ -250,7 +250,7 @@ def _suite_containment_ratio(o: SweepOptions) -> _Outcome:
     top = o.n_max if o.n_max is not None else 5000
     default_table().ensure(top)
     worst: Optional[Fraction] = None
-    max_c = Fraction(0)
+    max_c: Optional[Fraction] = None
     max_c_at: Optional[Tuple[int, int]] = None
     for n in range(14, top + 1):
         pn = p_exact(n)
@@ -261,7 +261,7 @@ def _suite_containment_ratio(o: SweepOptions) -> _Outcome:
             rel = est.product.relative_width()
             # the relative half-width in units of the radius mass over N
             c = None if rel is None else rel * est.N / (2 * RATIO_RADIUS_MASS)
-            if c is not None and c > max_c:
+            if c is not None and (max_c is None or c > max_c):
                 max_c, max_c_at = c, (n, j)
             rec.check(margin >= 0, "ratio(%d, %d): exact value escapes the enclosure", n, j)
             if o.collect_rows:
@@ -269,15 +269,15 @@ def _suite_containment_ratio(o: SweepOptions) -> _Outcome:
                     {"n": n, "j": j, "contained": margin >= 0, "margin": float(margin),
                      "width_constant": optional_float(c)}
                 )
-    if max_c > 2:
+    if max_c is not None and max_c > 2:
         rec.fail(
             f"relative width constant {float(max_c):.4f} at {max_c_at} exceeds 2"
         )
     info = {
         "n_top": top,
         "worst_margin": optional_float(worst),
-        "max_width_constant": float(max_c),
-        "max_width_constant_at": str(max_c_at),
+        "max_width_constant": optional_float(max_c),
+        "max_width_constant_at": None if max_c_at is None else str(max_c_at),
     }
     return rec, info, rows
 

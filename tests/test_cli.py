@@ -236,7 +236,8 @@ def _reject_constant(name):
 
 @pytest.mark.parametrize("suite, n_max, nulls", [
     ("containment-fjn", 16, ["worst_margin", "min_lower_endpoint"]),
-    ("containment-ratio", 13, ["worst_margin"]),
+    ("containment-ratio", 13,
+     ["worst_margin", "max_width_constant", "max_width_constant_at"]),
     ("krank", 13, ["worst_ratio_margin", "worst_diff_margin"]),
     ("rademacher", 1, ["worst_truncation_margin"]),
 ])

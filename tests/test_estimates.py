@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from partbounds.enclosure import MEMO_MAXSIZE, Enclosure, constants
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
+    FJN_RADIUS_A,
+    FJN_RADIUS_B,
+    KRANK_DIFF_RADIUS_A,
+    KRANK_DIFF_RADIUS_B,
+    KRANK_RATIO_RADIUS_1,
+    RATIO_RADIUS_1,
     CertificateKind,
+    _analytic_convexity,
     _krank_diff,
     _krank_ratio,
     convexity_certificate,
@@ -18,10 +25,20 @@ from partbounds.estimates import (
     krank_diff_interval,
     krank_ratio_interval,
     nonkary_diff_check,
+    fjn_j_top,
+    prop21_j_top,
     ratio_interval,
+    ratio_j_top,
+    shifted_terms,
 )
 from partbounds.exact import dyson_rank_count, f_jn, nu_k, p_exact, shifted_index
-from partbounds.rademacher import _prop21
+from partbounds.inequalities import (
+    _margin_collapse_271,
+    _margin_collapse_2075,
+    _margin_collapse_3926,
+    _product_error,
+)
+from partbounds.rademacher import _prop21, h_error, proposition21_interval
 
 
 def _width(e):
@@ -366,7 +383,8 @@ class TestInjection:
 
 
 @pytest.mark.parametrize(
-    "memo, first", [(_krank_ratio, 16), (_krank_diff, 16), (_prop21, 2)]
+    "memo, first",
+    [(_krank_ratio, 16), (_krank_diff, 16), (_prop21, 2), (shifted_terms, 1)],
 )
 def test_memo_size_is_bounded(memo, first):
     # more distinct keys than the bound, at the least precision to stay cheap
@@ -376,3 +394,153 @@ def test_memo_size_is_bounded(memo, first):
         assert memo.cache_info().currsize <= MEMO_MAXSIZE
     assert memo.cache_info().currsize == MEMO_MAXSIZE
     memo.cache_clear()
+
+
+# The formulas as each function wrote them before they shared shifted_terms,
+# operand for operand, so a re-associated shared term changes an endpoint.
+
+
+def _preamble(n, prec):
+    N = shifted_index(n)
+    Ne = Enclosure.from_exact(N, prec)
+    return N, Ne, Ne.sqrt()
+
+
+def _own_ratio(n, j, prec):
+    c = constants(prec)
+    N, Ne, sqrtN = _preamble(n, prec)
+    expf = (-(c.pi * j / (c.sqrt6 * sqrtN))).exp()
+    center1 = (
+        1
+        + Fraction(j) / N
+        - c.pi * j * j / (4 * c.sqrt6 * Ne * sqrtN)
+        - c.sqrt3 / (c.sqrt_two_pi * sqrtN)
+    )
+    factor1 = center1.plus_minus(RATIO_RADIUS_1 / N)
+    factor2 = (1 + c.sqrt3 / (c.pi * c.sqrt2 * sqrtN)).plus_minus(Fraction(1350) / N)
+    return [expf, factor1, factor2, expf * factor1 * factor2]
+
+
+def _own_fjn(n, j, prec):
+    c = constants(prec)
+    N, Ne, sqrtN = _preamble(n, prec)
+    exp1 = (-(c.pi * j / (c.sqrt6 * sqrtN))).exp()
+    jj = Fraction(2 * j) / N
+    centerA = 1 + c.delta_c / sqrtN + jj - c.pi * j * j / (c.sqrt6 * Ne * sqrtN)
+    termA = centerA.plus_minus(FJN_RADIUS_A / N)
+    centerB = (
+        2 + 2 * c.delta_c / sqrtN + jj - c.pi * j * j / (2 * c.sqrt6 * Ne * sqrtN)
+    )
+    termB = centerB.plus_minus(FJN_RADIUS_B / N)
+    return [termA, termB, 1 + exp1 * exp1 * termA - exp1 * termB]
+
+
+def _own_convexity_link3(n, j, prec):
+    c = constants(prec)
+    N, Ne, sqrtN = _preamble(n, prec)
+    return (
+        c.delta_c / sqrtN
+        + Fraction(j) / N
+        - c.pi * j * j / (4 * c.sqrt6 * Ne * sqrtN)
+        + FJN_RADIUS_B / N
+    )
+
+
+def _own_krank(lp, prec):
+    c = constants(prec)
+    ell, Le, sqrtL = _preamble(lp + 1, prec)
+    u = (-(c.pi / (c.sqrt6 * sqrtL))).exp()
+    f1 = (1 - c.sqrt3 / (c.sqrt_two_pi * sqrtL)).plus_minus(KRANK_RATIO_RADIUS_1 / ell)
+    f2 = (1 + c.sqrt3 / (c.pi * c.sqrt2 * sqrtL)).plus_minus(Fraction(1350) / ell)
+    termA = (1 + c.delta_c / sqrtL).plus_minus(KRANK_DIFF_RADIUS_A / ell)
+    termB = (2 + 2 * c.delta_c / sqrtL).plus_minus(KRANK_DIFF_RADIUS_B / ell)
+    return [1 - u * f1 * f2, 1 + u * u * termA - u * termB]
+
+
+def _own_prop21(m, prec):
+    c = constants(prec)
+    M, Me, _ = _preamble(m, prec)
+    prefactor = (c.pi * (2 * Me / 3).sqrt()).exp() / (4 * c.sqrt3 * Me)
+    correction = c.sqrt3 / (c.sqrt2 * c.pi * Me.sqrt())
+    return prefactor * (1 - correction).plus_minus(h_error(M, prec))
+
+
+def _own_collapse(n, j, prec):
+    c = constants(prec)
+    nn = shifted_index(n)
+    sq = Enclosure.from_exact(nn, prec).sqrt()
+    margins = []
+    b2 = -(c.sqrt3 / (c.sqrt_two_pi * sq))
+    for big_j in (j, 2 * j):
+        b1 = Fraction(big_j) / nn - c.pi * big_j**2 / (4 * c.sqrt6 * nn * sq)
+        err = _product_error(b1, Fraction(14, 25) / nn, b2, Fraction(131, 100) / nn)
+        margins.append(Enclosure.from_exact(Fraction(271, 100) - nn * err, prec))
+    b1 = c.sqrt3 / (c.sqrt2 * c.pi * sq)
+    b2 = (
+        Fraction(2 * j) / nn
+        - c.pi * j**2 / (c.sqrt6 * nn * sq)
+        - c.sqrt3 / (c.sqrt_two_pi * sq)
+    )
+    err = _product_error(b1, Fraction(1350) / nn, b2, Fraction(271, 100) / nn)
+    m2075 = Enclosure.from_exact(2075 - nn * err, prec)
+    b2 = (
+        Fraction(j) / nn
+        - c.pi * j**2 / (4 * c.sqrt6 * nn * sq)
+        - c.sqrt3 / (c.sqrt_two_pi * sq)
+    )
+    err = _product_error(b1, Fraction(1350) / nn, b2, Fraction(271, 100) / nn)
+    m3926 = Enclosure.from_exact(3926 - 2 * nn * err, prec)
+    return [min(margins, key=lambda m: m.lo_fraction), m2075, m3926]
+
+
+def _ends(encs):
+    return [(e.lo, e.hi) for e in encs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.one_of(st.integers(14, 300), st.integers(14, 100_000)),
+    prec=st.sampled_from([53, 128, 300]),
+)
+def test_shared_terms_keep_every_endpoint(data, n, prec):
+    j = data.draw(st.integers(0, ratio_j_top(n)), label="j")
+    est = ratio_interval(n, j, prec)
+    assert _ends(
+        [est.exponential_factor, est.factor1, est.factor2, est.product]
+    ) == _ends(_own_ratio(n, j, prec))
+
+    j = data.draw(st.integers(0, prop21_j_top(n)), label="prop21 j")
+    assert _ends([proposition21_interval(n, j, prec)]) == _ends(
+        [_own_prop21(n - j, prec)]
+    )
+
+    if n < 17:
+        return  # no licensed f(j,n) shift, and too small an ell for k-rank
+
+    j = data.draw(st.integers(1, fjn_j_top(n)), label="fjn j")
+    fjn = fjn_ratio_interval(n, j, prec)
+    assert _ends([fjn.termA, fjn.termB, fjn.total]) == _ends(_own_fjn(n, j, prec))
+
+    # link (iii) is the first the chain decides and below N ~ 1.7e8 the
+    # last; catch the enclosure it is decided on
+    seen = []
+    decide = Enclosure.strictly_negative
+    Enclosure.strictly_negative = lambda e: seen.append(e) or decide(e)
+    try:
+        assert not _analytic_convexity(n, j, prec)
+    finally:
+        Enclosure.strictly_negative = decide
+    assert _ends(seen) == _ends([_own_convexity_link3(n, j, prec)])
+
+    margins = [
+        margin((n, j), prec)
+        for margin in (_margin_collapse_271, _margin_collapse_2075, _margin_collapse_3926)
+    ]
+    assert _ends(margins) == _ends(_own_collapse(n, j, prec))
+
+    lp = n - 1  # n - k - m at k = 1, m = lp + 2, so ell is the shift of n
+    assert _ends(
+        [krank_ratio_interval(1, lp + 2, 2 * lp + 3, prec),
+         krank_diff_interval(1, lp + 2, 2 * lp + 3, prec)]
+    ) == _ends(_own_krank(lp, prec))
