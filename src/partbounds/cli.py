@@ -91,11 +91,12 @@ def _cmd_exact(args: argparse.Namespace) -> _Handled:
 
 def _margin_results(enclosure: Enclosure, exact: Fraction) -> Dict[str, Any]:
     """The exact value, its enclosure, and where it lies in it."""
+    margin = enclosure.containment_margin(exact)
     return {
         "exact": fraction_str(exact),
-        "interval": _interval_block(enclosure, exact),
+        "interval": {**interval_payload(enclosure), "contained": margin >= 0},
         "relative_width": optional_float(enclosure.relative_width()),
-        "containment_margin": float(enclosure.containment_margin(exact)),
+        "containment_margin": float(margin),
     }
 
 

@@ -21,11 +21,10 @@ from mpmath import libmp
 
 DEFAULT_PRECISION = 128
 
-# Entries kept by each per-index enclosure memo.  The proposition 2.1 and
-# k-rank caches never see more keys: the most is 2999 truncation targets in
-# the default rademacher suite.  estimates.shifted_terms sees up to 10000 in
-# a default sweep, but each sweep reads all shifts of one index before the
-# next, so eviction costs no rebuild.
+# Entries kept by each per-index enclosure memo: the two k-rank caches and
+# estimates.shifted_terms.  shifted_terms sees up to 10000 keys in a default
+# sweep, but each sweep reads all shifts of one index before the next, so
+# eviction costs no rebuild.
 MEMO_MAXSIZE = 4096
 
 _DOWN = "f"  # toward -inf

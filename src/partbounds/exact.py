@@ -91,18 +91,8 @@ def p_enumerate_oracle(n: int) -> int:
         raise PreconditionError("requires n >= 0")
     if n > ENUMERATION_BOUND:
         raise PreconditionError(f"enumeration oracle requires n <= {ENUMERATION_BOUND}")
-
-    @lru_cache(maxsize=None)
-    def count(m, largest):
-        if m == 0:
-            return 1
-        if largest == 0:
-            return 0
-        if largest > m:
-            largest = m
-        return count(m, largest - 1) + count(m - largest, largest)
-
-    return count(n, n)
+    # no partition of n has a part n + 1 to skip
+    return _count_avoiding(n, n + 1)
 
 
 def f_jn(n: int, j: int) -> int:
@@ -164,7 +154,12 @@ def nonkary_enumerate_oracle(n: int, k: int) -> int:
         raise PreconditionError("requires n >= 0 and k >= 1")
     if n > 60:
         raise PreconditionError("avoiding-part oracle requires n <= 60")
+    return _count_avoiding(n, k)
 
+
+def _count_avoiding(n: int, k: int) -> int:
+    # partitions of n with no part k, split on whether the largest allowed
+    # part is used; the memo lives for one call
     @lru_cache(maxsize=None)
     def count(m, largest):
         if m == 0:

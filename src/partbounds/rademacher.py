@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .enclosure import DEFAULT_PRECISION, MEMO_MAXSIZE, Enclosure, constants
+from .enclosure import DEFAULT_PRECISION, Enclosure, constants
 from .errors import PreconditionError, StabilizationError
 from .estimates import shifted_terms
 from .special import bessel_I32_closed, kloosterman_A, mp_context, to_fraction
@@ -123,9 +122,14 @@ class ErrorBudget:
     tail_bound: Enclosure
 
 
-@lru_cache(maxsize=MEMO_MAXSIZE)
-def _prop21(m: int, prec: int):
-    t = shifted_terms(m, prec)
+def _prop21(n: int, j: int, prec: int):
+    if n < 1:
+        raise PreconditionError("requires n >= 1")
+    if j < 0:
+        raise PreconditionError("requires j >= 0")
+    if n - j < 2:
+        raise PreconditionError("requires n - j >= 2")
+    t = shifted_terms(n - j, prec)
     c = constants(prec)
     prefactor = (c.pi * (2 * t.Ne / 3).sqrt()).exp() / (4 * c.sqrt3 * t.Ne)
     correction = t.sqrt3_over_pi_sqrt2
@@ -140,18 +144,11 @@ def proposition21_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enc
         p(n-j) in e^{pi sqrt(2M/3)} / (4 sqrt(3) M) * [1 - sqrt(3)/(sqrt(2) pi
         sqrt(M)) +- h(M)],   M = n - j - 1/24.
 
-    Only n - j matters; results are cached on it.
+    Only n - j matters.
     """
-    if n < 1:
-        raise PreconditionError("requires n >= 1")
-    if j < 0:
-        raise PreconditionError("requires j >= 0")
-    if n - j < 2:
-        raise PreconditionError("requires n - j >= 2")
-    return _prop21(n - j, prec)[0]
+    return _prop21(n, j, prec)[0]
 
 
 def proposition21_budget(n: int, j: int, prec: int = DEFAULT_PRECISION) -> ErrorBudget:
     """The width sources behind proposition21_interval for the same (n, j)."""
-    proposition21_interval(n, j, prec)
-    return _prop21(n - j, prec)[1]
+    return _prop21(n, j, prec)[1]

@@ -1,12 +1,13 @@
 """Dedekind sums, the Kloosterman-type sums A_k(n), and the I_{3/2} Bessel
 function at configurable precision.
 
-Dedekind sums are exact rationals.  A_k(n) is a finite sum of unit complex
-numbers whose phases are exact rationals times pi; it is evaluated in
-rectangular form with the phase reduced mod 2 before any rounding, so no
-cancellation error builds up for large k.  The Bessel function has two
-independent implementations: an elementary closed form (trusted path) and
-adaptive quadrature of the integral representation (test oracle).
+Dedekind sums are kept as the exact integers 4k^2 s(h,k).  A_k(n) is a
+finite sum of unit complex numbers whose phases are integers over 4k^2 times
+pi; it is evaluated in rectangular form with the phase reduced mod 2 before
+any rounding, so no cancellation error builds up for large k.  The Bessel
+function has two independent implementations: an elementary closed form
+(trusted path) and adaptive quadrature of the integral representation (test
+oracle).
 """
 
 from __future__ import annotations
@@ -46,20 +47,18 @@ def to_fraction(x) -> Fraction:
     raise TypeError(f"cannot take {type(x).__name__} exactly")
 
 
-def sawtooth(x) -> Fraction:
-    """((x)): x - floor(x) - 1/2 for non-integer x, else 0."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return Fraction(0)
-    return x - math.floor(x) - Fraction(1, 2)
+# Entries kept by each series memo below: one process running the default
+# oracles and rademacher suites left 29930 _cis_pi, 16059 _kloosterman_cached
+# and 4072 _dedekind_scaled keys (2234 and 1275 of the first two after
+# oracles alone).
+SERIES_MEMO_MAXSIZE = 65536
 
 
-@lru_cache(maxsize=None)
-def _dedekind_reduced(h: int, k: int) -> Fraction:
-    total = Fraction(0)
-    for r in range(1, k):
-        total += sawtooth(Fraction(r, k)) * sawtooth(Fraction(h * r, k))
-    return total
+@lru_cache(maxsize=SERIES_MEMO_MAXSIZE)
+def _dedekind_scaled(h: int, k: int) -> int:
+    # 4k^2 s(h,k) for coprime 0 <= h < k: ((r/k)) = (2r - k)/2k, and since
+    # hr is never a multiple of k, ((hr/k)) = (2(hr mod k) - k)/2k
+    return sum((2 * r - k) * (2 * (h * r % k) - k) for r in range(1, k))
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -68,13 +67,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
         raise PreconditionError("requires k >= 1")
     if math.gcd(h, k) != 1:
         raise PreconditionError("requires gcd(h,k) = 1")
-    return _dedekind_reduced(h % k, k)
-
-
-# Entries kept by each series memo below: one process running the default
-# oracles and rademacher suites left 29930 _cis_pi and 16059
-# _kloosterman_cached keys (2234 and 1275 after oracles alone).
-SERIES_MEMO_MAXSIZE = 65536
+    return Fraction(_dedekind_scaled(h % k, k), 4 * k * k)
 
 
 @lru_cache(maxsize=SERIES_MEMO_MAXSIZE)
@@ -87,15 +80,17 @@ def _cis_pi(num: int, den: int, wp: int):
 @lru_cache(maxsize=SERIES_MEMO_MAXSIZE)
 def _kloosterman_cached(k: int, n_mod_k: int, prec: int):
     wp = prec + 16
+    den = 4 * k * k
     re = libmp.fzero
     im = libmp.fzero
     for h in range(k):
         if math.gcd(h, k) != 1:
             continue
-        # phase/pi = s(h,k) - 2nh/k, an exact rational; reduce mod 2
-        phi = _dedekind_reduced(h, k) - Fraction(2 * n_mod_k * h, k)
-        phi -= 2 * math.floor(phi / 2)
-        c, s = _cis_pi(phi.numerator, phi.denominator, wp)
+        # phase/pi = s(h,k) - 2nh/k = (4k^2 s(h,k) - 8nhk)/4k^2; reduce mod 2
+        # and to lowest terms
+        num = (_dedekind_scaled(h, k) - 8 * n_mod_k * h * k) % (2 * den)
+        g = math.gcd(num, den)
+        c, s = _cis_pi(num // g, den // g, wp)
         re = libmp.mpf_add(re, c, wp, "n")
         im = libmp.mpf_add(im, s, wp, "n")
     residue = libmp.mpf_abs(im)

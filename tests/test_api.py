@@ -1,7 +1,10 @@
-"""Every exported name resolves, so deletions leave no stale exports, and
-every name the benchmark's tracer patches still exists."""
+"""Every exported name resolves, so deletions leave no stale exports, every
+name the benchmark's tracer patches still exists, and no module-level memo
+grows without bound."""
 
+import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -41,3 +44,20 @@ def test_tracer_patches_and_restores_its_names():
     for name, attrs in modules.items():
         current = vars(sys.modules[name])
         assert all(current[attr] is value for attr, value in attrs.items()), name
+
+
+# Keyed by precision alone, so they hold one entry per precision in use.
+PRECISION_KEYED = {"partbounds.enclosure.constants", "partbounds.special.mp_context"}
+
+
+def test_index_keyed_memos_are_bounded():
+    memos = {}
+    for info in pkgutil.iter_modules(partbounds.__path__, "partbounds."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == info.name:
+                memos[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert PRECISION_KEYED <= set(memos)
+    unbounded = [name for name, maxsize in memos.items()
+                 if maxsize is None and name not in PRECISION_KEYED]
+    assert not unbounded

@@ -38,7 +38,7 @@ from partbounds.inequalities import (
     _margin_collapse_3926,
     _product_error,
 )
-from partbounds.rademacher import _prop21, h_error, proposition21_interval
+from partbounds.rademacher import h_error, proposition21_interval
 
 
 def _width(e):
@@ -384,7 +384,7 @@ class TestInjection:
 
 @pytest.mark.parametrize(
     "memo, first",
-    [(_krank_ratio, 16), (_krank_diff, 16), (_prop21, 2), (shifted_terms, 1)],
+    [(_krank_ratio, 16), (_krank_diff, 16), (shifted_terms, 1)],
 )
 def test_memo_size_is_bounded(memo, first):
     # more distinct keys than the bound, at the least precision to stay cheap

@@ -3,37 +3,61 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import libmp
 
 from partbounds import special
-from partbounds.errors import PreconditionError
+from partbounds.errors import PrecisionError, PreconditionError
 from partbounds.special import (
     bessel_I32_closed,
     bessel_I32_quadrature,
     dedekind_sum,
     kloosterman_A,
     kloosterman_imag_residue,
-    sawtooth,
     to_fraction,
 )
 
 TOL64 = Fraction(1, 2**64)
 
 
-class TestSawtooth:
-    def test_table(self):
-        assert sawtooth(Fraction(1, 3)) == Fraction(-1, 6)
-        assert sawtooth(Fraction(1, 2)) == 0
-        assert sawtooth(5) == 0
-        assert sawtooth(Fraction(-1, 4)) == Fraction(1, 4)
-        assert sawtooth(Fraction(7, 3)) == Fraction(-1, 6)
+def _sawtooth(x):
+    # ((x)) = x - floor(x) - 1/2 off the integers, 0 on them
+    return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
 
-    def test_odd_and_periodic(self):
-        for num in range(-20, 21):
-            for den in (3, 4, 7, 12):
-                x = Fraction(num, den)
-                assert sawtooth(x + 1) == sawtooth(x)
-                if x.denominator > 1:
-                    assert sawtooth(-x) == -sawtooth(x)
+
+def test_integer_dedekind_matches_sawtooth_sum():
+    for k in range(1, 121):
+        saw = [_sawtooth(Fraction(r, k)) for r in range(k)]
+        for h in range(k):
+            if math.gcd(h, k) == 1:
+                s = sum(saw[r] * saw[h * r % k] for r in range(1, k))
+                assert special._dedekind_scaled(h, k) == 4 * k * k * s, (h, k)
+
+
+def _fraction_phase_kloosterman(k, n_mod_k, prec):
+    # A_k(n) as summed with each phase s(h,k) - 2nh/k built as a Fraction
+    wp = prec + 16
+    re = im = libmp.fzero
+    for h in range(k):
+        if math.gcd(h, k) != 1:
+            continue
+        phi = dedekind_sum(h, k) - Fraction(2 * n_mod_k * h, k)
+        phi -= 2 * math.floor(phi / 2)
+        c, s = special._cis_pi(phi.numerator, phi.denominator, wp)
+        re = libmp.mpf_add(re, c, wp, "n")
+        im = libmp.mpf_add(im, s, wp, "n")
+    residue = libmp.mpf_abs(im)
+    if libmp.mpf_gt(residue, libmp.from_man_exp(1, -(prec // 2))):
+        raise PrecisionError(f"imaginary residue of A_{k}(n) too large")
+    return libmp.mpf_pos(re, prec, "n"), residue
+
+
+@pytest.mark.parametrize("prec", [53, 128, 192])
+def test_integer_phases_keep_every_kloosterman_bit(prec):
+    for k in range(1, 61):
+        for n_mod_k in range(k):
+            assert special._kloosterman_cached(k, n_mod_k, prec) == (
+                _fraction_phase_kloosterman(k, n_mod_k, prec)
+            ), (k, n_mod_k)
 
 
 class TestDedekindSum:
@@ -198,7 +222,8 @@ class TestBessel:
 
 def test_series_memos_are_bounded():
     # the most keys one process used at the default oracles + rademacher
-    # ranges: 29930 (_cis_pi) and 16059 (_kloosterman_cached)
-    for memo, keys in ((special._cis_pi, 29930), (special._kloosterman_cached, 16059)):
+    # ranges: 29930 (_cis_pi), 16059 (_kloosterman_cached), 4072 (_dedekind_scaled)
+    for memo, keys in ((special._cis_pi, 29930), (special._kloosterman_cached, 16059),
+                       (special._dedekind_scaled, 4072)):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize >= keys
