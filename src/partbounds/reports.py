@@ -95,9 +95,10 @@ class SuiteReport:
     """Outcome of one verification sweep.
 
     failures lists human-readable descriptions (capped upstream); info holds
-    sweep-level measurements such as worst margins; rows are per-case records
-    destined for CSV and are only populated when requested.  A sweep that
-    decided no case has shown nothing, so it does not pass.
+    sweep-level measurements such as worst margins; rows are records, one per
+    case or per distinct key, destined for CSV and populated only when
+    requested (the inequality registry always carries its rows).  A sweep
+    that decided no case has shown nothing, so it does not pass.
     """
 
     suite: str

@@ -8,6 +8,11 @@ are deterministic; only the inequality registry fans out across worker
 processes.  Its cases are dispatched longest first, one at a time, and the
 results are reassembled in registry order, so parallel and sequential runs
 produce identical reports.
+
+Where an enclosure depends on its indices only through one key (m = n - j
+for the one-term truncation, ell' = n - k - m for the k-rank estimates),
+each distinct key is decided once and counts, by a closed form, every
+index tuple it stands for.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .enclosure import DEFAULT_PRECISION, Enclosure
 from .errors import PreconditionError
@@ -35,7 +40,6 @@ from .estimates import (
     krank_diff_interval,
     krank_ratio_interval,
     nonkary_diff_check,
-    prop21_j_top,
     ratio_interval,
     ratio_j_top,
 )
@@ -52,7 +56,6 @@ from .inequalities import (
     CASES,
     DEFAULT_SEED,
     InequalityResult,
-    _lookup,
     _min_lo,
     run_case,
 )
@@ -93,26 +96,36 @@ RATIO_RADIUS_MASS = RATIO_RADIUS_1 + RATIO_RADIUS_2
 INJECTION_COUNTEREXAMPLE = (1, 1, 1)
 
 
-class _Recorder:
-    """Counts cases and collects failure descriptions up to a cap."""
+@dataclass
+class _Sweep:
+    """One run of a suite: its ranges and precision, the cases it counted,
+    its failure descriptions up to a cap, and its CSV rows (None unless
+    asked for)."""
 
-    __slots__ = ("cases", "failures", "overflow")
+    n_max: Optional[int] = None
+    j_max: Optional[int] = None
+    prec: int = DEFAULT_PRECISION
+    seed: int = DEFAULT_SEED
+    case: Optional[str] = None
+    rows: Optional[List[Dict[str, Any]]] = None
+    cases: int = 0
+    failures: List[str] = field(default_factory=list)
+    overflow: int = 0
 
-    def __init__(self) -> None:
-        self.cases = 0
-        self.failures: List[str] = []
-        self.overflow = 0
+    def j_cap(self, j_top: int) -> int:
+        return j_top if self.j_max is None else min(j_top, self.j_max)
 
-    def check(self, passed: bool, message: str, *args: Any) -> None:
-        """Count one case; a failed one records message % args, formatted
-        only then, so passing cases pay no float conversion."""
+    def check(self, passed: bool, message: str, *args: Any, count: int = 1) -> None:
+        """Count `count` cases decided by one verdict; a failed one records
+        message % args, formatted only then, so passing cases pay no float
+        conversion."""
         if passed:
-            self.cases += 1
+            self.cases += count
         else:
-            self.fail(message % args)
+            self.fail(message % args, count)
 
-    def fail(self, message: str) -> None:
-        self.cases += 1
+    def fail(self, message: str, count: int = 1) -> None:
+        self.cases += count
         if len(self.failures) < FAILURE_CAP:
             self.failures.append(message)
         else:
@@ -123,33 +136,15 @@ class _Recorder:
             self.failures.append(f"... plus {self.overflow} more failures")
 
 
-@dataclass
-class SweepOptions:
-    n_max: Optional[int] = None
-    j_max: Optional[int] = None
-    prec: int = DEFAULT_PRECISION
-    seed: int = DEFAULT_SEED
-    case: Optional[str] = None
-    collect_rows: bool = False
-
-    def j_cap(self, j_top: int) -> int:
-        return j_top if self.j_max is None else min(j_top, self.j_max)
-
-
-_Outcome = Tuple[_Recorder, Dict[str, Any], List[Dict[str, Any]]]
-
-
-def _suite_oracles(o: SweepOptions) -> _Outcome:
-    rec = _Recorder()
-    rows: List[Dict[str, Any]] = []
-    top = min(o.n_max if o.n_max is not None else 60, ENUMERATION_BOUND)
+def _suite_oracles(sweep: _Sweep) -> Dict[str, Any]:
+    top = min(sweep.n_max, ENUMERATION_BOUND)
     for n in range(top + 1):
         expected = p_enumerate_oracle(n)
         got = p_exact(n)
-        rec.check(got == expected, "p(%d): recurrence %d != enumeration %d",
-                  n, got, expected)
-        if o.collect_rows:
-            rows.append(
+        sweep.check(got == expected, "p(%d): recurrence %d != enumeration %d",
+                    n, got, expected)
+        if sweep.rows is not None:
+            sweep.rows.append(
                 {"check": "partition-enumeration", "n": n, "value": str(got),
                  "passed": got == expected}
             )
@@ -164,16 +159,16 @@ def _suite_oracles(o: SweepOptions) -> _Outcome:
             rhs = Fraction(-1, 4) + (
                 Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)
             ) / 12
-            rec.check(lhs == rhs, "reciprocity fails at (h, k) = (%d, %d)", h, k)
+            sweep.check(lhs == rhs, "reciprocity fails at (h, k) = (%d, %d)", h, k)
 
     residue_bound = Fraction(1, 2**64)
     max_residue = Fraction(0)
     for k in range(1, 51):
         for n in range(0, 201):
-            amp = abs(to_fraction(kloosterman_A(k, n, o.prec)))
-            residue = abs(to_fraction(kloosterman_imag_residue(k, n, o.prec)))
+            amp = abs(to_fraction(kloosterman_A(k, n, sweep.prec)))
+            residue = abs(to_fraction(kloosterman_imag_residue(k, n, sweep.prec)))
             max_residue = max(max_residue, residue)
-            rec.check(
+            sweep.check(
                 amp <= k and residue < residue_bound,
                 "A_%d(%d): |A| = %.3f (cap %d), residue = %.3e",
                 k, n, amp, k, residue,
@@ -182,80 +177,75 @@ def _suite_oracles(o: SweepOptions) -> _Outcome:
     rel_bound = Fraction(1, 10**15)
     max_rel = Fraction(0)
     for x in BESSEL_GRID:
-        closed = to_fraction(bessel_I32_closed(x, o.prec))
-        quad = to_fraction(bessel_I32_quadrature(x, o.prec))
+        closed = to_fraction(bessel_I32_closed(x, sweep.prec))
+        quad = to_fraction(bessel_I32_quadrature(x, sweep.prec))
         rel = abs(closed - quad) / abs(closed)
         max_rel = max(max_rel, rel)
         ok = rel <= rel_bound
-        rec.check(ok, "Bessel closed vs quadrature at x = %s: rel %.3e", x, rel)
-        if o.collect_rows:
-            rows.append(
+        sweep.check(ok, "Bessel closed vs quadrature at x = %s: rel %.3e", x, rel)
+        if sweep.rows is not None:
+            sweep.rows.append(
                 {"check": "bessel-agreement", "x": fraction_str(x),
                  "rel_error": float(rel), "passed": ok}
             )
 
-    info = {
+    return {
         "enumeration_top": top,
         "reciprocity_pairs": pairs,
         "max_kloosterman_residue": float(max_residue),
         "max_bessel_rel_error": float(max_rel),
     }
-    return rec, info, rows
 
 
-def _suite_rademacher(o: SweepOptions) -> _Outcome:
-    rec = _Recorder()
-    rows: List[Dict[str, Any]] = []
-    rounds_top = o.n_max if o.n_max is not None else 2000
+def _suite_rademacher(sweep: _Sweep) -> Dict[str, Any]:
+    rounds_top = sweep.n_max
     prop_top = (3 * rounds_top) // 2
     default_table().ensure(prop_top)
 
     for n in range(1, rounds_top + 1):
-        got = rademacher_round(n, o.prec)
+        got = rademacher_round(n, sweep.prec)
         want = p_exact(n)
-        rec.check(got == want, "round(%d) = %d, off by %d", n, got, got - want)
-        if o.collect_rows:
-            rows.append({"check": "round", "n": n, "passed": got == want})
+        sweep.check(got == want, "round(%d) = %d, off by %d", n, got, got - want)
+        if sweep.rows is not None:
+            sweep.rows.append({"check": "round", "n": n, "passed": got == want})
 
-    # the one-term truncation interval depends on (n, j) only through n - j,
-    # so containment is decided once per distinct difference
-    memo: Dict[int, Fraction] = {}
-    for n in range(1, prop_top + 1):
-        for j in range(0, o.j_cap(prop21_j_top(n)) + 1):
-            m = n - j
-            if m < 2:
-                continue
-            margin = memo.get(m)
-            if margin is None:
-                enc = proposition21_interval(n, j, o.prec)
-                margin = memo[m] = enc.containment_margin(p_exact(m))
-                if o.collect_rows:
-                    rows.append(
-                        {"check": "one-term-truncation", "m": m,
-                         "contained": margin >= 0, "margin": float(margin)}
-                    )
-            rec.check(margin >= 0, "p(%d) escapes its one-term truncation interval", m)
+    # the one-term truncation interval depends on (n, j) only through
+    # m = n - j, so each m is decided once, at (m, 0), and counts the pairs it
+    # stands for: j^2 < m + j, i.e. j <= (1 + isqrt(4m - 3)) // 2, and n <= prop_top
+    worst: Optional[Fraction] = None
+    for m in range(2, prop_top + 1):
+        pairs = min(sweep.j_cap((1 + math.isqrt(4 * m - 3)) // 2), prop_top - m) + 1
+        margin = proposition21_interval(m, 0, sweep.prec).containment_margin(p_exact(m))
+        worst = margin if worst is None else min(worst, margin)
+        sweep.check(
+            margin >= 0,
+            "p(%d) escapes its one-term truncation interval, margin %.3e at %d bits "
+            "(%d pairs (n, j) with n - j = %d)",
+            m, margin, sweep.prec, pairs, m, count=pairs,
+        )
+        if sweep.rows is not None:
+            sweep.rows.append(
+                {"check": "one-term-truncation", "m": m,
+                 "contained": margin >= 0, "margin": float(margin)}
+            )
 
-    info = {
+    return {
         "rounds_top": rounds_top,
         "truncation_top": prop_top,
-        "worst_truncation_margin": optional_float(min(memo.values(), default=None)),
+        "worst_truncation_margin": optional_float(worst),
     }
-    return rec, info, rows
 
 
-def _suite_containment_ratio(o: SweepOptions) -> _Outcome:
-    rec = _Recorder()
-    rows: List[Dict[str, Any]] = []
-    top = o.n_max if o.n_max is not None else 5000
+def _suite_containment_ratio(sweep: _Sweep) -> Dict[str, Any]:
+    top = sweep.n_max
     default_table().ensure(top)
     worst: Optional[Fraction] = None
     max_c: Optional[Fraction] = None
     max_c_at: Optional[Tuple[int, int]] = None
     for n in range(14, top + 1):
         pn = p_exact(n)
-        for j in range(0, o.j_cap(ratio_j_top(n)) + 1):
-            est = ratio_interval(n, j, o.prec)
+        for j in range(0, sweep.j_cap(ratio_j_top(n)) + 1):
+            est = ratio_interval(n, j, sweep.prec)
             margin = est.product.containment_margin(Fraction(p_exact(n - j), pn))
             worst = margin if worst is None else min(worst, margin)
             rel = est.product.relative_width()
@@ -263,64 +253,66 @@ def _suite_containment_ratio(o: SweepOptions) -> _Outcome:
             c = None if rel is None else rel * est.N / (2 * RATIO_RADIUS_MASS)
             if c is not None and (max_c is None or c > max_c):
                 max_c, max_c_at = c, (n, j)
-            rec.check(margin >= 0, "ratio(%d, %d): exact value escapes the enclosure", n, j)
-            if o.collect_rows:
-                rows.append(
+            sweep.check(
+                margin >= 0,
+                "ratio(%d, %d): exact value escapes the enclosure, margin %.3e at %d bits",
+                n, j, margin, sweep.prec,
+            )
+            if sweep.rows is not None:
+                sweep.rows.append(
                     {"n": n, "j": j, "contained": margin >= 0, "margin": float(margin),
                      "width_constant": optional_float(c)}
                 )
     if max_c is not None and max_c > 2:
-        rec.fail(
+        sweep.fail(
             f"relative width constant {float(max_c):.4f} at {max_c_at} exceeds 2"
         )
-    info = {
+    return {
         "n_top": top,
         "worst_margin": optional_float(worst),
         "max_width_constant": optional_float(max_c),
         "max_width_constant_at": None if max_c_at is None else str(max_c_at),
     }
-    return rec, info, rows
 
 
-def _suite_containment_fjn(o: SweepOptions) -> _Outcome:
-    rec = _Recorder()
-    rows: List[Dict[str, Any]] = []
-    top = o.n_max if o.n_max is not None else 5000
+def _suite_containment_fjn(sweep: _Sweep) -> Dict[str, Any]:
+    top = sweep.n_max
     default_table().ensure(top)
     worst: Optional[Fraction] = None
     least: Optional[Enclosure] = None
     for n in range(14, top + 1):
         pn = p_exact(n)
-        for j in range(1, o.j_cap(fjn_j_top(n)) + 1):
-            total = fjn_ratio_interval(n, j, o.prec).total
+        for j in range(1, sweep.j_cap(fjn_j_top(n)) + 1):
+            total = fjn_ratio_interval(n, j, sweep.prec).total
             margin = total.containment_margin(Fraction(f_jn(n, j), pn))
             worst = margin if worst is None else min(worst, margin)
             least = _min_lo(least, total)
-            rec.check(margin >= 0, "fjn(%d, %d): exact value escapes the enclosure", n, j)
-            if o.collect_rows:
-                rows.append(
+            sweep.check(
+                margin >= 0,
+                "fjn(%d, %d): exact value escapes the enclosure, margin %.3e at %d bits",
+                n, j, margin, sweep.prec,
+            )
+            if sweep.rows is not None:
+                sweep.rows.append(
                     {"n": n, "j": j, "contained": margin >= 0, "margin": float(margin)}
                 )
-    info = {
+    return {
         "n_top": top,
         "worst_margin": optional_float(worst),
         "min_lower_endpoint": None if least is None else float(least.lo_fraction),
     }
-    return rec, info, rows
 
 
-def _suite_convexity(o: SweepOptions) -> _Outcome:
-    rec = _Recorder()
-    rows: List[Dict[str, Any]] = []
-    top = o.n_max if o.n_max is not None else 10_000
+def _suite_convexity(sweep: _Sweep) -> Dict[str, Any]:
+    top = sweep.n_max
     default_table().ensure(top)
     inj_top = min(top, 2000)
 
     # n <= 13 has no analytic license; every case must settle exactly
     for n in range(2, min(13, top) + 1):
-        for j in range(1, o.j_cap(n // 2) + 1):
-            cert = convexity_certificate(n, j, o.prec)
-            rec.check(
+        for j in range(1, sweep.j_cap(n // 2) + 1):
+            cert = convexity_certificate(n, j, sweep.prec)
+            sweep.check(
                 cert.holds and cert.kind is CertificateKind.EXACT,
                 "convexity(%d, %d): holds=%s, kind=%s", n, j, cert.holds, cert.kind.value,
             )
@@ -328,23 +320,25 @@ def _suite_convexity(o: SweepOptions) -> _Outcome:
     licensed = 0
     analytic = 0
     for n in range(14, top + 1):
-        for j in range(1, o.j_cap(fjn_j_top(n)) + 1):
-            cert = convexity_certificate(n, j, o.prec)
+        for j in range(1, sweep.j_cap(fjn_j_top(n)) + 1):
+            cert = convexity_certificate(n, j, sweep.prec)
             licensed += 1
             if cert.kind is CertificateKind.ANALYTIC:
                 analytic += 1
-            rec.check(cert.holds, "convexity(%d, %d) does not hold", n, j)
-            if o.collect_rows:
-                rows.append({"n": n, "j": j, "kind": cert.kind.value, "holds": cert.holds})
+            sweep.check(cert.holds, "convexity(%d, %d) does not hold", n, j)
+            if sweep.rows is not None:
+                sweep.rows.append(
+                    {"n": n, "j": j, "kind": cert.kind.value, "holds": cert.holds}
+                )
 
     fraction_analytic = analytic / licensed if licensed else 0.0
 
     for n in range(0, inj_top + 1):
-        for j in range(1, o.j_cap(20) + 1):
+        for j in range(1, sweep.j_cap(20) + 1):
             for ell in range(0, 21):
                 if (n, j, ell) == INJECTION_COUNTEREXAMPLE:
                     continue
-                rec.check(
+                sweep.check(
                     injection_inequality(n, j, ell),
                     "injection inequality fails at (n, j, ell) = (%d, %d, %d)", n, j, ell,
                 )
@@ -357,13 +351,13 @@ def _suite_convexity(o: SweepOptions) -> _Outcome:
                     continue
                 map_checks += 1
                 mc = injection_map_check(n, j, ell)
-                rec.check(
+                sweep.check(
                     mc.injective and mc.preserves_avoidance,
                     "shift map at (n, j, ell) = (%d, %d, %d): injective=%s, preserves=%s",
                     n, j, ell, mc.injective, mc.preserves_avoidance,
                 )
 
-    info = {
+    return {
         "n_top": top,
         "licensed_cases": licensed,
         "analytic_cases": analytic,
@@ -375,13 +369,10 @@ def _suite_convexity(o: SweepOptions) -> _Outcome:
         "unguarded_origin_holds": injection_inequality(*INJECTION_COUNTEREXAMPLE),
         "map_instances": map_checks,
     }
-    return rec, info, rows
 
 
-def _suite_krank(o: SweepOptions) -> _Outcome:
-    rec = _Recorder()
-    rows: List[Dict[str, Any]] = []
-    top = o.n_max if o.n_max is not None else 500
+def _suite_krank(sweep: _Sweep) -> Dict[str, Any]:
+    top = sweep.n_max
     # the largest index read is p(ell' + 1), ell' = n - k - m <= ceil(n/2) - 2
     default_table().ensure((top + 1) // 2 - 1)
 
@@ -389,88 +380,84 @@ def _suite_krank(o: SweepOptions) -> _Outcome:
         for m in range(n // 2 + 1, n + 2):
             got = krank_boundary_value(2, m, n)
             want = dyson_rank_count(n, m)
-            rec.check(
+            sweep.check(
                 got == want, "rank count at (m, n) = (%d, %d): %d != %d", m, n, got, want
             )
 
-    # both enclosures and both exact values depend only on ell' = n - k - m,
-    # so each distinct difference is decided once and replayed per (k, m, n)
-    memo: Dict[int, Tuple[Fraction, Fraction]] = {}
-    for k in range(1, 6):
-        for n in range(2 * k + 33, top + 1):
-            for m in range(n // 2 + 1, n - k - 16 + 1):
-                lp = n - k - m
-                margins = memo.get(lp)
-                if margins is None:
-                    denom = p_exact(lp + 1)
-                    count = krank_boundary_value(k, m, n)
-                    diff = count - krank_boundary_value(k, m + 1, n)
-                    enc_r = krank_ratio_interval(k, m, n, o.prec)
-                    enc_d = krank_diff_interval(k, m, n, o.prec)
-                    margins = memo[lp] = (
-                        enc_r.containment_margin(Fraction(count, denom)),
-                        enc_d.containment_margin(Fraction(diff, denom)),
-                    )
-                    if o.collect_rows:
-                        rows.append(
-                            {"ell_prime": lp, "ratio_contained": margins[0] >= 0,
-                             "ratio_margin": float(margins[0]),
-                             "diff_contained": margins[1] >= 0,
-                             "diff_margin": float(margins[1])}
-                        )
-                # a margin's sign is its numerator's; over half a million
-                # replays that int test is far cheaper than margin >= 0
-                margin_r, margin_d = margins
-                where = (k, m, n)
-                rec.check(margin_r.numerator >= 0,
-                          "rank ratio at (k, m, n) = %s not contained", where)
-                rec.check(margin_d.numerator >= 0,
-                          "rank difference at (k, m, n) = %s not contained", where)
+    # both enclosures and both exact values depend on (k, m, n) only through
+    # ell' = n - k - m, so each ell' >= 16 is decided once, at the triple
+    # (1, ell' + 2, 2 ell' + 3), and counts the triples it stands for: for
+    # each k <= 5, every n <= top with m > n/2, i.e. n >= 2(ell' + k) + 1
+    worst_ratio: Optional[Fraction] = None
+    worst_diff: Optional[Fraction] = None
+    shifts = range(16, (top + 1) // 2 - 1)
+    for lp in shifts:
+        triples = sum(max(0, top - 2 * (lp + k)) for k in range(1, 6))
+        m, n = lp + 2, 2 * lp + 3
+        denom = p_exact(lp + 1)
+        count = krank_boundary_value(1, m, n)
+        diff = count - krank_boundary_value(1, m + 1, n)
+        margin_r = krank_ratio_interval(1, m, n, sweep.prec).containment_margin(
+            Fraction(count, denom)
+        )
+        margin_d = krank_diff_interval(1, m, n, sweep.prec).containment_margin(
+            Fraction(diff, denom)
+        )
+        worst_ratio = margin_r if worst_ratio is None else min(worst_ratio, margin_r)
+        worst_diff = margin_d if worst_diff is None else min(worst_diff, margin_d)
+        for what, margin in (("ratio", margin_r), ("difference", margin_d)):
+            sweep.check(
+                margin >= 0,
+                "rank %s at ell' = %d not contained, margin %.3e at %d bits "
+                "(%d triples (k, m, n), first (1, %d, %d))",
+                what, lp, margin, sweep.prec, triples, m, n, count=triples,
+            )
+        if sweep.rows is not None:
+            sweep.rows.append(
+                {"ell_prime": lp, "ratio_contained": margin_r >= 0,
+                 "ratio_margin": float(margin_r),
+                 "diff_contained": margin_d >= 0,
+                 "diff_margin": float(margin_d)}
+            )
 
     # positivity of the difference enclosure's lower endpoint at the stated
     # floor ell' = 10^4; the numbers come out negative there (the radii are
     # far larger than the centered gap), which is reported, not failed
-    probe = krank_diff_interval(1, 10_002, 20_003, o.prec)
-    worst_ratio = min((r for r, _ in memo.values()), default=None)
-    worst_diff = min((d for _, d in memo.values()), default=None)
-    info = {
+    probe = krank_diff_interval(1, 10_002, 20_003, sweep.prec)
+    return {
         "n_top": top,
-        "distinct_differences": len(memo),
+        "distinct_differences": len(shifts),
         "worst_ratio_margin": optional_float(worst_ratio),
         "worst_diff_margin": optional_float(worst_diff),
         "diff_lower_at_floor": float(probe.lo_fraction),
         "diff_positive_at_floor": probe.strictly_positive(),
     }
-    return rec, info, rows
 
 
-def _suite_nonkary(o: SweepOptions) -> _Outcome:
-    rec = _Recorder()
-    rows: List[Dict[str, Any]] = []
-    top = o.n_max if o.n_max is not None else 10_000
+def _suite_nonkary(sweep: _Sweep) -> Dict[str, Any]:
+    top = sweep.n_max
     default_table().ensure(top)
     identity_top = min(top, 500)
 
     for n in range(2, identity_top + 1):
-        for k in range(1, o.j_cap(n // 2) + 1):
+        for k in range(1, sweep.j_cap(n // 2) + 1):
             error = None
             try:
                 nonkary_diff_check(n, k)
             except AssertionError as exc:
                 error = exc
-            rec.check(error is None, "identity at (n, k) = (%d, %d): %s", n, k, error)
+            sweep.check(error is None, "identity at (n, k) = (%d, %d): %s", n, k, error)
 
     positives = 0
     for n in range(2, top + 1):
-        for k in range(1, o.j_cap(fjn_j_top(n)) + 1):
+        for k in range(1, sweep.j_cap(fjn_j_top(n)) + 1):
             positives += 1
-            rec.check(
+            sweep.check(
                 nonkary_diff_check(n, k),
                 "avoided-part count not increasing at (n, k) = (%d, %d)", n, k,
             )
 
-    info = {"identity_top": identity_top, "n_top": top, "licensed_cases": positives}
-    return rec, info, rows
+    return {"identity_top": identity_top, "n_top": top, "licensed_cases": positives}
 
 
 def _ineq_case_task(args: Tuple[str, int, int]) -> InequalityResult:
@@ -511,24 +498,20 @@ def _point_str(point: Tuple) -> str:
     return "(" + ", ".join(fraction_str(x) for x in point) + ")"
 
 
-def _suite_inequalities(o: SweepOptions) -> _Outcome:
-    rec = _Recorder()
-    if o.case is not None:
-        _lookup(o.case)
-        names = [o.case]
-    else:
-        names = [case.name for case in CASES]
-    results = _run_inequality_cases(names, o.prec, o.seed)
-    rows: List[Dict[str, Any]] = []
+def _suite_inequalities(sweep: _Sweep) -> Dict[str, Any]:
+    names = [case.name for case in CASES] if sweep.case is None else [sweep.case]
+    results = _run_inequality_cases(names, sweep.prec, sweep.seed)
+    # one row per case is the registry's report, so the rows are always kept
+    sweep.rows = []
     min_margin: Optional[Fraction] = None
     min_case = ""
     for result in results:
         point = _point_str(result.worst_point)
-        rec.check(result.passed, "%s: worst margin %.3e at %s",
-                  result.name, result.worst_margin, point)
+        sweep.check(result.passed, "%s: worst margin %.3e at %s",
+                    result.name, result.worst_margin, point)
         if min_margin is None or result.worst_margin < min_margin:
             min_margin, min_case = result.worst_margin, result.name
-        rows.append(
+        sweep.rows.append(
             {
                 "case": result.name,
                 "points": result.points,
@@ -538,24 +521,29 @@ def _suite_inequalities(o: SweepOptions) -> _Outcome:
                 "passed": result.passed,
             }
         )
-    info = {
+    return {
         "cases": len(results),
         "min_margin": float(min_margin) if min_margin is not None else None,
         "min_margin_case": min_case,
-        "seed": o.seed,
+        "seed": sweep.seed,
     }
-    return rec, info, rows
 
 
-_SUITES: Dict[str, Callable[[SweepOptions], _Outcome]] = {
-    "oracles": _suite_oracles,
-    "rademacher": _suite_rademacher,
-    "containment-ratio": _suite_containment_ratio,
-    "containment-fjn": _suite_containment_fjn,
-    "convexity": _suite_convexity,
-    "krank": _suite_krank,
-    "nonkary": _suite_nonkary,
-    "inequalities": _suite_inequalities,
+# name: (suite, default n_max, largest accepted n_max or None).  A ceiling
+# keeps its suite under 300 s on a 2-vCPU VM.  Extrapolated from the cost at
+# the default range (rademacher's rounds grow about linearly in n; ratio
+# 0.26 ms, fjn 0.34 ms and convexity 0.08 ms a licensed case), one run at
+# each ceiling took 180, 138, 153 and 181 s.  The others fit at the table
+# ceiling: krank took 59 s at n_max 200001, nonkary 33 s at 100000.
+_SUITES = {
+    "oracles": (_suite_oracles, 60, None),  # clamps at ENUMERATION_BOUND
+    "rademacher": (_suite_rademacher, 2000, 6000),
+    "containment-ratio": (_suite_containment_ratio, 5000, 15_000),
+    "containment-fjn": (_suite_containment_fjn, 5000, 20_000),
+    "convexity": (_suite_convexity, 10_000, 50_000),
+    "krank": (_suite_krank, 500, None),
+    "nonkary": (_suite_nonkary, 10_000, None),
+    "inequalities": (_suite_inequalities, None, None),  # reads no n_max
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -571,34 +559,37 @@ def run_suite(
     case: Optional[str] = None,
     collect_rows: bool = False,
 ) -> SuiteReport:
-    """Run one named sweep and return its report."""
-    runner = _SUITES.get(name)
-    if runner is None:
+    """Run one named sweep and return its report.  n_max None takes the
+    suite's default range; one past the suite's ceiling exits before any case."""
+    if name not in _SUITES:
         raise PreconditionError(
             f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
         )
+    runner, default_n_max, ceiling = _SUITES[name]
     if case is not None and name != "inequalities":
         raise PreconditionError("--case only applies to the inequalities suite")
     if n_max is not None and n_max < 0:
         raise PreconditionError("requires n_max >= 0")
+    if n_max is not None and ceiling is not None and n_max > ceiling:
+        raise PreconditionError(f"suite {name} requires n_max <= {ceiling} (suite ceiling)")
     if j_max is not None and j_max < 0:
         raise PreconditionError("requires j_max >= 0")
-    options = SweepOptions(
-        n_max=n_max,
+    sweep = _Sweep(
+        n_max=default_n_max if n_max is None else n_max,
         j_max=j_max,
         prec=prec,
         seed=seed,
         case=case,
-        collect_rows=collect_rows,
+        rows=[] if collect_rows else None,
     )
     started = time.perf_counter()
-    rec, info, rows = runner(options)
-    rec.close()
+    info = runner(sweep)
+    sweep.close()
     return SuiteReport(
         suite=name,
-        cases=rec.cases,
-        failures=rec.failures,
+        cases=sweep.cases,
+        failures=sweep.failures,
         info=info,
-        rows=rows,
+        rows=sweep.rows or [],
         seconds=time.perf_counter() - started,
     )

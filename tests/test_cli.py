@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partbounds import cli
+from partbounds import cli, verify
 from partbounds.cli import MAX_PRECISION, main
 from partbounds.exact import TABLE_CEILING, default_table, f_jn, p_exact
 
@@ -281,6 +281,15 @@ class TestInputLimits:
         code, captured = run(capsys, "ratio", "100", "2", "--precision", "2000000000")
         assert code == 2
         assert str(MAX_PRECISION) in captured.err
+
+    def test_suite_ceiling_is_usage_error(self, capsys):
+        ceiling = verify._SUITES["containment-ratio"][2]
+        code, captured = run(
+            capsys, "verify", "containment-ratio", "--n-max", str(ceiling + 1)
+        )
+        assert code == 2
+        assert f"containment-ratio requires n_max <= {ceiling}" in captured.err
+        assert captured.out == ""
 
     def test_negative_n_max_is_usage_error(self, capsys):
         code, captured = run(capsys, "verify", "containment-ratio", "--n-max", "-5")

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import tempfile
+from fractions import Fraction
 
 import pytest
 
@@ -8,12 +9,12 @@ from partbounds import exact, inequalities, verify
 from partbounds.enclosure import Enclosure
 from partbounds.errors import PreconditionError
 from partbounds.estimates import fjn_j_top, prop21_j_top, ratio_j_top
-from partbounds.exact import default_table
+from partbounds.exact import PartitionTable, default_table, p_exact
 from partbounds.verify import (
     SUITE_NAMES,
     _dispatch_order,
-    _Recorder,
     _run_inequality_cases,
+    _Sweep,
     run_suite,
 )
 
@@ -41,7 +42,7 @@ class TestLicenseTops:
 
 class TestRecorder:
     def test_caps_failures(self):
-        rec = _Recorder()
+        rec = _Sweep()
         for i in range(205):
             rec.fail(f"case {i}")
         rec.check(True, "")
@@ -55,7 +56,7 @@ class TestRecorder:
             def __float__(self):
                 raise AssertionError("a passing case formatted its message")
 
-        rec = _Recorder()
+        rec = _Sweep()
         rec.check(True, "x = %.3e", Loud())
         rec.check(False, "case %d at x = %.3e", 7, 0.5)
         rec.close()
@@ -112,18 +113,131 @@ _PAST_TABLE = {
 class TestTableCeiling:
     @pytest.mark.parametrize("name", sorted(_PAST_TABLE))
     def test_exits_before_first_case(self, name, monkeypatch):
-        # with the ceiling just below the grown table, any read past it fails
+        # a fresh small table keeps every n_max here below the suites' own
+        # ceilings; with the table ceiling just below it, any read past it fails
+        table = PartitionTable()
+        table.ensure(100)
+        monkeypatch.setattr(exact, "_default_table", table)
         top = len(default_table())
         monkeypatch.setattr(exact, "TABLE_CEILING", top - 1)
 
-        def decide(*args):
+        def decide(*args, **kwargs):
             raise AssertionError("a case ran before the ceiling was checked")
 
-        monkeypatch.setattr(verify._Recorder, "check", decide)
-        monkeypatch.setattr(verify._Recorder, "fail", decide)
+        monkeypatch.setattr(verify._Sweep, "check", decide)
+        monkeypatch.setattr(verify._Sweep, "fail", decide)
         with pytest.raises(PreconditionError, match="table ceiling"):
             run_suite(name, n_max=_PAST_TABLE[name](top))
         assert len(default_table()) == top
+
+
+_CEILINGS = {
+    name: ceiling for name, (_, _, ceiling) in verify._SUITES.items() if ceiling is not None
+}
+
+
+class TestSuiteCeiling:
+    @pytest.mark.parametrize("name", sorted(_CEILINGS))
+    def test_exits_before_first_case(self, name, monkeypatch):
+        top = len(default_table())
+
+        def decide(*args, **kwargs):
+            raise AssertionError("a case ran before the suite ceiling was checked")
+
+        monkeypatch.setattr(verify._Sweep, "check", decide)
+        monkeypatch.setattr(verify._Sweep, "fail", decide)
+        ceiling = _CEILINGS[name]
+        with pytest.raises(PreconditionError, match=f"{name} requires n_max <= {ceiling} "):
+            run_suite(name, n_max=ceiling + 1)
+        assert len(default_table()) == top
+
+    def test_ceilings_cover_default_and_benchmark_ranges(self):
+        for name, ceiling in _CEILINGS.items():
+            assert ceiling >= max(verify._SUITES[name][1], 150), name
+
+
+def _capped(j_top, j_max):
+    return j_top if j_max is None else min(j_top, j_max)
+
+
+class TestClosedFormCounts:
+    # each distinct key counts the index tuples it stands for; these count
+    # the tuples themselves, by the nested loops the keys replace
+
+    @pytest.mark.parametrize("j_max", [None, 0, 1, 3])
+    @pytest.mark.parametrize("n_max", [20, 41, 90])
+    def test_rademacher_pairs(self, n_max, j_max):
+        prop_top = 3 * n_max // 2
+        pairs = sum(
+            1
+            for n in range(1, prop_top + 1)
+            for j in range(0, _capped(prop21_j_top(n), j_max) + 1)
+            if n - j >= 2
+        )
+        report = run_suite("rademacher", n_max=n_max, j_max=j_max)
+        assert report.passed
+        assert report.cases == n_max + pairs
+
+    @pytest.mark.parametrize("n_max", [70, 71, 150, 151])
+    def test_krank_triples(self, n_max):
+        triples = [
+            (k, m, n)
+            for k in range(1, 6)
+            for n in range(2 * k + 33, n_max + 1)
+            for m in range(n // 2 + 1, n - k - 16 + 1)
+        ]
+        counts = sum(n + 1 - n // 2 for n in range(4, 31))
+        report = run_suite("krank", n_max=n_max)
+        assert report.passed
+        assert report.cases == counts + 2 * len(triples)
+        shifts = {n - k - m for k, m, n in triples}
+        assert report.info["distinct_differences"] == len(shifts)
+
+
+class TestFailureMessages:
+    def test_ratio_escape_names_point_margin_and_precision(self, monkeypatch):
+        passing = run_suite("containment-ratio", n_max=30)
+        real = verify.ratio_interval
+
+        def escaping(n, j, prec):
+            est = real(n, j, prec)
+            if (n, j) == (20, 1):
+                return dataclasses.replace(est, product=Enclosure.from_exact(2, prec))
+            return est
+
+        monkeypatch.setattr(verify, "ratio_interval", escaping)
+        report = run_suite("containment-ratio", n_max=30)
+        margin = float(Fraction(p_exact(19), p_exact(20)) - 2)
+        assert report.failures == [
+            f"ratio(20, 1): exact value escapes the enclosure, margin {margin:.3e} at 128 bits"
+        ]
+        assert report.cases == passing.cases
+
+    def test_krank_escape_names_key_multiplicity_and_precision(self, monkeypatch):
+        passing = run_suite("krank", n_max=70)
+        real = verify.krank_ratio_interval
+
+        def escaping(k, m, n, prec):
+            if n - k - m == 20:
+                return Enclosure.from_exact(2, prec)
+            return real(k, m, n, prec)
+
+        monkeypatch.setattr(verify, "krank_ratio_interval", escaping)
+        report = run_suite("krank", n_max=70)
+        triples = sum(
+            1
+            for k in range(1, 6)
+            for n in range(2 * k + 33, 71)
+            for m in range(n // 2 + 1, n - k - 16 + 1)
+            if n - k - m == 20
+        )
+        count = p_exact(21) - p_exact(20)
+        margin = float(Fraction(count, p_exact(21)) - 2)
+        assert report.failures == [
+            f"rank ratio at ell' = 20 not contained, margin {margin:.3e} at 128 bits "
+            f"({triples} triples (k, m, n), first (1, 22, 43))"
+        ]
+        assert report.cases == passing.cases
 
 
 class TestOneDecision:
