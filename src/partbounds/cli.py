@@ -38,7 +38,7 @@ from .reports import (
     optional_float,
     write_csv,
 )
-from .verify import SUITE_NAMES, run_suite
+from .verify import J_MAX_SUITES, SUITE_NAMES, run_suite
 
 PRECISION_ENV = "PARTBOUNDS_PRECISION"
 # Largest working precision accepted, in bits (about 1233 decimal digits).
@@ -191,7 +191,9 @@ def _cmd_verify(args: argparse.Namespace) -> _Handled:
         run_suite(
             name,
             n_max=args.n_max,
-            j_max=args.j_max,
+            # `all` restricts the suites that read j_max; one suite that
+            # reads none is refused by run_suite
+            j_max=None if args.suite == "all" and name not in J_MAX_SUITES else args.j_max,
             prec=prec,
             seed=args.seed,
             case=args.case if name == "inequalities" else None,

@@ -5,11 +5,14 @@ rationals only, no floating point.  The partition counter p(n) is computed
 by the pentagonal-number recurrence and memoized in a growable table; the
 slower counting routines (bounded-largest-part recursion, part-avoiding
 recursion, literal enumeration) are kept deliberately independent so they
-can serve as oracles for the fast path.
+can serve as oracles for the fast path.  Literal enumeration builds each
+partition from the previous one in place, and Dyson ranks are tallied from
+one such enumeration per n.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -189,19 +192,42 @@ def enumerate_partitions(n: int, max_part: int | None = None):
 
 
 def _partitions(n, max_part):
+    # reverse lexicographic order, each partition made from the previous one
+    # in place (Knuth, TAOCP 7.2.1.4): the last part x > 1 and the ones after
+    # it are replaced by parts of at most x - 1 with the same sum, largest first
     if n == 0:
         yield ()
         return
-    for first in range(min(max_part, n), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
+    top = min(max_part, n)
+    if top < 1:
+        return
+    parts = [top] * (n // top)
+    if n % top:
+        parts.append(n % top)
+    while True:
+        yield tuple(parts)
+        first_one = parts.index(1) if parts[-1] == 1 else len(parts)
+        if first_one == 0:
+            return
+        size = parts[first_one - 1] - 1
+        q, r = divmod(len(parts) - first_one + size + 1, size)
+        del parts[first_one - 1:]
+        parts += [size] * q
+        if r:
+            parts.append(r)
 
 
 def dyson_rank_count(n: int, m: int) -> int:
     """Number of partitions of n whose rank (largest part minus number of
-    parts) equals m, by literal enumeration."""
+    parts) equals m, read from a tally of the ranks of one literal
+    enumeration of the partitions of n."""
     if n < 1:
         raise PreconditionError("requires n >= 1")
     if n > 40:
         raise PreconditionError("rank enumeration requires n <= 40")
-    return sum(1 for parts in enumerate_partitions(n) if parts[0] - len(parts) == m)
+    return _rank_tally(n)[m]
+
+
+@lru_cache(maxsize=41)  # one tally for each n <= 40
+def _rank_tally(n: int) -> Counter:
+    return Counter(parts[0] - len(parts) for parts in _partitions(n, n))

@@ -9,10 +9,10 @@ processes.  Its cases are dispatched longest first, one at a time, and the
 results are reassembled in registry order, so parallel and sequential runs
 produce identical reports.
 
-Where an enclosure depends on its indices only through one key (m = n - j
-for the one-term truncation, ell' = n - k - m for the k-rank estimates),
-each distinct key is decided once and counts, by a closed form, every
-index tuple it stands for.
+Where a checked value depends on its indices only through one key (m = n - j
+for the one-term truncation, ell' = n - k - m for the k-rank estimates,
+n mod k for A_k(n)), each distinct key is decided once and counts, by a
+closed form, every index tuple it stands for.
 """
 
 from __future__ import annotations
@@ -161,17 +161,21 @@ def _suite_oracles(sweep: _Sweep) -> Dict[str, Any]:
             ) / 12
             sweep.check(lhs == rhs, "reciprocity fails at (h, k) = (%d, %d)", h, k)
 
+    # A_k(n) depends on n only through r = n mod k, so each (k, r) is
+    # decided once and counts the (200 - r) // k + 1 values n <= 200 it stands for
     residue_bound = Fraction(1, 2**64)
     max_residue = Fraction(0)
     for k in range(1, 51):
-        for n in range(0, 201):
-            amp = abs(to_fraction(kloosterman_A(k, n, sweep.prec)))
-            residue = abs(to_fraction(kloosterman_imag_residue(k, n, sweep.prec)))
+        for r in range(k):
+            amp = abs(to_fraction(kloosterman_A(k, r, sweep.prec)))
+            residue = abs(to_fraction(kloosterman_imag_residue(k, r, sweep.prec)))
             max_residue = max(max_residue, residue)
+            count = (200 - r) // k + 1
             sweep.check(
                 amp <= k and residue < residue_bound,
-                "A_%d(%d): |A| = %.3f (cap %d), residue = %.3e",
-                k, n, amp, k, residue,
+                "A_%d(n) for n = %d mod %d: |A| = %.3f (cap %d), residue = %.3e at %d bits "
+                "(%d values of n <= 200, first %d)",
+                k, r, k, amp, k, residue, sweep.prec, count, r, count=count,
             )
 
     rel_bound = Fraction(1, 10**15)
@@ -548,6 +552,9 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+# the suites whose ranges --j-max restricts; the others never read it
+J_MAX_SUITES = ("rademacher", "containment-ratio", "containment-fjn", "convexity", "nonkary")
+
 
 def run_suite(
     name: str,
@@ -574,6 +581,9 @@ def run_suite(
         raise PreconditionError(f"suite {name} requires n_max <= {ceiling} (suite ceiling)")
     if j_max is not None and j_max < 0:
         raise PreconditionError("requires j_max >= 0")
+    if j_max is not None and name not in J_MAX_SUITES:
+        raise PreconditionError(f"suite {name} reads no j_max; --j-max applies to "
+                                f"{', '.join(J_MAX_SUITES)}")
     sweep = _Sweep(
         n_max=default_n_max if n_max is None else n_max,
         j_max=j_max,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from partbounds import cli, verify
 from partbounds.cli import MAX_PRECISION, main
 from partbounds.exact import TABLE_CEILING, default_table, f_jn, p_exact
+from partbounds.reports import SuiteReport
 
 GOLDEN = Path(__file__).resolve().parents[1] / "docs" / "golden"
 
@@ -213,6 +214,29 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "bogus"])
         assert exc.value.code == 2
+
+    def test_j_max_for_suite_that_reads_none_is_usage_error(self, capsys):
+        code, captured = run(capsys, "verify", "krank", "--n-max", "40", "--j-max", "0")
+        assert code == 2
+        assert "suite krank reads no j_max" in captured.err
+        assert captured.out == ""
+
+    def test_all_passes_j_max_only_to_suites_that_read_it(self, capsys, monkeypatch):
+        calls = {}
+
+        def record(name, **kwargs):
+            calls[name] = kwargs
+            return SuiteReport(suite=name, cases=1, failures=[], info={}, rows=[],
+                               seconds=0.0)
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        code, doc = run_json(capsys, "verify", "all", "--n-max", "20", "--j-max", "1")
+        assert code == 0
+        assert doc["parameters"]["j_max"] == 1
+        assert list(calls) == list(verify.SUITE_NAMES)
+        assert {name: kwargs["j_max"] for name, kwargs in calls.items()} == {
+            name: 1 if name in verify.J_MAX_SUITES else None for name in verify.SUITE_NAMES
+        }
 
     def test_all_runs_every_suite(self, capsys):
         # 17 is the least n_max at which every suite decides a case

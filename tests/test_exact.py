@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from partbounds.errors import PreconditionError
 from partbounds.exact import (
+    LISTING_BOUND,
     TABLE_CEILING,
     PartitionTable,
+    _partitions,
+    _rank_tally,
     delta_r_j_direct,
     dyson_rank_count,
     enumerate_partitions,
@@ -172,12 +175,12 @@ def test_enumerate_partitions_of_5():
 
 
 def test_enumerate_partitions_count_matches():
-    for n in range(13):
+    for n in range(LISTING_BOUND + 1):
         assert sum(1 for _ in enumerate_partitions(n)) == p_exact(n)
 
 
 def test_dyson_rank_counts_sum_to_p():
-    for n in (4, 7, 11):
+    for n in range(1, 41):
         total = sum(dyson_rank_count(n, m) for m in range(-(n + 1), n + 1))
         assert total == p_exact(n)
 
@@ -185,6 +188,41 @@ def test_dyson_rank_counts_sum_to_p():
 def test_dyson_rank_spot():
     # rank 3 partitions of 4: only (4) with rank 4-1=3
     assert dyson_rank_count(4, 3) == 1
+
+
+def _recursive_partitions(n, max_part):
+    # the recursive generator the iterative one replaced, kept as its reference
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(max_part, n), 0, -1):
+        for rest in _recursive_partitions(n - first, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_partitions_match_recursive_order(n):
+    for max_part in (None, -1, 0, 1, 2, n // 2, n, n + 3):
+        bound = n if max_part is None else min(max_part, n)
+        expected = list(_recursive_partitions(n, bound))
+        assert list(enumerate_partitions(n, max_part)) == expected, max_part
+        if max_part is not None:
+            assert list(_partitions(n, max_part)) == expected, max_part
+
+
+def test_rank_counts_match_per_m_literal_count():
+    for n in range(1, 26):
+        listed = list(_recursive_partitions(n, n))
+        for m in range(-n - 2, n + 2):
+            expected = sum(1 for parts in listed if parts[0] - len(parts) == m)
+            assert dyson_rank_count(n, m) == expected, (n, m)
+
+
+def test_repeated_rank_count_is_cache_hit():
+    dyson_rank_count(17, 2)
+    hits = _rank_tally.cache_info().hits
+    assert dyson_rank_count(17, 3) == dyson_rank_count(17, 3)
+    assert _rank_tally.cache_info().hits == hits + 2
 
 
 def test_shifted_index():

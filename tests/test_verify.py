@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from partbounds import exact, inequalities, verify
-from partbounds.enclosure import Enclosure
+from partbounds.enclosure import DEFAULT_PRECISION, Enclosure
 from partbounds.errors import PreconditionError
 from partbounds.estimates import fjn_j_top, prop21_j_top, ratio_j_top
 from partbounds.exact import PartitionTable, default_table, p_exact
@@ -77,6 +77,15 @@ class TestRunSuite:
     def test_negative_bounds_rejected(self, bound):
         with pytest.raises(PreconditionError, match=f"{bound} >= 0"):
             run_suite("containment-ratio", **{bound: -5})
+
+    @pytest.mark.parametrize("name", ["oracles", "krank", "inequalities"])
+    def test_j_max_refused_where_not_read(self, name, monkeypatch):
+        def decide(*args, **kwargs):
+            raise AssertionError("a case ran with a j_max the suite ignores")
+
+        monkeypatch.setattr(verify._Sweep, "check", decide)
+        with pytest.raises(PreconditionError, match=f"suite {name} reads no j_max"):
+            run_suite(name, n_max=20, j_max=0)
 
     def test_no_cases_is_not_passed(self):
         # no n in 14..13 to decide
@@ -260,6 +269,23 @@ class TestOracleSuite:
         assert report.info["reciprocity_pairs"] == 774
         assert report.info["max_kloosterman_residue"] < 2.0**-64
         assert report.info["max_bessel_rel_error"] <= 1e-15
+
+    def test_kloosterman_failure_names_residue_class(self, monkeypatch):
+        real = verify.kloosterman_A
+
+        def inflated(k, n, prec):
+            value = real(k, n, prec)
+            return value + 100 if (k, n % k) == (7, 3) else value
+
+        monkeypatch.setattr(verify, "kloosterman_A", inflated)
+        report = run_suite("oracles", n_max=10)
+        # 11 enumeration, 774 reciprocity, 50 * 201 Kloosterman and 10 Bessel cases
+        assert report.cases == 11 + 774 + 50 * 201 + 10
+        [message] = report.failures
+        # n = 3, 10, ..., 199 are the 29 values n <= 200 with n = 3 mod 7
+        assert message.startswith("A_7(n) for n = 3 mod 7: |A| = ")
+        assert "(cap 7)" in message and f" at {DEFAULT_PRECISION} bits " in message
+        assert message.endswith("(29 values of n <= 200, first 3)")
 
 
 class TestRademacherSuite:
