@@ -5,7 +5,8 @@ document with the exact quantity, its enclosure, and the containment flag;
 verify runs a named sweep (or all of them) and reports per-suite outcomes,
 optionally dumping per-case rows to CSV.  Exit codes: 0 all checks passed,
 1 a verification failed, 2 usage or precondition error (an input past a
-ceiling, a negative --n-max/--j-max, or an unwritable --json/--csv path).
+ceiling, a negative --n-max/--j-max, one for a suite that reads none, or an
+unwritable --json/--csv path).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
@@ -38,7 +40,7 @@ from .reports import (
     optional_float,
     write_csv,
 )
-from .verify import J_MAX_SUITES, SUITE_NAMES, run_suite
+from .verify import J_MAX_SUITES, N_MAX_SUITES, SUITE_NAMES, run_suite
 
 PRECISION_ENV = "PARTBOUNDS_PRECISION"
 # Largest working precision accepted, in bits (about 1233 decimal digits).
@@ -190,9 +192,9 @@ def _cmd_verify(args: argparse.Namespace) -> _Handled:
     reports = [
         run_suite(
             name,
-            n_max=args.n_max,
-            # `all` restricts the suites that read j_max; one suite that
-            # reads none is refused by run_suite
+            # `all` restricts the suites that read n_max or j_max; one suite
+            # that reads neither is refused by run_suite
+            n_max=None if args.suite == "all" and name not in N_MAX_SUITES else args.n_max,
             j_max=None if args.suite == "all" and name not in J_MAX_SUITES else args.j_max,
             prec=prec,
             seed=args.seed,
@@ -236,6 +238,7 @@ def _add_json_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@lru_cache(maxsize=1)  # built once per process; parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partbounds",
@@ -318,8 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         parameters, results, passed, rows = args.handler(args)

@@ -2,12 +2,19 @@
 
 Everything in this module is exact: arbitrary-precision integers and
 rationals only, no floating point.  The partition counter p(n) is computed
-by the pentagonal-number recurrence and memoized in a growable table; the
-slower counting routines (bounded-largest-part recursion, part-avoiding
-recursion, literal enumeration) are kept deliberately independent so they
-can serve as oracles for the fast path.  Literal enumeration builds each
-partition from the previous one in place, and Dyson ranks are tallied from
-one such enumeration per n.
+by Euler's pentagonal-number recurrence
+
+    p(m) = sum_{k >= 1} (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)]
+
+and memoized in a growable table.  Each growth lists the generalized
+pentagonal offsets g up to its target once, split by sign, so every new
+entry is the sum of p(m - g) over the positive offsets g <= m less the same
+sum over the negative ones.  The slower counting routines
+(bounded-largest-part recursion, part-avoiding recursion, literal
+enumeration) are kept deliberately independent so they can serve as
+oracles for the fast path.  Literal enumeration builds each partition from
+the previous one in place, and Dyson ranks are tallied from one such
+enumeration per n.
 """
 
 from __future__ import annotations
@@ -47,21 +54,20 @@ class PartitionTable:
         if n > TABLE_CEILING:
             raise PreconditionError(f"requires n <= {TABLE_CEILING} (partition table ceiling)")
         vals = self._values
-        while len(vals) <= n:
-            m = len(vals)
-            total = 0
-            k = 1
-            while True:
-                g = k * (3 * k - 1) // 2
-                if g > m:
-                    break
-                term = vals[m - g]
-                g += k  # second pentagonal number k(3k+1)/2
-                if g <= m:
-                    term += vals[m - g]
-                total += term if (k & 1) else -term
-                k += 1
-            vals.append(total)
+        # generalized pentagonal numbers k(3k-1)/2, k(3k+1)/2 in ascending
+        # order; the terms of k = 1, 3, 5, ... enter with sign +, the others -
+        offsets = []
+        k = 1
+        while (g := k * (3 * k - 1) // 2) <= n:
+            offsets += (g, g + k)
+            k += 1
+        plus, minus = [], []  # the offsets g <= m of each sign
+        active = 0
+        for m in range(len(vals), n + 1):
+            while active < len(offsets) and offsets[active] <= m:
+                (minus if active & 2 else plus).append(offsets[active])
+                active += 1
+            vals.append(sum([vals[m - g] for g in plus]) - sum([vals[m - g] for g in minus]))
 
     def p(self, m: int) -> int:
         """p(m), with p(m) = 0 for m < 0."""

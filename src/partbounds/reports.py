@@ -87,7 +87,10 @@ class ReportDocument:
     version: str = __version__
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2)
+        # a shallow mapping: dataclasses.asdict would deep-copy the results
+        # first, and json.dumps writes the same bytes from either
+        fields = dataclasses.fields(self)
+        return json.dumps({field.name: getattr(self, field.name) for field in fields}, indent=2)
 
 
 @dataclasses.dataclass

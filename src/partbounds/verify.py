@@ -552,7 +552,8 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# the suites whose ranges --j-max restricts; the others never read it
+# the suites whose ranges --n-max and --j-max restrict; the others never read them
+N_MAX_SUITES = tuple(name for name, (_, default, _) in _SUITES.items() if default is not None)
 J_MAX_SUITES = ("rademacher", "containment-ratio", "containment-fjn", "convexity", "nonkary")
 
 
@@ -567,7 +568,8 @@ def run_suite(
     collect_rows: bool = False,
 ) -> SuiteReport:
     """Run one named sweep and return its report.  n_max None takes the
-    suite's default range; one past the suite's ceiling exits before any case."""
+    suite's default range; one past the suite's ceiling, or any n_max or
+    j_max for a suite that reads none, exits before any case."""
     if name not in _SUITES:
         raise PreconditionError(
             f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
@@ -584,6 +586,9 @@ def run_suite(
     if j_max is not None and name not in J_MAX_SUITES:
         raise PreconditionError(f"suite {name} reads no j_max; --j-max applies to "
                                 f"{', '.join(J_MAX_SUITES)}")
+    if n_max is not None and name not in N_MAX_SUITES:
+        raise PreconditionError(f"suite {name} reads no n_max; --n-max applies to "
+                                f"{', '.join(N_MAX_SUITES)}")
     sweep = _Sweep(
         n_max=default_n_max if n_max is None else n_max,
         j_max=j_max,

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partbounds import cli, verify
+from partbounds import __version__, cli, verify
 from partbounds.cli import MAX_PRECISION, main
+from partbounds.enclosure import DEFAULT_PRECISION
 from partbounds.exact import TABLE_CEILING, default_table, f_jn, p_exact
 from partbounds.reports import SuiteReport
 
@@ -238,6 +239,31 @@ class TestVerifyCommand:
             name: 1 if name in verify.J_MAX_SUITES else None for name in verify.SUITE_NAMES
         }
 
+    def test_n_max_for_suite_that_reads_none_is_usage_error(self, capsys):
+        code, captured = run(
+            capsys, "verify", "inequalities", "--case", "geometric-series-100", "--n-max", "5"
+        )
+        assert code == 2
+        assert "suite inequalities reads no n_max" in captured.err
+        assert captured.out == ""
+
+    def test_all_passes_n_max_only_to_suites_that_read_it(self, capsys, monkeypatch):
+        calls = {}
+
+        def record(name, **kwargs):
+            calls[name] = kwargs
+            return SuiteReport(suite=name, cases=1, failures=[], info={}, rows=[],
+                               seconds=0.0)
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        code, doc = run_json(capsys, "verify", "all", "--n-max", "20")
+        assert code == 0
+        assert doc["parameters"]["n_max"] == 20
+        assert list(calls) == list(verify.SUITE_NAMES)
+        assert {name: kwargs["n_max"] for name, kwargs in calls.items()} == {
+            name: None if name == "inequalities" else 20 for name in verify.SUITE_NAMES
+        }
+
     def test_all_runs_every_suite(self, capsys):
         # 17 is the least n_max at which every suite decides a case
         code, doc = run_json(
@@ -343,6 +369,59 @@ class TestPrecisionResolution:
     def test_floor(self, capsys):
         code, captured = run(capsys, "ratio", "100", "1", "--precision", "8")
         assert code == 2
+
+
+class TestCachedParser:
+    """main parses every call with one parser; nothing of a call survives it."""
+
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_oracle_flag_does_not_persist(self, capsys):
+        code, doc = run_json(capsys, "exact", "30", "--oracle")
+        assert code == 0
+        assert doc["results"]["enumeration"] == "5604"
+        code, doc = run_json(capsys, "exact", "30")
+        assert code == 0
+        assert doc["parameters"]["oracle"] is False
+        assert "enumeration" not in doc["results"]
+
+    def test_json_path_does_not_persist(self, capsys, tmp_path):
+        target = tmp_path / "ratio.json"
+        code, doc = run_json(capsys, "ratio", "100", "2", "--json", str(target))
+        assert code == 0
+        assert json.loads(target.read_text()) == doc
+        target.unlink()
+        code, _ = run(capsys, "ratio", "100", "2")
+        assert code == 0
+        assert not target.exists()
+
+    def test_precision_flag_does_not_persist(self, capsys, monkeypatch):
+        # a flag, then none: the environment decides, and without it the
+        # default, which differs from the flag given before it
+        monkeypatch.setenv("PARTBOUNDS_PRECISION", "160")
+        _, doc = run_json(capsys, "ratio", "100", "1", "--precision", "128")
+        assert doc["parameters"]["precision"] == 128
+        _, doc = run_json(capsys, "ratio", "100", "1")
+        assert doc["parameters"]["precision"] == 160
+        monkeypatch.delenv("PARTBOUNDS_PRECISION")
+        _, doc = run_json(capsys, "ratio", "100", "1", "--precision", "96")
+        assert doc["parameters"]["precision"] == 96
+        _, doc = run_json(capsys, "ratio", "100", "1")
+        assert doc["parameters"]["precision"] == DEFAULT_PRECISION
+
+    def test_usage_error_then_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ratio", "x", "1"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == f"partbounds {__version__}"
+        code, doc = run_json(capsys, "exact", "14")
+        assert code == 0
+        assert doc["results"]["p"] == "135"
 
 
 class TestGoldenDocuments:

@@ -60,6 +60,37 @@ def test_table_ceiling():
     assert len(t) == 1
 
 
+def _pentagonal_steps(top):
+    """Growth targets on, and one either side of, each generalized pentagonal
+    number k(3k -+ 1)/2 up to top, with irregular gaps between them."""
+    steps = set()
+    k = 1
+    while k * (3 * k - 1) // 2 <= top:
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            steps.update(s for s in (g - 1, g, g + 1, g + k % 7 + 3) if 0 <= s <= top)
+        k += 1
+    return sorted(steps | {top})
+
+
+def test_growth_in_irregular_steps_matches_series():
+    # the series is built by repeated division, never the pentagonal identity
+    t = PartitionTable()
+    for step in _pentagonal_steps(1500):
+        t.ensure(step)
+        assert len(t) == step + 1
+    assert [t.p(n) for n in range(1501)] == series_delta_coeffs(1, 0, 1500)
+
+
+def test_one_shot_growth_equals_stepwise():
+    one_shot = PartitionTable()
+    one_shot.ensure(20_000)
+    stepwise = PartitionTable()
+    for step in [*range(0, 20_000, 997), 20_000]:
+        stepwise.ensure(step)
+    assert len(stepwise) == len(one_shot) == 20_001
+    assert all(stepwise.p(n) == one_shot.p(n) for n in range(20_001))
+
+
 def test_p_monotone():
     for n in range(1, 2000):
         assert p_exact(n) >= p_exact(n - 1)

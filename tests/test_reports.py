@@ -1,11 +1,13 @@
+import copy
 import csv
+import dataclasses
 import decimal
 import json
 from fractions import Fraction
 
 import pytest
 
-from partbounds import __version__
+from partbounds import __version__, cli
 from partbounds.enclosure import Enclosure, exact_decimal
 from partbounds.reports import (
     ReportDocument,
@@ -105,6 +107,20 @@ class TestReportDocument:
         assert data["results"]["p"] == "135"
         assert data["version"] == __version__
         assert data["exit_code"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["ratio", "100", "2"],
+        ["krank", "--k", "2", "--m", "60", "--n", "100"],
+        ["verify", "krank", "--n-max", "40"],
+    ], ids=lambda argv: argv[0])
+    def test_to_json_matches_asdict_without_mutating(self, argv):
+        args = cli._build_parser().parse_args(argv)
+        parameters, results, passed, _ = args.handler(args)
+        doc = ReportDocument(command=args.command, parameters=parameters, results=results,
+                             passed=passed, exit_code=0, seconds=0.5)
+        before = copy.deepcopy(doc.results)
+        assert doc.to_json() == json.dumps(dataclasses.asdict(doc), indent=2)
+        assert doc.results == before
 
 
 class TestSuiteReport:

@@ -87,6 +87,10 @@ class TestRunSuite:
         with pytest.raises(PreconditionError, match=f"suite {name} reads no j_max"):
             run_suite(name, n_max=20, j_max=0)
 
+    def test_n_max_refused_where_not_read(self):
+        with pytest.raises(PreconditionError, match="suite inequalities reads no n_max"):
+            run_suite("inequalities", n_max=5, case="geometric-series-100")
+
     def test_no_cases_is_not_passed(self):
         # no n in 14..13 to decide
         report = run_suite("containment-ratio", n_max=13)
