@@ -5,8 +5,8 @@ document with the exact quantity, its enclosure, and the containment flag;
 verify runs a named sweep (or all of them) and reports per-suite outcomes,
 optionally dumping per-case rows to CSV.  Exit codes: 0 all checks passed,
 1 a verification failed, 2 usage or precondition error (an input past a
-ceiling, a negative --n-max/--j-max, one for a suite that reads none, or an
-unwritable --json/--csv path).
+ceiling, a negative --n-max/--j-max, an --n-max, --j-max or --seed for a
+suite that reads none, or an unwritable --json/--csv path).
 """
 
 from __future__ import annotations
@@ -192,12 +192,12 @@ def _cmd_verify(args: argparse.Namespace) -> _Handled:
     reports = [
         run_suite(
             name,
-            # `all` restricts the suites that read n_max or j_max; one suite
-            # that reads neither is refused by run_suite
+            # `all` restricts the suites that read n_max, j_max or the seed;
+            # one suite that reads none of them is refused by run_suite
             n_max=None if args.suite == "all" and name not in N_MAX_SUITES else args.n_max,
             j_max=None if args.suite == "all" and name not in J_MAX_SUITES else args.j_max,
             prec=prec,
-            seed=args.seed,
+            seed=None if args.suite == "all" and name != "inequalities" else args.seed,
             case=args.case if name == "inequalities" else None,
             collect_rows=collect,
         )
@@ -211,7 +211,7 @@ def _cmd_verify(args: argparse.Namespace) -> _Handled:
         "n_max": args.n_max,
         "j_max": args.j_max,
         "precision": prec,
-        "seed": args.seed,
+        "seed": DEFAULT_SEED if args.seed is None else args.seed,
         "case": args.case,
     }
     results = {"suites": [report.summary() for report in reports]}
@@ -306,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("suite", choices=SUITE_NAMES + ("all",))
     cmd.add_argument("--n-max", type=int, default=None, metavar="N")
     cmd.add_argument("--j-max", type=int, default=None, metavar="J")
-    cmd.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    cmd.add_argument("--seed", type=int, default=None)
     cmd.add_argument(
         "--case", default=None, help="restrict the inequalities suite to one case"
     )

@@ -23,8 +23,10 @@ against each enclosure.
 
 The license windows are enforced on exact integers: j < sqrt(N)/2 is
 equivalent to 4j^2 < n, j < sqrt(N)/4 to 16j^2 < n, and j <= sqrt(N) to
-j^2 < n, because 24 j^2 multiples can never equal 24n - 1.  The *_j_top
-functions below are the one source of these windows.
+j^2 < n, because 24 j^2 multiples can never equal 24n - 1.  ratio_j_top and
+fjn_j_top below are the one source of the first two windows; the j^2 < n
+window lives in verify's rademacher suite, which counts the pairs (n, j)
+behind each key m = n - j in closed form.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ __all__ = [
     "krank_diff_interval",
     "krank_ratio_interval",
     "nonkary_diff_check",
-    "prop21_j_top",
     "ratio_interval",
     "ratio_j_top",
     "shifted_terms",
@@ -86,11 +87,6 @@ def ratio_j_top(n: int) -> int:
 def fjn_j_top(n: int) -> int:
     """Largest j with 16j^2 < n (second-difference license)."""
     return math.isqrt((n - 1) // 16)
-
-
-def prop21_j_top(n: int) -> int:
-    """Largest j with j^2 < n (one-term truncation license)."""
-    return math.isqrt(n - 1)
 
 
 def fjn_licensed(n: int, j: int) -> bool:
@@ -125,8 +121,6 @@ class CertificateKind(Enum):
 
 @dataclass(frozen=True)
 class ConvexityCertificate:
-    n: int
-    j: int
     holds: bool
     kind: CertificateKind
 
@@ -138,9 +132,6 @@ class ConvexityCertificate:
 class MapCheck:
     """Outcome of exercising the shift map on enumerated partitions."""
 
-    n: int
-    j: int
-    ell: int
     domain_size: int
     injective: bool
     preserves_avoidance: bool
@@ -173,6 +164,11 @@ def shifted_terms(n: int, prec: int) -> SimpleNamespace:
     )
 
 
+def _decay(t: SimpleNamespace, j: int, prec: int) -> Enclosure:
+    # e^{-pi j/sqrt(6N)}, the main term every estimate shares
+    return (-(constants(prec).pi * j / t.sqrt6_sqrtN)).exp()
+
+
 def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> RatioEstimate:
     """Enclosure of p(n-j)/p(n) for n >= 14, 0 <= j < sqrt(N)/2.
 
@@ -188,7 +184,7 @@ def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> RatioEstima
         raise PreconditionError("requires j < sqrt(N)/2, i.e. 4j^2 < n")
     c = constants(prec)
     t = shifted_terms(n, prec)
-    expf = (-(c.pi * j / t.sqrt6_sqrtN)).exp()
+    expf = _decay(t, j, prec)
     center1 = (
         1
         + Fraction(j) / t.N
@@ -222,7 +218,7 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> FjnEsti
         raise PreconditionError("requires j < sqrt(N)/4, i.e. 16j^2 < n")
     c = constants(prec)
     t = shifted_terms(n, prec)
-    exp1 = (-(c.pi * j / t.sqrt6_sqrtN)).exp()
+    exp1 = _decay(t, j, prec)
     exp2 = exp1 * exp1
     jj = Fraction(2 * j) / t.N
     centerA = 1 + t.delta_c_over_sqrtN + jj - c.pi * j * j / t.sqrt6_N_sqrtN
@@ -258,7 +254,7 @@ def _analytic_convexity(n: int, j: int, prec: int) -> bool:
     second = Fraction(j) / t.N - 3 * c.pi * j * j / (4 * t.sqrt6_N_sqrtN)
     if not second.lo_fraction >= 0:
         return False
-    exp1 = (-(c.pi * j / t.sqrt6_sqrtN)).exp()
+    exp1 = _decay(t, j, prec)
     X = exp1 * exp1 - 2 * exp1
     return X.strictly_negative() and X.lo_fraction > -1
 
@@ -280,9 +276,8 @@ def convexity_certificate(
     if 2 * j > n:
         raise PreconditionError("requires 2j <= n")
     if fjn_licensed(n, j) and _analytic_convexity(n, j, prec):
-        return ConvexityCertificate(n=n, j=j, holds=True, kind=CertificateKind.ANALYTIC)
-    holds = f_jn(n, j) >= 0
-    return ConvexityCertificate(n=n, j=j, holds=holds, kind=CertificateKind.EXACT)
+        return ConvexityCertificate(holds=True, kind=CertificateKind.ANALYTIC)
+    return ConvexityCertificate(holds=f_jn(n, j) >= 0, kind=CertificateKind.EXACT)
 
 
 def krank_boundary_value(k: int, m: int, n: int) -> int:
@@ -324,7 +319,7 @@ def krank_ratio_interval(
 def _krank_ratio(lp: int, prec: int) -> Enclosure:
     # lp = n - k - m, and ell = lp + 23/24 is the shift of lp + 1
     t = shifted_terms(lp + 1, prec)
-    u = (-(constants(prec).pi / t.sqrt6_sqrtN)).exp()
+    u = _decay(t, 1, prec)
     f1 = (1 - t.sqrt3_over_sqrt_two_pi).plus_minus(KRANK_RATIO_RADIUS_1 / t.N)
     return 1 - u * f1 * t.bracket
 
@@ -347,7 +342,7 @@ def krank_diff_interval(
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def _krank_diff(lp: int, prec: int) -> Enclosure:
     t = shifted_terms(lp + 1, prec)
-    u = (-(constants(prec).pi / t.sqrt6_sqrtN)).exp()
+    u = _decay(t, 1, prec)
     termA = (1 + t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_A / t.N)
     termB = (2 + 2 * t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_B / t.N)
     return 1 + u * u * termA - u * termB
@@ -413,9 +408,6 @@ def injection_map_check(n: int, j: int, ell: int) -> MapCheck:
         all(a >= b for a, b in zip(img, img[1:])) for img in images
     )
     return MapCheck(
-        n=n,
-        j=j,
-        ell=ell,
         domain_size=len(domain),
         injective=len(set(images)) == len(domain),
         preserves_avoidance=all(j not in img for img in images),

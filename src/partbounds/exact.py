@@ -185,8 +185,9 @@ def _count_avoiding(n: int, k: int) -> int:
     return count(n, n)
 
 
-def enumerate_partitions(n: int, max_part: int | None = None):
-    """Yield all partitions of n as non-increasing tuples.
+def enumerate_partitions(n: int):
+    """Yield all partitions of n as non-increasing tuples, in reverse
+    lexicographic order from (n,) down to (1, ..., 1).
 
     Exponential output; guarded to keep accidental large calls out.
     """
@@ -194,22 +195,17 @@ def enumerate_partitions(n: int, max_part: int | None = None):
         raise PreconditionError("requires n >= 0")
     if n > LISTING_BOUND:
         raise PreconditionError(f"literal listing requires n <= {LISTING_BOUND}")
-    yield from _partitions(n, n if max_part is None else min(max_part, n))
+    yield from _partitions(n)
 
 
-def _partitions(n, max_part):
+def _partitions(n):
     # reverse lexicographic order, each partition made from the previous one
     # in place (Knuth, TAOCP 7.2.1.4): the last part x > 1 and the ones after
     # it are replaced by parts of at most x - 1 with the same sum, largest first
     if n == 0:
         yield ()
         return
-    top = min(max_part, n)
-    if top < 1:
-        return
-    parts = [top] * (n // top)
-    if n % top:
-        parts.append(n % top)
+    parts = [n]
     while True:
         yield tuple(parts)
         first_one = parts.index(1) if parts[-1] == 1 else len(parts)
@@ -236,4 +232,4 @@ def dyson_rank_count(n: int, m: int) -> int:
 
 @lru_cache(maxsize=41)  # one tally for each n <= 40
 def _rank_tally(n: int) -> Counter:
-    return Counter(parts[0] - len(parts) for parts in _partitions(n, n))
+    return Counter(parts[0] - len(parts) for parts in _partitions(n))

@@ -95,12 +95,9 @@ def _interval_sampler(lo: Fraction, hi: Fraction) -> Sampler:
         a = lo + span * _EDGE
         b = hi - span * _EDGE
         inner = b - a
-        if grid == 1:
-            yield (a,)
-        else:
-            step = inner / (grid - 1)
-            for i in range(grid):
-                yield (a + i * step,)
+        step = inner / (grid - 1)
+        for i in range(grid):
+            yield (a + i * step,)
         for _ in range(rand):
             yield (a + inner * Fraction(rng.getrandbits(53), 1 << 53),)
 
@@ -257,14 +254,18 @@ def _margin_collapse_131(point: Point, prec: int) -> Enclosure:
     return Fraction(131, 100) - value
 
 
+def _j_bracket(t, big_j: int, prec: int) -> Enclosure:
+    # J/N - pi J^2/(4 sqrt6 N^(3/2)), the j-part of the first ratio bracket
+    return Fraction(big_j) / t.N - constants(prec).pi * big_j**2 / (4 * t.sqrt6_N_sqrtN)
+
+
 def _margin_collapse_271(point: Point, prec: int) -> Enclosure:
     n, j = point
-    c = constants(prec)
     t = _terms(n, prec)
     b2 = -t.sqrt3_over_sqrt_two_pi
     worst = None
     for big_j in (j, 2 * j):
-        b1 = Fraction(big_j) / t.N - c.pi * big_j**2 / (4 * t.sqrt6_N_sqrtN)
+        b1 = _j_bracket(t, big_j, prec)
         err = _product_error(b1, Fraction(14, 25) / t.N, b2, Fraction(131, 100) / t.N)
         margin = Enclosure.from_exact(Fraction(271, 100) - t.N * err, prec)
         worst = _min_lo(worst, margin)
@@ -279,32 +280,27 @@ def _margin_collapse_1350(point: Point, prec: int) -> Enclosure:
     return 1350 - x * (h + 100 * s * s)
 
 
+def _bracket_product_error(n: int, big_j: int, prec: int) -> Tuple[Fraction, Fraction]:
+    """N and the error of (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N), where b2 is
+    the J-bracket less sqrt3/(sqrt(2 pi) sqrt N)."""
+    t = _terms(n, prec)
+    b2 = _j_bracket(t, big_j, prec) - t.sqrt3_over_sqrt_two_pi
+    err = _product_error(
+        t.sqrt3_over_pi_sqrt2, Fraction(1350) / t.N, b2, Fraction(271, 100) / t.N
+    )
+    return t.N, err
+
+
 def _margin_collapse_2075(point: Point, prec: int) -> Enclosure:
     n, j = point
-    c = constants(prec)
-    t = _terms(n, prec)
-    b1 = t.sqrt3_over_pi_sqrt2
-    b2 = (
-        Fraction(2 * j) / t.N
-        - c.pi * j**2 / t.sqrt6_N_sqrtN
-        - t.sqrt3_over_sqrt_two_pi
-    )
-    err = _product_error(b1, Fraction(1350) / t.N, b2, Fraction(271, 100) / t.N)
-    return Enclosure.from_exact(2075 - t.N * err, prec)
+    N, err = _bracket_product_error(n, 2 * j, prec)
+    return Enclosure.from_exact(2075 - N * err, prec)
 
 
 def _margin_collapse_3926(point: Point, prec: int) -> Enclosure:
     n, j = point
-    c = constants(prec)
-    t = _terms(n, prec)
-    b1 = t.sqrt3_over_pi_sqrt2
-    b2 = (
-        Fraction(j) / t.N
-        - c.pi * j**2 / (4 * t.sqrt6_N_sqrtN)
-        - t.sqrt3_over_sqrt_two_pi
-    )
-    err = _product_error(b1, Fraction(1350) / t.N, b2, Fraction(271, 100) / t.N)
-    return Enclosure.from_exact(3926 - 2 * t.N * err, prec)
+    N, err = _bracket_product_error(n, j, prec)
+    return Enclosure.from_exact(3926 - 2 * N * err, prec)
 
 
 def _bessel_halforder(y: Fraction, prec: int) -> Enclosure:
@@ -504,27 +500,17 @@ def _lookup(name: str) -> InequalityCase:
 
 
 def run_case(
-    case,
-    grid: Optional[int] = None,
-    rand: Optional[int] = None,
-    prec: int = DEFAULT_PRECISION,
-    seed: int = DEFAULT_SEED,
+    name: str, prec: int = DEFAULT_PRECISION, seed: int = DEFAULT_SEED
 ) -> InequalityResult:
-    """Sweep one case and report the worst margin enclosure lower endpoint."""
-    if isinstance(case, str):
-        case = _lookup(case)
-    grid = case.grid_points if grid is None else grid
-    rand = case.random_points if rand is None else rand
-    if grid < 1:
-        raise PreconditionError("requires grid >= 1")
-    if rand < 0:
-        raise PreconditionError("requires rand >= 0")
+    """Sweep the named case over its registered grid and random points and
+    report the worst margin enclosure lower endpoint."""
+    case = _lookup(name)
     rng = random.Random(seed)
     # raw lower endpoints compare exactly; only the worst becomes a Fraction
     worst = None
     worst_point: Point = ()
     count = 0
-    for point in case.sampler(grid, rand, rng):
+    for point in case.sampler(case.grid_points, case.random_points, rng):
         lo = case.margin(point, prec).lo
         count += 1
         if worst is None or libmp.mpf_lt(lo, worst):

@@ -114,6 +114,7 @@ def h_error(x, prec: int = DEFAULT_PRECISION) -> Enclosure:
     return first + second
 
 
+# ErrorBudget and proposition21_budget stay only for perfbench's tracer.
 @dataclass(frozen=True)
 class ErrorBudget:
     """Where the enclosure width comes from, split into its two sources."""

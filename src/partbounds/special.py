@@ -37,10 +37,8 @@ def mp_context(prec: int) -> MPContext:
 
 
 def to_fraction(x) -> Fraction:
-    """Exact rational value of an int, Fraction, float or mpf."""
+    """Exact rational value of an int, Fraction or mpf."""
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, float):
         return Fraction(x)
     if hasattr(x, "_mpf_"):
         return fraction_from_raw(x._mpf_)

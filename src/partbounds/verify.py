@@ -563,13 +563,14 @@ def run_suite(
     n_max: Optional[int] = None,
     j_max: Optional[int] = None,
     prec: int = DEFAULT_PRECISION,
-    seed: int = DEFAULT_SEED,
+    seed: Optional[int] = None,
     case: Optional[str] = None,
     collect_rows: bool = False,
 ) -> SuiteReport:
     """Run one named sweep and return its report.  n_max None takes the
-    suite's default range; one past the suite's ceiling, or any n_max or
-    j_max for a suite that reads none, exits before any case."""
+    suite's default range, seed None the registry's DEFAULT_SEED; one past
+    the suite's ceiling, or any n_max, j_max or seed for a suite that reads
+    none, exits before any case."""
     if name not in _SUITES:
         raise PreconditionError(
             f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
@@ -589,11 +590,13 @@ def run_suite(
     if n_max is not None and name not in N_MAX_SUITES:
         raise PreconditionError(f"suite {name} reads no n_max; --n-max applies to "
                                 f"{', '.join(N_MAX_SUITES)}")
+    if seed is not None and name != "inequalities":
+        raise PreconditionError(f"suite {name} reads no seed; --seed applies to inequalities")
     sweep = _Sweep(
         n_max=default_n_max if n_max is None else n_max,
         j_max=j_max,
         prec=prec,
-        seed=seed,
+        seed=DEFAULT_SEED if seed is None else seed,
         case=case,
         rows=[] if collect_rows else None,
     )

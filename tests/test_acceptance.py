@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from partbounds.estimates import fjn_j_top, prop21_j_top, ratio_j_top
+from partbounds.estimates import fjn_j_top, ratio_j_top
 from partbounds.reports import SuiteReport
 from partbounds.verify import BESSEL_GRID, run_suite
 
@@ -50,7 +50,7 @@ CASES = {
     # p(0..60), coprime h <= k <= 50, A_k(n) for k <= 50 and n <= 200, the grid
     "oracles": 61 + RECIPROCITY_PAIRS + 50 * 201 + len(BESSEL_GRID),
     # rounds of 1..2000, then n <= 3000 with j^2 < n and n - j >= 2
-    "rademacher": 2000 + sum(min(prop21_j_top(n), n - 2) + 1 for n in range(2, 3001)),
+    "rademacher": 2000 + sum(min(math.isqrt(n - 1), n - 2) + 1 for n in range(2, 3001)),
     "containment-ratio": sum(ratio_j_top(n) + 1 for n in range(14, 5001)),
     "containment-fjn": sum(fjn_j_top(n) for n in range(14, 5001)),
     # exact block n <= 13, licensed block, shift triples but (1, 1, 1), maps

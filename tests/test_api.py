@@ -1,7 +1,8 @@
-"""Every exported name resolves, so deletions leave no stale exports, every
-name the benchmark's tracer patches still exists, and no module-level memo
-grows without bound."""
+"""Every exported name resolves and every imported name is used, so
+deletions leave no stale exports or imports, every name the benchmark's
+tracer patches still exists, and no module-level memo grows without bound."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -22,6 +23,30 @@ def test_all_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_no_stale_imports():
+    stale = []
+    for path in sorted(Path(partbounds.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        stale += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used | exported]
+    assert not stale
 
 
 def test_tracer_patches_and_restores_its_names():

@@ -264,6 +264,30 @@ class TestVerifyCommand:
             name: None if name == "inequalities" else 20 for name in verify.SUITE_NAMES
         }
 
+    def test_seed_for_suite_that_reads_none_is_usage_error(self, capsys):
+        code, captured = run(capsys, "verify", "krank", "--n-max", "40", "--seed", "5")
+        assert code == 2
+        assert "suite krank reads no seed" in captured.err
+        assert captured.out == ""
+
+    def test_all_passes_seed_only_to_inequalities(self, capsys, monkeypatch):
+        calls = {}
+
+        def record(name, **kwargs):
+            calls[name] = kwargs
+            return SuiteReport(suite=name, cases=1, failures=[], info={}, rows=[],
+                               seconds=0.0)
+
+        monkeypatch.setattr(cli, "run_suite", record)
+        code, doc = run_json(capsys, "verify", "all", "--n-max", "20", "--seed", "5")
+        assert code == 0
+        assert doc["parameters"]["seed"] == 5
+        assert {name: kwargs["seed"] for name, kwargs in calls.items()} == {
+            name: 5 if name == "inequalities" else None for name in verify.SUITE_NAMES
+        }
+        run_json(capsys, "verify", "all", "--n-max", "20")
+        assert all(kwargs["seed"] is None for kwargs in calls.values())
+
     def test_all_runs_every_suite(self, capsys):
         # 17 is the least n_max at which every suite decides a case
         code, doc = run_json(
@@ -493,4 +517,50 @@ def test_single_value_argv_exits_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2), (argv, sink.getvalue())
     # a refused index past the ceiling must not grow the table first
+    assert len(default_table()) <= max(size, 12_001), argv
+
+
+# -- argv fuzzing of verify ----------------------------------------------------
+#
+# Every n_max above 40 is refused before the suite's first case: one past the
+# drawn suite's own ceiling, and 200003, past the table ceiling even for krank,
+# which reads p only up to about n_max/2.  oracles clamps n_max to its
+# enumeration bound instead of refusing it, so it is left out.
+
+_VERIFY_SUITES = [name for name in verify.SUITE_NAMES if name != "oracles"]
+
+
+@st.composite
+def _verify_argv(draw):
+    suite = draw(st.sampled_from(_VERIFY_SUITES))
+    argv = ["verify", suite]
+    if suite == "inequalities":
+        argv += ["--case", "collapse-131"]
+    ceiling = verify._SUITES[suite][2]
+    above = [200_003] if ceiling is None else [ceiling + 1, 200_003]
+    n_max = draw(st.sampled_from([-1, 0, 1, 13, 17, 40] + above))
+    if suite != "inequalities" or draw(st.booleans()):
+        argv += ["--n-max", str(n_max)]
+    for flag, values in (
+        ("--j-max", st.sampled_from([-1, 0, 1, 3])),
+        ("--precision", st.sampled_from([15, 16, 53, MAX_PRECISION, MAX_PRECISION + 1])),
+        ("--seed", st.integers(min_value=-(2**64), max_value=2**64)),
+    ):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(values))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_verify_argv())
+def test_verify_argv_exits_cleanly(argv):
+    size = len(default_table())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    n_max = int(argv[argv.index("--n-max") + 1]) if "--n-max" in argv else None
+    if n_max is not None and n_max > 40:
+        assert code == 2 and out.getvalue() == "", argv
     assert len(default_table()) <= max(size, 12_001), argv

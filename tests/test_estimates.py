@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from partbounds.estimates import (
     krank_ratio_interval,
     nonkary_diff_check,
     fjn_j_top,
-    prop21_j_top,
     ratio_interval,
     ratio_j_top,
     shifted_terms,
@@ -510,7 +510,7 @@ def test_shared_terms_keep_every_endpoint(data, n, prec):
         [est.exponential_factor, est.factor1, est.factor2, est.product]
     ) == _ends(_own_ratio(n, j, prec))
 
-    j = data.draw(st.integers(0, prop21_j_top(n)), label="prop21 j")
+    j = data.draw(st.integers(0, math.isqrt(n - 1)), label="prop21 j")
     assert _ends([proposition21_interval(n, j, prec)]) == _ends(
         [_own_prop21(n - j, prec)]
     )

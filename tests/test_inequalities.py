@@ -1,5 +1,6 @@
 """Reduced-budget sweeps and frozen spot margins for the inequality cases."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,12 @@ def _budget(name):
     return (10, 3) if name == "bessel-tail-sum" else (120, 25)
 
 
+def _shrink(monkeypatch, name, grid, rand):
+    """Register a copy of the named case with a reduced point budget."""
+    case = dataclasses.replace(CASE_INDEX[name], grid_points=grid, random_points=rand)
+    monkeypatch.setitem(CASE_INDEX, name, case)
+
+
 class TestRegistry:
     def test_every_case_registered(self):
         assert {c.name for c in CASES} == ALL_NAMES
@@ -65,30 +72,27 @@ class TestRegistry:
         with pytest.raises(PreconditionError, match="unknown inequality case"):
             run_case("no-such-case")
 
-    def test_bad_budgets_rejected(self):
-        with pytest.raises(PreconditionError, match="grid"):
-            run_case("reciprocal-125", grid=0)
-        with pytest.raises(PreconditionError, match="rand"):
-            run_case("reciprocal-125", rand=-1)
-
 
 class TestWorstMargins:
     @pytest.mark.parametrize("name", sorted(ALL_NAMES))
-    def test_case_clears_zero(self, name):
+    def test_case_clears_zero(self, name, monkeypatch):
         grid, rand = _budget(name)
-        res = run_case(name, grid=grid, rand=rand)
+        _shrink(monkeypatch, name, grid, rand)
+        res = run_case(name)
         assert res.passed
         assert res.worst_margin > 0
         expected = 1 if name == "collapse-131" else grid + rand
         assert res.points == expected
 
-    def test_reproducible_for_fixed_seed(self):
-        a = run_case("reciprocal-125", grid=60, rand=60, seed=DEFAULT_SEED)
-        b = run_case("reciprocal-125", grid=60, rand=60, seed=DEFAULT_SEED)
+    def test_reproducible_for_fixed_seed(self, monkeypatch):
+        _shrink(monkeypatch, "reciprocal-125", 60, 60)
+        a = run_case("reciprocal-125", seed=DEFAULT_SEED)
+        b = run_case("reciprocal-125", seed=DEFAULT_SEED)
         assert a == b
 
-    def test_integer_pairs_stay_admissible(self):
-        res = run_case("collapse-056", grid=40, rand=10)
+    def test_integer_pairs_stay_admissible(self, monkeypatch):
+        _shrink(monkeypatch, "collapse-056", 40, 10)
+        res = run_case("collapse-056")
         n, j = res.worst_point
         assert n >= 17 and j >= 1 and 16 * j * j < n
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from partbounds import exact, inequalities, verify
 from partbounds.enclosure import DEFAULT_PRECISION, Enclosure
 from partbounds.errors import PreconditionError
-from partbounds.estimates import fjn_j_top, prop21_j_top, ratio_j_top
+from partbounds.estimates import fjn_j_top, ratio_j_top
 from partbounds.exact import PartitionTable, default_table, p_exact
 from partbounds.verify import (
     SUITE_NAMES,
@@ -29,11 +30,6 @@ class TestLicenseTops:
     def test_fjn_boundary(self, n):
         j = fjn_j_top(n)
         assert 16 * j * j < n <= 16 * (j + 1) * (j + 1)
-
-    @pytest.mark.parametrize("n", [2, 10, 50, 2999])
-    def test_prop21_boundary(self, n):
-        j = prop21_j_top(n)
-        assert j * j < n <= (j + 1) * (j + 1)
 
     def test_fjn_license_nonempty_from_17(self):
         assert fjn_j_top(16) == 0
@@ -184,7 +180,7 @@ class TestClosedFormCounts:
         pairs = sum(
             1
             for n in range(1, prop_top + 1)
-            for j in range(0, _capped(prop21_j_top(n), j_max) + 1)
+            for j in range(0, _capped(math.isqrt(n - 1), j_max) + 1)
             if n - j >= 2
         )
         report = run_suite("rademacher", n_max=n_max, j_max=j_max)
