@@ -31,7 +31,7 @@ from .estimates import (
     nonkary_diff_check,
     ratio_interval,
 )
-from .exact import f_jn, nu_k, p_enumerate_oracle, p_exact
+from .exact import ENUMERATION_BOUND, f_jn, nu_k, p_enumerate_oracle, p_exact
 from .inequalities import DEFAULT_SEED, _lookup
 from .reports import (
     ReportDocument,
@@ -304,7 +304,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = sub.add_parser("verify", help="run a verification sweep")
     cmd.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    cmd.add_argument("--n-max", type=int, default=None, metavar="N")
+    cmd.add_argument(
+        "--n-max", type=int, default=None, metavar="N",
+        help=f"largest n swept; oracles clamps it at {ENUMERATION_BOUND}, "
+             "the enumeration oracle's bound",
+    )
     cmd.add_argument("--j-max", type=int, default=None, metavar="J")
     cmd.add_argument("--seed", type=int, default=None)
     cmd.add_argument(

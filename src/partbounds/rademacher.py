@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .enclosure import DEFAULT_PRECISION, Enclosure, constants
+from mpmath import libmp
+
+from .enclosure import DEFAULT_PRECISION, Enclosure, constants, fraction_from_raw
 from .errors import PreconditionError, StabilizationError
 from .estimates import shifted_terms
 from .special import bessel_I32_closed, kloosterman_A, mp_context, to_fraction
@@ -50,10 +52,13 @@ def _series_state(n: int, prec: int):
     return wp, ctx, X, prefactor
 
 
-def _term(ctx, wp: int, X, n: int, k: int):
-    A = kloosterman_A(k, n, wp)
-    bess = bessel_I32_closed(to_fraction(X / k), wp)
-    return ctx.convert(A) / k * ctx.convert(bess)
+def _term(wp: int, X, n: int, k: int):
+    # A_k(n)/k * I_{3/2}(X/k) for a raw X, as a raw mpf; every step rounds
+    # as the mpmath context at wp did
+    kk = libmp.from_int(k)
+    A = kloosterman_A(k, n, wp)._mpf_
+    bess = bessel_I32_closed(fraction_from_raw(libmp.mpf_div(X, kk, wp, "n")), wp)._mpf_
+    return libmp.mpf_mul(libmp.mpf_div(A, kk, wp, "n"), bess, wp, "n")
 
 
 def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
@@ -80,15 +85,18 @@ def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
     tail_coeff = prefactor * X ** (ctx.mpf(3) / 2) * 2 / (gamma52 * ctx.sqrt(ctx.mpf(2)))
     start = max(int(ctx.ceil(X)), 1)
     cap = max(start, 103) + 64
-    threshold = ctx.mpf(1) / 2 - ctx.mpf(2) ** (16 - wp)
-    running = ctx.zero
+    threshold = (ctx.mpf(1) / 2 - ctx.mpf(2) ** (16 - wp))._mpf_
+    X, prefactor, tail_coeff = X._mpf_, prefactor._mpf_, tail_coeff._mpf_
+    running = libmp.fzero
     for k in range(1, cap + 1):
-        running += _term(ctx, wp, X, n, k)
+        running = libmp.mpf_add(running, _term(wp, X, n, k), wp, "n")
         if k < start:
             continue
-        value = prefactor * running
-        nearest = int(ctx.nint(value))
-        if abs(value - nearest) + tail_coeff / ctx.sqrt(ctx.mpf(k)) < threshold:
+        value = libmp.mpf_mul(prefactor, running, wp, "n")
+        nearest = libmp.to_int(libmp.mpf_nint(value, wp, "n"))
+        gap = libmp.mpf_abs(libmp.mpf_sub(value, libmp.from_int(nearest), wp, "n"))
+        tail = libmp.mpf_div(tail_coeff, libmp.mpf_sqrt(libmp.from_int(k), wp, "n"), wp, "n")
+        if libmp.mpf_lt(libmp.mpf_add(gap, tail, wp, "n"), threshold):
             return nearest
     raise StabilizationError(
         f"series for n={n} did not settle within {cap} terms at precision {wp}"

@@ -5,13 +5,19 @@ Dedekind sums are kept as the exact integers 4k^2 s(h,k).  A_k(n) is a
 finite sum of unit complex numbers whose phases are integers over 4k^2 times
 pi; it is evaluated in rectangular form with the phase reduced mod 2 before
 any rounding, so no cancellation error builds up for large k.  The Bessel
-function has two independent implementations: an elementary closed form
-(trusted path) and adaptive quadrature of the integral representation (test
-oracle).
+function has three independent forms:
+
+* bessel_I32_closed, the elementary closed form: the trusted path, read by
+  rademacher_round;
+* bessel_I32_series, the power series summed in exact integer brackets: the
+  oracle the `oracles` suite checks the closed form against;
+* bessel_I32_quadrature, adaptive quadrature of the integral representation:
+  read only by the tier-1 tests, which compare all three forms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -143,19 +149,74 @@ def bessel_I32_closed(x, prec: int = DEFAULT_PRECISION):
     so that
         I_{3/2}(x) = [e^x (1 - 1/x) + e^{-x} (1 + 1/x)] / (sqrt(2 pi x)).
     Both exponential terms are kept; nothing is discarded or bounded.
+
+    Evaluated in raw libmp with no mpmath context: x is converted toward
+    zero, as from_rational does by default, and every later step rounds to
+    nearest at the working precision.
     """
     xf = to_fraction(x)
     if xf <= 0:
         raise PreconditionError("requires x > 0")
     wp = prec + _bessel_guard_bits(xf)
-    ctx = mp_context(wp)
-    xm = ctx.convert(xf)
-    ex = ctx.exp(xm)
-    inv = 1 / xm
-    val = (ex * (1 - inv) + (1 / ex) * (1 + inv)) / ctx.sqrt(2 * ctx.pi * xm)
-    return mpmath.mp.make_mpf(libmp.mpf_pos(val._mpf_, prec, "n"))
+    xm = libmp.from_rational(xf.numerator, xf.denominator, wp)
+    ex = libmp.mpf_exp(xm, wp, "n")
+    inv = libmp.mpf_rdiv_int(1, xm, wp, "n")
+    grow = libmp.mpf_mul(ex, libmp.mpf_sub(libmp.fone, inv, wp, "n"), wp, "n")
+    decay = libmp.mpf_mul(libmp.mpf_rdiv_int(1, ex, wp, "n"),
+                          libmp.mpf_add(inv, libmp.fone, wp, "n"), wp, "n")
+    two_pi_x = libmp.mpf_mul(libmp.mpf_mul_int(libmp.mpf_pi(wp, "n"), 2, wp, "n"), xm, wp, "n")
+    val = libmp.mpf_div(libmp.mpf_add(grow, decay, wp, "n"), libmp.mpf_sqrt(two_pi_x, wp, "n"),
+                        wp, "n")
+    return mpmath.mp.make_mpf(libmp.mpf_pos(val, prec, "n"))
 
 
+# the domain of both Bessel oracles; the series needs about 7100 terms at the top
+_ORACLE_X_MAX = 10**4
+
+
+def bessel_I32_series(x, prec: int = DEFAULT_PRECISION):
+    """I_{3/2}(x) for rational 0 < x <= 10^4 from its power series.
+
+    Independent oracle for bessel_I32_closed (DLMF 10.25.2 at nu = 3/2):
+        I_{3/2}(x) = x sqrt(2x/pi) / 3 * S,  S = sum_m t_m,
+        t_0 = 1,  t_{m+1} = t_m x^2 / ((m+1)(4m+10)).
+    For x = a/b, S is summed in integer fixed point twice, with every term
+    rounded down and with every term rounded up.  Once the term ratio is at
+    most 1/2 it only falls, so the tail after t_m is at most 2 t_{m+1}; the
+    sum stops when that bound is below 2^-(prec+19) of the lower sum.  A
+    bracket wider than 2^-(prec//2) relative raises PrecisionError.  No
+    exponential is evaluated, so no step is shared with the closed form.
+    """
+    xf = to_fraction(x)
+    if not 0 < xf <= _ORACLE_X_MAX:
+        raise PreconditionError("requires 0 < x <= 10^4")
+    a2, b2 = xf.numerator ** 2, xf.denominator ** 2
+    wp = prec + 30
+    term_lo = term_hi = low = high = 1 << wp
+    for m in itertools.count():
+        den = b2 * (m + 1) * (4 * m + 10)
+        term_lo = term_lo * a2 // den
+        term_hi = -(-term_hi * a2 // den)
+        # t_{m+2}/t_{m+1} <= 1/2, and 2 t_{m+1} < 2^-(prec+19) low
+        if (2 * a2 <= b2 * (m + 2) * (4 * m + 14)
+                and term_hi.bit_length() + prec + 20 < low.bit_length()):
+            high += 2 * term_hi
+            break
+        low += term_lo
+        high += term_hi
+    if (high - low) << (prec // 2) > low:
+        raise PrecisionError(f"series bracket wider than 2^-{prec // 2} relative")
+    s = libmp.from_man_exp(low + high, -(wp + 1), wp, "n")
+    xm = libmp.from_rational(xf.numerator, xf.denominator, wp, "n")
+    two_x_over_pi = libmp.mpf_div(libmp.mpf_shift(xm, 1), libmp.mpf_pi(wp, "n"), wp, "n")
+    root = libmp.mpf_sqrt(two_x_over_pi, wp, "n")
+    val = libmp.mpf_mul(libmp.mpf_mul(xm, root, wp, "n"), s, wp, "n")
+    val = libmp.mpf_div(val, libmp.from_int(3), wp, "n")
+    return mpmath.mp.make_mpf(libmp.mpf_pos(val, prec, "n"))
+
+
+# Kept for perfbench's tracer, which patches it by name, and as the third
+# independent form that tier-1 compares with the other two.
 def bessel_I32_quadrature(x, prec: int = DEFAULT_PRECISION):
     """I_{3/2}(x) by adaptive quadrature of the integral representation.
 
@@ -163,7 +224,7 @@ def bessel_I32_quadrature(x, prec: int = DEFAULT_PRECISION):
     is positive on (-1,1), so there is no cancellation to manage.
     """
     xf = to_fraction(x)
-    if not 0 < xf <= 10**4:
+    if not 0 < xf <= _ORACLE_X_MAX:
         raise PreconditionError("requires 0 < x <= 10^4")
     wp = prec + 30
     ctx = mp_context(wp)

@@ -8,10 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partbounds import __version__, cli, verify
+from partbounds import __version__, cli, exact, verify
 from partbounds.cli import MAX_PRECISION, main
 from partbounds.enclosure import DEFAULT_PRECISION
-from partbounds.exact import TABLE_CEILING, default_table, f_jn, p_exact
+from partbounds.exact import (
+    ENUMERATION_BOUND,
+    TABLE_CEILING,
+    PartitionTable,
+    default_table,
+    f_jn,
+    p_exact,
+)
 from partbounds.reports import SuiteReport
 
 GOLDEN = Path(__file__).resolve().parents[1] / "docs" / "golden"
@@ -161,6 +168,15 @@ class TestVerifyCommand:
         assert suite["suite"] == "oracles"
         assert suite["passed"] is True
         assert doc["parameters"]["suite"] == "oracles"
+
+    def test_oracles_clamps_n_max_at_enumeration_bound(self, capsys, monkeypatch):
+        table = PartitionTable()
+        monkeypatch.setattr(exact, "_default_table", table)
+        code, doc = run_json(capsys, "verify", "oracles", "--n-max", "200003")
+        assert code == 0
+        assert doc["parameters"]["n_max"] == 200_003
+        assert doc["results"]["suites"][0]["info"]["enumeration_top"] == ENUMERATION_BOUND
+        assert len(table) == ENUMERATION_BOUND + 1
 
     def test_csv_and_json_outputs(self, capsys, tmp_path):
         csv_path = tmp_path / "rows.csv"

@@ -3,18 +3,22 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import libmp
 
-from partbounds import special
+from partbounds import rademacher, special
 from partbounds.errors import PrecisionError, PreconditionError
 from partbounds.special import (
     bessel_I32_closed,
     bessel_I32_quadrature,
+    bessel_I32_series,
     dedekind_sum,
     kloosterman_A,
     kloosterman_imag_residue,
     to_fraction,
 )
+from partbounds.verify import BESSEL_GRID
 
 TOL64 = Fraction(1, 2**64)
 
@@ -185,11 +189,26 @@ class TestBessel:
             ) / mpmath.gamma(mpmath.mpf(2.5))
             assert abs(mpmath.mpf(val) / lead - 1) < 1e-6
 
-    def test_quadrature_matches_closed(self):
-        for x in _grid_points():
-            q = to_fraction(bessel_I32_quadrature(x, prec=128))
+    def test_three_forms_agree(self):
+        for x in sorted(set(_grid_points()) | set(BESSEL_GRID)):
             c = to_fraction(bessel_I32_closed(x, prec=128))
+            s = to_fraction(bessel_I32_series(x, prec=128))
+            q = to_fraction(bessel_I32_quadrature(x, prec=128))
+            assert abs(s - c) / c < TOL64, x
             assert abs(q - c) / c < TOL64, x
+            assert abs(q - s) / s < TOL64, x
+
+    @pytest.mark.parametrize("prec", [53, 128, 300])
+    def test_series_against_library(self, prec):
+        # the reference carries at least 64 bits more than the series
+        for x in _grid_points() + [Fraction(1, 10**6), Fraction(10**4)]:
+            mine = bessel_I32_series(x, prec=prec)
+            with mpmath.workprec(max(220, prec + 64)):
+                ref = mpmath.besseli(
+                    mpmath.mpf(3) / 2, mpmath.mpf(x.numerator) / x.denominator
+                )
+                rel = abs(mpmath.mpf(mine) - ref) / ref
+                assert rel < mpmath.mpf(2) ** (2 - prec), x
 
     def test_asymptotic_normalization(self):
         # I(x) sqrt(2 pi x) - e^x (1 - 1/x) = e^{-x}(1 + 1/x), which at x = 1
@@ -218,6 +237,54 @@ class TestBessel:
             bessel_I32_quadrature(Fraction(10**4 + 1))
         with pytest.raises(PreconditionError):
             bessel_I32_quadrature(0)
+        for x in (0, Fraction(-1, 2), Fraction(10**4) + Fraction(1, 10**6)):
+            with pytest.raises(PreconditionError):
+                bessel_I32_series(x)
+
+
+def _context_closed(x, prec):
+    # bessel_I32_closed as it was written with an mpmath context, kept as the
+    # reference for the raw-libmp form
+    xf = to_fraction(x)
+    ctx = special.mp_context(prec + special._bessel_guard_bits(xf))
+    xm = ctx.convert(xf)
+    ex = ctx.exp(xm)
+    inv = 1 / xm
+    val = (ex * (1 - inv) + (1 / ex) * (1 + inv)) / ctx.sqrt(2 * ctx.pi * xm)
+    return libmp.mpf_pos(val._mpf_, prec, "n")
+
+
+def test_raw_closed_keeps_every_round_bit(monkeypatch):
+    # every (X/k, wp) that rademacher_round reads for n <= 150
+    seen = set()
+
+    def recording(x, prec):
+        seen.add((x, prec))
+        return bessel_I32_closed(x, prec)
+
+    monkeypatch.setattr(rademacher, "bessel_I32_closed", recording)
+    for n in range(1, 151):
+        rademacher.rademacher_round(n)
+    assert len(seen) > 4000
+    for x, prec in seen:
+        assert bessel_I32_closed(x, prec)._mpf_ == _context_closed(x, prec), (x, prec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=st.fractions(min_value=Fraction(1, 10**6), max_value=10**4, max_denominator=10**6),
+    prec=st.integers(53, 4096),
+)
+@example(x=Fraction(1, 10), prec=128)
+@example(x=Fraction(1, 10**6), prec=4096)
+@example(x=Fraction(10**4), prec=4096)
+# two arguments whose last bit changes if x is converted to nearest
+@example(x=Fraction(22, 7), prec=114)
+@example(x=Fraction(264678993, 10**6), prec=53)
+def test_raw_closed_keeps_every_bit(x, prec):
+    # rademacher's arguments are dyadic and convert exactly under any
+    # rounding; only non-dyadic ones show how x is converted
+    assert bessel_I32_closed(x, prec)._mpf_ == _context_closed(x, prec)
 
 
 def test_series_memos_are_bounded():
