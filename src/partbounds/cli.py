@@ -109,7 +109,7 @@ def _cmd_ratio(args: argparse.Namespace) -> _Handled:
     # p(n) first: an n past the ceiling exits before the table grows to n - j
     pn = p_exact(n)
     results = {"n": n, "j": j,
-               **_margin_results(estimate.product, Fraction(p_exact(n - j), pn))}
+               **_margin_results(estimate, Fraction(p_exact(n - j), pn))}
     passed = results["interval"]["contained"]
     return {"n": n, "j": j, "precision": prec}, results, passed, []
 
@@ -121,7 +121,7 @@ def _cmd_fjn(args: argparse.Namespace) -> _Handled:
     difference = f_jn(n, j)
     exact = Fraction(difference, p_exact(n))
     results = {"n": n, "j": j, "difference": str(difference),
-               **_margin_results(estimate.total, exact)}
+               **_margin_results(estimate, exact)}
     passed = results["interval"]["contained"]
     return {"n": n, "j": j, "precision": prec}, results, passed, []
 
@@ -175,7 +175,7 @@ def _cmd_nonkary(args: argparse.Namespace) -> _Handled:
         estimate = fjn_ratio_interval(n, k, prec)
         exact = Fraction(f_jn(n, k), p_exact(n))
         results["ratio_exact"] = fraction_str(exact)
-        results["ratio_interval"] = _interval_block(estimate.total, exact)
+        results["ratio_interval"] = _interval_block(estimate, exact)
         passed = passed and results["ratio_interval"]["contained"]
     return {"n": n, "k": k, "precision": prec}, results, passed, []
 

@@ -100,6 +100,21 @@ def _widen_raw(raw, prec, rnd):
     return libmp.mpf_add(raw, pad, prec, _UP)
 
 
+def _hull(op, a, b, c, d, p):
+    # Outward hull of op over the four endpoint pairs of [a, b] and [c, d]:
+    # the least downward and the greatest upward result.
+    lo = None
+    hi = None
+    for x, y in ((a, c), (a, d), (b, c), (b, d)):
+        down = op(x, y, p, _DOWN)
+        up = op(x, y, p, _UP)
+        if lo is None or libmp.mpf_lt(down, lo):
+            lo = down
+        if hi is None or libmp.mpf_gt(up, hi):
+            hi = up
+    return Enclosure(lo, hi, p)
+
+
 class Enclosure:
     """Closed interval [lo, hi] of binary floats with outward rounding."""
 
@@ -245,7 +260,7 @@ class Enclosure:
         a, b, c, d = self.lo, self.hi, o.lo, o.hi
         # Sign-case table: unless a factor straddles zero, the signs pick the
         # two extreme endpoint products.  Directed rounding is monotone, so
-        # these are the endpoints the four-product search below would find.
+        # these are the endpoints the four-product hull below would find.
         # A set sign bit on hi means hi < 0; a clear one on lo means lo >= 0.
         if not a[0]:
             if not c[0]:
@@ -257,16 +272,7 @@ class Enclosure:
                 return Enclosure(_mul(a, d, p, _DOWN), _mul(b, c, p, _UP), p)
             if d[0]:
                 return Enclosure(_mul(b, d, p, _DOWN), _mul(a, c, p, _UP), p)
-        lo = None
-        hi = None
-        for x, y in ((a, c), (a, d), (b, c), (b, d)):
-            down = _mul(x, y, p, _DOWN)
-            up = _mul(x, y, p, _UP)
-            if lo is None or libmp.mpf_lt(down, lo):
-                lo = down
-            if hi is None or libmp.mpf_gt(up, hi):
-                hi = up
-        return Enclosure(lo, hi, p)
+        return _hull(_mul, a, b, c, d, p)
 
     __rmul__ = __mul__
 
@@ -284,16 +290,7 @@ class Enclosure:
                 return Enclosure(_div(a, c, p, _DOWN), _div(b, d, p, _UP), p)
         elif not (o.strictly_positive() or o.strictly_negative()):
             raise ZeroDivisionError("interval divisor straddles zero")
-        lo = None
-        hi = None
-        for x, y in ((a, c), (a, d), (b, c), (b, d)):
-            down = _div(x, y, p, _DOWN)
-            up = _div(x, y, p, _UP)
-            if lo is None or libmp.mpf_lt(down, lo):
-                lo = down
-            if hi is None or libmp.mpf_gt(up, hi):
-                hi = up
-        return Enclosure(lo, hi, p)
+        return _hull(_div, a, b, c, d, p)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)

@@ -5,10 +5,11 @@ the one source of N, sqrt N and the j-free brackets for them, for
 rademacher's one-term truncation and for the registry margins:
 
   * ratio_interval        p(n-j)/p(n), a product of one decaying exponential
-                          and two explicit bracketed factors;
+                          and two explicit bracketed factors, returned as the
+                          Enclosure of that product;
   * fjn_ratio_interval    f(j,n)/p(n) for the second shifted difference
                           f(j,n) = p(n) - 2p(n-j) + p(n-2j), a two-exponential
-                          combination;
+                          combination, returned as its Enclosure;
   * krank_*_interval      boundary k-rank counts and their consecutive
                           differences, normalized by p(n-k-m+1); these reuse
                           the same brackets with ell = n-k-m+23/24 playing
@@ -52,9 +53,7 @@ from .exact import (
 __all__ = [
     "CertificateKind",
     "ConvexityCertificate",
-    "FjnEstimate",
     "MapCheck",
-    "RatioEstimate",
     "convexity_certificate",
     "fjn_j_top",
     "fjn_licensed",
@@ -94,26 +93,6 @@ def fjn_licensed(n: int, j: int) -> bool:
     return n >= 14 and j <= fjn_j_top(n)
 
 
-@dataclass(frozen=True)
-class RatioEstimate:
-    """Enclosure of p(n-j)/p(n) as exponential * factor1 * factor2."""
-
-    N: Fraction
-    exponential_factor: Enclosure
-    factor1: Enclosure
-    factor2: Enclosure
-    product: Enclosure
-
-
-@dataclass(frozen=True)
-class FjnEstimate:
-    """Enclosure of f(j,n)/p(n) as 1 + exp2*termA - exp1*termB."""
-
-    termA: Enclosure
-    termB: Enclosure
-    total: Enclosure
-
-
 class CertificateKind(Enum):
     EXACT = "exact"
     ANALYTIC = "analytic"
@@ -123,9 +102,6 @@ class CertificateKind(Enum):
 class ConvexityCertificate:
     holds: bool
     kind: CertificateKind
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 @dataclass(frozen=True)
@@ -169,8 +145,10 @@ def _decay(t: SimpleNamespace, j: int, prec: int) -> Enclosure:
     return (-(constants(prec).pi * j / t.sqrt6_sqrtN)).exp()
 
 
-def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> RatioEstimate:
+def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
     """Enclosure of p(n-j)/p(n) for n >= 14, 0 <= j < sqrt(N)/2.
+
+    Returns the Enclosure of the product, evaluated left to right,
 
     e^{-pi j/sqrt(6N)} (1 + j/N - pi j^2/(4 sqrt6 N^{3/2})
                           - sqrt3/(sqrt(2 pi) sqrt N) +- 2.71/N)
@@ -184,26 +162,19 @@ def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> RatioEstima
         raise PreconditionError("requires j < sqrt(N)/2, i.e. 4j^2 < n")
     c = constants(prec)
     t = shifted_terms(n, prec)
-    expf = _decay(t, j, prec)
     center1 = (
         1
         + Fraction(j) / t.N
         - c.pi * j * j / (4 * t.sqrt6_N_sqrtN)
         - t.sqrt3_over_sqrt_two_pi
     )
-    factor1 = center1.plus_minus(RATIO_RADIUS_1 / t.N)
-    return RatioEstimate(
-        N=t.N,
-        exponential_factor=expf,
-        factor1=factor1,
-        factor2=t.bracket,
-        product=expf * factor1 * t.bracket,
-    )
+    return _decay(t, j, prec) * center1.plus_minus(RATIO_RADIUS_1 / t.N) * t.bracket
 
 
-def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> FjnEstimate:
+def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
     """Enclosure of f(j,n)/p(n) for n >= 14, 1 <= j < sqrt(N)/4.
 
+    Returns the Enclosure of
     1 + e^{-sqrt2 pi j/sqrt(3N)} termA - e^{-pi j/sqrt(6N)} termB, where
     termA = 1 + delta_c/sqrt N + 2j/N - pi j^2/(sqrt6 N^{3/2}) +- 2075/N and
     termB = 2 + 2 delta_c/sqrt N + 2j/N - pi j^2/(2 sqrt6 N^{3/2}) +- 3926/N,
@@ -227,11 +198,7 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> FjnEsti
         2 + 2 * t.delta_c_over_sqrtN + jj - c.pi * j * j / (2 * t.sqrt6_N_sqrtN)
     )
     termB = centerB.plus_minus(FJN_RADIUS_B / t.N)
-    return FjnEstimate(
-        termA=termA,
-        termB=termB,
-        total=1 + exp2 * termA - exp1 * termB,
-    )
+    return 1 + exp2 * termA - exp1 * termB
 
 
 def _analytic_convexity(n: int, j: int, prec: int) -> bool:

@@ -38,7 +38,14 @@ from .enclosure import (
     sqrt_enclosure,
 )
 from .errors import PreconditionError
-from .estimates import fjn_j_top, shifted_terms
+from .estimates import (
+    FJN_RADIUS_A,
+    FJN_RADIUS_B,
+    RATIO_RADIUS_1,
+    RATIO_RADIUS_2,
+    fjn_j_top,
+    shifted_terms,
+)
 from .exact import shifted_index
 from .rademacher import h_error
 
@@ -60,6 +67,11 @@ _EDGE = Fraction(1, 10**9)
 # Uncached: the collapse cases visit thousands of indices, and a full memo
 # of their terms adds about 6 MB to a pool worker's 27 MB peak.
 _terms = shifted_terms.__wrapped__
+
+# The radii of the two factors collapse-271 combines into 2.71/N, certified
+# by collapse-056 and collapse-131.
+_J_FACTOR_RADIUS = Fraction(14, 25)
+_SQRT_FACTOR_RADIUS = Fraction(131, 100)
 
 # The infinite Bessel tail is checked as a long partial sum; anything the
 # partial sum proves is implied for every shorter truncation as well.
@@ -203,15 +215,15 @@ def _margin_concavity(point: Point, prec: int) -> Enclosure:
     return 1 - x / 2 - sqrt_enclosure(1 - x, prec)
 
 
-def _correction_sum(x: Fraction, prec: int) -> Enclosure:
-    # sqrt(3)/(sqrt(2) pi sqrt(x)) + h_error(x)
+def _correction_sum(x: Fraction, h: Enclosure, prec: int) -> Enclosure:
+    # sqrt(3)/(sqrt(2) pi sqrt(x)) + h, with h = h_error(x)
     c = constants(prec)
-    return c.sqrt3 / (c.sqrt2 * c.pi * sqrt_enclosure(x, prec)) + h_error(x, prec)
+    return c.sqrt3 / (c.sqrt2 * c.pi * sqrt_enclosure(x, prec)) + h
 
 
 def _margin_correction_sum(point: Point, prec: int) -> Enclosure:
     (x,) = point
-    return Fraction(99, 100) - _correction_sum(x, prec)
+    return Fraction(99, 100) - _correction_sum(x, h_error(x, prec), prec)
 
 
 def _margin_exp_argument(point: Point, prec: int) -> Enclosure:
@@ -244,14 +256,14 @@ def _margin_collapse_056(point: Point, prec: int) -> Enclosure:
             + Fraction(big_j, 10) / nn
             + Fraction(1, 25) / nn
         )
-        worst = _min_lo(worst, Fraction(14, 25) - err_n)
+        worst = _min_lo(worst, _J_FACTOR_RADIUS - err_n)
     return worst
 
 
 def _margin_collapse_131(point: Point, prec: int) -> Enclosure:
     c = constants(prec)
     value = Fraction(3, 10) * c.sqrt3 / c.sqrt_two_pi + Fraction(11, 10)
-    return Fraction(131, 100) - value
+    return _SQRT_FACTOR_RADIUS - value
 
 
 def _j_bracket(t, big_j: int, prec: int) -> Enclosure:
@@ -266,18 +278,19 @@ def _margin_collapse_271(point: Point, prec: int) -> Enclosure:
     worst = None
     for big_j in (j, 2 * j):
         b1 = _j_bracket(t, big_j, prec)
-        err = _product_error(b1, Fraction(14, 25) / t.N, b2, Fraction(131, 100) / t.N)
-        margin = Enclosure.from_exact(Fraction(271, 100) - t.N * err, prec)
+        err = _product_error(
+            b1, _J_FACTOR_RADIUS / t.N, b2, _SQRT_FACTOR_RADIUS / t.N
+        )
+        margin = Enclosure.from_exact(RATIO_RADIUS_1 - t.N * err, prec)
         worst = _min_lo(worst, margin)
     return worst
 
 
 def _margin_collapse_1350(point: Point, prec: int) -> Enclosure:
     (x,) = point
-    c = constants(prec)
     h = h_error(x, prec)
-    s = c.sqrt3 / (c.sqrt2 * c.pi * sqrt_enclosure(x, prec)) + h
-    return 1350 - x * (h + 100 * s * s)
+    s = _correction_sum(x, h, prec)
+    return RATIO_RADIUS_2 - x * (h + 100 * s * s)
 
 
 def _bracket_product_error(n: int, big_j: int, prec: int) -> Tuple[Fraction, Fraction]:
@@ -286,7 +299,7 @@ def _bracket_product_error(n: int, big_j: int, prec: int) -> Tuple[Fraction, Fra
     t = _terms(n, prec)
     b2 = _j_bracket(t, big_j, prec) - t.sqrt3_over_sqrt_two_pi
     err = _product_error(
-        t.sqrt3_over_pi_sqrt2, Fraction(1350) / t.N, b2, Fraction(271, 100) / t.N
+        t.sqrt3_over_pi_sqrt2, RATIO_RADIUS_2 / t.N, b2, RATIO_RADIUS_1 / t.N
     )
     return t.N, err
 
@@ -294,13 +307,13 @@ def _bracket_product_error(n: int, big_j: int, prec: int) -> Tuple[Fraction, Fra
 def _margin_collapse_2075(point: Point, prec: int) -> Enclosure:
     n, j = point
     N, err = _bracket_product_error(n, 2 * j, prec)
-    return Enclosure.from_exact(2075 - N * err, prec)
+    return Enclosure.from_exact(FJN_RADIUS_A - N * err, prec)
 
 
 def _margin_collapse_3926(point: Point, prec: int) -> Enclosure:
     n, j = point
     N, err = _bracket_product_error(n, j, prec)
-    return Enclosure.from_exact(3926 - 2 * N * err, prec)
+    return Enclosure.from_exact(FJN_RADIUS_B - 2 * N * err, prec)
 
 
 def _bessel_halforder(y: Fraction, prec: int) -> Enclosure:

@@ -50,6 +50,7 @@ from .exact import (
     f_jn,
     p_enumerate_oracle,
     p_exact,
+    shifted_index,
 )
 from .inequalities import (
     CASE_INDEX,
@@ -248,13 +249,14 @@ def _suite_containment_ratio(sweep: _Sweep) -> Dict[str, Any]:
     max_c_at: Optional[Tuple[int, int]] = None
     for n in range(14, top + 1):
         pn = p_exact(n)
+        N = shifted_index(n)
         for j in range(0, sweep.j_cap(ratio_j_top(n)) + 1):
             est = ratio_interval(n, j, sweep.prec)
-            margin = est.product.containment_margin(Fraction(p_exact(n - j), pn))
+            margin = est.containment_margin(Fraction(p_exact(n - j), pn))
             worst = margin if worst is None else min(worst, margin)
-            rel = est.product.relative_width()
+            rel = est.relative_width()
             # the relative half-width in units of the radius mass over N
-            c = None if rel is None else rel * est.N / (2 * RATIO_RADIUS_MASS)
+            c = None if rel is None else rel * N / (2 * RATIO_RADIUS_MASS)
             if c is not None and (max_c is None or c > max_c):
                 max_c, max_c_at = c, (n, j)
             sweep.check(
@@ -287,7 +289,7 @@ def _suite_containment_fjn(sweep: _Sweep) -> Dict[str, Any]:
     for n in range(14, top + 1):
         pn = p_exact(n)
         for j in range(1, sweep.j_cap(fjn_j_top(n)) + 1):
-            total = fjn_ratio_interval(n, j, sweep.prec).total
+            total = fjn_ratio_interval(n, j, sweep.prec)
             margin = total.containment_margin(Fraction(f_jn(n, j), pn))
             worst = margin if worst is None else min(worst, margin)
             least = _min_lo(least, total)

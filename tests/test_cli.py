@@ -465,11 +465,23 @@ class TestCachedParser:
 
 
 class TestGoldenDocuments:
-    def test_ratio_document_frozen(self, capsys):
-        code, doc = run_json(capsys, "ratio", "100", "2")
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            pytest.param(argv, f"{stem}.json", id=stem)
+            for argv, stem in [
+                (("ratio", "100", "2"), "ratio-100-2"),
+                (("fjn", "2000", "10"), "fjn-2000-10"),
+                (("krank", "--k", "2", "--m", "40", "--n", "70"), "krank-2-40-70"),
+                (("nonkary", "500", "3"), "nonkary-500-3"),
+            ]
+        ],
+    )
+    def test_ratio_document_frozen(self, capsys, argv, name):
+        code, doc = run_json(capsys, *argv)
         assert code == 0
         doc["seconds"] = 0.0
-        golden = json.loads((GOLDEN / "ratio-100-2.json").read_text())
+        golden = json.loads((GOLDEN / name).read_text())
         assert doc == golden
 
     def test_verify_document_frozen(self, capsys):

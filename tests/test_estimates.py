@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 from partbounds.enclosure import MEMO_MAXSIZE, Enclosure, constants
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
-    FJN_RADIUS_A,
-    FJN_RADIUS_B,
     KRANK_DIFF_RADIUS_A,
     KRANK_DIFF_RADIUS_B,
     KRANK_RATIO_RADIUS_1,
-    RATIO_RADIUS_1,
     CertificateKind,
     _analytic_convexity,
     _krank_diff,
@@ -56,40 +53,23 @@ def exact_ratio(n, j):
 class TestRatioInterval:
     def test_zero_shift_contains_one(self):
         for n in (14, 100, 1000):
-            assert ratio_interval(n, 0).product.contains(1)
+            assert ratio_interval(n, 0).contains(1)
 
     def test_spot_values(self):
-        assert ratio_interval(14, 1).product.contains(Fraction(101, 135))
-        est = ratio_interval(1000, 15)
-        assert est.product.contains(exact_ratio(1000, 15))
+        assert ratio_interval(14, 1).contains(Fraction(101, 135))
+        assert ratio_interval(1000, 15).contains(exact_ratio(1000, 15))
 
     def test_containment_sweep(self):
         for n in range(14, 600, 13):
             j = 0
             while 4 * j * j < n:
-                est = ratio_interval(n, j)
-                assert est.product.contains(exact_ratio(n, j)), (n, j)
+                assert ratio_interval(n, j).contains(exact_ratio(n, j)), (n, j)
                 j += 1
-
-    def test_product_is_factor_product(self):
-        est = ratio_interval(200, 3)
-        rebuilt = est.exponential_factor * est.factor1 * est.factor2
-        assert est.product.lo == rebuilt.lo and est.product.hi == rebuilt.hi
-
-    def test_factor_radii(self):
-        n = 500
-        est = ratio_interval(n, 2)
-        N = shifted_index(n)
-        # bracket half-width = stated radius + center interval fuzz
-        for factor, radius in ((est.factor1, Fraction(271, 100)),
-                               (est.factor2, Fraction(1350))):
-            half = _width(factor) / 2
-            assert abs(half - radius / N) < Fraction(1, 10**20)
 
     def test_width_scales_inversely(self):
         # width * N stays bounded by the two radii plus cross terms
         worst = max(
-            _width(ratio_interval(n, 0).product) * shifted_index(n)
+            _width(ratio_interval(n, 0)) * shifted_index(n)
             for n in range(20, 2000, 97)
         )
         assert worst < 2 * (Fraction(271, 100) + 1350) * 2
@@ -105,18 +85,16 @@ class TestRatioInterval:
 
 class TestFjnInterval:
     def test_spot_values(self):
-        est = fjn_ratio_interval(17, 1)
-        assert est.total.contains(Fraction(f_jn(17, 1), p_exact(17)))
-        est = fjn_ratio_interval(2000, 10)
-        assert est.total.contains(Fraction(f_jn(2000, 10), p_exact(2000)))
+        assert fjn_ratio_interval(17, 1).contains(Fraction(f_jn(17, 1), p_exact(17)))
+        enc = fjn_ratio_interval(2000, 10)
+        assert enc.contains(Fraction(f_jn(2000, 10), p_exact(2000)))
 
     def test_containment_sweep(self):
         for n in range(17, 600, 7):
             j = 1
             while 16 * j * j < n:
-                est = fjn_ratio_interval(n, j)
                 exact = Fraction(f_jn(n, j), p_exact(n))
-                assert est.total.contains(exact), (n, j)
+                assert fjn_ratio_interval(n, j).contains(exact), (n, j)
                 j += 1
 
     def test_license_window_is_strict(self):
@@ -130,15 +108,7 @@ class TestFjnInterval:
         # the two big radii swamp small n; from about N > 6000 the total
         # interval clears -1 at j = 1
         for n in (6500, 8000, 10000):
-            assert fjn_ratio_interval(n, 1).total.lo_fraction > -1, n
-
-    def test_term_radii(self):
-        n = 500
-        est = fjn_ratio_interval(n, 2)
-        N = shifted_index(n)
-        for term, radius in ((est.termA, Fraction(2075)), (est.termB, Fraction(3926))):
-            half = _width(term) / 2
-            assert abs(half - radius / N) < Fraction(1, 10**20)
+            assert fjn_ratio_interval(n, 1).lo_fraction > -1, n
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
@@ -168,8 +138,8 @@ class TestConvexity:
                 assert cert.holds and cert.kind is CertificateKind.EXACT, (n, j)
 
     def test_spot(self):
-        assert convexity_certificate(2, 1)
-        assert convexity_certificate(14, 1)
+        assert convexity_certificate(2, 1).holds
+        assert convexity_certificate(14, 1).holds
 
     def test_licensed_sweep(self):
         for n in range(17, 400):
@@ -291,7 +261,7 @@ class TestKrankDiff:
         gapB = Fraction(2) / N - _mid(c.pi / (2 * c.sqrt6 * Ne * sqrtN))
         e1m = _mid(e1)
         expected = e1m * e1m * gapA - e1m * gapB
-        observed = _mid(fj.total) - _mid(kd)
+        observed = _mid(fj) - _mid(kd)
         assert abs(observed - expected) < Fraction(1, 10**25)
 
     def test_lower_endpoint_negative_at_moderate_scale(self):
@@ -398,6 +368,8 @@ def test_memo_size_is_bounded(memo, first):
 
 # The formulas as each function wrote them before they shared shifted_terms,
 # operand for operand, so a re-associated shared term changes an endpoint.
+# The ratio and f(j,n) radii are the paper's literals (2.71, 1350, 2075,
+# 3926), so a changed radius constant changes an endpoint too.
 
 
 def _preamble(n, prec):
@@ -416,9 +388,9 @@ def _own_ratio(n, j, prec):
         - c.pi * j * j / (4 * c.sqrt6 * Ne * sqrtN)
         - c.sqrt3 / (c.sqrt_two_pi * sqrtN)
     )
-    factor1 = center1.plus_minus(RATIO_RADIUS_1 / N)
+    factor1 = center1.plus_minus(Fraction(271, 100) / N)
     factor2 = (1 + c.sqrt3 / (c.pi * c.sqrt2 * sqrtN)).plus_minus(Fraction(1350) / N)
-    return [expf, factor1, factor2, expf * factor1 * factor2]
+    return expf * factor1 * factor2
 
 
 def _own_fjn(n, j, prec):
@@ -427,12 +399,12 @@ def _own_fjn(n, j, prec):
     exp1 = (-(c.pi * j / (c.sqrt6 * sqrtN))).exp()
     jj = Fraction(2 * j) / N
     centerA = 1 + c.delta_c / sqrtN + jj - c.pi * j * j / (c.sqrt6 * Ne * sqrtN)
-    termA = centerA.plus_minus(FJN_RADIUS_A / N)
+    termA = centerA.plus_minus(Fraction(2075) / N)
     centerB = (
         2 + 2 * c.delta_c / sqrtN + jj - c.pi * j * j / (2 * c.sqrt6 * Ne * sqrtN)
     )
-    termB = centerB.plus_minus(FJN_RADIUS_B / N)
-    return [termA, termB, 1 + exp1 * exp1 * termA - exp1 * termB]
+    termB = centerB.plus_minus(Fraction(3926) / N)
+    return 1 + exp1 * exp1 * termA - exp1 * termB
 
 
 def _own_convexity_link3(n, j, prec):
@@ -442,7 +414,7 @@ def _own_convexity_link3(n, j, prec):
         c.delta_c / sqrtN
         + Fraction(j) / N
         - c.pi * j * j / (4 * c.sqrt6 * Ne * sqrtN)
-        + FJN_RADIUS_B / N
+        + Fraction(3926) / N
     )
 
 
@@ -505,10 +477,7 @@ def _ends(encs):
 )
 def test_shared_terms_keep_every_endpoint(data, n, prec):
     j = data.draw(st.integers(0, ratio_j_top(n)), label="j")
-    est = ratio_interval(n, j, prec)
-    assert _ends(
-        [est.exponential_factor, est.factor1, est.factor2, est.product]
-    ) == _ends(_own_ratio(n, j, prec))
+    assert _ends([ratio_interval(n, j, prec)]) == _ends([_own_ratio(n, j, prec)])
 
     j = data.draw(st.integers(0, math.isqrt(n - 1)), label="prop21 j")
     assert _ends([proposition21_interval(n, j, prec)]) == _ends(
@@ -519,8 +488,7 @@ def test_shared_terms_keep_every_endpoint(data, n, prec):
         return  # no licensed f(j,n) shift, and too small an ell for k-rank
 
     j = data.draw(st.integers(1, fjn_j_top(n)), label="fjn j")
-    fjn = fjn_ratio_interval(n, j, prec)
-    assert _ends([fjn.termA, fjn.termB, fjn.total]) == _ends(_own_fjn(n, j, prec))
+    assert _ends([fjn_ratio_interval(n, j, prec)]) == _ends([_own_fjn(n, j, prec)])
 
     # link (iii) is the first the chain decides and below N ~ 1.7e8 the
     # last; catch the enclosure it is decided on
