@@ -37,17 +37,75 @@ _TRANSCENDENTAL_SLACK = 8
 
 _mul = libmp.mpf_mul
 _div = libmp.mpf_div
+_normalize = libmp.normalize
+_normalize1 = libmp.normalize1
+
+ORDER_ERROR = "interval endpoints out of order"
 
 ExactScalar = (int, Fraction)
 
 
-def raw_from_exact(value, prec, rnd):
-    """Directed conversion of an int or Fraction to a raw libmp float."""
-    if isinstance(value, int):
-        return libmp.from_int(value, prec, rnd)
+def ratio_pair(p: int, q: int, prec: int):
+    """(floor, ceiling) of p/q at prec bits, as raw libmp floats.
+
+    The bits of from_rational(p, q, prec, "f") and (..., "c"), from the one
+    quotient-and-sticky-bit step that mpf_div takes, normalized once in each
+    direction.
+    """
+    if not q:
+        raise ZeroDivisionError("ratio_pair with q = 0")
+    if not p:
+        return libmp.fzero, libmp.fzero
+    sign = (p < 0) != (q < 0)
+    p = abs(p)
+    q = abs(q)
+    # odd parts and exponents, as from_int leaves them
+    pz = (p & -p).bit_length() - 1
+    qz = (q & -q).bit_length() - 1
+    man = p >> pz
+    den = q >> qz
+    exp = pz - qz
+    if den == 1:
+        bc = man.bit_length()
+        return (_normalize1(sign, man, exp, bc, prec, _DOWN),
+                _normalize1(sign, man, exp, bc, prec, _UP))
+    extra = max(prec - man.bit_length() + den.bit_length() + 5, 5)
+    quot, rem = divmod(man << extra, den)
+    norm = _normalize
+    if rem:
+        quot = (quot << 1) | 1
+        extra += 1
+        norm = _normalize1
+    bc = quot.bit_length()
+    exp -= extra
+    return norm(sign, quot, exp, bc, prec, _DOWN), norm(sign, quot, exp, bc, prec, _UP)
+
+
+def _exact_pair(value, prec):
+    # (floor, ceiling) of an int or Fraction at prec bits
     if isinstance(value, Fraction):
-        return libmp.from_rational(value.numerator, value.denominator, prec, rnd)
+        return ratio_pair(value.numerator, value.denominator, prec)
+    if isinstance(value, int):
+        return ratio_pair(value, 1, prec)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def ordered(lo, hi) -> bool:
+    """lo <= hi for raw libmp floats, decided as `not mpf_gt(lo, hi)` does.
+
+    Two endpoints of one enclosure nearly always share their sign and top
+    bit, where mpf_cmp would subtract; their aligned mantissas compare as
+    integers instead.
+    """
+    lsign, lman, lexp, lbc = lo
+    hsign, hman, hexp, hbc = hi
+    if lman and hman and lsign == hsign and lexp + lbc == hexp + hbc:
+        if lexp > hexp:
+            lman <<= lexp - hexp
+        else:
+            hman <<= hexp - lexp
+        return lman >= hman if lsign else lman <= hman
+    return not libmp.mpf_gt(lo, hi)
 
 
 def fraction_from_raw(raw):
@@ -100,6 +158,20 @@ def _widen_raw(raw, prec, rnd):
     return libmp.mpf_add(raw, pad, prec, _UP)
 
 
+def _sqrt_ends(lo, hi, p):
+    """Raw endpoints of sqrt([lo, hi]) at p bits; lo must not be negative."""
+    if libmp.mpf_lt(lo, libmp.fzero):
+        raise ValueError("sqrt of an interval reaching below zero")
+    # libmp square root is integer-based and honors directed rounding.
+    return libmp.mpf_sqrt(lo, p, _DOWN), libmp.mpf_sqrt(hi, p, _UP)
+
+
+def _exp_ends(lo, hi, p):
+    """Raw endpoints of exp([lo, hi]) at p bits, padded outward."""
+    return (_widen_raw(libmp.mpf_exp(lo, p, _DOWN), p, _DOWN),
+            _widen_raw(libmp.mpf_exp(hi, p, _UP), p, _UP))
+
+
 def _hull(op, a, b, c, d, p):
     # Outward hull of op over the four endpoint pairs of [a, b] and [c, d]:
     # the least downward and the greatest upward result.
@@ -112,7 +184,39 @@ def _hull(op, a, b, c, d, p):
             lo = down
         if hi is None or libmp.mpf_gt(up, hi):
             hi = up
-    return Enclosure(lo, hi, p)
+    return lo, hi
+
+
+def _mul_ends(a, b, c, d, p):
+    """Raw endpoints of [a, b] * [c, d] at p bits, rounded outward."""
+    # Sign-case table: unless a factor straddles zero, the signs pick the
+    # two extreme endpoint products.  Directed rounding is monotone, so
+    # these are the endpoints the four-product hull would find.
+    # A set sign bit on hi means hi < 0; a clear one on lo means lo >= 0.
+    if not a[0]:
+        if not c[0]:
+            return _mul(a, c, p, _DOWN), _mul(b, d, p, _UP)
+        if d[0]:
+            return _mul(b, c, p, _DOWN), _mul(a, d, p, _UP)
+    elif b[0]:
+        if not c[0]:
+            return _mul(a, d, p, _DOWN), _mul(b, c, p, _UP)
+        if d[0]:
+            return _mul(b, d, p, _DOWN), _mul(a, c, p, _UP)
+    return _hull(_mul, a, b, c, d, p)
+
+
+def _div_ends(a, b, c, d, p):
+    """Raw endpoints of [a, b] / [c, d] at p bits, rounded outward."""
+    if not c[0] and c[1]:
+        # positive divisor and a dividend of one sign: as in _mul_ends
+        if not a[0]:
+            return _div(a, d, p, _DOWN), _div(b, c, p, _UP)
+        if b[0]:
+            return _div(a, c, p, _DOWN), _div(b, d, p, _UP)
+    elif not (libmp.mpf_gt(c, libmp.fzero) or libmp.mpf_lt(d, libmp.fzero)):
+        raise ZeroDivisionError("interval divisor straddles zero")
+    return _hull(_div, a, b, c, d, p)
 
 
 class Enclosure:
@@ -122,8 +226,8 @@ class Enclosure:
 
     def __init__(self, lo, hi, prec=DEFAULT_PRECISION):
         # lo/hi are raw libmp tuples; use the class methods for exact input.
-        if libmp.mpf_gt(lo, hi):
-            raise ValueError("interval endpoints out of order")
+        if not ordered(lo, hi):
+            raise ValueError(ORDER_ERROR)
         self.lo = lo
         self.hi = hi
         self.prec = prec
@@ -133,20 +237,13 @@ class Enclosure:
     @classmethod
     def from_exact(cls, value, prec=DEFAULT_PRECISION):
         """Tightest enclosure of an exact int or Fraction."""
-        return cls(
-            raw_from_exact(value, prec, _DOWN),
-            raw_from_exact(value, prec, _UP),
-            prec,
-        )
+        lo, hi = _exact_pair(value, prec)
+        return cls(lo, hi, prec)
 
     @classmethod
     def from_bounds(cls, lo, hi, prec=DEFAULT_PRECISION):
         """Enclosure from exact rational bounds (lo may equal hi)."""
-        return cls(
-            raw_from_exact(lo, prec, _DOWN),
-            raw_from_exact(hi, prec, _UP),
-            prec,
-        )
+        return cls(_exact_pair(lo, prec)[0], _exact_pair(hi, prec)[1], prec)
 
     @classmethod
     def pi(cls, prec=DEFAULT_PRECISION):
@@ -257,22 +354,7 @@ class Enclosure:
         if o is None:
             return NotImplemented
         p = self.prec
-        a, b, c, d = self.lo, self.hi, o.lo, o.hi
-        # Sign-case table: unless a factor straddles zero, the signs pick the
-        # two extreme endpoint products.  Directed rounding is monotone, so
-        # these are the endpoints the four-product hull below would find.
-        # A set sign bit on hi means hi < 0; a clear one on lo means lo >= 0.
-        if not a[0]:
-            if not c[0]:
-                return Enclosure(_mul(a, c, p, _DOWN), _mul(b, d, p, _UP), p)
-            if d[0]:
-                return Enclosure(_mul(b, c, p, _DOWN), _mul(a, d, p, _UP), p)
-        elif b[0]:
-            if not c[0]:
-                return Enclosure(_mul(a, d, p, _DOWN), _mul(b, c, p, _UP), p)
-            if d[0]:
-                return Enclosure(_mul(b, d, p, _DOWN), _mul(a, c, p, _UP), p)
-        return _hull(_mul, a, b, c, d, p)
+        return Enclosure(*_mul_ends(self.lo, self.hi, o.lo, o.hi, p), p)
 
     __rmul__ = __mul__
 
@@ -281,16 +363,7 @@ class Enclosure:
         if o is None:
             return NotImplemented
         p = self.prec
-        a, b, c, d = self.lo, self.hi, o.lo, o.hi
-        if not c[0] and c[1]:
-            # positive divisor and a dividend of one sign: as in __mul__
-            if not a[0]:
-                return Enclosure(_div(a, d, p, _DOWN), _div(b, c, p, _UP), p)
-            if b[0]:
-                return Enclosure(_div(a, c, p, _DOWN), _div(b, d, p, _UP), p)
-        elif not (o.strictly_positive() or o.strictly_negative()):
-            raise ZeroDivisionError("interval divisor straddles zero")
-        return _hull(_div, a, b, c, d, p)
+        return Enclosure(*_div_ends(self.lo, self.hi, o.lo, o.hi, p), p)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -300,28 +373,19 @@ class Enclosure:
 
     def sqrt(self):
         """Square root; requires a nonnegative interval."""
-        if libmp.mpf_lt(self.lo, libmp.fzero):
-            raise ValueError("sqrt of an interval reaching below zero")
         p = self.prec
-        # libmp square root is integer-based and honors directed rounding.
-        return Enclosure(
-            libmp.mpf_sqrt(self.lo, p, _DOWN),
-            libmp.mpf_sqrt(self.hi, p, _UP),
-            p,
-        )
+        return Enclosure(*_sqrt_ends(self.lo, self.hi, p), p)
 
     def exp(self):
         p = self.prec
-        lo = _widen_raw(libmp.mpf_exp(self.lo, p, _DOWN), p, _DOWN)
-        hi = _widen_raw(libmp.mpf_exp(self.hi, p, _UP), p, _UP)
-        return Enclosure(lo, hi, p)
+        return Enclosure(*_exp_ends(self.lo, self.hi, p), p)
 
     def plus_minus(self, radius):
         """Widen symmetrically by an upper bound on the given radius."""
         if isinstance(radius, Enclosure):
             r = radius.hi
         elif isinstance(radius, ExactScalar):
-            r = raw_from_exact(radius, self.prec, _UP)
+            r = _exact_pair(radius, self.prec)[1]
         else:
             raise TypeError("radius must be exact or an Enclosure")
         if libmp.mpf_lt(r, libmp.fzero):
@@ -353,7 +417,8 @@ def exp_enclosure(value, prec=DEFAULT_PRECISION):
 
 @lru_cache(maxsize=None)
 def constants(prec: int) -> SimpleNamespace:
-    """Enclosures of pi, sqrt 2, sqrt 3, sqrt 6, sqrt(2 pi) and delta_c."""
+    """Enclosures of pi, sqrt 2, sqrt 3, sqrt 6, sqrt(2 pi), delta_c and the
+    coefficients of h_error."""
     pi = Enclosure.pi(prec)
     sqrt2 = sqrt_enclosure(2, prec)
     sqrt3 = sqrt_enclosure(3, prec)
@@ -366,4 +431,7 @@ def constants(prec: int) -> SimpleNamespace:
         sqrt_two_pi=sqrt_two_pi,
         # sqrt(3)/(sqrt(2) pi) - sqrt(3)/sqrt(2 pi), about -0.3011
         delta_c=sqrt3 / (sqrt2 * pi) - sqrt3 / sqrt_two_pi,
+        # 2 pi^2/3 and 8 pi/sqrt 3, in h_error's order of operations
+        h_first=2 * pi * pi / 3,
+        h_second=8 * pi / sqrt3,
     )

@@ -18,6 +18,11 @@ Sampling conventions:
   pairs directly instead of a continuum,
 * margins that certify a bound of the form error <= c/N are normalised by N,
   so the reported quantity is c - N * error.
+
+`bessel-tail-sum`, a thousand Bessel terms per point, runs in raw libmp: each
+term makes the libmp calls, with the roundings and endpoint-order checks, of
+its Enclosure expression, so its endpoints are that expression's bit for bit
+(`tests/test_inequalities.py::TestBesselTailKernel` compares the two).
 """
 
 from __future__ import annotations
@@ -25,16 +30,26 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Tuple
 
 from mpmath import libmp
 
 from .enclosure import (
+    _DOWN,
+    _UP,
     DEFAULT_PRECISION,
+    ORDER_ERROR,
     Enclosure,
+    _div_ends,
+    _exp_ends,
+    _mul_ends,
+    _sqrt_ends,
     constants,
     exp_enclosure,
     fraction_from_raw,
+    ordered,
+    ratio_pair,
     sqrt_enclosure,
 )
 from .errors import PreconditionError
@@ -53,6 +68,8 @@ Point = Tuple
 MarginFn = Callable[[Point, int], Enclosure]
 Sampler = Callable[[int, int, random.Random], Iterable[Point]]
 
+_add = libmp.mpf_add
+
 GRID_POINTS = 10_000
 RANDOM_POINTS = 1_000
 DEFAULT_SEED = 8191
@@ -64,9 +81,10 @@ _CAP = Fraction(10_000)
 # Relative pull-in applied to both domain endpoints.
 _EDGE = Fraction(1, 10**9)
 
-# Uncached: the collapse cases visit thousands of indices, and a full memo
-# of their terms adds about 6 MB to a pool worker's 27 MB peak.
-_terms = shifted_terms.__wrapped__
+# One entry: the pair grid visits each n with up to three j in a row, while
+# a full memo of the thousands of indices the collapse cases visit would add
+# about 6 MB to a pool worker's 27 MB peak.
+_terms = lru_cache(maxsize=1)(shifted_terms.__wrapped__)
 
 # The radii of the two factors collapse-271 combines into 2.71/N, certified
 # by collapse-056 and collapse-131.
@@ -243,15 +261,15 @@ def _margin_collapse_056(point: Point, prec: int) -> Enclosure:
     n, j = point
     c = constants(prec)
     nn = shifted_index(n)
-    n32 = nn * sqrt_enclosure(nn, prec)
+    den = 4 * c.sqrt6 * (nn * sqrt_enclosure(nn, prec))
     worst = None
     # The bound is used with both the plain and the doubled shift; the
     # doubled one is the tight branch but both must clear 0.56.
     for big_j in (j, 2 * j):
         err_n = (
             Fraction(2, 5)
-            + c.pi * big_j**3 / (4 * c.sqrt6 * n32)
-            + Fraction(2, 5) * c.pi * big_j**2 / (4 * c.sqrt6 * n32)
+            + c.pi * big_j**3 / den
+            + Fraction(2, 5) * c.pi * big_j**2 / den
             + Fraction(1, 10)
             + Fraction(big_j, 10) / nn
             + Fraction(1, 25) / nn
@@ -316,23 +334,39 @@ def _margin_collapse_3926(point: Point, prec: int) -> Enclosure:
     return Enclosure.from_exact(FJN_RADIUS_B - 2 * N * err, prec)
 
 
-def _bessel_halforder(y: Fraction, prec: int) -> Enclosure:
-    # [e^y (1 - 1/y) + e^{-y} (1 + 1/y)] / sqrt(2 pi y)
-    c = constants(prec)
-    ey = exp_enclosure(y, prec)
-    iy = 1 / y
-    numerator = ey * (1 - iy) + (1 / ey) * (1 + iy)
-    return numerator / (2 * c.pi * y).sqrt()
+def _ends(pair):
+    # the endpoint-order check an Enclosure of the pair would make
+    if not ordered(*pair):
+        raise ValueError(ORDER_ERROR)
+    return pair
 
 
 def _margin_bessel_tail(point: Point, prec: int) -> Enclosure:
+    # Sums I_3/2(y) = [e^y (1 - 1/y) + e^-y (1 + 1/y)] / sqrt(2 pi y) at
+    # y = x/k in raw libmp.  Each step makes the libmp calls, on the same
+    # operands and with the same roundings, that this expression in
+    # Enclosure arithmetic makes, and checks the order of every endpoint
+    # pair that was an Enclosure; 1 +- 1/y = (a +- b k)/a for x = a/b.
     (x,) = point
     c = constants(prec)
-    total = Enclosure.from_exact(0, prec)
+    a, b = x.numerator, x.denominator
+    two_pi = 2 * c.pi
+    pl, ph = two_pi.lo, two_pi.hi
+    one = libmp.fone
+    sl = sh = libmp.fzero
     for k in range(2, TAIL_TERMS + 1):
-        total = total + _bessel_halforder(x / k, prec)
+        bk = b * k
+        yl, yh = _ends(ratio_pair(a, bk, prec))
+        el, eh = _ends(_exp_ends(yl, yh, prec))
+        ml, mh = _ends(_mul_ends(el, eh, *_ends(ratio_pair(a - bk, a, prec)), prec))
+        rl, rh = _ends(_div_ends(one, one, el, eh, prec))
+        ql, qh = _ends(_mul_ends(rl, rh, *_ends(ratio_pair(a + bk, a, prec)), prec))
+        nl, nh = _ends((_add(ml, ql, prec, _DOWN), _add(mh, qh, prec, _UP)))
+        wl, wh = _ends(_sqrt_ends(*_ends(_mul_ends(pl, ph, yl, yh, prec)), prec))
+        tl, th = _ends(_div_ends(nl, nh, wl, wh, prec))
+        sl, sh = _ends((_add(sl, tl, prec, _DOWN), _add(sh, th, prec, _UP)))
     rhs = 4 * (x / c.pi).sqrt() * exp_enclosure(x / 2, prec)
-    return rhs - total
+    return rhs - Enclosure(sl, sh, prec)
 
 
 def _margin_bessel_simplify(point: Point, prec: int) -> Enclosure:

@@ -117,8 +117,8 @@ def h_error(x, prec: int = DEFAULT_PRECISION) -> Enclosure:
     xe = Enclosure.from_exact(xf, prec)
     c = constants(prec)
     pi = c.pi
-    first = 2 * pi * pi / 3 * xe * (-(pi * (2 * xe / 3).sqrt())).exp()
-    second = 8 * pi / c.sqrt3 * xe.sqrt() * (-(pi / 2 * (xe / 2).sqrt())).exp()
+    first = c.h_first * xe * (-(pi * (2 * xe / 3).sqrt())).exp()
+    second = c.h_second * xe.sqrt() * (-(pi / 2 * (xe / 2).sqrt())).exp()
     return first + second
 
 

@@ -476,10 +476,17 @@ def _dispatch_order(names: List[str]) -> List[int]:
     return sorted(range(len(names)), key=lambda i: -CASE_INDEX[names[i]].cost)
 
 
+def _usable_cpus() -> int:
+    # os.cpu_count() also counts CPUs outside this process's affinity mask
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_inequality_cases(
     names: List[str], prec: int, seed: int
 ) -> List[InequalityResult]:
-    workers = min(len(names), os.cpu_count() or 1)
+    workers = min(len(names), _usable_cpus())
     pool = None
     if workers > 1:
         # only a pool that cannot start falls back; a case's error propagates

@@ -3,16 +3,21 @@ rational arithmetic."""
 
 from fractions import Fraction
 
+from functools import lru_cache
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
 from partbounds.enclosure import (
     Enclosure,
+    constants,
     exact_decimal,
     exp_enclosure,
     fraction_from_raw,
+    ordered,
+    ratio_pair,
     sqrt_enclosure,
 )
 
@@ -307,3 +312,199 @@ def margin_probes(draw):
 def test_margin_sign_is_the_containment_verdict(probe):
     e, v = probe
     assert (e.containment_margin(v) >= 0) == e.contains(v)
+
+
+# -- bit-identity of the conversion and order primitives ------------------
+
+denominators = st.one_of(
+    st.integers(0, 200).map(lambda e: 1 << e),
+    st.integers(1, 10**40),
+).flatmap(lambda q: st.sampled_from([q, -q]))
+
+
+@given(
+    p=st.integers(-(10**60), 10**60),
+    q=denominators,
+    prec=st.one_of(st.sampled_from([16, 53, 128, 300, 4096]), st.integers(16, 4096)),
+)
+@settings(max_examples=400, deadline=None)
+@example(p=0, q=3, prec=53)
+@example(p=-(10**60), q=1, prec=16)
+@example(p=22, q=7, prec=114)
+def test_ratio_pair_is_from_rational(p, q, prec):
+    assert ratio_pair(p, q, prec) == (
+        libmp.from_rational(p, q, prec, "f"),
+        libmp.from_rational(p, q, prec, "c"),
+    )
+
+
+def test_ratio_pair_rejects_zero_denominator():
+    for p in (0, 1, -5):
+        with pytest.raises(ZeroDivisionError):
+            ratio_pair(p, 0, 53)
+
+
+SPECIALS = [libmp.fzero, libmp.finf, libmp.fninf, libmp.fnan]
+
+
+@st.composite
+def raw_pairs(draw):
+    """Two raw floats: specials, either sign, and often one top bit at two
+    different exponents, where mpf_cmp would subtract."""
+
+    def one(top):
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from(SPECIALS))
+        bits = draw(st.integers(1, 300))
+        man = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        sign = draw(st.sampled_from([1, 1, 1, -1]))
+        exp = top - bits if top is not None else draw(st.integers(-400, 400))
+        return libmp.from_man_exp(sign * man, exp)
+
+    top = draw(st.one_of(st.none(), st.integers(-400, 400)))
+    return one(top), one(top)
+
+
+@given(pair=raw_pairs())
+@settings(max_examples=400, deadline=None)
+def test_ordered_is_not_greater(pair):
+    a, b = pair
+    assert ordered(a, b) == (not libmp.mpf_gt(a, b))
+    assert ordered(b, a) == (not libmp.mpf_gt(b, a))
+    assert ordered(a, a)
+
+
+def test_ordered_one_top_bit():
+    # 3/4 and 5/8 share their top bit at exponents -2 and -3
+    lo, hi = libmp.from_rational(5, 8, 53), libmp.from_rational(3, 4, 53)
+    assert ordered(lo, hi) and not ordered(hi, lo)
+    neg = libmp.mpf_neg
+    assert ordered(neg(hi), neg(lo)) and not ordered(neg(lo), neg(hi))
+    assert ordered(neg(lo), lo) and not ordered(lo, neg(lo))
+    for special in SPECIALS:
+        for x in (lo, neg(lo), libmp.fzero, libmp.finf, libmp.fninf, libmp.fnan):
+            assert ordered(special, x) == (not libmp.mpf_gt(special, x))
+            assert ordered(x, special) == (not libmp.mpf_gt(x, special))
+
+
+# -- the transcendental slack against an exact oracle -----------------------
+#
+# Exact bounds on e^x and pi in integer fixed point with GUARD extra bits.
+# Every rounding below is directed, so [lo, hi] / 2^W always holds the value.
+
+GUARD = 64
+
+
+def _exp_fixed(x, w):
+    """(L, U) with L <= 2^w e^x <= U for rational x >= 0."""
+    s = 0
+    while x > Fraction(1, 2) * 2**s:
+        s += 1
+    p, q = x.numerator, x.denominator << s  # r = p/q <= 1/2
+    one = 1 << w
+    lo = hi = one
+    tlo = thi = one
+    i = 1
+    while True:
+        tlo = tlo * p // (q * i)
+        thi = -(-thi * p // (q * i))
+        if thi <= 1:
+            break
+        lo += tlo
+        hi += thi
+        i += 1
+    # Lagrange: the remainder after r^(i-1)/(i-1)! is e^xi r^i/i! <= 2 r^i/i!
+    hi += 2 * thi
+    for _ in range(s):
+        lo = lo * lo >> w
+        hi = -(-hi * hi >> w)
+    return lo, hi
+
+
+def exp_oracle(x, prec):
+    """Exact rational bounds (lo, hi) on e^x."""
+    w = prec + GUARD + 16
+    lo, hi = _exp_fixed(abs(x), w)
+    if x < 0:
+        return Fraction(1 << w, hi), Fraction(1 << w, lo)
+    return Fraction(lo, 1 << w), Fraction(hi, 1 << w)
+
+
+def _arctan_inv(n, w):
+    """(L, U) with L <= 2^w arctan(1/n) <= U, from the alternating series."""
+    one = 1 << w
+    lo = hi = 0
+    power = n
+    k = 1
+    sign = 1
+    while True:
+        tlo = one // (power * k)
+        thi = -(-one // (power * k))
+        if thi <= 1:
+            # the alternating tail is smaller than its first term
+            return lo - thi, hi + thi
+        if sign > 0:
+            lo, hi = lo + tlo, hi + thi
+        else:
+            lo, hi = lo - thi, hi - tlo
+        power *= n * n
+        k += 2
+        sign = -sign
+
+
+@lru_cache(maxsize=None)
+def pi_oracle(prec):
+    """Exact rational bounds (lo, hi) on pi, by Machin's formula."""
+    w = prec + GUARD
+    a_lo, a_hi = _arctan_inv(5, w)
+    b_lo, b_hi = _arctan_inv(239, w)
+    return Fraction(16 * a_lo - 4 * b_hi, 1 << w), Fraction(16 * a_hi - 4 * b_lo, 1 << w)
+
+
+def _encloses(e, lo, hi):
+    return e.lo_fraction <= lo and hi <= e.hi_fraction
+
+
+def test_oracles_are_tight():
+    # PI_45 and E_45 are truncations, at most 10^-42 below the constant
+    ulp = Fraction(1, 10**42)
+    lo, hi = pi_oracle(128)
+    assert PI_45 < lo < hi < PI_45 + ulp and hi - lo < Fraction(1, 2**180)
+    lo, hi = exp_oracle(Fraction(1), 128)
+    assert E_45 < lo < hi < E_45 + ulp and hi - lo < Fraction(1, 2**180)
+    lo, hi = exp_oracle(Fraction(-1), 128)
+    assert E_45 * lo < 1 < (E_45 + ulp) * hi and hi - lo < Fraction(1, 2**180)
+
+
+precisions = st.one_of(st.sampled_from([16, 53, 128, 300, 4096]), st.integers(16, 4096))
+
+
+@given(
+    x=st.fractions(min_value=-300, max_value=300, max_denominator=10**9),
+    prec=precisions,
+)
+@settings(max_examples=150, deadline=None)
+@example(x=Fraction(0), prec=16)
+@example(x=Fraction(100, 2), prec=128)
+@example(x=Fraction(-300), prec=4096)
+# libmp's upward exp lies about 1e-4 ulp below e^x at these two; the pad
+# covers it
+@example(x=Fraction(56302965619865, 2**43), prec=16)
+@example(x=Fraction(-5912819630798777, 2**45), prec=53)
+def test_exp_encloses_exact_oracle(x, prec):
+    assert _encloses(exp_enclosure(x, prec), *exp_oracle(x, prec))
+
+
+@given(prec=precisions)
+@settings(max_examples=60, deadline=None)
+def test_pi_and_constants_enclose_exact_oracle(prec):
+    lo, hi = pi_oracle(prec)
+    assert _encloses(Enclosure.pi(prec), lo, hi)
+    c = constants(prec)
+    assert _encloses(c.pi, lo, hi)
+    # sqrt(2 pi), 2 pi^2/3 and 8 pi/sqrt 3, through their squares where needed
+    s = c.sqrt_two_pi
+    assert s.lo_fraction**2 <= 2 * lo and 2 * hi <= s.hi_fraction**2
+    assert _encloses(c.h_first, 2 * lo * lo / 3, 2 * hi * hi / 3)
+    h = c.h_second
+    assert h.lo_fraction**2 <= 64 * lo * lo / 3 and 64 * hi * hi / 3 <= h.hi_fraction**2

@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from partbounds.enclosure import MEMO_MAXSIZE, Enclosure, constants
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
-    KRANK_DIFF_RADIUS_A,
-    KRANK_DIFF_RADIUS_B,
-    KRANK_RATIO_RADIUS_1,
     CertificateKind,
     _analytic_convexity,
     _krank_diff,
@@ -422,10 +419,10 @@ def _own_krank(lp, prec):
     c = constants(prec)
     ell, Le, sqrtL = _preamble(lp + 1, prec)
     u = (-(c.pi / (c.sqrt6 * sqrtL))).exp()
-    f1 = (1 - c.sqrt3 / (c.sqrt_two_pi * sqrtL)).plus_minus(KRANK_RATIO_RADIUS_1 / ell)
+    f1 = (1 - c.sqrt3 / (c.sqrt_two_pi * sqrtL)).plus_minus(Fraction(101, 25) / ell)
     f2 = (1 + c.sqrt3 / (c.pi * c.sqrt2 * sqrtL)).plus_minus(Fraction(1350) / ell)
-    termA = (1 + c.delta_c / sqrtL).plus_minus(KRANK_DIFF_RADIUS_A / ell)
-    termB = (2 + 2 * c.delta_c / sqrtL).plus_minus(KRANK_DIFF_RADIUS_B / ell)
+    termA = (1 + c.delta_c / sqrtL).plus_minus(Fraction(2079) / ell)
+    termB = (2 + 2 * c.delta_c / sqrtL).plus_minus(Fraction(3929) / ell)
     return [1 - u * f1 * f2, 1 + u * u * termA - u * termB]
 
 

@@ -389,6 +389,12 @@ class TestInequalitySuite:
         assert first.rows == second.rows
 
 
+def _usable_cpus(monkeypatch, count):
+    # the pool is sized from the affinity mask where the platform has one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
 class TestInequalityDispatch:
     # cheap copies of one case at several grid sizes, listed out of cost order
     GRIDS = (20, 240, 5, 120, 60)
@@ -412,8 +418,22 @@ class TestInequalityDispatch:
         ]
         expected = [inequalities.run_case(name) for name in names]
         for cpus in (2, 1):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            _usable_cpus(monkeypatch, cpus)
             assert _run_inequality_cases(names, 128, inequalities.DEFAULT_SEED) == expected
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
+    def test_one_usable_cpu_runs_in_process(self, monkeypatch):
+        # an affinity mask of one CPU starts no pool, however many CPUs exist
+        names = self._register(monkeypatch)
+        expected = [inequalities.run_case(name) for name in names]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+        def no_pool(method):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(verify.multiprocessing, "get_context", no_pool)
+        assert _run_inequality_cases(names, 128, inequalities.DEFAULT_SEED) == expected
 
     def test_longest_case_dispatched_first(self):
         names = [case.name for case in inequalities.CASES]
@@ -430,7 +450,7 @@ class TestInequalityDispatch:
             inequalities.CASE_INDEX["collapse-131"], name="raises", margin=margin
         )
         monkeypatch.setitem(inequalities.CASE_INDEX, case.name, case)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _usable_cpus(monkeypatch, 2)
         with pytest.raises(ValueError, match="endpoints out of order"):
             _run_inequality_cases(["raises", "collapse-131"], 128, 1)
         assert len(list(tmp_path.iterdir())) == 1
