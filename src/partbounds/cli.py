@@ -82,7 +82,8 @@ def _cmd_exact(args: argparse.Namespace) -> _Handled:
     # the oracle refuses n past its bound before the table grows to n
     expected = p_enumerate_oracle(n) if args.oracle else None
     value = p_exact(n)
-    results: Dict[str, Any] = {"n": n, "p": str(value), "digits": len(str(value))}
+    digits = str(value)
+    results: Dict[str, Any] = {"n": n, "p": digits, "digits": len(digits)}
     passed = True
     if args.oracle:
         passed = value == expected

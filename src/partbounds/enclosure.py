@@ -34,6 +34,10 @@ _UP = "c"    # toward +inf
 # libmp computes exp/pi with guard bits and then rounds directionally; the
 # guard-bit argument is empirical rather than proven, so we pad the result.
 _TRANSCENDENTAL_SLACK = 8
+# The pad of a p-bit float x is |x| * 2^(_PAD_SHIFT - p), exact by a shift of
+# the exponent, which needs the slack to be a power of two.
+_PAD_SHIFT = _TRANSCENDENTAL_SLACK.bit_length() - 1
+assert _TRANSCENDENTAL_SLACK == 1 << _PAD_SHIFT
 
 _mul = libmp.mpf_mul
 _div = libmp.mpf_div
@@ -147,12 +151,17 @@ def exact_decimal(value: Fraction) -> str:
 
 def _widen_raw(raw, prec, rnd):
     # Pad a transcendental result outward by _TRANSCENDENTAL_SLACK ulps.
-    pad = libmp.mpf_mul(
-        libmp.mpf_abs(raw),
-        libmp.from_man_exp(_TRANSCENDENTAL_SLACK, -prec),
-        prec,
-        _UP,
-    )
+    _, man, exp, bc = raw
+    if man and bc <= prec:
+        # |raw| * slack * 2^-prec has at most prec bits, so it is exact
+        pad = (0, man, exp + _PAD_SHIFT - prec, bc)
+    else:
+        pad = libmp.mpf_mul(
+            libmp.mpf_abs(raw),
+            libmp.from_man_exp(_TRANSCENDENTAL_SLACK, -prec),
+            prec,
+            _UP,
+        )
     if rnd == _DOWN:
         return libmp.mpf_sub(raw, pad, prec, _DOWN)
     return libmp.mpf_add(raw, pad, prec, _UP)

@@ -6,10 +6,12 @@ by Euler's pentagonal-number recurrence
 
     p(m) = sum_{k >= 1} (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)]
 
-and memoized in a growable table.  Each growth lists the generalized
-pentagonal offsets g up to its target once, split by sign, so every new
-entry is the sum of p(m - g) over the positive offsets g <= m less the same
-sum over the negative ones.  The slower counting routines
+and memoized in a growable table.  The generalized pentagonal offsets g are
+listed once, at import.  Each table keeps, across growths, one gather per
+sign over the negative indices -g of its offsets g <= m; while the table
+holds p(0..m-1), the value at index -g is p(m - g), so every new entry is
+the sum of one gather less the sum of the other, and a gather is rebuilt
+only when a new offset comes into play.  The slower counting routines
 (bounded-largest-part recursion, part-avoiding recursion, literal
 enumeration) are kept deliberately independent so they can serve as
 oracles for the fast path.  Literal enumeration builds each partition from
@@ -23,14 +25,47 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 
 from .errors import PreconditionError
 
 ENUMERATION_BOUND = 90
 LISTING_BOUND = 45
 # Largest index the table grows to: growing from empty to it took about
-# 10 s and 32 MB on a 2-vCPU VM.  No verify suite needs more than 10^4.
+# 4.5 s and 32 MB on a 2-vCPU VM.  No verify suite needs more than 10^4.
 TABLE_CEILING = 100_000
+
+
+def _pentagonal_offsets(top: int) -> list:
+    """The generalized pentagonal numbers k(3k-1)/2, k(3k+1)/2 in ascending
+    order, through the first one past top."""
+    offsets, k = [], 0
+    while not offsets or offsets[-1] <= top:
+        k += 1
+        offsets += (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+    return offsets
+
+
+# The terms of k = 1, 3, 5, ... enter the recurrence with sign +, the others
+# with sign -.  The last offset lies past TABLE_CEILING, so growth never runs
+# off the list.
+_OFFSETS = _pentagonal_offsets(TABLE_CEILING)
+_PLUS = tuple(-g for i, g in enumerate(_OFFSETS) if not i & 2)
+_MINUS = tuple(-g for i, g in enumerate(_OFFSETS) if i & 2)
+
+
+def _gather(indices):
+    # the items at indices; itemgetter returns a bare item for one index and
+    # takes no empty list
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda vals: [vals[i] for i in indices]
+
+
+def _gathers(active: int):
+    """The gather of each sign over the first `active` offsets."""
+    plus = active // 4 * 2 + min(active % 4, 2)
+    return _gather(_PLUS[:plus]), _gather(_MINUS[:active - plus])
 
 
 def shifted_index(n: int) -> Fraction:
@@ -43,31 +78,28 @@ class PartitionTable:
 
     def __init__(self):
         self._values = [1]
+        # the number of offsets in play (those g <= len - 1) and the gather
+        # of each sign over them, replaced together
+        self._growth = (0, *_gathers(0))
 
     def __len__(self):
         return len(self._values)
 
     def ensure(self, n: int):
         """Grow the table so that p(0..n) are all available (n <= TABLE_CEILING)."""
-        if n < len(self._values):
+        vals = self._values
+        if n < len(vals):
             return
         if n > TABLE_CEILING:
             raise PreconditionError(f"requires n <= {TABLE_CEILING} (partition table ceiling)")
-        vals = self._values
-        # generalized pentagonal numbers k(3k-1)/2, k(3k+1)/2 in ascending
-        # order; the terms of k = 1, 3, 5, ... enter with sign +, the others -
-        offsets = []
-        k = 1
-        while (g := k * (3 * k - 1) // 2) <= n:
-            offsets += (g, g + k)
-            k += 1
-        plus, minus = [], []  # the offsets g <= m of each sign
-        active = 0
+        active, plus, minus = self._growth
         for m in range(len(vals), n + 1):
-            while active < len(offsets) and offsets[active] <= m:
-                (minus if active & 2 else plus).append(offsets[active])
+            # the offsets are distinct, so at most one comes into play per m
+            if _OFFSETS[active] <= m:
                 active += 1
-            vals.append(sum([vals[m - g] for g in plus]) - sum([vals[m - g] for g in minus]))
+                plus, minus = _gathers(active)
+                self._growth = active, plus, minus
+            vals.append(sum(plus(vals)) - sum(minus(vals)))
 
     def p(self, m: int) -> int:
         """p(m), with p(m) = 0 for m < 0."""

@@ -1,6 +1,7 @@
 """Every exported name resolves and every imported name is used, so
 deletions leave no stale exports or imports, every name the benchmark's
-tracer patches still exists, and no module-level memo grows without bound."""
+tracer patches still exists, the partition table grows only through the
+method it times, and no module-level memo grows without bound."""
 
 import ast
 import importlib
@@ -12,8 +13,10 @@ from pathlib import Path
 import pytest
 
 import partbounds
-from partbounds import estimates, rademacher
+from partbounds import estimates, exact, rademacher
+from partbounds.cli import main
 from partbounds.enclosure import Enclosure
+from partbounds.exact import PartitionTable
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -69,6 +72,32 @@ def test_tracer_patches_and_restores_its_names():
     for name, attrs in modules.items():
         current = vars(sys.modules[name])
         assert all(current[attr] is value for attr, value in attrs.items()), name
+
+
+def test_table_grows_only_through_ensure(monkeypatch, capsys):
+    # the tracer times PartitionTable.ensure by name, so every entry a table
+    # gains must be added inside one call of it
+    table = PartitionTable()
+    monkeypatch.setattr(exact, "_default_table", table)
+    original = PartitionTable.ensure
+    grown = []
+
+    def ensure(self, n):
+        size = len(self)
+        original(self, n)
+        grown.append(len(self) - size)
+
+    monkeypatch.setattr(PartitionTable, "ensure", ensure)
+    assert table.p(40) == 37338 and grown == [40]
+    assert table.p(41) == 44583 and grown == [40, 1]
+    assert table.p(12) == 77 and grown == [40, 1, 0]
+    exact.f_jn(60, 5)
+    exact.delta_r_j_direct(70, 3, 4)
+    exact.nu_k(80, 2)
+    assert main(["exact", "90"]) == 0
+    capsys.readouterr()
+    assert len(table) == 91
+    assert sum(grown) == len(table) - 1
 
 
 # Keyed by precision alone, so they hold one entry per precision in use.

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 from partbounds.enclosure import (
+    _TRANSCENDENTAL_SLACK,
     Enclosure,
+    _widen_raw,
     constants,
     exact_decimal,
     exp_enclosure,
@@ -508,3 +510,37 @@ def test_pi_and_constants_enclose_exact_oracle(prec):
     assert _encloses(c.h_first, 2 * lo * lo / 3, 2 * hi * hi / 3)
     h = c.h_second
     assert h.lo_fraction**2 <= 64 * lo * lo / 3 and 64 * hi * hi / 3 <= h.hi_fraction**2
+
+
+def _widen_by_product(raw, prec, rnd):
+    """The pad as one upward libmp product of |raw| and slack * 2^-prec."""
+    pad = libmp.mpf_mul(
+        libmp.mpf_abs(raw), libmp.from_man_exp(_TRANSCENDENTAL_SLACK, -prec), prec, "c"
+    )
+    if rnd == "f":
+        return libmp.mpf_sub(raw, pad, prec, "f")
+    return libmp.mpf_add(raw, pad, prec, "c")
+
+
+@given(
+    x=st.fractions(min_value=-300, max_value=300, max_denominator=10**9),
+    prec=precisions,
+)
+@settings(max_examples=200, deadline=None)
+@example(x=Fraction(0), prec=16)
+@example(x=Fraction(-300), prec=4096)
+def test_widen_by_shift_is_the_product(x, prec):
+    # the exp and pi endpoints that _widen_raw pads, in both roundings
+    for rnd in ("f", "c"):
+        arg = libmp.from_rational(x.numerator, x.denominator, prec, rnd)
+        for raw in (libmp.mpf_exp(arg, prec, rnd), libmp.mpf_pi(prec, rnd)):
+            assert _widen_raw(raw, prec, rnd) == _widen_by_product(raw, prec, rnd)
+
+
+def test_widen_keeps_the_product_for_zero_specials_and_wide_floats():
+    # floats of more than 16 bits whose unrounded pad would move the widened
+    # endpoint by one ulp, one in each rounding
+    wide = [libmp.from_man_exp(man, -5) for man in (227324498513, 17285263939)]
+    for raw in (*SPECIALS, *wide, *map(libmp.mpf_neg, wide)):
+        for rnd in ("f", "c"):
+            assert _widen_raw(raw, 16, rnd) == _widen_by_product(raw, 16, rnd)

@@ -1,8 +1,10 @@
 """Exact-engine unit tests: frozen small values, oracle cross-checks, and
 structural properties."""
 
+from functools import lru_cache
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partbounds.errors import PreconditionError
@@ -72,13 +74,49 @@ def _pentagonal_steps(top):
     return sorted(steps | {top})
 
 
-def test_growth_in_irregular_steps_matches_series():
-    # the series is built by repeated division, never the pentagonal identity
-    t = PartitionTable()
-    for step in _pentagonal_steps(1500):
-        t.ensure(step)
-        assert len(t) == step + 1
-    assert [t.p(n) for n in range(1501)] == series_delta_coeffs(1, 0, 1500)
+GROWTH_TOP = 1500
+
+
+@lru_cache(maxsize=1)
+def _series_p():
+    return series_delta_coeffs(1, 0, GROWTH_TOP)
+
+
+# a growth target for one of two tables: on or next to a generalized
+# pentagonal number, anywhere up to GROWTH_TOP, or one past the ceiling
+_targets = st.tuples(
+    st.sampled_from([0, 1]),
+    st.one_of(
+        st.sampled_from(_pentagonal_steps(GROWTH_TOP)),
+        st.integers(0, GROWTH_TOP),
+        st.just(TABLE_CEILING + 1),
+    ),
+)
+
+
+@given(targets=st.lists(_targets, max_size=40))
+@settings(max_examples=60, deadline=None)
+@example(targets=[(0, s) for s in _pentagonal_steps(GROWTH_TOP)])
+@example(targets=[(i % 2, s) for i, s in enumerate(_pentagonal_steps(GROWTH_TOP))])
+@example(targets=[(0, TABLE_CEILING + 1), (1, 7), (0, 5), (1, TABLE_CEILING + 1), (1, 8)])
+def test_interleaved_growth_matches_series(targets):
+    # the series is built by repeated division, never the pentagonal
+    # identity; two tables grown in turn keep their growth state apart, and a
+    # refused target leaves a table and its state as they were
+    tables = (PartitionTable(), PartitionTable())
+    for which, n in targets:
+        table = tables[which]
+        size, state = len(table), table._growth
+        if n > TABLE_CEILING:
+            with pytest.raises(PreconditionError, match="table ceiling"):
+                table.ensure(n)
+            assert len(table) == size and table._growth is state
+        else:
+            table.ensure(n)
+            assert len(table) == max(size, n + 1)
+    for table in tables:
+        table.ensure(GROWTH_TOP)
+        assert [table.p(n) for n in range(GROWTH_TOP + 1)] == _series_p()
 
 
 def test_one_shot_growth_equals_stepwise():
