@@ -5,8 +5,9 @@ document with the exact quantity, its enclosure, and the containment flag;
 verify runs a named sweep (or all of them) and reports per-suite outcomes,
 optionally dumping per-case rows to CSV.  Exit codes: 0 all checks passed,
 1 a verification failed, 2 usage or precondition error (an input past a
-ceiling, a negative --n-max/--j-max, an --n-max, --j-max or --seed for a
-suite that reads none, or an unwritable --json/--csv path).
+ceiling, a negative --n-max/--j-max, an --n-max, --j-max, --seed or --case
+that no named suite reads, an unknown --case, or an unwritable --json/--csv
+path); `verify` refuses its bad parameters before any suite runs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .estimates import (
     ratio_interval,
 )
 from .exact import ENUMERATION_BOUND, f_jn, nu_k, p_enumerate_oracle, p_exact
-from .inequalities import DEFAULT_SEED, _lookup
+from .inequalities import DEFAULT_SEED
 from .reports import (
     ReportDocument,
     fraction_str,
@@ -40,7 +41,7 @@ from .reports import (
     optional_float,
     write_csv,
 )
-from .verify import J_MAX_SUITES, N_MAX_SUITES, SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, run_suites
 
 PRECISION_ENV = "PARTBOUNDS_PRECISION"
 # Largest working precision accepted, in bits (about 1233 decimal digits).
@@ -69,10 +70,10 @@ def _resolve_precision(value: Optional[int]) -> int:
     return value
 
 
-def _interval_block(enclosure: Enclosure, exact: Fraction) -> Dict[str, Any]:
-    block = interval_payload(enclosure)
-    block["contained"] = enclosure.containment_margin(exact) >= 0
-    return block
+def _interval_block(enclosure: Enclosure, margin: Fraction) -> Dict[str, Any]:
+    """The enclosure's payload and its containment flag, read from the
+    exact value's margin inside it."""
+    return {**interval_payload(enclosure), "contained": margin >= 0}
 
 
 def _cmd_exact(args: argparse.Namespace) -> _Handled:
@@ -97,7 +98,7 @@ def _margin_results(enclosure: Enclosure, exact: Fraction) -> Dict[str, Any]:
     margin = enclosure.containment_margin(exact)
     return {
         "exact": fraction_str(exact),
-        "interval": {**interval_payload(enclosure), "contained": margin >= 0},
+        "interval": _interval_block(enclosure, margin),
         "relative_width": optional_float(enclosure.relative_width()),
         "containment_margin": float(margin),
     }
@@ -144,11 +145,11 @@ def _cmd_krank(args: argparse.Namespace) -> _Handled:
         "boundary_count": str(count),
         "ratio": {
             "exact": fraction_str(ratio_exact),
-            "interval": _interval_block(enc_ratio, ratio_exact),
+            "interval": _interval_block(enc_ratio, enc_ratio.containment_margin(ratio_exact)),
         },
         "difference": {
             "exact": fraction_str(diff_exact),
-            "interval": _interval_block(enc_diff, diff_exact),
+            "interval": _interval_block(enc_diff, enc_diff.containment_margin(diff_exact)),
             "lower_positive": enc_diff.strictly_positive(),
         },
     }
@@ -176,34 +177,23 @@ def _cmd_nonkary(args: argparse.Namespace) -> _Handled:
         estimate = fjn_ratio_interval(n, k, prec)
         exact = Fraction(f_jn(n, k), p_exact(n))
         results["ratio_exact"] = fraction_str(exact)
-        results["ratio_interval"] = _interval_block(estimate, exact)
+        margin = estimate.containment_margin(exact)
+        results["ratio_interval"] = _interval_block(estimate, margin)
         passed = passed and results["ratio_interval"]["contained"]
     return {"n": n, "k": k, "precision": prec}, results, passed, []
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Handled:
     prec = _resolve_precision(args.precision)
-    if args.case is not None:
-        if args.suite not in ("inequalities", "all"):
-            raise PreconditionError("--case requires the inequalities suite")
-        # an unknown case exits before any suite runs, not after the others
-        _lookup(args.case)
-    collect = args.csv is not None
-    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    reports = [
-        run_suite(
-            name,
-            # `all` restricts the suites that read n_max, j_max or the seed;
-            # one suite that reads none of them is refused by run_suite
-            n_max=None if args.suite == "all" and name not in N_MAX_SUITES else args.n_max,
-            j_max=None if args.suite == "all" and name not in J_MAX_SUITES else args.j_max,
-            prec=prec,
-            seed=None if args.suite == "all" and name != "inequalities" else args.seed,
-            case=args.case if name == "inequalities" else None,
-            collect_rows=collect,
-        )
-        for name in names
-    ]
+    reports = run_suites(
+        SUITE_NAMES if args.suite == "all" else [args.suite],
+        n_max=args.n_max,
+        j_max=args.j_max,
+        prec=prec,
+        seed=args.seed,
+        case=args.case,
+        collect_rows=args.csv is not None,
+    )
     rows = [
         {"suite": report.suite, **row} for report in reports for row in report.rows
     ]

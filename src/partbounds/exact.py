@@ -31,6 +31,8 @@ from .errors import PreconditionError
 
 ENUMERATION_BOUND = 90
 LISTING_BOUND = 45
+AVOIDING_BOUND = 60
+RANK_BOUND = 40
 # Largest index the table grows to: growing from empty to it took about
 # 4.5 s and 32 MB on a 2-vCPU VM.  No verify suite needs more than 10^4.
 TABLE_CEILING = 100_000
@@ -193,8 +195,8 @@ def nonkary_enumerate_oracle(n: int, k: int) -> int:
     """Count partitions of n avoiding part k, by direct bounded recursion."""
     if n < 0 or k < 1:
         raise PreconditionError("requires n >= 0 and k >= 1")
-    if n > 60:
-        raise PreconditionError("avoiding-part oracle requires n <= 60")
+    if n > AVOIDING_BOUND:
+        raise PreconditionError(f"avoiding-part oracle requires n <= {AVOIDING_BOUND}")
     return _count_avoiding(n, k)
 
 
@@ -257,11 +259,11 @@ def dyson_rank_count(n: int, m: int) -> int:
     enumeration of the partitions of n."""
     if n < 1:
         raise PreconditionError("requires n >= 1")
-    if n > 40:
-        raise PreconditionError("rank enumeration requires n <= 40")
+    if n > RANK_BOUND:
+        raise PreconditionError(f"rank enumeration requires n <= {RANK_BOUND}")
     return _rank_tally(n)[m]
 
 
-@lru_cache(maxsize=41)  # one tally for each n <= 40
+@lru_cache(maxsize=RANK_BOUND + 1)  # one tally for each n <= RANK_BOUND
 def _rank_tally(n: int) -> Counter:
     return Counter(parts[0] - len(parts) for parts in _partitions(n))

@@ -6,8 +6,14 @@ every suite back to back is the complete verification gate; the acceptance
 tests read these reports instead of sweeping a second time.  Sweep loops
 are deterministic; only the inequality registry fans out across worker
 processes.  Its cases are dispatched longest first, one at a time, and the
-results are reassembled in registry order, so parallel and sequential runs
+results are collected in registry order, so parallel and sequential runs
 produce identical reports.
+
+Each row of _SUITES names the parameters its suite reads, the one source
+of their routing: run_suites gives n_max, j_max, seed and case only to the
+named suites that read them, and refuses bad input (an unread parameter, a
+negative bound, an n_max past a ceiling, an unknown case) for every named
+suite before the first case of the first one runs.
 
 Where a checked value depends on its indices only through one key (m = n - j
 for the one-term truncation, ell' = n - k - m for the k-rank estimates,
@@ -23,7 +29,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .enclosure import DEFAULT_PRECISION, Enclosure
 from .errors import PreconditionError
@@ -57,6 +63,7 @@ from .inequalities import (
     CASES,
     DEFAULT_SEED,
     InequalityResult,
+    _lookup,
     _min_lo,
     run_case,
 )
@@ -466,11 +473,6 @@ def _suite_nonkary(sweep: _Sweep) -> Dict[str, Any]:
     return {"identity_top": identity_top, "n_top": top, "licensed_cases": positives}
 
 
-def _ineq_case_task(args: Tuple[str, int, int]) -> InequalityResult:
-    name, prec, seed = args
-    return run_case(name, prec=prec, seed=seed)
-
-
 def _dispatch_order(names: List[str]) -> List[int]:
     """Indices of `names`, longest case first; equal costs keep their order."""
     return sorted(range(len(names)), key=lambda i: -CASE_INDEX[names[i]].cost)
@@ -498,13 +500,12 @@ def _run_inequality_cases(
         return [run_case(name, prec=prec, seed=seed) for name in names]
     # longest-processing-time first, one case per task, so the longest case
     # does not start last behind a chunk of short ones
-    order = _dispatch_order(names)
     with pool:
-        done = pool.map(
-            _ineq_case_task, [(names[i], prec, seed) for i in order], chunksize=1
-        )
-    by_index = dict(zip(order, done))
-    return [by_index[i] for i in range(len(names))]
+        pending = {
+            i: pool.apply_async(run_case, (names[i],), {"prec": prec, "seed": seed})
+            for i in _dispatch_order(names)
+        }
+        return [pending[i].get() for i in range(len(names))]
 
 
 def _point_str(point: Tuple) -> str:
@@ -516,14 +517,10 @@ def _suite_inequalities(sweep: _Sweep) -> Dict[str, Any]:
     results = _run_inequality_cases(names, sweep.prec, sweep.seed)
     # one row per case is the registry's report, so the rows are always kept
     sweep.rows = []
-    min_margin: Optional[Fraction] = None
-    min_case = ""
     for result in results:
         point = _point_str(result.worst_point)
         sweep.check(result.passed, "%s: worst margin %.3e at %s",
                     result.name, result.worst_margin, point)
-        if min_margin is None or result.worst_margin < min_margin:
-            min_margin, min_case = result.worst_margin, result.name
         sweep.rows.append(
             {
                 "case": result.name,
@@ -534,40 +531,38 @@ def _suite_inequalities(sweep: _Sweep) -> Dict[str, Any]:
                 "passed": result.passed,
             }
         )
+    least = min(results, key=lambda result: result.worst_margin)
     return {
         "cases": len(results),
-        "min_margin": float(min_margin) if min_margin is not None else None,
-        "min_margin_case": min_case,
+        "min_margin": float(least.worst_margin),
+        "min_margin_case": least.name,
         "seed": sweep.seed,
     }
 
 
-# name: (suite, default n_max, largest accepted n_max or None).  A ceiling
-# keeps its suite under 300 s on a 2-vCPU VM.  Extrapolated from the cost at
-# the default range (rademacher's rounds grow about linearly in n; ratio
-# 0.26 ms, fjn 0.34 ms and convexity 0.08 ms a licensed case), one run at
-# each ceiling took 180, 138, 153 and 181 s.  The others fit at the table
-# ceiling: krank took 59 s at n_max 200001, nonkary 33 s at 100000.
+# name: (suite, default n_max, largest accepted n_max or None, parameters
+# read).  A ceiling keeps its suite under 300 s on a 2-vCPU VM.  Extrapolated
+# from the cost at the default range (rademacher's rounds grow about linearly
+# in n; ratio 0.26 ms, fjn 0.34 ms and convexity 0.08 ms a licensed case), one
+# run at each ceiling took 180, 138, 153 and 181 s.  The others fit at the
+# table ceiling: krank took 59 s at n_max 200001, nonkary 33 s at 100000.
+_RANGES = ("n_max", "j_max")
 _SUITES = {
-    "oracles": (_suite_oracles, 60, None),  # clamps at ENUMERATION_BOUND
-    "rademacher": (_suite_rademacher, 2000, 6000),
-    "containment-ratio": (_suite_containment_ratio, 5000, 15_000),
-    "containment-fjn": (_suite_containment_fjn, 5000, 20_000),
-    "convexity": (_suite_convexity, 10_000, 50_000),
-    "krank": (_suite_krank, 500, None),
-    "nonkary": (_suite_nonkary, 10_000, None),
-    "inequalities": (_suite_inequalities, None, None),  # reads no n_max
+    "oracles": (_suite_oracles, 60, None, ("n_max",)),  # clamps at ENUMERATION_BOUND
+    "rademacher": (_suite_rademacher, 2000, 6000, _RANGES),
+    "containment-ratio": (_suite_containment_ratio, 5000, 15_000, _RANGES),
+    "containment-fjn": (_suite_containment_fjn, 5000, 20_000, _RANGES),
+    "convexity": (_suite_convexity, 10_000, 50_000, _RANGES),
+    "krank": (_suite_krank, 500, None, ("n_max",)),
+    "nonkary": (_suite_nonkary, 10_000, None, _RANGES),
+    "inequalities": (_suite_inequalities, None, None, ("seed", "case")),
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
-# the suites whose ranges --n-max and --j-max restrict; the others never read them
-N_MAX_SUITES = tuple(name for name, (_, default, _) in _SUITES.items() if default is not None)
-J_MAX_SUITES = ("rademacher", "containment-ratio", "containment-fjn", "convexity", "nonkary")
 
-
-def run_suite(
-    name: str,
+def run_suites(
+    names: Sequence[str],
     *,
     n_max: Optional[int] = None,
     j_max: Optional[int] = None,
@@ -575,48 +570,54 @@ def run_suite(
     seed: Optional[int] = None,
     case: Optional[str] = None,
     collect_rows: bool = False,
-) -> SuiteReport:
-    """Run one named sweep and return its report.  n_max None takes the
-    suite's default range, seed None the registry's DEFAULT_SEED; one past
-    the suite's ceiling, or any n_max, j_max or seed for a suite that reads
-    none, exits before any case."""
-    if name not in _SUITES:
-        raise PreconditionError(
-            f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
-        )
-    runner, default_n_max, ceiling = _SUITES[name]
-    if case is not None and name != "inequalities":
+) -> List[SuiteReport]:
+    """Run the named sweeps in order and return their reports.  n_max None
+    takes each suite's default range, seed None the registry's DEFAULT_SEED."""
+    for name in names:
+        if name not in _SUITES:
+            raise PreconditionError(
+                f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    given = {"n_max": n_max, "j_max": j_max, "seed": seed, "case": case}
+    read = {param for name in names for param in _SUITES[name][3]}
+    if case is not None and "case" not in read:
         raise PreconditionError("--case only applies to the inequalities suite")
     if n_max is not None and n_max < 0:
         raise PreconditionError("requires n_max >= 0")
-    if n_max is not None and ceiling is not None and n_max > ceiling:
-        raise PreconditionError(f"suite {name} requires n_max <= {ceiling} (suite ceiling)")
+    for name in names:
+        ceiling = _SUITES[name][2]
+        if n_max is not None and ceiling is not None and n_max > ceiling:
+            raise PreconditionError(
+                f"suite {name} requires n_max <= {ceiling} (suite ceiling)")
     if j_max is not None and j_max < 0:
         raise PreconditionError("requires j_max >= 0")
-    if j_max is not None and name not in J_MAX_SUITES:
-        raise PreconditionError(f"suite {name} reads no j_max; --j-max applies to "
-                                f"{', '.join(J_MAX_SUITES)}")
-    if n_max is not None and name not in N_MAX_SUITES:
-        raise PreconditionError(f"suite {name} reads no n_max; --n-max applies to "
-                                f"{', '.join(N_MAX_SUITES)}")
-    if seed is not None and name != "inequalities":
-        raise PreconditionError(f"suite {name} reads no seed; --seed applies to inequalities")
-    sweep = _Sweep(
-        n_max=default_n_max if n_max is None else n_max,
-        j_max=j_max,
-        prec=prec,
-        seed=DEFAULT_SEED if seed is None else seed,
-        case=case,
-        rows=[] if collect_rows else None,
-    )
-    started = time.perf_counter()
-    info = runner(sweep)
-    sweep.close()
-    return SuiteReport(
-        suite=name,
-        cases=sweep.cases,
-        failures=sweep.failures,
-        info=info,
-        rows=sweep.rows or [],
-        seconds=time.perf_counter() - started,
-    )
+    for param in ("j_max", "n_max", "seed"):
+        if given[param] is not None and param not in read:
+            named = (f"suite {names[0]} reads" if len(names) == 1
+                     else f"suites {', '.join(names)} read")
+            readers = ", ".join(name for name, row in _SUITES.items() if param in row[3])
+            raise PreconditionError(f"{named} no {param}; "
+                                    f"--{param.replace('_', '-')} applies to {readers}")
+    if case is not None:
+        _lookup(case)
+
+    reports = []
+    for name in names:
+        runner, default_n_max, _, reads = _SUITES[name]
+        # a suite gets only the parameters it reads, and its defaults for the rest
+        routed = {param: given[param] for param in reads if given[param] is not None}
+        sweep = _Sweep(**{"n_max": default_n_max, **routed}, prec=prec,
+                       rows=[] if collect_rows else None)
+        started = time.perf_counter()
+        info = runner(sweep)
+        sweep.close()
+        reports.append(SuiteReport(
+            suite=name, cases=sweep.cases, failures=sweep.failures, info=info,
+            rows=sweep.rows or [], seconds=time.perf_counter() - started,
+        ))
+    return reports
+
+
+def run_suite(name: str, **parameters: Any) -> SuiteReport:
+    """Run one named sweep and return its report; run_suites takes the same
+    keyword arguments and refuses the same input."""
+    return run_suites([name], **parameters)[0]

@@ -19,7 +19,6 @@ from partbounds.exact import (
     f_jn,
     p_exact,
 )
-from partbounds.reports import SuiteReport
 
 GOLDEN = Path(__file__).resolve().parents[1] / "docs" / "golden"
 
@@ -217,16 +216,6 @@ class TestVerifyCommand:
         code, captured = run(capsys, "verify", "krank", "--case", "reciprocal-125")
         assert code == 2
 
-    def test_unknown_case_exits_before_any_suite(self, capsys, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: calls.append(args))
-        code, captured = run(
-            capsys, "verify", "all", "--n-max", "20", "--case", "no-such-case"
-        )
-        assert code == 2
-        assert calls == []
-        assert "unknown inequality case 'no-such-case'" in captured.err
-
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "bogus"])
@@ -238,23 +227,6 @@ class TestVerifyCommand:
         assert "suite krank reads no j_max" in captured.err
         assert captured.out == ""
 
-    def test_all_passes_j_max_only_to_suites_that_read_it(self, capsys, monkeypatch):
-        calls = {}
-
-        def record(name, **kwargs):
-            calls[name] = kwargs
-            return SuiteReport(suite=name, cases=1, failures=[], info={}, rows=[],
-                               seconds=0.0)
-
-        monkeypatch.setattr(cli, "run_suite", record)
-        code, doc = run_json(capsys, "verify", "all", "--n-max", "20", "--j-max", "1")
-        assert code == 0
-        assert doc["parameters"]["j_max"] == 1
-        assert list(calls) == list(verify.SUITE_NAMES)
-        assert {name: kwargs["j_max"] for name, kwargs in calls.items()} == {
-            name: 1 if name in verify.J_MAX_SUITES else None for name in verify.SUITE_NAMES
-        }
-
     def test_n_max_for_suite_that_reads_none_is_usage_error(self, capsys):
         code, captured = run(
             capsys, "verify", "inequalities", "--case", "geometric-series-100", "--n-max", "5"
@@ -263,46 +235,11 @@ class TestVerifyCommand:
         assert "suite inequalities reads no n_max" in captured.err
         assert captured.out == ""
 
-    def test_all_passes_n_max_only_to_suites_that_read_it(self, capsys, monkeypatch):
-        calls = {}
-
-        def record(name, **kwargs):
-            calls[name] = kwargs
-            return SuiteReport(suite=name, cases=1, failures=[], info={}, rows=[],
-                               seconds=0.0)
-
-        monkeypatch.setattr(cli, "run_suite", record)
-        code, doc = run_json(capsys, "verify", "all", "--n-max", "20")
-        assert code == 0
-        assert doc["parameters"]["n_max"] == 20
-        assert list(calls) == list(verify.SUITE_NAMES)
-        assert {name: kwargs["n_max"] for name, kwargs in calls.items()} == {
-            name: None if name == "inequalities" else 20 for name in verify.SUITE_NAMES
-        }
-
     def test_seed_for_suite_that_reads_none_is_usage_error(self, capsys):
         code, captured = run(capsys, "verify", "krank", "--n-max", "40", "--seed", "5")
         assert code == 2
         assert "suite krank reads no seed" in captured.err
         assert captured.out == ""
-
-    def test_all_passes_seed_only_to_inequalities(self, capsys, monkeypatch):
-        calls = {}
-
-        def record(name, **kwargs):
-            calls[name] = kwargs
-            return SuiteReport(suite=name, cases=1, failures=[], info={}, rows=[],
-                               seconds=0.0)
-
-        monkeypatch.setattr(cli, "run_suite", record)
-        code, doc = run_json(capsys, "verify", "all", "--n-max", "20", "--seed", "5")
-        assert code == 0
-        assert doc["parameters"]["seed"] == 5
-        assert {name: kwargs["seed"] for name, kwargs in calls.items()} == {
-            name: 5 if name == "inequalities" else None for name in verify.SUITE_NAMES
-        }
-        run_json(capsys, "verify", "all", "--n-max", "20")
-        assert all(kwargs["seed"] is None for kwargs in calls.values())
 
     def test_all_runs_every_suite(self, capsys):
         # 17 is the least n_max at which every suite decides a case
@@ -318,6 +255,59 @@ class TestVerifyCommand:
         assert code == 0
         names = [suite["suite"] for suite in doc["results"]["suites"]]
         assert len(names) == 8
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every suite's runner replaced by one that records the _Sweep it gets."""
+    sweeps = {}
+
+    def recorder(name):
+        def runner(sweep):
+            sweeps[name] = sweep
+            sweep.cases = 1
+            return {}
+
+        return runner
+
+    monkeypatch.setattr(verify, "_SUITES", {
+        name: (recorder(name), *row[1:]) for name, row in verify._SUITES.items()
+    })
+    return sweeps
+
+
+@pytest.mark.parametrize("flag, value, readers", [
+    ("--n-max", 20, ["oracles", "rademacher", "containment-ratio", "containment-fjn",
+                     "convexity", "krank", "nonkary"]),
+    ("--j-max", 1, ["rademacher", "containment-ratio", "containment-fjn", "convexity",
+                    "nonkary"]),
+    ("--seed", 5, ["inequalities"]),
+    ("--case", "reciprocal-125", ["inequalities"]),
+])
+def test_all_passes_each_flag_only_to_its_readers(capsys, recorded, flag, value, readers):
+    param = flag[2:].replace("-", "_")
+    run_json(capsys, "verify", "all")
+    bare = {name: getattr(sweep, param) for name, sweep in recorded.items()}
+    code, doc = run_json(capsys, "verify", "all", flag, str(value))
+    assert code == 0
+    assert doc["parameters"][param] == value
+    assert list(recorded) == list(verify.SUITE_NAMES)
+    got = {name: getattr(sweep, param) for name, sweep in recorded.items()}
+    assert [name for name in got if got[name] != bare[name]] == readers
+    assert all(got[name] == value for name in readers)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--j-max", "-1"], "requires j_max >= 0"),
+    (["--n-max", "7000"], "suite rademacher requires n_max <= 6000 "),
+    (["--n-max", "20", "--case", "no-such-case"], "unknown inequality case 'no-such-case'"),
+])
+def test_all_refuses_before_any_suite(capsys, recorded, argv, message):
+    code, captured = run(capsys, "verify", "all", *argv)
+    assert code == 2
+    assert recorded == {}
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def _reject_constant(name):

@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 from partbounds.enclosure import MEMO_MAXSIZE, Enclosure, constants
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
+    FJN_RADIUS_A,
+    FJN_RADIUS_B,
+    KRANK_DIFF_RADIUS_A,
+    KRANK_DIFF_RADIUS_B,
+    KRANK_RATIO_RADIUS_1,
+    RATIO_RADIUS_1,
     CertificateKind,
     _analytic_convexity,
     _krank_diff,
@@ -272,6 +278,31 @@ class TestKrankDiff:
             krank_diff_interval(1, 10, 30)
         with pytest.raises(PreconditionError):
             krank_diff_interval(1, 16, 30)
+
+
+def test_krank_radii_cover_the_dropped_center_terms():
+    # N_k(m,n)/p(ell'+1) = 1 - p(ell')/p(ell'+1) is 1 minus the j = 1 ratio
+    # at n = ell'+1, and the rank difference is f(1, ell'+1)/p(ell'+1).  The
+    # k-rank brackets drop, from the centers of those two estimates, the
+    # terms (1 - pi/(4 sqrt6 sqrtN))/N, (2 - pi/(sqrt6 sqrtN))/N and
+    # (2 - pi/(2 sqrt6 sqrtN))/N.  Each factor in parentheses is a constant
+    # less a positive term that falls as N grows, so it stays below the
+    # constant and rises with N: once it is >= 0 at the least N, every larger
+    # N keeps it in [0, constant], and each k-rank radius covers the paper's
+    # radius plus the dropped term's largest size.
+    assert RATIO_RADIUS_1 + 1 <= KRANK_RATIO_RADIUS_1
+    assert FJN_RADIUS_A + 2 <= KRANK_DIFF_RADIUS_A
+    assert FJN_RADIUS_B + 2 <= KRANK_DIFF_RADIUS_B
+    # ell' >= 16, so n = ell'+1 >= 17, where both j = 1 estimates are licensed
+    assert ratio_j_top(17) >= 1 and fjn_j_top(17) >= 1
+    c, t = constants(128), shifted_terms(17, 128)
+    assert t.N == shifted_index(17) == 16 + Fraction(23, 24)
+    for factor, constant in (
+        (1 - c.pi / (4 * t.sqrt6_sqrtN), 1),
+        (2 - c.pi / t.sqrt6_sqrtN, 2),
+        (2 - c.pi / (2 * t.sqrt6_sqrtN), 2),
+    ):
+        assert 0 <= factor.lo_fraction and factor.hi_fraction <= constant
 
 
 class TestNonkary:

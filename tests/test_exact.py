@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from partbounds.errors import PreconditionError
 from partbounds.exact import (
+    AVOIDING_BOUND,
     LISTING_BOUND,
+    RANK_BOUND,
     TABLE_CEILING,
     PartitionTable,
     _partitions,
@@ -289,6 +291,17 @@ def test_repeated_rank_count_is_cache_hit():
     hits = _rank_tally.cache_info().hits
     assert dyson_rank_count(17, 3) == dyson_rank_count(17, 3)
     assert _rank_tally.cache_info().hits == hits + 2
+
+
+def test_oracle_bounds_refuse_one_past():
+    # the rank memo holds one tally for every n the rank oracle accepts
+    assert _rank_tally.cache_info().maxsize == RANK_BOUND + 1
+    assert dyson_rank_count(RANK_BOUND, 0) > 0
+    assert nonkary_enumerate_oracle(AVOIDING_BOUND, 1) == nu_k(AVOIDING_BOUND, 1)
+    with pytest.raises(PreconditionError, match=r"^rank enumeration requires n <= 40$"):
+        dyson_rank_count(RANK_BOUND + 1, 0)
+    with pytest.raises(PreconditionError, match=r"^avoiding-part oracle requires n <= 60$"):
+        nonkary_enumerate_oracle(AVOIDING_BOUND + 1, 1)
 
 
 def test_shifted_index():

@@ -17,6 +17,7 @@ from partbounds.verify import (
     _run_inequality_cases,
     _Sweep,
     run_suite,
+    run_suites,
 )
 
 
@@ -87,6 +88,25 @@ class TestRunSuite:
         with pytest.raises(PreconditionError, match="suite inequalities reads no n_max"):
             run_suite("inequalities", n_max=5, case="geometric-series-100")
 
+    def test_named_suites_checked_before_the_first_runs(self, monkeypatch):
+        def decide(*args, **kwargs):
+            raise AssertionError("a case ran before every named suite was checked")
+
+        monkeypatch.setattr(verify._Sweep, "check", decide)
+        with pytest.raises(PreconditionError, match="containment-ratio requires n_max <= 15000 "):
+            run_suites(["oracles", "containment-ratio"], n_max=15_001)
+        with pytest.raises(PreconditionError, match="unknown inequality case 'nope'"):
+            run_suites(["oracles", "inequalities"], n_max=20, case="nope")
+        with pytest.raises(PreconditionError, match="^suites oracles, krank read no j_max; "
+                                                    "--j-max applies to rademacher, "):
+            run_suites(["oracles", "krank"], n_max=20, j_max=1)
+
+    def test_parameter_goes_only_to_the_suites_that_read_it(self):
+        krank, nonkary = run_suites(["krank", "nonkary"], n_max=20, j_max=0)
+        assert krank.cases == run_suite("krank", n_max=20).cases
+        assert nonkary.cases == run_suite("nonkary", n_max=20, j_max=0).cases
+        assert nonkary.cases < run_suite("nonkary", n_max=20).cases
+
     def test_no_cases_is_not_passed(self):
         # no n in 14..13 to decide
         report = run_suite("containment-ratio", n_max=13)
@@ -141,7 +161,7 @@ class TestTableCeiling:
 
 
 _CEILINGS = {
-    name: ceiling for name, (_, _, ceiling) in verify._SUITES.items() if ceiling is not None
+    name: ceiling for name, (_, _, ceiling, _) in verify._SUITES.items() if ceiling is not None
 }
 
 
