@@ -5,9 +5,10 @@ The partition number is recovered from the convergent expansion
     p(n) = 2 pi (24n-1)^{-3/4} * sum_{k>=1} (A_k(n)/k) I_{3/2}(pi sqrt(2N/3)/k)
 
 with N = n - 1/24.  Truncations are evaluated at a working precision high
-enough to resolve the nearest integer; the rounded value is accepted only
-once it sits well inside the unit interval around an integer and repeats
-over several consecutive truncation depths.
+enough to resolve the nearest integer; the rounded value is accepted once
+its distance to that integer plus Lehmer's remainder bound is below 1/2
+(Lehmer 1938, as stated in Johansson, "Efficient implementation of the
+Hardy-Ramanujan-Rademacher formula", LMS J. Comput. Math. 2012, eq. 1.8).
 
 The one-term truncation also yields a rigorous two-sided enclosure of p(m):
 the k = 1 term with its algebraic prefactor expanded, plus an explicit
@@ -17,15 +18,16 @@ tail.  That enclosure is what the ratio estimates downstream consume.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 from mpmath import libmp
 
-from .enclosure import DEFAULT_PRECISION, Enclosure, constants, fraction_from_raw
+from .enclosure import DEFAULT_PRECISION, Enclosure, constants, fraction_from_raw, sqrt_enclosure
 from .errors import PreconditionError, StabilizationError
 from .estimates import shifted_terms
-from .special import bessel_I32_closed, kloosterman_A, mp_context, to_fraction
+from .special import bessel_I32_closed, kloosterman_A, to_fraction
 
 __all__ = [
     "ErrorBudget",
@@ -36,71 +38,70 @@ __all__ = [
 ]
 
 
-def _working_precision(n: int, prec: int) -> int:
-    # p(n) has about pi*sqrt(2n/3)*log2(e) bits; resolving it to +-1/4
-    # needs all of them, plus headroom for accumulated rounding
-    magnitude = math.pi * math.sqrt(2 * n / 3) * 1.4427
-    wp = max(prec, int(magnitude) + 48)
-    return ((wp + 31) // 32) * 32
-
-
 def _series_state(n: int, prec: int):
-    wp = _working_precision(n, prec)
-    ctx = mp_context(wp)
-    X = ctx.pi * ctx.sqrt(ctx.mpf(2) * (24 * n - 1) / 72)
-    prefactor = 2 * ctx.pi / ctx.mpf(24 * n - 1) ** (ctx.mpf(3) / 4)
-    return wp, ctx, X, prefactor
+    # wp, X = pi sqrt(24n-1)/6 and 2 pi (24n-1)^{-3/4} as raw mpfs at wp; p(n)
+    # has about pi*sqrt(2n/3)*log2(e) bits, and resolving it to +-1/4 needs
+    # all of them, plus headroom for accumulated rounding
+    wp = max(prec, int(math.pi * math.sqrt(2 * n / 3) * 1.4427) + 48)
+    wp = ((wp + 31) // 32) * 32
+    pi = libmp.mpf_pi(wp, "n")
+    X = libmp.mpf_mul(pi, libmp.mpf_sqrt(libmp.from_rational(24 * n - 1, 36, wp, "n"), wp, "n"),
+                      wp, "n")
+    power = libmp.mpf_pow(libmp.from_int(24 * n - 1), libmp.from_man_exp(3, -2), wp, "n")
+    return wp, X, libmp.mpf_div(libmp.mpf_shift(pi, 1), power, wp, "n")
 
 
 def _term(wp: int, X, n: int, k: int):
-    # A_k(n)/k * I_{3/2}(X/k) for a raw X, as a raw mpf; every step rounds
-    # as the mpmath context at wp did
+    # A_k(n)/k * I_{3/2}(X/k) for a raw X, as a raw mpf rounded to nearest at wp
     kk = libmp.from_int(k)
     A = kloosterman_A(k, n, wp)._mpf_
     bess = bessel_I32_closed(fraction_from_raw(libmp.mpf_div(X, kk, wp, "n")), wp)._mpf_
     return libmp.mpf_mul(libmp.mpf_div(A, kk, wp, "n"), bess, wp, "n")
 
 
+def _remainder_bounds(n: int):
+    """Lehmer's bound on |p(n) - prefactor * (sum of the first N terms)|, for
+    N = 1, 2, ... and n >= 2, each the raw hi of a 64-bit Enclosure:
+
+        R(n, N) = 44 pi^2 / (225 sqrt 3) N^{-1/2}
+                  + pi sqrt 2 / 75 (N / (n-1))^{1/2} sinh(pi sqrt(2n/3) / N).
+    """
+    c = constants(64)
+    first = 44 * c.pi * c.pi / (225 * c.sqrt3)
+    second = c.pi * c.sqrt2 / 75 / sqrt_enclosure(n - 1, 64)
+    a = c.pi * sqrt_enclosure(6 * n, 64) / 3
+    for N in itertools.count(1):
+        root = sqrt_enclosure(N, 64)
+        e = (a / N).exp()
+        yield (first / root + second * root * (e - 1 / e) / 2).hi
+
+
 def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
     """p(n) by rounding the truncated series to the nearest integer.
 
-    Terms are added until the remaining tail provably cannot move the sum
-    across a rounding boundary.  Once K >= X every leftover Bessel argument
-    X/k is below 1, where I_{3/2}(y) <= y^{3/2} / (Gamma(5/2) sqrt(2));
-    together with |A_k(n)| <= k the tail after K terms is at most
-
-        prefactor * X^{3/2} * 2 / (Gamma(5/2) sqrt(2) sqrt(K)),
-
-    so the round is certified as soon as that bound plus the distance to the
-    nearest integer drops below 1/2.  prefactor * X^{3/2} is the same
-    constant (about 2.38) for every n, which forces termination no later
-    than K = max(ceil(X), 103); the budget is padded past that point and
-    exhausting it raises StabilizationError rather than returning a guess.
+    After N terms p(n) is within R(n, N) of prefactor * (partial sum), so the
+    round returns the nearest integer once its distance from the sum plus R
+    is below 1/2 - 2^(16-wp).  R decreases in N, so the test passes by the
+    first N with R < 1/4, up to rounding at wp (far below 1/8); a round still
+    running once R < 1/8 raises StabilizationError instead of guessing.
+    n = 1 is answered directly, since R divides by n - 1.
     """
     if n < 1:
         raise PreconditionError("requires n >= 1")
-    wp, ctx, X, prefactor = _series_state(n, prec)
-    # Gamma(5/2) = 3 sqrt(pi) / 4.
-    gamma52 = 3 * ctx.sqrt(ctx.pi) / 4
-    tail_coeff = prefactor * X ** (ctx.mpf(3) / 2) * 2 / (gamma52 * ctx.sqrt(ctx.mpf(2)))
-    start = max(int(ctx.ceil(X)), 1)
-    cap = max(start, 103) + 64
-    threshold = (ctx.mpf(1) / 2 - ctx.mpf(2) ** (16 - wp))._mpf_
-    X, prefactor, tail_coeff = X._mpf_, prefactor._mpf_, tail_coeff._mpf_
+    if n == 1:
+        return 1
+    wp, X, prefactor = _series_state(n, prec)
+    threshold = libmp.mpf_sub(libmp.from_man_exp(1, -1), libmp.from_man_exp(1, 16 - wp), wp, "n")
     running = libmp.fzero
-    for k in range(1, cap + 1):
+    for k, tail in enumerate(_remainder_bounds(n), 1):
         running = libmp.mpf_add(running, _term(wp, X, n, k), wp, "n")
-        if k < start:
-            continue
         value = libmp.mpf_mul(prefactor, running, wp, "n")
         nearest = libmp.to_int(libmp.mpf_nint(value, wp, "n"))
         gap = libmp.mpf_abs(libmp.mpf_sub(value, libmp.from_int(nearest), wp, "n"))
-        tail = libmp.mpf_div(tail_coeff, libmp.mpf_sqrt(libmp.from_int(k), wp, "n"), wp, "n")
         if libmp.mpf_lt(libmp.mpf_add(gap, tail, wp, "n"), threshold):
             return nearest
-    raise StabilizationError(
-        f"series for n={n} did not settle within {cap} terms at precision {wp}"
-    )
+        if libmp.mpf_lt(libmp.mpf_shift(tail, 2), threshold):
+            raise StabilizationError(f"series for n={n} did not settle by R(n, {k}) < 1/8")
 
 
 def h_error(x, prec: int = DEFAULT_PRECISION) -> Enclosure:

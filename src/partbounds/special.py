@@ -11,8 +11,8 @@ function has three independent forms:
   rademacher_round;
 * bessel_I32_series, the power series summed in exact integer brackets: the
   oracle the `oracles` suite checks the closed form against;
-* bessel_I32_quadrature, adaptive quadrature of the integral representation:
-  read only by the tier-1 tests, which compare all three forms.
+* bessel_I32_quadrature, adaptive quadrature in mp_context, the package's one
+  mpmath context: read only by the tier-1 tests, which compare all three forms.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ from .errors import PrecisionError, PreconditionError
 
 @lru_cache(maxsize=None)
 def mp_context(prec: int) -> MPContext:
-    """A cached mpmath context pinned at the given precision.
-
-    The global mpmath.mp is never touched; every consumer asks for an
-    explicit precision instead.
+    """A cached mpmath context pinned at the given precision, for
+    bessel_I32_quadrature and the tests; the global mpmath.mp is never touched.
     """
     ctx = MPContext()
     ctx.prec = prec
@@ -52,8 +50,8 @@ def to_fraction(x) -> Fraction:
 
 
 # Entries kept by each series memo below: one process running the default
-# oracles and rademacher suites left 29930 _cis_pi, 16059 _kloosterman_cached
-# and 4072 _dedekind_scaled keys (2234 and 1275 of the first two after
+# oracles and rademacher suites left 3852 _cis_pi, 2149 _kloosterman_cached
+# and 774 _dedekind_scaled keys (2234 and 1275 of the first two after
 # oracles alone).
 SERIES_MEMO_MAXSIZE = 65536
 

@@ -542,10 +542,10 @@ def _suite_inequalities(sweep: _Sweep) -> Dict[str, Any]:
 
 # name: (suite, default n_max, largest accepted n_max or None, parameters
 # read).  A ceiling keeps its suite under 300 s on a 2-vCPU VM.  Extrapolated
-# from the cost at the default range (rademacher's rounds grow about linearly
-# in n; ratio 0.26 ms, fjn 0.34 ms and convexity 0.08 ms a licensed case), one
-# run at each ceiling took 180, 138, 153 and 181 s.  The others fit at the
-# table ceiling: krank took 59 s at n_max 200001, nonkary 33 s at 100000.
+# from the cost at the default range (rademacher's rounds then grew about
+# linearly in n; ratio 0.26 ms, fjn 0.34 ms and convexity 0.08 ms a licensed
+# case), one run at each ceiling took 42, 138, 153 and 181 s.  The others fit
+# at the table ceiling: krank took 59 s at n_max 200001, nonkary 33 s at 100000.
 _RANGES = ("n_max", "j_max")
 _SUITES = {
     "oracles": (_suite_oracles, 60, None, ("n_max",)),  # clamps at ENUMERATION_BOUND

@@ -1,10 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from mpmath import libmp
 
-from partbounds.errors import PreconditionError
+from partbounds import rademacher
+from partbounds.enclosure import DEFAULT_PRECISION, fraction_from_raw
+from partbounds.errors import PreconditionError, StabilizationError
 from partbounds.exact import p_exact
 from partbounds.rademacher import (
+    _remainder_bounds,
     _series_state,
     _term,
     h_error,
@@ -13,6 +18,18 @@ from partbounds.rademacher import (
     rademacher_round,
 )
 from partbounds.special import bessel_I32_closed, mp_context, to_fraction
+
+
+def _recorded_round(monkeypatch, n):
+    """rademacher_round(n) and the raw terms it summed, in order."""
+    terms = []
+
+    def record(*args):
+        terms.append(_term(*args))
+        return terms[-1]
+
+    monkeypatch.setattr(rademacher, "_term", record)
+    return rademacher_round(n), terms
 
 
 class TestRound:
@@ -31,6 +48,45 @@ class TestRound:
         for n in (1597, 1807, 1818, 1948, 1982):
             assert rademacher_round(n) == p_exact(n), n
 
+    def test_remainder_bound_covers_error(self, monkeypatch):
+        # |p(n) - prefactor * S_N| <= R(n, N) at every depth a round reaches;
+        # the largest error-to-bound ratio here is about 0.12
+        for n in [*range(2, 301), 1597, 1807, 1818, 1948, 1982]:
+            got, terms = _recorded_round(monkeypatch, n)
+            want = p_exact(n)
+            assert got == want, n
+            prefactor = fraction_from_raw(_series_state(n, DEFAULT_PRECISION)[2])
+            partial = Fraction(0)
+            for N, (term, bound) in enumerate(zip(terms, _remainder_bounds(n)), 1):
+                partial += fraction_from_raw(term)
+                assert abs(want - prefactor * partial) <= fraction_from_raw(bound), (n, N)
+
+    def test_remainder_bound_is_lehmers(self):
+        # each R(n, N) against Lehmer's formula typed again, in an mpmath context
+        ctx = mp_context(128)
+        for n, N in ((2, 1), (2, 30), (112, 6), (1000, 34), (3000, 45)):
+            formula = (44 * ctx.pi ** 2 / (225 * ctx.sqrt(3)) / ctx.sqrt(N)
+                       + ctx.pi * ctx.sqrt(2) / 75 * ctx.sqrt(ctx.mpf(N) / (n - 1))
+                       * ctx.sinh(ctx.pi / N * ctx.sqrt(ctx.mpf(2 * n) / 3)))
+            hi = ctx.make_mpf(next(itertools.islice(_remainder_bounds(n), N - 1, None)))
+            assert formula <= hi <= formula * (1 + ctx.mpf(2) ** -50), (n, N)
+
+    def test_stops_by_remainder_quarter(self, monkeypatch):
+        # the first N with R(n, N) < 1/4 is 34 at n = 1000 and 45 at n = 3000
+        for n, most in ((1000, 34), (3000, 45)):
+            got, terms = _recorded_round(monkeypatch, n)
+            assert got == p_exact(n)
+            assert len(terms) <= most, (n, len(terms))
+
+    def test_unsettled_series_raises(self, monkeypatch):
+        # a series whose sum sits on a half-integer can never be rounded
+        wp, _, prefactor = _series_state(150, DEFAULT_PRECISION)
+        half = libmp.mpf_div(libmp.from_man_exp(1, -1), prefactor, wp, "n")
+        monkeypatch.setattr(rademacher, "_term",
+                            lambda wp, X, n, k: half if k == 1 else libmp.fzero)
+        with pytest.raises(StabilizationError):
+            rademacher_round(150)
+
     def test_higher_precision_agrees(self):
         assert rademacher_round(150, prec=256) == p_exact(150)
 
@@ -43,10 +99,15 @@ class TestPartial:
     def test_converges_to_value(self):
         # the first K series terms, summed as rademacher_round sums them
         p100 = p_exact(100)
-        wp, ctx, X, prefactor = _series_state(100, 128)
-        terms = [ctx.make_mpf(_term(wp, X._mpf_, 100, k)) for k in range(1, 9)]
-        assert abs(prefactor * ctx.fsum(terms) - p100) < 0.25
-        assert abs(prefactor * terms[0] / p100 - 1) < 0.05
+        wp, X, prefactor = _series_state(100, 128)
+        terms = [_term(wp, X, 100, k) for k in range(1, 9)]
+        running = libmp.fzero
+        for term in terms:
+            running = libmp.mpf_add(running, term, wp, "n")
+        total = fraction_from_raw(libmp.mpf_mul(prefactor, running, wp, "n"))
+        first = fraction_from_raw(libmp.mpf_mul(prefactor, terms[0], wp, "n"))
+        assert abs(total - p100) < Fraction(1, 4)
+        assert abs(first / p100 - 1) < Fraction(1, 20)
 
 
 class TestErrorEnvelope:

@@ -255,7 +255,7 @@ def _context_closed(x, prec):
 
 
 def test_raw_closed_keeps_every_round_bit(monkeypatch):
-    # every (X/k, wp) that rademacher_round reads for n <= 150
+    # every (X/k, wp) that rademacher_round reads for n <= 400
     seen = set()
 
     def recording(x, prec):
@@ -263,7 +263,7 @@ def test_raw_closed_keeps_every_round_bit(monkeypatch):
         return bessel_I32_closed(x, prec)
 
     monkeypatch.setattr(rademacher, "bessel_I32_closed", recording)
-    for n in range(1, 151):
+    for n in range(1, 401):
         rademacher.rademacher_round(n)
     assert len(seen) > 4000
     for x, prec in seen:
@@ -289,8 +289,8 @@ def test_raw_closed_keeps_every_bit(x, prec):
 
 def test_series_memos_are_bounded():
     # the most keys one process used at the default oracles + rademacher
-    # ranges: 29930 (_cis_pi), 16059 (_kloosterman_cached), 4072 (_dedekind_scaled)
-    for memo, keys in ((special._cis_pi, 29930), (special._kloosterman_cached, 16059),
-                       (special._dedekind_scaled, 4072)):
+    # ranges: 3852 (_cis_pi), 2149 (_kloosterman_cached), 774 (_dedekind_scaled)
+    for memo, keys in ((special._cis_pi, 3852), (special._kloosterman_cached, 2149),
+                       (special._dedekind_scaled, 774)):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize >= keys
