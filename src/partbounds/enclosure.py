@@ -45,6 +45,7 @@ _normalize = libmp.normalize
 _normalize1 = libmp.normalize1
 
 ORDER_ERROR = "interval endpoints out of order"
+NON_FINITE_ERROR = "non-finite float has no rational value"
 
 ExactScalar = (int, Fraction)
 
@@ -112,12 +113,32 @@ def ordered(lo, hi) -> bool:
     return not libmp.mpf_gt(lo, hi)
 
 
+def _ends(pair):
+    """The pair itself, after the endpoint-order check an Enclosure of it
+    would make; raw-libmp kernels run it on every intermediate interval."""
+    if not ordered(*pair):
+        raise ValueError(ORDER_ERROR)
+    return pair
+
+
+def _scaled_ends(lo, hi):
+    """(L, H, k) with lo = L/2^k and hi = H/2^k for finite raw floats, k >= 0."""
+    lsign, lman, lexp, _ = lo
+    hsign, hman, hexp, _ = hi
+    if (not lman and lexp) or (not hman and hexp):
+        raise ValueError(NON_FINITE_ERROR)
+    k = max(0, -lexp, -hexp)
+    L = int(lman) << (lexp + k)
+    H = int(hman) << (hexp + k)
+    return (-L if lsign else L), (-H if hsign else H), k
+
+
 def fraction_from_raw(raw):
     """Exact rational value of a finite raw libmp float."""
     sign, man, exp, bc = raw
     if man == 0:
         if exp != 0:
-            raise ValueError("non-finite float has no rational value")
+            raise ValueError(NON_FINITE_ERROR)
         return Fraction(0)
     man = int(man)
     if sign:
@@ -271,9 +292,13 @@ class Enclosure:
         return fraction_from_raw(self.hi)
 
     def relative_width(self) -> Fraction | None:
-        """Width over |midpoint|, exact; None when the midpoint is 0."""
-        lo, hi = self.lo_fraction, self.hi_fraction
-        return None if lo == -hi else 2 * (hi - lo) / abs(lo + hi)
+        """Width over |midpoint|, exact; None when the midpoint is 0.
+
+        2(hi - lo)/|lo + hi| does not depend on the common scale 2^-k of the
+        endpoints, so it is one Fraction of their integer numerators.
+        """
+        L, H, _ = _scaled_ends(self.lo, self.hi)
+        return None if L == -H else Fraction(2 * (H - L), abs(L + H))
 
     # -- predicates ----------------------------------------------------
 
@@ -294,10 +319,14 @@ class Enclosure:
         0 on an endpoint, negative outside.  A point enclosure has no width,
         so its margin is the signed distance itself.
         """
-        v = Fraction(value)
-        lo, hi = self.lo_fraction, self.hi_fraction
-        margin = min(v - lo, hi - v)
-        return margin if hi == lo else margin / (hi - lo)
+        v = value if isinstance(value, ExactScalar) else Fraction(value)
+        # with v = a/b and the endpoints L/2^k, H/2^k, both distances and
+        # the width share the denominator b 2^k: one Fraction at the end
+        a, b = v.numerator, v.denominator
+        L, H, k = _scaled_ends(self.lo, self.hi)
+        a <<= k
+        margin = min(a - L * b, H * b - a)
+        return Fraction(margin, b << k if H == L else b * (H - L))
 
     def strictly_positive(self) -> bool:
         return libmp.mpf_gt(self.lo, libmp.fzero)

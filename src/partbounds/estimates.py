@@ -22,6 +22,14 @@ rational radius (2.71/N, 1350/N, 2075/N, 3926/N, 4.04/ell, 2079/ell,
 3929/ell).  Containment contracts are exercised by sweeping the exact engine
 against each enclosure.
 
+ratio_interval and fjn_ratio_interval, the two estimates the containment
+sweeps call per (n, j), are raw-libmp kernels: they make the directed-
+rounding calls of their Enclosure expressions (_mul_ends, _div_ends,
+_exp_ends, ratio_pair on unreduced integers) and the order check of every
+interval those build, without the objects.  The Enclosure expressions stay
+in tests/test_estimates.py as references, and the kernels must match them
+bit for bit.
+
 The license windows are enforced on exact integers: j < sqrt(N)/2 is
 equivalent to 4j^2 < n, j < sqrt(N)/4 to 16j^2 < n, and j <= sqrt(N) to
 j^2 < n, because 24 j^2 multiples can never equal 24n - 1.  ratio_j_top and
@@ -39,7 +47,21 @@ from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .enclosure import DEFAULT_PRECISION, MEMO_MAXSIZE, Enclosure, constants
+from mpmath import libmp
+
+from .enclosure import (
+    _DOWN,
+    _UP,
+    DEFAULT_PRECISION,
+    MEMO_MAXSIZE,
+    Enclosure,
+    _div_ends,
+    _ends,
+    _exp_ends,
+    _mul_ends,
+    constants,
+    ratio_pair,
+)
 from .errors import PreconditionError
 from .exact import (
     LISTING_BOUND,
@@ -140,9 +162,34 @@ def shifted_terms(n: int, prec: int) -> SimpleNamespace:
     )
 
 
+_add = libmp.mpf_add
+_sub = libmp.mpf_sub
+_neg = libmp.mpf_neg
+_ONE = libmp.fone
+_TWO = libmp.from_int(2)
+_FOUR = libmp.from_int(4)
+
+
+def _pi_j_ends(t: SimpleNamespace, j: int, prec: int):
+    # raw ends of j, of pi j and of e^{-pi j/sqrt(6N)}, the libmp calls of
+    # (-(pi * j / sqrt6_sqrtN)).exp() in Enclosure arithmetic
+    pi = constants(prec).pi
+    jl, jh = _ends(ratio_pair(j, 1, prec))
+    al, ah = _ends(_mul_ends(pi.lo, pi.hi, jl, jh, prec))
+    s = t.sqrt6_sqrtN
+    bl, bh = _ends(_div_ends(al, ah, s.lo, s.hi, prec))
+    el, eh = _ends(_exp_ends(*_ends((_neg(bh), _neg(bl))), prec))
+    return (jl, jh), (al, ah), (el, eh)
+
+
 def _decay(t: SimpleNamespace, j: int, prec: int) -> Enclosure:
     # e^{-pi j/sqrt(6N)}, the main term every estimate shares
-    return (-(constants(prec).pi * j / t.sqrt6_sqrtN)).exp()
+    return Enclosure(*_pi_j_ends(t, j, prec)[2], prec)
+
+
+def _radius_hi(radius: Fraction, d: int, prec: int):
+    # upper end of radius/N, N = d/24, as plus_minus reads it
+    return ratio_pair(24 * radius.numerator, radius.denominator * d, prec)[1]
 
 
 def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
@@ -153,6 +200,9 @@ def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
     e^{-pi j/sqrt(6N)} (1 + j/N - pi j^2/(4 sqrt6 N^{3/2})
                           - sqrt3/(sqrt(2 pi) sqrt N) +- 2.71/N)
                        (1 + sqrt3/(sqrt(2N) pi) +- 1350/N)
+
+    in raw libmp: the calls, operands and roundings of that expression in
+    Enclosure arithmetic, with the order check of every interval it builds.
     """
     if n < 14:
         raise PreconditionError("requires n >= 14")
@@ -160,15 +210,23 @@ def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
         raise PreconditionError("requires j >= 0")
     if j > ratio_j_top(n):
         raise PreconditionError("requires j < sqrt(N)/2, i.e. 4j^2 < n")
-    c = constants(prec)
     t = shifted_terms(n, prec)
-    center1 = (
-        1
-        + Fraction(j) / t.N
-        - c.pi * j * j / (4 * t.sqrt6_N_sqrtN)
-        - t.sqrt3_over_sqrt_two_pi
-    )
-    return _decay(t, j, prec) * center1.plus_minus(RATIO_RADIUS_1 / t.N) * t.bracket
+    d = 24 * n - 1  # N = d/24
+    (jl, jh), (al, ah), (el, eh) = _pi_j_ends(t, j, prec)
+    # 1 + j/N - pi j j / (4 sqrt6 N sqrt N) - sqrt3/(sqrt(2 pi) sqrt N)
+    fl, fh = _ends(ratio_pair(d + 24 * j, d, prec))
+    al, ah = _ends(_mul_ends(al, ah, jl, jh, prec))
+    s = t.sqrt6_N_sqrtN
+    sl, sh = _ends(_mul_ends(s.lo, s.hi, _FOUR, _FOUR, prec))
+    ql, qh = _ends(_div_ends(al, ah, sl, sh, prec))
+    cl, ch = _ends((_sub(fl, qh, prec, _DOWN), _sub(fh, ql, prec, _UP)))
+    u = t.sqrt3_over_sqrt_two_pi
+    cl, ch = _ends((_sub(cl, u.hi, prec, _DOWN), _sub(ch, u.lo, prec, _UP)))
+    r = _radius_hi(RATIO_RADIUS_1, d, prec)
+    cl, ch = _ends((_sub(cl, r, prec, _DOWN), _add(ch, r, prec, _UP)))
+    pl, ph = _ends(_mul_ends(el, eh, cl, ch, prec))
+    b = t.bracket
+    return Enclosure(*_mul_ends(pl, ph, b.lo, b.hi, prec), prec)
 
 
 def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
@@ -179,7 +237,8 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosu
     termA = 1 + delta_c/sqrt N + 2j/N - pi j^2/(sqrt6 N^{3/2}) +- 2075/N and
     termB = 2 + 2 delta_c/sqrt N + 2j/N - pi j^2/(2 sqrt6 N^{3/2}) +- 3926/N,
     with delta_c = sqrt3/(sqrt2 pi) - sqrt3/sqrt(2 pi).  The first exponent
-    is exactly twice the second.
+    is exactly twice the second.  Evaluated in raw libmp as ratio_interval
+    is, with the calls of that expression in Enclosure arithmetic.
     """
     if n < 14:
         raise PreconditionError("requires n >= 14")
@@ -187,18 +246,35 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosu
         raise PreconditionError("requires j >= 1")
     if j > fjn_j_top(n):
         raise PreconditionError("requires j < sqrt(N)/4, i.e. 16j^2 < n")
-    c = constants(prec)
     t = shifted_terms(n, prec)
-    exp1 = _decay(t, j, prec)
-    exp2 = exp1 * exp1
-    jj = Fraction(2 * j) / t.N
-    centerA = 1 + t.delta_c_over_sqrtN + jj - c.pi * j * j / t.sqrt6_N_sqrtN
-    termA = centerA.plus_minus(FJN_RADIUS_A / t.N)
-    centerB = (
-        2 + 2 * t.delta_c_over_sqrtN + jj - c.pi * j * j / (2 * t.sqrt6_N_sqrtN)
-    )
-    termB = centerB.plus_minus(FJN_RADIUS_B / t.N)
-    return 1 + exp2 * termA - exp1 * termB
+    d = 24 * n - 1  # N = d/24
+    (jl, jh), (al, ah), (el, eh) = _pi_j_ends(t, j, prec)
+    e2l, e2h = _ends(_mul_ends(el, eh, el, eh, prec))
+    kl, kh = _ends(ratio_pair(48 * j, d, prec))  # 2j/N
+    al, ah = _ends(_mul_ends(al, ah, jl, jh, prec))  # pi j j
+    dc = t.delta_c_over_sqrtN
+    s = t.sqrt6_N_sqrtN
+    # termA = 1 + delta_c/sqrt N + 2j/N - pi j j/(sqrt6 N sqrt N) +- 2075/N
+    xl, xh = _ends((_add(dc.lo, _ONE, prec, _DOWN), _add(dc.hi, _ONE, prec, _UP)))
+    xl, xh = _ends((_add(xl, kl, prec, _DOWN), _add(xh, kh, prec, _UP)))
+    ql, qh = _ends(_div_ends(al, ah, s.lo, s.hi, prec))
+    xl, xh = _ends((_sub(xl, qh, prec, _DOWN), _sub(xh, ql, prec, _UP)))
+    r = _radius_hi(FJN_RADIUS_A, d, prec)
+    xl, xh = _ends((_sub(xl, r, prec, _DOWN), _add(xh, r, prec, _UP)))
+    # termB = 2 + 2 delta_c/sqrt N + 2j/N - pi j j/(2 sqrt6 N sqrt N) +- 3926/N
+    yl, yh = _ends(_mul_ends(dc.lo, dc.hi, _TWO, _TWO, prec))
+    yl, yh = _ends((_add(yl, _TWO, prec, _DOWN), _add(yh, _TWO, prec, _UP)))
+    yl, yh = _ends((_add(yl, kl, prec, _DOWN), _add(yh, kh, prec, _UP)))
+    sl, sh = _ends(_mul_ends(s.lo, s.hi, _TWO, _TWO, prec))
+    ql, qh = _ends(_div_ends(al, ah, sl, sh, prec))
+    yl, yh = _ends((_sub(yl, qh, prec, _DOWN), _sub(yh, ql, prec, _UP)))
+    r = _radius_hi(FJN_RADIUS_B, d, prec)
+    yl, yh = _ends((_sub(yl, r, prec, _DOWN), _add(yh, r, prec, _UP)))
+    # 1 + e^{-2a} termA - e^{-a} termB
+    xl, xh = _ends(_mul_ends(e2l, e2h, xl, xh, prec))
+    xl, xh = _ends((_add(xl, _ONE, prec, _DOWN), _add(xh, _ONE, prec, _UP)))
+    yl, yh = _ends(_mul_ends(el, eh, yl, yh, prec))
+    return Enclosure(_sub(xl, yh, prec, _DOWN), _sub(xh, yl, prec, _UP), prec)
 
 
 def _analytic_convexity(n: int, j: int, prec: int) -> bool:

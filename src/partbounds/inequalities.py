@@ -39,16 +39,15 @@ from .enclosure import (
     _DOWN,
     _UP,
     DEFAULT_PRECISION,
-    ORDER_ERROR,
     Enclosure,
     _div_ends,
+    _ends,
     _exp_ends,
     _mul_ends,
     _sqrt_ends,
     constants,
     exp_enclosure,
     fraction_from_raw,
-    ordered,
     ratio_pair,
     sqrt_enclosure,
 )
@@ -332,13 +331,6 @@ def _margin_collapse_3926(point: Point, prec: int) -> Enclosure:
     n, j = point
     N, err = _bracket_product_error(n, j, prec)
     return Enclosure.from_exact(FJN_RADIUS_B - 2 * N * err, prec)
-
-
-def _ends(pair):
-    # the endpoint-order check an Enclosure of the pair would make
-    if not ordered(*pair):
-        raise ValueError(ORDER_ERROR)
-    return pair
 
 
 def _margin_bessel_tail(point: Point, prec: int) -> Enclosure:

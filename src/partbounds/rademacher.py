@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import libmp
 
@@ -59,18 +60,33 @@ def _term(wp: int, X, n: int, k: int):
     return libmp.mpf_mul(libmp.mpf_div(A, kk, wp, "n"), bess, wp, "n")
 
 
-def _remainder_bounds(n: int):
+@lru_cache(maxsize=1)
+def _lehmer_lead():
+    """R's N^{-1/2} coefficient 44 pi^2 / (225 sqrt 3) as a 64-bit Enclosure,
+    and the first N at which the round can stop.
+
+    R(n, N) >= lo / sqrt N for the enclosure's lower end lo, which is at
+    least 1/2 while N <= 4 lo^2 (about 4.97, so N <= 4); there neither the
+    stop test nor the StabilizationError test can pass.
+    """
+    c = constants(64)
+    first = 44 * c.pi * c.pi / (225 * c.sqrt3)
+    lo = first.lo_fraction
+    return first, math.floor(4 * lo * lo) + 1
+
+
+def _remainder_bounds(n: int, start: int):
     """Lehmer's bound on |p(n) - prefactor * (sum of the first N terms)|, for
-    N = 1, 2, ... and n >= 2, each the raw hi of a 64-bit Enclosure:
+    N = start, start + 1, ... and n >= 2, each the raw hi of a 64-bit Enclosure:
 
         R(n, N) = 44 pi^2 / (225 sqrt 3) N^{-1/2}
                   + pi sqrt 2 / 75 (N / (n-1))^{1/2} sinh(pi sqrt(2n/3) / N).
     """
     c = constants(64)
-    first = 44 * c.pi * c.pi / (225 * c.sqrt3)
+    first = _lehmer_lead()[0]
     second = c.pi * c.sqrt2 / 75 / sqrt_enclosure(n - 1, 64)
     a = c.pi * sqrt_enclosure(6 * n, 64) / 3
-    for N in itertools.count(1):
+    for N in itertools.count(start):
         root = sqrt_enclosure(N, 64)
         e = (a / N).exp()
         yield (first / root + second * root * (e - 1 / e) / 2).hi
@@ -79,21 +95,31 @@ def _remainder_bounds(n: int):
 def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
     """p(n) by rounding the truncated series to the nearest integer.
 
-    After N terms p(n) is within R(n, N) of prefactor * (partial sum), so the
-    round returns the nearest integer once its distance from the sum plus R
-    is below 1/2 - 2^(16-wp).  R decreases in N, so the test passes by the
-    first N with R < 1/4, up to rounding at wp (far below 1/8); a round still
-    running once R < 1/8 raises StabilizationError instead of guessing.
-    n = 1 is answered directly, since R divides by n - 1.
+    After N terms p(n) is within R(n, N) of prefactor * (partial sum), and
+    the round returns the nearest integer once its distance from the sum
+    plus R is below 1/2 - 2^(16-wp).  The 2^(16-wp) is not a rounding guard:
+    wp is only about 48 bits above the size of p(n), so after k terms the
+    sum carries an absolute rounding error near k 2^-48, far above it.  The
+    round is safe because a wrong nearest integer would be a whole unit
+    away: gap + R below 1/2 leaves the other 1/2 for that error.
+    R decreases in N, so the test passes by the first N with R < 1/4, up to
+    rounding at wp; a round still running once R < 1/8 raises
+    StabilizationError instead of guessing.  R is not evaluated below the
+    first N where it can fall under 1/2 (_lehmer_lead).  n = 1 is answered
+    directly, since R divides by n - 1.
     """
     if n < 1:
         raise PreconditionError("requires n >= 1")
     if n == 1:
         return 1
     wp, X, prefactor = _series_state(n, prec)
+    # 1/2 - 2^(16-wp): the round's safety is the unit to the next integer
     threshold = libmp.mpf_sub(libmp.from_man_exp(1, -1), libmp.from_man_exp(1, 16 - wp), wp, "n")
+    start = _lehmer_lead()[1]
     running = libmp.fzero
-    for k, tail in enumerate(_remainder_bounds(n), 1):
+    for k in range(1, start):
+        running = libmp.mpf_add(running, _term(wp, X, n, k), wp, "n")
+    for k, tail in enumerate(_remainder_bounds(n, start), start):
         running = libmp.mpf_add(running, _term(wp, X, n, k), wp, "n")
         value = libmp.mpf_mul(prefactor, running, wp, "n")
         nearest = libmp.to_int(libmp.mpf_nint(value, wp, "n"))

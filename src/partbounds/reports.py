@@ -65,11 +65,12 @@ def interval_payload(enclosure: Enclosure) -> Dict[str, Any]:
     expansions terminate); precision is the binary working precision.
     """
     digits = decimal_digits(enclosure.prec)
+    lo, hi = enclosure.lo_fraction, enclosure.hi_fraction
     return {
-        "lo": decimal_directed(enclosure.lo_fraction, digits, decimal.ROUND_FLOOR),
-        "hi": decimal_directed(enclosure.hi_fraction, digits, decimal.ROUND_CEILING),
-        "lo_exact": exact_decimal(enclosure.lo_fraction),
-        "hi_exact": exact_decimal(enclosure.hi_fraction),
+        "lo": decimal_directed(lo, digits, decimal.ROUND_FLOOR),
+        "hi": decimal_directed(hi, digits, decimal.ROUND_CEILING),
+        "lo_exact": exact_decimal(lo),
+        "hi_exact": exact_decimal(hi),
         "precision": enclosure.prec,
     }
 

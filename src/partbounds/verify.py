@@ -254,6 +254,7 @@ def _suite_containment_ratio(sweep: _Sweep) -> Dict[str, Any]:
     worst: Optional[Fraction] = None
     max_c: Optional[Fraction] = None
     max_c_at: Optional[Tuple[int, int]] = None
+    mass = 2 * RATIO_RADIUS_MASS
     for n in range(14, top + 1):
         pn = p_exact(n)
         N = shifted_index(n)
@@ -262,8 +263,12 @@ def _suite_containment_ratio(sweep: _Sweep) -> Dict[str, Any]:
             margin = est.containment_margin(Fraction(p_exact(n - j), pn))
             worst = margin if worst is None else min(worst, margin)
             rel = est.relative_width()
-            # the relative half-width in units of the radius mass over N
-            c = None if rel is None else rel * N / (2 * RATIO_RADIUS_MASS)
+            # the relative half-width in units of the radius mass over N,
+            # rel * N / (2 * RATIO_RADIUS_MASS) as one Fraction
+            c = None if rel is None else Fraction(
+                rel.numerator * N.numerator * mass.denominator,
+                rel.denominator * N.denominator * mass.numerator,
+            )
             if c is not None and (max_c is None or c > max_c):
                 max_c, max_c_at = c, (n, j)
             sweep.check(

@@ -12,6 +12,7 @@ from mpmath import libmp
 
 from partbounds.enclosure import (
     _TRANSCENDENTAL_SLACK,
+    NON_FINITE_ERROR,
     Enclosure,
     _widen_raw,
     constants,
@@ -314,6 +315,67 @@ def margin_probes(draw):
 def test_margin_sign_is_the_containment_verdict(probe):
     e, v = probe
     assert (e.containment_margin(v) >= 0) == e.contains(v)
+
+
+# -- the integer margin and width against their Fraction formulas ---------
+
+
+def _fraction_margin(e, v):
+    v = Fraction(v)
+    lo, hi = e.lo_fraction, e.hi_fraction
+    margin = min(v - lo, hi - v)
+    return margin if hi == lo else margin / (hi - lo)
+
+
+def _fraction_relative_width(e):
+    lo, hi = e.lo_fraction, e.hi_fraction
+    return None if lo == -hi else 2 * (hi - lo) / abs(lo + hi)
+
+
+@st.composite
+def scaled_probes(draw):
+    """An interval of every sign pattern scaled by 2^-700 .. 2^700, so
+    endpoint exponents of both signs, at 16 to 300 bits, and an int or
+    Fraction value inside, on, outside or far from it."""
+    prec = draw(st.sampled_from([16, 53, 128, 300]))
+    scale = Fraction(2) ** draw(st.integers(-700, 700))
+    lo, hi = draw(intervals())
+    e = Enclosure.from_bounds(lo * scale, hi * scale, prec)
+    lo, hi = e.lo_fraction, e.hi_fraction
+    value = draw(st.one_of(
+        st.sampled_from([lo, hi, (lo + hi) / 2, lo - scale, hi + scale, 2 * hi - lo]),
+        st.integers(-(2**80), 2**80),
+        rationals.map(lambda r: r * scale),
+    ))
+    return e, value
+
+
+@settings(max_examples=500, deadline=None)
+@given(probe=st.one_of(margin_probes(), scaled_probes()))
+@example(probe=(Enclosure.from_exact(0), 0))
+@example(probe=(Enclosure.from_exact(0), Fraction(-1, 3)))
+@example(probe=(Enclosure.from_bounds(0, 1), 2))
+@example(probe=(Enclosure.from_bounds(-1, 0), Fraction(-1, 3)))
+@example(probe=(Enclosure.from_exact(2**300), 2**300 + 1))
+@example(probe=(Enclosure.from_bounds(-(2**300), 2**299), -(2**301)))
+def test_integer_margin_and_width_are_the_fraction_formulas(probe):
+    e, v = probe
+    assert e.containment_margin(v) == _fraction_margin(e, v)
+    assert e.relative_width() == _fraction_relative_width(e)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(libmp.fninf, libmp.fone), (libmp.fzero, libmp.finf),
+     (libmp.fninf, libmp.finf), (libmp.fnan, libmp.fnan)],
+    ids=["-inf", "+inf", "both", "nan"],
+)
+def test_non_finite_endpoint_is_refused(lo, hi):
+    e = Enclosure(lo, hi)
+    with pytest.raises(ValueError, match=NON_FINITE_ERROR):
+        e.containment_margin(0)
+    with pytest.raises(ValueError, match=NON_FINITE_ERROR):
+        e.relative_width()
 
 
 # -- bit-identity of the conversion and order primitives ------------------

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partbounds.enclosure import MEMO_MAXSIZE, Enclosure, constants
+from partbounds import enclosure
+from partbounds.enclosure import MEMO_MAXSIZE, ORDER_ERROR, Enclosure, constants
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
     FJN_RADIUS_A,
@@ -540,3 +541,97 @@ def test_shared_terms_keep_every_endpoint(data, n, prec):
         [krank_ratio_interval(1, lp + 2, 2 * lp + 3, prec),
          krank_diff_interval(1, lp + 2, 2 * lp + 3, prec)]
     ) == _ends(_own_krank(lp, prec))
+
+
+# ratio_interval and fjn_ratio_interval as Enclosure expressions, the form
+# each had before it ran as a raw-libmp kernel; each kernel must give these
+# endpoints bit for bit.
+
+
+def _enclosure_ratio(n, j, prec):
+    c = constants(prec)
+    t = shifted_terms(n, prec)
+    center1 = (
+        1
+        + Fraction(j) / t.N
+        - c.pi * j * j / (4 * t.sqrt6_N_sqrtN)
+        - t.sqrt3_over_sqrt_two_pi
+    )
+    expf = (-(c.pi * j / t.sqrt6_sqrtN)).exp()
+    return expf * center1.plus_minus(RATIO_RADIUS_1 / t.N) * t.bracket
+
+
+def _enclosure_fjn(n, j, prec):
+    c = constants(prec)
+    t = shifted_terms(n, prec)
+    exp1 = (-(c.pi * j / t.sqrt6_sqrtN)).exp()
+    exp2 = exp1 * exp1
+    jj = Fraction(2 * j) / t.N
+    centerA = 1 + t.delta_c_over_sqrtN + jj - c.pi * j * j / t.sqrt6_N_sqrtN
+    termA = centerA.plus_minus(FJN_RADIUS_A / t.N)
+    centerB = (
+        2 + 2 * t.delta_c_over_sqrtN + jj - c.pi * j * j / (2 * t.sqrt6_N_sqrtN)
+    )
+    termB = centerB.plus_minus(FJN_RADIUS_B / t.N)
+    return 1 + exp2 * termA - exp1 * termB
+
+
+def _with_hulls(fn, *args):
+    # fn's result and how often it took the four-product hull
+    hulls = []
+    hull = enclosure._hull
+    enclosure._hull = lambda *a: hulls.append(a) or hull(*a)
+    try:
+        e = fn(*args)
+    finally:
+        enclosure._hull = hull
+    return (e.lo, e.hi, e.prec), len(hulls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.one_of(st.integers(14, 400), st.integers(14, 10**8)),
+    prec=st.one_of(st.sampled_from([16, 53, 128, 300, 4096]), st.integers(16, 4096)),
+)
+def test_kernels_are_their_enclosure_expressions(data, n, prec):
+    j = data.draw(st.integers(0, ratio_j_top(n)), label="j")
+    assert _with_hulls(ratio_interval, n, j, prec) == _with_hulls(_enclosure_ratio, n, j, prec)
+    if fjn_j_top(n):
+        j = data.draw(st.integers(1, fjn_j_top(n)), label="fjn j")
+        assert _with_hulls(fjn_ratio_interval, n, j, prec) == _with_hulls(
+            _enclosure_fjn, n, j, prec
+        )
+
+
+@pytest.mark.parametrize("n", [14, 17, 99, 10**6, 10**12])
+@pytest.mark.parametrize("prec", [16, 4096])
+def test_kernels_at_the_window_edges(n, prec):
+    for j in (0, ratio_j_top(n)):
+        assert _with_hulls(ratio_interval, n, j, prec) == _with_hulls(
+            _enclosure_ratio, n, j, prec
+        )
+    for j in {1, fjn_j_top(n)} if fjn_j_top(n) else ():
+        assert _with_hulls(fjn_ratio_interval, n, j, prec) == _with_hulls(
+            _enclosure_fjn, n, j, prec
+        )
+
+
+# one check per interval the Enclosure expression builds (18 and 37), less
+# the repeats of j, pi j, pi j j and 2j/N, which the kernels build once, and
+# the exact constants 1, 2 and 4
+@pytest.mark.parametrize("kernel, j, checks", [(ratio_interval, 3, 14), (fjn_ratio_interval, 2, 24)])
+def test_every_order_check_is_live(kernel, j, checks, monkeypatch):
+    kernel(200, j, 53)  # constants and shifted terms built
+    order = enclosure.ordered
+    calls = []
+    monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: calls.append(1) or order(lo, hi))
+    kernel(200, j, 53)
+    assert len(calls) == checks
+    for bad in range(checks):
+        count = iter(range(checks))
+        monkeypatch.setattr(
+            enclosure, "ordered", lambda lo, hi: next(count) != bad and order(lo, hi)
+        )
+        with pytest.raises(ValueError, match=ORDER_ERROR):
+            kernel(200, j, 53)

@@ -202,6 +202,13 @@ class TestBesselTailKernel:
             assert kernel_hulls == 754
 
     def test_disordered_pair_raises_like_an_enclosure(self, monkeypatch):
-        monkeypatch.setattr(inequalities, "ordered", lambda lo, hi: False)
+        _margin_bessel_tail((Fraction(50),), 53)  # constants built
+        calls = []
+        order = enclosure.ordered
+        monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: calls.append(1) or order(lo, hi))
+        _margin_bessel_tail((Fraction(50),), 53)
+        # twelve order checks per term, each interval the expression built
+        assert len(calls) >= 12 * (TAIL_TERMS - 1)
+        monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: False)
         with pytest.raises(ValueError, match=ORDER_ERROR):
             _margin_bessel_tail((Fraction(50),), 53)

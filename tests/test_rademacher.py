@@ -9,6 +9,7 @@ from partbounds.enclosure import DEFAULT_PRECISION, fraction_from_raw
 from partbounds.errors import PreconditionError, StabilizationError
 from partbounds.exact import p_exact
 from partbounds.rademacher import (
+    _lehmer_lead,
     _remainder_bounds,
     _series_state,
     _term,
@@ -57,7 +58,7 @@ class TestRound:
             assert got == want, n
             prefactor = fraction_from_raw(_series_state(n, DEFAULT_PRECISION)[2])
             partial = Fraction(0)
-            for N, (term, bound) in enumerate(zip(terms, _remainder_bounds(n)), 1):
+            for N, (term, bound) in enumerate(zip(terms, _remainder_bounds(n, 1)), 1):
                 partial += fraction_from_raw(term)
                 assert abs(want - prefactor * partial) <= fraction_from_raw(bound), (n, N)
 
@@ -68,8 +69,21 @@ class TestRound:
             formula = (44 * ctx.pi ** 2 / (225 * ctx.sqrt(3)) / ctx.sqrt(N)
                        + ctx.pi * ctx.sqrt(2) / 75 * ctx.sqrt(ctx.mpf(N) / (n - 1))
                        * ctx.sinh(ctx.pi / N * ctx.sqrt(ctx.mpf(2 * n) / 3)))
-            hi = ctx.make_mpf(next(itertools.islice(_remainder_bounds(n), N - 1, None)))
+            hi = ctx.make_mpf(next(itertools.islice(_remainder_bounds(n, 1), N - 1, None)))
             assert formula <= hi <= formula * (1 + ctx.mpf(2) ** -50), (n, N)
+
+    def test_remainder_starts_where_it_can_stop(self):
+        # R(n, N) >= lo / sqrt N for the 64-bit lower end lo of its first
+        # coefficient, about 1.1143, so R >= 1/2 for N <= 4 and neither
+        # test in the round can pass there
+        first, start = _lehmer_lead()
+        lo = first.lo_fraction
+        assert start == 5
+        assert Fraction(111431, 100000) < lo < Fraction(111432, 100000)
+        assert 4 * lo * lo >= start - 1 and 4 * lo * lo < start
+        for n in (2, 3, 150, 3000):
+            skipped = itertools.islice(_remainder_bounds(n, 1), start - 1)
+            assert all(fraction_from_raw(tail) >= Fraction(1, 2) for tail in skipped), n
 
     def test_stops_by_remainder_quarter(self, monkeypatch):
         # the first N with R(n, N) < 1/4 is 34 at n = 1000 and 45 at n = 3000

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import os
+import sys
 import tempfile
 from fractions import Fraction
 
 import pytest
 
-from partbounds import exact, inequalities, verify
+from partbounds import estimates, exact, inequalities, verify
 from partbounds.enclosure import DEFAULT_PRECISION, Enclosure
 from partbounds.errors import PreconditionError
 from partbounds.estimates import fjn_j_top, ratio_j_top
@@ -279,6 +280,34 @@ class TestOneDecision:
         monkeypatch.setattr(Enclosure, "contains", contains)
         report = run_suite(name, n_max=self.SMALL[name])
         assert report.passed, report.failures
+
+
+class TestTracedNames:
+    # perfbench's tracer counts estimates.ratio_interval and
+    # fjn_ratio_interval by rebinding the public name wherever a partbounds
+    # module holds it; a suite that called a private kernel instead would
+    # read zero calls there
+    @pytest.mark.parametrize(
+        "name, attr, calls",
+        [("containment-ratio", "ratio_interval", 664),
+         ("containment-fjn", "fjn_ratio_interval", 226)],
+    )
+    def test_suite_reaches_the_public_estimate(self, name, attr, calls, monkeypatch):
+        original = getattr(estimates, attr)
+        seen = []
+
+        def counted(*args):
+            seen.append(args)
+            return original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("partbounds"):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        report = run_suite(name, n_max=150)
+        assert report.passed
+        assert len(seen) == report.cases == calls
 
 
 class TestOracleSuite:
