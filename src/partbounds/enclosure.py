@@ -21,10 +21,10 @@ from mpmath import libmp
 
 DEFAULT_PRECISION = 128
 
-# Entries kept by each per-index enclosure memo: the two k-rank caches and
-# estimates.shifted_terms.  shifted_terms sees up to 10000 keys in a default
-# sweep, but each sweep reads all shifts of one index before the next, so
-# eviction costs no rebuild.
+# Entries kept by each per-key memo: estimates.shifted_terms and the CLI's
+# answer memo for single-value queries (cli._answer).  shifted_terms sees up
+# to 10000 keys in a default sweep, but each sweep reads all shifts of one
+# index before the next, so eviction costs no rebuild.
 MEMO_MAXSIZE = 4096
 
 _DOWN = "f"  # toward -inf

@@ -352,16 +352,11 @@ def krank_ratio_interval(
         1 - e^{-pi/sqrt(6 ell)} (1 - sqrt3/sqrt(2 pi ell) +- 4.04/ell)
                                 (1 + sqrt3/(sqrt(2 ell) pi) +- 1350/ell).
 
-    Depends on (k, m, n) only through n-k-m; cached on it.
+    Depends on (k, m, n) only through n-k-m.
     """
     _check_krank_domain(k, m, n)
-    return _krank_ratio(n - k - m, prec)
-
-
-@lru_cache(maxsize=MEMO_MAXSIZE)
-def _krank_ratio(lp: int, prec: int) -> Enclosure:
-    # lp = n - k - m, and ell = lp + 23/24 is the shift of lp + 1
-    t = shifted_terms(lp + 1, prec)
+    # ell = n - k - m + 23/24 is the shift of n - k - m + 1
+    t = shifted_terms(n - k - m + 1, prec)
     u = _decay(t, 1, prec)
     f1 = (1 - t.sqrt3_over_sqrt_two_pi).plus_minus(KRANK_RATIO_RADIUS_1 / t.N)
     return 1 - u * f1 * t.bracket
@@ -376,15 +371,11 @@ def krank_diff_interval(
           - e^{-pi/sqrt(6 ell)} (2 + 2 delta_c/sqrt ell +- 3929/ell).
 
     The widened radii absorb the shift-dependent center terms that the
-    j = 1 second-difference estimate keeps explicit.  Cached on n-k-m.
+    j = 1 second-difference estimate keeps explicit.  Depends on (k, m, n)
+    only through n-k-m.
     """
     _check_krank_domain(k, m, n)
-    return _krank_diff(n - k - m, prec)
-
-
-@lru_cache(maxsize=MEMO_MAXSIZE)
-def _krank_diff(lp: int, prec: int) -> Enclosure:
-    t = shifted_terms(lp + 1, prec)
+    t = shifted_terms(n - k - m + 1, prec)
     u = _decay(t, 1, prec)
     termA = (1 + t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_A / t.N)
     termB = (2 + 2 * t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_B / t.N)
@@ -437,19 +428,30 @@ def injection_map_check(n: int, j: int, ell: int) -> MapCheck:
         raise PreconditionError("requires j >= 1")
     if ell < 0 or ell >= n:
         raise PreconditionError("requires 0 <= ell < n")
-    domain = [
-        parts for parts in enumerate_partitions(n - ell) if j not in parts
-    ]
-    images = []
-    for parts in domain:
-        if ell == 0:
-            images.append(parts)
-        else:
-            images.append((parts[0] + ell,) + parts[1:] if parts else (ell,))
-    assert all(sum(img) == n for img in images)
+    return _shift_map(_checked_partitions(n - ell), j, ell)
+
+
+def _checked_partitions(m: int) -> list:
+    """The partitions of m >= 1, each checked to sum to m in non-increasing
+    order; a caller that maps one list several times checks it once."""
+    partitions = list(enumerate_partitions(m))
     assert all(
-        all(a >= b for a, b in zip(img, img[1:])) for img in images
+        sum(parts) == m and list(parts) == sorted(parts, reverse=True)
+        for parts in partitions
     )
+    return partitions
+
+
+def _shift_map(partitions: list, j: int, ell: int) -> MapCheck:
+    """injection_map_check on the checked partitions of n - ell >= 1.  Each
+    image keeps its partition's tail and adds ell to the sum, so only the
+    enlarged first pair is left to check for order."""
+    domain = [parts for parts in partitions if j not in parts]
+    if ell == 0:
+        images = domain
+    else:
+        images = [(parts[0] + ell,) + parts[1:] for parts in domain]
+        assert all(len(img) < 2 or img[0] >= img[1] for img in images)
     return MapCheck(
         domain_size=len(domain),
         injective=len(set(images)) == len(domain),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from partbounds import __version__, cli, exact, verify
 from partbounds.cli import MAX_PRECISION, main
-from partbounds.enclosure import DEFAULT_PRECISION
+from partbounds.enclosure import DEFAULT_PRECISION, MEMO_MAXSIZE
 from partbounds.exact import (
     ENUMERATION_BOUND,
     TABLE_CEILING,
@@ -454,6 +454,87 @@ class TestCachedParser:
         assert doc["results"]["p"] == "135"
 
 
+def _without_seconds(text):
+    doc = json.loads(text)
+    assert isinstance(doc.pop("seconds"), float)
+    return doc
+
+
+class TestAnswerMemo:
+    """One process answers a repeated single-value query from cli._answer."""
+
+    @pytest.mark.parametrize("argv", [
+        ["exact", "500"],
+        ["ratio", "100", "2"],
+        ["fjn", "2000", "10"],
+        ["krank", "--k", "2", "--m", "40", "--n", "70"],
+        ["nonkary", "500", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_repeat_runs_the_handler_once(self, capsys, monkeypatch, argv):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return p_exact(n)
+
+        monkeypatch.setattr(cli, "p_exact", counted)
+        code, first = run(capsys, *argv)
+        assert code == 0 and calls
+        made = len(calls)
+        code, second = run(capsys, *argv)
+        assert code == 0
+        assert len(calls) == made
+        assert _without_seconds(second.out) == _without_seconds(first.out)
+        assert second.err == first.err == ""
+
+    def test_refusal_is_not_remembered(self, capsys):
+        size = len(default_table())
+        argv = ("ratio", str(TABLE_CEILING + 1), "1")
+        code, first = run(capsys, *argv)
+        assert code == 2 and str(TABLE_CEILING) in first.err
+        code, second = run(capsys, *argv)
+        assert code == 2
+        assert (second.out, second.err) == (first.out, first.err)
+        assert len(default_table()) == size
+        info = cli._answer.cache_info()
+        assert (info.misses, info.currsize) == (2, 0)
+
+    def test_resolved_precision_is_part_of_the_key(self, capsys, monkeypatch):
+        blocks = []
+        for bits in (64, 128):
+            monkeypatch.setenv("PARTBOUNDS_PRECISION", str(bits))
+            code, doc = run_json(capsys, "ratio", "100", "2")
+            assert code == 0
+            assert doc["parameters"]["precision"] == bits
+            assert doc["results"]["interval"]["precision"] == bits
+            blocks.append(doc["results"]["interval"])
+        assert blocks[0]["lo_exact"] != blocks[1]["lo_exact"]
+        assert blocks[0]["hi_exact"] != blocks[1]["hi_exact"]
+
+    def test_verify_is_never_remembered(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(names, **kwargs):
+            calls.append(list(names))
+            return verify.run_suites(names, **kwargs)
+
+        monkeypatch.setattr(cli, "run_suites", counted)
+        for _ in range(2):
+            code, _ = run(capsys, "verify", "oracles", "--n-max", "20")
+            assert code == 0
+        assert calls == [["oracles"], ["oracles"]]
+        assert cli._answer.cache_info().currsize == 0
+
+    def test_memo_size_is_bounded(self):
+        assert cli._answer.cache_info().maxsize == MEMO_MAXSIZE
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            for n in range(MEMO_MAXSIZE + 10):
+                assert main(["exact", str(n)]) == 0
+                assert cli._answer.cache_info().currsize <= MEMO_MAXSIZE
+        assert cli._answer.cache_info().currsize == MEMO_MAXSIZE
+
+
 class TestGoldenDocuments:
     @pytest.mark.parametrize(
         "argv, name",
@@ -523,19 +604,31 @@ def _single_value_argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None)
-@given(argv=_single_value_argv())
-def test_single_value_argv_exits_cleanly(argv):
-    size = len(default_table())
-    sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+def _exit_code_and_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 1, 2), (argv, sink.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_single_value_argv())
+def test_single_value_argv_exits_cleanly(argv):
+    # each argv runs twice: the repeat may be answered from the answer memo
+    size = len(default_table())
+    code, out, err = _exit_code_and_output(argv)
+    assert code in (0, 1, 2), (argv, out, err)
     # a refused index past the ceiling must not grow the table first
     assert len(default_table()) <= max(size, 12_001), argv
+    again, out_again, err_again = _exit_code_and_output(argv)
+    assert (again, err_again) == (code, err), argv
+    if out:
+        assert _without_seconds(out_again) == _without_seconds(out), argv
+    else:
+        assert out_again == "", argv
 
 
 # -- argv fuzzing of verify ----------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partbounds import enclosure
+from partbounds import cli, enclosure
 from partbounds.enclosure import MEMO_MAXSIZE, ORDER_ERROR, Enclosure, constants
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
@@ -16,9 +16,8 @@ from partbounds.estimates import (
     KRANK_RATIO_RADIUS_1,
     RATIO_RADIUS_1,
     CertificateKind,
+    MapCheck,
     _analytic_convexity,
-    _krank_diff,
-    _krank_ratio,
     convexity_certificate,
     fjn_ratio_interval,
     injection_inequality,
@@ -32,7 +31,14 @@ from partbounds.estimates import (
     ratio_j_top,
     shifted_terms,
 )
-from partbounds.exact import dyson_rank_count, f_jn, nu_k, p_exact, shifted_index
+from partbounds.exact import (
+    dyson_rank_count,
+    enumerate_partitions,
+    f_jn,
+    nu_k,
+    p_exact,
+    shifted_index,
+)
 from partbounds.inequalities import (
     _margin_collapse_271,
     _margin_collapse_2075,
@@ -366,6 +372,23 @@ class TestInjection:
             mc = injection_map_check(n, j, ell)
             assert mc.injective and mc.preserves_avoidance, (n, j, ell)
 
+    def test_map_matches_literal_images(self):
+        # the images built and checked in full, as the map is defined
+        for n in range(1, 22):
+            for j in (1, 2, 3, 5, 7):
+                for ell in range(n):
+                    domain = [p for p in enumerate_partitions(n - ell) if j not in p]
+                    images = [(p[0] + ell,) + p[1:] for p in domain]
+                    assert all(
+                        sum(img) == n and list(img) == sorted(img, reverse=True)
+                        for img in images
+                    )
+                    assert injection_map_check(n, j, ell) == MapCheck(
+                        domain_size=len(domain),
+                        injective=len(set(images)) == len(domain),
+                        preserves_avoidance=all(j not in img for img in images),
+                    ), (n, j, ell)
+
     def test_map_can_break_avoidance_when_shift_small(self):
         # a largest part of 3 plus ell = 2 lands on the forbidden part 5
         mc = injection_map_check(12, 5, 2)
@@ -382,14 +405,22 @@ class TestInjection:
 
 
 @pytest.mark.parametrize(
-    "memo, first",
-    [(_krank_ratio, 16), (_krank_diff, 16), (shifted_terms, 1)],
+    "memo, key",
+    [
+        pytest.param(shifted_terms, lambda i: (i + 1, 16), id="shifted_terms-1"),
+        # the CLI's answer memo, which holds the k-rank enclosures of a
+        # repeated query: one key per ell' = n - k - m >= 16
+        pytest.param(
+            cli._answer, lambda i: ("krank", (1, i + 18, 2 * i + 35, 16)),
+            id="_answer-krank",
+        ),
+    ],
 )
-def test_memo_size_is_bounded(memo, first):
+def test_memo_size_is_bounded(memo, key):
     # more distinct keys than the bound, at the least precision to stay cheap
     assert memo.cache_info().maxsize == MEMO_MAXSIZE
-    for key in range(first, first + MEMO_MAXSIZE + 10):
-        memo(key, 16)
+    for i in range(MEMO_MAXSIZE + 10):
+        memo(*key(i))
         assert memo.cache_info().currsize <= MEMO_MAXSIZE
     assert memo.cache_info().currsize == MEMO_MAXSIZE
     memo.cache_clear()

@@ -115,7 +115,7 @@ class TestReportDocument:
     ], ids=lambda argv: argv[0])
     def test_to_json_matches_asdict_without_mutating(self, argv):
         args = cli._build_parser().parse_args(argv)
-        parameters, results, passed, _ = args.handler(args)
+        parameters, results, passed, _ = cli._handle(args)
         doc = ReportDocument(command=args.command, parameters=parameters, results=results,
                              passed=passed, exit_code=0, seconds=0.5)
         before = copy.deepcopy(doc.results)
