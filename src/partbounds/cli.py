@@ -8,11 +8,6 @@ optionally dumping per-case rows to CSV.  Exit codes: 0 all checks passed,
 ceiling, a negative --n-max/--j-max, an --n-max, --j-max, --seed or --case
 that no named suite reads, an unknown --case, or an unwritable --json/--csv
 path); `verify` refuses its bad parameters before any suite runs.
-
-One process answers a repeated single-value query from a bounded memo keyed
-on the command, its parsed values and the resolved precision, so a repeat
-skips the kernels, the exact fractions and the payloads; a refused query is
-never remembered, and `verify` always runs.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
-from .enclosure import DEFAULT_PRECISION, MEMO_MAXSIZE, Enclosure
+from .enclosure import DEFAULT_PRECISION, Enclosure
 from .errors import PartboundsError, PreconditionError
 from .estimates import (
     fjn_licensed,
@@ -52,8 +47,6 @@ PRECISION_ENV = "PARTBOUNDS_PRECISION"
 # Largest working precision accepted, in bits (about 1233 decimal digits).
 MAX_PRECISION = 4096
 
-# parameters, results, passed
-_Answer = Tuple[Dict[str, Any], Dict[str, Any], bool]
 # parameters, results, passed, CSV rows
 _Handled = Tuple[Dict[str, Any], Dict[str, Any], bool, List[Dict[str, Any]]]
 
@@ -83,20 +76,21 @@ def _interval_block(enclosure: Enclosure, margin: Fraction) -> Dict[str, Any]:
     return {**interval_payload(enclosure), "contained": margin >= 0}
 
 
-def _cmd_exact(n: int, oracle: bool) -> _Answer:
+def _cmd_exact(args: argparse.Namespace) -> _Handled:
+    n = args.n
     if n < 0:
         raise PreconditionError("requires n >= 0")
     # the oracle refuses n past its bound before the table grows to n
-    expected = p_enumerate_oracle(n) if oracle else None
+    expected = p_enumerate_oracle(n) if args.oracle else None
     value = p_exact(n)
     digits = str(value)
     results: Dict[str, Any] = {"n": n, "p": digits, "digits": len(digits)}
     passed = True
-    if oracle:
+    if args.oracle:
         passed = value == expected
         results["enumeration"] = str(expected)
         results["agreement"] = passed
-    return {"n": n, "oracle": oracle}, results, passed
+    return {"n": n, "oracle": bool(args.oracle)}, results, passed, []
 
 
 def _margin_results(enclosure: Enclosure, exact: Fraction) -> Dict[str, Any]:
@@ -110,27 +104,33 @@ def _margin_results(enclosure: Enclosure, exact: Fraction) -> Dict[str, Any]:
     }
 
 
-def _cmd_ratio(n: int, j: int, prec: int) -> _Answer:
+def _cmd_ratio(args: argparse.Namespace) -> _Handled:
+    prec = _resolve_precision(args.precision)
+    n, j = args.n, args.j
     estimate = ratio_interval(n, j, prec)
     # p(n) first: an n past the ceiling exits before the table grows to n - j
     pn = p_exact(n)
     results = {"n": n, "j": j,
                **_margin_results(estimate, Fraction(p_exact(n - j), pn))}
     passed = results["interval"]["contained"]
-    return {"n": n, "j": j, "precision": prec}, results, passed
+    return {"n": n, "j": j, "precision": prec}, results, passed, []
 
 
-def _cmd_fjn(n: int, j: int, prec: int) -> _Answer:
+def _cmd_fjn(args: argparse.Namespace) -> _Handled:
+    prec = _resolve_precision(args.precision)
+    n, j = args.n, args.j
     estimate = fjn_ratio_interval(n, j, prec)
     difference = f_jn(n, j)
     exact = Fraction(difference, p_exact(n))
     results = {"n": n, "j": j, "difference": str(difference),
                **_margin_results(estimate, exact)}
     passed = results["interval"]["contained"]
-    return {"n": n, "j": j, "precision": prec}, results, passed
+    return {"n": n, "j": j, "precision": prec}, results, passed, []
 
 
-def _cmd_krank(k: int, m: int, n: int, prec: int) -> _Answer:
+def _cmd_krank(args: argparse.Namespace) -> _Handled:
+    prec = _resolve_precision(args.precision)
+    k, m, n = args.k, args.m, args.n
     enc_ratio = krank_ratio_interval(k, m, n, prec)
     enc_diff = krank_diff_interval(k, m, n, prec)
     denom = p_exact(n - k - m + 1)
@@ -157,10 +157,12 @@ def _cmd_krank(k: int, m: int, n: int, prec: int) -> _Answer:
         results["ratio"]["interval"]["contained"]
         and results["difference"]["interval"]["contained"]
     )
-    return {"k": k, "m": m, "n": n, "precision": prec}, results, passed
+    return {"k": k, "m": m, "n": n, "precision": prec}, results, passed, []
 
 
-def _cmd_nonkary(n: int, k: int, prec: int) -> _Answer:
+def _cmd_nonkary(args: argparse.Namespace) -> _Handled:
+    prec = _resolve_precision(args.precision)
+    n, k = args.n, args.k
     value = nu_k(n, k)
     results: Dict[str, Any] = {"n": n, "k": k, "nu": str(value)}
     passed = True
@@ -178,7 +180,7 @@ def _cmd_nonkary(n: int, k: int, prec: int) -> _Answer:
         margin = estimate.containment_margin(exact)
         results["ratio_interval"] = _interval_block(estimate, margin)
         passed = passed and results["ratio_interval"]["contained"]
-    return {"n": n, "k": k, "precision": prec}, results, passed
+    return {"n": n, "k": k, "precision": prec}, results, passed, []
 
 
 def _cmd_verify(args: argparse.Namespace) -> _Handled:
@@ -207,37 +209,6 @@ def _cmd_verify(args: argparse.Namespace) -> _Handled:
     return parameters, results, all(report.passed for report in reports), rows
 
 
-# each single-value command's answer and the parsed values it reads, in order
-_ANSWERS = {
-    "exact": (_cmd_exact, ("n", "oracle")),
-    "ratio": (_cmd_ratio, ("n", "j")),
-    "fjn": (_cmd_fjn, ("n", "j")),
-    "krank": (_cmd_krank, ("k", "m", "n")),
-    "nonkary": (_cmd_nonkary, ("n", "k")),
-}
-
-
-@lru_cache(maxsize=MEMO_MAXSIZE)
-def _answer(command: str, values: Tuple[Any, ...]) -> _Answer:
-    """The answer to one single-value query, remembered per process.  A
-    raised error is not remembered; callers must not mutate what it returns."""
-    handler, _ = _ANSWERS[command]
-    return handler(*values)
-
-
-def _handle(args: argparse.Namespace) -> _Handled:
-    """verify runs every time; a single-value query is answered by _answer
-    from its parsed values and, last, its resolved precision (exact reads
-    none), so the precision is part of the key."""
-    if args.command == "verify":
-        return _cmd_verify(args)
-    _, names = _ANSWERS[args.command]
-    values = tuple(getattr(args, name) for name in names)
-    if "precision" in args:
-        values += (_resolve_precision(args.precision),)
-    return (*_answer(args.command, values), [])
-
-
 def _add_precision_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--precision",
@@ -259,7 +230,8 @@ def _add_json_flag(parser: argparse.ArgumentParser) -> None:
 
 
 @lru_cache(maxsize=1)  # built once per process; parse_args keeps no state in it
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="partbounds",
         description=(
@@ -282,6 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="recount by bounded enumeration and compare",
     )
     _add_json_flag(cmd)
+    cmd.set_defaults(handler=_cmd_exact)
 
     cmd = sub.add_parser(
         "ratio", help="enclosure of p(n-j)/p(n) checked against the exact rational"
@@ -290,6 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("j", type=int)
     _add_precision_flag(cmd)
     _add_json_flag(cmd)
+    cmd.set_defaults(handler=_cmd_ratio)
 
     cmd = sub.add_parser(
         "fjn",
@@ -299,6 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("j", type=int)
     _add_precision_flag(cmd)
     _add_json_flag(cmd)
+    cmd.set_defaults(handler=_cmd_fjn)
 
     cmd = sub.add_parser(
         "krank", help="rank-count enclosures on the collapsed range m > n/2"
@@ -308,6 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--n", type=int, required=True)
     _add_precision_flag(cmd)
     _add_json_flag(cmd)
+    cmd.set_defaults(handler=_cmd_krank)
 
     cmd = sub.add_parser(
         "nonkary", help="partitions avoiding part k: count, growth, enclosure"
@@ -316,6 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("k", type=int)
     _add_precision_flag(cmd)
     _add_json_flag(cmd)
+    cmd.set_defaults(handler=_cmd_nonkary)
 
     cmd = sub.add_parser("verify", help="run a verification sweep")
     cmd.add_argument("suite", choices=SUITE_NAMES + ("all",))
@@ -334,15 +311,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_precision_flag(cmd)
     _add_json_flag(cmd)
+    cmd.set_defaults(handler=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: Optional[List[str]]) -> argparse.Namespace:
+    """The top-level parser's parse_args(argv), one pass over argv shorter.
+
+    After a command name, the top-level parser hands every remaining
+    argument to that command's parser, names the command and refuses what
+    that parser left over; nothing else of it acts.  Taking those steps here
+    skips its own pass over the arguments, about half the time a
+    single-value query spends parsing.
+    """
+    parser, commands = _build_parsers()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     started = time.perf_counter()
     try:
-        parameters, results, passed, rows = _handle(args)
+        parameters, results, passed, rows = args.handler(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,10 +21,10 @@ from mpmath import libmp
 
 DEFAULT_PRECISION = 128
 
-# Entries kept by each per-key memo: estimates.shifted_terms and the CLI's
-# answer memo for single-value queries (cli._answer).  shifted_terms sees up
-# to 10000 keys in a default sweep, but each sweep reads all shifts of one
-# index before the next, so eviction costs no rebuild.
+# Entries kept by each per-index enclosure memo: the two k-rank caches and
+# estimates.shifted_terms.  shifted_terms sees up to 10000 keys in a default
+# sweep, but each sweep reads all shifts of one index before the next, so
+# eviction costs no rebuild.
 MEMO_MAXSIZE = 4096
 
 _DOWN = "f"  # toward -inf
@@ -121,7 +121,7 @@ def _ends(pair):
     return pair
 
 
-def _scaled_ends(lo, hi):
+def scaled_ends(lo, hi):
     """(L, H, k) with lo = L/2^k and hi = H/2^k for finite raw floats, k >= 0."""
     lsign, lman, lexp, _ = lo
     hsign, hman, hexp, _ = hi
@@ -148,19 +148,15 @@ def fraction_from_raw(raw):
     return Fraction(man, 1 << (-exp))
 
 
-def exact_decimal(value: Fraction) -> str:
-    """Exact decimal string of a rational whose denominator is a power of two.
+def exact_decimal(num: int, k: int) -> str:
+    """Exact decimal string of num/2^k, k >= 0.
 
     Such numbers always have a terminating decimal expansion, so the string is
-    lossless.  Used to serialize interval endpoints.
+    lossless; num/2^k need not be in lowest terms.  Used to serialize interval
+    endpoints.
     """
-    num = value.numerator
-    den = value.denominator
-    if den == 1:
+    if not k:
         return str(num)
-    k = den.bit_length() - 1
-    if (1 << k) != den:
-        raise ValueError("denominator is not a power of two")
     digits = num * 5**k  # num/2^k == num*5^k / 10^k
     sign = "-" if digits < 0 else ""
     digits = abs(digits)
@@ -297,7 +293,7 @@ class Enclosure:
         2(hi - lo)/|lo + hi| does not depend on the common scale 2^-k of the
         endpoints, so it is one Fraction of their integer numerators.
         """
-        L, H, _ = _scaled_ends(self.lo, self.hi)
+        L, H, _ = scaled_ends(self.lo, self.hi)
         return None if L == -H else Fraction(2 * (H - L), abs(L + H))
 
     # -- predicates ----------------------------------------------------
@@ -323,7 +319,7 @@ class Enclosure:
         # with v = a/b and the endpoints L/2^k, H/2^k, both distances and
         # the width share the denominator b 2^k: one Fraction at the end
         a, b = v.numerator, v.denominator
-        L, H, k = _scaled_ends(self.lo, self.hi)
+        L, H, k = scaled_ends(self.lo, self.hi)
         a <<= k
         margin = min(a - L * b, H * b - a)
         return Fraction(margin, b << k if H == L else b * (H - L))

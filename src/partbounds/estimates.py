@@ -23,12 +23,13 @@ rational radius (2.71/N, 1350/N, 2075/N, 3926/N, 4.04/ell, 2079/ell,
 against each enclosure.
 
 ratio_interval and fjn_ratio_interval, the two estimates the containment
-sweeps call per (n, j), are raw-libmp kernels: they make the directed-
-rounding calls of their Enclosure expressions (_mul_ends, _div_ends,
-_exp_ends, ratio_pair on unreduced integers) and the order check of every
-interval those build, without the objects.  The Enclosure expressions stay
-in tests/test_estimates.py as references, and the kernels must match them
-bit for bit.
+sweeps call per (n, j), the two k-rank forms and shifted_terms itself are
+raw-libmp kernels: they make the directed-rounding calls of their Enclosure
+expressions (_mul_ends, _div_ends, _exp_ends, _sqrt_ends, ratio_pair on
+unreduced integers) and the order check of every interval those build,
+without the intermediate objects.  The Enclosure expressions stay in
+tests/test_estimates.py as references, and the kernels must match them bit
+for bit.
 
 The license windows are enforced on exact integers: j < sqrt(N)/2 is
 equivalent to 4j^2 < n, j < sqrt(N)/4 to 16j^2 < n, and j <= sqrt(N) to
@@ -59,6 +60,7 @@ from .enclosure import (
     _ends,
     _exp_ends,
     _mul_ends,
+    _sqrt_ends,
     constants,
     ratio_pair,
 )
@@ -135,6 +137,19 @@ class MapCheck:
     preserves_avoidance: bool
 
 
+_add = libmp.mpf_add
+_sub = libmp.mpf_sub
+_neg = libmp.mpf_neg
+_ONE = libmp.fone
+_TWO = libmp.from_int(2)
+_FOUR = libmp.from_int(4)
+
+
+def _radius_hi(radius: Fraction, d: int, prec: int):
+    # upper end of radius/N, N = d/24, as plus_minus reads it
+    return ratio_pair(24 * radius.numerator, radius.denominator * d, prec)[1]
+
+
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def shifted_terms(n: int, prec: int) -> SimpleNamespace:
     """Enclosures of the j-free terms at N = n - 1/24, built once per (n, prec).
@@ -144,30 +159,37 @@ def shifted_terms(n: int, prec: int) -> SimpleNamespace:
     directed rounding), sqrt3_over_sqrt_two_pi = sqrt3/(sqrt(2 pi) sqrt N),
     sqrt3_over_pi_sqrt2 = sqrt3/(sqrt2 pi sqrt N), delta_c_over_sqrtN, and
     the bracket (1 + sqrt3/(sqrt2 pi sqrt N)) +- 1350/N.
+
+    Built in raw libmp, as the ratio kernels are: the calls, roundings and
+    order checks of these Enclosure expressions, with sqrtN = Ne.sqrt():
+    sqrt6 * sqrtN, sqrt6 * Ne * sqrtN, sqrt3 / (sqrt_two_pi * sqrtN),
+    sqrt3 / (pi * sqrt2 * sqrtN), delta_c / sqrtN and
+    (1 + sqrt3_over_pi_sqrt2).plus_minus(1350/N).
     """
     c = constants(prec)
-    N = shifted_index(n)
-    Ne = Enclosure.from_exact(N, prec)
-    sqrtN = Ne.sqrt()
-    sqrt3_over_pi_sqrt2 = c.sqrt3 / (c.pi * c.sqrt2 * sqrtN)
+    d = 24 * n - 1  # N = d/24
+    nl, nh = ratio_pair(d, 24, prec)
+    sl, sh = _ends(_sqrt_ends(nl, nh, prec))
+    s6, s3 = c.sqrt6, c.sqrt3
+    al, ah = _ends(_mul_ends(s6.lo, s6.hi, nl, nh, prec))
+    bl, bh = _ends(_mul_ends(c.sqrt_two_pi.lo, c.sqrt_two_pi.hi, sl, sh, prec))
+    ql, qh = _ends(_mul_ends(c.pi.lo, c.pi.hi, c.sqrt2.lo, c.sqrt2.hi, prec))
+    ql, qh = _ends(_mul_ends(ql, qh, sl, sh, prec))
+    q = Enclosure(*_div_ends(s3.lo, s3.hi, ql, qh, prec), prec)
+    xl, xh = _ends((_add(q.lo, _ONE, prec, _DOWN), _add(q.hi, _ONE, prec, _UP)))
+    r = _radius_hi(RATIO_RADIUS_2, d, prec)
     return SimpleNamespace(
-        N=N,
-        Ne=Ne,
-        sqrt6_sqrtN=c.sqrt6 * sqrtN,
-        sqrt6_N_sqrtN=c.sqrt6 * Ne * sqrtN,
-        sqrt3_over_sqrt_two_pi=c.sqrt3 / (c.sqrt_two_pi * sqrtN),
-        sqrt3_over_pi_sqrt2=sqrt3_over_pi_sqrt2,
-        delta_c_over_sqrtN=c.delta_c / sqrtN,
-        bracket=(1 + sqrt3_over_pi_sqrt2).plus_minus(RATIO_RADIUS_2 / N),
+        N=shifted_index(n),
+        Ne=Enclosure(nl, nh, prec),
+        sqrt6_sqrtN=Enclosure(*_mul_ends(s6.lo, s6.hi, sl, sh, prec), prec),
+        sqrt6_N_sqrtN=Enclosure(*_mul_ends(al, ah, sl, sh, prec), prec),
+        sqrt3_over_sqrt_two_pi=Enclosure(*_div_ends(s3.lo, s3.hi, bl, bh, prec), prec),
+        sqrt3_over_pi_sqrt2=q,
+        delta_c_over_sqrtN=Enclosure(
+            *_div_ends(c.delta_c.lo, c.delta_c.hi, sl, sh, prec), prec
+        ),
+        bracket=Enclosure(_sub(xl, r, prec, _DOWN), _add(xh, r, prec, _UP), prec),
     )
-
-
-_add = libmp.mpf_add
-_sub = libmp.mpf_sub
-_neg = libmp.mpf_neg
-_ONE = libmp.fone
-_TWO = libmp.from_int(2)
-_FOUR = libmp.from_int(4)
 
 
 def _pi_j_ends(t: SimpleNamespace, j: int, prec: int):
@@ -180,16 +202,6 @@ def _pi_j_ends(t: SimpleNamespace, j: int, prec: int):
     bl, bh = _ends(_div_ends(al, ah, s.lo, s.hi, prec))
     el, eh = _ends(_exp_ends(*_ends((_neg(bh), _neg(bl))), prec))
     return (jl, jh), (al, ah), (el, eh)
-
-
-def _decay(t: SimpleNamespace, j: int, prec: int) -> Enclosure:
-    # e^{-pi j/sqrt(6N)}, the main term every estimate shares
-    return Enclosure(*_pi_j_ends(t, j, prec)[2], prec)
-
-
-def _radius_hi(radius: Fraction, d: int, prec: int):
-    # upper end of radius/N, N = d/24, as plus_minus reads it
-    return ratio_pair(24 * radius.numerator, radius.denominator * d, prec)[1]
 
 
 def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
@@ -297,7 +309,7 @@ def _analytic_convexity(n: int, j: int, prec: int) -> bool:
     second = Fraction(j) / t.N - 3 * c.pi * j * j / (4 * t.sqrt6_N_sqrtN)
     if not second.lo_fraction >= 0:
         return False
-    exp1 = _decay(t, j, prec)
+    exp1 = Enclosure(*_pi_j_ends(t, j, prec)[2], prec)
     X = exp1 * exp1 - 2 * exp1
     return X.strictly_negative() and X.lo_fraction > -1
 
@@ -352,14 +364,28 @@ def krank_ratio_interval(
         1 - e^{-pi/sqrt(6 ell)} (1 - sqrt3/sqrt(2 pi ell) +- 4.04/ell)
                                 (1 + sqrt3/(sqrt(2 ell) pi) +- 1350/ell).
 
-    Depends on (k, m, n) only through n-k-m.
+    Depends on (k, m, n) only through n-k-m; cached on it.
     """
     _check_krank_domain(k, m, n)
-    # ell = n - k - m + 23/24 is the shift of n - k - m + 1
-    t = shifted_terms(n - k - m + 1, prec)
-    u = _decay(t, 1, prec)
-    f1 = (1 - t.sqrt3_over_sqrt_two_pi).plus_minus(KRANK_RATIO_RADIUS_1 / t.N)
-    return 1 - u * f1 * t.bracket
+    return _krank_ratio(n - k - m, prec)
+
+
+@lru_cache(maxsize=MEMO_MAXSIZE)
+def _krank_ratio(lp: int, prec: int) -> Enclosure:
+    # lp = n - k - m, and ell = lp + 23/24 is the shift of lp + 1; the raw
+    # libmp calls of 1 - u * (1 - sqrt3_over_sqrt_two_pi).plus_minus(4.04/ell)
+    # * bracket in Enclosure arithmetic, u = e^{-pi/sqrt(6 ell)}
+    t = shifted_terms(lp + 1, prec)
+    d = 24 * lp + 23  # ell = d/24
+    ul, uh = _pi_j_ends(t, 1, prec)[2]
+    v = t.sqrt3_over_sqrt_two_pi
+    fl, fh = _ends((_sub(_ONE, v.hi, prec, _DOWN), _sub(_ONE, v.lo, prec, _UP)))
+    r = _radius_hi(KRANK_RATIO_RADIUS_1, d, prec)
+    fl, fh = _ends((_sub(fl, r, prec, _DOWN), _add(fh, r, prec, _UP)))
+    fl, fh = _ends(_mul_ends(ul, uh, fl, fh, prec))
+    b = t.bracket
+    fl, fh = _ends(_mul_ends(fl, fh, b.lo, b.hi, prec))
+    return Enclosure(_sub(_ONE, fh, prec, _DOWN), _sub(_ONE, fl, prec, _UP), prec)
 
 
 def krank_diff_interval(
@@ -371,15 +397,34 @@ def krank_diff_interval(
           - e^{-pi/sqrt(6 ell)} (2 + 2 delta_c/sqrt ell +- 3929/ell).
 
     The widened radii absorb the shift-dependent center terms that the
-    j = 1 second-difference estimate keeps explicit.  Depends on (k, m, n)
-    only through n-k-m.
+    j = 1 second-difference estimate keeps explicit.  Cached on n-k-m.
     """
     _check_krank_domain(k, m, n)
-    t = shifted_terms(n - k - m + 1, prec)
-    u = _decay(t, 1, prec)
-    termA = (1 + t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_A / t.N)
-    termB = (2 + 2 * t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_B / t.N)
-    return 1 + u * u * termA - u * termB
+    return _krank_diff(n - k - m, prec)
+
+
+@lru_cache(maxsize=MEMO_MAXSIZE)
+def _krank_diff(lp: int, prec: int) -> Enclosure:
+    # the raw libmp calls of 1 + u * u * termA - u * termB in Enclosure
+    # arithmetic, termA = (1 + dc).plus_minus(2079/ell) and
+    # termB = (2 + 2 * dc).plus_minus(3929/ell), dc = delta_c/sqrt ell
+    t = shifted_terms(lp + 1, prec)
+    d = 24 * lp + 23  # ell = d/24
+    ul, uh = _pi_j_ends(t, 1, prec)[2]
+    dc = t.delta_c_over_sqrtN
+    xl, xh = _ends((_add(dc.lo, _ONE, prec, _DOWN), _add(dc.hi, _ONE, prec, _UP)))
+    r = _radius_hi(KRANK_DIFF_RADIUS_A, d, prec)
+    xl, xh = _ends((_sub(xl, r, prec, _DOWN), _add(xh, r, prec, _UP)))
+    yl, yh = _ends(_mul_ends(dc.lo, dc.hi, _TWO, _TWO, prec))
+    yl, yh = _ends((_add(yl, _TWO, prec, _DOWN), _add(yh, _TWO, prec, _UP)))
+    r = _radius_hi(KRANK_DIFF_RADIUS_B, d, prec)
+    yl, yh = _ends((_sub(yl, r, prec, _DOWN), _add(yh, r, prec, _UP)))
+    # 1 + u u termA - u termB
+    ql, qh = _ends(_mul_ends(ul, uh, ul, uh, prec))
+    xl, xh = _ends(_mul_ends(ql, qh, xl, xh, prec))
+    xl, xh = _ends((_add(xl, _ONE, prec, _DOWN), _add(xh, _ONE, prec, _UP)))
+    yl, yh = _ends(_mul_ends(ul, uh, yl, yh, prec))
+    return Enclosure(_sub(xl, yh, prec, _DOWN), _sub(xh, yl, prec, _UP), prec)
 
 
 def nonkary_diff_check(n: int, k: int) -> bool:
@@ -428,30 +473,19 @@ def injection_map_check(n: int, j: int, ell: int) -> MapCheck:
         raise PreconditionError("requires j >= 1")
     if ell < 0 or ell >= n:
         raise PreconditionError("requires 0 <= ell < n")
-    return _shift_map(_checked_partitions(n - ell), j, ell)
-
-
-def _checked_partitions(m: int) -> list:
-    """The partitions of m >= 1, each checked to sum to m in non-increasing
-    order; a caller that maps one list several times checks it once."""
-    partitions = list(enumerate_partitions(m))
+    domain = [
+        parts for parts in enumerate_partitions(n - ell) if j not in parts
+    ]
+    images = []
+    for parts in domain:
+        if ell == 0:
+            images.append(parts)
+        else:
+            images.append((parts[0] + ell,) + parts[1:] if parts else (ell,))
+    assert all(sum(img) == n for img in images)
     assert all(
-        sum(parts) == m and list(parts) == sorted(parts, reverse=True)
-        for parts in partitions
+        all(a >= b for a, b in zip(img, img[1:])) for img in images
     )
-    return partitions
-
-
-def _shift_map(partitions: list, j: int, ell: int) -> MapCheck:
-    """injection_map_check on the checked partitions of n - ell >= 1.  Each
-    image keeps its partition's tail and adds ell to the sum, so only the
-    enlarged first pair is left to check for order."""
-    domain = [parts for parts in partitions if j not in parts]
-    if ell == 0:
-        images = domain
-    else:
-        images = [(parts[0] + ell,) + parts[1:] for parts in domain]
-        assert all(len(img) < 2 or img[0] >= img[1] for img in images)
     return MapCheck(
         domain_size=len(domain),
         injective=len(set(images)) == len(domain),

@@ -14,10 +14,13 @@ import dataclasses
 import decimal
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Dict, List, Optional, Sequence
 
 from . import __version__
-from .enclosure import Enclosure, exact_decimal
+from .enclosure import Enclosure, exact_decimal, scaled_ends
+
+_INFINITY = float("inf")
 
 
 def decimal_digits(prec: int) -> int:
@@ -44,17 +47,15 @@ def optional_float(value) -> Optional[float]:
     return None if value is None else float(value)
 
 
-def decimal_directed(value: Fraction, digits: int, rounding: str) -> str:
-    """Decimal string of a rational at the given digit count, rounded one way.
+def decimal_directed(num: int, den: int, digits: int, rounding: str) -> str:
+    """Decimal string of num/den at the given digit count, rounded one way.
 
     rounding is a decimal module constant (ROUND_FLOOR for a lower endpoint,
-    ROUND_CEILING for an upper one).
+    ROUND_CEILING for an upper one).  The string depends only on the value,
+    so num/den need not be in lowest terms.
     """
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        ctx.rounding = rounding
-        rendered = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
-    return str(rendered)
+    context = decimal.Context(prec=digits, rounding=rounding)
+    return str(context.divide(decimal.Decimal(num), decimal.Decimal(den)))
 
 
 def interval_payload(enclosure: Enclosure) -> Dict[str, Any]:
@@ -65,14 +66,66 @@ def interval_payload(enclosure: Enclosure) -> Dict[str, Any]:
     expansions terminate); precision is the binary working precision.
     """
     digits = decimal_digits(enclosure.prec)
-    lo, hi = enclosure.lo_fraction, enclosure.hi_fraction
+    lo, hi, k = scaled_ends(enclosure.lo, enclosure.hi)  # over 2^k
     return {
-        "lo": decimal_directed(lo, digits, decimal.ROUND_FLOOR),
-        "hi": decimal_directed(hi, digits, decimal.ROUND_CEILING),
-        "lo_exact": exact_decimal(lo),
-        "hi_exact": exact_decimal(hi),
+        "lo": decimal_directed(lo, 1 << k, digits, decimal.ROUND_FLOOR),
+        "hi": decimal_directed(hi, 1 << k, digits, decimal.ROUND_CEILING),
+        "lo_exact": exact_decimal(lo, k),
+        "hi_exact": exact_decimal(hi, k),
         "precision": enclosure.prec,
     }
+
+
+class _NotPlainJSON(Exception):
+    """A value indented_json leaves to json.dumps."""
+
+
+def indented_json(value: Any, indent: str = "") -> str:
+    """json.dumps(value, indent=2), written at the nesting `indent`.
+
+    The same bytes for documents of str-keyed dicts, lists, tuples, str,
+    int, float, bool and None: str through json's own C escaper, numbers
+    through int.__repr__ and float.__repr__ (NaN and Infinity as json
+    spells them).  json.dumps(indent=...) runs json's pure-Python encoder,
+    one generator frame per value; this is one call per value.  Any other
+    key or value raises _NotPlainJSON.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise _NotPlainJSON
+            items.append(_json_string(key) + ": " + indented_json(item, inner))
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [indented_json(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        raise _NotPlainJSON
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 @dataclasses.dataclass
@@ -89,9 +142,15 @@ class ReportDocument:
 
     def to_json(self) -> str:
         # a shallow mapping: dataclasses.asdict would deep-copy the results
-        # first, and json.dumps writes the same bytes from either
+        # first, and json.dumps writes the same bytes from either; a key or
+        # value indented_json does not write goes to json.dumps, which
+        # writes or refuses it
         fields = dataclasses.fields(self)
-        return json.dumps({field.name: getattr(self, field.name) for field in fields}, indent=2)
+        document = {field.name: getattr(self, field.name) for field in fields}
+        try:
+            return indented_json(document)
+        except _NotPlainJSON:
+            return json.dumps(document, indent=2)
 
 
 @dataclasses.dataclass

@@ -37,12 +37,11 @@ from .estimates import (
     RATIO_RADIUS_1,
     RATIO_RADIUS_2,
     CertificateKind,
-    _checked_partitions,
-    _shift_map,
     convexity_certificate,
     fjn_j_top,
     fjn_ratio_interval,
     injection_inequality,
+    injection_map_check,
     krank_boundary_value,
     krank_diff_interval,
     krank_ratio_interval,
@@ -352,57 +351,29 @@ def _suite_convexity(sweep: _Sweep) -> Dict[str, Any]:
 
     fraction_analytic = analytic / licensed if licensed else 0.0
 
-    # injection_inequality(n, j, ell) is D_j[n - ell] <= D_j[n] for the
-    # differences D_j[m] = p(m) - p(m - j), which are 0 for m < 0; each list
-    # is offset by 20 zeros, so index n + 20 - ell reads D_j[n - ell]
-    p = [p_exact(m) for m in range(inj_top + 1)]
-    pad = [0] * 20
-    diffs = [
-        pad + p[:j] + [p[m] - p[m - j] for m in range(j, inj_top + 1)]
-        for j in range(1, sweep.j_cap(20) + 1)
-    ]
     for n in range(0, inj_top + 1):
-        for j, d in enumerate(diffs, 1):
-            rhs = d[n + 20]
-            # the 21 cases of one (n, j) hold together when the largest
-            # left-hand side does; otherwise each is decided on its own
-            if max(d[n : n + 21]) <= rhs and (n, j) != INJECTION_COUNTEREXAMPLE[:2]:
-                sweep.check(True, "", count=21)
-                continue
+        for j in range(1, sweep.j_cap(20) + 1):
             for ell in range(0, 21):
                 if (n, j, ell) == INJECTION_COUNTEREXAMPLE:
                     continue
                 sweep.check(
-                    d[n + 20 - ell] <= rhs,
+                    injection_inequality(n, j, ell),
                     "injection inequality fails at (n, j, ell) = (%d, %d, %d)", n, j, ell,
                 )
 
-    # the maps run grouped by m = n - ell, so each list of partitions is
-    # made and checked once and is freed before the next; the verdicts are
-    # then recorded in the order of the triples
-    triples = [
-        (n, j, ell)
-        for n in range(6, min(inj_top, 30) + 1, 3)
-        for j in (1, 2, 3, 5)
-        for ell in (0, j, j + 2)
-        if ell < n
-    ]
-    by_m: Dict[int, List[Tuple[int, int, int]]] = {}
-    for n, j, ell in triples:
-        by_m.setdefault(n - ell, []).append((n, j, ell))
-    maps = {}
-    for m, group in by_m.items():
-        partitions = _checked_partitions(m)
-        for n, j, ell in group:
-            maps[n, j, ell] = _shift_map(partitions, j, ell)
-        del partitions
-    for n, j, ell in triples:
-        mc = maps[n, j, ell]
-        sweep.check(
-            mc.injective and mc.preserves_avoidance,
-            "shift map at (n, j, ell) = (%d, %d, %d): injective=%s, preserves=%s",
-            n, j, ell, mc.injective, mc.preserves_avoidance,
-        )
+    map_checks = 0
+    for n in range(6, min(inj_top, 30) + 1, 3):
+        for j in (1, 2, 3, 5):
+            for ell in (0, j, j + 2):
+                if ell >= n:
+                    continue
+                map_checks += 1
+                mc = injection_map_check(n, j, ell)
+                sweep.check(
+                    mc.injective and mc.preserves_avoidance,
+                    "shift map at (n, j, ell) = (%d, %d, %d): injective=%s, preserves=%s",
+                    n, j, ell, mc.injective, mc.preserves_avoidance,
+                )
 
     return {
         "n_top": top,
@@ -414,7 +385,7 @@ def _suite_convexity(sweep: _Sweep) -> Dict[str, Any]:
         "injection_top": inj_top,
         "unguarded_origin_triple": str(INJECTION_COUNTEREXAMPLE),
         "unguarded_origin_holds": injection_inequality(*INJECTION_COUNTEREXAMPLE),
-        "map_instances": len(triples),
+        "map_instances": map_checks,
     }
 
 

@@ -3,7 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from partbounds import cli
 from partbounds.exact import default_table
 from partbounds.verify import SUITE_NAMES
 
@@ -14,14 +13,6 @@ GOLDEN = Path(__file__).resolve().parents[1] / "docs" / "golden"
 def _warm_table():
     """Pre-grow the shared partition table once for the whole run."""
     default_table().ensure(10050)
-
-
-@pytest.fixture(autouse=True)
-def _empty_answer_memo():
-    """Start each test with an empty CLI answer memo: tests swap the table,
-    patch ceilings, kernels and the precision variable, then repeat an argv
-    an earlier test ran, which a remembered answer would skip."""
-    cli._answer.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from partbounds import __version__, cli, exact, verify
 from partbounds.cli import MAX_PRECISION, main
-from partbounds.enclosure import DEFAULT_PRECISION, MEMO_MAXSIZE
+from partbounds.enclosure import DEFAULT_PRECISION
 from partbounds.exact import (
     ENUMERATION_BOUND,
     TABLE_CEILING,
@@ -405,7 +405,7 @@ class TestCachedParser:
     """main parses every call with one parser; nothing of a call survives it."""
 
     def test_parser_built_once(self):
-        assert cli._build_parser() is cli._build_parser()
+        assert cli._build_parsers() is cli._build_parsers()
 
     def test_oracle_flag_does_not_persist(self, capsys):
         code, doc = run_json(capsys, "exact", "30", "--oracle")
@@ -452,87 +452,6 @@ class TestCachedParser:
         code, doc = run_json(capsys, "exact", "14")
         assert code == 0
         assert doc["results"]["p"] == "135"
-
-
-def _without_seconds(text):
-    doc = json.loads(text)
-    assert isinstance(doc.pop("seconds"), float)
-    return doc
-
-
-class TestAnswerMemo:
-    """One process answers a repeated single-value query from cli._answer."""
-
-    @pytest.mark.parametrize("argv", [
-        ["exact", "500"],
-        ["ratio", "100", "2"],
-        ["fjn", "2000", "10"],
-        ["krank", "--k", "2", "--m", "40", "--n", "70"],
-        ["nonkary", "500", "3"],
-    ], ids=lambda argv: argv[0])
-    def test_repeat_runs_the_handler_once(self, capsys, monkeypatch, argv):
-        calls = []
-
-        def counted(n):
-            calls.append(n)
-            return p_exact(n)
-
-        monkeypatch.setattr(cli, "p_exact", counted)
-        code, first = run(capsys, *argv)
-        assert code == 0 and calls
-        made = len(calls)
-        code, second = run(capsys, *argv)
-        assert code == 0
-        assert len(calls) == made
-        assert _without_seconds(second.out) == _without_seconds(first.out)
-        assert second.err == first.err == ""
-
-    def test_refusal_is_not_remembered(self, capsys):
-        size = len(default_table())
-        argv = ("ratio", str(TABLE_CEILING + 1), "1")
-        code, first = run(capsys, *argv)
-        assert code == 2 and str(TABLE_CEILING) in first.err
-        code, second = run(capsys, *argv)
-        assert code == 2
-        assert (second.out, second.err) == (first.out, first.err)
-        assert len(default_table()) == size
-        info = cli._answer.cache_info()
-        assert (info.misses, info.currsize) == (2, 0)
-
-    def test_resolved_precision_is_part_of_the_key(self, capsys, monkeypatch):
-        blocks = []
-        for bits in (64, 128):
-            monkeypatch.setenv("PARTBOUNDS_PRECISION", str(bits))
-            code, doc = run_json(capsys, "ratio", "100", "2")
-            assert code == 0
-            assert doc["parameters"]["precision"] == bits
-            assert doc["results"]["interval"]["precision"] == bits
-            blocks.append(doc["results"]["interval"])
-        assert blocks[0]["lo_exact"] != blocks[1]["lo_exact"]
-        assert blocks[0]["hi_exact"] != blocks[1]["hi_exact"]
-
-    def test_verify_is_never_remembered(self, capsys, monkeypatch):
-        calls = []
-
-        def counted(names, **kwargs):
-            calls.append(list(names))
-            return verify.run_suites(names, **kwargs)
-
-        monkeypatch.setattr(cli, "run_suites", counted)
-        for _ in range(2):
-            code, _ = run(capsys, "verify", "oracles", "--n-max", "20")
-            assert code == 0
-        assert calls == [["oracles"], ["oracles"]]
-        assert cli._answer.cache_info().currsize == 0
-
-    def test_memo_size_is_bounded(self):
-        assert cli._answer.cache_info().maxsize == MEMO_MAXSIZE
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink):
-            for n in range(MEMO_MAXSIZE + 10):
-                assert main(["exact", str(n)]) == 0
-                assert cli._answer.cache_info().currsize <= MEMO_MAXSIZE
-        assert cli._answer.cache_info().currsize == MEMO_MAXSIZE
 
 
 class TestGoldenDocuments:
@@ -604,31 +523,66 @@ def _single_value_argv(draw):
     return argv
 
 
-def _exit_code_and_output(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+@settings(max_examples=300, deadline=None)
+@given(argv=_single_value_argv())
+def test_single_value_argv_exits_cleanly(argv):
+    size = len(default_table())
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
-
-
-@settings(max_examples=300, deadline=None)
-@given(argv=_single_value_argv())
-def test_single_value_argv_exits_cleanly(argv):
-    # each argv runs twice: the repeat may be answered from the answer memo
-    size = len(default_table())
-    code, out, err = _exit_code_and_output(argv)
-    assert code in (0, 1, 2), (argv, out, err)
+    assert code in (0, 1, 2), (argv, sink.getvalue())
     # a refused index past the ceiling must not grow the table first
     assert len(default_table()) <= max(size, 12_001), argv
-    again, out_again, err_again = _exit_code_and_output(argv)
-    assert (again, err_again) == (code, err), argv
-    if out:
-        assert _without_seconds(out_again) == _without_seconds(out), argv
-    else:
-        assert out_again == "", argv
+
+
+# -- argv fuzzing of the parse ------------------------------------------------
+#
+# cli._parse runs a command's parser directly; for every argv it must give
+# what the top-level parser's parse_args gives: the same namespace, or the
+# same exit with the same output (help, version, usage errors).
+
+_ARGV_WORDS = st.sampled_from([
+    "exact", "ratio", "fjn", "krank", "nonkary", "verify", "all", "oracles",
+    "inequalities", "--k", "--m", "--n", "--k=3", "--precision", "--precision=64",
+    "--prec", "--json", "--oracle", "--csv", "--n-max", "--j-max", "--seed",
+    "--case", "-h", "--help", "--he", "--version", "--vers", "--", "--bogus",
+    "-x", "-5", "0", "17", "300", "x", "",
+])
+
+
+def _parse_outcome(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+_COMMAND_WORDS = st.sampled_from(
+    ["exact", "ratio", "fjn", "krank", "nonkary", "verify", "--help", "--version", "bogus"]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    argv=st.one_of(
+        st.builds(lambda c, rest: [c] + rest, _COMMAND_WORDS, st.lists(_ARGV_WORDS, max_size=7)),
+        st.builds(lambda a, rest: a + rest, _single_value_argv(), st.lists(_ARGV_WORDS, max_size=2)),
+    )
+)
+def test_parse_is_the_top_level_parse(argv):
+    parser = cli._build_parsers()[0]
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(parser.parse_args, argv)
+
+
+def test_parse_of_no_arguments_is_the_top_level_parse():
+    parser = cli._build_parsers()[0]
+    assert _parse_outcome(cli._parse, []) == _parse_outcome(parser.parse_args, [])
 
 
 # -- argv fuzzing of verify ----------------------------------------------------

@@ -213,7 +213,7 @@ def test_raw_fraction_round_trip(v):
 @given(num=st.integers(-10**12, 10**12), k=st.integers(0, 60))
 def test_exact_decimal_round_trip(num, k):
     fr = Fraction(num, 1 << k)
-    assert Fraction(exact_decimal(fr)) == fr
+    assert Fraction(exact_decimal(num, k)) == fr
 
 
 # -- bit-identity of the sign-case kernel ---------------------------------

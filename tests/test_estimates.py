@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partbounds import cli, enclosure
+from partbounds import enclosure
 from partbounds.enclosure import MEMO_MAXSIZE, ORDER_ERROR, Enclosure, constants
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
@@ -15,9 +15,11 @@ from partbounds.estimates import (
     KRANK_DIFF_RADIUS_B,
     KRANK_RATIO_RADIUS_1,
     RATIO_RADIUS_1,
+    RATIO_RADIUS_2,
     CertificateKind,
-    MapCheck,
     _analytic_convexity,
+    _krank_diff,
+    _krank_ratio,
     convexity_certificate,
     fjn_ratio_interval,
     injection_inequality,
@@ -31,14 +33,7 @@ from partbounds.estimates import (
     ratio_j_top,
     shifted_terms,
 )
-from partbounds.exact import (
-    dyson_rank_count,
-    enumerate_partitions,
-    f_jn,
-    nu_k,
-    p_exact,
-    shifted_index,
-)
+from partbounds.exact import dyson_rank_count, f_jn, nu_k, p_exact, shifted_index
 from partbounds.inequalities import (
     _margin_collapse_271,
     _margin_collapse_2075,
@@ -372,23 +367,6 @@ class TestInjection:
             mc = injection_map_check(n, j, ell)
             assert mc.injective and mc.preserves_avoidance, (n, j, ell)
 
-    def test_map_matches_literal_images(self):
-        # the images built and checked in full, as the map is defined
-        for n in range(1, 22):
-            for j in (1, 2, 3, 5, 7):
-                for ell in range(n):
-                    domain = [p for p in enumerate_partitions(n - ell) if j not in p]
-                    images = [(p[0] + ell,) + p[1:] for p in domain]
-                    assert all(
-                        sum(img) == n and list(img) == sorted(img, reverse=True)
-                        for img in images
-                    )
-                    assert injection_map_check(n, j, ell) == MapCheck(
-                        domain_size=len(domain),
-                        injective=len(set(images)) == len(domain),
-                        preserves_avoidance=all(j not in img for img in images),
-                    ), (n, j, ell)
-
     def test_map_can_break_avoidance_when_shift_small(self):
         # a largest part of 3 plus ell = 2 lands on the forbidden part 5
         mc = injection_map_check(12, 5, 2)
@@ -405,22 +383,14 @@ class TestInjection:
 
 
 @pytest.mark.parametrize(
-    "memo, key",
-    [
-        pytest.param(shifted_terms, lambda i: (i + 1, 16), id="shifted_terms-1"),
-        # the CLI's answer memo, which holds the k-rank enclosures of a
-        # repeated query: one key per ell' = n - k - m >= 16
-        pytest.param(
-            cli._answer, lambda i: ("krank", (1, i + 18, 2 * i + 35, 16)),
-            id="_answer-krank",
-        ),
-    ],
+    "memo, first",
+    [(_krank_ratio, 16), (_krank_diff, 16), (shifted_terms, 1)],
 )
-def test_memo_size_is_bounded(memo, key):
+def test_memo_size_is_bounded(memo, first):
     # more distinct keys than the bound, at the least precision to stay cheap
     assert memo.cache_info().maxsize == MEMO_MAXSIZE
-    for i in range(MEMO_MAXSIZE + 10):
-        memo(*key(i))
+    for key in range(first, first + MEMO_MAXSIZE + 10):
+        memo(key, 16)
         assert memo.cache_info().currsize <= MEMO_MAXSIZE
     assert memo.cache_info().currsize == MEMO_MAXSIZE
     memo.cache_clear()
@@ -607,6 +577,47 @@ def _enclosure_fjn(n, j, prec):
     return 1 + exp2 * termA - exp1 * termB
 
 
+def _enclosure_shifted_terms(n, prec):
+    c = constants(prec)
+    N = shifted_index(n)
+    Ne = Enclosure.from_exact(N, prec)
+    sqrtN = Ne.sqrt()
+    sqrt3_over_pi_sqrt2 = c.sqrt3 / (c.pi * c.sqrt2 * sqrtN)
+    return [
+        Ne,
+        c.sqrt6 * sqrtN,
+        c.sqrt6 * Ne * sqrtN,
+        c.sqrt3 / (c.sqrt_two_pi * sqrtN),
+        sqrt3_over_pi_sqrt2,
+        c.delta_c / sqrtN,
+        (1 + sqrt3_over_pi_sqrt2).plus_minus(RATIO_RADIUS_2 / N),
+    ]
+
+
+def _shifted_terms_fields(n, prec):
+    t = shifted_terms.__wrapped__(n, prec)
+    assert t.N == shifted_index(n)
+    return [t.Ne, t.sqrt6_sqrtN, t.sqrt6_N_sqrtN, t.sqrt3_over_sqrt_two_pi,
+            t.sqrt3_over_pi_sqrt2, t.delta_c_over_sqrtN, t.bracket]
+
+
+def _enclosure_krank_ratio(lp, prec):
+    c = constants(prec)
+    t = shifted_terms(lp + 1, prec)
+    u = (-(c.pi * 1 / t.sqrt6_sqrtN)).exp()
+    f1 = (1 - t.sqrt3_over_sqrt_two_pi).plus_minus(KRANK_RATIO_RADIUS_1 / t.N)
+    return 1 - u * f1 * t.bracket
+
+
+def _enclosure_krank_diff(lp, prec):
+    c = constants(prec)
+    t = shifted_terms(lp + 1, prec)
+    u = (-(c.pi * 1 / t.sqrt6_sqrtN)).exp()
+    termA = (1 + t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_A / t.N)
+    termB = (2 + 2 * t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_B / t.N)
+    return 1 + u * u * termA - u * termB
+
+
 def _with_hulls(fn, *args):
     # fn's result and how often it took the four-product hull
     hulls = []
@@ -616,7 +627,8 @@ def _with_hulls(fn, *args):
         e = fn(*args)
     finally:
         enclosure._hull = hull
-    return (e.lo, e.hi, e.prec), len(hulls)
+    ends = [(x.lo, x.hi, x.prec) for x in e] if isinstance(e, list) else (e.lo, e.hi, e.prec)
+    return ends, len(hulls)
 
 
 @settings(max_examples=300, deadline=None)
@@ -633,6 +645,17 @@ def test_kernels_are_their_enclosure_expressions(data, n, prec):
         assert _with_hulls(fjn_ratio_interval, n, j, prec) == _with_hulls(
             _enclosure_fjn, n, j, prec
         )
+    assert _with_hulls(_shifted_terms_fields, n, prec) == _with_hulls(
+        _enclosure_shifted_terms, n, prec
+    )
+    if n >= 17:
+        lp = n - 1  # ell = lp + 23/24 is the shift of n
+        assert _with_hulls(_krank_ratio.__wrapped__, lp, prec) == _with_hulls(
+            _enclosure_krank_ratio, lp, prec
+        )
+        assert _with_hulls(_krank_diff.__wrapped__, lp, prec) == _with_hulls(
+            _enclosure_krank_diff, lp, prec
+        )
 
 
 @pytest.mark.parametrize("n", [14, 17, 99, 10**6, 10**12])
@@ -646,6 +669,15 @@ def test_kernels_at_the_window_edges(n, prec):
         assert _with_hulls(fjn_ratio_interval, n, j, prec) == _with_hulls(
             _enclosure_fjn, n, j, prec
         )
+    assert _with_hulls(_shifted_terms_fields, n, prec) == _with_hulls(
+        _enclosure_shifted_terms, n, prec
+    )
+    if n >= 17:
+        for kernel, reference in (
+            (_krank_ratio.__wrapped__, _enclosure_krank_ratio),
+            (_krank_diff.__wrapped__, _enclosure_krank_diff),
+        ):
+            assert _with_hulls(kernel, n - 1, prec) == _with_hulls(reference, n - 1, prec)
 
 
 # one check per interval the Enclosure expression builds (18 and 37), less
@@ -654,10 +686,25 @@ def test_kernels_at_the_window_edges(n, prec):
 @pytest.mark.parametrize("kernel, j, checks", [(ratio_interval, 3, 14), (fjn_ratio_interval, 2, 24)])
 def test_every_order_check_is_live(kernel, j, checks, monkeypatch):
     kernel(200, j, 53)  # constants and shifted terms built
+    _assert_checks_live(lambda: kernel(200, j, 53), checks, monkeypatch)
+
+
+# the same for the memoized builders, run unwrapped so each call builds:
+# their Enclosure expressions build 14, 11 and 19 intervals, less the exact
+# constants 1 and 2
+@pytest.mark.parametrize(
+    "builder, checks", [(shifted_terms, 13), (_krank_ratio, 10), (_krank_diff, 15)]
+)
+def test_every_builder_order_check_is_live(builder, checks, monkeypatch):
+    builder(200, 53)  # constants and shifted terms built
+    _assert_checks_live(lambda: builder.__wrapped__(200, 53), checks, monkeypatch)
+
+
+def _assert_checks_live(call, checks, monkeypatch):
     order = enclosure.ordered
     calls = []
     monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: calls.append(1) or order(lo, hi))
-    kernel(200, j, 53)
+    call()
     assert len(calls) == checks
     for bad in range(checks):
         count = iter(range(checks))
@@ -665,4 +712,4 @@ def test_every_order_check_is_live(kernel, j, checks, monkeypatch):
             enclosure, "ordered", lambda lo, hi: next(count) != bad and order(lo, hi)
         )
         with pytest.raises(ValueError, match=ORDER_ERROR):
-            kernel(200, j, 53)
+            call()

@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partbounds import __version__, cli
 from partbounds.enclosure import Enclosure, exact_decimal
@@ -15,6 +17,7 @@ from partbounds.reports import (
     decimal_digits,
     decimal_directed,
     fraction_str,
+    indented_json,
     interval_payload,
     write_csv,
 )
@@ -51,24 +54,24 @@ class TestFractionStrings:
 
     def test_parse_decimal_strings(self):
         # exact_decimal output parses back to the same rational
-        assert Fraction(exact_decimal(Fraction(1, 8))) == Fraction(1, 8)
+        assert Fraction(exact_decimal(1, 3)) == Fraction(1, 8)
 
 
 class TestDecimalDirected:
     def test_floor_and_ceiling_bracket(self):
-        lo = decimal_directed(Fraction(1, 3), 10, decimal.ROUND_FLOOR)
-        hi = decimal_directed(Fraction(1, 3), 10, decimal.ROUND_CEILING)
+        lo = decimal_directed(1, 3, 10, decimal.ROUND_FLOOR)
+        hi = decimal_directed(1, 3, 10, decimal.ROUND_CEILING)
         assert lo == "0.3333333333"
         assert hi == "0.3333333334"
         assert Fraction(lo) < Fraction(1, 3) < Fraction(hi)
 
     def test_negative_floor_moves_down(self):
-        lo = decimal_directed(Fraction(-1, 3), 10, decimal.ROUND_FLOOR)
-        hi = decimal_directed(Fraction(-1, 3), 10, decimal.ROUND_CEILING)
+        lo = decimal_directed(-1, 3, 10, decimal.ROUND_FLOOR)
+        hi = decimal_directed(-1, 3, 10, decimal.ROUND_CEILING)
         assert Fraction(lo) < Fraction(-1, 3) < Fraction(hi)
 
     def test_exact_value_unchanged(self):
-        assert Fraction(decimal_directed(Fraction(5, 4), 10, decimal.ROUND_FLOOR)) == Fraction(5, 4)
+        assert Fraction(decimal_directed(5, 4, 10, decimal.ROUND_FLOOR)) == Fraction(5, 4)
 
 
 class TestIntervalPayload:
@@ -90,6 +93,49 @@ class TestIntervalPayload:
         payload = interval_payload(enc)
         assert Fraction(payload["lo"]) <= Fraction(payload["lo_exact"])
         assert Fraction(payload["hi_exact"]) <= Fraction(payload["hi"])
+
+
+def _payload_on_fractions(enc):
+    # interval_payload as it was written on the reduced endpoint Fractions
+    digits = decimal_digits(enc.prec)
+    payload = {}
+    for key, value, rounding in (
+        ("lo", enc.lo_fraction, decimal.ROUND_FLOOR),
+        ("hi", enc.hi_fraction, decimal.ROUND_CEILING),
+    ):
+        with decimal.localcontext() as ctx:
+            ctx.prec = digits
+            ctx.rounding = rounding
+            rendered = decimal.Decimal(value.numerator) / decimal.Decimal(value.denominator)
+        payload[key] = str(rendered)
+    for key, value in (("lo_exact", enc.lo_fraction), ("hi_exact", enc.hi_fraction)):
+        num, den = value.numerator, value.denominator
+        if den == 1:
+            payload[key] = str(num)
+            continue
+        k = den.bit_length() - 1
+        text = str(abs(num * 5**k)).rjust(k + 1, "0")
+        whole, frac = text[:-k], text[-k:].rstrip("0")
+        sign = "-" if num < 0 else ""
+        payload[key] = f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+    payload["precision"] = enc.prec
+    return payload
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    lo=st.fractions(-10**6, 10**6, max_denominator=10**6),
+    width=st.fractions(0, 10**6, max_denominator=10**6),
+    shift=st.integers(-100, 100),
+    prec=st.one_of(st.sampled_from([16, 53, 128, 4096]), st.integers(16, 4096)),
+)
+def test_interval_payload_is_the_rendering_of_the_fractions(lo, width, shift, prec):
+    # endpoints of either sign, with negative and positive binary exponents;
+    # |shift| <= 100 keeps the exact strings at 4096 bits under the 4300
+    # digits Python's str(int) allows
+    scale = Fraction(2) ** shift
+    enc = Enclosure.from_bounds(lo * scale, (lo + width) * scale, prec)
+    assert interval_payload(enc) == _payload_on_fractions(enc)
 
 
 class TestReportDocument:
@@ -114,13 +160,41 @@ class TestReportDocument:
         ["verify", "krank", "--n-max", "40"],
     ], ids=lambda argv: argv[0])
     def test_to_json_matches_asdict_without_mutating(self, argv):
-        args = cli._build_parser().parse_args(argv)
-        parameters, results, passed, _ = cli._handle(args)
+        args = cli._parse(argv)
+        parameters, results, passed, _ = args.handler(args)
         doc = ReportDocument(command=args.command, parameters=parameters, results=results,
                              passed=passed, exit_code=0, seconds=0.5)
         before = copy.deepcopy(doc.results)
         assert doc.to_json() == json.dumps(dataclasses.asdict(doc), indent=2)
         assert doc.results == before
+
+
+    def test_to_json_leaves_other_keys_and_values_to_json(self):
+        doc = ReportDocument(command="exact", parameters={1: "a", None: [2.5, ()]},
+                             results={}, passed=True, exit_code=0, seconds=0.5)
+        assert doc.to_json() == json.dumps(dataclasses.asdict(doc), indent=2)
+        doc.results = {"value": Fraction(1, 3)}
+        with pytest.raises(TypeError):
+            doc.to_json()
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+def test_indented_json_writes_the_bytes_of_json_dumps(value):
+    assert indented_json(value) == json.dumps(value, indent=2)
 
 
 class TestSuiteReport:

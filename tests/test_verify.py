@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import os
 import sys
@@ -390,34 +389,6 @@ class TestConvexitySuite:
         assert report.info["licensed_cases"] == sum(
             fjn_j_top(n) for n in range(14, 41)
         )
-
-    def test_injection_cases_decided_as_injection_inequality(self, monkeypatch):
-        # a p that dips every seventh index makes many (n, j, ell) fail; the
-        # suite's per-j differences must fail exactly those, one message each
-        def bumped(m):
-            return p_exact(m) + (10**6 if m % 7 == 3 else 0) if m >= 0 else 0
-
-        monkeypatch.setattr(verify, "p_exact", bumped)
-        monkeypatch.setattr(estimates, "p_exact", bumped)
-        monkeypatch.setattr(verify, "FAILURE_CAP", 10**6)
-        report = run_suite("convexity", n_max=60)
-        want = [
-            "injection inequality fails at (n, j, ell) = (%d, %d, %d)" % triple
-            for triple in itertools.product(range(61), range(1, 21), range(21))
-            if triple != verify.INJECTION_COUNTEREXAMPLE
-            and not estimates.injection_inequality(*triple)
-        ]
-        assert len(want) > 1000
-        assert [f for f in report.failures if f.startswith("injection")] == want
-
-    def test_unguarded_triple_fails_when_checked(self, monkeypatch):
-        cases = run_suite("convexity", n_max=40).cases
-        monkeypatch.setattr(verify, "INJECTION_COUNTEREXAMPLE", (5, 2, 3))
-        report = run_suite("convexity", n_max=40)
-        assert report.failures == [
-            "injection inequality fails at (n, j, ell) = (1, 1, 1)"
-        ]
-        assert report.cases == cases
 
 
 class TestKrankSuite:
