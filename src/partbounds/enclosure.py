@@ -13,6 +13,7 @@ Precision is always an argument; no global mpmath state is touched.
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -21,7 +22,7 @@ from mpmath import libmp
 
 DEFAULT_PRECISION = 128
 
-# Entries kept by each per-index enclosure memo: the two k-rank caches and
+# Entries kept by each per-index enclosure memo: the k-rank memo and
 # estimates.shifted_terms.  shifted_terms sees up to 10000 keys in a default
 # sweep, but each sweep reads all shifts of one index before the next, so
 # eviction costs no rebuild.
@@ -39,8 +40,11 @@ _TRANSCENDENTAL_SLACK = 8
 _PAD_SHIFT = _TRANSCENDENTAL_SLACK.bit_length() - 1
 assert _TRANSCENDENTAL_SLACK == 1 << _PAD_SHIFT
 
+_add = libmp.mpf_add
+_sub = libmp.mpf_sub
 _mul = libmp.mpf_mul
 _div = libmp.mpf_div
+_neg = libmp.mpf_neg
 _normalize = libmp.normalize
 _normalize1 = libmp.normalize1
 
@@ -135,17 +139,15 @@ def scaled_ends(lo, hi):
 
 def fraction_from_raw(raw):
     """Exact rational value of a finite raw libmp float."""
-    sign, man, exp, bc = raw
-    if man == 0:
-        if exp != 0:
-            raise ValueError(NON_FINITE_ERROR)
-        return Fraction(0)
-    man = int(man)
-    if sign:
-        man = -man
-    if exp >= 0:
-        return Fraction(man * (1 << exp))
-    return Fraction(man, 1 << (-exp))
+    num, _, k = scaled_ends(raw, raw)
+    return Fraction(num, 1 << k)
+
+
+# Wide enough that scaleb and normalize below never round; str(int) would
+# refuse a string of more than 4300 digits, Decimal's own rendering does not.
+_EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+)
 
 
 def exact_decimal(num: int, k: int) -> str:
@@ -155,15 +157,9 @@ def exact_decimal(num: int, k: int) -> str:
     lossless; num/2^k need not be in lowest terms.  Used to serialize interval
     endpoints.
     """
-    if not k:
-        return str(num)
-    digits = num * 5**k  # num/2^k == num*5^k / 10^k
-    sign = "-" if digits < 0 else ""
-    digits = abs(digits)
-    s = str(digits).rjust(k + 1, "0")
-    whole, frac = s[:-k], s[-k:]
-    frac = frac.rstrip("0")
-    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+    # num/2^k == num*5^k / 10^k
+    value = decimal.Decimal(num * 5**k).scaleb(-k, _EXACT_DECIMAL)
+    return format(value.normalize(_EXACT_DECIMAL), "f")
 
 
 def _widen_raw(raw, prec, rnd):
@@ -182,6 +178,26 @@ def _widen_raw(raw, prec, rnd):
     if rnd == _DOWN:
         return libmp.mpf_sub(raw, pad, prec, _DOWN)
     return libmp.mpf_add(raw, pad, prec, _UP)
+
+
+def _neg_ends(lo, hi):
+    """Raw endpoints of -[lo, hi]; negation is exact."""
+    return _neg(hi), _neg(lo)
+
+
+def _add_ends(a, b, c, d, p):
+    """Raw endpoints of [a, b] + [c, d] at p bits, rounded outward."""
+    return _add(a, c, p, _DOWN), _add(b, d, p, _UP)
+
+
+def _sub_ends(a, b, c, d, p):
+    """Raw endpoints of [a, b] - [c, d] at p bits, rounded outward."""
+    return _sub(a, d, p, _DOWN), _sub(b, c, p, _UP)
+
+
+def _widen_ends(lo, hi, r, p):
+    """Raw endpoints of [lo, hi] +- r at p bits, for an upper radius r >= 0."""
+    return _sub(lo, r, p, _DOWN), _add(hi, r, p, _UP)
 
 
 def _sqrt_ends(lo, hi, p):
@@ -350,38 +366,26 @@ class Enclosure:
         if o is None:
             return NotImplemented
         p = self.prec
-        return Enclosure(
-            libmp.mpf_add(self.lo, o.lo, p, _DOWN),
-            libmp.mpf_add(self.hi, o.hi, p, _UP),
-            p,
-        )
+        return Enclosure(*_add_ends(self.lo, self.hi, o.lo, o.hi, p), p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Enclosure(libmp.mpf_neg(self.hi), libmp.mpf_neg(self.lo), self.prec)
+        return Enclosure(*_neg_ends(self.lo, self.hi), self.prec)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         p = self.prec
-        return Enclosure(
-            libmp.mpf_sub(self.lo, o.hi, p, _DOWN),
-            libmp.mpf_sub(self.hi, o.lo, p, _UP),
-            p,
-        )
+        return Enclosure(*_sub_ends(self.lo, self.hi, o.lo, o.hi, p), p)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         p = self.prec
-        return Enclosure(
-            libmp.mpf_sub(o.lo, self.hi, p, _DOWN),
-            libmp.mpf_sub(o.hi, self.lo, p, _UP),
-            p,
-        )
+        return Enclosure(*_sub_ends(o.lo, o.hi, self.lo, self.hi, p), p)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -425,11 +429,7 @@ class Enclosure:
         if libmp.mpf_lt(r, libmp.fzero):
             raise ValueError("negative radius")
         p = self.prec
-        return Enclosure(
-            libmp.mpf_sub(self.lo, r, p, _DOWN),
-            libmp.mpf_add(self.hi, r, p, _UP),
-            p,
-        )
+        return Enclosure(*_widen_ends(self.lo, self.hi, r, p), p)
 
     # -- display -----------------------------------------------------------
 

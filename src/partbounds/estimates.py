@@ -25,11 +25,20 @@ against each enclosure.
 ratio_interval and fjn_ratio_interval, the two estimates the containment
 sweeps call per (n, j), the two k-rank forms and shifted_terms itself are
 raw-libmp kernels: they make the directed-rounding calls of their Enclosure
-expressions (_mul_ends, _div_ends, _exp_ends, _sqrt_ends, ratio_pair on
+expressions (the enclosure module's _*_ends helpers, ratio_pair on
 unreduced integers) and the order check of every interval those build,
 without the intermediate objects.  The Enclosure expressions stay in
 tests/test_estimates.py as references, and the kernels must match them bit
 for bit.
+
+Each estimate ends in a tail shared with its k-rank form: _ratio_tail,
+e (c - sqrt3/(sqrt(2 pi) sqrt N) +- r) bracket, and _difference_tail,
+1 + e^2 (x +- rA) - e (y +- rB).  The ratio and f(j,n) kernels put their
+j-terms in the centres c, x and y.  The k-rank forms are the j = 1
+instances with those j-terms dropped and the radii widened to cover them
+(2.71 + 1 <= 4.04, 2075 + 2 <= 2079, 3926 + 2 <= 3929): the k-rank ratio
+is 1 less the ratio tail at c = 1, and the k-rank difference is the
+difference tail at x = 1 + delta_c/sqrt ell, y = 2 + 2 delta_c/sqrt ell.
 
 The license windows are enforced on exact integers: j < sqrt(N)/2 is
 equivalent to 4j^2 < n, j < sqrt(N)/4 to 16j^2 < n, and j <= sqrt(N) to
@@ -51,16 +60,18 @@ from types import SimpleNamespace
 from mpmath import libmp
 
 from .enclosure import (
-    _DOWN,
-    _UP,
     DEFAULT_PRECISION,
     MEMO_MAXSIZE,
     Enclosure,
+    _add_ends,
     _div_ends,
     _ends,
     _exp_ends,
     _mul_ends,
+    _neg_ends,
     _sqrt_ends,
+    _sub_ends,
+    _widen_ends,
     constants,
     ratio_pair,
 )
@@ -137,9 +148,6 @@ class MapCheck:
     preserves_avoidance: bool
 
 
-_add = libmp.mpf_add
-_sub = libmp.mpf_sub
-_neg = libmp.mpf_neg
 _ONE = libmp.fone
 _TWO = libmp.from_int(2)
 _FOUR = libmp.from_int(4)
@@ -176,7 +184,7 @@ def shifted_terms(n: int, prec: int) -> SimpleNamespace:
     ql, qh = _ends(_mul_ends(c.pi.lo, c.pi.hi, c.sqrt2.lo, c.sqrt2.hi, prec))
     ql, qh = _ends(_mul_ends(ql, qh, sl, sh, prec))
     q = Enclosure(*_div_ends(s3.lo, s3.hi, ql, qh, prec), prec)
-    xl, xh = _ends((_add(q.lo, _ONE, prec, _DOWN), _add(q.hi, _ONE, prec, _UP)))
+    xl, xh = _ends(_add_ends(q.lo, q.hi, _ONE, _ONE, prec))
     r = _radius_hi(RATIO_RADIUS_2, d, prec)
     return SimpleNamespace(
         N=shifted_index(n),
@@ -188,7 +196,7 @@ def shifted_terms(n: int, prec: int) -> SimpleNamespace:
         delta_c_over_sqrtN=Enclosure(
             *_div_ends(c.delta_c.lo, c.delta_c.hi, sl, sh, prec), prec
         ),
-        bracket=Enclosure(_sub(xl, r, prec, _DOWN), _add(xh, r, prec, _UP), prec),
+        bracket=Enclosure(*_widen_ends(xl, xh, r, prec), prec),
     )
 
 
@@ -200,8 +208,32 @@ def _pi_j_ends(t: SimpleNamespace, j: int, prec: int):
     al, ah = _ends(_mul_ends(pi.lo, pi.hi, jl, jh, prec))
     s = t.sqrt6_sqrtN
     bl, bh = _ends(_div_ends(al, ah, s.lo, s.hi, prec))
-    el, eh = _ends(_exp_ends(*_ends((_neg(bh), _neg(bl))), prec))
+    el, eh = _ends(_exp_ends(*_ends(_neg_ends(bl, bh)), prec))
     return (jl, jh), (al, ah), (el, eh)
+
+
+def _ratio_tail(t: SimpleNamespace, d: int, e, c, radius, prec: int):
+    # raw ends of e (c - sqrt3/(sqrt(2 pi) sqrt N) +- radius/N) bracket, N =
+    # d/24, for the ends e and centre c; unchecked, like the _*_ends helpers
+    u = t.sqrt3_over_sqrt_two_pi
+    cl, ch = _ends(_sub_ends(*c, u.lo, u.hi, prec))
+    cl, ch = _ends(_widen_ends(cl, ch, _radius_hi(radius, d, prec), prec))
+    pl, ph = _ends(_mul_ends(*e, cl, ch, prec))
+    b = t.bracket
+    return _mul_ends(pl, ph, b.lo, b.hi, prec)
+
+
+def _difference_tail(d: int, e, x, y, radius_a, radius_b, prec: int):
+    # raw ends of 1 + e e (x +- radius_a/N) - e (y +- radius_b/N), N = d/24,
+    # for the ends e and centres x, y; unchecked, like the _*_ends helpers
+    el, eh = e
+    xl, xh = _ends(_widen_ends(*x, _radius_hi(radius_a, d, prec), prec))
+    yl, yh = _ends(_widen_ends(*y, _radius_hi(radius_b, d, prec), prec))
+    ql, qh = _ends(_mul_ends(el, eh, el, eh, prec))
+    xl, xh = _ends(_mul_ends(ql, qh, xl, xh, prec))
+    xl, xh = _ends(_add_ends(xl, xh, _ONE, _ONE, prec))
+    yl, yh = _ends(_mul_ends(el, eh, yl, yh, prec))
+    return _sub_ends(xl, xh, yl, yh, prec)
 
 
 def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
@@ -224,21 +256,23 @@ def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
         raise PreconditionError("requires j < sqrt(N)/2, i.e. 4j^2 < n")
     t = shifted_terms(n, prec)
     d = 24 * n - 1  # N = d/24
-    (jl, jh), (al, ah), (el, eh) = _pi_j_ends(t, j, prec)
-    # 1 + j/N - pi j j / (4 sqrt6 N sqrt N) - sqrt3/(sqrt(2 pi) sqrt N)
+    (jl, jh), (al, ah), e = _pi_j_ends(t, j, prec)
+    # the centre 1 + j/N - pi j j / (4 sqrt6 N sqrt N)
     fl, fh = _ends(ratio_pair(d + 24 * j, d, prec))
     al, ah = _ends(_mul_ends(al, ah, jl, jh, prec))
     s = t.sqrt6_N_sqrtN
     sl, sh = _ends(_mul_ends(s.lo, s.hi, _FOUR, _FOUR, prec))
     ql, qh = _ends(_div_ends(al, ah, sl, sh, prec))
-    cl, ch = _ends((_sub(fl, qh, prec, _DOWN), _sub(fh, ql, prec, _UP)))
-    u = t.sqrt3_over_sqrt_two_pi
-    cl, ch = _ends((_sub(cl, u.hi, prec, _DOWN), _sub(ch, u.lo, prec, _UP)))
-    r = _radius_hi(RATIO_RADIUS_1, d, prec)
-    cl, ch = _ends((_sub(cl, r, prec, _DOWN), _add(ch, r, prec, _UP)))
-    pl, ph = _ends(_mul_ends(el, eh, cl, ch, prec))
-    b = t.bracket
-    return Enclosure(*_mul_ends(pl, ph, b.lo, b.hi, prec), prec)
+    c = _ends(_sub_ends(fl, fh, ql, qh, prec))
+    return Enclosure(*_ratio_tail(t, d, e, c, RATIO_RADIUS_1, prec), prec)
+
+
+def _delta_centres(t: SimpleNamespace, prec: int):
+    # raw ends of 1 + delta_c/sqrt N and 2 + 2 delta_c/sqrt N
+    dc = t.delta_c_over_sqrtN
+    x = _ends(_add_ends(dc.lo, dc.hi, _ONE, _ONE, prec))
+    yl, yh = _ends(_mul_ends(dc.lo, dc.hi, _TWO, _TWO, prec))
+    return x, _ends(_add_ends(yl, yh, _TWO, _TWO, prec))
 
 
 def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
@@ -260,33 +294,21 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosu
         raise PreconditionError("requires j < sqrt(N)/4, i.e. 16j^2 < n")
     t = shifted_terms(n, prec)
     d = 24 * n - 1  # N = d/24
-    (jl, jh), (al, ah), (el, eh) = _pi_j_ends(t, j, prec)
-    e2l, e2h = _ends(_mul_ends(el, eh, el, eh, prec))
+    (jl, jh), (al, ah), e = _pi_j_ends(t, j, prec)
     kl, kh = _ends(ratio_pair(48 * j, d, prec))  # 2j/N
     al, ah = _ends(_mul_ends(al, ah, jl, jh, prec))  # pi j j
-    dc = t.delta_c_over_sqrtN
+    (xl, xh), (yl, yh) = _delta_centres(t, prec)
     s = t.sqrt6_N_sqrtN
-    # termA = 1 + delta_c/sqrt N + 2j/N - pi j j/(sqrt6 N sqrt N) +- 2075/N
-    xl, xh = _ends((_add(dc.lo, _ONE, prec, _DOWN), _add(dc.hi, _ONE, prec, _UP)))
-    xl, xh = _ends((_add(xl, kl, prec, _DOWN), _add(xh, kh, prec, _UP)))
+    # the centres x + 2j/N - pi j j/(sqrt6 N sqrt N)
+    xl, xh = _ends(_add_ends(xl, xh, kl, kh, prec))
     ql, qh = _ends(_div_ends(al, ah, s.lo, s.hi, prec))
-    xl, xh = _ends((_sub(xl, qh, prec, _DOWN), _sub(xh, ql, prec, _UP)))
-    r = _radius_hi(FJN_RADIUS_A, d, prec)
-    xl, xh = _ends((_sub(xl, r, prec, _DOWN), _add(xh, r, prec, _UP)))
-    # termB = 2 + 2 delta_c/sqrt N + 2j/N - pi j j/(2 sqrt6 N sqrt N) +- 3926/N
-    yl, yh = _ends(_mul_ends(dc.lo, dc.hi, _TWO, _TWO, prec))
-    yl, yh = _ends((_add(yl, _TWO, prec, _DOWN), _add(yh, _TWO, prec, _UP)))
-    yl, yh = _ends((_add(yl, kl, prec, _DOWN), _add(yh, kh, prec, _UP)))
+    x = _ends(_sub_ends(xl, xh, ql, qh, prec))
+    # and y + 2j/N - pi j j/(2 sqrt6 N sqrt N)
+    yl, yh = _ends(_add_ends(yl, yh, kl, kh, prec))
     sl, sh = _ends(_mul_ends(s.lo, s.hi, _TWO, _TWO, prec))
     ql, qh = _ends(_div_ends(al, ah, sl, sh, prec))
-    yl, yh = _ends((_sub(yl, qh, prec, _DOWN), _sub(yh, ql, prec, _UP)))
-    r = _radius_hi(FJN_RADIUS_B, d, prec)
-    yl, yh = _ends((_sub(yl, r, prec, _DOWN), _add(yh, r, prec, _UP)))
-    # 1 + e^{-2a} termA - e^{-a} termB
-    xl, xh = _ends(_mul_ends(e2l, e2h, xl, xh, prec))
-    xl, xh = _ends((_add(xl, _ONE, prec, _DOWN), _add(xh, _ONE, prec, _UP)))
-    yl, yh = _ends(_mul_ends(el, eh, yl, yh, prec))
-    return Enclosure(_sub(xl, yh, prec, _DOWN), _sub(xh, yl, prec, _UP), prec)
+    y = _ends(_sub_ends(yl, yh, ql, qh, prec))
+    return Enclosure(*_difference_tail(d, e, x, y, FJN_RADIUS_A, FJN_RADIUS_B, prec), prec)
 
 
 def _analytic_convexity(n: int, j: int, prec: int) -> bool:
@@ -367,25 +389,7 @@ def krank_ratio_interval(
     Depends on (k, m, n) only through n-k-m; cached on it.
     """
     _check_krank_domain(k, m, n)
-    return _krank_ratio(n - k - m, prec)
-
-
-@lru_cache(maxsize=MEMO_MAXSIZE)
-def _krank_ratio(lp: int, prec: int) -> Enclosure:
-    # lp = n - k - m, and ell = lp + 23/24 is the shift of lp + 1; the raw
-    # libmp calls of 1 - u * (1 - sqrt3_over_sqrt_two_pi).plus_minus(4.04/ell)
-    # * bracket in Enclosure arithmetic, u = e^{-pi/sqrt(6 ell)}
-    t = shifted_terms(lp + 1, prec)
-    d = 24 * lp + 23  # ell = d/24
-    ul, uh = _pi_j_ends(t, 1, prec)[2]
-    v = t.sqrt3_over_sqrt_two_pi
-    fl, fh = _ends((_sub(_ONE, v.hi, prec, _DOWN), _sub(_ONE, v.lo, prec, _UP)))
-    r = _radius_hi(KRANK_RATIO_RADIUS_1, d, prec)
-    fl, fh = _ends((_sub(fl, r, prec, _DOWN), _add(fh, r, prec, _UP)))
-    fl, fh = _ends(_mul_ends(ul, uh, fl, fh, prec))
-    b = t.bracket
-    fl, fh = _ends(_mul_ends(fl, fh, b.lo, b.hi, prec))
-    return Enclosure(_sub(_ONE, fh, prec, _DOWN), _sub(_ONE, fl, prec, _UP), prec)
+    return _krank_forms(n - k - m, prec)[0]
 
 
 def krank_diff_interval(
@@ -400,31 +404,28 @@ def krank_diff_interval(
     j = 1 second-difference estimate keeps explicit.  Cached on n-k-m.
     """
     _check_krank_domain(k, m, n)
-    return _krank_diff(n - k - m, prec)
+    return _krank_forms(n - k - m, prec)[1]
 
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
-def _krank_diff(lp: int, prec: int) -> Enclosure:
-    # the raw libmp calls of 1 + u * u * termA - u * termB in Enclosure
-    # arithmetic, termA = (1 + dc).plus_minus(2079/ell) and
-    # termB = (2 + 2 * dc).plus_minus(3929/ell), dc = delta_c/sqrt ell
+def _krank_forms(lp: int, prec: int):
+    # both k-rank forms of lp = n - k - m, the two tails at j = 1 on one u
     t = shifted_terms(lp + 1, prec)
-    d = 24 * lp + 23  # ell = d/24
-    ul, uh = _pi_j_ends(t, 1, prec)[2]
-    dc = t.delta_c_over_sqrtN
-    xl, xh = _ends((_add(dc.lo, _ONE, prec, _DOWN), _add(dc.hi, _ONE, prec, _UP)))
-    r = _radius_hi(KRANK_DIFF_RADIUS_A, d, prec)
-    xl, xh = _ends((_sub(xl, r, prec, _DOWN), _add(xh, r, prec, _UP)))
-    yl, yh = _ends(_mul_ends(dc.lo, dc.hi, _TWO, _TWO, prec))
-    yl, yh = _ends((_add(yl, _TWO, prec, _DOWN), _add(yh, _TWO, prec, _UP)))
-    r = _radius_hi(KRANK_DIFF_RADIUS_B, d, prec)
-    yl, yh = _ends((_sub(yl, r, prec, _DOWN), _add(yh, r, prec, _UP)))
-    # 1 + u u termA - u termB
-    ql, qh = _ends(_mul_ends(ul, uh, ul, uh, prec))
-    xl, xh = _ends(_mul_ends(ql, qh, xl, xh, prec))
-    xl, xh = _ends((_add(xl, _ONE, prec, _DOWN), _add(xh, _ONE, prec, _UP)))
-    yl, yh = _ends(_mul_ends(ul, uh, yl, yh, prec))
-    return Enclosure(_sub(xl, yh, prec, _DOWN), _sub(xh, yl, prec, _UP), prec)
+    d = 24 * lp + 23  # ell = d/24 = lp + 23/24, the shift of lp + 1
+    u = _pi_j_ends(t, 1, prec)[2]
+    return _krank_ratio(t, d, u, prec), _krank_diff(t, d, u, prec)
+
+
+def _krank_ratio(t: SimpleNamespace, d: int, u, prec: int) -> Enclosure:
+    # 1 - the ratio tail at centre 1 and radius 4.04/ell
+    fl, fh = _ends(_ratio_tail(t, d, u, (_ONE, _ONE), KRANK_RATIO_RADIUS_1, prec))
+    return Enclosure(*_sub_ends(_ONE, _ONE, fl, fh, prec), prec)
+
+
+def _krank_diff(t: SimpleNamespace, d: int, u, prec: int) -> Enclosure:
+    # the difference tail at centres 1 + delta_c/sqrt ell, 2 + 2 delta_c/sqrt ell
+    ra, rb = KRANK_DIFF_RADIUS_A, KRANK_DIFF_RADIUS_B
+    return Enclosure(*_difference_tail(d, u, *_delta_centres(t, prec), ra, rb, prec), prec)
 
 
 def nonkary_diff_check(n: int, k: int) -> bool:

@@ -21,7 +21,8 @@ Sampling conventions:
 
 `bessel-tail-sum`, a thousand Bessel terms per point, runs in raw libmp: each
 term makes the libmp calls, with the roundings and endpoint-order checks, of
-its Enclosure expression, so its endpoints are that expression's bit for bit
+its Enclosure expression, through the enclosure module's _*_ends helpers that
+Enclosure itself uses, so its endpoints are that expression's bit for bit
 (`tests/test_inequalities.py::TestBesselTailKernel` compares the two).
 """
 
@@ -36,10 +37,9 @@ from typing import Callable, Iterable, Optional, Tuple
 from mpmath import libmp
 
 from .enclosure import (
-    _DOWN,
-    _UP,
     DEFAULT_PRECISION,
     Enclosure,
+    _add_ends,
     _div_ends,
     _ends,
     _exp_ends,
@@ -66,8 +66,6 @@ from .rademacher import h_error
 Point = Tuple
 MarginFn = Callable[[Point, int], Enclosure]
 Sampler = Callable[[int, int, random.Random], Iterable[Point]]
-
-_add = libmp.mpf_add
 
 GRID_POINTS = 10_000
 RANDOM_POINTS = 1_000
@@ -353,10 +351,10 @@ def _margin_bessel_tail(point: Point, prec: int) -> Enclosure:
         ml, mh = _ends(_mul_ends(el, eh, *_ends(ratio_pair(a - bk, a, prec)), prec))
         rl, rh = _ends(_div_ends(one, one, el, eh, prec))
         ql, qh = _ends(_mul_ends(rl, rh, *_ends(ratio_pair(a + bk, a, prec)), prec))
-        nl, nh = _ends((_add(ml, ql, prec, _DOWN), _add(mh, qh, prec, _UP)))
+        nl, nh = _ends(_add_ends(ml, mh, ql, qh, prec))
         wl, wh = _ends(_sqrt_ends(*_ends(_mul_ends(pl, ph, yl, yh, prec)), prec))
         tl, th = _ends(_div_ends(nl, nh, wl, wh, prec))
-        sl, sh = _ends((_add(sl, tl, prec, _DOWN), _add(sh, th, prec, _UP)))
+        sl, sh = _ends(_add_ends(sl, sh, tl, th, prec))
     rhs = 4 * (x / c.pi).sqrt() * exp_enclosure(x / 2, prec)
     return rhs - Enclosure(sl, sh, prec)
 

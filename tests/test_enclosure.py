@@ -1,6 +1,8 @@
 """Containment properties of the interval layer, checked against exact
 rational arithmetic."""
 
+import ast
+import inspect
 from fractions import Fraction
 
 from functools import lru_cache
@@ -10,10 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
+from partbounds import estimates, inequalities
 from partbounds.enclosure import (
     _TRANSCENDENTAL_SLACK,
     NON_FINITE_ERROR,
     Enclosure,
+    _add_ends,
+    _neg_ends,
+    _sub_ends,
+    _widen_ends,
     _widen_raw,
     constants,
     exact_decimal,
@@ -203,10 +210,11 @@ def test_relative_width():
     assert Enclosure.from_exact(0).relative_width() is None
 
 
-@given(v=rationals)
+@given(v=st.one_of(rationals, st.integers(-(2**300), 2**300)))
 def test_raw_fraction_round_trip(v):
     e = Enclosure.from_exact(v)
-    assert fraction_from_raw(e.lo) == e.lo_fraction
+    for raw in (e.lo, e.hi):
+        assert fraction_from_raw(raw) == Fraction(*libmp.to_rational(raw))
     assert e.lo_fraction <= v <= e.hi_fraction
 
 
@@ -286,6 +294,15 @@ def test_kernel_endpoints_match_general_form(a, b, k, prec):
         with pytest.raises(ZeroDivisionError):
             x / y
     assert _endpoints(x - y) == _negated_sum(x, y, prec)
+    # the raw helpers, against the directed libmp calls they stand for
+    assert _neg_ends(x.lo, x.hi) == (libmp.mpf_neg(x.hi), libmp.mpf_neg(x.lo))
+    assert _add_ends(x.lo, x.hi, y.lo, y.hi, prec) == (
+        libmp.mpf_add(x.lo, y.lo, prec, "f"), libmp.mpf_add(x.hi, y.hi, prec, "c"))
+    assert _sub_ends(x.lo, x.hi, y.lo, y.hi, prec) == (
+        libmp.mpf_sub(x.lo, y.hi, prec, "f"), libmp.mpf_sub(x.hi, y.lo, prec, "c"))
+    for r in (libmp.fzero, libmp.mpf_abs(y.hi)):
+        assert _widen_ends(x.lo, x.hi, r, prec) == (
+            libmp.mpf_sub(x.lo, r, prec, "f"), libmp.mpf_add(x.hi, r, prec, "c"))
     kk = _directed_int(k, prec)
     assert _endpoints(k - x) == _negated_sum(kk, x, prec)
     assert _endpoints(x * k) == _four_pair_search(libmp.mpf_mul, x, kk, prec)
@@ -372,6 +389,8 @@ def test_integer_margin_and_width_are_the_fraction_formulas(probe):
 )
 def test_non_finite_endpoint_is_refused(lo, hi):
     e = Enclosure(lo, hi)
+    with pytest.raises(ValueError, match=NON_FINITE_ERROR):
+        fraction_from_raw(lo), fraction_from_raw(hi)
     with pytest.raises(ValueError, match=NON_FINITE_ERROR):
         e.containment_margin(0)
     with pytest.raises(ValueError, match=NON_FINITE_ERROR):
@@ -606,3 +625,18 @@ def test_widen_keeps_the_product_for_zero_specials_and_wide_floats():
     for raw in (*SPECIALS, *wide, *map(libmp.mpf_neg, wide)):
         for rnd in ("f", "c"):
             assert _widen_raw(raw, 16, rnd) == _widen_by_product(raw, 16, rnd)
+
+
+# -- one source for every outward rounding -------------------------------
+
+@pytest.mark.parametrize("module", [estimates, inequalities])
+def test_raw_kernels_round_only_through_the_helpers(module):
+    # the directed-rounding modes and the raw +, - and negation stay in the
+    # enclosure module, whose _*_ends helpers the kernels call; rademacher
+    # and special round to nearest on purpose and are not checked
+    tree = ast.parse(inspect.getsource(module))
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert not imported & {"_DOWN", "_UP", "mpf_add", "mpf_sub", "mpf_neg"}
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not named & {"mpf_add", "mpf_sub", "mpf_neg"}

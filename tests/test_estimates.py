@@ -19,7 +19,9 @@ from partbounds.estimates import (
     CertificateKind,
     _analytic_convexity,
     _krank_diff,
+    _krank_forms,
     _krank_ratio,
+    _pi_j_ends,
     convexity_certificate,
     fjn_ratio_interval,
     injection_inequality,
@@ -382,15 +384,27 @@ class TestInjection:
             injection_map_check(12, 0, 3)
 
 
+def _krank_query(form):
+    # the public query of a k-rank form, keyed as _krank_forms is on n - k - m
+    public = {_krank_ratio: krank_ratio_interval, _krank_diff: krank_diff_interval}[form]
+    return lambda lp, prec: public(1, lp + 2, 2 * lp + 3, prec)
+
+
 @pytest.mark.parametrize(
-    "memo, first",
-    [(_krank_ratio, 16), (_krank_diff, 16), (shifted_terms, 1)],
+    "builder, first",
+    [(_krank_ratio, 16), (_krank_diff, 16), (_krank_forms, 16), (shifted_terms, 1)],
 )
-def test_memo_size_is_bounded(memo, first):
-    # more distinct keys than the bound, at the least precision to stay cheap
+def test_memo_size_is_bounded(builder, first):
+    # more distinct keys than the bound, at the least precision to stay cheap;
+    # each k-rank form is asked for through its public query, and the one
+    # memo _krank_forms keeps both
+    if builder in (_krank_ratio, _krank_diff):
+        memo, query = _krank_forms, _krank_query(builder)
+    else:
+        memo = query = builder
     assert memo.cache_info().maxsize == MEMO_MAXSIZE
     for key in range(first, first + MEMO_MAXSIZE + 10):
-        memo(key, 16)
+        query(key, 16)
         assert memo.cache_info().currsize <= MEMO_MAXSIZE
     assert memo.cache_info().currsize == MEMO_MAXSIZE
     memo.cache_clear()
@@ -618,6 +632,10 @@ def _enclosure_krank_diff(lp, prec):
     return 1 + u * u * termA - u * termB
 
 
+def _enclosure_krank_forms(lp, prec):
+    return _enclosure_krank_ratio(lp, prec), _enclosure_krank_diff(lp, prec)
+
+
 def _with_hulls(fn, *args):
     # fn's result and how often it took the four-product hull
     hulls = []
@@ -627,7 +645,8 @@ def _with_hulls(fn, *args):
         e = fn(*args)
     finally:
         enclosure._hull = hull
-    ends = [(x.lo, x.hi, x.prec) for x in e] if isinstance(e, list) else (e.lo, e.hi, e.prec)
+    many = isinstance(e, (list, tuple))
+    ends = [(x.lo, x.hi, x.prec) for x in e] if many else (e.lo, e.hi, e.prec)
     return ends, len(hulls)
 
 
@@ -650,11 +669,8 @@ def test_kernels_are_their_enclosure_expressions(data, n, prec):
     )
     if n >= 17:
         lp = n - 1  # ell = lp + 23/24 is the shift of n
-        assert _with_hulls(_krank_ratio.__wrapped__, lp, prec) == _with_hulls(
-            _enclosure_krank_ratio, lp, prec
-        )
-        assert _with_hulls(_krank_diff.__wrapped__, lp, prec) == _with_hulls(
-            _enclosure_krank_diff, lp, prec
+        assert _with_hulls(_krank_forms.__wrapped__, lp, prec) == _with_hulls(
+            _enclosure_krank_forms, lp, prec
         )
 
 
@@ -673,11 +689,9 @@ def test_kernels_at_the_window_edges(n, prec):
         _enclosure_shifted_terms, n, prec
     )
     if n >= 17:
-        for kernel, reference in (
-            (_krank_ratio.__wrapped__, _enclosure_krank_ratio),
-            (_krank_diff.__wrapped__, _enclosure_krank_diff),
-        ):
-            assert _with_hulls(kernel, n - 1, prec) == _with_hulls(reference, n - 1, prec)
+        assert _with_hulls(_krank_forms.__wrapped__, n - 1, prec) == _with_hulls(
+            _enclosure_krank_forms, n - 1, prec
+        )
 
 
 # one check per interval the Enclosure expression builds (18 and 37), less
@@ -691,13 +705,22 @@ def test_every_order_check_is_live(kernel, j, checks, monkeypatch):
 
 # the same for the memoized builders, run unwrapped so each call builds:
 # their Enclosure expressions build 14, 11 and 19 intervals, less the exact
-# constants 1 and 2
+# constants 1 and 2.  Each k-rank form is counted with the 5 checks of the
+# _pi_j_ends it is built on; _krank_forms builds both forms on one _pi_j_ends,
+# 10 + 15 checks less the 5 they share
 @pytest.mark.parametrize(
-    "builder, checks", [(shifted_terms, 13), (_krank_ratio, 10), (_krank_diff, 15)]
+    "builder, checks",
+    [(shifted_terms, 13), (_krank_ratio, 10), (_krank_diff, 15), (_krank_forms, 20)],
 )
 def test_every_builder_order_check_is_live(builder, checks, monkeypatch):
-    builder(200, 53)  # constants and shifted terms built
-    _assert_checks_live(lambda: builder.__wrapped__(200, 53), checks, monkeypatch)
+    _krank_forms(200, 53)  # constants and shifted terms built
+    if builder in (_krank_ratio, _krank_diff):
+        t = shifted_terms(201, 53)  # ell = 200 + 23/24 is the shift of 201
+        _assert_checks_live(
+            lambda: builder(t, 24 * 200 + 23, _pi_j_ends(t, 1, 53)[2], 53), checks, monkeypatch
+        )
+    else:
+        _assert_checks_live(lambda: builder.__wrapped__(200, 53), checks, monkeypatch)
 
 
 def _assert_checks_live(call, checks, monkeypatch):

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partbounds import __version__, cli
@@ -129,13 +129,19 @@ def _payload_on_fractions(enc):
     shift=st.integers(-100, 100),
     prec=st.one_of(st.sampled_from([16, 53, 128, 4096]), st.integers(16, 4096)),
 )
+@example(lo=Fraction(0), width=Fraction(1, 3), shift=-292, prec=4096)
 def test_interval_payload_is_the_rendering_of_the_fractions(lo, width, shift, prec):
-    # endpoints of either sign, with negative and positive binary exponents;
-    # |shift| <= 100 keeps the exact strings at 4096 bits under the 4300
-    # digits Python's str(int) allows
+    # endpoints of either sign, with negative and positive binary exponents
     scale = Fraction(2) ** shift
     enc = Enclosure.from_bounds(lo * scale, (lo + width) * scale, prec)
-    assert interval_payload(enc) == _payload_on_fractions(enc)
+    payload = interval_payload(enc)
+    # exact at any length: Decimal parses strings that int() refuses
+    assert Fraction(decimal.Decimal(payload["lo_exact"])) == enc.lo_fraction
+    assert Fraction(decimal.Decimal(payload["hi_exact"])) == enc.hi_fraction
+    if shift >= -100:
+        # the reference's str(int) refuses more than 4300 digits, which
+        # 4096-bit endpoints reach only below 2^-100
+        assert payload == _payload_on_fractions(enc)
 
 
 class TestReportDocument:
