@@ -9,6 +9,11 @@ compositions of +, -, *, /, sqrt and exp.
 Exact integers and fractions enter through directed conversion, never through
 a float, so enclosures built from exact data are correct by construction.
 Precision is always an argument; no global mpmath state is touched.
+
+The _*_ends helpers are that arithmetic on raw (lo, hi) pairs, for Enclosure
+and the raw-libmp kernels alike.  Each checks the order of the pair it
+returns, so an interval is checked once, where it is built; only
+Enclosure(lo, hi, prec) called from outside checks its own arguments.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ from types import SimpleNamespace
 from mpmath import libmp
 
 DEFAULT_PRECISION = 128
+
+# Entries kept by each precision-keyed memo (constants, special.mp_context): a
+# run uses its working precision and 64 bits for Lehmer's bound or 30 more.
+PRECISION_MEMO_MAXSIZE = 4
 
 # Entries kept by each per-index enclosure memo: the k-rank memo and
 # estimates.shifted_terms.  shifted_terms sees up to 10000 keys in a default
@@ -47,6 +56,7 @@ _div = libmp.mpf_div
 _neg = libmp.mpf_neg
 _normalize = libmp.normalize
 _normalize1 = libmp.normalize1
+_new = object.__new__
 
 ORDER_ERROR = "interval endpoints out of order"
 NON_FINITE_ERROR = "non-finite float has no rational value"
@@ -117,30 +127,38 @@ def ordered(lo, hi) -> bool:
     return not libmp.mpf_gt(lo, hi)
 
 
-def _ends(pair):
-    """The pair itself, after the endpoint-order check an Enclosure of it
-    would make; raw-libmp kernels run it on every intermediate interval."""
-    if not ordered(*pair):
+def _checked(lo, hi):
+    # the one endpoint-order check: each _*_ends helper returns through it
+    if not ordered(lo, hi):
         raise ValueError(ORDER_ERROR)
-    return pair
+    return lo, hi
+
+
+def _ratio_ends(p: int, q: int, prec: int):
+    """Raw endpoints of p/q at prec bits: ratio_pair, order-checked."""
+    return _checked(*ratio_pair(p, q, prec))
+
+
+def _decoded(raw):
+    # (M, e) with raw = M 2^e, for a finite raw float
+    sign, man, exp, _ = raw
+    if not man and exp:
+        raise ValueError(NON_FINITE_ERROR)
+    return (-int(man) if sign else int(man)), exp
 
 
 def scaled_ends(lo, hi):
     """(L, H, k) with lo = L/2^k and hi = H/2^k for finite raw floats, k >= 0."""
-    lsign, lman, lexp, _ = lo
-    hsign, hman, hexp, _ = hi
-    if (not lman and lexp) or (not hman and hexp):
-        raise ValueError(NON_FINITE_ERROR)
-    k = max(0, -lexp, -hexp)
-    L = int(lman) << (lexp + k)
-    H = int(hman) << (hexp + k)
-    return (-L if lsign else L), (-H if hsign else H), k
+    L, le = _decoded(lo)
+    H, he = _decoded(hi)
+    k = max(0, -le, -he)
+    return L << (le + k), H << (he + k), k
 
 
 def fraction_from_raw(raw):
     """Exact rational value of a finite raw libmp float."""
-    num, _, k = scaled_ends(raw, raw)
-    return Fraction(num, 1 << k)
+    m, e = _decoded(raw)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 # Wide enough that scaleb and normalize below never round; str(int) would
@@ -180,38 +198,38 @@ def _widen_raw(raw, prec, rnd):
     return libmp.mpf_add(raw, pad, prec, _UP)
 
 
-def _neg_ends(lo, hi):
-    """Raw endpoints of -[lo, hi]; negation is exact."""
-    return _neg(hi), _neg(lo)
+def _neg_ends(x):
+    """Raw endpoints of -x; negation is exact."""
+    return _checked(_neg(x[1]), _neg(x[0]))
 
 
-def _add_ends(a, b, c, d, p):
-    """Raw endpoints of [a, b] + [c, d] at p bits, rounded outward."""
-    return _add(a, c, p, _DOWN), _add(b, d, p, _UP)
+def _add_ends(x, y, p):
+    """Raw endpoints of x + y at p bits, rounded outward."""
+    return _checked(_add(x[0], y[0], p, _DOWN), _add(x[1], y[1], p, _UP))
 
 
-def _sub_ends(a, b, c, d, p):
-    """Raw endpoints of [a, b] - [c, d] at p bits, rounded outward."""
-    return _sub(a, d, p, _DOWN), _sub(b, c, p, _UP)
+def _sub_ends(x, y, p):
+    """Raw endpoints of x - y at p bits, rounded outward."""
+    return _checked(_sub(x[0], y[1], p, _DOWN), _sub(x[1], y[0], p, _UP))
 
 
-def _widen_ends(lo, hi, r, p):
-    """Raw endpoints of [lo, hi] +- r at p bits, for an upper radius r >= 0."""
-    return _sub(lo, r, p, _DOWN), _add(hi, r, p, _UP)
+def _widen_ends(x, r, p):
+    """Raw endpoints of x +- r at p bits, for an upper radius r >= 0."""
+    return _checked(_sub(x[0], r, p, _DOWN), _add(x[1], r, p, _UP))
 
 
-def _sqrt_ends(lo, hi, p):
-    """Raw endpoints of sqrt([lo, hi]) at p bits; lo must not be negative."""
-    if libmp.mpf_lt(lo, libmp.fzero):
+def _sqrt_ends(x, p):
+    """Raw endpoints of sqrt(x) at p bits; x must not reach below zero."""
+    if libmp.mpf_lt(x[0], libmp.fzero):
         raise ValueError("sqrt of an interval reaching below zero")
     # libmp square root is integer-based and honors directed rounding.
-    return libmp.mpf_sqrt(lo, p, _DOWN), libmp.mpf_sqrt(hi, p, _UP)
+    return _checked(libmp.mpf_sqrt(x[0], p, _DOWN), libmp.mpf_sqrt(x[1], p, _UP))
 
 
-def _exp_ends(lo, hi, p):
-    """Raw endpoints of exp([lo, hi]) at p bits, padded outward."""
-    return (_widen_raw(libmp.mpf_exp(lo, p, _DOWN), p, _DOWN),
-            _widen_raw(libmp.mpf_exp(hi, p, _UP), p, _UP))
+def _exp_ends(x, p):
+    """Raw endpoints of exp(x) at p bits, padded outward."""
+    return _checked(_widen_raw(libmp.mpf_exp(x[0], p, _DOWN), p, _DOWN),
+                    _widen_raw(libmp.mpf_exp(x[1], p, _UP), p, _UP))
 
 
 def _hull(op, a, b, c, d, p):
@@ -229,36 +247,53 @@ def _hull(op, a, b, c, d, p):
     return lo, hi
 
 
-def _mul_ends(a, b, c, d, p):
-    """Raw endpoints of [a, b] * [c, d] at p bits, rounded outward."""
+def _mul_ends(x, y, p):
+    """Raw endpoints of x * y at p bits, rounded outward."""
     # Sign-case table: unless a factor straddles zero, the signs pick the
     # two extreme endpoint products.  Directed rounding is monotone, so
     # these are the endpoints the four-product hull would find.
     # A set sign bit on hi means hi < 0; a clear one on lo means lo >= 0.
+    a, b = x
+    c, d = y
     if not a[0]:
         if not c[0]:
-            return _mul(a, c, p, _DOWN), _mul(b, d, p, _UP)
+            return _checked(_mul(a, c, p, _DOWN), _mul(b, d, p, _UP))
         if d[0]:
-            return _mul(b, c, p, _DOWN), _mul(a, d, p, _UP)
+            return _checked(_mul(b, c, p, _DOWN), _mul(a, d, p, _UP))
     elif b[0]:
         if not c[0]:
-            return _mul(a, d, p, _DOWN), _mul(b, c, p, _UP)
+            return _checked(_mul(a, d, p, _DOWN), _mul(b, c, p, _UP))
         if d[0]:
-            return _mul(b, d, p, _DOWN), _mul(a, c, p, _UP)
-    return _hull(_mul, a, b, c, d, p)
+            return _checked(_mul(b, d, p, _DOWN), _mul(a, c, p, _UP))
+    return _checked(*_hull(_mul, a, b, c, d, p))
 
 
-def _div_ends(a, b, c, d, p):
-    """Raw endpoints of [a, b] / [c, d] at p bits, rounded outward."""
+def _div_ends(x, y, p):
+    """Raw endpoints of x / y at p bits, rounded outward."""
+    a, b = x
+    c, d = y
     if not c[0] and c[1]:
         # positive divisor and a dividend of one sign: as in _mul_ends
         if not a[0]:
-            return _div(a, d, p, _DOWN), _div(b, c, p, _UP)
+            return _checked(_div(a, d, p, _DOWN), _div(b, c, p, _UP))
         if b[0]:
-            return _div(a, c, p, _DOWN), _div(b, d, p, _UP)
+            return _checked(_div(a, c, p, _DOWN), _div(b, d, p, _UP))
     elif not (libmp.mpf_gt(c, libmp.fzero) or libmp.mpf_lt(d, libmp.fzero)):
         raise ZeroDivisionError("interval divisor straddles zero")
-    return _hull(_div, a, b, c, d, p)
+    return _checked(*_hull(_div, a, b, c, d, p))
+
+
+def _arith(ends, swap=False):
+    # the Enclosure method of the helper ends, on (self, other), or on
+    # (other, self) with swap
+    def method(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        x, y = (o, self) if swap else (self, o)
+        return _wrap(ends((x.lo, x.hi), (y.lo, y.hi), self.prec), self.prec)
+
+    return method
 
 
 class Enclosure:
@@ -279,8 +314,7 @@ class Enclosure:
     @classmethod
     def from_exact(cls, value, prec=DEFAULT_PRECISION):
         """Tightest enclosure of an exact int or Fraction."""
-        lo, hi = _exact_pair(value, prec)
-        return cls(lo, hi, prec)
+        return cls(*_exact_pair(value, prec), prec)
 
     @classmethod
     def from_bounds(cls, lo, hi, prec=DEFAULT_PRECISION):
@@ -293,7 +327,12 @@ class Enclosure:
         hi = _widen_raw(libmp.mpf_pi(prec, _UP), prec, _UP)
         return cls(lo, hi, prec)
 
-    # -- exact views ---------------------------------------------------
+    # -- views -----------------------------------------------------------
+
+    @property
+    def ends(self):
+        """(lo, hi), the raw pair the _*_ends helpers take."""
+        return self.lo, self.hi
 
     @property
     def lo_fraction(self) -> Fraction:
@@ -361,62 +400,24 @@ class Enclosure:
             return Enclosure.from_exact(other, self.prec)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.prec
-        return Enclosure(*_add_ends(self.lo, self.hi, o.lo, o.hi, p), p)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _arith(_add_ends)
+    __sub__ = _arith(_sub_ends)
+    __rsub__ = _arith(_sub_ends, swap=True)
+    __mul__ = __rmul__ = _arith(_mul_ends)
+    __truediv__ = _arith(_div_ends)
+    __rtruediv__ = _arith(_div_ends, swap=True)
 
     def __neg__(self):
-        return Enclosure(*_neg_ends(self.lo, self.hi), self.prec)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.prec
-        return Enclosure(*_sub_ends(self.lo, self.hi, o.lo, o.hi, p), p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.prec
-        return Enclosure(*_sub_ends(o.lo, o.hi, self.lo, self.hi, p), p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.prec
-        return Enclosure(*_mul_ends(self.lo, self.hi, o.lo, o.hi, p), p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.prec
-        return Enclosure(*_div_ends(self.lo, self.hi, o.lo, o.hi, p), p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return _wrap(_neg_ends((self.lo, self.hi)), self.prec)
 
     def sqrt(self):
         """Square root; requires a nonnegative interval."""
         p = self.prec
-        return Enclosure(*_sqrt_ends(self.lo, self.hi, p), p)
+        return _wrap(_sqrt_ends((self.lo, self.hi), p), p)
 
     def exp(self):
         p = self.prec
-        return Enclosure(*_exp_ends(self.lo, self.hi, p), p)
+        return _wrap(_exp_ends((self.lo, self.hi), p), p)
 
     def plus_minus(self, radius):
         """Widen symmetrically by an upper bound on the given radius."""
@@ -429,7 +430,7 @@ class Enclosure:
         if libmp.mpf_lt(r, libmp.fzero):
             raise ValueError("negative radius")
         p = self.prec
-        return Enclosure(*_widen_ends(self.lo, self.hi, r, p), p)
+        return _wrap(_widen_ends((self.lo, self.hi), r, p), p)
 
     # -- display -----------------------------------------------------------
 
@@ -437,6 +438,14 @@ class Enclosure:
         return "Enclosure[{}, {}] @{}".format(
             libmp.to_str(self.lo, 12), libmp.to_str(self.hi, 12), self.prec
         )
+
+
+def _wrap(ends, prec):
+    # the Enclosure of a pair a _*_ends helper returned, without a second check
+    e = _new(Enclosure)
+    e.lo, e.hi = ends
+    e.prec = prec
+    return e
 
 
 def sqrt_enclosure(value, prec=DEFAULT_PRECISION):
@@ -449,7 +458,7 @@ def exp_enclosure(value, prec=DEFAULT_PRECISION):
     return Enclosure.from_exact(value, prec).exp()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
 def constants(prec: int) -> SimpleNamespace:
     """Enclosures of pi, sqrt 2, sqrt 3, sqrt 6, sqrt(2 pi), delta_c and the
     coefficients of h_error."""

@@ -24,10 +24,11 @@ against each enclosure.
 
 ratio_interval and fjn_ratio_interval, the two estimates the containment
 sweeps call per (n, j), the two k-rank forms and shifted_terms itself are
-raw-libmp kernels: they make the directed-rounding calls of their Enclosure
-expressions (the enclosure module's _*_ends helpers, ratio_pair on
-unreduced integers) and the order check of every interval those build,
-without the intermediate objects.  The Enclosure expressions stay in
+raw-libmp kernels: expressions in the enclosure module's _*_ends helpers
+on (lo, hi) pairs, which make the directed-rounding calls of their Enclosure
+expressions without the intermediate objects.  Each helper checks the order
+of the pair it returns, so every interval is checked once, where it is
+built, and no kernel checks one itself.  The Enclosure expressions stay in
 tests/test_estimates.py as references, and the kernels must match them bit
 for bit.
 
@@ -65,13 +66,14 @@ from .enclosure import (
     Enclosure,
     _add_ends,
     _div_ends,
-    _ends,
     _exp_ends,
     _mul_ends,
     _neg_ends,
+    _ratio_ends,
     _sqrt_ends,
     _sub_ends,
     _widen_ends,
+    _wrap,
     constants,
     ratio_pair,
 )
@@ -148,9 +150,10 @@ class MapCheck:
     preserves_avoidance: bool
 
 
-_ONE = libmp.fone
-_TWO = libmp.from_int(2)
-_FOUR = libmp.from_int(4)
+# the exact constants 1, 2 and 4 as point pairs
+_ONE = (libmp.fone,) * 2
+_TWO = (libmp.from_int(2),) * 2
+_FOUR = (libmp.from_int(4),) * 2
 
 
 def _radius_hi(radius: Fraction, d: int, prec: int):
@@ -168,72 +171,56 @@ def shifted_terms(n: int, prec: int) -> SimpleNamespace:
     sqrt3_over_pi_sqrt2 = sqrt3/(sqrt2 pi sqrt N), delta_c_over_sqrtN, and
     the bracket (1 + sqrt3/(sqrt2 pi sqrt N)) +- 1350/N.
 
-    Built in raw libmp, as the ratio kernels are: the calls, roundings and
-    order checks of these Enclosure expressions, with sqrtN = Ne.sqrt():
+    Built in raw libmp, as the ratio kernels are: the calls and roundings of
+    these Enclosure expressions, with sqrtN = Ne.sqrt():
     sqrt6 * sqrtN, sqrt6 * Ne * sqrtN, sqrt3 / (sqrt_two_pi * sqrtN),
     sqrt3 / (pi * sqrt2 * sqrtN), delta_c / sqrtN and
     (1 + sqrt3_over_pi_sqrt2).plus_minus(1350/N).
     """
     c = constants(prec)
     d = 24 * n - 1  # N = d/24
-    nl, nh = ratio_pair(d, 24, prec)
-    sl, sh = _ends(_sqrt_ends(nl, nh, prec))
-    s6, s3 = c.sqrt6, c.sqrt3
-    al, ah = _ends(_mul_ends(s6.lo, s6.hi, nl, nh, prec))
-    bl, bh = _ends(_mul_ends(c.sqrt_two_pi.lo, c.sqrt_two_pi.hi, sl, sh, prec))
-    ql, qh = _ends(_mul_ends(c.pi.lo, c.pi.hi, c.sqrt2.lo, c.sqrt2.hi, prec))
-    ql, qh = _ends(_mul_ends(ql, qh, sl, sh, prec))
-    q = Enclosure(*_div_ends(s3.lo, s3.hi, ql, qh, prec), prec)
-    xl, xh = _ends(_add_ends(q.lo, q.hi, _ONE, _ONE, prec))
-    r = _radius_hi(RATIO_RADIUS_2, d, prec)
+    ne = _ratio_ends(d, 24, prec)
+    s = _sqrt_ends(ne, prec)
+    s3, s6 = c.sqrt3.ends, c.sqrt6.ends
+    q = _div_ends(s3, _mul_ends(_mul_ends(c.pi.ends, c.sqrt2.ends, prec), s, prec), prec)
+    x = _add_ends(q, _ONE, prec)
     return SimpleNamespace(
         N=shifted_index(n),
-        Ne=Enclosure(nl, nh, prec),
-        sqrt6_sqrtN=Enclosure(*_mul_ends(s6.lo, s6.hi, sl, sh, prec), prec),
-        sqrt6_N_sqrtN=Enclosure(*_mul_ends(al, ah, sl, sh, prec), prec),
-        sqrt3_over_sqrt_two_pi=Enclosure(*_div_ends(s3.lo, s3.hi, bl, bh, prec), prec),
-        sqrt3_over_pi_sqrt2=q,
-        delta_c_over_sqrtN=Enclosure(
-            *_div_ends(c.delta_c.lo, c.delta_c.hi, sl, sh, prec), prec
+        Ne=_wrap(ne, prec),
+        sqrt6_sqrtN=_wrap(_mul_ends(s6, s, prec), prec),
+        sqrt6_N_sqrtN=_wrap(_mul_ends(_mul_ends(s6, ne, prec), s, prec), prec),
+        sqrt3_over_sqrt_two_pi=_wrap(
+            _div_ends(s3, _mul_ends(c.sqrt_two_pi.ends, s, prec), prec), prec
         ),
-        bracket=Enclosure(*_widen_ends(xl, xh, r, prec), prec),
+        sqrt3_over_pi_sqrt2=_wrap(q, prec),
+        delta_c_over_sqrtN=_wrap(_div_ends(c.delta_c.ends, s, prec), prec),
+        bracket=_wrap(_widen_ends(x, _radius_hi(RATIO_RADIUS_2, d, prec), prec), prec),
     )
 
 
 def _pi_j_ends(t: SimpleNamespace, j: int, prec: int):
-    # raw ends of j, of pi j and of e^{-pi j/sqrt(6N)}, the libmp calls of
+    # the ends of j, of pi j and of e^{-pi j/sqrt(6N)}, the libmp calls of
     # (-(pi * j / sqrt6_sqrtN)).exp() in Enclosure arithmetic
-    pi = constants(prec).pi
-    jl, jh = _ends(ratio_pair(j, 1, prec))
-    al, ah = _ends(_mul_ends(pi.lo, pi.hi, jl, jh, prec))
-    s = t.sqrt6_sqrtN
-    bl, bh = _ends(_div_ends(al, ah, s.lo, s.hi, prec))
-    el, eh = _ends(_exp_ends(*_ends(_neg_ends(bl, bh)), prec))
-    return (jl, jh), (al, ah), (el, eh)
+    jj = _ratio_ends(j, 1, prec)
+    pj = _mul_ends(constants(prec).pi.ends, jj, prec)
+    return jj, pj, _exp_ends(_neg_ends(_div_ends(pj, t.sqrt6_sqrtN.ends, prec)), prec)
 
 
 def _ratio_tail(t: SimpleNamespace, d: int, e, c, radius, prec: int):
-    # raw ends of e (c - sqrt3/(sqrt(2 pi) sqrt N) +- radius/N) bracket, N =
-    # d/24, for the ends e and centre c; unchecked, like the _*_ends helpers
-    u = t.sqrt3_over_sqrt_two_pi
-    cl, ch = _ends(_sub_ends(*c, u.lo, u.hi, prec))
-    cl, ch = _ends(_widen_ends(cl, ch, _radius_hi(radius, d, prec), prec))
-    pl, ph = _ends(_mul_ends(*e, cl, ch, prec))
-    b = t.bracket
-    return _mul_ends(pl, ph, b.lo, b.hi, prec)
+    # the ends of e (c - sqrt3/(sqrt(2 pi) sqrt N) +- radius/N) bracket,
+    # N = d/24, for the ends e and centre c
+    c = _sub_ends(c, t.sqrt3_over_sqrt_two_pi.ends, prec)
+    c = _widen_ends(c, _radius_hi(radius, d, prec), prec)
+    return _mul_ends(_mul_ends(e, c, prec), t.bracket.ends, prec)
 
 
 def _difference_tail(d: int, e, x, y, radius_a, radius_b, prec: int):
-    # raw ends of 1 + e e (x +- radius_a/N) - e (y +- radius_b/N), N = d/24,
-    # for the ends e and centres x, y; unchecked, like the _*_ends helpers
-    el, eh = e
-    xl, xh = _ends(_widen_ends(*x, _radius_hi(radius_a, d, prec), prec))
-    yl, yh = _ends(_widen_ends(*y, _radius_hi(radius_b, d, prec), prec))
-    ql, qh = _ends(_mul_ends(el, eh, el, eh, prec))
-    xl, xh = _ends(_mul_ends(ql, qh, xl, xh, prec))
-    xl, xh = _ends(_add_ends(xl, xh, _ONE, _ONE, prec))
-    yl, yh = _ends(_mul_ends(el, eh, yl, yh, prec))
-    return _sub_ends(xl, xh, yl, yh, prec)
+    # the ends of 1 + e e (x +- radius_a/N) - e (y +- radius_b/N), N = d/24,
+    # for the ends e and centres x, y
+    x = _widen_ends(x, _radius_hi(radius_a, d, prec), prec)
+    y = _widen_ends(y, _radius_hi(radius_b, d, prec), prec)
+    x = _add_ends(_mul_ends(_mul_ends(e, e, prec), x, prec), _ONE, prec)
+    return _sub_ends(x, _mul_ends(e, y, prec), prec)
 
 
 def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
@@ -256,23 +243,17 @@ def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
         raise PreconditionError("requires j < sqrt(N)/2, i.e. 4j^2 < n")
     t = shifted_terms(n, prec)
     d = 24 * n - 1  # N = d/24
-    (jl, jh), (al, ah), e = _pi_j_ends(t, j, prec)
+    jj, pj, e = _pi_j_ends(t, j, prec)
     # the centre 1 + j/N - pi j j / (4 sqrt6 N sqrt N)
-    fl, fh = _ends(ratio_pair(d + 24 * j, d, prec))
-    al, ah = _ends(_mul_ends(al, ah, jl, jh, prec))
-    s = t.sqrt6_N_sqrtN
-    sl, sh = _ends(_mul_ends(s.lo, s.hi, _FOUR, _FOUR, prec))
-    ql, qh = _ends(_div_ends(al, ah, sl, sh, prec))
-    c = _ends(_sub_ends(fl, fh, ql, qh, prec))
-    return Enclosure(*_ratio_tail(t, d, e, c, RATIO_RADIUS_1, prec), prec)
+    q = _div_ends(_mul_ends(pj, jj, prec), _mul_ends(t.sqrt6_N_sqrtN.ends, _FOUR, prec), prec)
+    c = _sub_ends(_ratio_ends(d + 24 * j, d, prec), q, prec)
+    return _wrap(_ratio_tail(t, d, e, c, RATIO_RADIUS_1, prec), prec)
 
 
 def _delta_centres(t: SimpleNamespace, prec: int):
-    # raw ends of 1 + delta_c/sqrt N and 2 + 2 delta_c/sqrt N
-    dc = t.delta_c_over_sqrtN
-    x = _ends(_add_ends(dc.lo, dc.hi, _ONE, _ONE, prec))
-    yl, yh = _ends(_mul_ends(dc.lo, dc.hi, _TWO, _TWO, prec))
-    return x, _ends(_add_ends(yl, yh, _TWO, _TWO, prec))
+    # the ends of 1 + delta_c/sqrt N and 2 + 2 delta_c/sqrt N
+    dc = t.delta_c_over_sqrtN.ends
+    return _add_ends(dc, _ONE, prec), _add_ends(_mul_ends(dc, _TWO, prec), _TWO, prec)
 
 
 def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
@@ -294,21 +275,17 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosu
         raise PreconditionError("requires j < sqrt(N)/4, i.e. 16j^2 < n")
     t = shifted_terms(n, prec)
     d = 24 * n - 1  # N = d/24
-    (jl, jh), (al, ah), e = _pi_j_ends(t, j, prec)
-    kl, kh = _ends(ratio_pair(48 * j, d, prec))  # 2j/N
-    al, ah = _ends(_mul_ends(al, ah, jl, jh, prec))  # pi j j
-    (xl, xh), (yl, yh) = _delta_centres(t, prec)
-    s = t.sqrt6_N_sqrtN
+    jj, pj, e = _pi_j_ends(t, j, prec)
+    k = _ratio_ends(48 * j, d, prec)  # 2j/N
+    pjj = _mul_ends(pj, jj, prec)  # pi j j
+    x, y = _delta_centres(t, prec)
+    s = t.sqrt6_N_sqrtN.ends
     # the centres x + 2j/N - pi j j/(sqrt6 N sqrt N)
-    xl, xh = _ends(_add_ends(xl, xh, kl, kh, prec))
-    ql, qh = _ends(_div_ends(al, ah, s.lo, s.hi, prec))
-    x = _ends(_sub_ends(xl, xh, ql, qh, prec))
+    x = _sub_ends(_add_ends(x, k, prec), _div_ends(pjj, s, prec), prec)
     # and y + 2j/N - pi j j/(2 sqrt6 N sqrt N)
-    yl, yh = _ends(_add_ends(yl, yh, kl, kh, prec))
-    sl, sh = _ends(_mul_ends(s.lo, s.hi, _TWO, _TWO, prec))
-    ql, qh = _ends(_div_ends(al, ah, sl, sh, prec))
-    y = _ends(_sub_ends(yl, yh, ql, qh, prec))
-    return Enclosure(*_difference_tail(d, e, x, y, FJN_RADIUS_A, FJN_RADIUS_B, prec), prec)
+    y = _add_ends(y, k, prec)
+    y = _sub_ends(y, _div_ends(pjj, _mul_ends(s, _TWO, prec), prec), prec)
+    return _wrap(_difference_tail(d, e, x, y, FJN_RADIUS_A, FJN_RADIUS_B, prec), prec)
 
 
 def _analytic_convexity(n: int, j: int, prec: int) -> bool:
@@ -331,9 +308,22 @@ def _analytic_convexity(n: int, j: int, prec: int) -> bool:
     second = Fraction(j) / t.N - 3 * c.pi * j * j / (4 * t.sqrt6_N_sqrtN)
     if not second.lo_fraction >= 0:
         return False
-    exp1 = Enclosure(*_pi_j_ends(t, j, prec)[2], prec)
+    exp1 = _wrap(_pi_j_ends(t, j, prec)[2], prec)
     X = exp1 * exp1 - 2 * exp1
     return X.strictly_negative() and X.lo_fraction > -1
+
+
+@lru_cache(maxsize=1)
+def _chain_floor() -> int:
+    """The largest n at which link (iii) of the chain cannot hold.
+
+    Inside the license pi j < 4 sqrt6 sqrt N, so j/N - pi j^2/(4 sqrt6
+    N^{3/2}) >= 0 and B >= delta_c/sqrt N + 3926/N, which is >= 0 while
+    3926^2 >= delta^2 N for the lower end delta of any enclosure of delta_c.
+    That is N <= about 1.6997e8, whatever precision the chain runs at.
+    """
+    delta = constants(DEFAULT_PRECISION).delta_c.lo_fraction
+    return math.floor(FJN_RADIUS_B**2 / delta**2 + Fraction(1, 24))
 
 
 def convexity_certificate(
@@ -342,9 +332,10 @@ def convexity_certificate(
     """Certify p(n) - 2p(n-j) + p(n-2j) >= 0.
 
     Exact evaluation settles 2 <= n <= 13 and any (n, j) outside the
-    analytic license j < sqrt(N)/4.  Licensed cases try the interval-checked
-    inequality chain first and fall back to exact evaluation when any link
-    is inconclusive, so the verdict is always decided.
+    analytic license j < sqrt(N)/4.  Licensed cases past _chain_floor() try
+    the interval-checked inequality chain first and fall back to exact
+    evaluation when any link is inconclusive; at or below that floor the
+    chain cannot succeed and is not run.  So the verdict is always decided.
     """
     if n < 2:
         raise PreconditionError("requires n >= 2")
@@ -352,7 +343,7 @@ def convexity_certificate(
         raise PreconditionError("requires j >= 1")
     if 2 * j > n:
         raise PreconditionError("requires 2j <= n")
-    if fjn_licensed(n, j) and _analytic_convexity(n, j, prec):
+    if fjn_licensed(n, j) and n > _chain_floor() and _analytic_convexity(n, j, prec):
         return ConvexityCertificate(holds=True, kind=CertificateKind.ANALYTIC)
     return ConvexityCertificate(holds=f_jn(n, j) >= 0, kind=CertificateKind.EXACT)
 
@@ -418,34 +409,25 @@ def _krank_forms(lp: int, prec: int):
 
 def _krank_ratio(t: SimpleNamespace, d: int, u, prec: int) -> Enclosure:
     # 1 - the ratio tail at centre 1 and radius 4.04/ell
-    fl, fh = _ends(_ratio_tail(t, d, u, (_ONE, _ONE), KRANK_RATIO_RADIUS_1, prec))
-    return Enclosure(*_sub_ends(_ONE, _ONE, fl, fh, prec), prec)
+    f = _ratio_tail(t, d, u, _ONE, KRANK_RATIO_RADIUS_1, prec)
+    return _wrap(_sub_ends(_ONE, f, prec), prec)
 
 
 def _krank_diff(t: SimpleNamespace, d: int, u, prec: int) -> Enclosure:
     # the difference tail at centres 1 + delta_c/sqrt ell, 2 + 2 delta_c/sqrt ell
     ra, rb = KRANK_DIFF_RADIUS_A, KRANK_DIFF_RADIUS_B
-    return Enclosure(*_difference_tail(d, u, *_delta_centres(t, prec), ra, rb, prec), prec)
+    return _wrap(_difference_tail(d, u, *_delta_centres(t, prec), ra, rb, prec), prec)
 
 
 def nonkary_diff_check(n: int, k: int) -> bool:
-    """Is nu_k(n) - nu_k(n-k) positive?  Computed exactly.
-
-    Also cross-checks the collapse nu_k(n) - nu_k(n-k) = f(k,n) before
-    answering; a mismatch would mean the exact engine is inconsistent.
-    """
+    """Is nu_k(n) - nu_k(n-k) positive?  Computed exactly."""
     if n < 2:
         raise PreconditionError("requires n >= 2")
     if k < 1:
         raise PreconditionError("requires k >= 1")
     if 2 * k > n:
         raise PreconditionError("requires 2k <= n")
-    diff = nu_k(n, k) - nu_k(n - k, k)
-    if diff != f_jn(n, k):
-        raise AssertionError(
-            f"nu_{k}({n}) - nu_{k}({n - k}) disagrees with the second difference"
-        )
-    return diff > 0
+    return nu_k(n, k) - nu_k(n - k, k) > 0
 
 
 def injection_inequality(n: int, j: int, ell: int) -> bool:

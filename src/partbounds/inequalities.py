@@ -20,10 +20,12 @@ Sampling conventions:
   so the reported quantity is c - N * error.
 
 `bessel-tail-sum`, a thousand Bessel terms per point, runs in raw libmp: each
-term makes the libmp calls, with the roundings and endpoint-order checks, of
-its Enclosure expression, through the enclosure module's _*_ends helpers that
-Enclosure itself uses, so its endpoints are that expression's bit for bit
-(`tests/test_inequalities.py::TestBesselTailKernel` compares the two).
+term makes the libmp calls, with the roundings, of its Enclosure expression,
+through the enclosure module's _*_ends helpers that Enclosure itself uses, so
+its endpoints are that expression's bit for bit
+(`tests/test_inequalities.py::TestBesselTailKernel` compares the two).  Each
+helper checks the order of the pair it returns, once, as Enclosure
+arithmetic does; the kernel checks none itself.
 """
 
 from __future__ import annotations
@@ -41,14 +43,14 @@ from .enclosure import (
     Enclosure,
     _add_ends,
     _div_ends,
-    _ends,
     _exp_ends,
     _mul_ends,
+    _ratio_ends,
     _sqrt_ends,
+    _wrap,
     constants,
     exp_enclosure,
     fraction_from_raw,
-    ratio_pair,
     sqrt_enclosure,
 )
 from .errors import PreconditionError
@@ -335,28 +337,24 @@ def _margin_bessel_tail(point: Point, prec: int) -> Enclosure:
     # Sums I_3/2(y) = [e^y (1 - 1/y) + e^-y (1 + 1/y)] / sqrt(2 pi y) at
     # y = x/k in raw libmp.  Each step makes the libmp calls, on the same
     # operands and with the same roundings, that this expression in
-    # Enclosure arithmetic makes, and checks the order of every endpoint
-    # pair that was an Enclosure; 1 +- 1/y = (a +- b k)/a for x = a/b.
+    # Enclosure arithmetic makes, and its helpers check the order of every
+    # endpoint pair that was an Enclosure; 1 +- 1/y = (a +- b k)/a, x = a/b.
     (x,) = point
     c = constants(prec)
     a, b = x.numerator, x.denominator
-    two_pi = 2 * c.pi
-    pl, ph = two_pi.lo, two_pi.hi
-    one = libmp.fone
-    sl = sh = libmp.fzero
+    two_pi = (2 * c.pi).ends
+    one = (libmp.fone,) * 2
+    s = (libmp.fzero,) * 2
     for k in range(2, TAIL_TERMS + 1):
         bk = b * k
-        yl, yh = _ends(ratio_pair(a, bk, prec))
-        el, eh = _ends(_exp_ends(yl, yh, prec))
-        ml, mh = _ends(_mul_ends(el, eh, *_ends(ratio_pair(a - bk, a, prec)), prec))
-        rl, rh = _ends(_div_ends(one, one, el, eh, prec))
-        ql, qh = _ends(_mul_ends(rl, rh, *_ends(ratio_pair(a + bk, a, prec)), prec))
-        nl, nh = _ends(_add_ends(ml, mh, ql, qh, prec))
-        wl, wh = _ends(_sqrt_ends(*_ends(_mul_ends(pl, ph, yl, yh, prec)), prec))
-        tl, th = _ends(_div_ends(nl, nh, wl, wh, prec))
-        sl, sh = _ends(_add_ends(sl, sh, tl, th, prec))
+        y = _ratio_ends(a, bk, prec)
+        e = _exp_ends(y, prec)
+        m = _mul_ends(e, _ratio_ends(a - bk, a, prec), prec)
+        q = _mul_ends(_div_ends(one, e, prec), _ratio_ends(a + bk, a, prec), prec)
+        w = _sqrt_ends(_mul_ends(two_pi, y, prec), prec)
+        s = _add_ends(s, _div_ends(_add_ends(m, q, prec), w, prec), prec)
     rhs = 4 * (x / c.pi).sqrt() * exp_enclosure(x / 2, prec)
-    return rhs - Enclosure(sl, sh, prec)
+    return rhs - _wrap(s, prec)
 
 
 def _margin_bessel_simplify(point: Point, prec: int) -> Enclosure:

@@ -26,11 +26,11 @@ import mpmath
 from mpmath import libmp
 from mpmath.ctx_mp import MPContext
 
-from .enclosure import DEFAULT_PRECISION, fraction_from_raw
+from .enclosure import DEFAULT_PRECISION, PRECISION_MEMO_MAXSIZE, fraction_from_raw
 from .errors import PrecisionError, PreconditionError
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
 def mp_context(prec: int) -> MPContext:
     """A cached mpmath context pinned at the given precision, for
     bessel_I32_quadrature and the tests; the global mpmath.mp is never touched.

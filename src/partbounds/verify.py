@@ -54,8 +54,10 @@ from .exact import (
     default_table,
     dyson_rank_count,
     f_jn,
+    nu_k,
     p_enumerate_oracle,
     p_exact,
+    series_delta_coeffs,
     shifted_index,
 )
 from .inequalities import (
@@ -457,14 +459,15 @@ def _suite_nonkary(sweep: _Sweep) -> Dict[str, Any]:
     default_table().ensure(top)
     identity_top = min(top, 500)
 
-    for n in range(2, identity_top + 1):
-        for k in range(1, sweep.j_cap(n // 2) + 1):
-            error = None
-            try:
-                nonkary_diff_check(n, k)
-            except AssertionError as exc:
-                error = exc
-            sweep.check(error is None, "identity at (n, k) = (%d, %d): %s", n, k, error)
+    # nu_k(n) - nu_k(n-k) = f(k,n), against [q^n] (1 - q^k)^2 / prod (1 - q^m),
+    # a count that never reads the table; one inverse product for every k
+    inverse = series_delta_coeffs(1, 0, identity_top)
+    for k in range(1, sweep.j_cap(identity_top // 2) + 1):
+        count = series_delta_coeffs(k, 2, identity_top, inverse)
+        for n in range(2 * k, identity_top + 1):
+            diff = nu_k(n, k) - nu_k(n - k, k)
+            sweep.check(diff == count[n], "identity at (n, k) = (%d, %d): nu_k difference "
+                        "%d, series count %d", n, k, diff, count[n])
 
     positives = 0
     for n in range(2, top + 1):

@@ -15,8 +15,10 @@ import pytest
 import partbounds
 from partbounds import estimates, exact, rademacher
 from partbounds.cli import main
-from partbounds.enclosure import Enclosure
+from partbounds.enclosure import PRECISION_MEMO_MAXSIZE, Enclosure, constants
+from partbounds.estimates import ratio_interval
 from partbounds.exact import PartitionTable
+from partbounds.special import mp_context
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,26 +54,38 @@ def test_no_stale_imports():
     assert not stale
 
 
+def _package_bindings():
+    # every attribute of every package module, and of every class defined in
+    # one, by identity
+    seen = {}
+    for name, module in list(sys.modules.items()):
+        if name == "partbounds" or name.startswith("partbounds."):
+            for attr, value in vars(module).items():
+                seen[(name, attr)] = value
+                if isinstance(value, type) and value.__module__ == name:
+                    seen.update({(value, a): v for a, v in vars(value).items()})
+    return seen
+
+
 def test_tracer_patches_and_restores_its_names():
-    # install looks each patched function up by name, so a rename fails here
+    # install looks each patched name up by getattr, so a rename fails here
     spec = importlib.util.spec_from_file_location("_partbounds_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    before = dict(vars(Enclosure))
-    modules = {name: dict(vars(module)) for name, module in sys.modules.items()
-               if name.startswith("partbounds")}
+    before = _package_bindings()
     tracer = tracing.Tracer()
     try:
         tracing.install(tracer)
-        patched = {name for name, value in vars(Enclosure).items()
-                   if value is not before.get(name)}
+        during = _package_bindings()
     finally:
         tracer.restore()
-    assert {"__add__", "__mul__", "from_exact", "contains", "containment_margin"} <= patched
-    assert all(vars(Enclosure)[name] is before[name] for name in patched)
-    for name, attrs in modules.items():
-        current = vars(sys.modules[name])
-        assert all(current[attr] is value for attr, value in attrs.items()), name
+    patched = {key for key, value in during.items() if value is not before.get(key)}
+    assert {(Enclosure, name) for name in ("__add__", "__mul__", "from_exact", "contains",
+                                           "containment_margin")} <= patched
+    assert (PartitionTable, "ensure") in patched
+    after = _package_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
 
 
 def test_table_grows_only_through_ensure(monkeypatch, capsys):
@@ -100,10 +114,6 @@ def test_table_grows_only_through_ensure(monkeypatch, capsys):
     assert sum(grown) == len(table) - 1
 
 
-# Keyed by precision alone, so they hold one entry per precision in use.
-PRECISION_KEYED = {"partbounds.enclosure.constants", "partbounds.special.mp_context"}
-
-
 def test_index_keyed_memos_are_bounded():
     memos = {}
     for info in pkgutil.iter_modules(partbounds.__path__, "partbounds."):
@@ -111,7 +121,20 @@ def test_index_keyed_memos_are_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_parameters") and value.__module__ == info.name:
                 memos[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert PRECISION_KEYED <= set(memos)
-    unbounded = [name for name, maxsize in memos.items()
-                 if maxsize is None and name not in PRECISION_KEYED]
+    assert {"partbounds.enclosure.constants", "partbounds.special.mp_context"} <= set(memos)
+    unbounded = [name for name, maxsize in memos.items() if maxsize is None]
     assert not unbounded
+
+
+@pytest.mark.parametrize(
+    "memo, query",
+    [(constants, lambda prec: ratio_interval(20, 1, prec)), (mp_context, mp_context)],
+    ids=["constants", "mp_context"],
+)
+def test_precision_memo_size_is_bounded(memo, query):
+    # more distinct precisions than the bound, as a library caller may use
+    assert memo.cache_info().maxsize == PRECISION_MEMO_MAXSIZE
+    for prec in range(16, 16 + PRECISION_MEMO_MAXSIZE + 10):
+        query(prec)
+        assert memo.cache_info().currsize <= PRECISION_MEMO_MAXSIZE
+    assert memo.cache_info().currsize == PRECISION_MEMO_MAXSIZE

@@ -295,13 +295,13 @@ def test_kernel_endpoints_match_general_form(a, b, k, prec):
             x / y
     assert _endpoints(x - y) == _negated_sum(x, y, prec)
     # the raw helpers, against the directed libmp calls they stand for
-    assert _neg_ends(x.lo, x.hi) == (libmp.mpf_neg(x.hi), libmp.mpf_neg(x.lo))
-    assert _add_ends(x.lo, x.hi, y.lo, y.hi, prec) == (
+    assert _neg_ends(x.ends) == (libmp.mpf_neg(x.hi), libmp.mpf_neg(x.lo))
+    assert _add_ends(x.ends, y.ends, prec) == (
         libmp.mpf_add(x.lo, y.lo, prec, "f"), libmp.mpf_add(x.hi, y.hi, prec, "c"))
-    assert _sub_ends(x.lo, x.hi, y.lo, y.hi, prec) == (
+    assert _sub_ends(x.ends, y.ends, prec) == (
         libmp.mpf_sub(x.lo, y.hi, prec, "f"), libmp.mpf_sub(x.hi, y.lo, prec, "c"))
     for r in (libmp.fzero, libmp.mpf_abs(y.hi)):
-        assert _widen_ends(x.lo, x.hi, r, prec) == (
+        assert _widen_ends(x.ends, r, prec) == (
             libmp.mpf_sub(x.lo, r, prec, "f"), libmp.mpf_add(x.hi, r, prec, "c"))
     kk = _directed_int(k, prec)
     assert _endpoints(k - x) == _negated_sum(kk, x, prec)
@@ -640,3 +640,6 @@ def test_raw_kernels_round_only_through_the_helpers(module):
     assert not imported & {"_DOWN", "_UP", "mpf_add", "mpf_sub", "mpf_neg"}
     named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not named & {"mpf_add", "mpf_sub", "mpf_neg"}
+    # nor check an order: each helper checks the pair it returns, once
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not (imported | named | names) & {"ordered", "_ends"}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partbounds import enclosure
+from partbounds import enclosure, estimates
 from partbounds.enclosure import MEMO_MAXSIZE, ORDER_ERROR, Enclosure, constants
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
@@ -18,6 +18,7 @@ from partbounds.estimates import (
     RATIO_RADIUS_2,
     CertificateKind,
     _analytic_convexity,
+    _chain_floor,
     _krank_diff,
     _krank_forms,
     _krank_ratio,
@@ -166,6 +167,23 @@ class TestConvexity:
         # far beyond any table: succeeds without exact fallback
         cert = convexity_certificate(10**10, 1)
         assert cert.holds and cert.kind is CertificateKind.ANALYTIC
+
+    @pytest.mark.parametrize("prec", [16, 53, 128, 300])
+    def test_chain_fails_at_and_below_its_floor(self, prec):
+        floor = _chain_floor()
+        assert 169_900_000 < floor < 170_000_000
+        for n in (floor - 1, floor):
+            for j in (1, fjn_j_top(n)):
+                assert not _analytic_convexity(n, j, prec), (n, j)
+
+    def test_chain_is_not_run_below_its_floor(self, monkeypatch):
+        def chain(n, j, prec):
+            raise AssertionError("the chain ran below its floor")
+
+        monkeypatch.setattr(estimates, "_analytic_convexity", chain)
+        for n in (17, 1000, 9973):
+            cert = convexity_certificate(n, fjn_j_top(n))
+            assert cert.holds and cert.kind is CertificateKind.EXACT
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):

@@ -415,6 +415,19 @@ class TestNonkarySuite:
             fjn_j_top(n) for n in range(17, 101)
         )
 
+    def test_identity_catches_a_wrong_table_entry(self):
+        # nu_k and f(k, n) read the same table, so the identity is decided
+        # against the generating-function count, which does not
+        values = default_table()._values
+        values[37] += 1
+        try:
+            report = run_suite("nonkary", n_max=60)
+        finally:
+            values[37] -= 1
+        assert not report.passed
+        assert "identity at (n, k) = (37, 1)" in report.failures[0]
+        assert run_suite("nonkary", n_max=60).passed
+
 
 class TestInequalitySuite:
     def test_case_filter_and_rows(self):
