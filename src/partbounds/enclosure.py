@@ -128,7 +128,8 @@ def ordered(lo, hi) -> bool:
 
 
 def _checked(lo, hi):
-    # the one endpoint-order check: each _*_ends helper returns through it
+    # the one endpoint-order check: each _*_ends helper and Enclosure() return
+    # through it
     if not ordered(lo, hi):
         raise ValueError(ORDER_ERROR)
     return lo, hi
@@ -303,10 +304,7 @@ class Enclosure:
 
     def __init__(self, lo, hi, prec=DEFAULT_PRECISION):
         # lo/hi are raw libmp tuples; use the class methods for exact input.
-        if not ordered(lo, hi):
-            raise ValueError(ORDER_ERROR)
-        self.lo = lo
-        self.hi = hi
+        self.lo, self.hi = _checked(lo, hi)
         self.prec = prec
 
     # -- construction -------------------------------------------------
@@ -328,11 +326,6 @@ class Enclosure:
         return cls(lo, hi, prec)
 
     # -- views -----------------------------------------------------------
-
-    @property
-    def ends(self):
-        """(lo, hi), the raw pair the _*_ends helpers take."""
-        return self.lo, self.hi
 
     @property
     def lo_fraction(self) -> Fraction:

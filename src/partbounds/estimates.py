@@ -181,8 +181,9 @@ def shifted_terms(n: int, prec: int) -> SimpleNamespace:
     d = 24 * n - 1  # N = d/24
     ne = _ratio_ends(d, 24, prec)
     s = _sqrt_ends(ne, prec)
-    s3, s6 = c.sqrt3.ends, c.sqrt6.ends
-    q = _div_ends(s3, _mul_ends(_mul_ends(c.pi.ends, c.sqrt2.ends, prec), s, prec), prec)
+    s3, s6 = (c.sqrt3.lo, c.sqrt3.hi), (c.sqrt6.lo, c.sqrt6.hi)
+    q = _mul_ends((c.pi.lo, c.pi.hi), (c.sqrt2.lo, c.sqrt2.hi), prec)
+    q = _div_ends(s3, _mul_ends(q, s, prec), prec)
     x = _add_ends(q, _ONE, prec)
     return SimpleNamespace(
         N=shifted_index(n),
@@ -190,10 +191,10 @@ def shifted_terms(n: int, prec: int) -> SimpleNamespace:
         sqrt6_sqrtN=_wrap(_mul_ends(s6, s, prec), prec),
         sqrt6_N_sqrtN=_wrap(_mul_ends(_mul_ends(s6, ne, prec), s, prec), prec),
         sqrt3_over_sqrt_two_pi=_wrap(
-            _div_ends(s3, _mul_ends(c.sqrt_two_pi.ends, s, prec), prec), prec
+            _div_ends(s3, _mul_ends((c.sqrt_two_pi.lo, c.sqrt_two_pi.hi), s, prec), prec), prec
         ),
         sqrt3_over_pi_sqrt2=_wrap(q, prec),
-        delta_c_over_sqrtN=_wrap(_div_ends(c.delta_c.ends, s, prec), prec),
+        delta_c_over_sqrtN=_wrap(_div_ends((c.delta_c.lo, c.delta_c.hi), s, prec), prec),
         bracket=_wrap(_widen_ends(x, _radius_hi(RATIO_RADIUS_2, d, prec), prec), prec),
     )
 
@@ -202,16 +203,18 @@ def _pi_j_ends(t: SimpleNamespace, j: int, prec: int):
     # the ends of j, of pi j and of e^{-pi j/sqrt(6N)}, the libmp calls of
     # (-(pi * j / sqrt6_sqrtN)).exp() in Enclosure arithmetic
     jj = _ratio_ends(j, 1, prec)
-    pj = _mul_ends(constants(prec).pi.ends, jj, prec)
-    return jj, pj, _exp_ends(_neg_ends(_div_ends(pj, t.sqrt6_sqrtN.ends, prec)), prec)
+    pi, s = constants(prec).pi, t.sqrt6_sqrtN
+    pj = _mul_ends((pi.lo, pi.hi), jj, prec)
+    return jj, pj, _exp_ends(_neg_ends(_div_ends(pj, (s.lo, s.hi), prec)), prec)
 
 
 def _ratio_tail(t: SimpleNamespace, d: int, e, c, radius, prec: int):
     # the ends of e (c - sqrt3/(sqrt(2 pi) sqrt N) +- radius/N) bracket,
     # N = d/24, for the ends e and centre c
-    c = _sub_ends(c, t.sqrt3_over_sqrt_two_pi.ends, prec)
+    g, b = t.sqrt3_over_sqrt_two_pi, t.bracket
+    c = _sub_ends(c, (g.lo, g.hi), prec)
     c = _widen_ends(c, _radius_hi(radius, d, prec), prec)
-    return _mul_ends(_mul_ends(e, c, prec), t.bracket.ends, prec)
+    return _mul_ends(_mul_ends(e, c, prec), (b.lo, b.hi), prec)
 
 
 def _difference_tail(d: int, e, x, y, radius_a, radius_b, prec: int):
@@ -245,14 +248,15 @@ def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
     d = 24 * n - 1  # N = d/24
     jj, pj, e = _pi_j_ends(t, j, prec)
     # the centre 1 + j/N - pi j j / (4 sqrt6 N sqrt N)
-    q = _div_ends(_mul_ends(pj, jj, prec), _mul_ends(t.sqrt6_N_sqrtN.ends, _FOUR, prec), prec)
+    s = t.sqrt6_N_sqrtN
+    q = _div_ends(_mul_ends(pj, jj, prec), _mul_ends((s.lo, s.hi), _FOUR, prec), prec)
     c = _sub_ends(_ratio_ends(d + 24 * j, d, prec), q, prec)
     return _wrap(_ratio_tail(t, d, e, c, RATIO_RADIUS_1, prec), prec)
 
 
 def _delta_centres(t: SimpleNamespace, prec: int):
     # the ends of 1 + delta_c/sqrt N and 2 + 2 delta_c/sqrt N
-    dc = t.delta_c_over_sqrtN.ends
+    dc = (t.delta_c_over_sqrtN.lo, t.delta_c_over_sqrtN.hi)
     return _add_ends(dc, _ONE, prec), _add_ends(_mul_ends(dc, _TWO, prec), _TWO, prec)
 
 
@@ -279,7 +283,7 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosu
     k = _ratio_ends(48 * j, d, prec)  # 2j/N
     pjj = _mul_ends(pj, jj, prec)  # pi j j
     x, y = _delta_centres(t, prec)
-    s = t.sqrt6_N_sqrtN.ends
+    s = (t.sqrt6_N_sqrtN.lo, t.sqrt6_N_sqrtN.hi)
     # the centres x + 2j/N - pi j j/(sqrt6 N sqrt N)
     x = _sub_ends(_add_ends(x, k, prec), _div_ends(pjj, s, prec), prec)
     # and y + 2j/N - pi j j/(2 sqrt6 N sqrt N)

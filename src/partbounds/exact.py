@@ -162,24 +162,19 @@ def delta_r_j_direct(n: int, j: int, r: int) -> int:
     return sum((-1) ** i * comb(r, i) * p(n - i * j) for i in range(r + 1))
 
 
-def series_delta_coeffs(j: int, r: int, n_max: int, inverse: list | None = None) -> list:
+def series_delta_coeffs(j: int, r: int, n_max: int) -> list:
     """Coefficients of (1-q^j)^r / prod_{k>=1}(1-q^k) up to q^n_max.
 
     The inverse product is built by repeated series division (one part size
     at a time), then the numerator is applied by r successive
-    multiplications with (1-q^j).  No pentagonal identity involved.  A
-    caller applying several numerators passes the inverse product in, as
-    series_delta_coeffs(1, 0, n_max) returns it, and it is not rebuilt.
+    multiplications with (1-q^j).  No pentagonal identity involved.
     """
     if j < 1 or r < 0 or n_max < 0:
         raise PreconditionError("requires j >= 1, r >= 0, n_max >= 0")
-    if inverse is not None:
-        coeffs = inverse[: n_max + 1]
-    else:
-        coeffs = [1] + [0] * n_max
-        for part in range(1, n_max + 1):
-            for m in range(part, n_max + 1):
-                coeffs[m] += coeffs[m - part]
+    coeffs = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        for m in range(part, n_max + 1):
+            coeffs[m] += coeffs[m - part]
     for _ in range(r):
         for m in range(n_max, j - 1, -1):
             coeffs[m] -= coeffs[m - j]

@@ -342,7 +342,8 @@ def _margin_bessel_tail(point: Point, prec: int) -> Enclosure:
     (x,) = point
     c = constants(prec)
     a, b = x.numerator, x.denominator
-    two_pi = (2 * c.pi).ends
+    two_pi = 2 * c.pi
+    two_pi = (two_pi.lo, two_pi.hi)
     one = (libmp.fone,) * 2
     s = (libmp.fzero,) * 2
     for k in range(2, TAIL_TERMS + 1):

@@ -295,13 +295,13 @@ def test_kernel_endpoints_match_general_form(a, b, k, prec):
             x / y
     assert _endpoints(x - y) == _negated_sum(x, y, prec)
     # the raw helpers, against the directed libmp calls they stand for
-    assert _neg_ends(x.ends) == (libmp.mpf_neg(x.hi), libmp.mpf_neg(x.lo))
-    assert _add_ends(x.ends, y.ends, prec) == (
+    assert _neg_ends((x.lo, x.hi)) == (libmp.mpf_neg(x.hi), libmp.mpf_neg(x.lo))
+    assert _add_ends((x.lo, x.hi), (y.lo, y.hi), prec) == (
         libmp.mpf_add(x.lo, y.lo, prec, "f"), libmp.mpf_add(x.hi, y.hi, prec, "c"))
-    assert _sub_ends(x.ends, y.ends, prec) == (
+    assert _sub_ends((x.lo, x.hi), (y.lo, y.hi), prec) == (
         libmp.mpf_sub(x.lo, y.hi, prec, "f"), libmp.mpf_sub(x.hi, y.lo, prec, "c"))
     for r in (libmp.fzero, libmp.mpf_abs(y.hi)):
-        assert _widen_ends(x.ends, r, prec) == (
+        assert _widen_ends((x.lo, x.hi), r, prec) == (
             libmp.mpf_sub(x.lo, r, prec, "f"), libmp.mpf_add(x.hi, r, prec, "c"))
     kk = _directed_int(k, prec)
     assert _endpoints(k - x) == _negated_sum(kk, x, prec)

@@ -415,17 +415,18 @@ class TestNonkarySuite:
             fjn_j_top(n) for n in range(17, 101)
         )
 
-    def test_identity_catches_a_wrong_table_entry(self):
+    def test_identity_catches_a_wrong_table_entry(self, monkeypatch):
         # nu_k and f(k, n) read the same table, so the identity is decided
-        # against the generating-function count, which does not
-        values = default_table()._values
-        values[37] += 1
-        try:
-            report = run_suite("nonkary", n_max=60)
-        finally:
-            values[37] -= 1
+        # against the generating-function count, which does not; a private
+        # table keeps the wrong entry out of every other test
+        table = PartitionTable()
+        table.ensure(60)
+        monkeypatch.setattr(exact, "_default_table", table)
+        table._values[37] += 1
+        report = run_suite("nonkary", n_max=60)
         assert not report.passed
         assert "identity at (n, k) = (37, 1)" in report.failures[0]
+        table._values[37] -= 1
         assert run_suite("nonkary", n_max=60).passed
 
 
