@@ -166,20 +166,19 @@ def _cmd_nonkary(args: argparse.Namespace) -> _Handled:
     value = nu_k(n, k)
     results: Dict[str, Any] = {"n": n, "k": k, "nu": str(value)}
     passed = True
-    licensed = fjn_licensed(n, k)
     if n >= 2 and 2 * k <= n:
         positive = nonkary_diff_check(n, k)
-        results["difference"] = str(f_jn(n, k))
+        difference = f_jn(n, k)
+        results["difference"] = str(difference)
         results["difference_positive"] = positive
-        if licensed:
-            passed = positive
-    if licensed:
-        estimate = fjn_ratio_interval(n, k, prec)
-        exact = Fraction(f_jn(n, k), p_exact(n))
-        results["ratio_exact"] = fraction_str(exact)
-        margin = estimate.containment_margin(exact)
-        results["ratio_interval"] = _interval_block(estimate, margin)
-        passed = passed and results["ratio_interval"]["contained"]
+        # the license (n >= 14, 16k^2 < n) lies inside 2k <= n
+        if fjn_licensed(n, k):
+            estimate = fjn_ratio_interval(n, k, prec)
+            exact = Fraction(difference, p_exact(n))
+            results["ratio_exact"] = fraction_str(exact)
+            margin = estimate.containment_margin(exact)
+            results["ratio_interval"] = _interval_block(estimate, margin)
+            passed = positive and results["ratio_interval"]["contained"]
     return {"n": n, "k": k, "precision": prec}, results, passed, []
 
 

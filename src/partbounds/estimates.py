@@ -292,6 +292,12 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosu
     return _wrap(_difference_tail(d, e, x, y, FJN_RADIUS_A, FJN_RADIUS_B, prec), prec)
 
 
+def _j_bracket(t: SimpleNamespace, big_j: int, prec: int) -> Enclosure:
+    # J/N - pi J^2/(4 sqrt6 N^(3/2)), the j-part of the first ratio bracket,
+    # for the convexity chain and the registry's collapse margins
+    return Fraction(big_j) / t.N - constants(prec).pi * big_j**2 / (4 * t.sqrt6_N_sqrtN)
+
+
 def _analytic_convexity(n: int, j: int, prec: int) -> bool:
     # sufficient chain: with X = e^{-2a} - 2e^{-a}, a = pi j/sqrt(6N),
     #   (i)   -1 < X < 0,
@@ -301,12 +307,7 @@ def _analytic_convexity(n: int, j: int, prec: int) -> bool:
     # whole interval, else the chain is inconclusive
     c = constants(prec)
     t = shifted_terms(n, prec)
-    B = (
-        t.delta_c_over_sqrtN
-        + Fraction(j) / t.N
-        - c.pi * j * j / (4 * t.sqrt6_N_sqrtN)
-        + FJN_RADIUS_B / t.N
-    )
+    B = t.delta_c_over_sqrtN + _j_bracket(t, j, prec) + FJN_RADIUS_B / t.N
     if not (B.strictly_negative() and B.lo_fraction > -1):
         return False
     second = Fraction(j) / t.N - 3 * c.pi * j * j / (4 * t.sqrt6_N_sqrtN)

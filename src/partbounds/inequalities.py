@@ -59,6 +59,7 @@ from .estimates import (
     FJN_RADIUS_B,
     RATIO_RADIUS_1,
     RATIO_RADIUS_2,
+    _j_bracket,
     fjn_j_top,
     shifted_terms,
 )
@@ -281,11 +282,6 @@ def _margin_collapse_131(point: Point, prec: int) -> Enclosure:
     c = constants(prec)
     value = Fraction(3, 10) * c.sqrt3 / c.sqrt_two_pi + Fraction(11, 10)
     return _SQRT_FACTOR_RADIUS - value
-
-
-def _j_bracket(t, big_j: int, prec: int) -> Enclosure:
-    # J/N - pi J^2/(4 sqrt6 N^(3/2)), the j-part of the first ratio bracket
-    return Fraction(big_j) / t.N - constants(prec).pi * big_j**2 / (4 * t.sqrt6_N_sqrtN)
 
 
 def _margin_collapse_271(point: Point, prec: int) -> Enclosure:

@@ -55,8 +55,8 @@ def _series_state(n: int, prec: int):
 def _term(wp: int, X, n: int, k: int):
     # A_k(n)/k * I_{3/2}(X/k) for a raw X, as a raw mpf rounded to nearest at wp
     kk = libmp.from_int(k)
-    A = kloosterman_A(k, n, wp)._mpf_
-    bess = bessel_I32_closed(fraction_from_raw(libmp.mpf_div(X, kk, wp, "n")), wp)._mpf_
+    A = kloosterman_A(k, n, wp)
+    bess = bessel_I32_closed(fraction_from_raw(libmp.mpf_div(X, kk, wp, "n")), wp)
     return libmp.mpf_mul(libmp.mpf_div(A, kk, wp, "n"), bess, wp, "n")
 
 

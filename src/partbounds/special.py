@@ -1,6 +1,10 @@
 """Dedekind sums, the Kloosterman-type sums A_k(n), and the I_{3/2} Bessel
 function at configurable precision.
 
+Every value leaves as a raw libmp float (sign, man, exp, bc) rounded to
+nearest at the requested precision, so bc <= prec, never as an mpf of
+mpmath's 53-bit global context; enclosure.fraction_from_raw decodes one.
+
 Dedekind sums are kept as the exact integers 4k^2 s(h,k).  A_k(n) is a
 finite sum of unit complex numbers whose phases are integers over 4k^2 times
 pi; it is evaluated in rectangular form with the phase reduced mod 2 before
@@ -22,30 +26,27 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 from mpmath import libmp
 from mpmath.ctx_mp import MPContext
 
-from .enclosure import DEFAULT_PRECISION, PRECISION_MEMO_MAXSIZE, fraction_from_raw
+from .enclosure import DEFAULT_PRECISION, PRECISION_MEMO_MAXSIZE
 from .errors import PrecisionError, PreconditionError
 
 
 @lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
 def mp_context(prec: int) -> MPContext:
     """A cached mpmath context pinned at the given precision, for
-    bessel_I32_quadrature and the tests; the global mpmath.mp is never touched.
-    """
+    bessel_I32_quadrature and the tests; the global context is never touched,
+    and no mpf of this one leaves the module."""
     ctx = MPContext()
     ctx.prec = prec
     return ctx
 
 
 def to_fraction(x) -> Fraction:
-    """Exact rational value of an int, Fraction or mpf."""
+    """An int or Fraction x as a Fraction; any other type is a TypeError."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    if hasattr(x, "_mpf_"):
-        return fraction_from_raw(x._mpf_)
     raise TypeError(f"cannot take {type(x).__name__} exactly")
 
 
@@ -101,7 +102,7 @@ def _kloosterman_cached(k: int, n_mod_k: int, prec: int):
         raise PrecisionError(
             f"imaginary residue of A_{k}(n) exceeds 2^-{prec // 2}"
         )
-    return libmp.mpf_pos(re, prec, "n"), residue
+    return libmp.mpf_pos(re, prec, "n"), libmp.mpf_pos(residue, prec, "n")
 
 
 def kloosterman_A(k: int, n: int, prec: int = DEFAULT_PRECISION):
@@ -115,14 +116,12 @@ def kloosterman_A(k: int, n: int, prec: int = DEFAULT_PRECISION):
         raise PreconditionError("requires k >= 1")
     if n < 0:
         raise PreconditionError("requires n >= 0")
-    raw, _ = _kloosterman_cached(k, n % k, prec)
-    return mpmath.mp.make_mpf(raw)
+    return _kloosterman_cached(k, n % k, prec)[0]
 
 
 def kloosterman_imag_residue(k: int, n: int, prec: int = DEFAULT_PRECISION):
     """The leftover imaginary magnitude from evaluating A_k(n); test probe."""
-    _, residue = _kloosterman_cached(k, n % k, prec)
-    return mpmath.mp.make_mpf(residue)
+    return _kloosterman_cached(k, n % k, prec)[1]
 
 
 def _bessel_guard_bits(x: Fraction) -> int:
@@ -165,7 +164,7 @@ def bessel_I32_closed(x, prec: int = DEFAULT_PRECISION):
     two_pi_x = libmp.mpf_mul(libmp.mpf_mul_int(libmp.mpf_pi(wp, "n"), 2, wp, "n"), xm, wp, "n")
     val = libmp.mpf_div(libmp.mpf_add(grow, decay, wp, "n"), libmp.mpf_sqrt(two_pi_x, wp, "n"),
                         wp, "n")
-    return mpmath.mp.make_mpf(libmp.mpf_pos(val, prec, "n"))
+    return libmp.mpf_pos(val, prec, "n")
 
 
 # the domain of both Bessel oracles; the series needs about 7100 terms at the top
@@ -210,7 +209,7 @@ def bessel_I32_series(x, prec: int = DEFAULT_PRECISION):
     root = libmp.mpf_sqrt(two_x_over_pi, wp, "n")
     val = libmp.mpf_mul(libmp.mpf_mul(xm, root, wp, "n"), s, wp, "n")
     val = libmp.mpf_div(val, libmp.from_int(3), wp, "n")
-    return mpmath.mp.make_mpf(libmp.mpf_pos(val, prec, "n"))
+    return libmp.mpf_pos(val, prec, "n")
 
 
 # Kept for perfbench's tracer, which patches it by name, and as the third
@@ -236,4 +235,4 @@ def bessel_I32_quadrature(x, prec: int = DEFAULT_PRECISION):
     err = err * ctx.sqrt(xm) * xm / (2 * ctx.sqrt(2 * ctx.pi))
     if not val > 0 or err > abs(val) * ctx.mpf(2) ** (-(prec // 2)):
         raise PrecisionError("quadrature failed to reach the target accuracy")
-    return mpmath.mp.make_mpf(libmp.mpf_pos(val._mpf_, prec, "n"))
+    return libmp.mpf_pos(val._mpf_, prec, "n")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .enclosure import DEFAULT_PRECISION, Enclosure
+from .enclosure import DEFAULT_PRECISION, Enclosure, fraction_from_raw
 from .errors import PreconditionError
 from .estimates import (
     RATIO_RADIUS_1,
@@ -77,7 +77,6 @@ from .special import (
     dedekind_sum,
     kloosterman_A,
     kloosterman_imag_residue,
-    to_fraction,
 )
 
 FAILURE_CAP = 200
@@ -177,8 +176,8 @@ def _suite_oracles(sweep: _Sweep) -> Dict[str, Any]:
     max_residue = Fraction(0)
     for k in range(1, 51):
         for r in range(k):
-            amp = abs(to_fraction(kloosterman_A(k, r, sweep.prec)))
-            residue = abs(to_fraction(kloosterman_imag_residue(k, r, sweep.prec)))
+            amp = abs(fraction_from_raw(kloosterman_A(k, r, sweep.prec)))
+            residue = fraction_from_raw(kloosterman_imag_residue(k, r, sweep.prec))
             max_residue = max(max_residue, residue)
             count = (200 - r) // k + 1
             sweep.check(
@@ -191,8 +190,8 @@ def _suite_oracles(sweep: _Sweep) -> Dict[str, Any]:
     rel_bound = Fraction(1, 10**15)
     max_rel = Fraction(0)
     for x in BESSEL_GRID:
-        closed = to_fraction(bessel_I32_closed(x, sweep.prec))
-        series = to_fraction(bessel_I32_series(x, sweep.prec))
+        closed = fraction_from_raw(bessel_I32_closed(x, sweep.prec))
+        series = fraction_from_raw(bessel_I32_series(x, sweep.prec))
         rel = abs(closed - series) / abs(closed)
         max_rel = max(max_rel, rel)
         ok = rel <= rel_bound

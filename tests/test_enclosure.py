@@ -2,7 +2,9 @@
 rational arithmetic."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from fractions import Fraction
 
 from functools import lru_cache
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
+import partbounds
 from partbounds import estimates, inequalities
 from partbounds.enclosure import (
     _TRANSCENDENTAL_SLACK,
@@ -643,3 +646,24 @@ def test_raw_kernels_round_only_through_the_helpers(module):
     # nor check an order: each helper checks the pair it returns, once
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not (imported | named | names) & {"ordered", "_ends"}
+
+
+_PACKAGE = [partbounds] + [importlib.import_module(f"partbounds.{m.name}")
+                           for m in pkgutil.iter_modules(partbounds.__path__)]
+
+
+@pytest.mark.parametrize("module", _PACKAGE, ids=lambda m: m.__name__)
+def test_no_module_reaches_the_global_mpmath_context(module):
+    # values cross module lines as raw libmp floats; an mpf of the global
+    # mpmath context would do its arithmetic at 53 bits
+    tree = ast.parse(inspect.getsource(module))
+    imported = {a.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for a in node.names}
+    assert "mpmath" not in imported  # so no module can name mpmath.mp
+    from_mpmath = {a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "mpmath"
+                   for a in node.names}
+    assert "mp" not in from_mpmath
+    named = ({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+             | {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+    assert "make_mpf" not in named

@@ -470,14 +470,24 @@ def _own_fjn(n, j, prec):
 
 
 def _own_convexity_link3(n, j, prec):
+    # delta_c/sqrt N + the J-bracket at J = j + 3926/N, the bracket summed first
     c = constants(prec)
     N, Ne, sqrtN = _preamble(n, prec)
-    return (
-        c.delta_c / sqrtN
-        + Fraction(j) / N
-        - c.pi * j * j / (4 * c.sqrt6 * Ne * sqrtN)
-        + Fraction(3926) / N
-    )
+    bracket = Fraction(j) / N - c.pi * j**2 / (4 * c.sqrt6 * Ne * sqrtN)
+    return c.delta_c / sqrtN + bracket + Fraction(3926) / N
+
+
+def _assert_link3_keeps_every_endpoint(n, j, prec):
+    # link (iii) is the first the chain decides and below N ~ 1.7e8 the
+    # last; catch the enclosure it is decided on
+    seen = []
+    decide = Enclosure.strictly_negative
+    Enclosure.strictly_negative = lambda e: seen.append(e) or decide(e)
+    try:
+        assert not _analytic_convexity(n, j, prec)
+    finally:
+        Enclosure.strictly_negative = decide
+    assert _ends(seen) == _ends([_own_convexity_link3(n, j, prec)])
 
 
 def _own_krank(lp, prec):
@@ -552,16 +562,7 @@ def test_shared_terms_keep_every_endpoint(data, n, prec):
     j = data.draw(st.integers(1, fjn_j_top(n)), label="fjn j")
     assert _ends([fjn_ratio_interval(n, j, prec)]) == _ends([_own_fjn(n, j, prec)])
 
-    # link (iii) is the first the chain decides and below N ~ 1.7e8 the
-    # last; catch the enclosure it is decided on
-    seen = []
-    decide = Enclosure.strictly_negative
-    Enclosure.strictly_negative = lambda e: seen.append(e) or decide(e)
-    try:
-        assert not _analytic_convexity(n, j, prec)
-    finally:
-        Enclosure.strictly_negative = decide
-    assert _ends(seen) == _ends([_own_convexity_link3(n, j, prec)])
+    _assert_link3_keeps_every_endpoint(n, j, prec)
 
     margins = [
         margin((n, j), prec)
@@ -574,6 +575,12 @@ def test_shared_terms_keep_every_endpoint(data, n, prec):
         [krank_ratio_interval(1, lp + 2, 2 * lp + 3, prec),
          krank_diff_interval(1, lp + 2, 2 * lp + 3, prec)]
     ) == _ends(_own_krank(lp, prec))
+
+
+def test_link3_sums_the_j_bracket_first():
+    # a point where summing the J-bracket before delta_c/sqrt N, as link (iii)
+    # does, moves an endpoint
+    _assert_link3_keeps_every_endpoint(4897, 1, 53)
 
 
 # ratio_interval and fjn_ratio_interval as Enclosure expressions, the form

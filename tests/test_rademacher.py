@@ -18,7 +18,7 @@ from partbounds.rademacher import (
     proposition21_interval,
     rademacher_round,
 )
-from partbounds.special import bessel_I32_closed, mp_context, to_fraction
+from partbounds.special import bessel_I32_closed, mp_context
 
 
 def _recorded_round(monkeypatch, n):
@@ -216,6 +216,6 @@ class TestTailDomination:
             X = ctx.pi * ctx.sqrt(ctx.mpf(2) * (24 * n - 1) / 72)
             total = ctx.zero
             for k in range(2, 1001):
-                total += ctx.convert(bessel_I32_closed(to_fraction(X / k), wp))
+                total += ctx.make_mpf(bessel_I32_closed(fraction_from_raw((X / k)._mpf_), wp))
             bound = 4 * ctx.sqrt(X / ctx.pi) * ctx.exp(X / 2)
             assert total <= bound, n

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 from partbounds import rademacher, special
+from partbounds.enclosure import fraction_from_raw
 from partbounds.errors import PrecisionError, PreconditionError
 from partbounds.special import (
     bessel_I32_closed,
@@ -110,11 +111,11 @@ class TestDedekindSum:
 class TestKloosterman:
     def test_k1_is_one(self):
         for n in (0, 1, 17, 200):
-            assert kloosterman_A(1, n) == 1
+            assert fraction_from_raw(kloosterman_A(1, n)) == 1
 
     def test_k2_alternates(self):
         for n in range(11):
-            assert kloosterman_A(2, n) == (-1) ** n
+            assert fraction_from_raw(kloosterman_A(2, n)) == (-1) ** n
 
     def test_k3_at_zero(self):
         val = kloosterman_A(3, 0, prec=128)
@@ -125,13 +126,13 @@ class TestKloosterman:
     def test_magnitude_bound(self):
         for k in range(1, 51, 7):
             for n in range(0, 201, 37):
-                assert abs(to_fraction(kloosterman_A(k, n))) <= k
+                assert abs(fraction_from_raw(kloosterman_A(k, n))) <= k
 
     def test_imag_residue_small(self):
         for k in (3, 12, 25, 49, 50):
             for n in (0, 7, 123, 200):
                 res = kloosterman_imag_residue(k, n, prec=128)
-                assert to_fraction(res) < TOL64
+                assert fraction_from_raw(res) < TOL64
 
     def test_period_in_n(self):
         for k in (5, 9):
@@ -191,9 +192,9 @@ class TestBessel:
 
     def test_three_forms_agree(self):
         for x in sorted(set(_grid_points()) | set(BESSEL_GRID)):
-            c = to_fraction(bessel_I32_closed(x, prec=128))
-            s = to_fraction(bessel_I32_series(x, prec=128))
-            q = to_fraction(bessel_I32_quadrature(x, prec=128))
+            c = fraction_from_raw(bessel_I32_closed(x, prec=128))
+            s = fraction_from_raw(bessel_I32_series(x, prec=128))
+            q = fraction_from_raw(bessel_I32_quadrature(x, prec=128))
             assert abs(s - c) / c < TOL64, x
             assert abs(q - c) / c < TOL64, x
             assert abs(q - s) / s < TOL64, x
@@ -224,7 +225,7 @@ class TestBessel:
                 assert abs(lhs / expected - 1) < 1e-10
 
     def test_positive_and_increasing(self):
-        vals = [to_fraction(bessel_I32_closed(x, prec=128)) for x in _grid_points()]
+        vals = [fraction_from_raw(bessel_I32_closed(x, prec=128)) for x in _grid_points()]
         assert all(v > 0 for v in vals)
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
@@ -267,7 +268,7 @@ def test_raw_closed_keeps_every_round_bit(monkeypatch):
         rademacher.rademacher_round(n)
     assert len(seen) > 4000
     for x, prec in seen:
-        assert bessel_I32_closed(x, prec)._mpf_ == _context_closed(x, prec), (x, prec)
+        assert bessel_I32_closed(x, prec) == _context_closed(x, prec), (x, prec)
 
 
 @settings(max_examples=150, deadline=None)
@@ -284,7 +285,41 @@ def test_raw_closed_keeps_every_round_bit(monkeypatch):
 def test_raw_closed_keeps_every_bit(x, prec):
     # rademacher's arguments are dyadic and convert exactly under any
     # rounding; only non-dyadic ones show how x is converted
-    assert bessel_I32_closed(x, prec)._mpf_ == _context_closed(x, prec)
+    assert bessel_I32_closed(x, prec) == _context_closed(x, prec)
+
+
+@pytest.mark.parametrize("prec", [53, 128, 300])
+def test_values_leave_as_raw_floats_at_prec(prec):
+    # each of the five returns the 4-tuple it computed, rounded to nearest at
+    # prec bits, not an mpf of mpmath's 53-bit global context
+    x = Fraction(1, 3)
+    values = [
+        kloosterman_A(3, 0, prec),
+        kloosterman_imag_residue(12, 5, prec),
+        bessel_I32_closed(x, prec),
+        bessel_I32_series(x, prec),
+        bessel_I32_quadrature(x, prec),
+    ]
+    for raw in values:
+        assert type(raw) is tuple and len(raw) == 4
+        _, man, _, bc = raw
+        assert bc <= prec and man.bit_length() == bc
+    a, residue, closed, series, quadrature = values
+    # against the references of the tests above
+    assert closed == _context_closed(x, prec)
+    assert fraction_from_raw(residue) < Fraction(1, 2 ** (prec // 2))
+    with mpmath.workprec(prec + 64):
+        assert abs(mpmath.mpf(a) - 2 * mpmath.cos(mpmath.pi / 18)) < mpmath.mpf(2) ** (4 - prec)
+        ref = mpmath.besseli(mpmath.mpf(3) / 2, mpmath.mpf(1) / 3)
+        assert abs(mpmath.mpf(series) / ref - 1) < mpmath.mpf(2) ** (2 - prec)
+        assert abs(mpmath.mpf(quadrature) / ref - 1) < mpmath.mpf(2) ** -(prec // 2)
+
+
+def test_to_fraction_takes_only_exact_values():
+    assert to_fraction(3) == 3 and to_fraction(Fraction(1, 3)) == Fraction(1, 3)
+    for value in (mpmath.mpf(1), libmp.fone, 0.5):
+        with pytest.raises(TypeError):
+            to_fraction(value)
 
 
 def test_series_memos_are_bounded():
