@@ -96,6 +96,12 @@ BESSEL_GRID = (
     Fraction(1000),
 )
 
+# Selberg's form of A_k(n) in floats agrees with kloosterman_A to 5.3e-15 for
+# every k <= 50; each of its at most 2k = 100 float cosines and the scale
+# sqrt(k/3) <= 4.1 are rounded to within a few units in 2^-53, so 10^-12
+# leaves room and still fails any value off by a wrong residue class
+SELBERG_TOLERANCE = 1e-12
+
 # relative half-width of the two-factor ratio enclosure is budgeted by the
 # two stated radii over N; the recorded constant divides by their mass
 RATIO_RADIUS_MASS = RATIO_RADIUS_1 + RATIO_RADIUS_2
@@ -145,6 +151,20 @@ class _Sweep:
             self.failures.append(f"... plus {self.overflow} more failures")
 
 
+def _selberg_values(k: int) -> List[float]:
+    """A_k(r) for r = 0..k-1 by Selberg's formula (Johansson 2012, sec. 2),
+        A_k(n) = sqrt(k/3) sum (-1)^l cos((6l + 1) pi / 6k)
+    over 0 <= l < 2k with (3l^2 + l)/2 = -n mod k, in floats: one pass over l
+    adds each term to the sum of its residue class.  No Dedekind sum enters,
+    so it is independent of kloosterman_A."""
+    sums = [0.0] * k
+    for l in range(2 * k):
+        term = math.cos((6 * l + 1) * math.pi / (6 * k))
+        sums[-(3 * l * l + l) // 2 % k] += -term if l & 1 else term
+    scale = math.sqrt(k / 3)
+    return [scale * total for total in sums]
+
+
 def _suite_oracles(sweep: _Sweep) -> Dict[str, Any]:
     top = min(sweep.n_max, ENUMERATION_BOUND)
     for n in range(top + 1):
@@ -171,20 +191,27 @@ def _suite_oracles(sweep: _Sweep) -> Dict[str, Any]:
             sweep.check(lhs == rhs, "reciprocity fails at (h, k) = (%d, %d)", h, k)
 
     # A_k(n) depends on n only through r = n mod k, so each (k, r) is
-    # decided once and counts the (200 - r) // k + 1 values n <= 200 it stands for
+    # decided once and counts the (200 - r) // k + 1 values n <= 200 it stands
+    # for; its value must also match Selberg's form
     residue_bound = Fraction(1, 2**64)
     max_residue = Fraction(0)
+    max_deviation = 0.0
     for k in range(1, 51):
+        selberg = _selberg_values(k)
         for r in range(k):
-            amp = abs(fraction_from_raw(kloosterman_A(k, r, sweep.prec)))
+            value = fraction_from_raw(kloosterman_A(k, r, sweep.prec))
             residue = fraction_from_raw(kloosterman_imag_residue(k, r, sweep.prec))
+            deviation = abs(float(value) - selberg[r])
             max_residue = max(max_residue, residue)
+            max_deviation = max(max_deviation, deviation)
             count = (200 - r) // k + 1
             sweep.check(
-                amp <= k and residue < residue_bound,
-                "A_%d(n) for n = %d mod %d: |A| = %.3f (cap %d), residue = %.3e at %d bits "
-                "(%d values of n <= 200, first %d)",
-                k, r, k, amp, k, residue, sweep.prec, count, r, count=count,
+                abs(value) <= k and residue < residue_bound
+                and deviation <= SELBERG_TOLERANCE,
+                "A_%d(n) for n = %d mod %d: |A| = %.3f (cap %d), residue = %.3e, "
+                "Selberg form off by %.3e at %d bits (%d values of n <= 200, first %d)",
+                k, r, k, abs(value), k, residue, deviation, sweep.prec, count, r,
+                count=count,
             )
 
     rel_bound = Fraction(1, 10**15)
@@ -206,6 +233,7 @@ def _suite_oracles(sweep: _Sweep) -> Dict[str, Any]:
         "enumeration_top": top,
         "reciprocity_pairs": pairs,
         "max_kloosterman_residue": float(max_residue),
+        "max_selberg_deviation": max_deviation,
         "max_bessel_rel_error": float(max_rel),
     }
 

@@ -30,7 +30,7 @@ import pytest
 
 from partbounds.estimates import fjn_j_top, ratio_j_top
 from partbounds.reports import SuiteReport
-from partbounds.verify import BESSEL_GRID, run_suite
+from partbounds.verify import BESSEL_GRID, SELBERG_TOLERANCE, run_suite
 
 GOLDEN = Path(__file__).resolve().parents[1] / "docs" / "golden"
 
@@ -222,9 +222,11 @@ def test_criterion_12_special_function_oracles():
     info = _default("oracles").info
     _criterion(12, "reciprocity, root-of-unity sums, Bessel agreement", "oracles",
                f"max residue {info['max_kloosterman_residue']:.2e}, "
+               f"max Selberg deviation {info['max_selberg_deviation']:.2e}, "
                f"max Bessel rel error {info['max_bessel_rel_error']:.2e}, ",
                bound=5.0, pairs=info["reciprocity_pairs"] == RECIPROCITY_PAIRS,
                residue=info["max_kloosterman_residue"] < 2.0**-64,
+               selberg=info["max_selberg_deviation"] <= SELBERG_TOLERANCE,
                bessel=info["max_bessel_rel_error"] <= 1e-15)
 
 

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from mpmath import libmp
 
-from partbounds import estimates, exact, inequalities, verify
-from partbounds.enclosure import DEFAULT_PRECISION, Enclosure
+from partbounds import estimates, exact, inequalities, special, verify
+from partbounds.enclosure import DEFAULT_PRECISION, Enclosure, fraction_from_raw
 from partbounds.errors import PreconditionError
 from partbounds.estimates import fjn_j_top, ratio_j_top
 from partbounds.exact import PartitionTable, default_table, p_exact
@@ -317,6 +317,7 @@ class TestOracleSuite:
         assert report.info["enumeration_top"] == 10
         assert report.info["reciprocity_pairs"] == 774
         assert report.info["max_kloosterman_residue"] < 2.0**-64
+        assert 0 < report.info["max_selberg_deviation"] <= verify.SELBERG_TOLERANCE
         assert report.info["max_bessel_rel_error"] <= 1e-15
 
     def test_kloosterman_failure_names_residue_class(self, monkeypatch):
@@ -337,6 +338,29 @@ class TestOracleSuite:
         assert message.startswith("A_7(n) for n = 3 mod 7: |A| = ")
         assert "(cap 7)" in message and f" at {DEFAULT_PRECISION} bits " in message
         assert message.endswith("(29 values of n <= 200, first 3)")
+
+    def test_selberg_form_catches_a_value_of_the_wrong_residue_class(self, monkeypatch):
+        # A_7(r + 1) in place of A_7(r) keeps |A| <= 7 and the residue small,
+        # so only the Selberg form can tell; cos is even, so a flipped phase
+        # sign would change nothing
+        real = special._kloosterman_cached
+        shifted = [fraction_from_raw(real(7, (r + 1) % 7, DEFAULT_PRECISION)[0])
+                   for r in range(7)]
+        moved = [r for r in range(7)
+                 if shifted[r] != fraction_from_raw(real(7, r, DEFAULT_PRECISION)[0])]
+        assert moved == [0, 1, 2, 4, 5, 6]  # A_7(3) = A_7(4) = 0
+
+        def wrong_class(k, n_mod_k, prec):
+            return real(k, (n_mod_k + 1) % k, prec) if k == 7 else real(k, n_mod_k, prec)
+
+        monkeypatch.setattr(special, "_kloosterman_cached", wrong_class)
+        report = run_suite("oracles", n_max=10)
+        assert report.cases == 11 + 774 + 50 * 201 + 10
+        assert [message.split(":")[0] for message in report.failures] == [
+            f"A_7(n) for n = {r} mod 7" for r in moved
+        ]
+        assert all("(cap 7)" in message and ", Selberg form off by " in message
+                   for message in report.failures)
 
 
 class TestRademacherSuite:
