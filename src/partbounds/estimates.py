@@ -55,7 +55,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
+from operator import contains, eq
 from types import SimpleNamespace
 
 from mpmath import libmp
@@ -435,15 +437,21 @@ def nonkary_diff_check(n: int, k: int) -> bool:
     return nu_k(n, k) - nu_k(n - k, k) > 0
 
 
+def _differences(j: int, ms) -> list:
+    """D_j[m] = p(m) - p(m - j) for each m in ms, with p(m < 0) = 0: the one
+    source of both sides of the injection inequality."""
+    return [p_exact(m) - p_exact(m - j) for m in ms]
+
+
 def injection_inequality(n: int, j: int, ell: int) -> bool:
-    """Exact check of p(n-ell) - p(n-ell-j) <= p(n) - p(n-j).
+    """Exact check of p(n-ell) - p(n-ell-j) <= p(n) - p(n-j), i.e. of
+    D_j[n - ell] <= D_j[n].
 
     Arguments below zero follow the p(m < 0) = 0 convention; no inputs are
     rejected.  The inequality is witnessed by the map on partitions checked
     separately by injection_map_check.
     """
-    lhs = p_exact(n - ell) - p_exact(n - ell - j)
-    rhs = p_exact(n) - p_exact(n - j)
+    lhs, rhs = _differences(j, (n - ell, n))
     return lhs <= rhs
 
 
@@ -461,21 +469,32 @@ def injection_map_check(n: int, j: int, ell: int) -> MapCheck:
         raise PreconditionError("requires j >= 1")
     if ell < 0 or ell >= n:
         raise PreconditionError("requires 0 <= ell < n")
-    domain = [
-        parts for parts in enumerate_partitions(n - ell) if j not in parts
-    ]
-    images = []
-    for parts in domain:
-        if ell == 0:
-            images.append(parts)
-        else:
-            images.append((parts[0] + ell,) + parts[1:] if parts else (ell,))
-    assert all(sum(img) == n for img in images)
-    assert all(
-        all(a >= b for a, b in zip(img, img[1:])) for img in images
-    )
+    return _shift_map(_checked_partitions(n - ell), j, ell)
+
+
+def _checked_partitions(m: int) -> list:
+    """The partitions of m >= 1, listed once and each checked, once, to sum
+    to m in non-increasing order; a caller may map the list several times."""
+    partitions = list(enumerate_partitions(m))
+    assert set(map(sum, partitions)) == {m}
+    assert all(map(eq, map(list, partitions), map(_descending, partitions)))
+    return partitions
+
+
+_descending = partial(sorted, reverse=True)
+
+
+def _shift_map(partitions: list, j: int, ell: int) -> MapCheck:
+    """The shift map on the checked partitions of n - ell >= 1.  Adding
+    ell >= 0 to the largest part keeps each image non-increasing and makes
+    it sum to n, so the images need no check of their own."""
+    domain = [parts for parts in partitions if j not in parts]
+    if ell == 0:
+        images = domain
+    else:
+        images = [(parts[0] + ell,) + parts[1:] for parts in domain]
     return MapCheck(
         domain_size=len(domain),
         injective=len(set(images)) == len(domain),
-        preserves_avoidance=all(j not in img for img in images),
+        preserves_avoidance=not any(map(contains, images, repeat(j))),
     )

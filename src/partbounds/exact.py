@@ -127,15 +127,24 @@ def p_enumerate_oracle(n: int) -> int:
     """Count partitions of n by bounded-largest-part recursion.
 
     Splits on whether the largest allowed part is used, so the count never
-    touches the pentagonal identity.  Kept small: the memo table is
-    quadratic in n.
+    touches the pentagonal identity or the table.  Kept small: one memo,
+    shared by every call, holds at most (ENUMERATION_BOUND + 1)^2 counts.
     """
     if n < 0:
         raise PreconditionError("requires n >= 0")
     if n > ENUMERATION_BOUND:
         raise PreconditionError(f"enumeration oracle requires n <= {ENUMERATION_BOUND}")
-    # no partition of n has a part n + 1 to skip
-    return _count_avoiding(n, n + 1)
+    return _count_bounded(n, n)
+
+
+@lru_cache(maxsize=(ENUMERATION_BOUND + 1) ** 2)
+def _count_bounded(m: int, largest: int) -> int:
+    # partitions of m with no part above largest <= m, split on whether one
+    # part equals largest; every key keeps largest <= m <= ENUMERATION_BOUND
+    if largest == 0:
+        return 1 if m == 0 else 0
+    rest = m - largest
+    return _count_bounded(m, largest - 1) + _count_bounded(rest, min(largest, rest))
 
 
 def f_jn(n: int, j: int) -> int:

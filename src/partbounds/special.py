@@ -6,10 +6,15 @@ nearest at the requested precision, so bc <= prec, never as an mpf of
 mpmath's 53-bit global context; enclosure.fraction_from_raw decodes one.
 
 Dedekind sums are kept as the exact integers 4k^2 s(h,k).  A_k(n) is a
-finite sum of unit complex numbers whose phases are integers over 4k^2 times
-pi; it is evaluated in rectangular form with the phase reduced mod 2 before
-any rounding, so no cancellation error builds up for large k.  The Bessel
-function has three independent forms:
+finite sum of phi(k) unit complex numbers whose phases are integers over
+4k^2 times pi; it is evaluated in rectangular form with the phase reduced
+mod 2 before any rounding, so no cancellation error builds up for large k.
+The phases come from one table per k (_phases), shared by the k residues
+n mod k.  Each (cos, sin) is memoized once as integers over 2^(prec+16),
+each within 2^-(prec+16) of its value; the phi(k) integers are added
+exactly and the sum is rounded once, to nearest at prec bits, so A_k(n) is
+within phi(k) 2^-(prec+16) + |A_k(n)| 2^-prec <= phi(k) 2^-(prec-1) of its
+value.  The Bessel function has three independent forms:
 
 * bessel_I32_closed, the elementary closed form: the trusted path, read by
   rademacher_round;
@@ -51,9 +56,10 @@ def to_fraction(x) -> Fraction:
 
 
 # Entries kept by each series memo below: one process running the default
-# oracles and rademacher suites left 3852 _cis_pi, 2149 _kloosterman_cached
-# and 774 _dedekind_scaled keys (2234 and 1275 of the first two after
-# oracles alone).
+# oracles and rademacher suites left 3852 _cis_pi, 2149 _kloosterman_cached,
+# 774 _dedekind_scaled and 50 _phases keys (2234 and 1275 of the first two
+# after oracles alone).  A _cis_pi entry is two integers of about prec + 16
+# bits, a _phases entry phi(k) pairs of integers.
 SERIES_MEMO_MAXSIZE = 65536
 
 
@@ -74,39 +80,50 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 
 @lru_cache(maxsize=SERIES_MEMO_MAXSIZE)
+def _phases(k: int) -> tuple:
+    # (4k^2 s(h,k), 8hk) for each 0 <= h < k coprime to k: term h of A_k(n)
+    # has phase pi (4k^2 s(h,k) - 8nhk)/4k^2, shared by every n mod k
+    return tuple((_dedekind_scaled(h, k), 8 * h * k)
+                 for h in range(k) if math.gcd(h, k) == 1)
+
+
+@lru_cache(maxsize=SERIES_MEMO_MAXSIZE)
 def _cis_pi(num: int, den: int, wp: int):
-    # (cos, sin) of pi*num/den as raw mpfs at working precision
+    # (cos, sin) of pi*num/den, 0 <= num/den < 2, as integers over 2^wp, each
+    # within 2^-wp: the argument rounded at wp + 10 bits moves them by under
+    # 2^-(wp+8), the values at wp + 2 bits are off by at most 2^-(wp+2), and
+    # rounding to the nearest integer adds 2^-(wp+1)
     x = libmp.from_rational(num, den, wp + 10, "n")
-    return libmp.mpf_cos_sin_pi(x, wp, "n")
+    return tuple(libmp.to_int(libmp.mpf_shift(v, wp), "n")
+                 for v in libmp.mpf_cos_sin_pi(x, wp + 2, "n"))
 
 
 @lru_cache(maxsize=SERIES_MEMO_MAXSIZE)
 def _kloosterman_cached(k: int, n_mod_k: int, prec: int):
+    # the sum in fixed point at wp = prec + 16 bits is exact over the
+    # phi(k) integer terms, so it is within phi(k) 2^-wp of A_k(n); one
+    # rounding to nearest at prec then adds at most |A| 2^-prec
     wp = prec + 16
     den = 4 * k * k
-    re = libmp.fzero
-    im = libmp.fzero
-    for h in range(k):
-        if math.gcd(h, k) != 1:
-            continue
-        # phase/pi = s(h,k) - 2nh/k = (4k^2 s(h,k) - 8nhk)/4k^2; reduce mod 2
-        # and to lowest terms
-        num = (_dedekind_scaled(h, k) - 8 * n_mod_k * h * k) % (2 * den)
+    re = im = 0
+    for dedekind, step in _phases(k):
+        # phase/pi reduced mod 2 and to lowest terms
+        num = (dedekind - n_mod_k * step) % (2 * den)
         g = math.gcd(num, den)
         c, s = _cis_pi(num // g, den // g, wp)
-        re = libmp.mpf_add(re, c, wp, "n")
-        im = libmp.mpf_add(im, s, wp, "n")
-    residue = libmp.mpf_abs(im)
-    tol = libmp.from_man_exp(1, -(prec // 2))
-    if libmp.mpf_gt(residue, tol):
+        re += c
+        im += s
+    if abs(im) > 1 << (wp - prec // 2):
         raise PrecisionError(
             f"imaginary residue of A_{k}(n) exceeds 2^-{prec // 2}"
         )
-    return libmp.mpf_pos(re, prec, "n"), libmp.mpf_pos(residue, prec, "n")
+    return libmp.from_man_exp(re, -wp, prec, "n"), libmp.from_man_exp(abs(im), -wp, prec, "n")
 
 
 def kloosterman_A(k: int, n: int, prec: int = DEFAULT_PRECISION):
-    """A_k(n) = sum over h coprime to k of e^{pi i s(h,k) - 2 pi i n h / k}.
+    """A_k(n) = sum over h coprime to k of e^{pi i s(h,k) - 2 pi i n h / k},
+    rounded to nearest at prec bits and within phi(k) 2^-(prec-1) of its
+    value (see the module docstring).
 
     The sum is real (terms pair off conjugately under h <-> k-h); the
     imaginary part is accumulated anyway and must be below 2^(-prec/2).

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from partbounds.errors import PreconditionError
 from partbounds.exact import (
     AVOIDING_BOUND,
+    ENUMERATION_BOUND,
     LISTING_BOUND,
     RANK_BOUND,
     TABLE_CEILING,
     PartitionTable,
+    _count_avoiding,
+    _count_bounded,
     _partitions,
     _rank_tally,
     delta_r_j_direct,
@@ -146,6 +149,14 @@ def test_enumeration_oracle_small():
 def test_enumeration_oracle_matches_recurrence():
     for n in range(61):
         assert p_enumerate_oracle(n) == p_exact(n)
+
+
+def test_enumeration_memo_counts_as_the_avoiding_recursion():
+    # with no part n + 1 to avoid, the part-avoiding recursion, which builds
+    # its own memo per call, counts the same partitions as the shared memo
+    for n in range(ENUMERATION_BOUND + 1):
+        assert p_enumerate_oracle(n) == _count_avoiding(n, n + 1), n
+    assert _count_bounded.cache_info().currsize <= (ENUMERATION_BOUND + 1) ** 2
 
 
 def test_enumeration_oracle_bound():

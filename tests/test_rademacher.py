@@ -101,6 +101,22 @@ class TestRound:
         with pytest.raises(StabilizationError):
             rademacher_round(150)
 
+    def test_term_counts_to_2000(self, monkeypatch):
+        # the stop depends on A_k(n) only through the rounded partial sums, so
+        # the fixed-point Kloosterman sums leave every round's depth as it
+        # was: the totals of terms summed for n <= 500, 1000, 1500 and 2000
+        terms = [0] * 2001
+
+        def counted(wp, X, n, k):
+            terms[n] += 1
+            return _term(wp, X, n, k)
+
+        monkeypatch.setattr(rademacher, "_term", counted)
+        for n in range(1, 2001):
+            assert rademacher_round(n) == p_exact(n), n
+        assert [sum(terms[:top + 1]) for top in (500, 1000, 1500, 2000)] == [
+            6253, 15431, 26531, 39119]
+
     def test_higher_precision_agrees(self):
         assert rademacher_round(150, prec=256) == p_exact(150)
 

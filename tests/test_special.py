@@ -17,6 +17,7 @@ from partbounds.special import (
     dedekind_sum,
     kloosterman_A,
     kloosterman_imag_residue,
+    mp_context,
     to_fraction,
 )
 from partbounds.verify import BESSEL_GRID
@@ -39,21 +40,21 @@ def test_integer_dedekind_matches_sawtooth_sum():
 
 
 def _fraction_phase_kloosterman(k, n_mod_k, prec):
-    # A_k(n) as summed with each phase s(h,k) - 2nh/k built as a Fraction
+    # A_k(n) as summed with each phase s(h,k) - 2nh/k built as a Fraction, over
+    # the same fixed-point (cos, sin) integers at prec + 16 bits
     wp = prec + 16
-    re = im = libmp.fzero
+    re = im = 0
     for h in range(k):
         if math.gcd(h, k) != 1:
             continue
         phi = dedekind_sum(h, k) - Fraction(2 * n_mod_k * h, k)
         phi -= 2 * math.floor(phi / 2)
         c, s = special._cis_pi(phi.numerator, phi.denominator, wp)
-        re = libmp.mpf_add(re, c, wp, "n")
-        im = libmp.mpf_add(im, s, wp, "n")
-    residue = libmp.mpf_abs(im)
-    if libmp.mpf_gt(residue, libmp.from_man_exp(1, -(prec // 2))):
+        re += c
+        im += s
+    if abs(im) > 1 << (wp - prec // 2):
         raise PrecisionError(f"imaginary residue of A_{k}(n) too large")
-    return libmp.mpf_pos(re, prec, "n"), residue
+    return libmp.from_man_exp(re, -wp, prec, "n"), libmp.from_man_exp(abs(im), -wp, prec, "n")
 
 
 @pytest.mark.parametrize("prec", [53, 128, 192])
@@ -63,6 +64,30 @@ def test_integer_phases_keep_every_kloosterman_bit(prec):
             assert special._kloosterman_cached(k, n_mod_k, prec) == (
                 _fraction_phase_kloosterman(k, n_mod_k, prec)
             ), (k, n_mod_k)
+
+
+def _selberg_reference(k, ctx):
+    # A_k(r) for every r < k by Selberg's formula in the mpmath context ctx:
+    # sqrt(k/3) sum (-1)^l cos((6l + 1) pi / 6k), 0 <= l < 2k,
+    # (3l^2 + l)/2 = -r mod k
+    sums = [ctx.mpf(0)] * k
+    for l in range(2 * k):
+        r = -(3 * l * l + l) // 2 % k
+        sums[r] += (-1) ** l * ctx.cospi(ctx.mpf(6 * l + 1) / (6 * k))
+    return [ctx.sqrt(ctx.mpf(k) / 3) * total for total in sums]
+
+
+@pytest.mark.parametrize("prec", [53, 128, 192])
+def test_kloosterman_within_its_stated_error(prec):
+    # the fixed-point sum and its one rounding at prec put A_k(n) within
+    # phi(k) 2^-(prec-1) of its value, here Selberg's form at 4 prec bits
+    ctx = mp_context(4 * prec)
+    for k in range(1, 61):
+        phi = sum(1 for h in range(k) if math.gcd(h, k) == 1)
+        bound = phi * ctx.ldexp(1, 1 - prec)
+        for r, ref in enumerate(_selberg_reference(k, ctx)):
+            value = kloosterman_A(k, r, prec)
+            assert abs(ctx.make_mpf(value) - ref) <= bound, (k, r)
 
 
 class TestDedekindSum:
@@ -324,8 +349,9 @@ def test_to_fraction_takes_only_exact_values():
 
 def test_series_memos_are_bounded():
     # the most keys one process used at the default oracles + rademacher
-    # ranges: 3852 (_cis_pi), 2149 (_kloosterman_cached), 774 (_dedekind_scaled)
+    # ranges: 3852 (_cis_pi), 2149 (_kloosterman_cached), 774 (_dedekind_scaled),
+    # 50 (_phases)
     for memo, keys in ((special._cis_pi, 3852), (special._kloosterman_cached, 2149),
-                       (special._dedekind_scaled, 774)):
+                       (special._dedekind_scaled, 774), (special._phases, 50)):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize >= keys

@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+import json
 import math
 import os
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import libmp
@@ -339,6 +342,18 @@ class TestOracleSuite:
         assert "(cap 7)" in message and f" at {DEFAULT_PRECISION} bits " in message
         assert message.endswith("(29 values of n <= 200, first 3)")
 
+    def test_enumeration_catches_a_wrong_table_entry(self, monkeypatch):
+        # the enumeration oracle's memo is shared by every call but never
+        # reads the table, so a wrong entry in a private table shows
+        table = PartitionTable()
+        table.ensure(60)
+        monkeypatch.setattr(exact, "_default_table", table)
+        right = table._values[37]
+        table._values[37] += 1
+        report = run_suite("oracles", n_max=60)
+        assert report.failures == [f"p(37): recurrence {right + 1} != enumeration {right}"]
+        assert report.cases == 61 + 774 + 50 * 201 + 10
+
     def test_selberg_form_catches_a_value_of_the_wrong_residue_class(self, monkeypatch):
         # A_7(r + 1) in place of A_7(r) keeps |A| <= 7 and the residue small,
         # so only the Selberg form can tell; cos is even, so a flipped phase
@@ -416,6 +431,59 @@ class TestConvexitySuite:
         assert report.info["licensed_cases"] == sum(
             fjn_j_top(n) for n in range(14, 41)
         )
+
+    @pytest.mark.parametrize("index, excess, j_max", [(1, 1, None), (30, 10**9, 2)])
+    def test_injection_rows_hide_no_failing_case(self, monkeypatch, index, excess, j_max):
+        # a row of 21 cases is counted at once only when its largest
+        # left-hand side holds; with one entry of a private table too large,
+        # every failing triple must still be named, in loop order: p(1) + 1
+        # fails four cases with ell <= 2, p(30) + 10^9 fails whole rows,
+        # out to ell = 20
+        passing = run_suite("convexity", n_max=60, j_max=j_max)
+        table = PartitionTable()
+        table.ensure(60)
+        monkeypatch.setattr(exact, "_default_table", table)
+        table._values[index] += excess
+        p = p_exact
+        failing = [
+            (n, j, ell)
+            for n in range(61) for j in range(1, (j_max or 20) + 1) for ell in range(21)
+            if (n, j, ell) != verify.INJECTION_COUNTEREXAMPLE
+            and p(n - ell) - p(n - ell - j) > p(n) - p(n - j)
+        ]
+        assert {ell for _, _, ell in failing} == ({1, 2} if excess == 1 else set(range(1, 21)))
+        report = run_suite("convexity", n_max=60, j_max=j_max)
+        assert [f for f in report.failures if f.startswith("injection")] == [
+            "injection inequality fails at (n, j, ell) = (%d, %d, %d)" % triple
+            for triple in failing
+        ]
+        assert report.cases == passing.cases
+
+    def test_grouped_shift_maps_equal_the_public_check(self, monkeypatch):
+        # the suite lists the partitions of each m = n - ell once and maps
+        # that list for every triple of m; each verdict must equal
+        # injection_map_check's, which lists them again for its one triple
+        listed = []
+        seen = {}
+        checked, shift_map = verify._checked_partitions, verify._shift_map
+
+        def listing(m):
+            listed.append(m)
+            return checked(m)
+
+        def mapping(partitions, j, ell):
+            result = shift_map(partitions, j, ell)
+            seen[sum(partitions[0]) + ell, j, ell] = result
+            return result
+
+        monkeypatch.setattr(verify, "_checked_partitions", listing)
+        monkeypatch.setattr(verify, "_shift_map", mapping)
+        report = run_suite("convexity", n_max=150)
+        assert report.passed
+        assert len(seen) == report.info["map_instances"] == 107
+        assert sorted(listed) == sorted(set(listed)) == sorted({n - ell for n, _, ell in seen})
+        for (n, j, ell), result in seen.items():
+            assert result == estimates.injection_map_check(n, j, ell), (n, j, ell)
 
 
 class TestKrankSuite:
@@ -548,3 +616,19 @@ class TestInequalityDispatch:
 
 def test_summaries_match_golden(golden_summaries):
     golden_summaries(lambda name: run_suite(name, n_max=150), "suite-summaries-150.json")
+
+
+def test_golden_counts_are_the_benchmark_counts():
+    # the benchmark rejects a sweep whose suite decides another number of
+    # cases than its own SWEEP_CASES table, read here from the file itself
+    # so that a re-recorded summary cannot move a count it gates
+    root = Path(__file__).resolve().parents[1]
+    child = root / "perfbench" / "child.py"
+    [counts] = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(child.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [target.id for target in node.targets if isinstance(target, ast.Name)] == ["SWEEP_CASES"]
+    ]
+    golden = json.loads((root / "docs" / "golden" / "suite-summaries-150.json").read_text())
+    assert {summary["suite"]: summary["cases"] for summary in golden} == counts[150]
