@@ -472,6 +472,9 @@ def injection_map_check(n: int, j: int, ell: int) -> MapCheck:
     return _shift_map(_checked_partitions(n - ell), j, ell)
 
 
+_descending = partial(sorted, reverse=True)
+
+
 def _checked_partitions(m: int) -> list:
     """The partitions of m >= 1, listed once and each checked, once, to sum
     to m in non-increasing order; a caller may map the list several times."""
@@ -479,9 +482,6 @@ def _checked_partitions(m: int) -> list:
     assert set(map(sum, partitions)) == {m}
     assert all(map(eq, map(list, partitions), map(_descending, partitions)))
     return partitions
-
-
-_descending = partial(sorted, reverse=True)
 
 
 def _shift_map(partitions: list, j: int, ell: int) -> MapCheck:

@@ -11,10 +11,11 @@ finite sum of phi(k) unit complex numbers whose phases are integers over
 mod 2 before any rounding, so no cancellation error builds up for large k.
 The phases come from one table per k (_phases), shared by the k residues
 n mod k.  Each (cos, sin) is memoized once as integers over 2^(prec+16),
-each within 2^-(prec+16) of its value; the phi(k) integers are added
-exactly and the sum is rounded once, to nearest at prec bits, so A_k(n) is
-within phi(k) 2^-(prec+16) + |A_k(n)| 2^-prec <= phi(k) 2^-(prec-1) of its
-value.  The Bessel function has three independent forms:
+each within 2^-(prec+16) of its value, and the phi(k) integers are added
+exactly, so the sum is within phi(k) 2^-(prec+16) of A_k(n).  It is
+rounded once, to nearest at prec bits, which adds at most |A_k(n)| 2^-prec
+(and |A_k(n)| <= phi(k)), so A_k(n) leaves within phi(k) 2^-(prec-1) of
+its value.  The Bessel function has three independent forms:
 
 * bessel_I32_closed, the elementary closed form: the trusted path, read by
   rademacher_round;
@@ -100,9 +101,7 @@ def _cis_pi(num: int, den: int, wp: int):
 
 @lru_cache(maxsize=SERIES_MEMO_MAXSIZE)
 def _kloosterman_cached(k: int, n_mod_k: int, prec: int):
-    # the sum in fixed point at wp = prec + 16 bits is exact over the
-    # phi(k) integer terms, so it is within phi(k) 2^-wp of A_k(n); one
-    # rounding to nearest at prec then adds at most |A| 2^-prec
+    # fixed point at 16 guard bits; the error bound is in the module docstring
     wp = prec + 16
     den = 4 * k * k
     re = im = 0

@@ -203,17 +203,16 @@ def _suite_oracles(sweep: _Sweep) -> Dict[str, Any]:
         for r in range(k):
             value = fraction_from_raw(kloosterman_A(k, r, sweep.prec))
             residue = fraction_from_raw(kloosterman_imag_residue(k, r, sweep.prec))
+            amp = abs(value)
             deviation = abs(float(value) - selberg[r])
             max_residue = max(max_residue, residue)
             max_deviation = max(max_deviation, deviation)
             count = (200 - r) // k + 1
             sweep.check(
-                abs(value) <= k and residue < residue_bound
-                and deviation <= SELBERG_TOLERANCE,
+                amp <= k and residue < residue_bound and deviation <= SELBERG_TOLERANCE,
                 "A_%d(n) for n = %d mod %d: |A| = %.3f (cap %d), residue = %.3e, "
                 "Selberg form off by %.3e at %d bits (%d values of n <= 200, first %d)",
-                k, r, k, abs(value), k, residue, deviation, sweep.prec, count, r,
-                count=count,
+                k, r, k, amp, k, residue, deviation, sweep.prec, count, r, count=count,
             )
 
     rel_bound = Fraction(1, 10**15)
