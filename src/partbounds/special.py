@@ -1,5 +1,5 @@
-"""Dedekind sums, the Kloosterman-type sums A_k(n), and the I_{3/2} Bessel
-function at configurable precision.
+"""The Kloosterman-type sums A_k(n) and the I_{3/2} Bessel function at
+configurable precision.
 
 Every value leaves as a raw libmp float (sign, man, exp, bc) rounded to
 nearest at the requested precision, so bc <= prec, never as an mpf of
@@ -69,15 +69,6 @@ def _dedekind_scaled(h: int, k: int) -> int:
     # 4k^2 s(h,k) for coprime 0 <= h < k: ((r/k)) = (2r - k)/2k, and since
     # hr is never a multiple of k, ((hr/k)) = (2(hr mod k) - k)/2k
     return sum((2 * r - k) * (2 * (h * r % k) - k) for r in range(1, k))
-
-
-def dedekind_sum(h: int, k: int) -> Fraction:
-    """s(h,k) = sum_{r=1}^{k-1} ((r/k)) ((hr/k)), exact."""
-    if k < 1:
-        raise PreconditionError("requires k >= 1")
-    if math.gcd(h, k) != 1:
-        raise PreconditionError("requires gcd(h,k) = 1")
-    return Fraction(_dedekind_scaled(h % k, k), 4 * k * k)
 
 
 @lru_cache(maxsize=SERIES_MEMO_MAXSIZE)

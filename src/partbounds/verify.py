@@ -15,6 +15,11 @@ named suites that read them, and refuses bad input (an unread parameter, a
 negative bound, an n_max past a ceiling, an unknown case) for every named
 suite before the first case of the first one runs.
 
+Every check that an exact value lies in its enclosure is decided in
+_Sweep.contained, by one exact containment margin: its sign is the verdict,
+its least value per check goes to the report, and a failure names it with
+the precision.
+
 Where a checked value depends on its indices only through one key (m = n - j
 for the one-term truncation, ell' = n - k - m for the k-rank estimates,
 n mod k for A_k(n)), each distinct key is decided once and counts, by a
@@ -74,9 +79,9 @@ from .inequalities import (
 from .rademacher import proposition21_interval, rademacher_round
 from .reports import SuiteReport, fraction_str, optional_float
 from .special import (
+    _dedekind_scaled,
     bessel_I32_closed,
     bessel_I32_series,
-    dedekind_sum,
     kloosterman_A,
     kloosterman_imag_residue,
 )
@@ -116,8 +121,9 @@ INJECTION_COUNTEREXAMPLE = (1, 1, 1)
 @dataclass
 class _Sweep:
     """One run of a suite: its ranges and precision, the cases it counted,
-    its failure descriptions up to a cap, and its CSV rows (None unless
-    asked for)."""
+    its failure descriptions up to a cap, the least containment margin of
+    each of its containment checks, and its CSV rows (None unless asked
+    for)."""
 
     n_max: Optional[int] = None
     j_max: Optional[int] = None
@@ -128,6 +134,7 @@ class _Sweep:
     cases: int = 0
     failures: List[str] = field(default_factory=list)
     overflow: int = 0
+    worst: Dict[str, Fraction] = field(default_factory=dict)
 
     def j_cap(self, j_top: int) -> int:
         return j_top if self.j_max is None else min(j_top, self.j_max)
@@ -140,6 +147,18 @@ class _Sweep:
             self.cases += count
         else:
             self.fail(message % args, count)
+
+    def contained(self, key: str, enclosure: Enclosure, exact: Any, message: str,
+                  *args: Any, tail: Tuple = ("",), count: int = 1) -> Fraction:
+        """Decide that the exact value lies in the enclosure, keep the least
+        margin under `key` in `worst`, and count `count` cases; a failure
+        records message % args, the margin and the precision, then the
+        format tail[0] % tail[1:].  Returns the margin."""
+        margin = enclosure.containment_margin(exact)
+        self.worst[key] = min(self.worst.get(key, margin), margin)
+        self.check(margin >= 0, message + ", margin %.3e at %d bits" + tail[0],
+                   *args, margin, self.prec, *tail[1:], count=count)
+        return margin
 
     def fail(self, message: str, count: int = 1) -> None:
         self.cases += count
@@ -180,17 +199,17 @@ def _suite_oracles(sweep: _Sweep) -> Dict[str, Any]:
                  "passed": got == expected}
             )
 
+    # s(h,k) + s(k,h) = -1/4 + (h/k + k/h + 1/hk)/12 times 12h^2k^2, on the
+    # integers 4k^2 s(h,k) that the Kloosterman phases read
     pairs = 0
     for k in range(1, 51):
         for h in range(1, k + 1):
             if math.gcd(h, k) != 1:
                 continue
             pairs += 1
-            lhs = dedekind_sum(h, k) + dedekind_sum(k, h)
-            rhs = Fraction(-1, 4) + (
-                Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)
-            ) / 12
-            sweep.check(lhs == rhs, "reciprocity fails at (h, k) = (%d, %d)", h, k)
+            lhs = 3 * h * h * _dedekind_scaled(h % k, k) + 3 * k * k * _dedekind_scaled(k % h, h)
+            sweep.check(lhs == h * k * (h * h + k * k + 1 - 3 * h * k),
+                        "reciprocity fails at (h, k) = (%d, %d)", h, k)
 
     # A_k(n) depends on n only through r = n mod k, so each (k, r) is
     # decided once and counts the (200 - r) // k + 1 values n <= 200 it stands
@@ -254,16 +273,12 @@ def _suite_rademacher(sweep: _Sweep) -> Dict[str, Any]:
     # the one-term truncation interval depends on (n, j) only through
     # m = n - j, so each m is decided once, at (m, 0), and counts the pairs it
     # stands for: j^2 < m + j, i.e. j <= (1 + isqrt(4m - 3)) // 2, and n <= prop_top
-    worst: Optional[Fraction] = None
     for m in range(2, prop_top + 1):
         pairs = min(sweep.j_cap((1 + math.isqrt(4 * m - 3)) // 2), prop_top - m) + 1
-        margin = proposition21_interval(m, 0, sweep.prec).containment_margin(p_exact(m))
-        worst = margin if worst is None else min(worst, margin)
-        sweep.check(
-            margin >= 0,
-            "p(%d) escapes its one-term truncation interval, margin %.3e at %d bits "
-            "(%d pairs (n, j) with n - j = %d)",
-            m, margin, sweep.prec, pairs, m, count=pairs,
+        margin = sweep.contained(
+            "truncation", proposition21_interval(m, 0, sweep.prec), p_exact(m),
+            "p(%d) escapes its one-term truncation interval", m,
+            tail=(" (%d pairs (n, j) with n - j = %d)", pairs, m), count=pairs,
         )
         if sweep.rows is not None:
             sweep.rows.append(
@@ -274,14 +289,13 @@ def _suite_rademacher(sweep: _Sweep) -> Dict[str, Any]:
     return {
         "rounds_top": rounds_top,
         "truncation_top": prop_top,
-        "worst_truncation_margin": optional_float(worst),
+        "worst_truncation_margin": optional_float(sweep.worst.get("truncation")),
     }
 
 
 def _suite_containment_ratio(sweep: _Sweep) -> Dict[str, Any]:
     top = sweep.n_max
     default_table().ensure(top)
-    worst: Optional[Fraction] = None
     max_c: Optional[Fraction] = None
     max_c_at: Optional[Tuple[int, int]] = None
     mass = 2 * RATIO_RADIUS_MASS
@@ -290,8 +304,8 @@ def _suite_containment_ratio(sweep: _Sweep) -> Dict[str, Any]:
         N = shifted_index(n)
         for j in range(0, sweep.j_cap(ratio_j_top(n)) + 1):
             est = ratio_interval(n, j, sweep.prec)
-            margin = est.containment_margin(Fraction(p_exact(n - j), pn))
-            worst = margin if worst is None else min(worst, margin)
+            margin = sweep.contained("ratio", est, Fraction(p_exact(n - j), pn),
+                                     "ratio(%d, %d): exact value escapes the enclosure", n, j)
             rel = est.relative_width()
             # the relative half-width in units of the radius mass over N,
             # rel * N / (2 * RATIO_RADIUS_MASS) as one Fraction
@@ -301,23 +315,19 @@ def _suite_containment_ratio(sweep: _Sweep) -> Dict[str, Any]:
             )
             if c is not None and (max_c is None or c > max_c):
                 max_c, max_c_at = c, (n, j)
-            sweep.check(
-                margin >= 0,
-                "ratio(%d, %d): exact value escapes the enclosure, margin %.3e at %d bits",
-                n, j, margin, sweep.prec,
-            )
             if sweep.rows is not None:
                 sweep.rows.append(
                     {"n": n, "j": j, "contained": margin >= 0, "margin": float(margin),
                      "width_constant": optional_float(c)}
                 )
+    # one verdict on the cases counted above, so it adds none
     if max_c is not None and max_c > 2:
         sweep.fail(
-            f"relative width constant {float(max_c):.4f} at {max_c_at} exceeds 2"
+            f"relative width constant {float(max_c):.4f} at {max_c_at} exceeds 2", count=0
         )
     return {
         "n_top": top,
-        "worst_margin": optional_float(worst),
+        "worst_margin": optional_float(sweep.worst.get("ratio")),
         "max_width_constant": optional_float(max_c),
         "max_width_constant_at": None if max_c_at is None else str(max_c_at),
     }
@@ -326,27 +336,21 @@ def _suite_containment_ratio(sweep: _Sweep) -> Dict[str, Any]:
 def _suite_containment_fjn(sweep: _Sweep) -> Dict[str, Any]:
     top = sweep.n_max
     default_table().ensure(top)
-    worst: Optional[Fraction] = None
     least: Optional[Enclosure] = None
     for n in range(14, top + 1):
         pn = p_exact(n)
         for j in range(1, sweep.j_cap(fjn_j_top(n)) + 1):
             total = fjn_ratio_interval(n, j, sweep.prec)
-            margin = total.containment_margin(Fraction(f_jn(n, j), pn))
-            worst = margin if worst is None else min(worst, margin)
+            margin = sweep.contained("fjn", total, Fraction(f_jn(n, j), pn),
+                                     "fjn(%d, %d): exact value escapes the enclosure", n, j)
             least = _min_lo(least, total)
-            sweep.check(
-                margin >= 0,
-                "fjn(%d, %d): exact value escapes the enclosure, margin %.3e at %d bits",
-                n, j, margin, sweep.prec,
-            )
             if sweep.rows is not None:
                 sweep.rows.append(
                     {"n": n, "j": j, "contained": margin >= 0, "margin": float(margin)}
                 )
     return {
         "n_top": top,
-        "worst_margin": optional_float(worst),
+        "worst_margin": optional_float(sweep.worst.get("fjn")),
         "min_lower_endpoint": None if least is None else float(least.lo_fraction),
     }
 
@@ -401,7 +405,9 @@ def _suite_convexity(sweep: _Sweep) -> Dict[str, Any]:
                 )
 
     # the maps run grouped by m = n - ell, so each list of partitions is made
-    # and checked once; the verdicts are recorded in the order of the triples
+    # and checked once, and only one list is held at a time (all of them at
+    # once add about 2 MB to the sweep's peak); the verdicts are recorded in
+    # the order of the triples
     triples = [
         (n, j, ell)
         for n in range(6, min(inj_top, 30) + 1, 3)
@@ -409,20 +415,17 @@ def _suite_convexity(sweep: _Sweep) -> Dict[str, Any]:
         for ell in (0, j, j + 2)
         if ell < n
     ]
-    by_m: Dict[int, List[Tuple[int, int, int]]] = {}
-    for n, j, ell in triples:
-        by_m.setdefault(n - ell, []).append((n, j, ell))
     maps = {}
-    for m, group in by_m.items():
+    for m in {n - ell for n, _, ell in triples}:
         partitions = _checked_partitions(m)
-        for n, j, ell in group:
-            maps[n, j, ell] = _shift_map(partitions, j, ell)
-    for n, j, ell in triples:
-        mc = maps[n, j, ell]
+        maps.update(((n, j, ell), _shift_map(partitions, j, ell))
+                    for n, j, ell in triples if n - ell == m)
+    for triple in triples:
+        mc = maps[triple]
         sweep.check(
             mc.injective and mc.preserves_avoidance,
             "shift map at (n, j, ell) = (%d, %d, %d): injective=%s, preserves=%s",
-            n, j, ell, mc.injective, mc.preserves_avoidance,
+            *triple, mc.injective, mc.preserves_avoidance,
         )
 
     return {
@@ -456,8 +459,6 @@ def _suite_krank(sweep: _Sweep) -> Dict[str, Any]:
     # ell' = n - k - m, so each ell' >= 16 is decided once, at the triple
     # (1, ell' + 2, 2 ell' + 3), and counts the triples it stands for: for
     # each k <= 5, every n <= top with m > n/2, i.e. n >= 2(ell' + k) + 1
-    worst_ratio: Optional[Fraction] = None
-    worst_diff: Optional[Fraction] = None
     shifts = range(16, (top + 1) // 2 - 1)
     for lp in shifts:
         triples = sum(max(0, top - 2 * (lp + k)) for k in range(1, 6))
@@ -465,21 +466,15 @@ def _suite_krank(sweep: _Sweep) -> Dict[str, Any]:
         denom = p_exact(lp + 1)
         count = krank_boundary_value(1, m, n)
         diff = count - krank_boundary_value(1, m + 1, n)
-        margin_r = krank_ratio_interval(1, m, n, sweep.prec).containment_margin(
-            Fraction(count, denom)
+        tail = (" (%d triples (k, m, n), first (1, %d, %d))", triples, m, n)
+        margin_r = sweep.contained(
+            "ratio", krank_ratio_interval(1, m, n, sweep.prec), Fraction(count, denom),
+            "rank ratio at ell' = %d not contained", lp, tail=tail, count=triples,
         )
-        margin_d = krank_diff_interval(1, m, n, sweep.prec).containment_margin(
-            Fraction(diff, denom)
+        margin_d = sweep.contained(
+            "difference", krank_diff_interval(1, m, n, sweep.prec), Fraction(diff, denom),
+            "rank difference at ell' = %d not contained", lp, tail=tail, count=triples,
         )
-        worst_ratio = margin_r if worst_ratio is None else min(worst_ratio, margin_r)
-        worst_diff = margin_d if worst_diff is None else min(worst_diff, margin_d)
-        for what, margin in (("ratio", margin_r), ("difference", margin_d)):
-            sweep.check(
-                margin >= 0,
-                "rank %s at ell' = %d not contained, margin %.3e at %d bits "
-                "(%d triples (k, m, n), first (1, %d, %d))",
-                what, lp, margin, sweep.prec, triples, m, n, count=triples,
-            )
         if sweep.rows is not None:
             sweep.rows.append(
                 {"ell_prime": lp, "ratio_contained": margin_r >= 0,
@@ -495,8 +490,8 @@ def _suite_krank(sweep: _Sweep) -> Dict[str, Any]:
     return {
         "n_top": top,
         "distinct_differences": len(shifts),
-        "worst_ratio_margin": optional_float(worst_ratio),
-        "worst_diff_margin": optional_float(worst_diff),
+        "worst_ratio_margin": optional_float(sweep.worst.get("ratio")),
+        "worst_diff_margin": optional_float(sweep.worst.get("difference")),
         "diff_lower_at_floor": float(probe.lo_fraction),
         "diff_positive_at_floor": probe.strictly_positive(),
     }

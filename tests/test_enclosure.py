@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 import partbounds
-from partbounds import estimates, inequalities
+from partbounds import estimates, inequalities, verify
 from partbounds.enclosure import (
     _TRANSCENDENTAL_SLACK,
     NON_FINITE_ERROR,
@@ -646,6 +646,27 @@ def test_raw_kernels_round_only_through_the_helpers(module):
     # nor check an order: each helper checks the pair it returns, once
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not (imported | named | names) & {"ordered", "_ends"}
+
+
+def test_sweeps_decide_containment_only_in_one_verdict():
+    # every exact-in-enclosure check of the sweeps goes through
+    # _Sweep.contained, which keeps its margin for the report and names it
+    # in a failure; no suite reads a margin or a containment of its own
+    tree = ast.parse(inspect.getsource(verify))
+
+    def deciding(node):
+        return [sub for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+                and sub.attr in ("containment_margin", "contains")]
+
+    [sweep] = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "_Sweep"]
+    [contained] = [node for node in sweep.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "contained"]
+    assert [node.attr for node in deciding(contained)] == ["containment_margin"]
+    assert deciding(tree) == deciding(contained)
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert "_margin" not in imported
 
 
 _PACKAGE = [partbounds] + [importlib.import_module(f"partbounds.{m.name}")

@@ -245,6 +245,56 @@ class TestFailureMessages:
             f"ratio(20, 1): exact value escapes the enclosure, margin {margin:.3e} at 128 bits"
         ]
         assert report.cases == passing.cases
+        assert report.info["worst_margin"] == margin
+
+    def test_fjn_escape_names_point_margin_and_precision(self, monkeypatch):
+        passing = run_suite("containment-fjn", n_max=30)
+        real = verify.fjn_ratio_interval
+
+        def escaping(n, j, prec):
+            if (n, j) == (20, 1):
+                return Enclosure.from_exact(2, prec)
+            return real(n, j, prec)
+
+        monkeypatch.setattr(verify, "fjn_ratio_interval", escaping)
+        report = run_suite("containment-fjn", n_max=30)
+        margin = float(Fraction(exact.f_jn(20, 1), p_exact(20)) - 2)
+        assert report.failures == [
+            f"fjn(20, 1): exact value escapes the enclosure, margin {margin:.3e} at 128 bits"
+        ]
+        assert report.cases == passing.cases
+        assert report.info["worst_margin"] == margin
+
+    def test_truncation_escape_names_key_multiplicity_and_precision(self, monkeypatch):
+        passing = run_suite("rademacher", n_max=20)
+        real = verify.proposition21_interval
+
+        def escaping(n, j, prec):
+            if (n, j) == (20, 0):
+                return Enclosure.from_exact(2, prec)
+            return real(n, j, prec)
+
+        monkeypatch.setattr(verify, "proposition21_interval", escaping)
+        report = run_suite("rademacher", n_max=20)
+        # the pairs n <= 30 with j^2 < n that the key m = n - j = 20 stands for
+        pairs = sum(1 for j in range(11) if j * j < 20 + j)
+        margin = float(2 - p_exact(20))
+        assert report.failures == [
+            f"p(20) escapes its one-term truncation interval, margin {margin:.3e} at 128 bits "
+            f"({pairs} pairs (n, j) with n - j = 20)"
+        ]
+        assert report.cases == passing.cases
+        assert report.info["worst_truncation_margin"] == margin
+
+    def test_width_constant_failure_adds_no_case(self, monkeypatch):
+        # the width bound is one verdict on the (n, j) cases already counted
+        passing = run_suite("containment-ratio", n_max=40)
+        monkeypatch.setattr(verify, "RATIO_RADIUS_MASS", Fraction(1, 100))
+        report = run_suite("containment-ratio", n_max=40)
+        [message] = report.failures
+        assert message.startswith("relative width constant ")
+        assert message.endswith(" at (40, 3) exceeds 2")
+        assert report.cases == passing.cases == 82
 
     def test_krank_escape_names_key_multiplicity_and_precision(self, monkeypatch):
         passing = run_suite("krank", n_max=70)
@@ -271,6 +321,8 @@ class TestFailureMessages:
             f"({triples} triples (k, m, n), first (1, 22, 43))"
         ]
         assert report.cases == passing.cases
+        assert report.info["worst_ratio_margin"] == margin
+        assert report.info["worst_diff_margin"] == passing.info["worst_diff_margin"]
 
 
 class TestOneDecision:
