@@ -11,12 +11,12 @@ listed once, at import.  Each table keeps, across growths, one gather per
 sign over the negative indices -g of its offsets g <= m; while the table
 holds p(0..m-1), the value at index -g is p(m - g), so every new entry is
 the sum of one gather less the sum of the other, and a gather is rebuilt
-only when a new offset comes into play.  The slower counting routines
-(bounded-largest-part recursion, part-avoiding recursion, literal
-enumeration) are kept deliberately independent so they can serve as
-oracles for the fast path.  Literal enumeration builds each partition from
-the previous one in place, and Dyson ranks are tallied from one such
-enumeration per n.
+only when a new offset comes into play.  The oracles for that fast path
+never read the table: one counting pass, _part_counts, expands the product
+prod 1/(1 - q^part), one part size at a time, for the enumeration and
+part-avoiding oracles and series_delta_coeffs.  Literal enumeration builds
+each partition from the previous one in place, and Dyson ranks are tallied
+from one such enumeration per n.
 """
 
 from __future__ import annotations
@@ -123,28 +123,29 @@ def p_exact(n: int) -> int:
     return _default_table.p(n)
 
 
-def p_enumerate_oracle(n: int) -> int:
-    """Count partitions of n by bounded-largest-part recursion.
+def _part_counts(n_max: int, skip: int = 0) -> list:
+    # the coefficients of prod 1/(1 - q^part) through q^n_max, over the parts
+    # 1..n_max but skip: one series division per part size
+    counts = [1] + [0] * n_max
+    for part in range(1, n_max + 1):
+        if part != skip:
+            for m in range(part, n_max + 1):
+                counts[m] += counts[m - part]
+    return counts
 
-    Splits on whether the largest allowed part is used, so the count never
-    touches the pentagonal identity or the table.  Kept small: one memo,
-    shared by every call, holds at most (ENUMERATION_BOUND + 1)^2 counts.
-    """
+
+# p(0..ENUMERATION_BOUND), counted once at import in under a millisecond
+_BOUNDED_COUNTS = _part_counts(ENUMERATION_BOUND)
+
+
+def p_enumerate_oracle(n: int) -> int:
+    """Count partitions of n by the counting pass, made once for every
+    n <= ENUMERATION_BOUND; never touches the pentagonal identity or the table."""
     if n < 0:
         raise PreconditionError("requires n >= 0")
     if n > ENUMERATION_BOUND:
         raise PreconditionError(f"enumeration oracle requires n <= {ENUMERATION_BOUND}")
-    return _count_bounded(n, n)
-
-
-@lru_cache(maxsize=(ENUMERATION_BOUND + 1) ** 2)
-def _count_bounded(m: int, largest: int) -> int:
-    # partitions of m with no part above largest <= m, split on whether one
-    # part equals largest; every key keeps largest <= m <= ENUMERATION_BOUND
-    if largest == 0:
-        return 1 if m == 0 else 0
-    rest = m - largest
-    return _count_bounded(m, largest - 1) + _count_bounded(rest, min(largest, rest))
+    return _BOUNDED_COUNTS[n]
 
 
 def f_jn(n: int, j: int) -> int:
@@ -174,16 +175,13 @@ def delta_r_j_direct(n: int, j: int, r: int) -> int:
 def series_delta_coeffs(j: int, r: int, n_max: int) -> list:
     """Coefficients of (1-q^j)^r / prod_{k>=1}(1-q^k) up to q^n_max.
 
-    The inverse product is built by repeated series division (one part size
-    at a time), then the numerator is applied by r successive
-    multiplications with (1-q^j).  No pentagonal identity involved.
+    The inverse product comes from the counting pass, then the numerator is
+    applied by r successive multiplications with (1-q^j).  Neither the
+    pentagonal identity nor the table is involved.
     """
     if j < 1 or r < 0 or n_max < 0:
         raise PreconditionError("requires j >= 1, r >= 0, n_max >= 0")
-    coeffs = [1] + [0] * n_max
-    for part in range(1, n_max + 1):
-        for m in range(part, n_max + 1):
-            coeffs[m] += coeffs[m - part]
+    coeffs = _part_counts(n_max)
     for _ in range(r):
         for m in range(n_max, j - 1, -1):
             coeffs[m] -= coeffs[m - j]
@@ -201,31 +199,14 @@ def nu_k(n: int, k: int) -> int:
 
 
 def nonkary_enumerate_oracle(n: int, k: int) -> int:
-    """Count partitions of n avoiding part k, by direct bounded recursion."""
+    """Count partitions of n avoiding part k by the counting pass over every
+    part but k; reads neither the table nor nu_k, so it never assumes
+    nu_k(n) = p(n) - p(n - k)."""
     if n < 0 or k < 1:
         raise PreconditionError("requires n >= 0 and k >= 1")
     if n > AVOIDING_BOUND:
         raise PreconditionError(f"avoiding-part oracle requires n <= {AVOIDING_BOUND}")
-    return _count_avoiding(n, k)
-
-
-def _count_avoiding(n: int, k: int) -> int:
-    # partitions of n with no part k, split on whether the largest allowed
-    # part is used; the memo lives for one call
-    @lru_cache(maxsize=None)
-    def count(m, largest):
-        if m == 0:
-            return 1
-        if largest == 0:
-            return 0
-        if largest > m:
-            largest = m
-        skip = count(m, largest - 1)
-        if largest == k:
-            return skip
-        return skip + count(m - largest, largest)
-
-    return count(n, n)
+    return _part_counts(n, skip=k)[n]
 
 
 def enumerate_partitions(n: int):

@@ -158,33 +158,23 @@ class ErrorBudget:
     tail_bound: Enclosure
 
 
-def _prop21(n: int, j: int, prec: int):
-    if n < 1:
-        raise PreconditionError("requires n >= 1")
-    if j < 0:
-        raise PreconditionError("requires j >= 0")
-    if n - j < 2:
-        raise PreconditionError("requires n - j >= 2")
-    t = shifted_terms(n - j, prec)
+def proposition21_interval(m: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
+    """Two-sided enclosure of p(m) from the one-term truncation.
+
+        p(m) in e^{pi sqrt(2M/3)} / (4 sqrt(3) M) * [1 - sqrt(3)/(sqrt(2) pi
+        sqrt(M)) +- h(M)],   M = m - 1/24.
+    """
+    if m < 2:
+        raise PreconditionError("requires m >= 2")
+    t = shifted_terms(m, prec)
     c = constants(prec)
     prefactor = (c.pi * (2 * t.Ne / 3).sqrt()).exp() / (4 * c.sqrt3 * t.Ne)
-    correction = t.sqrt3_over_pi_sqrt2
-    tail = h_error(t.N, prec)
-    enclosure = prefactor * (1 - correction).plus_minus(tail)
-    return enclosure, ErrorBudget(main_correction=correction, tail_bound=tail)
+    return prefactor * (1 - t.sqrt3_over_pi_sqrt2).plus_minus(h_error(t.N, prec))
 
 
-def proposition21_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
-    """Two-sided enclosure of p(n-j) from the one-term truncation.
-
-        p(n-j) in e^{pi sqrt(2M/3)} / (4 sqrt(3) M) * [1 - sqrt(3)/(sqrt(2) pi
-        sqrt(M)) +- h(M)],   M = n - j - 1/24.
-
-    Only n - j matters.
-    """
-    return _prop21(n, j, prec)[0]
-
-
-def proposition21_budget(n: int, j: int, prec: int = DEFAULT_PRECISION) -> ErrorBudget:
-    """The width sources behind proposition21_interval for the same (n, j)."""
-    return _prop21(n, j, prec)[1]
+def proposition21_budget(m: int, prec: int = DEFAULT_PRECISION) -> ErrorBudget:
+    """The width sources behind proposition21_interval for the same m."""
+    if m < 2:
+        raise PreconditionError("requires m >= 2")
+    t = shifted_terms(m, prec)
+    return ErrorBudget(main_correction=t.sqrt3_over_pi_sqrt2, tail_bound=h_error(t.N, prec))

@@ -127,7 +127,8 @@ def kloosterman_A(k: int, n: int, prec: int = DEFAULT_PRECISION):
 
 
 def kloosterman_imag_residue(k: int, n: int, prec: int = DEFAULT_PRECISION):
-    """The leftover imaginary magnitude from evaluating A_k(n); test probe."""
+    """The leftover imaginary magnitude from evaluating A_k(n), which is
+    real; the oracles suite gates on it and reports its largest value."""
     return _kloosterman_cached(k, n % k, prec)[1]
 
 

@@ -10,10 +10,10 @@ results are collected in registry order, so parallel and sequential runs
 produce identical reports.
 
 Each row of _SUITES names the parameters its suite reads, the one source
-of their routing: run_suites gives n_max, j_max, seed and case only to the
-named suites that read them, and refuses bad input (an unread parameter, a
+of their routing: run_suites refuses bad input (an unread parameter, a
 negative bound, an n_max past a ceiling, an unknown case) for every named
-suite before the first case of the first one runs.
+suite before the first case of the first one runs, then runs each suite
+through run_suite with only the n_max, j_max, seed and case it reads.
 
 Every check that an exact value lies in its enclosure is decided in
 _Sweep.contained, by one exact containment margin: its sign is the verdict,
@@ -58,6 +58,7 @@ from .estimates import (
 )
 from .exact import (
     ENUMERATION_BOUND,
+    TABLE_CEILING,
     default_table,
     dyson_rank_count,
     f_jn,
@@ -270,13 +271,13 @@ def _suite_rademacher(sweep: _Sweep) -> Dict[str, Any]:
         if sweep.rows is not None:
             sweep.rows.append({"check": "round", "n": n, "passed": got == want})
 
-    # the one-term truncation interval depends on (n, j) only through
-    # m = n - j, so each m is decided once, at (m, 0), and counts the pairs it
+    # the one-term truncation interval of p(n - j) depends on (n, j) only
+    # through m = n - j, so each m is decided once and counts the pairs it
     # stands for: j^2 < m + j, i.e. j <= (1 + isqrt(4m - 3)) // 2, and n <= prop_top
     for m in range(2, prop_top + 1):
         pairs = min(sweep.j_cap((1 + math.isqrt(4 * m - 3)) // 2), prop_top - m) + 1
         margin = sweep.contained(
-            "truncation", proposition21_interval(m, 0, sweep.prec), p_exact(m),
+            "truncation", proposition21_interval(m, sweep.prec), p_exact(m),
             "p(%d) escapes its one-term truncation interval", m,
             tail=(" (%d pairs (n, j) with n - j = %d)", pairs, m), count=pairs,
         )
@@ -595,8 +596,10 @@ def _suite_inequalities(sweep: _Sweep) -> Dict[str, Any]:
 # read).  A ceiling keeps its suite under 300 s on a 2-vCPU VM.  Extrapolated
 # from the cost at the default range (rademacher's rounds then grew about
 # linearly in n; ratio 0.26 ms, fjn 0.34 ms and convexity 0.08 ms a licensed
-# case), one run at each ceiling took 42, 138, 153 and 181 s.  The others fit
-# at the table ceiling: krank took 59 s at n_max 200001, nonkary 33 s at 100000.
+# case), one run at each ceiling took 42, 138, 153 and 181 s.  krank and
+# nonkary fit that budget up to the largest n_max whose table reads stay
+# within TABLE_CEILING: krank reads p up to (n_max + 1) // 2 - 1, and took
+# 59 s at n_max 200001; nonkary reads p up to n_max, and took 33 s at 100000.
 _RANGES = ("n_max", "j_max")
 _SUITES = {
     "oracles": (_suite_oracles, 60, None, ("n_max",)),  # clamps at ENUMERATION_BOUND
@@ -604,31 +607,21 @@ _SUITES = {
     "containment-ratio": (_suite_containment_ratio, 5000, 15_000, _RANGES),
     "containment-fjn": (_suite_containment_fjn, 5000, 20_000, _RANGES),
     "convexity": (_suite_convexity, 10_000, 50_000, _RANGES),
-    "krank": (_suite_krank, 500, None, ("n_max",)),
-    "nonkary": (_suite_nonkary, 10_000, None, _RANGES),
+    "krank": (_suite_krank, 500, 2 * TABLE_CEILING + 2, ("n_max",)),
+    "nonkary": (_suite_nonkary, 10_000, TABLE_CEILING, _RANGES),
     "inequalities": (_suite_inequalities, None, None, ("seed", "case")),
 }
 
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suites(
-    names: Sequence[str],
-    *,
-    n_max: Optional[int] = None,
-    j_max: Optional[int] = None,
-    prec: int = DEFAULT_PRECISION,
-    seed: Optional[int] = None,
-    case: Optional[str] = None,
-    collect_rows: bool = False,
-) -> List[SuiteReport]:
-    """Run the named sweeps in order and return their reports.  n_max None
-    takes each suite's default range, seed None the registry's DEFAULT_SEED."""
+def _refuse_bad_input(names: Sequence[str], given: Dict[str, Any]) -> None:
+    """Raise PreconditionError on any input the named suites refuse."""
     for name in names:
         if name not in _SUITES:
             raise PreconditionError(
                 f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    given = {"n_max": n_max, "j_max": j_max, "seed": seed, "case": case}
+    n_max, j_max, case = given["n_max"], given["j_max"], given["case"]
     read = {param for name in names for param in _SUITES[name][3]}
     if case is not None and "case" not in read:
         raise PreconditionError("--case only applies to the inequalities suite")
@@ -651,24 +644,53 @@ def run_suites(
     if case is not None:
         _lookup(case)
 
-    reports = []
-    for name in names:
-        runner, default_n_max, _, reads = _SUITES[name]
-        # a suite gets only the parameters it reads, and its defaults for the rest
-        routed = {param: given[param] for param in reads if given[param] is not None}
-        sweep = _Sweep(**{"n_max": default_n_max, **routed}, prec=prec,
-                       rows=[] if collect_rows else None)
-        started = time.perf_counter()
-        info = runner(sweep)
-        sweep.close()
-        reports.append(SuiteReport(
-            suite=name, cases=sweep.cases, failures=sweep.failures, info=info,
-            rows=sweep.rows or [], seconds=time.perf_counter() - started,
-        ))
-    return reports
+
+def run_suites(
+    names: Sequence[str],
+    *,
+    n_max: Optional[int] = None,
+    j_max: Optional[int] = None,
+    prec: int = DEFAULT_PRECISION,
+    seed: Optional[int] = None,
+    case: Optional[str] = None,
+    collect_rows: bool = False,
+) -> List[SuiteReport]:
+    """Check the input of every named sweep, then run them in order through
+    run_suite, each with only the parameters it reads, and return their
+    reports."""
+    given = {"n_max": n_max, "j_max": j_max, "seed": seed, "case": case}
+    _refuse_bad_input(names, given)
+    return [
+        run_suite(name, prec=prec, collect_rows=collect_rows,
+                  **{param: given[param] for param in _SUITES[name][3]})
+        for name in names
+    ]
 
 
-def run_suite(name: str, **parameters: Any) -> SuiteReport:
-    """Run one named sweep and return its report; run_suites takes the same
-    keyword arguments and refuses the same input."""
-    return run_suites([name], **parameters)[0]
+def run_suite(
+    name: str,
+    *,
+    n_max: Optional[int] = None,
+    j_max: Optional[int] = None,
+    prec: int = DEFAULT_PRECISION,
+    seed: Optional[int] = None,
+    case: Optional[str] = None,
+    collect_rows: bool = False,
+) -> SuiteReport:
+    """Check the input of one named sweep, run it and return its report.
+    n_max None takes the suite's default range, seed None the registry's
+    DEFAULT_SEED."""
+    given = {"n_max": n_max, "j_max": j_max, "seed": seed, "case": case}
+    _refuse_bad_input([name], given)
+    runner, default_n_max, _, _ = _SUITES[name]
+    # the suite reads every parameter given, and keeps its defaults for the rest
+    routed = {param: value for param, value in given.items() if value is not None}
+    sweep = _Sweep(**{"n_max": default_n_max, **routed}, prec=prec,
+                   rows=[] if collect_rows else None)
+    started = time.perf_counter()
+    info = runner(sweep)
+    sweep.close()
+    return SuiteReport(
+        suite=name, cases=sweep.cases, failures=sweep.failures, info=info,
+        rows=sweep.rows or [], seconds=time.perf_counter() - started,
+    )

@@ -551,10 +551,8 @@ def test_shared_terms_keep_every_endpoint(data, n, prec):
     j = data.draw(st.integers(0, ratio_j_top(n)), label="j")
     assert _ends([ratio_interval(n, j, prec)]) == _ends([_own_ratio(n, j, prec)])
 
-    j = data.draw(st.integers(0, math.isqrt(n - 1)), label="prop21 j")
-    assert _ends([proposition21_interval(n, j, prec)]) == _ends(
-        [_own_prop21(n - j, prec)]
-    )
+    m = data.draw(st.integers(n - math.isqrt(n - 1), n), label="prop21 m")
+    assert _ends([proposition21_interval(m, prec)]) == _ends([_own_prop21(m, prec)])
 
     if n < 17:
         return  # no licensed f(j,n) shift, and too small an ell for k-rank

@@ -15,8 +15,6 @@ from partbounds.exact import (
     RANK_BOUND,
     TABLE_CEILING,
     PartitionTable,
-    _count_avoiding,
-    _count_bounded,
     _partitions,
     _rank_tally,
     delta_r_j_direct,
@@ -151,12 +149,15 @@ def test_enumeration_oracle_matches_recurrence():
         assert p_enumerate_oracle(n) == p_exact(n)
 
 
-def test_enumeration_memo_counts_as_the_avoiding_recursion():
-    # with no part n + 1 to avoid, the part-avoiding recursion, which builds
-    # its own memo per call, counts the same partitions as the shared memo
-    for n in range(ENUMERATION_BOUND + 1):
-        assert p_enumerate_oracle(n) == _count_avoiding(n, n + 1), n
-    assert _count_bounded.cache_info().currsize <= (ENUMERATION_BOUND + 1) ** 2
+def test_oracles_count_as_literal_enumeration():
+    # the counting pass against the partitions themselves, listed one by one
+    for n in range(LISTING_BOUND + 1):
+        listed = list(enumerate_partitions(n))
+        assert p_enumerate_oracle(n) == len(listed), n
+        if n <= 30:
+            for k in range(1, n + 2):
+                avoiding = sum(1 for parts in listed if k not in parts)
+                assert nonkary_enumerate_oracle(n, k) == avoiding, (n, k)
 
 
 def test_enumeration_oracle_bound():

@@ -167,47 +167,38 @@ class TestErrorEnvelope:
 
 class TestLeadingEnclosure:
     def test_contains_small(self):
-        enc = proposition21_interval(14, 0)
+        enc = proposition21_interval(14)
         assert enc.contains(135)
         assert Fraction(5) < enc.lo_fraction < Fraction(6)
         assert Fraction(263) < enc.hi_fraction < Fraction(264)
 
     def test_contains_shifted(self):
-        assert proposition21_interval(100, 10).contains(p_exact(90))
-
-    def test_depends_only_on_difference(self):
-        a = proposition21_interval(100, 10)
-        b = proposition21_interval(90, 0)
-        assert a.lo == b.lo and a.hi == b.hi
+        assert proposition21_interval(90).contains(p_exact(90))
 
     def test_relative_width_narrows(self):
-        enc = proposition21_interval(500, 0)
+        enc = proposition21_interval(500)
         assert enc.contains(p_exact(500))
         rel = enc.relative_width()
         assert Fraction(1, 10**9) < rel < Fraction(12, 10**9)
 
     def test_containment_sweep(self):
-        for n in range(2, 302, 7):
-            for j in (0, 1, 5):
-                if n - j < 2:
-                    continue
-                enc = proposition21_interval(n, j)
-                assert enc.contains(p_exact(n - j)), (n, j)
+        for m in range(2, 302):
+            assert proposition21_interval(m).contains(p_exact(m)), m
 
     def test_budget_components(self):
-        budget = proposition21_budget(500, 0)
+        budget = proposition21_budget(500)
         assert budget.main_correction.strictly_positive()
         assert budget.tail_bound.strictly_positive()
         assert budget.main_correction.hi_fraction < Fraction(1, 50)
         assert budget.tail_bound.hi_fraction < Fraction(1, 10**8)
 
     def test_preconditions(self):
-        with pytest.raises(PreconditionError):
-            proposition21_interval(5, -1)
-        with pytest.raises(PreconditionError):
-            proposition21_interval(5, 4)
-        with pytest.raises(PreconditionError):
-            proposition21_interval(0, 0)
+        for m in (1, 0, -3):
+            with pytest.raises(PreconditionError, match="^requires m >= 2$"):
+                proposition21_interval(m)
+            with pytest.raises(PreconditionError, match="^requires m >= 2$"):
+                proposition21_budget(m)
+        assert proposition21_interval(2).contains(2)
 
 
 class TestAsymptoticRatio:

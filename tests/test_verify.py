@@ -106,6 +106,36 @@ class TestRunSuite:
                                                     "--j-max applies to rademacher, "):
             run_suites(["oracles", "krank"], n_max=20, j_max=1)
 
+    def test_table_ceilings_checked_before_the_first_suite_runs(self, monkeypatch):
+        def decide(*args, **kwargs):
+            raise AssertionError("a case ran before every named suite was checked")
+
+        monkeypatch.setattr(verify._Sweep, "check", decide)
+        monkeypatch.setattr(verify._Sweep, "fail", decide)
+        top = len(default_table())
+        # one past the largest n_max whose table reads stay within the ceiling
+        past = {"nonkary": exact.TABLE_CEILING + 1, "krank": 2 * exact.TABLE_CEILING + 3}
+        for name, n_max in past.items():
+            with pytest.raises(PreconditionError,
+                               match=f"suite {name} requires n_max <= {n_max - 1} "):
+                run_suites(["oracles", name], n_max=n_max)
+        assert len(default_table()) == top
+
+    def test_each_suite_runs_through_run_suite(self, monkeypatch):
+        # the benchmark's tracer times each suite by wrapping run_suite
+        calls = []
+        real = verify.run_suite
+
+        def counting(name, **parameters):
+            calls.append((name, parameters))
+            return real(name, **parameters)
+
+        monkeypatch.setattr(verify, "run_suite", counting)
+        run_suites(["krank", "nonkary"], n_max=20, j_max=0)
+        assert [name for name, _ in calls] == ["krank", "nonkary"]
+        assert "j_max" not in calls[0][1]
+        assert calls[1][1]["j_max"] == 0
+
     def test_parameter_goes_only_to_the_suites_that_read_it(self):
         krank, nonkary = run_suites(["krank", "nonkary"], n_max=20, j_max=0)
         assert krank.cases == run_suite("krank", n_max=20).cases
@@ -163,6 +193,15 @@ class TestTableCeiling:
         with pytest.raises(PreconditionError, match="table ceiling"):
             run_suite(name, n_max=_PAST_TABLE[name](top))
         assert len(default_table()) == top
+
+
+    def test_krank_reads_the_table_up_to_its_ceiling(self, monkeypatch):
+        # at the largest n_max krank accepts, its largest read is the ceiling
+        table = PartitionTable()
+        monkeypatch.setattr(exact, "_default_table", table)
+        monkeypatch.setattr(exact, "TABLE_CEILING", 100)
+        assert run_suite("krank", n_max=2 * 100 + 2).passed
+        assert len(table) == 101
 
 
 _CEILINGS = {
@@ -269,10 +308,10 @@ class TestFailureMessages:
         passing = run_suite("rademacher", n_max=20)
         real = verify.proposition21_interval
 
-        def escaping(n, j, prec):
-            if (n, j) == (20, 0):
+        def escaping(m, prec):
+            if m == 20:
                 return Enclosure.from_exact(2, prec)
-            return real(n, j, prec)
+            return real(m, prec)
 
         monkeypatch.setattr(verify, "proposition21_interval", escaping)
         report = run_suite("rademacher", n_max=20)
