@@ -173,7 +173,9 @@ class TestLeadingEnclosure:
         assert Fraction(263) < enc.hi_fraction < Fraction(264)
 
     def test_contains_shifted(self):
-        assert proposition21_interval(90).contains(p_exact(90))
+        # p(m) only: the values at the neighbouring indices lie outside
+        enc = proposition21_interval(90)
+        assert [enc.contains(p_exact(m)) for m in (89, 90, 91)] == [False, True, False]
 
     def test_relative_width_narrows(self):
         enc = proposition21_interval(500)

@@ -194,7 +194,6 @@ class TestTableCeiling:
             run_suite(name, n_max=_PAST_TABLE[name](top))
         assert len(default_table()) == top
 
-
     def test_krank_reads_the_table_up_to_its_ceiling(self, monkeypatch):
         # at the largest n_max krank accepts, its largest read is the ceiling
         table = PartitionTable()
