@@ -17,6 +17,10 @@ rademacher's one-term truncation and for the registry margins:
   * convexity_certificate f(j,n) >= 0, decided exactly for small n and by an
                           interval-checked inequality chain where licensed.
 
+The injection inequality behind that convexity, and the shift map that
+witnesses it, are exact checks with no enclosure; verify's convexity suite
+owns both.
+
 Every bracket is a center evaluated in interval arithmetic plus an explicit
 rational radius (2.71/N, 1350/N, 2075/N, 3926/N, 4.04/ell, 2079/ell,
 3929/ell).  Containment contracts are exercised by sweeping the exact engine
@@ -55,9 +59,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import repeat
-from operator import contains, eq
+from functools import lru_cache
 from types import SimpleNamespace
 
 from mpmath import libmp
@@ -80,25 +82,15 @@ from .enclosure import (
     ratio_pair,
 )
 from .errors import PreconditionError
-from .exact import (
-    LISTING_BOUND,
-    enumerate_partitions,
-    f_jn,
-    nu_k,
-    p_exact,
-    shifted_index,
-)
+from .exact import f_jn, nu_k, p_exact, shifted_index
 
 __all__ = [
     "CertificateKind",
     "ConvexityCertificate",
-    "MapCheck",
     "convexity_certificate",
     "fjn_j_top",
     "fjn_licensed",
     "fjn_ratio_interval",
-    "injection_inequality",
-    "injection_map_check",
     "krank_boundary_value",
     "krank_diff_interval",
     "krank_ratio_interval",
@@ -141,15 +133,6 @@ class CertificateKind(Enum):
 class ConvexityCertificate:
     holds: bool
     kind: CertificateKind
-
-
-@dataclass(frozen=True)
-class MapCheck:
-    """Outcome of exercising the shift map on enumerated partitions."""
-
-    domain_size: int
-    injective: bool
-    preserves_avoidance: bool
 
 
 # the exact constants 1, 2 and 4 as point pairs
@@ -435,66 +418,3 @@ def nonkary_diff_check(n: int, k: int) -> bool:
     if 2 * k > n:
         raise PreconditionError("requires 2k <= n")
     return nu_k(n, k) - nu_k(n - k, k) > 0
-
-
-def _differences(j: int, ms) -> list:
-    """D_j[m] = p(m) - p(m - j) for each m in ms, with p(m < 0) = 0: the one
-    source of both sides of the injection inequality."""
-    return [p_exact(m) - p_exact(m - j) for m in ms]
-
-
-def injection_inequality(n: int, j: int, ell: int) -> bool:
-    """Exact check of p(n-ell) - p(n-ell-j) <= p(n) - p(n-j), i.e. of
-    D_j[n - ell] <= D_j[n].
-
-    Arguments below zero follow the p(m < 0) = 0 convention; no inputs are
-    rejected.  The inequality is witnessed by the map on partitions checked
-    separately by injection_map_check.
-    """
-    lhs, rhs = _differences(j, (n - ell, n))
-    return lhs <= rhs
-
-
-def injection_map_check(n: int, j: int, ell: int) -> MapCheck:
-    """Exercise the witness map on the enumerated partitions themselves.
-
-    The map sends a partition of n - ell avoiding part j to a partition of n
-    by adding ell to the largest part.  Distinct inputs stay distinct; the
-    image avoids j unless the enlarged first part happens to equal j, which
-    the preserves_avoidance flag reports.
-    """
-    if n < 1 or n > LISTING_BOUND:
-        raise PreconditionError(f"requires 1 <= n <= {LISTING_BOUND}")
-    if j < 1:
-        raise PreconditionError("requires j >= 1")
-    if ell < 0 or ell >= n:
-        raise PreconditionError("requires 0 <= ell < n")
-    return _shift_map(_checked_partitions(n - ell), j, ell)
-
-
-_descending = partial(sorted, reverse=True)
-
-
-def _checked_partitions(m: int) -> list:
-    """The partitions of m >= 1, listed once and each checked, once, to sum
-    to m in non-increasing order; a caller may map the list several times."""
-    partitions = list(enumerate_partitions(m))
-    assert set(map(sum, partitions)) == {m}
-    assert all(map(eq, map(list, partitions), map(_descending, partitions)))
-    return partitions
-
-
-def _shift_map(partitions: list, j: int, ell: int) -> MapCheck:
-    """The shift map on the checked partitions of n - ell >= 1.  Adding
-    ell >= 0 to the largest part keeps each image non-increasing and makes
-    it sum to n, so the images need no check of their own."""
-    domain = [parts for parts in partitions if j not in parts]
-    if ell == 0:
-        images = domain
-    else:
-        images = [(parts[0] + ell,) + parts[1:] for parts in domain]
-    return MapCheck(
-        domain_size=len(domain),
-        injective=len(set(images)) == len(domain),
-        preserves_avoidance=not any(map(contains, images, repeat(j))),
-    )

@@ -53,7 +53,7 @@ from .enclosure import (
     fraction_from_raw,
     sqrt_enclosure,
 )
-from .errors import PreconditionError
+from .errors import PartboundsError, PreconditionError
 from .estimates import (
     FJN_RADIUS_A,
     FJN_RADIUS_B,
@@ -548,6 +548,7 @@ def run_case(
         if worst is None or libmp.mpf_lt(lo, worst):
             worst = lo
             worst_point = point
-    assert worst is not None
+    if worst is None:
+        raise PartboundsError(f"inequality case {name!r}: its sampler yielded no point")
     margin = fraction_from_raw(worst)
     return InequalityResult(case.name, count, margin, worst_point, margin > 0)

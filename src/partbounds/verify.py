@@ -20,6 +20,12 @@ _Sweep.contained, by one exact containment margin: its sign is the verdict,
 its least value per check goes to the report, and a failure names it with
 the precision.
 
+The convexity suite owns the two shift checks behind the paper's convexity
+property: the injection inequality p(n - ell) - p(n - ell - j) <= p(n) -
+p(n - j), decided on difference lists read from the exact table, and the map
+that witnesses it, adding ell to the largest part, run on partition listings
+the suite checks itself.
+
 Where a checked value depends on its indices only through one key (m = n - j
 for the one-term truncation, ell' = n - k - m for the k-rank estimates,
 n mod k for A_k(n)), each distinct key is decided once and counts, by a
@@ -34,6 +40,9 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
+from operator import contains, eq
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .enclosure import DEFAULT_PRECISION, Enclosure, fraction_from_raw
@@ -42,13 +51,9 @@ from .estimates import (
     RATIO_RADIUS_1,
     RATIO_RADIUS_2,
     CertificateKind,
-    _checked_partitions,
-    _differences,
-    _shift_map,
     convexity_certificate,
     fjn_j_top,
     fjn_ratio_interval,
-    injection_inequality,
     krank_boundary_value,
     krank_diff_interval,
     krank_ratio_interval,
@@ -61,6 +66,7 @@ from .exact import (
     TABLE_CEILING,
     default_table,
     dyson_rank_count,
+    enumerate_partitions,
     f_jn,
     nu_k,
     p_enumerate_oracle,
@@ -161,6 +167,11 @@ class _Sweep:
                    *args, margin, self.prec, *tail[1:], count=count)
         return margin
 
+    def row(self, **fields: Any) -> None:
+        """Keep one CSV row, when rows were asked for."""
+        if self.rows is not None:
+            self.rows.append(fields)
+
     def fail(self, message: str, count: int = 1) -> None:
         self.cases += count
         if len(self.failures) < FAILURE_CAP:
@@ -194,11 +205,7 @@ def _suite_oracles(sweep: _Sweep) -> Dict[str, Any]:
         got = p_exact(n)
         sweep.check(got == expected, "p(%d): recurrence %d != enumeration %d",
                     n, got, expected)
-        if sweep.rows is not None:
-            sweep.rows.append(
-                {"check": "partition-enumeration", "n": n, "value": str(got),
-                 "passed": got == expected}
-            )
+        sweep.row(check="partition-enumeration", n=n, value=str(got), passed=got == expected)
 
     # s(h,k) + s(k,h) = -1/4 + (h/k + k/h + 1/hk)/12 times 12h^2k^2, on the
     # integers 4k^2 s(h,k) that the Kloosterman phases read
@@ -244,11 +251,7 @@ def _suite_oracles(sweep: _Sweep) -> Dict[str, Any]:
         max_rel = max(max_rel, rel)
         ok = rel <= rel_bound
         sweep.check(ok, "Bessel closed vs series at x = %s: rel %.3e", x, rel)
-        if sweep.rows is not None:
-            sweep.rows.append(
-                {"check": "bessel-agreement", "x": fraction_str(x),
-                 "rel_error": float(rel), "passed": ok}
-            )
+        sweep.row(check="bessel-agreement", x=fraction_str(x), rel_error=float(rel), passed=ok)
 
     return {
         "enumeration_top": top,
@@ -268,8 +271,7 @@ def _suite_rademacher(sweep: _Sweep) -> Dict[str, Any]:
         got = rademacher_round(n, sweep.prec)
         want = p_exact(n)
         sweep.check(got == want, "round(%d) = %d, off by %d", n, got, got - want)
-        if sweep.rows is not None:
-            sweep.rows.append({"check": "round", "n": n, "passed": got == want})
+        sweep.row(check="round", n=n, passed=got == want)
 
     # the one-term truncation interval of p(n - j) depends on (n, j) only
     # through m = n - j, so each m is decided once and counts the pairs it
@@ -281,11 +283,7 @@ def _suite_rademacher(sweep: _Sweep) -> Dict[str, Any]:
             "p(%d) escapes its one-term truncation interval", m,
             tail=(" (%d pairs (n, j) with n - j = %d)", pairs, m), count=pairs,
         )
-        if sweep.rows is not None:
-            sweep.rows.append(
-                {"check": "one-term-truncation", "m": m,
-                 "contained": margin >= 0, "margin": float(margin)}
-            )
+        sweep.row(check="one-term-truncation", m=m, contained=margin >= 0, margin=float(margin))
 
     return {
         "rounds_top": rounds_top,
@@ -316,11 +314,8 @@ def _suite_containment_ratio(sweep: _Sweep) -> Dict[str, Any]:
             )
             if c is not None and (max_c is None or c > max_c):
                 max_c, max_c_at = c, (n, j)
-            if sweep.rows is not None:
-                sweep.rows.append(
-                    {"n": n, "j": j, "contained": margin >= 0, "margin": float(margin),
-                     "width_constant": optional_float(c)}
-                )
+            sweep.row(n=n, j=j, contained=margin >= 0, margin=float(margin),
+                      width_constant=optional_float(c))
     # one verdict on the cases counted above, so it adds none
     if max_c is not None and max_c > 2:
         sweep.fail(
@@ -345,15 +340,51 @@ def _suite_containment_fjn(sweep: _Sweep) -> Dict[str, Any]:
             margin = sweep.contained("fjn", total, Fraction(f_jn(n, j), pn),
                                      "fjn(%d, %d): exact value escapes the enclosure", n, j)
             least = _min_lo(least, total)
-            if sweep.rows is not None:
-                sweep.rows.append(
-                    {"n": n, "j": j, "contained": margin >= 0, "margin": float(margin)}
-                )
+            sweep.row(n=n, j=j, contained=margin >= 0, margin=float(margin))
     return {
         "n_top": top,
         "worst_margin": optional_float(sweep.worst.get("fjn")),
         "min_lower_endpoint": None if least is None else float(least.lo_fraction),
     }
+
+
+def _differences(j: int, ms) -> list:
+    """D_j[m] = p(m) - p(m - j) for each m in ms, with p(m < 0) = 0: the one
+    source of both sides of the injection inequality, which reads
+    p(n - ell) - p(n - ell - j) <= p(n) - p(n - j), i.e. D_j[n - ell] <= D_j[n]."""
+    return [p_exact(m) - p_exact(m - j) for m in ms]
+
+
+_descending = partial(sorted, reverse=True)
+
+
+def _checked_partitions(sweep: _Sweep, m: int) -> list:
+    """The partitions of m >= 1, listed once and each checked, once, to sum
+    to m in non-increasing order; a caller may map the list several times.
+    A listing that fails is a failure naming m that counts no case: the
+    maps of the list count them."""
+    partitions = list(enumerate_partitions(m))
+    sweep.check(
+        set(map(sum, partitions)) == {m}
+        and all(map(eq, map(list, partitions), map(_descending, partitions))),
+        "partition listing of %d: empty, or a part list that does not sum to %d "
+        "in non-increasing order", m, m, count=0,
+    )
+    return partitions
+
+
+def _shift_map(partitions: list, j: int, ell: int) -> Tuple[bool, bool]:
+    """The shift map on the checked partitions of n - ell >= 1: it sends each
+    partition avoiding part j to a partition of n by adding ell >= 0 to its
+    largest part, which keeps it non-increasing, so the images need no check
+    of their own.  Returns whether the map is injective and whether every
+    image still avoids j."""
+    domain = [parts for parts in partitions if j not in parts]
+    if ell == 0:
+        images = domain
+    else:
+        images = [(parts[0] + ell,) + parts[1:] for parts in domain]
+    return len(set(images)) == len(domain), not any(map(contains, images, repeat(j)))
 
 
 def _suite_convexity(sweep: _Sweep) -> Dict[str, Any]:
@@ -379,14 +410,11 @@ def _suite_convexity(sweep: _Sweep) -> Dict[str, Any]:
             if cert.kind is CertificateKind.ANALYTIC:
                 analytic += 1
             sweep.check(cert.holds, "convexity(%d, %d) does not hold", n, j)
-            if sweep.rows is not None:
-                sweep.rows.append(
-                    {"n": n, "j": j, "kind": cert.kind.value, "holds": cert.holds}
-                )
+            sweep.row(n=n, j=j, kind=cert.kind.value, holds=cert.holds)
 
     fraction_analytic = analytic / licensed if licensed else 0.0
 
-    # injection_inequality(n, j, ell) is D_j[n - ell] <= D_j[n]; each list
+    # the injection inequality at (n, j, ell) is D_j[n - ell] <= D_j[n]; each list
     # starts at m = -20, so d[n + 20 - ell] is D_j[n - ell].  The 21 cases of
     # one (n, j) hold together when the largest left-hand side does;
     # otherwise each is decided on its own
@@ -418,16 +446,20 @@ def _suite_convexity(sweep: _Sweep) -> Dict[str, Any]:
     ]
     maps = {}
     for m in {n - ell for n, _, ell in triples}:
-        partitions = _checked_partitions(m)
+        partitions = _checked_partitions(sweep, m)
         maps.update(((n, j, ell), _shift_map(partitions, j, ell))
                     for n, j, ell in triples if n - ell == m)
     for triple in triples:
-        mc = maps[triple]
+        injective, preserves = maps[triple]
         sweep.check(
-            mc.injective and mc.preserves_avoidance,
+            injective and preserves,
             "shift map at (n, j, ell) = (%d, %d, %d): injective=%s, preserves=%s",
-            *triple, mc.injective, mc.preserves_avoidance,
+            *triple, injective, preserves,
         )
+
+    # the one triple the sweep skips, decided on the exact table all the same
+    n, j, ell = INJECTION_COUNTEREXAMPLE
+    lhs, rhs = _differences(j, (n - ell, n))
 
     return {
         "n_top": top,
@@ -438,7 +470,7 @@ def _suite_convexity(sweep: _Sweep) -> Dict[str, Any]:
         "analytic_target_met": fraction_analytic >= 0.9,
         "injection_top": inj_top,
         "unguarded_origin_triple": str(INJECTION_COUNTEREXAMPLE),
-        "unguarded_origin_holds": injection_inequality(*INJECTION_COUNTEREXAMPLE),
+        "unguarded_origin_holds": lhs <= rhs,
         "map_instances": len(triples),
     }
 
@@ -476,13 +508,8 @@ def _suite_krank(sweep: _Sweep) -> Dict[str, Any]:
             "difference", krank_diff_interval(1, m, n, sweep.prec), Fraction(diff, denom),
             "rank difference at ell' = %d not contained", lp, tail=tail, count=triples,
         )
-        if sweep.rows is not None:
-            sweep.rows.append(
-                {"ell_prime": lp, "ratio_contained": margin_r >= 0,
-                 "ratio_margin": float(margin_r),
-                 "diff_contained": margin_d >= 0,
-                 "diff_margin": float(margin_d)}
-            )
+        sweep.row(ell_prime=lp, ratio_contained=margin_r >= 0, ratio_margin=float(margin_r),
+                  diff_contained=margin_d >= 0, diff_margin=float(margin_d))
 
     # positivity of the difference enclosure's lower endpoint at the stated
     # floor ell' = 10^4; the numbers come out negative there (the radii are
@@ -573,15 +600,13 @@ def _suite_inequalities(sweep: _Sweep) -> Dict[str, Any]:
         point = _point_str(result.worst_point)
         sweep.check(result.passed, "%s: worst margin %.3e at %s",
                     result.name, result.worst_margin, point)
-        sweep.rows.append(
-            {
-                "case": result.name,
-                "points": result.points,
-                "worst_margin": float(result.worst_margin),
-                "worst_margin_exact": fraction_str(result.worst_margin),
-                "worst_point": point,
-                "passed": result.passed,
-            }
+        sweep.row(
+            case=result.name,
+            points=result.points,
+            worst_margin=float(result.worst_margin),
+            worst_margin_exact=fraction_str(result.worst_margin),
+            worst_point=point,
+            passed=result.passed,
         )
     least = min(results, key=lambda result: result.worst_margin)
     return {

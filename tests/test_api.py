@@ -1,7 +1,8 @@
 """Every exported name resolves and every imported name is used, so
-deletions leave no stale exports or imports, every name the benchmark's
-tracer patches still exists, the partition table grows only through the
-method it times, and no module-level memo grows without bound."""
+deletions leave no stale exports or imports, no package function asserts,
+every name the benchmark's tracer patches still exists, the partition table
+grows only through the method it times, and no module-level memo grows
+without bound."""
 
 import ast
 import importlib
@@ -52,6 +53,18 @@ def test_no_stale_imports():
         stale += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used | exported]
     assert not stale
+
+
+def test_no_assert_in_package_functions():
+    # python -O strips assert statements, so a check a function relies on
+    # must record a failure or raise; a module-level invariant may assert
+    found = set()
+    for path in sorted(Path(partbounds.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                          if isinstance(inner, ast.Assert)}
+    assert not found
 
 
 def _package_bindings():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partbounds import enclosure, estimates
+from partbounds import enclosure, estimates, verify
 from partbounds.enclosure import MEMO_MAXSIZE, ORDER_ERROR, Enclosure, constants
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
@@ -25,8 +25,6 @@ from partbounds.estimates import (
     _pi_j_ends,
     convexity_certificate,
     fjn_ratio_interval,
-    injection_inequality,
-    injection_map_check,
     krank_boundary_value,
     krank_diff_interval,
     krank_ratio_interval,
@@ -354,22 +352,35 @@ class TestNonkary:
             nonkary_diff_check(4, 3)
 
 
+def _injection_holds(n, j, ell):
+    # p(n - ell) - p(n - ell - j) <= p(n) - p(n - j), with p(m < 0) = 0
+    return p_exact(n - ell) - p_exact(n - ell - j) <= p_exact(n) - p_exact(n - j)
+
+
+def _shift_map(n, j, ell):
+    # the convexity suite's shift map on its checked listing of n - ell
+    sweep = verify._Sweep()
+    partitions = verify._checked_partitions(sweep, n - ell)
+    assert not sweep.failures
+    return verify._shift_map(partitions, j, ell)
+
+
 class TestInjection:
     def test_unique_counterexample_at_origin(self):
         # p(0) - p(-1) = 1 > 0 = p(1) - p(0): the inequality genuinely
         # fails at n = j = ell = 1; freeze that as a regression fact
-        assert not injection_inequality(1, 1, 1)
+        assert not _injection_holds(1, 1, 1)
 
     def test_zero_shift_is_equality(self):
         # ell = 0 compares the same difference with itself
         for n, j in ((25, 4), (100, 7)):
-            assert injection_inequality(n, j, 0)
+            assert _injection_holds(n, j, 0)
 
     def test_sweep(self):
         for n in range(2, 200):
             for j in (1, 2, 5, 8):
                 for ell in (0, 1, 2, 5, 8):
-                    assert injection_inequality(n, j, ell), (n, j, ell)
+                    assert _injection_holds(n, j, ell), (n, j, ell)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -378,48 +389,30 @@ class TestInjection:
         ell=st.integers(min_value=0, max_value=30),
     )
     def test_property(self, n, j, ell):
-        assert injection_inequality(n, j, ell)
+        assert _injection_holds(n, j, ell)
 
     def test_map_instances(self):
-        mc = injection_map_check(12, 2, 3)
-        assert mc.injective and mc.preserves_avoidance and mc.domain_size > 0
-        for n, j, ell in ((20, 1, 5), (18, 2, 2), (25, 4, 0)):
-            mc = injection_map_check(n, j, ell)
-            assert mc.injective and mc.preserves_avoidance, (n, j, ell)
+        for n, j, ell in ((12, 2, 3), (20, 1, 5), (18, 2, 2), (25, 4, 0)):
+            injective, preserves = _shift_map(n, j, ell)
+            assert injective and preserves, (n, j, ell)
 
     def test_map_can_break_avoidance_when_shift_small(self):
         # a largest part of 3 plus ell = 2 lands on the forbidden part 5
-        mc = injection_map_check(12, 5, 2)
-        assert mc.injective
-        assert not mc.preserves_avoidance
-
-    def test_map_preconditions(self):
-        with pytest.raises(PreconditionError):
-            injection_map_check(50, 2, 3)
-        with pytest.raises(PreconditionError):
-            injection_map_check(12, 2, 12)
-        with pytest.raises(PreconditionError):
-            injection_map_check(12, 0, 3)
+        assert _shift_map(12, 5, 2) == (True, False)
 
 
-def _krank_query(form):
-    # the public query of a k-rank form, keyed as _krank_forms is on n - k - m
-    public = {_krank_ratio: krank_ratio_interval, _krank_diff: krank_diff_interval}[form]
-    return lambda lp, prec: public(1, lp + 2, 2 * lp + 3, prec)
+def _krank_queries(lp, prec):
+    # both public k-rank queries, keyed as _krank_forms is on n - k - m
+    krank_ratio_interval(1, lp + 2, 2 * lp + 3, prec)
+    krank_diff_interval(1, lp + 2, 2 * lp + 3, prec)
 
 
-@pytest.mark.parametrize(
-    "builder, first",
-    [(_krank_ratio, 16), (_krank_diff, 16), (_krank_forms, 16), (shifted_terms, 1)],
-)
-def test_memo_size_is_bounded(builder, first):
+@pytest.mark.parametrize("memo, first", [(_krank_forms, 16), (shifted_terms, 1)])
+def test_memo_size_is_bounded(memo, first):
     # more distinct keys than the bound, at the least precision to stay cheap;
-    # each k-rank form is asked for through its public query, and the one
-    # memo _krank_forms keeps both
-    if builder in (_krank_ratio, _krank_diff):
-        memo, query = _krank_forms, _krank_query(builder)
-    else:
-        memo = query = builder
+    # the one memo _krank_forms keeps both k-rank forms, so each of its keys
+    # is asked for through both public queries
+    query = _krank_queries if memo is _krank_forms else memo
     assert memo.cache_info().maxsize == MEMO_MAXSIZE
     for key in range(first, first + MEMO_MAXSIZE + 10):
         query(key, 16)

@@ -8,7 +8,7 @@ import pytest
 
 from partbounds import enclosure, inequalities
 from partbounds.enclosure import ORDER_ERROR, Enclosure, constants, exp_enclosure
-from partbounds.errors import PreconditionError
+from partbounds.errors import PartboundsError, PreconditionError
 from partbounds.inequalities import (
     CASES,
     CASE_INDEX,
@@ -75,6 +75,12 @@ class TestRegistry:
     def test_unknown_name_rejected(self):
         with pytest.raises(PreconditionError, match="unknown inequality case"):
             run_case("no-such-case")
+
+    def test_case_without_points_is_an_error(self, monkeypatch):
+        # no point, no worst margin: an error of its own, not a stripped assert
+        _shrink(monkeypatch, "reciprocal-125", 0, 0)
+        with pytest.raises(PartboundsError, match="'reciprocal-125': its sampler yielded no point"):
+            run_case("reciprocal-125")
 
 
 class TestWorstMargins:

@@ -549,31 +549,46 @@ class TestConvexitySuite:
         ]
         assert report.cases == passing.cases
 
-    def test_grouped_shift_maps_equal_the_public_check(self, monkeypatch):
+    def test_each_m_is_listed_once(self, monkeypatch):
         # the suite lists the partitions of each m = n - ell once and maps
-        # that list for every triple of m; each verdict must equal
-        # injection_map_check's, which lists them again for its one triple
+        # that list for every triple of m
         listed = []
-        seen = {}
-        checked, shift_map = verify._checked_partitions, verify._shift_map
+        seen = set()
+        enumerate_partitions, shift_map = verify.enumerate_partitions, verify._shift_map
 
         def listing(m):
             listed.append(m)
-            return checked(m)
+            return enumerate_partitions(m)
 
         def mapping(partitions, j, ell):
-            result = shift_map(partitions, j, ell)
-            seen[sum(partitions[0]) + ell, j, ell] = result
-            return result
+            seen.add((sum(partitions[0]) + ell, j, ell))
+            return shift_map(partitions, j, ell)
 
-        monkeypatch.setattr(verify, "_checked_partitions", listing)
+        monkeypatch.setattr(verify, "enumerate_partitions", listing)
         monkeypatch.setattr(verify, "_shift_map", mapping)
         report = run_suite("convexity", n_max=150)
         assert report.passed
         assert len(seen) == report.info["map_instances"] == 107
         assert sorted(listed) == sorted(set(listed)) == sorted({n - ell for n, _, ell in seen})
-        for (n, j, ell), result in seen.items():
-            assert result == estimates.injection_map_check(n, j, ell), (n, j, ell)
+
+    def test_wrong_listing_is_a_named_failure(self, monkeypatch):
+        # a listed partition out of order fails the suite by its m, with no
+        # assert that python -O could strip, and counts no case of its own
+        passing = run_suite("convexity", n_max=40)
+        enumerate_partitions = verify.enumerate_partitions
+
+        def listing(m):
+            partitions = list(enumerate_partitions(m))
+            if m == 9:
+                partitions[1] = partitions[1][::-1]
+            return partitions
+
+        monkeypatch.setattr(verify, "enumerate_partitions", listing)
+        report = run_suite("convexity", n_max=40)
+        assert not report.passed
+        assert ("partition listing of 9: empty, or a part list that does not sum to 9 "
+                "in non-increasing order") in report.failures
+        assert report.cases == passing.cases
 
 
 class TestKrankSuite:
