@@ -401,18 +401,24 @@ class TestInjection:
         assert _shift_map(12, 5, 2) == (True, False)
 
 
-def _krank_queries(lp, prec):
-    # both public k-rank queries, keyed as _krank_forms is on n - k - m
-    krank_ratio_interval(1, lp + 2, 2 * lp + 3, prec)
-    krank_diff_interval(1, lp + 2, 2 * lp + 3, prec)
+def _krank_query(form):
+    # the public query of a k-rank form, keyed as _krank_forms is on n - k - m
+    public = {_krank_ratio: krank_ratio_interval, _krank_diff: krank_diff_interval}[form]
+    return lambda lp, prec: public(1, lp + 2, 2 * lp + 3, prec)
 
 
-@pytest.mark.parametrize("memo, first", [(_krank_forms, 16), (shifted_terms, 1)])
-def test_memo_size_is_bounded(memo, first):
+@pytest.mark.parametrize(
+    "builder, first",
+    [(_krank_ratio, 16), (_krank_diff, 16), (_krank_forms, 16), (shifted_terms, 1)],
+)
+def test_memo_size_is_bounded(builder, first):
     # more distinct keys than the bound, at the least precision to stay cheap;
-    # the one memo _krank_forms keeps both k-rank forms, so each of its keys
-    # is asked for through both public queries
-    query = _krank_queries if memo is _krank_forms else memo
+    # each k-rank form is asked for through its public query, and the one
+    # memo _krank_forms keeps both
+    if builder in (_krank_ratio, _krank_diff):
+        memo, query = _krank_forms, _krank_query(builder)
+    else:
+        memo = query = builder
     assert memo.cache_info().maxsize == MEMO_MAXSIZE
     for key in range(first, first + MEMO_MAXSIZE + 10):
         query(key, 16)
