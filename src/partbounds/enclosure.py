@@ -27,8 +27,9 @@ from mpmath import libmp
 
 DEFAULT_PRECISION = 128
 
-# Entries kept by each precision-keyed memo (constants, special.mp_context): a
-# run uses its working precision and 64 bits for Lehmer's bound or 30 more.
+# Entries kept by each precision-keyed memo (constants, special.mp_context,
+# inequalities._raw_constants): a run uses its working precision and 64 bits
+# for Lehmer's bound or 30 more.
 PRECISION_MEMO_MAXSIZE = 4
 
 # Entries kept by each per-index enclosure memo: the k-rank memo and
@@ -139,6 +140,15 @@ def _checked(lo, hi):
 def _ratio_ends(p: int, q: int, prec: int):
     """Raw endpoints of p/q at prec bits: ratio_pair, order-checked."""
     return _checked(*ratio_pair(p, q, prec))
+
+
+def _int_ends(v: int, prec: int):
+    """Raw endpoints of an int operand at prec bits, as Enclosure arithmetic
+    reads one: exact (from_int) when it fits in prec bits, else ratio_pair's."""
+    if v.bit_length() <= prec:
+        raw = libmp.from_int(v)
+        return _checked(raw, raw)
+    return _ratio_ends(v, 1, prec)
 
 
 def _decoded(raw):
@@ -391,11 +401,9 @@ class Enclosure:
             if other.prec != self.prec:
                 raise ValueError("mixed-precision interval arithmetic")
             return other
-        if isinstance(other, int) and other.bit_length() <= self.prec:
-            # exact at this precision: both directed conversions give it
-            raw = libmp.from_int(other)
-            return Enclosure(raw, raw, self.prec)
-        if isinstance(other, ExactScalar):
+        if isinstance(other, int):
+            return _wrap(_int_ends(other, self.prec), self.prec)
+        if isinstance(other, Fraction):
             return Enclosure.from_exact(other, self.prec)
         return None
 

@@ -71,6 +71,7 @@ from .enclosure import (
     _add_ends,
     _div_ends,
     _exp_ends,
+    _int_ends,
     _mul_ends,
     _neg_ends,
     _ratio_ends,
@@ -277,10 +278,15 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosu
     return _wrap(_difference_tail(d, e, x, y, FJN_RADIUS_A, FJN_RADIUS_B, prec), prec)
 
 
-def _j_bracket(t: SimpleNamespace, big_j: int, prec: int) -> Enclosure:
-    # J/N - pi J^2/(4 sqrt6 N^(3/2)), the j-part of the first ratio bracket,
-    # for the convexity chain and the registry's collapse margins
-    return Fraction(big_j) / t.N - constants(prec).pi * big_j**2 / (4 * t.sqrt6_N_sqrtN)
+def _j_bracket_ends(t: SimpleNamespace, d: int, big_j: int, prec: int):
+    # the ends of J/N - pi J^2/(4 sqrt6 N^(3/2)), N = d/24, the j-part of the
+    # first ratio bracket, for the convexity chain and the registry's collapse
+    # margins: the calls of Fraction(J) / N - pi * J**2 / (4 * t.sqrt6_N_sqrtN)
+    # in Enclosure arithmetic, J/N taken as 24J/d
+    pi, s = constants(prec).pi, t.sqrt6_N_sqrtN
+    q = _mul_ends((pi.lo, pi.hi), _int_ends(big_j * big_j, prec), prec)
+    q = _div_ends(q, _mul_ends((s.lo, s.hi), _FOUR, prec), prec)
+    return _sub_ends(_ratio_ends(24 * big_j, d, prec), q, prec)
 
 
 def _analytic_convexity(n: int, j: int, prec: int) -> bool:
@@ -292,7 +298,8 @@ def _analytic_convexity(n: int, j: int, prec: int) -> bool:
     # whole interval, else the chain is inconclusive
     c = constants(prec)
     t = shifted_terms(n, prec)
-    B = t.delta_c_over_sqrtN + _j_bracket(t, j, prec) + FJN_RADIUS_B / t.N
+    b = _wrap(_j_bracket_ends(t, 24 * n - 1, j, prec), prec)
+    B = t.delta_c_over_sqrtN + b + FJN_RADIUS_B / t.N
     if not (B.strictly_negative() and B.lo_fraction > -1):
         return False
     second = Fraction(j) / t.N - 3 * c.pi * j * j / (4 * t.sqrt6_N_sqrtN)

@@ -19,13 +19,41 @@ Sampling conventions:
 * margins that certify a bound of the form error <= c/N are normalised by N,
   so the reported quantity is c - N * error.
 
-`bessel-tail-sum`, a thousand Bessel terms per point, runs in raw libmp: each
-term makes the libmp calls, with the roundings, of its Enclosure expression,
-through the enclosure module's _*_ends helpers that Enclosure itself uses, so
-its endpoints are that expression's bit for bit
-(`tests/test_inequalities.py::TestBesselTailKernel` compares the two).  Each
-helper checks the order of the pair it returns, once, as Enclosure
-arithmetic does; the kernel checks none itself.
+A domain is one sampler object with its grid and random budget, and cases
+registered with the same three share it: [335/24, 10^4] carries five cases,
+the (n, j) pairs four, (0, 1/5) four and [1, 10^4] two.  run_domain is the
+one sweep: it draws a domain's points once, from one random.Random(seed),
+evaluates each of its cases at each point, and keeps each case's worst lower
+endpoint, ties going to the first point.  run_case is that sweep over one
+name, with the same points and result as the name's row of its domain.
+
+Because the cases of a domain are evaluated one after the other at each
+point, the terms they share are computed once per point, by small memos
+keyed by (point, prec) that keep the last point or two: x and sqrt x, h
+with its second exponential (rademacher._h_ends, which h_error also wraps),
+the correction sum sqrt3/(sqrt2 pi sqrt x) + h, shifted_terms(n) and the
+J-brackets, and sqrt(1 - x).
+
+The margins that dominate the registry's time are raw: expressions in the
+enclosure module's _*_ends helpers on (lo, hi) pairs, which make the libmp
+calls, on the same operands and with the same roundings, of the Enclosure
+expressions they replace, so their endpoints are those expressions' bit for
+bit (tests/test_inequalities.py keeps each expression as a reference and
+compares the two).  Their constants are built once per precision in
+_raw_constants, by the calls the Enclosure expressions made at each point.
+An int operand is exact only when it fits in prec bits, and otherwise rounds
+outward through ratio_pair, as Enclosure._coerce reads it (_int_ends): J^3
+exceeds 2^16 at 16 bits.  Exact rational parts, and the product error bound
+of the collapse cases with its |b| and J/N, are computed on unreduced
+integers and rounded once by ratio_pair, which rounds the value p/q whatever
+the common factors of p and q; the cases that stay exact Fractions or
+Enclosure expressions (geometric-series-100, reciprocal-125,
+exp-convexity-half, sqrt-exp-decreasing, collapse-131,
+bessel-simplify-half) are cheap.
+
+`bessel-tail-sum`, a thousand Bessel terms per point, runs in raw libmp the
+same way.  Each helper checks the order of the pair it returns, once, as
+Enclosure arithmetic does; no margin checks one itself.
 """
 
 from __future__ import annotations
@@ -34,23 +62,29 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Tuple
+from types import SimpleNamespace
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import libmp
 
 from .enclosure import (
     DEFAULT_PRECISION,
+    PRECISION_MEMO_MAXSIZE,
     Enclosure,
     _add_ends,
     _div_ends,
     _exp_ends,
+    _int_ends,
     _mul_ends,
+    _neg_ends,
     _ratio_ends,
     _sqrt_ends,
+    _sub_ends,
     _wrap,
     constants,
     exp_enclosure,
     fraction_from_raw,
+    scaled_ends,
     sqrt_enclosure,
 )
 from .errors import PartboundsError, PreconditionError
@@ -59,12 +93,12 @@ from .estimates import (
     FJN_RADIUS_B,
     RATIO_RADIUS_1,
     RATIO_RADIUS_2,
-    _j_bracket,
+    _j_bracket_ends,
     fjn_j_top,
     shifted_terms,
 )
 from .exact import shifted_index
-from .rademacher import h_error
+from .rademacher import _h_ends, _root_ends
 
 Point = Tuple
 MarginFn = Callable[[Point, int], Enclosure]
@@ -81,9 +115,10 @@ _CAP = Fraction(10_000)
 # Relative pull-in applied to both domain endpoints.
 _EDGE = Fraction(1, 10**9)
 
-# One entry: the pair grid visits each n with up to three j in a row, while
-# a full memo of the thousands of indices the collapse cases visit would add
-# about 6 MB to a pool worker's 27 MB peak.
+# One entry: a pair point's four cases read one n in turn, and the pair grid
+# visits each n with up to three j in a row, while a full memo of the
+# thousands of indices the collapse cases visit would add about 6 MB to a
+# pool worker's 27 MB peak.
 _terms = lru_cache(maxsize=1)(shifted_terms.__wrapped__)
 
 # The radii of the two factors collapse-271 combines into 2.71/N, certified
@@ -96,24 +131,14 @@ _SQRT_FACTOR_RADIUS = Fraction(131, 100)
 TAIL_TERMS = 1000
 
 
-def abs_upper(e: Enclosure) -> Fraction:
-    """Exact upper bound for |t| over all t in the enclosure."""
-    return max(-e.lo_fraction, e.hi_fraction)
-
-
 def _min_lo(a: Optional[Enclosure], b: Enclosure) -> Enclosure:
     if a is None or libmp.mpf_lt(b.lo, a.lo):
         return b
     return a
 
 
-def _product_error(
-    b1: Enclosure, r1: Fraction, b2: Enclosure, r2: Fraction
-) -> Fraction:
-    """Bound |(1+b1+E1)(1+b2+E2) - (1+b1+b2)| for |E1| <= r1, |E2| <= r2."""
-    a1 = abs_upper(b1)
-    a2 = abs_upper(b2)
-    return a1 * a2 + r1 * (1 + a2 + r2) + r2 * (1 + a1)
+def _raw(e: Enclosure):
+    return e.lo, e.hi
 
 
 def _interval_sampler(lo: Fraction, hi: Fraction) -> Sampler:
@@ -169,6 +194,84 @@ def _point_sampler() -> Sampler:
     return sample
 
 
+# the samplers that more than one case shares, so that they share a domain
+_SMALL = _interval_sampler(Fraction(0), Fraction(1, 5))
+_FROM_ONE = _interval_sampler(Fraction(1), _CAP)
+_FROM_CORNER = _interval_sampler(_CORNER, _CAP)
+_PAIRS = _pair_sampler(17, 10_000)
+
+
+@lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
+def _raw_constants(prec: int) -> SimpleNamespace:
+    """Raw ends of the raw margins' constants at prec bits.
+
+    Each is built by the calls its Enclosure expression made at every point:
+    an exact Fraction by from_exact's ratio_pair, an int by _int_ends, and
+    pi/2, sqrt2 pi, pi/(40 sqrt6), pi^2/24, 4 sqrt6 and (2/5) pi as
+    pi / 2, sqrt2 * pi, pi / (40 * sqrt6), pi * pi / 24, 4 * sqrt6 and
+    Fraction(2, 5) * pi, for the enclosures of constants(prec).
+    """
+    c = constants(prec)
+    pi, sqrt2, sqrt6 = _raw(c.pi), _raw(c.sqrt2), _raw(c.sqrt6)
+
+    def exact(r: Fraction):
+        return _ratio_ends(r.numerator, r.denominator, prec)
+
+    def integer(v: int):
+        return _int_ends(v, prec)
+
+    two, two_fifths = integer(2), exact(Fraction(2, 5))
+    return SimpleNamespace(
+        pi=pi,
+        sqrt3=_raw(c.sqrt3),
+        one=integer(1),
+        two=two,
+        fifteen=integer(15),
+        hundred=integer(100),
+        quarter=exact(Fraction(1, 4)),
+        fifth=exact(Fraction(1, 5)),
+        tenth=exact(Fraction(1, 10)),
+        two_fifths=two_fifths,
+        eleven_tenths=exact(Fraction(11, 10)),
+        ninety_nine_hundredths=exact(Fraction(99, 100)),
+        j_factor_radius=exact(_J_FACTOR_RADIUS),
+        ratio_radius_2=exact(RATIO_RADIUS_2),
+        neg_half_pi=_neg_ends(_div_ends(pi, two, prec)),
+        sqrt2_pi=_mul_ends(sqrt2, pi, prec),
+        pi_over_40_sqrt6=_div_ends(pi, _mul_ends(sqrt6, integer(40), prec), prec),
+        pi_squared_over_24=_div_ends(_mul_ends(pi, pi, prec), integer(24), prec),
+        four_sqrt6=_mul_ends(sqrt6, integer(4), prec),
+        two_fifths_pi=_mul_ends(pi, two_fifths, prec),
+    )
+
+
+# -- per-point terms that the cases of one domain share -------------------
+
+@lru_cache(maxsize=1)
+def _correction_ends(x: Fraction, prec: int):
+    # h(x) and the correction sum sqrt3/(sqrt2 pi sqrt x) + h(x), the calls
+    # of c.sqrt3 / (c.sqrt2 * c.pi * sqrt_enclosure(x)) + h_error(x)
+    k = _raw_constants(prec)
+    h = _h_ends(x, prec)[0]
+    q = _mul_ends(k.sqrt2_pi, _root_ends(x, prec)[1], prec)
+    return h, _add_ends(_div_ends(k.sqrt3, q, prec), h, prec)
+
+
+@lru_cache(maxsize=1)
+def _rest_root_ends(x: Fraction, prec: int):
+    # sqrt(1 - x), sqrt_enclosure(1 - x) for x = a/b
+    a, b = x.numerator, x.denominator
+    return _sqrt_ends(_ratio_ends(b - a, b, prec), prec)
+
+
+@lru_cache(maxsize=2)
+def _bracket_ends(n: int, big_j: int, prec: int):
+    # the J-bracket at N = n - 1/24, which a pair point reads at J = j and 2j
+    return _j_bracket_ends(_terms(n, prec), 24 * n - 1, big_j, prec)
+
+
+# -- margins ---------------------------------------------------------------
+
 def _margin_geometric(point: Point, prec: int) -> Enclosure:
     # 1/(1-z) - 1 - z = z^2/(1-z) for real |z| < 1; check both signs of z.
     (u,) = point
@@ -180,15 +283,23 @@ def _margin_geometric(point: Point, prec: int) -> Enclosure:
 
 
 def _margin_sqrt_expansion(point: Point, prec: int) -> Enclosure:
-    # sqrt(1-x) sits below 1 - x/2 - x^2/8, so the deviation needs no abs.
+    # x^3/10 - ((1 - x/2 - x^2/8) - sqrt(1-x)); sqrt(1-x) sits below
+    # 1 - x/2 - x^2/8, so the deviation needs no abs.  With x = a/b the
+    # exact parts are (8b^2 - 4ab - a^2)/(8b^2) and a^3/(10 b^3).
     (x,) = point
-    deviation = (1 - x / 2 - x * x / 8) - sqrt_enclosure(1 - x, prec)
-    return x**3 / 10 - deviation
+    a, b = x.numerator, x.denominator
+    bb = b * b
+    deviation = _ratio_ends(8 * bb - 4 * a * b - a * a, 8 * bb, prec)
+    deviation = _sub_ends(deviation, _rest_root_ends(x, prec), prec)
+    return _wrap(_sub_ends(_ratio_ends(a**3, 10 * bb * b, prec), deviation, prec), prec)
 
 
 def _margin_inverse_sqrt(point: Point, prec: int) -> Enclosure:
+    # 1 + (3/5) x - 1/sqrt(1-x), its exact part (5b + 3a)/(5b)
     (x,) = point
-    return 1 + Fraction(3, 5) * x - 1 / sqrt_enclosure(1 - x, prec)
+    a, b = x.numerator, x.denominator
+    inverse = _div_ends(_raw_constants(prec).one, _rest_root_ends(x, prec), prec)
+    return _wrap(_sub_ends(_ratio_ends(5 * b + 3 * a, 5 * b, prec), inverse, prec), prec)
 
 
 def _margin_reciprocal(point: Point, prec: int) -> Enclosure:
@@ -201,16 +312,22 @@ def _margin_exp_convexity(point: Point, prec: int) -> Enclosure:
     return x * x / 2 + 1 - x - exp_enclosure(-x, prec)
 
 
-def _envelope(x: Fraction, prec: int) -> Enclosure:
-    # sqrt(x) exp(-(pi/2) sqrt(x/2))
-    c = constants(prec)
-    decay = (-(c.pi / 2) * sqrt_enclosure(x / 2, prec)).exp()
-    return sqrt_enclosure(x, prec) * decay
-
-
 def _margin_tail_envelope(point: Point, prec: int) -> Enclosure:
+    # 15 sqrt(x) e^{-(pi/2) sqrt(x/2)} - h(x), the calls of
+    # 15 * (sqrt_enclosure(x) * (-(pi / 2) * sqrt_enclosure(x / 2)).exp()) - h_error(x).
+    # That exponential is h's second one, e^{-(pi/2 * sqrt(xe/2))}, end for end:
+    # * sqrt_enclosure(x/2) is sqrt of the floor and ceiling of x/2 at prec
+    #   bits, and these are half those of x, since doubling maps the floats
+    #   of prec bits onto themselves; so x/2 has the ends of xe/2, whose
+    #   division rounds nothing;
+    # * with A = pi/2 > 0 and B >= 0, _mul_ends(-A, B) is
+    #   (-a_hi b_hi rounded down, -a_lo b_lo rounded up), and rounding -v
+    #   down is -(v rounded up), so it is the negation of _mul_ends(A, B).
     (x,) = point
-    return 15 * _envelope(x, prec) - h_error(x, prec)
+    h, decay = _h_ends(x, prec)
+    envelope = _mul_ends(_root_ends(x, prec)[1], decay, prec)
+    envelope = _mul_ends(envelope, _raw_constants(prec).fifteen, prec)
+    return _wrap(_sub_ends(envelope, h, prec), prec)
 
 
 def _margin_envelope_decreasing(point: Point, prec: int) -> Enclosure:
@@ -221,60 +338,72 @@ def _margin_envelope_decreasing(point: Point, prec: int) -> Enclosure:
 
 
 def _margin_shifted_envelope(point: Point, prec: int) -> Enclosure:
+    # 11/10 - x sqrt(y) e^{-(pi/2) sqrt(y/2)}, y = x - sqrt(x)/2
     (x,) = point
-    y = x - sqrt_enclosure(x, prec) / 2
-    c = constants(prec)
-    decay = (-(c.pi / 2) * (y / 2).sqrt()).exp()
-    return Fraction(11, 10) - x * y.sqrt() * decay
+    k = _raw_constants(prec)
+    xe, sx = _root_ends(x, prec)
+    y = _sub_ends(xe, _div_ends(sx, k.two, prec), prec)
+    decay = _sqrt_ends(_div_ends(y, k.two, prec), prec)
+    decay = _exp_ends(_mul_ends(k.neg_half_pi, decay, prec), prec)
+    value = _mul_ends(_mul_ends(_sqrt_ends(y, prec), xe, prec), decay, prec)
+    return _wrap(_sub_ends(k.eleven_tenths, value, prec), prec)
 
 
 def _margin_concavity(point: Point, prec: int) -> Enclosure:
+    # 1 - x/2 - sqrt(1-x), its exact part (2b - a)/(2b)
     (x,) = point
-    return 1 - x / 2 - sqrt_enclosure(1 - x, prec)
-
-
-def _correction_sum(x: Fraction, h: Enclosure, prec: int) -> Enclosure:
-    # sqrt(3)/(sqrt(2) pi sqrt(x)) + h, with h = h_error(x)
-    c = constants(prec)
-    return c.sqrt3 / (c.sqrt2 * c.pi * sqrt_enclosure(x, prec)) + h
+    a, b = x.numerator, x.denominator
+    gap = _sub_ends(_ratio_ends(2 * b - a, 2 * b, prec), _rest_root_ends(x, prec), prec)
+    return _wrap(gap, prec)
 
 
 def _margin_correction_sum(point: Point, prec: int) -> Enclosure:
     (x,) = point
-    return Fraction(99, 100) - _correction_sum(x, h_error(x, prec), prec)
+    k = _raw_constants(prec)
+    return _wrap(_sub_ends(k.ninety_nine_hundredths, _correction_ends(x, prec)[1], prec), prec)
 
 
 def _margin_exp_argument(point: Point, prec: int) -> Enclosure:
+    # 1/10 - (pi/(40 sqrt6) + (pi^2/24) inner^2), inner = 1/(10 sqrt x) + 1/4
     (x,) = point
-    c = constants(prec)
-    inner = Fraction(1, 10) / sqrt_enclosure(x, prec) + Fraction(1, 4)
-    value = c.pi / (40 * c.sqrt6) + c.pi * c.pi / 24 * inner * inner
-    return Fraction(1, 10) - value
+    k = _raw_constants(prec)
+    inner = _div_ends(k.tenth, _root_ends(x, prec)[1], prec)
+    inner = _add_ends(inner, k.quarter, prec)
+    value = _mul_ends(_mul_ends(k.pi_squared_over_24, inner, prec), inner, prec)
+    value = _add_ends(k.pi_over_40_sqrt6, value, prec)
+    return _wrap(_sub_ends(k.tenth, value, prec), prec)
 
 
 def _margin_shift_ratio(point: Point, prec: int) -> Enclosure:
+    # 1/5 - 1/(2 sqrt x)
     (x,) = point
-    return Fraction(1, 5) - 1 / (2 * sqrt_enclosure(x, prec))
+    k = _raw_constants(prec)
+    half = _div_ends(k.one, _mul_ends(_root_ends(x, prec)[1], k.two, prec), prec)
+    return _wrap(_sub_ends(k.fifth, half, prec), prec)
 
 
 def _margin_collapse_056(point: Point, prec: int) -> Enclosure:
+    # 0.56 - (0.4 + pi J^3/den + 0.4 pi J^2/den + 0.1 + 0.1 J/N + 0.04/N),
+    # den = 4 sqrt6 (N sqrt N), summed left to right, the 1/N terms exact
     n, j = point
-    c = constants(prec)
-    nn = shifted_index(n)
-    den = 4 * c.sqrt6 * (nn * sqrt_enclosure(nn, prec))
+    k = _raw_constants(prec)
+    t = _terms(n, prec)
+    d = 24 * n - 1  # N = d/24
+    ne = _raw(t.Ne)
+    den = _mul_ends(k.four_sqrt6, _mul_ends(_sqrt_ends(ne, prec), ne, prec), prec)
+    last = _ratio_ends(24, 25 * d, prec)  # 1/(25 N)
     worst = None
     # The bound is used with both the plain and the doubled shift; the
     # doubled one is the tight branch but both must clear 0.56.
     for big_j in (j, 2 * j):
-        err_n = (
-            Fraction(2, 5)
-            + c.pi * big_j**3 / den
-            + Fraction(2, 5) * c.pi * big_j**2 / den
-            + Fraction(1, 10)
-            + Fraction(big_j, 10) / nn
-            + Fraction(1, 25) / nn
-        )
-        worst = _min_lo(worst, _J_FACTOR_RADIUS - err_n)
+        cube = _div_ends(_mul_ends(k.pi, _int_ends(big_j**3, prec), prec), den, prec)
+        square = _mul_ends(k.two_fifths_pi, _int_ends(big_j**2, prec), prec)
+        err = _add_ends(cube, k.two_fifths, prec)
+        err = _add_ends(err, _div_ends(square, den, prec), prec)
+        err = _add_ends(err, k.tenth, prec)
+        err = _add_ends(err, _ratio_ends(24 * big_j, 10 * d, prec), prec)
+        err = _add_ends(err, last, prec)
+        worst = _min_lo(worst, _wrap(_sub_ends(k.j_factor_radius, err, prec), prec))
     return worst
 
 
@@ -284,49 +413,85 @@ def _margin_collapse_131(point: Point, prec: int) -> Enclosure:
     return _SQRT_FACTOR_RADIUS - value
 
 
+def _magnitude(b):
+    # (M, k) with |t| <= M/2^k for every t in the ends b: the larger of -lo, hi
+    L, H, k = scaled_ends(*b)
+    return max(-L, H), k
+
+
+def _product_margin(
+    radius: Fraction, scale: int, d: int, b1, r1: Fraction, b2, r2: Fraction, prec: int
+):
+    """Ends of radius - scale N err, N = d/24, for the exact bound
+
+        err = a1 a2 + (r1/N)(1 + a2 + r2/N) + (r2/N)(1 + a1)
+
+    on |(1 + b1 + E1)(1 + b2 + E2) - (1 + b1 + b2)| with |E1| <= r1/N,
+    |E2| <= r2/N, where a1 and a2 bound |b1| and |b2| by the larger
+    magnitude of their ends.  Computed on unreduced integers over the common
+    denominator 2^{2k} D1 D2, with a = A/2^k and r/N = P/D, and rounded once.
+    """
+    A1, k1 = _magnitude(b1)
+    A2, k2 = _magnitude(b2)
+    k = max(k1, k2)
+    A1 <<= k - k1
+    A2 <<= k - k2
+    K = 1 << k
+    P1, D1 = 24 * r1.numerator, r1.denominator * d
+    P2, D2 = 24 * r2.numerator, r2.denominator * d
+    E = A1 * A2 * D1 * D2 + (P1 * ((K + A2) * D2 + P2 * K) + P2 * (K + A1) * D1) * K
+    Q = 24 * K * K * D1 * D2
+    return _ratio_ends(
+        radius.numerator * Q - radius.denominator * scale * d * E, radius.denominator * Q, prec
+    )
+
+
 def _margin_collapse_271(point: Point, prec: int) -> Enclosure:
+    # b1 the J-bracket, b2 = -sqrt3/(sqrt(2 pi) sqrt N), radii 0.56 and 1.31
     n, j = point
     t = _terms(n, prec)
-    b2 = -t.sqrt3_over_sqrt_two_pi
+    b2 = _neg_ends(_raw(t.sqrt3_over_sqrt_two_pi))
     worst = None
     for big_j in (j, 2 * j):
-        b1 = _j_bracket(t, big_j, prec)
-        err = _product_error(
-            b1, _J_FACTOR_RADIUS / t.N, b2, _SQRT_FACTOR_RADIUS / t.N
+        margin = _product_margin(
+            RATIO_RADIUS_1, 1, 24 * n - 1, _bracket_ends(n, big_j, prec), _J_FACTOR_RADIUS,
+            b2, _SQRT_FACTOR_RADIUS, prec,
         )
-        margin = Enclosure.from_exact(RATIO_RADIUS_1 - t.N * err, prec)
-        worst = _min_lo(worst, margin)
+        worst = _min_lo(worst, _wrap(margin, prec))
     return worst
 
 
-def _margin_collapse_1350(point: Point, prec: int) -> Enclosure:
-    (x,) = point
-    h = h_error(x, prec)
-    s = _correction_sum(x, h, prec)
-    return RATIO_RADIUS_2 - x * (h + 100 * s * s)
-
-
-def _bracket_product_error(n: int, big_j: int, prec: int) -> Tuple[Fraction, Fraction]:
-    """N and the error of (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N), where b2 is
-    the J-bracket less sqrt3/(sqrt(2 pi) sqrt N)."""
+def _bracket_margin(radius: Fraction, scale: int, n: int, big_j: int, prec: int) -> Enclosure:
+    # radius - scale N err for (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N), with
+    # b1 = sqrt3/(sqrt2 pi sqrt N) and b2 the J-bracket less
+    # sqrt3/(sqrt(2 pi) sqrt N)
     t = _terms(n, prec)
-    b2 = _j_bracket(t, big_j, prec) - t.sqrt3_over_sqrt_two_pi
-    err = _product_error(
-        t.sqrt3_over_pi_sqrt2, RATIO_RADIUS_2 / t.N, b2, RATIO_RADIUS_1 / t.N
+    b2 = _sub_ends(_bracket_ends(n, big_j, prec), _raw(t.sqrt3_over_sqrt_two_pi), prec)
+    margin = _product_margin(
+        radius, scale, 24 * n - 1, _raw(t.sqrt3_over_pi_sqrt2), RATIO_RADIUS_2,
+        b2, RATIO_RADIUS_1, prec,
     )
-    return t.N, err
+    return _wrap(margin, prec)
+
+
+def _margin_collapse_1350(point: Point, prec: int) -> Enclosure:
+    # 1350 - x (h + 100 s s), s the correction sum
+    (x,) = point
+    k = _raw_constants(prec)
+    h, s = _correction_ends(x, prec)
+    value = _mul_ends(_mul_ends(s, k.hundred, prec), s, prec)
+    value = _mul_ends(_add_ends(h, value, prec), _root_ends(x, prec)[0], prec)
+    return _wrap(_sub_ends(k.ratio_radius_2, value, prec), prec)
 
 
 def _margin_collapse_2075(point: Point, prec: int) -> Enclosure:
     n, j = point
-    N, err = _bracket_product_error(n, 2 * j, prec)
-    return Enclosure.from_exact(FJN_RADIUS_A - N * err, prec)
+    return _bracket_margin(FJN_RADIUS_A, 1, n, 2 * j, prec)
 
 
 def _margin_collapse_3926(point: Point, prec: int) -> Enclosure:
     n, j = point
-    N, err = _bracket_product_error(n, j, prec)
-    return Enclosure.from_exact(FJN_RADIUS_B - 2 * N * err, prec)
+    return _bracket_margin(FJN_RADIUS_B, 2, n, j, prec)
 
 
 def _margin_bessel_tail(point: Point, prec: int) -> Enclosure:
@@ -379,6 +544,12 @@ class InequalityCase:
         """Relative running time: sampled points times margin terms per point."""
         return (self.grid_points + self.random_points) * self.terms
 
+    @property
+    def domain(self) -> Tuple[Sampler, int, int]:
+        """The sampler object and budget: cases with equal domains sample the
+        same points, and run_domain draws them once for all of them."""
+        return self.sampler, self.grid_points, self.random_points
+
 
 @dataclass(frozen=True)
 class InequalityResult:
@@ -402,19 +573,19 @@ CASES: Tuple[InequalityCase, ...] = (
         "sqrt-expansion-01",
         "|sqrt(1-x) - 1 + x/2 + x^2/8| <= 0.1 x^3 on (0, 0.2)",
         _margin_sqrt_expansion,
-        _interval_sampler(Fraction(0), Fraction(1, 5)),
+        _SMALL,
     ),
     InequalityCase(
         "inverse-sqrt-06",
         "1/sqrt(1-x) - 1 <= 0.6 x on (0, 0.2)",
         _margin_inverse_sqrt,
-        _interval_sampler(Fraction(0), Fraction(1, 5)),
+        _SMALL,
     ),
     InequalityCase(
         "reciprocal-125",
         "|1/(1-x) - 1 - x| <= 1.25 x^2 on (0, 0.2)",
         _margin_reciprocal,
-        _interval_sampler(Fraction(0), Fraction(1, 5)),
+        _SMALL,
     ),
     InequalityCase(
         "exp-convexity-half",
@@ -432,44 +603,44 @@ CASES: Tuple[InequalityCase, ...] = (
         "sqrt-exp-decreasing",
         "pi sqrt(x) > 2 sqrt(2) for x >= 1, so the decay envelope decreases",
         _margin_envelope_decreasing,
-        _interval_sampler(Fraction(1), _CAP),
+        _FROM_ONE,
     ),
     InequalityCase(
         "shifted-envelope-11",
         "N sqrt(Y) exp(-(pi/2) sqrt(Y/2)) <= 1.1 with Y = N - sqrt(N)/2",
         _margin_shifted_envelope,
-        _interval_sampler(_CORNER, _CAP),
+        _FROM_CORNER,
     ),
     InequalityCase(
         "concavity-sqrt-positive",
         "1 - x/2 - sqrt(1-x) > 0 on (0, 0.2)",
         _margin_concavity,
-        _interval_sampler(Fraction(0), Fraction(1, 5)),
+        _SMALL,
     ),
     InequalityCase(
         "correction-sum-099",
         "sqrt(3)/(sqrt(2) pi sqrt(N)) + h_error(N) < 0.99 for N >= 335/24",
         _margin_correction_sum,
-        _interval_sampler(_CORNER, _CAP),
+        _FROM_CORNER,
     ),
     InequalityCase(
         "exp-argument-01",
         "pi/(40 sqrt(6)) + (pi^2/24) (1/(10 sqrt(N)) + 1/4)^2 <= 0.1",
         _margin_exp_argument,
-        _interval_sampler(_CORNER, _CAP),
+        _FROM_CORNER,
     ),
     InequalityCase(
         "shift-ratio-02",
         "1/(2 sqrt(N)) < 1/5 for N >= 335/24, so shifts stay in the x < 0.2 range",
         _margin_shift_ratio,
-        _interval_sampler(_CORNER, _CAP),
+        _FROM_CORNER,
     ),
     InequalityCase(
         "collapse-056",
         "0.4 + pi J^3/(4 sqrt6 N^(3/2)) + 0.4 pi J^2/(4 sqrt6 N^(3/2))"
         " + 0.1 + 0.1 J/N + 0.04/N <= 0.56 for J in {j, 2j} over admissible pairs",
         _margin_collapse_056,
-        _pair_sampler(17, 10_000),
+        _PAIRS,
     ),
     InequalityCase(
         "collapse-131",
@@ -483,25 +654,25 @@ CASES: Tuple[InequalityCase, ...] = (
         "collapse-271",
         "(1 + b1 +- 0.56/N)(1 + b2 +- 1.31/N) stays within 2.71/N of 1 + b1 + b2",
         _margin_collapse_271,
-        _pair_sampler(17, 10_000),
+        _PAIRS,
     ),
     InequalityCase(
         "collapse-1350",
         "N (h_error(N) + 100 (sqrt(3)/(sqrt(2) pi sqrt(N)) + h_error(N))^2) <= 1350",
         _margin_collapse_1350,
-        _interval_sampler(_CORNER, _CAP),
+        _FROM_CORNER,
     ),
     InequalityCase(
         "collapse-2075",
         "(1 + b1 +- 1350/N)(1 + b2 +- 2.71/N) stays within 2075/N of 1 + b1 + b2",
         _margin_collapse_2075,
-        _pair_sampler(17, 10_000),
+        _PAIRS,
     ),
     InequalityCase(
         "collapse-3926",
         "2 (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N) stays within 3926/N of the center",
         _margin_collapse_3926,
-        _pair_sampler(17, 10_000),
+        _PAIRS,
     ),
     InequalityCase(
         "bessel-tail-sum",
@@ -516,7 +687,7 @@ CASES: Tuple[InequalityCase, ...] = (
         "bessel-simplify-half",
         "|1/x - x/2| <= x^2/2 for x >= 1",
         _margin_bessel_simplify,
-        _interval_sampler(Fraction(1), _CAP),
+        _FROM_ONE,
     ),
 )
 
@@ -531,24 +702,53 @@ def _lookup(name: str) -> InequalityCase:
     return case
 
 
+def group_by_domain(names: Sequence[str]) -> List[Tuple[str, ...]]:
+    """The names grouped by domain, each group in the order of its names and
+    the groups in the order of their first names."""
+    groups = {}
+    for name in names:
+        groups.setdefault(_lookup(name).domain, []).append(name)
+    return [tuple(group) for group in groups.values()]
+
+
+def run_domain(
+    names: Sequence[str], prec: int = DEFAULT_PRECISION, seed: int = DEFAULT_SEED
+) -> List[InequalityResult]:
+    """Sweep the named cases, which share one domain, over its grid and
+    random points, and report each one's worst margin enclosure lower
+    endpoint, in the order of the names.
+
+    The points are drawn once, and every case is evaluated at each point
+    before the next is drawn, so the per-point memos serve them all.
+    """
+    cases = [_lookup(name) for name in names]
+    sampler, grid, rand = cases[0].domain
+    if any(case.domain != cases[0].domain for case in cases):
+        raise PreconditionError(f"inequality cases {', '.join(names)} do not share one domain")
+    # raw lower endpoints compare exactly; only the worst become Fractions
+    worst = [None] * len(cases)
+    worst_point: List[Point] = [()] * len(cases)
+    count = 0
+    for point in sampler(grid, rand, random.Random(seed)):
+        count += 1
+        for i, case in enumerate(cases):
+            lo = case.margin(point, prec).lo
+            if worst[i] is None or libmp.mpf_lt(lo, worst[i]):
+                worst[i] = lo
+                worst_point[i] = point
+    if not count:
+        raise PartboundsError(f"inequality case {names[0]!r}: its sampler yielded no point")
+    results = []
+    for case, lo, point in zip(cases, worst, worst_point):
+        margin = fraction_from_raw(lo)
+        results.append(InequalityResult(case.name, count, margin, point, margin > 0))
+    return results
+
+
 def run_case(
     name: str, prec: int = DEFAULT_PRECISION, seed: int = DEFAULT_SEED
 ) -> InequalityResult:
     """Sweep the named case over its registered grid and random points and
-    report the worst margin enclosure lower endpoint."""
-    case = _lookup(name)
-    rng = random.Random(seed)
-    # raw lower endpoints compare exactly; only the worst becomes a Fraction
-    worst = None
-    worst_point: Point = ()
-    count = 0
-    for point in case.sampler(case.grid_points, case.random_points, rng):
-        lo = case.margin(point, prec).lo
-        count += 1
-        if worst is None or libmp.mpf_lt(lo, worst):
-            worst = lo
-            worst_point = point
-    if worst is None:
-        raise PartboundsError(f"inequality case {name!r}: its sampler yielded no point")
-    margin = fraction_from_raw(worst)
-    return InequalityResult(case.name, count, margin, worst_point, margin > 0)
+    report the worst margin enclosure lower endpoint: run_domain over the
+    one name."""
+    return run_domain([name], prec=prec, seed=seed)[0]

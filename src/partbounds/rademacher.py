@@ -21,11 +21,27 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import libmp
 
-from .enclosure import DEFAULT_PRECISION, Enclosure, constants, fraction_from_raw, sqrt_enclosure
+from .enclosure import (
+    DEFAULT_PRECISION,
+    Enclosure,
+    _add_ends,
+    _div_ends,
+    _exp_ends,
+    _int_ends,
+    _mul_ends,
+    _neg_ends,
+    _ratio_ends,
+    _sqrt_ends,
+    _wrap,
+    constants,
+    fraction_from_raw,
+    sqrt_enclosure,
+)
 from .errors import PreconditionError, StabilizationError
 from .estimates import shifted_terms
 from .special import bessel_I32_closed, kloosterman_A, to_fraction
@@ -130,6 +146,42 @@ def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
             raise StabilizationError(f"series for n={n} did not settle by R(n, {k}) < 1/8")
 
 
+@lru_cache(maxsize=1)
+def _root_ends(x: Fraction, prec: int):
+    """Raw ends of x and sqrt x at prec bits, for x >= 0.
+
+    h and the registry's margins at one point read both, one after the
+    other, so the memo keeps the last point only.
+    """
+    xe = _ratio_ends(x.numerator, x.denominator, prec)
+    return xe, _sqrt_ends(xe, prec)
+
+
+@lru_cache(maxsize=1)
+def _h_ends(x: Fraction, prec: int):
+    """Raw ends of h(x), for x > 0, and of its second term's exponential
+    e^{-(pi/2) sqrt(x/2)}.
+
+    The libmp calls, operands and roundings of the Enclosure expression
+
+        c.h_first * xe * (-(pi * (2 * xe / 3).sqrt())).exp()
+        + c.h_second * xe.sqrt() * (-(pi / 2 * (xe / 2).sqrt())).exp()
+
+    with xe the enclosure of x, c = constants(prec) and pi = c.pi.
+    """
+    c = constants(prec)
+    xe, sx = _root_ends(x, prec)
+    pi = (c.pi.lo, c.pi.hi)
+    two = _int_ends(2, prec)
+    e = _div_ends(_mul_ends(xe, two, prec), _int_ends(3, prec), prec)
+    e = _exp_ends(_neg_ends(_mul_ends(pi, _sqrt_ends(e, prec), prec)), prec)
+    first = _mul_ends(_mul_ends((c.h_first.lo, c.h_first.hi), xe, prec), e, prec)
+    e = _mul_ends(_div_ends(pi, two, prec), _sqrt_ends(_div_ends(xe, two, prec), prec), prec)
+    e = _exp_ends(_neg_ends(e), prec)
+    second = _mul_ends(_mul_ends((c.h_second.lo, c.h_second.hi), sx, prec), e, prec)
+    return _add_ends(first, second, prec), e
+
+
 def h_error(x, prec: int = DEFAULT_PRECISION) -> Enclosure:
     """Envelope h(x) controlling everything beyond the leading correction.
 
@@ -141,12 +193,7 @@ def h_error(x, prec: int = DEFAULT_PRECISION) -> Enclosure:
     xf = to_fraction(x)
     if xf <= 0:
         raise PreconditionError("requires x > 0")
-    xe = Enclosure.from_exact(xf, prec)
-    c = constants(prec)
-    pi = c.pi
-    first = c.h_first * xe * (-(pi * (2 * xe / 3).sqrt())).exp()
-    second = c.h_second * xe.sqrt() * (-(pi / 2 * (xe / 2).sqrt())).exp()
-    return first + second
+    return _wrap(_h_ends(xf, prec)[0], prec)
 
 
 # ErrorBudget and proposition21_budget stay only for perfbench's tracer.
@@ -169,7 +216,8 @@ def proposition21_interval(m: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
     t = shifted_terms(m, prec)
     c = constants(prec)
     prefactor = (c.pi * (2 * t.Ne / 3).sqrt()).exp() / (4 * c.sqrt3 * t.Ne)
-    return prefactor * (1 - t.sqrt3_over_pi_sqrt2).plus_minus(h_error(t.N, prec))
+    h = _wrap(_h_ends(t.N, prec)[0], prec)
+    return prefactor * (1 - t.sqrt3_over_pi_sqrt2).plus_minus(h)
 
 
 def proposition21_budget(m: int, prec: int = DEFAULT_PRECISION) -> ErrorBudget:

@@ -5,9 +5,12 @@ Default ranges are the ones the package promises to satisfy, so running
 every suite back to back is the complete verification gate; the acceptance
 tests read these reports instead of sweeping a second time.  Sweep loops
 are deterministic; only the inequality registry fans out across worker
-processes.  Its cases are dispatched longest first, one at a time, and the
-results are collected in registry order, so parallel and sequential runs
-produce identical reports.
+processes.  The pool's unit is a domain, the cases that share one sampler
+and budget and so one sweep of its points (inequalities.run_domain).  The
+domains are dispatched longest first, by the summed cost of their cases, one
+at a time, and the results are collected in registry order, so parallel and
+sequential runs produce identical reports.  A run of one --case calls
+inequalities.run_case, the same sweep over that one name.
 
 Each row of _SUITES names the parameters its suite reads, the one source
 of their routing: run_suites refuses bad input (an unread parameter, a
@@ -81,7 +84,9 @@ from .inequalities import (
     InequalityResult,
     _lookup,
     _min_lo,
+    group_by_domain,
     run_case,
+    run_domain,
 )
 from .rademacher import proposition21_interval, rademacher_round
 from .reports import SuiteReport, fraction_str, optional_float
@@ -552,9 +557,11 @@ def _suite_nonkary(sweep: _Sweep) -> Dict[str, Any]:
     return {"identity_top": identity_top, "n_top": top, "licensed_cases": positives}
 
 
-def _dispatch_order(names: List[str]) -> List[int]:
-    """Indices of `names`, longest case first; equal costs keep their order."""
-    return sorted(range(len(names)), key=lambda i: -CASE_INDEX[names[i]].cost)
+def _dispatch_order(groups: List[Tuple[str, ...]]) -> List[int]:
+    """Indices of the domain groups, the longest first by the summed cost of
+    their cases; equal costs keep their order."""
+    return sorted(range(len(groups)),
+                  key=lambda i: -sum(CASE_INDEX[name].cost for name in groups[i]))
 
 
 def _usable_cpus() -> int:
@@ -567,7 +574,8 @@ def _usable_cpus() -> int:
 def _run_inequality_cases(
     names: List[str], prec: int, seed: int
 ) -> List[InequalityResult]:
-    workers = min(len(names), _usable_cpus())
+    groups = group_by_domain(names)
+    workers = min(len(groups), _usable_cpus())
     pool = None
     if workers > 1:
         # only a pool that cannot start falls back; a case's error propagates
@@ -576,15 +584,18 @@ def _run_inequality_cases(
         except (ImportError, OSError, ValueError):
             pass
     if pool is None:
-        return [run_case(name, prec=prec, seed=seed) for name in names]
-    # longest-processing-time first, one case per task, so the longest case
-    # does not start last behind a chunk of short ones
-    with pool:
-        pending = {
-            i: pool.apply_async(run_case, (names[i],), {"prec": prec, "seed": seed})
-            for i in _dispatch_order(names)
-        }
-        return [pending[i].get() for i in range(len(names))]
+        results = [run_domain(group, prec=prec, seed=seed) for group in groups]
+    else:
+        # longest-processing-time first, one domain per task, so the longest
+        # does not start last behind a chunk of short ones
+        with pool:
+            pending = {
+                i: pool.apply_async(run_domain, (groups[i],), {"prec": prec, "seed": seed})
+                for i in _dispatch_order(groups)
+            }
+            results = [pending[i].get() for i in range(len(groups))]
+    by_name = {result.name: result for group in results for result in group}
+    return [by_name[name] for name in names]
 
 
 def _point_str(point: Tuple) -> str:
@@ -592,8 +603,11 @@ def _point_str(point: Tuple) -> str:
 
 
 def _suite_inequalities(sweep: _Sweep) -> Dict[str, Any]:
-    names = [case.name for case in CASES] if sweep.case is None else [sweep.case]
-    results = _run_inequality_cases(names, sweep.prec, sweep.seed)
+    if sweep.case is None:
+        names = [case.name for case in CASES]
+        results = _run_inequality_cases(names, sweep.prec, sweep.seed)
+    else:
+        results = [run_case(sweep.case, prec=sweep.prec, seed=sweep.seed)]
     # one row per case is the registry's report, so the rows are always kept
     sweep.rows = []
     for result in results:

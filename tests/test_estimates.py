@@ -39,7 +39,6 @@ from partbounds.inequalities import (
     _margin_collapse_271,
     _margin_collapse_2075,
     _margin_collapse_3926,
-    _product_error,
 )
 from partbounds.rademacher import h_error, proposition21_interval
 
@@ -506,6 +505,14 @@ def _own_prop21(m, prec):
     prefactor = (c.pi * (2 * Me / 3).sqrt()).exp() / (4 * c.sqrt3 * Me)
     correction = c.sqrt3 / (c.sqrt2 * c.pi * Me.sqrt())
     return prefactor * (1 - correction).plus_minus(h_error(M, prec))
+
+
+def _product_error(b1, r1, b2, r2):
+    # |(1+b1+E1)(1+b2+E2) - (1+b1+b2)| for |E1| <= r1, |E2| <= r2, in exact
+    # Fractions, with |b| bounded by the larger magnitude of its ends
+    a1 = max(-b1.lo_fraction, b1.hi_fraction)
+    a2 = max(-b2.lo_fraction, b2.hi_fraction)
+    return a1 * a2 + r1 * (1 + a2 + r2) + r2 * (1 + a1)
 
 
 def _own_collapse(n, j, prec):

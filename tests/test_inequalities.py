@@ -1,23 +1,48 @@
-"""Reduced-budget sweeps and frozen spot margins for the inequality cases."""
+"""Reduced-budget sweeps, frozen spot margins, domains and raw margins of
+the inequality cases."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partbounds import enclosure, inequalities
-from partbounds.enclosure import ORDER_ERROR, Enclosure, constants, exp_enclosure
+from partbounds import enclosure, inequalities, rademacher
+from partbounds.enclosure import (
+    ORDER_ERROR,
+    Enclosure,
+    _int_ends,
+    constants,
+    exp_enclosure,
+    ratio_pair,
+    sqrt_enclosure,
+)
 from partbounds.errors import PartboundsError, PreconditionError
+from partbounds.estimates import (
+    FJN_RADIUS_A,
+    FJN_RADIUS_B,
+    RATIO_RADIUS_1,
+    RATIO_RADIUS_2,
+    fjn_j_top,
+    shifted_terms,
+)
+from partbounds.exact import shifted_index
 from partbounds.inequalities import (
     CASES,
     CASE_INDEX,
     DEFAULT_SEED,
     TAIL_TERMS,
+    _magnitude,
     _margin_bessel_tail,
-    abs_upper,
+    group_by_domain,
     run_case,
+    run_domain,
 )
+from partbounds.rademacher import h_error
 
 ALL_NAMES = {
     "geometric-series-100",
@@ -144,17 +169,27 @@ class TestFrozenSpots:
         assert margin((Fraction(141, 100),), 128).lo_fraction > Fraction(9, 10)
 
 
+def _own_abs_upper(e):
+    # exact upper bound for |t| over all t in the enclosure
+    return max(-e.lo_fraction, e.hi_fraction)
+
+
 class TestHelpers:
+    # _magnitude, the collapse margins' raw |b| bound, against abs_upper's
+    def _magnitude(self, e):
+        M, k = _magnitude((e.lo, e.hi))
+        assert Fraction(M, 1 << k) == _own_abs_upper(e)
+        return Fraction(M, 1 << k)
+
     def test_abs_upper_symmetric(self):
-        e = Enclosure.from_exact(-2, 128)
-        assert abs_upper(e) == 2
-        assert abs_upper(Enclosure.from_exact(2, 128)) == 2
+        assert self._magnitude(Enclosure.from_exact(-2, 128)) == 2
+        assert self._magnitude(Enclosure.from_exact(2, 128)) == 2
 
     def test_abs_upper_straddling_zero(self):
         e = Enclosure.from_exact(Fraction(-1, 3), 128) + Fraction(1, 7)
         # Enclosure of -4/21; magnitude bound must cover the lower endpoint.
-        assert abs_upper(e) >= Fraction(4, 21)
-        assert abs_upper(e) - Fraction(4, 21) < Fraction(1, 2**100)
+        assert self._magnitude(e) >= Fraction(4, 21)
+        assert self._magnitude(e) - Fraction(4, 21) < Fraction(1, 2**100)
 
 
 # -- the raw-libmp Bessel tail against its Enclosure expression -----------
@@ -218,3 +253,339 @@ class TestBesselTailKernel:
         monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: False)
         with pytest.raises(ValueError, match=ORDER_ERROR):
             _margin_bessel_tail((Fraction(50),), 53)
+
+
+# -- the raw margins against their Enclosure expressions --------------------
+# Each _own_* is the margin's Enclosure expression, the form it had before it
+# ran on raw ends; the raw margin must give these endpoints bit for bit.
+# h_error is checked against its own expression in test_rademacher.py.
+
+def _own_min_lo(margins):
+    # the first of the least lower endpoints, as _min_lo keeps it
+    return min(margins, key=lambda m: m.lo_fraction)
+
+
+def _own_sqrt_expansion(point, prec):
+    (x,) = point
+    deviation = (1 - x / 2 - x * x / 8) - sqrt_enclosure(1 - x, prec)
+    return x**3 / 10 - deviation
+
+
+def _own_inverse_sqrt(point, prec):
+    (x,) = point
+    return 1 + Fraction(3, 5) * x - 1 / sqrt_enclosure(1 - x, prec)
+
+
+def _own_concavity(point, prec):
+    (x,) = point
+    return 1 - x / 2 - sqrt_enclosure(1 - x, prec)
+
+
+def _own_envelope(x, prec):
+    # sqrt(x) exp(-(pi/2) sqrt(x/2))
+    c = constants(prec)
+    decay = (-(c.pi / 2) * sqrt_enclosure(x / 2, prec)).exp()
+    return sqrt_enclosure(x, prec) * decay
+
+
+def _own_tail_envelope(point, prec):
+    (x,) = point
+    return 15 * _own_envelope(x, prec) - h_error(x, prec)
+
+
+def _own_shifted_envelope(point, prec):
+    (x,) = point
+    y = x - sqrt_enclosure(x, prec) / 2
+    c = constants(prec)
+    decay = (-(c.pi / 2) * (y / 2).sqrt()).exp()
+    return Fraction(11, 10) - x * y.sqrt() * decay
+
+
+def _own_correction_sum(x, h, prec):
+    # sqrt(3)/(sqrt(2) pi sqrt(x)) + h, with h = h_error(x)
+    c = constants(prec)
+    return c.sqrt3 / (c.sqrt2 * c.pi * sqrt_enclosure(x, prec)) + h
+
+
+def _own_correction(point, prec):
+    (x,) = point
+    return Fraction(99, 100) - _own_correction_sum(x, h_error(x, prec), prec)
+
+
+def _own_exp_argument(point, prec):
+    (x,) = point
+    c = constants(prec)
+    inner = Fraction(1, 10) / sqrt_enclosure(x, prec) + Fraction(1, 4)
+    value = c.pi / (40 * c.sqrt6) + c.pi * c.pi / 24 * inner * inner
+    return Fraction(1, 10) - value
+
+
+def _own_shift_ratio(point, prec):
+    (x,) = point
+    return Fraction(1, 5) - 1 / (2 * sqrt_enclosure(x, prec))
+
+
+def _own_collapse_1350(point, prec):
+    (x,) = point
+    h = h_error(x, prec)
+    s = _own_correction_sum(x, h, prec)
+    return RATIO_RADIUS_2 - x * (h + 100 * s * s)
+
+
+def _own_collapse_056(point, prec):
+    n, j = point
+    c = constants(prec)
+    nn = shifted_index(n)
+    den = 4 * c.sqrt6 * (nn * sqrt_enclosure(nn, prec))
+    margins = []
+    for big_j in (j, 2 * j):
+        err_n = (
+            Fraction(2, 5)
+            + c.pi * big_j**3 / den
+            + Fraction(2, 5) * c.pi * big_j**2 / den
+            + Fraction(1, 10)
+            + Fraction(big_j, 10) / nn
+            + Fraction(1, 25) / nn
+        )
+        margins.append(Fraction(14, 25) - err_n)
+    return _own_min_lo(margins)
+
+
+def _own_product_error(b1, r1, b2, r2):
+    # |(1+b1+E1)(1+b2+E2) - (1+b1+b2)| for |E1| <= r1, |E2| <= r2
+    a1 = _own_abs_upper(b1)
+    a2 = _own_abs_upper(b2)
+    return a1 * a2 + r1 * (1 + a2 + r2) + r2 * (1 + a1)
+
+
+def _own_j_bracket(t, big_j, prec):
+    return Fraction(big_j) / t.N - constants(prec).pi * big_j**2 / (4 * t.sqrt6_N_sqrtN)
+
+
+def _own_collapse_271(point, prec):
+    n, j = point
+    t = shifted_terms(n, prec)
+    b2 = -t.sqrt3_over_sqrt_two_pi
+    margins = []
+    for big_j in (j, 2 * j):
+        b1 = _own_j_bracket(t, big_j, prec)
+        err = _own_product_error(b1, Fraction(14, 25) / t.N, b2, Fraction(131, 100) / t.N)
+        margins.append(Enclosure.from_exact(RATIO_RADIUS_1 - t.N * err, prec))
+    return _own_min_lo(margins)
+
+
+def _own_bracket_product_error(n, big_j, prec):
+    # N and the error of (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N), where b2 is
+    # the J-bracket less sqrt3/(sqrt(2 pi) sqrt N)
+    t = shifted_terms(n, prec)
+    b2 = _own_j_bracket(t, big_j, prec) - t.sqrt3_over_sqrt_two_pi
+    err = _own_product_error(
+        t.sqrt3_over_pi_sqrt2, RATIO_RADIUS_2 / t.N, b2, RATIO_RADIUS_1 / t.N
+    )
+    return t.N, err
+
+
+def _own_collapse_2075(point, prec):
+    n, j = point
+    N, err = _own_bracket_product_error(n, 2 * j, prec)
+    return Enclosure.from_exact(FJN_RADIUS_A - N * err, prec)
+
+
+def _own_collapse_3926(point, prec):
+    n, j = point
+    N, err = _own_bracket_product_error(n, j, prec)
+    return Enclosure.from_exact(FJN_RADIUS_B - 2 * N * err, prec)
+
+
+OWN = {
+    "sqrt-expansion-01": _own_sqrt_expansion,
+    "inverse-sqrt-06": _own_inverse_sqrt,
+    "concavity-sqrt-positive": _own_concavity,
+    "tail-envelope-15": _own_tail_envelope,
+    "shifted-envelope-11": _own_shifted_envelope,
+    "correction-sum-099": _own_correction,
+    "exp-argument-01": _own_exp_argument,
+    "shift-ratio-02": _own_shift_ratio,
+    "collapse-1350": _own_collapse_1350,
+    "collapse-056": _own_collapse_056,
+    "collapse-271": _own_collapse_271,
+    "collapse-2075": _own_collapse_2075,
+    "collapse-3926": _own_collapse_3926,
+}
+RAW_NAMES = sorted(OWN)
+PRECS = (16, 53, 128, 300)
+# at 16 bits the doubled shift 2j = 48 has a cube above 2^16
+WIDE_PAIR = (10_000, fjn_j_top(10_000))
+
+
+def _is_pair_case(name):
+    return CASE_INDEX[name].sampler is inequalities._PAIRS
+
+
+def _golden_point(name):
+    golden = Path(__file__).resolve().parents[1] / "docs" / "golden"
+    rows = json.loads((golden / "registry-rows.json").read_text())
+    [text] = [row["worst_point"] for row in rows if row["case"] == name]
+    parts = text.strip("()").split(", ")
+    return tuple(int(p) for p in parts) if _is_pair_case(name) else tuple(map(Fraction, parts))
+
+
+def _interval_ends(name):
+    # the sampler's pulled-in domain ends, its first and last grid points
+    return list(CASE_INDEX[name].sampler(2, 0, random.Random(0)))
+
+
+def _check_points(name):
+    if _is_pair_case(name):
+        ends = [(17, 1), WIDE_PAIR]
+    else:
+        ends = _interval_ends(name)
+    return [_golden_point(name), *ends]
+
+
+def _assert_same_ends(name, point, prec):
+    got = CASE_INDEX[name].margin(point, prec)
+    want = OWN[name](point, prec)
+    assert (got.lo, got.hi, got.prec) == (want.lo, want.hi, want.prec)
+
+
+def _clear_memos():
+    for memo in (
+        inequalities._terms,
+        inequalities._raw_constants,
+        inequalities._correction_ends,
+        inequalities._rest_root_ends,
+        inequalities._bracket_ends,
+        rademacher._root_ends,
+        rademacher._h_ends,
+    ):
+        memo.cache_clear()
+
+
+class TestRawMargins:
+    @pytest.mark.parametrize("prec", PRECS)
+    @pytest.mark.parametrize("name", RAW_NAMES)
+    def test_same_endpoints_as_enclosure_expression(self, name, prec):
+        for point in _check_points(name):
+            _assert_same_ends(name, point, prec)
+
+    def test_wide_pair_point_rounds_its_cube(self):
+        # the cube of J = 48 has more than 16 bits, so it enters through
+        # ratio_pair, as Enclosure._coerce reads such an int, and the margins
+        # still agree; an odd int of 17 bits rounds outward there
+        n, j = WIDE_PAIR
+        cube = (2 * j) ** 3
+        assert cube > 2**16
+        assert _int_ends(cube, 16) == ratio_pair(cube, 1, 16)
+        wide = Enclosure.from_exact(0, 16) + (2**16 + 1)
+        assert _int_ends(2**16 + 1, 16) == (wide.lo, wide.hi) and wide.lo != wide.hi
+        for name in RAW_NAMES:
+            if _is_pair_case(name):
+                _assert_same_ends(name, WIDE_PAIR, 16)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(RAW_NAMES), prec=st.sampled_from(PRECS))
+    def test_same_endpoints_at_drawn_points(self, data, name, prec):
+        if _is_pair_case(name):
+            n = data.draw(st.integers(17, 10_000), label="n")
+            point = (n, data.draw(st.integers(1, fjn_j_top(n)), label="j"))
+        else:
+            (a,), (b,) = _interval_ends(name)
+            u = Fraction(data.draw(st.integers(0, 2**53), label="u"), 2**53)
+            point = (a + (b - a) * u,)
+        _assert_same_ends(name, point, prec)
+
+    @pytest.mark.parametrize("name", RAW_NAMES)
+    def test_disordered_pair_raises_like_an_enclosure(self, name, monkeypatch):
+        point = _check_points(name)[0]
+        CASE_INDEX[name].margin(point, 53)
+        _clear_memos()
+        monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: False)
+        with pytest.raises(ValueError, match=ORDER_ERROR):
+            CASE_INDEX[name].margin(point, 53)
+
+    @pytest.mark.parametrize("prec", PRECS)
+    def test_envelope_reads_h_decay(self, prec):
+        # tail-envelope-15 takes its exponential from h: the ends of x/2 are
+        # half those of x, and the product with -(pi/2) is the negated one
+        c = constants(prec)
+        half_pi = c.pi / 2
+        for (x,) in _check_points("tail-envelope-15") + [(Fraction(335, 24),), (Fraction(7, 3),)]:
+            xe = Enclosure.from_exact(x, prec)
+            root = sqrt_enclosure(x / 2, prec)
+            assert (root.lo, root.hi) == ((xe / 2).sqrt().lo, (xe / 2).sqrt().hi)
+            negated, product = (-half_pi) * root, -(half_pi * root)
+            assert (negated.lo, negated.hi) == (product.lo, product.hi)
+            decay = rademacher._h_ends(x, prec)[1]
+            assert decay == (negated.exp().lo, negated.exp().hi)
+
+
+# -- domains -----------------------------------------------------------------
+
+SHARED_DOMAINS = {
+    "[335/24, 10^4]": (
+        "shifted-envelope-11", "correction-sum-099", "exp-argument-01", "shift-ratio-02",
+        "collapse-1350",
+    ),
+    "pairs": ("collapse-056", "collapse-271", "collapse-2075", "collapse-3926"),
+    "(0, 1/5)": (
+        "sqrt-expansion-01", "inverse-sqrt-06", "reciprocal-125", "concavity-sqrt-positive",
+    ),
+    "[1, 10^4]": ("sqrt-exp-decreasing", "bessel-simplify-half"),
+}
+
+
+class TestDomains:
+    def test_domain_partition(self):
+        # a refactor that splits one of these domains loses its shared terms
+        groups = group_by_domain([case.name for case in CASES])
+        assert sorted(group for group in groups if len(group) > 1) == sorted(
+            SHARED_DOMAINS.values()
+        )
+        assert len(groups) == 9
+        assert sum(len(group) for group in groups) == len(CASES)
+
+    @pytest.mark.parametrize("domain", sorted(SHARED_DOMAINS))
+    def test_domain_run_equals_single_case_runs(self, domain, monkeypatch):
+        names = SHARED_DOMAINS[domain]
+        for name in names:
+            _shrink(monkeypatch, name, 60, 15)
+        assert group_by_domain(names) == [names]
+        results = run_domain(names, seed=11)
+        assert results == [run_case(name, seed=11) for name in names]
+        assert [result.points for result in results] == [75] * len(names)
+
+    def test_ties_go_to_the_first_point(self, monkeypatch):
+        names = SHARED_DOMAINS["pairs"]
+        for name in names:
+            _shrink(monkeypatch, name, 60, 15)
+        flat = dataclasses.replace(
+            CASE_INDEX["collapse-271"], margin=lambda point, prec: Enclosure.from_exact(1, prec)
+        )
+        monkeypatch.setitem(CASE_INDEX, "collapse-271", flat)
+        first = next(iter(CASE_INDEX[names[0]].sampler(60, 15, random.Random(DEFAULT_SEED))))
+        assert run_domain(names)[1].worst_point == first == run_case("collapse-271").worst_point
+
+    def test_shared_terms_built_once_per_point(self, monkeypatch):
+        names = SHARED_DOMAINS["[335/24, 10^4]"]
+        for name in names:
+            _shrink(monkeypatch, name, 60, 15)
+        _clear_memos()
+        run_domain(names)
+        for memo in (rademacher._root_ends, rademacher._h_ends, inequalities._correction_ends):
+            assert memo.cache_info().misses == 75
+        names = SHARED_DOMAINS["pairs"]
+        for name in names:
+            _shrink(monkeypatch, name, 60, 15)
+        _clear_memos()
+        run_domain(names)
+        # at most one build of the shifted terms per point, none when the
+        # point keeps the last one's n; the J-brackets at j and 2j at most
+        # once, and collapse-2075 and collapse-3926 read them from the memo
+        assert inequalities._terms.cache_info().misses <= 75
+        brackets = inequalities._bracket_ends.cache_info()
+        assert brackets.misses <= 2 * 75 and brackets.hits >= 2 * 75
+
+    def test_cases_of_two_domains_are_refused(self):
+        with pytest.raises(PreconditionError, match="do not share one domain"):
+            run_domain(["reciprocal-125", "collapse-131"])

@@ -2,10 +2,18 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import libmp
 
-from partbounds import rademacher
-from partbounds.enclosure import DEFAULT_PRECISION, fraction_from_raw
+from partbounds import enclosure, rademacher
+from partbounds.enclosure import (
+    DEFAULT_PRECISION,
+    ORDER_ERROR,
+    Enclosure,
+    constants,
+    fraction_from_raw,
+)
 from partbounds.errors import PreconditionError, StabilizationError
 from partbounds.exact import p_exact
 from partbounds.rademacher import (
@@ -140,7 +148,55 @@ class TestPartial:
         assert abs(first / p100 - 1) < Fraction(1, 20)
 
 
+def _own_h(x, prec):
+    # h_error's Enclosure expression, the form it had before it wrapped the
+    # raw ends of rademacher._h_ends; those must give these endpoints bit for bit
+    xe = Enclosure.from_exact(Fraction(x), prec)
+    c = constants(prec)
+    pi = c.pi
+    first = c.h_first * xe * (-(pi * (2 * xe / 3).sqrt())).exp()
+    second = c.h_second * xe.sqrt() * (-(pi / 2 * (xe / 2).sqrt())).exp()
+    return first + second
+
+
+def _assert_h_keeps_every_endpoint(x, prec):
+    got, want = h_error(x, prec), _own_h(x, prec)
+    assert (got.lo, got.hi, got.prec) == (want.lo, want.hi, want.prec)
+
+
+# the ends of the registry's domains of h and the golden worst points there
+H_POINTS = [
+    Fraction(12),
+    Fraction(335, 24),
+    Fraction(22333349311, 1600000000),
+    Fraction(2499999997503, 250000000),
+    Fraction(10_000),
+    Fraction(1, 3),
+]
+
+
 class TestErrorEnvelope:
+    @pytest.mark.parametrize("prec", [16, 53, 128, 300])
+    def test_raw_h_same_endpoints_as_enclosure_expression(self, prec):
+        for x in H_POINTS:
+            _assert_h_keeps_every_endpoint(x, prec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.fractions(min_value=Fraction(1, 10**6), max_value=10**4, max_denominator=10**12),
+        prec=st.sampled_from([16, 53, 128, 300]),
+    )
+    def test_raw_h_at_drawn_points(self, x, prec):
+        _assert_h_keeps_every_endpoint(x, prec)
+
+    def test_disordered_pair_raises_like_an_enclosure(self, monkeypatch):
+        h_error(Fraction(50), 53)  # constants built
+        rademacher._h_ends.cache_clear()
+        rademacher._root_ends.cache_clear()
+        monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: False)
+        with pytest.raises(ValueError, match=ORDER_ERROR):
+            h_error(Fraction(50), 53)
+
     def test_frozen_values(self):
         h12 = h_error(12)
         assert Fraction("1.083076") < h12.lo_fraction

@@ -659,15 +659,18 @@ def _usable_cpus(monkeypatch, count):
 
 
 class TestInequalityDispatch:
-    # cheap copies of one case at several grid sizes, listed out of cost order
+    # cheap copies of one case at several grid sizes, listed out of cost
+    # order, each its own domain, and one more case that shares the first's
     GRIDS = (20, 240, 5, 120, 60)
 
     def _register(self, monkeypatch):
-        base = inequalities.CASE_INDEX["reciprocal-125"]
         names = []
-        for grid in self.GRIDS:
+        for base, grid in [("reciprocal-125", grid) for grid in self.GRIDS] + [
+            ("concavity-sqrt-positive", self.GRIDS[0])
+        ]:
             case = dataclasses.replace(
-                base, name=f"dispatch-{grid}", grid_points=grid, random_points=grid // 4
+                inequalities.CASE_INDEX[base], name=f"dispatch-{grid}-{base}",
+                grid_points=grid, random_points=grid // 4,
             )
             monkeypatch.setitem(inequalities.CASE_INDEX, case.name, case)
             names.append(case.name)
@@ -675,14 +678,27 @@ class TestInequalityDispatch:
 
     def test_results_keep_registry_order(self, monkeypatch):
         names = self._register(monkeypatch)
-        order = _dispatch_order(names)
-        assert [names[i] for i in order] == [
-            "dispatch-240", "dispatch-120", "dispatch-60", "dispatch-20", "dispatch-5"
+        groups = inequalities.group_by_domain(names)
+        assert [len(group) for group in groups] == [2, 1, 1, 1, 1]
+        # the shared domain's cost is the sum of its two cases'
+        assert [groups[i][0].split("-")[1] for i in _dispatch_order(groups)] == [
+            "240", "120", "60", "20", "5"
         ]
         expected = [inequalities.run_case(name) for name in names]
         for cpus in (2, 1):
             _usable_cpus(monkeypatch, cpus)
             assert _run_inequality_cases(names, 128, inequalities.DEFAULT_SEED) == expected
+
+    def test_summed_cost_orders_domains(self, monkeypatch):
+        # two cases at grid 20 outweigh one at 30: their domain goes first
+        names = self._register(monkeypatch)
+        thirty = dataclasses.replace(
+            inequalities.CASE_INDEX["reciprocal-125"], name="dispatch-30",
+            grid_points=30, random_points=7,
+        )
+        monkeypatch.setitem(inequalities.CASE_INDEX, thirty.name, thirty)
+        groups = inequalities.group_by_domain([thirty.name, names[0], names[-1]])
+        assert groups[_dispatch_order(groups)[0]] == (names[0], names[-1])
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
     def test_one_usable_cpu_runs_in_process(self, monkeypatch):
@@ -699,8 +715,8 @@ class TestInequalityDispatch:
         assert _run_inequality_cases(names, 128, inequalities.DEFAULT_SEED) == expected
 
     def test_longest_case_dispatched_first(self):
-        names = [case.name for case in inequalities.CASES]
-        assert names[_dispatch_order(names)[0]] == "bessel-tail-sum"
+        groups = inequalities.group_by_domain([case.name for case in inequalities.CASES])
+        assert groups[_dispatch_order(groups)[0]] == ("bessel-tail-sum",)
 
     def test_case_error_propagates_without_rerun(self, monkeypatch, tmp_path):
         # every evaluation leaves a marker, so a sequential rerun would show
@@ -709,11 +725,14 @@ class TestInequalityDispatch:
             one = Enclosure.from_exact(1, prec)
             return Enclosure(one.hi, Enclosure.from_exact(0, prec).lo, prec)
 
+        # a sampler of its own, so the case is a domain, and a task, of its own
         case = dataclasses.replace(
-            inequalities.CASE_INDEX["collapse-131"], name="raises", margin=margin
+            inequalities.CASE_INDEX["collapse-131"], name="raises", margin=margin,
+            sampler=inequalities._point_sampler(),
         )
         monkeypatch.setitem(inequalities.CASE_INDEX, case.name, case)
         _usable_cpus(monkeypatch, 2)
+        assert len(inequalities.group_by_domain(["raises", "collapse-131"])) == 2
         with pytest.raises(ValueError, match="endpoints out of order"):
             _run_inequality_cases(["raises", "collapse-131"], 128, 1)
         assert len(list(tmp_path.iterdir())) == 1
