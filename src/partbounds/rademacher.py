@@ -37,10 +37,10 @@ from .enclosure import (
     _neg_ends,
     _ratio_ends,
     _sqrt_ends,
+    _sub_ends,
+    _widen_ends,
     _wrap,
     constants,
-    fraction_from_raw,
-    sqrt_enclosure,
 )
 from .errors import PreconditionError, StabilizationError
 from .estimates import shifted_terms
@@ -72,7 +72,7 @@ def _term(wp: int, X, n: int, k: int):
     # A_k(n)/k * I_{3/2}(X/k) for a raw X, as a raw mpf rounded to nearest at wp
     kk = libmp.from_int(k)
     A = kloosterman_A(k, n, wp)
-    bess = bessel_I32_closed(fraction_from_raw(libmp.mpf_div(X, kk, wp, "n")), wp)
+    bess = bessel_I32_closed(libmp.mpf_div(X, kk, wp, "n"), wp)
     return libmp.mpf_mul(libmp.mpf_div(A, kk, wp, "n"), bess, wp, "n")
 
 
@@ -91,21 +91,51 @@ def _lehmer_lead():
     return first, math.floor(4 * lo * lo) + 1
 
 
-def _remainder_bounds(n: int, start: int):
+def _remainder_bound(n: int, N: int):
     """Lehmer's bound on |p(n) - prefactor * (sum of the first N terms)|, for
-    N = start, start + 1, ... and n >= 2, each the raw hi of a 64-bit Enclosure:
+    n >= 2 and N >= 1, as the raw hi of a 64-bit interval:
 
         R(n, N) = 44 pi^2 / (225 sqrt 3) N^{-1/2}
                   + pi sqrt 2 / 75 (N / (n-1))^{1/2} sinh(pi sqrt(2n/3) / N).
+
+    The libmp calls, operands and roundings of the Enclosure expression
+
+        first / root + second * root * (e - 1 / e) / 2
+
+    with first = _lehmer_lead()[0], root = sqrt_enclosure(N, 64),
+    second = c.pi * c.sqrt2 / 75 / sqrt_enclosure(n - 1, 64),
+    e = (c.pi * sqrt_enclosure(6 * n, 64) / 3 / N).exp() and c = constants(64).
     """
-    c = constants(64)
+    p = 64
+    c = constants(p)
     first = _lehmer_lead()[0]
-    second = c.pi * c.sqrt2 / 75 / sqrt_enclosure(n - 1, 64)
-    a = c.pi * sqrt_enclosure(6 * n, 64) / 3
-    for N in itertools.count(start):
-        root = sqrt_enclosure(N, 64)
-        e = (a / N).exp()
-        yield (first / root + second * root * (e - 1 / e) / 2).hi
+    pi = (c.pi.lo, c.pi.hi)
+    root = _sqrt_ends(_ratio_ends(N, 1, p), p)
+    second = _div_ends(_mul_ends(pi, (c.sqrt2.lo, c.sqrt2.hi), p), _int_ends(75, p), p)
+    second = _div_ends(second, _sqrt_ends(_ratio_ends(n - 1, 1, p), p), p)
+    a = _mul_ends(pi, _sqrt_ends(_ratio_ends(6 * n, 1, p), p), p)
+    e = _exp_ends(_div_ends(_div_ends(a, _int_ends(3, p), p), _int_ends(N, p), p), p)
+    sinh2 = _sub_ends(e, _div_ends(_int_ends(1, p), e, p), p)
+    rest = _div_ends(_mul_ends(_mul_ends(second, root, p), sinh2, p), _int_ends(2, p), p)
+    return _add_ends(_div_ends((first.lo, first.hi), root, p), rest, p)[1]
+
+
+# R(n, N)'s two coefficients 44 pi^2 / (225 sqrt 3) and pi sqrt 2 / 75 in
+# double precision, and the share of the estimate that rademacher_round
+# takes as a lower bound of R
+_LEAD = 44 * math.pi ** 2 / (225 * math.sqrt(3))
+_SECOND = math.pi * math.sqrt(2) / 75
+_ESTIMATE_SHARE = 1 - 2.0 ** -30
+
+
+def _remainder_estimate(n: int, N: int) -> float:
+    """R(n, N) in double precision, for n >= 2 and N >= 1; inf where its
+    sinh would overflow (n above about 1.9 * 10^6 at N = 5)."""
+    try:
+        growth = math.sinh(math.pi * math.sqrt(2 * n / 3) / N)
+    except OverflowError:
+        return math.inf
+    return _LEAD / math.sqrt(N) + _SECOND * math.sqrt(N / (n - 1)) * growth
 
 
 def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
@@ -120,9 +150,21 @@ def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
     away: gap + R below 1/2 leaves the other 1/2 for that error.
     R decreases in N, so the test passes by the first N with R < 1/4, up to
     rounding at wp; a round still running once R < 1/8 raises
-    StabilizationError instead of guessing.  R is not evaluated below the
-    first N where it can fall under 1/2 (_lehmer_lead).  n = 1 is answered
-    directly, since R divides by n - 1.
+    StabilizationError instead of guessing.  n = 1 is answered directly,
+    since R divides by n - 1.
+
+    The rigorous 64-bit R (_remainder_bound) is evaluated only where one of
+    the two tests can pass.  Below the first N where R can fall under 1/2
+    (_lehmer_lead) neither can.  From there on, a double-precision estimate
+    est of R (_remainder_estimate) is taken first, and low = est (1 - 2^-30)
+    stands for a lower bound of R.  If low >= 1/8 and gap + low >= 1/2, then
+    R >= 1/8 fails the StabilizationError test and gap + R >= 1/2 fails the
+    stop test, so R is not evaluated.  low is a lower bound unless libm's
+    sqrt and sinh err by more than 2^-30 relative: gap is read as a float
+    rounded down, and the one float sum errs by 2^-53 of gap + low, far
+    inside low's allowance of at least 2^-33.  A wrong skip only costs one
+    more term: the round still returns only after the rigorous R passes the
+    unchanged test, so it can never return a wrong integer.
     """
     if n < 1:
         raise PreconditionError("requires n >= 1")
@@ -133,13 +175,17 @@ def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
     threshold = libmp.mpf_sub(libmp.from_man_exp(1, -1), libmp.from_man_exp(1, 16 - wp), wp, "n")
     start = _lehmer_lead()[1]
     running = libmp.fzero
-    for k in range(1, start):
+    for k in itertools.count(1):
         running = libmp.mpf_add(running, _term(wp, X, n, k), wp, "n")
-    for k, tail in enumerate(_remainder_bounds(n, start), start):
-        running = libmp.mpf_add(running, _term(wp, X, n, k), wp, "n")
+        if k < start:
+            continue
         value = libmp.mpf_mul(prefactor, running, wp, "n")
         nearest = libmp.to_int(libmp.mpf_nint(value, wp, "n"))
         gap = libmp.mpf_abs(libmp.mpf_sub(value, libmp.from_int(nearest), wp, "n"))
+        low = _remainder_estimate(n, k) * _ESTIMATE_SHARE
+        if low >= 0.125 and libmp.to_float(gap) + low >= 0.5:
+            continue
+        tail = _remainder_bound(n, k)
         if libmp.mpf_lt(libmp.mpf_add(gap, tail, wp, "n"), threshold):
             return nearest
         if libmp.mpf_lt(libmp.mpf_shift(tail, 2), threshold):
@@ -210,14 +256,26 @@ def proposition21_interval(m: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
 
         p(m) in e^{pi sqrt(2M/3)} / (4 sqrt(3) M) * [1 - sqrt(3)/(sqrt(2) pi
         sqrt(M)) +- h(M)],   M = m - 1/24.
+
+    The libmp calls, operands and roundings of the Enclosure expression
+
+        prefactor * (1 - t.sqrt3_over_pi_sqrt2).plus_minus(h_error(t.N, prec))
+
+    with prefactor = (c.pi * (2 * t.Ne / 3).sqrt()).exp() / (4 * c.sqrt3 * t.Ne),
+    t = shifted_terms(m, prec) and c = constants(prec).
     """
     if m < 2:
         raise PreconditionError("requires m >= 2")
     t = shifted_terms(m, prec)
     c = constants(prec)
-    prefactor = (c.pi * (2 * t.Ne / 3).sqrt()).exp() / (4 * c.sqrt3 * t.Ne)
-    h = _wrap(_h_ends(t.N, prec)[0], prec)
-    return prefactor * (1 - t.sqrt3_over_pi_sqrt2).plus_minus(h)
+    ne = (t.Ne.lo, t.Ne.hi)
+    e = _div_ends(_mul_ends(ne, _int_ends(2, prec), prec), _int_ends(3, prec), prec)
+    e = _exp_ends(_mul_ends((c.pi.lo, c.pi.hi), _sqrt_ends(e, prec), prec), prec)
+    den = _mul_ends(_mul_ends((c.sqrt3.lo, c.sqrt3.hi), _int_ends(4, prec), prec), ne, prec)
+    q = t.sqrt3_over_pi_sqrt2
+    bracket = _widen_ends(_sub_ends(_int_ends(1, prec), (q.lo, q.hi), prec),
+                          _h_ends(t.N, prec)[0][1], prec)
+    return _wrap(_mul_ends(_div_ends(e, den, prec), bracket, prec), prec)
 
 
 def proposition21_budget(m: int, prec: int = DEFAULT_PRECISION) -> ErrorBudget:

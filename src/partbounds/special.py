@@ -18,7 +18,8 @@ rounded once, to nearest at prec bits, which adds at most |A_k(n)| 2^-prec
 its value.  The Bessel function has three independent forms:
 
 * bessel_I32_closed, the elementary closed form: the trusted path, read by
-  rademacher_round;
+  rademacher_round, which passes its arguments as raw floats; a raw
+  argument gives the bits of its value passed as a Fraction;
 * bessel_I32_series, the power series summed in exact integer brackets: the
   oracle the `oracles` suite checks the closed form against;
 * bessel_I32_quadrature, adaptive quadrature in mp_context, the package's one
@@ -141,6 +142,16 @@ def _bessel_guard_bits(x: Fraction) -> int:
     return 10 + 3 * max(1, mag)
 
 
+def _raw_guard_bits(x) -> int:
+    # _bessel_guard_bits of a positive raw float man 2^exp, read off its
+    # exponent: the value is at least 1 exactly when exp + bc >= 1; below 1
+    # its lowest terms are an odd bc-bit numerator over 2^-exp, so mag is
+    # (1 - exp) - bc + 1 >= 2.  Normalizing a mantissa keeps exp + bc.
+    _, _, exp, bc = x
+    top = exp + bc
+    return 10 if top >= 1 else 10 + 3 * (2 - top)
+
+
 def bessel_I32_closed(x, prec: int = DEFAULT_PRECISION):
     """I_{3/2}(x) by the elementary closed form.
 
@@ -155,15 +166,26 @@ def bessel_I32_closed(x, prec: int = DEFAULT_PRECISION):
         I_{3/2}(x) = [e^x (1 - 1/x) + e^{-x} (1 + 1/x)] / (sqrt(2 pi x)).
     Both exponential terms are kept; nothing is discarded or bounded.
 
+    x is an int, a Fraction or a raw libmp float; rademacher_round passes
+    its dyadic arguments X/k raw, with no detour through a Fraction.
     Evaluated in raw libmp with no mpmath context: x is converted toward
-    zero, as from_rational does by default, and every later step rounds to
-    nearest at the working precision.
+    zero at the working precision, as from_rational does by default (a raw
+    x of at most that many bits converts exactly), and every later step
+    rounds to nearest.  A raw x gets the guard bits of its value's
+    Fraction, read off its exponent, so both forms of one value give the
+    same bits.
     """
-    xf = to_fraction(x)
-    if xf <= 0:
-        raise PreconditionError("requires x > 0")
-    wp = prec + _bessel_guard_bits(xf)
-    xm = libmp.from_rational(xf.numerator, xf.denominator, wp)
+    if isinstance(x, tuple):
+        if x[0] or not x[1]:  # negative, zero or not finite
+            raise PreconditionError("requires x > 0")
+        wp = prec + _raw_guard_bits(x)
+        xm = libmp.mpf_pos(x, wp, "d")
+    else:
+        xf = to_fraction(x)
+        if xf <= 0:
+            raise PreconditionError("requires x > 0")
+        wp = prec + _bessel_guard_bits(xf)
+        xm = libmp.from_rational(xf.numerator, xf.denominator, wp)
     ex = libmp.mpf_exp(xm, wp, "n")
     inv = libmp.mpf_rdiv_int(1, xm, wp, "n")
     grow = libmp.mpf_mul(ex, libmp.mpf_sub(libmp.fone, inv, wp, "n"), wp, "n")

@@ -547,6 +547,15 @@ def _ends(encs):
     return [(e.lo, e.hi) for e in encs]
 
 
+@pytest.mark.parametrize("prec", [16, 53, 128, 300])
+def test_raw_truncation_interval_keeps_every_endpoint(prec):
+    # the one-term truncation interval, built in raw libmp, against its
+    # Enclosure expression at every m <= 400
+    ms = range(2, 401)
+    assert _ends(proposition21_interval(m, prec) for m in ms) == _ends(
+        _own_prop21(m, prec) for m in ms)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),

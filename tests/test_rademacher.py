@@ -1,4 +1,4 @@
-import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,12 +13,15 @@ from partbounds.enclosure import (
     Enclosure,
     constants,
     fraction_from_raw,
+    sqrt_enclosure,
 )
 from partbounds.errors import PreconditionError, StabilizationError
 from partbounds.exact import p_exact
 from partbounds.rademacher import (
+    _ESTIMATE_SHARE,
     _lehmer_lead,
-    _remainder_bounds,
+    _remainder_bound,
+    _remainder_estimate,
     _series_state,
     _term,
     h_error,
@@ -66,9 +69,10 @@ class TestRound:
             assert got == want, n
             prefactor = fraction_from_raw(_series_state(n, DEFAULT_PRECISION)[2])
             partial = Fraction(0)
-            for N, (term, bound) in enumerate(zip(terms, _remainder_bounds(n, 1)), 1):
+            for N, term in enumerate(terms, 1):
                 partial += fraction_from_raw(term)
-                assert abs(want - prefactor * partial) <= fraction_from_raw(bound), (n, N)
+                bound = fraction_from_raw(_remainder_bound(n, N))
+                assert abs(want - prefactor * partial) <= bound, (n, N)
 
     def test_remainder_bound_is_lehmers(self):
         # each R(n, N) against Lehmer's formula typed again, in an mpmath context
@@ -77,8 +81,15 @@ class TestRound:
             formula = (44 * ctx.pi ** 2 / (225 * ctx.sqrt(3)) / ctx.sqrt(N)
                        + ctx.pi * ctx.sqrt(2) / 75 * ctx.sqrt(ctx.mpf(N) / (n - 1))
                        * ctx.sinh(ctx.pi / N * ctx.sqrt(ctx.mpf(2 * n) / 3)))
-            hi = ctx.make_mpf(next(itertools.islice(_remainder_bounds(n, 1), N - 1, None)))
+            hi = ctx.make_mpf(_remainder_bound(n, N))
             assert formula <= hi <= formula * (1 + ctx.mpf(2) ** -50), (n, N)
+
+    def test_raw_remainder_is_the_enclosure_expression(self):
+        # bit for bit, across the depths rounds reach and the ones they skip
+        points = [(n, N) for n in range(2, 400, 3) for N in range(1, 30, 2)]
+        points += [(n, N) for n in (5000, 10**5, 2 * 10**6) for N in (5, 40, 400)]
+        for n, N in points:
+            assert _remainder_bound(n, N) == _own_remainder(n, N), (n, N)
 
     def test_remainder_starts_where_it_can_stop(self):
         # R(n, N) >= lo / sqrt N for the 64-bit lower end lo of its first
@@ -90,8 +101,40 @@ class TestRound:
         assert Fraction(111431, 100000) < lo < Fraction(111432, 100000)
         assert 4 * lo * lo >= start - 1 and 4 * lo * lo < start
         for n in (2, 3, 150, 3000):
-            skipped = itertools.islice(_remainder_bounds(n, 1), start - 1)
-            assert all(fraction_from_raw(tail) >= Fraction(1, 2) for tail in skipped), n
+            for N in range(1, start):
+                assert fraction_from_raw(_remainder_bound(n, N)) >= Fraction(1, 2), (n, N)
+
+    def test_estimate_share_is_below_the_bound(self):
+        # wherever the pre-test could skip R on the estimate alone, the share
+        # of it that the round takes lies below the rigorous bound
+        checked = 0
+        for n in [*range(2, 2001, 7), 5000, 20000, 100000]:
+            for N in range(5, 60):
+                low = _remainder_estimate(n, N) * _ESTIMATE_SHARE
+                if low >= 0.125:
+                    checked += 1
+                    assert Fraction(low) <= fraction_from_raw(_remainder_bound(n, N)), (n, N)
+        assert checked > 15000
+
+    def test_one_rigorous_remainder_per_round(self, monkeypatch):
+        # the estimate leaves R to the depth where the round stops: one
+        # evaluation per round, 149 for 2 <= n <= 150
+        calls = []
+
+        def counted(n, N):
+            calls.append(n)
+            return _remainder_bound(n, N)
+
+        monkeypatch.setattr(rademacher, "_remainder_bound", counted)
+        for n in range(1, 151):
+            assert rademacher_round(n) == p_exact(n), n
+        assert calls == list(range(2, 151))
+
+    def test_estimate_overflows_to_inf(self):
+        # pi sqrt(2n/3)/5 overflows sinh above n of about 1.9 * 10^6
+        assert _remainder_estimate(2 * 10**6, 5) == math.inf
+        assert _remainder_estimate(2 * 10**6, 6) < math.inf
+        assert _remainder_estimate(10**400, 5) == math.inf
 
     def test_stops_by_remainder_quarter(self, monkeypatch):
         # the first N with R(n, N) < 1/4 is 34 at n = 1000 and 45 at n = 3000
@@ -146,6 +189,18 @@ class TestPartial:
         first = fraction_from_raw(libmp.mpf_mul(prefactor, terms[0], wp, "n"))
         assert abs(total - p100) < Fraction(1, 4)
         assert abs(first / p100 - 1) < Fraction(1, 20)
+
+
+def _own_remainder(n, N):
+    # _remainder_bound's Enclosure expression, the form it had before it was
+    # written in raw libmp; the raw form must give this upper end bit for bit
+    c = constants(64)
+    first = _lehmer_lead()[0]
+    second = c.pi * c.sqrt2 / 75 / sqrt_enclosure(n - 1, 64)
+    a = c.pi * sqrt_enclosure(6 * n, 64) / 3
+    root = sqrt_enclosure(N, 64)
+    e = (a / N).exp()
+    return (first / root + second * root * (e - 1 / e) / 2).hi
 
 
 def _own_h(x, prec):

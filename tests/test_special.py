@@ -275,7 +275,8 @@ def _context_closed(x, prec):
 
 
 def test_raw_closed_keeps_every_round_bit(monkeypatch):
-    # every (X/k, wp) that rademacher_round reads for n <= 400
+    # every raw X/k and wp that rademacher_round reads for n <= 400 gives the
+    # bits of its value passed as a Fraction, and of the context form
     seen = set()
 
     def recording(x, prec):
@@ -287,7 +288,52 @@ def test_raw_closed_keeps_every_round_bit(monkeypatch):
         rademacher.rademacher_round(n)
     assert len(seen) > 4000
     for x, prec in seen:
-        assert bessel_I32_closed(x, prec) == _context_closed(x, prec), (x, prec)
+        assert type(x) is tuple and len(x) == 4, x
+        xf = fraction_from_raw(x)
+        got = bessel_I32_closed(x, prec)
+        assert got == bessel_I32_closed(xf, prec) == _context_closed(xf, prec), (x, prec)
+
+
+def _raw_points():
+    # 1, 1/2, 3/4, 2^-20 and the 53- and 128-bit floats next to 1 on either
+    # side, raw and normalized, with two unnormalized forms of 1/2 and 1
+    points = [libmp.from_rational(p, q, 128) for p, q in ((1, 1), (1, 2), (3, 4), (1, 2**20))]
+    for bits in (53, 128):
+        points.append(libmp.from_man_exp((1 << bits) - 1, -bits))
+        points.append(libmp.from_man_exp((1 << (bits - 1)) + 1, 1 - bits))
+    return points + [(0, 2, -2, 2), (0, 4, -2, 3)]
+
+
+def test_raw_guard_bits_read_off_the_exponent():
+    # the exponent arithmetic against _bessel_guard_bits of the value, on
+    # both sides of 1, where it is easy to be one off, and on 200-bit
+    # mantissas below and just above 1
+    points = _raw_points() + [libmp.from_rational(p, q, 200, "d")
+                              for p, q in ((1, 3), (5, 7), (10**6 + 1, 10**6))]
+    for x in points:
+        assert special._raw_guard_bits(x) == special._bessel_guard_bits(fraction_from_raw(x)), x
+    got = {fraction_from_raw(x): special._raw_guard_bits(x) for x in _raw_points()}
+    assert got[Fraction(1)] == 10
+    assert got[Fraction(1, 2)] == got[Fraction(3, 4)] == 16
+    assert got[Fraction(1, 2**20)] == 10 + 3 * 21
+    assert got[1 - Fraction(1, 2**53)] == 16 and got[1 + Fraction(1, 2**52)] == 10
+
+
+@pytest.mark.parametrize("prec", [53, 128, 300])
+def test_raw_argument_gives_the_fraction_bits(prec):
+    # a raw argument and its Fraction convert to the same working float;
+    # 128-bit and wider arguments are rounded toward zero at 53 bits
+    for x in _raw_points():
+        xf = fraction_from_raw(x)
+        assert bessel_I32_closed(x, prec) == bessel_I32_closed(xf, prec), (x, prec)
+    # 400-bit floats below the two arguments whose last bit changes if x is
+    # converted to nearest, at the precisions where it does
+    for (p, q), at in (((22, 7), 114), ((264678993, 10**6), 53)):
+        x = libmp.from_rational(p, q, 400, "d")
+        assert bessel_I32_closed(x, at) == bessel_I32_closed(fraction_from_raw(x), at)
+    for bad in (libmp.fzero, libmp.from_int(-1), libmp.finf, libmp.fnan):
+        with pytest.raises(PreconditionError):
+            bessel_I32_closed(bad, prec)
 
 
 @settings(max_examples=150, deadline=None)

@@ -699,6 +699,14 @@ class TestInequalityDispatch:
         monkeypatch.setitem(inequalities.CASE_INDEX, thirty.name, thirty)
         groups = inequalities.group_by_domain([thirty.name, names[0], names[-1]])
         assert groups[_dispatch_order(groups)[0]] == (names[0], names[-1])
+        # in the registry, tail-envelope-15's weight of three margins a point
+        # sends its domain ahead of the 22000-cost domain and the cheap ones
+        groups = inequalities.group_by_domain([case.name for case in inequalities.CASES])
+        assert [groups[i][0] for i in _dispatch_order(groups)] == [
+            "bessel-tail-sum", "shifted-envelope-11", "sqrt-expansion-01", "collapse-056",
+            "tail-envelope-15", "sqrt-exp-decreasing", "geometric-series-100",
+            "exp-convexity-half", "collapse-131",
+        ]
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
     def test_one_usable_cpu_runs_in_process(self, monkeypatch):
