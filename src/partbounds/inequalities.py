@@ -324,7 +324,7 @@ def _margin_tail_envelope(point: Point, prec: int) -> Enclosure:
     #   (-a_hi b_hi rounded down, -a_lo b_lo rounded up), and rounding -v
     #   down is -(v rounded up), so it is the negation of _mul_ends(A, B).
     (x,) = point
-    h, decay = _h_ends(x, prec)
+    h, decay, _ = _h_ends(x, prec)
     envelope = _mul_ends(_root_ends(x, prec)[1], decay, prec)
     envelope = _mul_ends(envelope, _raw_constants(prec).fifteen, prec)
     return _wrap(_sub_ends(envelope, h, prec), prec)

@@ -10,6 +10,39 @@ its distance to that integer plus Lehmer's remainder bound is below 1/2
 (Lehmer 1938, as stated in Johansson, "Efficient implementation of the
 Hardy-Ramanujan-Rademacher formula", LMS J. Comput. Math. 2012, eq. 1.8).
 
+As in Johansson's implementation, the terms are summed in integer fixed
+point, here at W = wp + 16 fractional bits ("units" below are 2^-W).
+X = pi sqrt(24n-1)/6 and the prefactor 2 pi (24n-1)^{-3/4} come from isqrt
+and libmp's pi_fixed, each within 2 units.  Term k is
+T_k = floor(a_k I_k / (k 2^W)), where a_k is kloosterman_A(k, n, wp)
+(within phi(k) 2^(1-wp) of A_k(n)) floored to W bits (one unit more), and
+I_k = special._bessel_fixed(floor(X / k), W).  With x = X/k and Delta_W the
+kernel's bound (special's docstring),
+
+    |T_k - 2^W A_k(n)/k I_{3/2}(x)|
+        <= (phi(k) 2^(1-wp) + 2^-W) 2^W I_{3/2}(x) / k + 3 Delta_W(x),
+
+since |A_k(n)| <= phi(k) <= k, the kernel's argument is within 3 units of
+x, which moves I by at most 3.01 e^x / sqrt(2 pi x) units
+(I_{3/2}' <= I_{1/2} <= e^x / sqrt(2 pi x)), under 0.31 Delta_W(x), and the
+floor adds one unit.  This keeps the fixed-point error eps of the rounded
+value prefactor * (partial sum) far below the 1/2 that the round's safety
+argument leaves for it (rademacher_round):
+* the prefactor is below 1, and e^X < 2^(wp-47) since X < pi sqrt(2n/3)
+  and wp > pi sqrt(2n/3) log2(e) + 47.  With X >= pi sqrt(47)/6 > 3.5 this
+  gives prefactor * I(X) < 2^(wp-49), so the first part of the bound adds
+  under 2^-47 per term (I_{3/2} increases);
+* for x >= 1, lambda <= 1.1 wp and (1 + 1/x) / sqrt(2 pi x) <= 0.8, so
+  3 Delta_W(x) 2^-W < 3 wp 2^-63;
+* a round ends by N = max(144, ceil(pi sqrt(2n/3))) terms, and N <= max(144, wp):
+  from there sinh(pi sqrt(2n/3) / N) <= sinh(1) pi sqrt(2n/3) / N, so
+  R(n, N) <= (1.1143 + 0.2526) / sqrt N < 0.114 and the round returns or
+  raises.  So x >= 3.5 / max(144, wp), and 3 Delta_W(x) 2^-W for x < 1 is
+  negligible against the first part;
+* the prefactor's 2 units on a sum below K I(X), and the final floor,
+  add under K 2^-63.
+So eps < K 2^-44 < 2^-28 for wp below 2^16.
+
 The one-term truncation also yields a rigorous two-sided enclosure of p(m):
 the k = 1 term with its algebraic prefactor expanded, plus an explicit
 envelope h(M) absorbing both the expansion remainder and the entire k >= 2
@@ -44,7 +77,7 @@ from .enclosure import (
 )
 from .errors import PreconditionError, StabilizationError
 from .estimates import shifted_terms
-from .special import bessel_I32_closed, kloosterman_A, to_fraction
+from .special import _bessel_fixed, kloosterman_A, to_fraction
 
 __all__ = [
     "ErrorBudget",
@@ -55,25 +88,31 @@ __all__ = [
 ]
 
 
+# fractional bits of the fixed-point sum above the working precision wp
+_FIXED_GUARD = 16
+
+
 def _series_state(n: int, prec: int):
-    # wp, X = pi sqrt(24n-1)/6 and 2 pi (24n-1)^{-3/4} as raw mpfs at wp; p(n)
-    # has about pi*sqrt(2n/3)*log2(e) bits, and resolving it to +-1/4 needs
-    # all of them, plus headroom for accumulated rounding
+    # wp, and X = pi sqrt(24n-1)/6 and the prefactor 2 pi (24n-1)^{-3/4} as
+    # integers over 2^W, W = wp + 16, each within 2 units; p(n) has about
+    # pi*sqrt(2n/3)*log2(e) bits, and resolving it to +-1/4 needs all of
+    # them, plus headroom for accumulated rounding
     wp = max(prec, int(math.pi * math.sqrt(2 * n / 3) * 1.4427) + 48)
     wp = ((wp + 31) // 32) * 32
-    pi = libmp.mpf_pi(wp, "n")
-    X = libmp.mpf_mul(pi, libmp.mpf_sqrt(libmp.from_rational(24 * n - 1, 36, wp, "n"), wp, "n"),
-                      wp, "n")
-    power = libmp.mpf_pow(libmp.from_int(24 * n - 1), libmp.from_man_exp(3, -2), wp, "n")
-    return wp, X, libmp.mpf_div(libmp.mpf_shift(pi, 1), power, wp, "n")
+    w = wp + _FIXED_GUARD
+    d = 24 * n - 1
+    g = (d.bit_length() + 1) // 2  # 2^g >= sqrt d
+    X = libmp.pi_fixed(w + g) * math.isqrt(d << 2 * w) // (6 << (w + g))
+    prefactor = (libmp.pi_fixed(w) << (w + 1)) // math.isqrt(math.isqrt(d ** 3 << 4 * w))
+    return wp, X, prefactor
 
 
-def _term(wp: int, X, n: int, k: int):
-    # A_k(n)/k * I_{3/2}(X/k) for a raw X, as a raw mpf rounded to nearest at wp
-    kk = libmp.from_int(k)
-    A = kloosterman_A(k, n, wp)
-    bess = bessel_I32_closed(libmp.mpf_div(X, kk, wp, "n"), wp)
-    return libmp.mpf_mul(libmp.mpf_div(A, kk, wp, "n"), bess, wp, "n")
+def _fixed_term(n: int, k: int, wp: int, X: int) -> int:
+    # A_k(n)/k * I_{3/2}(X/k) as an integer over 2^W, from A_k(n) at wp bits
+    # and the fixed-point Bessel kernel at W; the bound is in the module docstring
+    w = wp + _FIXED_GUARD
+    a = libmp.to_fixed(kloosterman_A(k, n, wp), w)
+    return a * _bessel_fixed(X // k, w) // (k << w)
 
 
 @lru_cache(maxsize=1)
@@ -144,10 +183,12 @@ def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
     After N terms p(n) is within R(n, N) of prefactor * (partial sum), and
     the round returns the nearest integer once its distance from the sum
     plus R is below 1/2 - 2^(16-wp).  The 2^(16-wp) is not a rounding guard:
-    wp is only about 48 bits above the size of p(n), so after k terms the
-    sum carries an absolute rounding error near k 2^-48, far above it.  The
-    round is safe because a wrong nearest integer would be a whole unit
-    away: gap + R below 1/2 leaves the other 1/2 for that error.
+    wp is only about 48 bits above the size of p(n), so after K terms the
+    sum carries an absolute error up to about K 2^-46, far above it (the
+    module docstring bounds it by K 2^-44).  The round is safe because a
+    wrong nearest integer would be a whole unit away: gap + R below 1/2
+    leaves the other 1/2 for that error.  The nearest integer and the gap
+    are read off the fixed-point sum.
     R decreases in N, so the test passes by the first N with R < 1/4, up to
     rounding at wp; a round still running once R < 1/8 raises
     StabilizationError instead of guessing.  n = 1 is answered directly,
@@ -171,17 +212,18 @@ def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
     if n == 1:
         return 1
     wp, X, prefactor = _series_state(n, prec)
+    w = wp + _FIXED_GUARD
     # 1/2 - 2^(16-wp): the round's safety is the unit to the next integer
     threshold = libmp.mpf_sub(libmp.from_man_exp(1, -1), libmp.from_man_exp(1, 16 - wp), wp, "n")
     start = _lehmer_lead()[1]
-    running = libmp.fzero
+    running = 0
     for k in itertools.count(1):
-        running = libmp.mpf_add(running, _term(wp, X, n, k), wp, "n")
+        running += _fixed_term(n, k, wp, X)
         if k < start:
             continue
-        value = libmp.mpf_mul(prefactor, running, wp, "n")
-        nearest = libmp.to_int(libmp.mpf_nint(value, wp, "n"))
-        gap = libmp.mpf_abs(libmp.mpf_sub(value, libmp.from_int(nearest), wp, "n"))
+        value = prefactor * running >> w
+        nearest = (value + (1 << (w - 1))) >> w
+        gap = libmp.from_man_exp(abs(value - (nearest << w)), -w)
         low = _remainder_estimate(n, k) * _ESTIMATE_SHARE
         if low >= 0.125 and libmp.to_float(gap) + low >= 0.5:
             continue
@@ -205,8 +247,8 @@ def _root_ends(x: Fraction, prec: int):
 
 @lru_cache(maxsize=1)
 def _h_ends(x: Fraction, prec: int):
-    """Raw ends of h(x), for x > 0, and of its second term's exponential
-    e^{-(pi/2) sqrt(x/2)}.
+    """Raw ends of h(x), for x > 0, of its second term's exponential
+    e^{-(pi/2) sqrt(x/2)} and of the exponent pi sqrt(2x/3) of its first.
 
     The libmp calls, operands and roundings of the Enclosure expression
 
@@ -214,18 +256,20 @@ def _h_ends(x: Fraction, prec: int):
         + c.h_second * xe.sqrt() * (-(pi / 2 * (xe / 2).sqrt())).exp()
 
     with xe the enclosure of x, c = constants(prec) and pi = c.pi.
+    proposition21_interval exponentiates the same pi * (2 * xe / 3).sqrt().
     """
     c = constants(prec)
     xe, sx = _root_ends(x, prec)
     pi = (c.pi.lo, c.pi.hi)
     two = _int_ends(2, prec)
-    e = _div_ends(_mul_ends(xe, two, prec), _int_ends(3, prec), prec)
-    e = _exp_ends(_neg_ends(_mul_ends(pi, _sqrt_ends(e, prec), prec)), prec)
-    first = _mul_ends(_mul_ends((c.h_first.lo, c.h_first.hi), xe, prec), e, prec)
+    growth = _div_ends(_mul_ends(xe, two, prec), _int_ends(3, prec), prec)
+    growth = _mul_ends(pi, _sqrt_ends(growth, prec), prec)
+    first = _mul_ends((c.h_first.lo, c.h_first.hi), xe, prec)
+    first = _mul_ends(first, _exp_ends(_neg_ends(growth), prec), prec)
     e = _mul_ends(_div_ends(pi, two, prec), _sqrt_ends(_div_ends(xe, two, prec), prec), prec)
     e = _exp_ends(_neg_ends(e), prec)
     second = _mul_ends(_mul_ends((c.h_second.lo, c.h_second.hi), sx, prec), e, prec)
-    return _add_ends(first, second, prec), e
+    return _add_ends(first, second, prec), e, growth
 
 
 def h_error(x, prec: int = DEFAULT_PRECISION) -> Enclosure:
@@ -262,20 +306,20 @@ def proposition21_interval(m: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
         prefactor * (1 - t.sqrt3_over_pi_sqrt2).plus_minus(h_error(t.N, prec))
 
     with prefactor = (c.pi * (2 * t.Ne / 3).sqrt()).exp() / (4 * c.sqrt3 * t.Ne),
-    t = shifted_terms(m, prec) and c = constants(prec).
+    t = shifted_terms(m, prec) and c = constants(prec).  The exponent
+    c.pi * (2 * t.Ne / 3).sqrt() is the one _h_ends builds for h(M), from
+    the same ends of M, so it is built once per interval.
     """
     if m < 2:
         raise PreconditionError("requires m >= 2")
     t = shifted_terms(m, prec)
     c = constants(prec)
     ne = (t.Ne.lo, t.Ne.hi)
-    e = _div_ends(_mul_ends(ne, _int_ends(2, prec), prec), _int_ends(3, prec), prec)
-    e = _exp_ends(_mul_ends((c.pi.lo, c.pi.hi), _sqrt_ends(e, prec), prec), prec)
+    h, _, growth = _h_ends(t.N, prec)
     den = _mul_ends(_mul_ends((c.sqrt3.lo, c.sqrt3.hi), _int_ends(4, prec), prec), ne, prec)
     q = t.sqrt3_over_pi_sqrt2
-    bracket = _widen_ends(_sub_ends(_int_ends(1, prec), (q.lo, q.hi), prec),
-                          _h_ends(t.N, prec)[0][1], prec)
-    return _wrap(_mul_ends(_div_ends(e, den, prec), bracket, prec), prec)
+    bracket = _widen_ends(_sub_ends(_int_ends(1, prec), (q.lo, q.hi), prec), h[1], prec)
+    return _wrap(_mul_ends(_div_ends(_exp_ends(growth, prec), den, prec), bracket, prec), prec)
 
 
 def proposition21_budget(m: int, prec: int = DEFAULT_PRECISION) -> ErrorBudget:

@@ -5,21 +5,76 @@ Every value leaves as a raw libmp float (sign, man, exp, bc) rounded to
 nearest at the requested precision, so bc <= prec, never as an mpf of
 mpmath's 53-bit global context; enclosure.fraction_from_raw decodes one.
 
-Dedekind sums are kept as the exact integers 4k^2 s(h,k).  A_k(n) is a
-finite sum of phi(k) unit complex numbers whose phases are integers over
-4k^2 times pi; it is evaluated in rectangular form with the phase reduced
-mod 2 before any rounding, so no cancellation error builds up for large k.
-The phases come from one table per k (_phases), shared by the k residues
-n mod k.  Each (cos, sin) is memoized once as integers over 2^(prec+16),
-each within 2^-(prec+16) of its value, and the phi(k) integers are added
-exactly, so the sum is within phi(k) 2^-(prec+16) of A_k(n).  It is
-rounded once, to nearest at prec bits, which adds at most |A_k(n)| 2^-prec
-(and |A_k(n)| <= phi(k)), so A_k(n) leaves within phi(k) 2^-(prec-1) of
-its value.  The Bessel function has three independent forms:
+Kloosterman sums.  Dedekind sums are kept as the exact integers
+4k^2 s(h,k), so every phase of A_k(n) is pi j / 4k^2 for an integer
+0 <= j < 8k^2, reduced mod 2 before any rounding (_phases holds the
+integers of each h, shared by every n mod k).  Term h is then omega^j with
+omega = e^{i pi / 4k^2}.  Per (k, prec), _root_table takes omega from one
+mpf_cos_sin_pi and holds small[b] = omega^b (b < B) and big[a] = omega^{aB}
+(aB < 8k^2), with B^2 >= 8k^2 > (B-1)^2, as integer pairs (cos, sin) over
+2^w, w = prec + 21 + 2 bitlen(k).  Term h is the product big[a] small[b],
+j = aB + b, kept exact over 2^(2w), and the phi(k) products are added
+exactly.  Error, with u = 2^-w:
+* omega's cos and sin are each within 0.76u: the argument rounded at w + 10
+  bits moves them by under 2^-(w+8), the values at w + 2 bits are off by at
+  most 2^-(w+2), and rounding to an integer adds 2^-(w+1).  So omega is
+  within 1.07u as a complex number;
+* a product of entries within e and e' of two unit numbers is within
+  e + e' + ee' of theirs, and rounding it to nearest adds at most 0.71u.
+  Every error here stays below 2^-(prec+16), so the ee' terms are far
+  below u and are left out of the constants;
+* so small[b] is within 1.8bu, the step omega^B within 1.8Bu, and big[a]
+  within (1.8B + 0.71)au.  The exact product big[a] small[b] is within
+  (1.8j + 0.71a)u < 16.6k^2 u of omega^j, since j < 8k^2 and a < B <= 3k;
+* k^2 < 4^bitlen(k) makes that at most (16.6/32) 2^-(prec+16).
+The sum is therefore within phi(k) 2^-(prec+16) of A_k(n).  It is rounded
+once, to nearest at prec bits, which adds at most |A_k(n)| 2^-prec (and
+|A_k(n)| <= phi(k)).  So A_k(n) leaves within phi(k) 2^-(prec-1) of its
+value.
 
-* bessel_I32_closed, the elementary closed form: the trusted path, read by
-  rademacher_round, which passes its arguments as raw floats; a raw
-  argument gives the bits of its value passed as a Fraction;
+Bessel kernel.  _bessel_fixed(xw, w) evaluates the closed form at
+x = xw 2^-w in fixed point over 2^w: E = exp_fixed(xw, w),
+F = floor(2^(2w) / E), the bracket B_w = E + F - floor((E - F) 2^w / xw),
+and floor(B_w 2^w / isqrt(2 pi_fixed(w) xw)).  For w >= 16, x >= 2^(-w/2)
+and lambda <= 2^(w-2) it is within
+
+    Delta_w(x) = lambda (e^x + 3)(1 + 1/x) / sqrt(2 pi x) + 2,
+    lambda = 1.01 x / ln 2 + 2 sqrt(w) + 10,
+
+units 2^-w of I_{3/2}(x), because:
+* exp_fixed subtracts n = floor(x / ln 2) copies of ln2_fixed(w), which is
+  within one unit, so its reduced argument t is off by at most n units.  It
+  then sums about sqrt(w) Taylor terms of e^{t 2^-r} at r ~ sqrt(w) guard
+  bits and squares r times, which is within 2 sqrt(w) + 6 units.  So E is
+  within lambda_0 e^x units, lambda_0 = x / ln 2 + 2 sqrt(w) + 8.  The
+  second step is read off libmp's exp_basecase, not proved here;
+  test_exp_fixed_within_stated_units checks the whole claim at 16 to 1200
+  bits, on both sides of libmp's switch to another series at 600;
+* F is within 2 lambda_0 e^-x + 1 units of e^-x 2^w;
+* the sum adds the two errors, the quotient divides them by x and truncates
+  once.  So B_w is within (lambda_0 + 1/4)(e^x + 3)(1 + 1/x) units of
+  (2 cosh x - 2 sinh(x)/x) 2^w;
+* pi_fixed is within one unit, so the isqrt is within a relative
+  eps <= (1/pi + 1/sqrt(2 pi x)) 2^-w <= 2^(-3w/4) of sqrt(2 pi x) 2^w;
+* dividing by it scales B_w's error by at most 1 + 2 eps and adds at most
+  2 eps I(x) 2^w, which is below 1.44 (e^x + 3)(1 + 1/x) / sqrt(2 pi x)
+  units as I(x) <= (e^x + 1) / sqrt(2 pi x); the floor adds one unit.
+  (1 + 2 eps)(lambda_0 + 1/4) + 1.44 <= lambda gives Delta_w(x).
+bessel_I32_closed runs the kernel at w = prec + _bessel_guard_bits(x) + 16
+on x rounded down to w bits.  For w below 2^16, Delta_w(x) is below
+2^-(prec+12) I_{3/2}(x) 2^w:
+* for x >= 1, (e^x + 3)(1 + 1/x) <= 15.6 (2 cosh x - 2 sinh(x)/x) and
+  2 <= 6.9 I(x), and w counts the bits of floor(x);
+* below 1, the bracket is at least 2x^2/3 and the 3 log2(1/x) guard bits
+  cover the 1/x^3 that this costs.
+Rounding x down moves I by under 2^-(prec+24) relative, since
+I'/I <= 1 + 3/(2x).  The result is rounded once, to nearest at prec bits,
+so it is within (1 + 2^-11) 2^-prec of I_{3/2}(x) relative.
+
+The Bessel function has three independent forms:
+
+* bessel_I32_closed, the elementary closed form on the fixed-point kernel,
+  which rademacher_round also reads directly;
 * bessel_I32_series, the power series summed in exact integer brackets: the
   oracle the `oracles` suite checks the closed form against;
 * bessel_I32_quadrature, adaptive quadrature in mp_context, the package's one
@@ -35,6 +90,7 @@ from functools import lru_cache
 
 from mpmath import libmp
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp.libelefun import exp_fixed
 
 from .enclosure import DEFAULT_PRECISION, PRECISION_MEMO_MAXSIZE
 from .errors import PrecisionError, PreconditionError
@@ -58,11 +114,14 @@ def to_fraction(x) -> Fraction:
 
 
 # Entries kept by each series memo below: one process running the default
-# oracles and rademacher suites left 3852 _cis_pi, 2149 _kloosterman_cached,
-# 774 _dedekind_scaled and 50 _phases keys (2234 and 1275 of the first two
-# after oracles alone).  A _cis_pi entry is two integers of about prec + 16
-# bits, a _phases entry phi(k) pairs of integers.
+# oracles and rademacher suites left 121 _root_table, 2149 _kloosterman_cached,
+# 774 _dedekind_scaled and 50 _phases keys (50 and 1275 of the first two
+# after oracles alone).  A _root_table entry is about 2 sqrt(8) k pairs of
+# integers of prec + 2 log2 k + 21 bits, so it has a bound of its own; the
+# rounds read one 32-bit band of precisions at a time, and k <= 42 up to the
+# rademacher suite's ceiling n = 6000.
 SERIES_MEMO_MAXSIZE = 65536
+ROOT_TABLE_MAXSIZE = 256
 
 
 @lru_cache(maxsize=SERIES_MEMO_MAXSIZE)
@@ -80,35 +139,52 @@ def _phases(k: int) -> tuple:
                  for h in range(k) if math.gcd(h, k) == 1)
 
 
-@lru_cache(maxsize=SERIES_MEMO_MAXSIZE)
-def _cis_pi(num: int, den: int, wp: int):
-    # (cos, sin) of pi*num/den, 0 <= num/den < 2, as integers over 2^wp, each
-    # within 2^-wp: the argument rounded at wp + 10 bits moves them by under
-    # 2^-(wp+8), the values at wp + 2 bits are off by at most 2^-(wp+2), and
-    # rounding to the nearest integer adds 2^-(wp+1)
-    x = libmp.from_rational(num, den, wp + 10, "n")
-    return tuple(libmp.to_int(libmp.mpf_shift(v, wp), "n")
-                 for v in libmp.mpf_cos_sin_pi(x, wp + 2, "n"))
+@lru_cache(maxsize=ROOT_TABLE_MAXSIZE)
+def _root_table(k: int, prec: int):
+    """(w, B, small, big): the powers of omega = e^{i pi / 4k^2} as pairs of
+    integers (cos, sin) over 2^w, w = prec + 21 + 2 bitlen(k): small[b] =
+    omega^b for b < B and big[a] = omega^{aB} for aB < 8k^2, B = the least
+    integer with B^2 >= 8k^2.  The error bound is in the module docstring."""
+    w = prec + 21 + 2 * k.bit_length()
+    period = 8 * k * k
+    size = math.isqrt(period - 1) + 1
+    half = 1 << (w - 1)
+
+    def times(p, q):
+        return ((p[0] * q[0] - p[1] * q[1] + half) >> w, (p[0] * q[1] + p[1] * q[0] + half) >> w)
+
+    x = libmp.from_rational(1, 4 * k * k, w + 10, "n")
+    root = tuple(libmp.to_int(libmp.mpf_shift(v, w), "n")
+                 for v in libmp.mpf_cos_sin_pi(x, w + 2, "n"))
+    small = [(1 << w, 0), root]
+    while len(small) <= size:
+        small.append(times(small[-1], root))
+    stride = small.pop()
+    big = [(1 << w, 0)]
+    while len(big) * size < period:
+        big.append(times(big[-1], stride))
+    return w, size, tuple(small), tuple(big)
 
 
 @lru_cache(maxsize=SERIES_MEMO_MAXSIZE)
 def _kloosterman_cached(k: int, n_mod_k: int, prec: int):
-    # fixed point at 16 guard bits; the error bound is in the module docstring
-    wp = prec + 16
-    den = 4 * k * k
+    # each term omega^j = big[a] small[b], j = aB + b, summed exactly over
+    # 2^(2w); the error bound is in the module docstring
+    w, size, small, big = _root_table(k, prec)
+    period = 8 * k * k
     re = im = 0
     for dedekind, step in _phases(k):
-        # phase/pi reduced mod 2 and to lowest terms
-        num = (dedekind - n_mod_k * step) % (2 * den)
-        g = math.gcd(num, den)
-        c, s = _cis_pi(num // g, den // g, wp)
-        re += c
-        im += s
-    if abs(im) > 1 << (wp - prec // 2):
+        a, b = divmod((dedekind - n_mod_k * step) % period, size)
+        c, s = big[a]
+        c2, s2 = small[b]
+        re += c * c2 - s * s2
+        im += c * s2 + s * c2
+    if abs(im) > 1 << (2 * w - prec // 2):
         raise PrecisionError(
             f"imaginary residue of A_{k}(n) exceeds 2^-{prec // 2}"
         )
-    return libmp.from_man_exp(re, -wp, prec, "n"), libmp.from_man_exp(abs(im), -wp, prec, "n")
+    return (libmp.from_man_exp(re, -2 * w, prec, "n"),
+            libmp.from_man_exp(abs(im), -2 * w, prec, "n"))
 
 
 def kloosterman_A(k: int, n: int, prec: int = DEFAULT_PRECISION):
@@ -135,21 +211,23 @@ def kloosterman_imag_residue(k: int, n: int, prec: int = DEFAULT_PRECISION):
 
 def _bessel_guard_bits(x: Fraction) -> int:
     # the bracket e^x(1-1/x) + e^{-x}(1+1/x) cancels from size ~1/x down to
-    # ~x^2 as x -> 0, costing about 3*log2(1/x) bits
+    # ~x^2 as x -> 0, costing about 3*log2(1/x) bits; above 1, exp_fixed's
+    # reduction by ln 2 costs about log2(x) bits
     if x >= 1:
-        return 10
+        return 10 + (x.numerator // x.denominator).bit_length()
     mag = x.denominator.bit_length() - x.numerator.bit_length() + 1
     return 10 + 3 * max(1, mag)
 
 
-def _raw_guard_bits(x) -> int:
-    # _bessel_guard_bits of a positive raw float man 2^exp, read off its
-    # exponent: the value is at least 1 exactly when exp + bc >= 1; below 1
-    # its lowest terms are an odd bc-bit numerator over 2^-exp, so mag is
-    # (1 - exp) - bc + 1 >= 2.  Normalizing a mantissa keeps exp + bc.
-    _, _, exp, bc = x
-    top = exp + bc
-    return 10 if top >= 1 else 10 + 3 * (2 - top)
+def _bessel_fixed(xw: int, w: int) -> int:
+    """I_{3/2}(x) 2^w as an integer, for x = xw 2^-w, by the closed form
+    [(e^x + e^-x) - (e^x - e^-x)/x] / sqrt(2 pi x) in fixed point at w
+    fractional bits: libmp's exp_fixed, one integer reciprocal for e^-x and
+    one isqrt.  Within Delta_w(x) of I_{3/2}(x) 2^w (module docstring)."""
+    ex = exp_fixed(xw, w)
+    inv = (1 << 2 * w) // ex
+    bracket = ex + inv - ((ex - inv) << w) // xw
+    return (bracket << w) // math.isqrt(2 * libmp.pi_fixed(w) * xw)
 
 
 def bessel_I32_closed(x, prec: int = DEFAULT_PRECISION):
@@ -166,35 +244,19 @@ def bessel_I32_closed(x, prec: int = DEFAULT_PRECISION):
         I_{3/2}(x) = [e^x (1 - 1/x) + e^{-x} (1 + 1/x)] / (sqrt(2 pi x)).
     Both exponential terms are kept; nothing is discarded or bounded.
 
-    x is an int, a Fraction or a raw libmp float; rademacher_round passes
-    its dyadic arguments X/k raw, with no detour through a Fraction.
-    Evaluated in raw libmp with no mpmath context: x is converted toward
-    zero at the working precision, as from_rational does by default (a raw
-    x of at most that many bits converts exactly), and every later step
-    rounds to nearest.  A raw x gets the guard bits of its value's
-    Fraction, read off its exponent, so both forms of one value give the
-    same bits.
+    x is an int or a Fraction.  The fixed-point kernel _bessel_fixed runs at
+    w = prec + _bessel_guard_bits(x) + 16 on x rounded down to w fractional
+    bits, and its value is rounded once, to nearest at prec bits: within
+    (1 + 2^-11) 2^-prec of I_{3/2}(x) relative, for w below 2^16 (module
+    docstring).  e^x is held as an integer of about 1.44x + w bits, so the
+    cost grows with x; the package reads x <= 1000.
     """
-    if isinstance(x, tuple):
-        if x[0] or not x[1]:  # negative, zero or not finite
-            raise PreconditionError("requires x > 0")
-        wp = prec + _raw_guard_bits(x)
-        xm = libmp.mpf_pos(x, wp, "d")
-    else:
-        xf = to_fraction(x)
-        if xf <= 0:
-            raise PreconditionError("requires x > 0")
-        wp = prec + _bessel_guard_bits(xf)
-        xm = libmp.from_rational(xf.numerator, xf.denominator, wp)
-    ex = libmp.mpf_exp(xm, wp, "n")
-    inv = libmp.mpf_rdiv_int(1, xm, wp, "n")
-    grow = libmp.mpf_mul(ex, libmp.mpf_sub(libmp.fone, inv, wp, "n"), wp, "n")
-    decay = libmp.mpf_mul(libmp.mpf_rdiv_int(1, ex, wp, "n"),
-                          libmp.mpf_add(inv, libmp.fone, wp, "n"), wp, "n")
-    two_pi_x = libmp.mpf_mul(libmp.mpf_mul_int(libmp.mpf_pi(wp, "n"), 2, wp, "n"), xm, wp, "n")
-    val = libmp.mpf_div(libmp.mpf_add(grow, decay, wp, "n"), libmp.mpf_sqrt(two_pi_x, wp, "n"),
-                        wp, "n")
-    return libmp.mpf_pos(val, prec, "n")
+    xf = to_fraction(x)
+    if xf <= 0:
+        raise PreconditionError("requires x > 0")
+    w = prec + _bessel_guard_bits(xf) + 16
+    value = _bessel_fixed((xf.numerator << w) // xf.denominator, w)
+    return libmp.from_man_exp(value, -w, prec, "n")
 
 
 # the domain of both Bessel oracles; the series needs about 7100 terms at the top

@@ -635,7 +635,8 @@ def _suite_inequalities(sweep: _Sweep) -> Dict[str, Any]:
 # read).  A ceiling keeps its suite under 300 s on a 2-vCPU VM.  Extrapolated
 # from the cost at the default range (rademacher's rounds then grew about
 # linearly in n; ratio 0.26 ms, fjn 0.34 ms and convexity 0.08 ms a licensed
-# case), one run at each ceiling took 42, 138, 153 and 181 s.  krank and
+# case), one run at each ceiling took 42, 138, 153 and 181 s; rademacher's
+# takes 8 s since its round sums in fixed point.  krank and
 # nonkary fit that budget up to the largest n_max whose table reads stay
 # within TABLE_CEILING: krank reads p up to (n_max + 1) // 2 - 1, and took
 # 59 s at n_max 200001; nonkary reads p up to n_max, and took 33 s at 100000.

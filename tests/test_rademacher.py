@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from partbounds import enclosure, rademacher
+from partbounds import enclosure, rademacher, special
 from partbounds.enclosure import (
     DEFAULT_PRECISION,
     ORDER_ERROR,
@@ -19,11 +19,12 @@ from partbounds.errors import PreconditionError, StabilizationError
 from partbounds.exact import p_exact
 from partbounds.rademacher import (
     _ESTIMATE_SHARE,
+    _FIXED_GUARD,
+    _fixed_term,
     _lehmer_lead,
     _remainder_bound,
     _remainder_estimate,
     _series_state,
-    _term,
     h_error,
     proposition21_budget,
     proposition21_interval,
@@ -33,15 +34,17 @@ from partbounds.special import bessel_I32_closed, mp_context
 
 
 def _recorded_round(monkeypatch, n):
-    """rademacher_round(n) and the raw terms it summed, in order."""
+    """rademacher_round(n) and the terms it summed, in order, as Fractions."""
     terms = []
 
-    def record(*args):
-        terms.append(_term(*args))
+    def record(n, k, wp, X):
+        terms.append(_fixed_term(n, k, wp, X))
         return terms[-1]
 
-    monkeypatch.setattr(rademacher, "_term", record)
-    return rademacher_round(n), terms
+    monkeypatch.setattr(rademacher, "_fixed_term", record)
+    got = rademacher_round(n)
+    scale = 1 << (_series_state(n, DEFAULT_PRECISION)[0] + _FIXED_GUARD)
+    return got, [Fraction(term, scale) for term in terms]
 
 
 class TestRound:
@@ -67,10 +70,11 @@ class TestRound:
             got, terms = _recorded_round(monkeypatch, n)
             want = p_exact(n)
             assert got == want, n
-            prefactor = fraction_from_raw(_series_state(n, DEFAULT_PRECISION)[2])
+            wp, _, prefactor = _series_state(n, DEFAULT_PRECISION)
+            prefactor = Fraction(prefactor, 1 << (wp + _FIXED_GUARD))
             partial = Fraction(0)
             for N, term in enumerate(terms, 1):
-                partial += fraction_from_raw(term)
+                partial += term
                 bound = fraction_from_raw(_remainder_bound(n, N))
                 assert abs(want - prefactor * partial) <= bound, (n, N)
 
@@ -146,11 +150,88 @@ class TestRound:
     def test_unsettled_series_raises(self, monkeypatch):
         # a series whose sum sits on a half-integer can never be rounded
         wp, _, prefactor = _series_state(150, DEFAULT_PRECISION)
-        half = libmp.mpf_div(libmp.from_man_exp(1, -1), prefactor, wp, "n")
-        monkeypatch.setattr(rademacher, "_term",
-                            lambda wp, X, n, k: half if k == 1 else libmp.fzero)
-        with pytest.raises(StabilizationError):
+        w = wp + _FIXED_GUARD
+        half = (1 << (2 * w - 1)) // prefactor
+        assert abs(Fraction(prefactor * half, 1 << 2 * w) - Fraction(1, 2)) < Fraction(1, 2**w)
+        monkeypatch.setattr(rademacher, "_fixed_term",
+                            lambda n, k, wp, X: half if k == 1 else 0)
+        with pytest.raises(StabilizationError, match="did not settle by R"):
             rademacher_round(150)
+
+    def test_fixed_terms_within_their_bound(self, monkeypatch):
+        # every term the rounds for n <= 400 sum is within the bound of the
+        # module docstring of A_k(n)/k I_{3/2}(X/k), here at 4 wp bits with
+        # A_k(n) from Selberg's formula; the bounds of one round add up, with
+        # the prefactor, to far below the 1/2 the round leaves for them
+        seen = []
+
+        def record(n, k, wp, X):
+            seen.append((n, k, wp, _fixed_term(n, k, wp, X)))
+            return seen[-1][-1]
+
+        monkeypatch.setattr(rademacher, "_fixed_term", record)
+        for n in range(2, 401):
+            rademacher_round(n)
+        assert len(seen) > 4000
+        selberg = {}
+        total = {}
+        for n, k, wp, term in seen:
+            w = wp + _FIXED_GUARD
+            ctx = mp_context(4 * wp)
+            if (k, n % k, wp) not in selberg:
+                selberg[k, n % k, wp] = _selberg(ctx, k, n)
+            x = ctx.pi * ctx.sqrt(24 * n - 1) / 6 / k
+            bessel = ((ctx.exp(x) * (1 - 1 / x) + ctx.exp(-x) * (1 + 1 / x))
+                      / ctx.sqrt(2 * ctx.pi * x))
+            phi = sum(1 for h in range(k) if math.gcd(h, k) == 1)
+            bound = ((phi * ctx.ldexp(1, 1 - wp) + ctx.ldexp(1, -w)) * bessel / k
+                     + 3 * _delta(ctx, x, w) * ctx.ldexp(1, -w))
+            err = abs(ctx.ldexp(term, -w) - selberg[k, n % k, wp] / k * bessel)
+            assert err <= bound, (n, k)
+            prefactor = 2 * ctx.pi / ctx.power(24 * n - 1, ctx.mpf(3) / 4)
+            total[n] = total.get(n, 0) + bound * prefactor
+        assert max(total.values()) < ctx.ldexp(1, -40)
+
+    def test_rounds_take_no_float_exponential(self, monkeypatch):
+        # the terms come from the fixed-point kernel: no bessel_I32_closed
+        # call, and libmp.mpf_exp only inside Lehmer's 64-bit R
+        calls = {"exp": 0, "closed": 0}
+        inside = []
+        real_exp, real_r = libmp.mpf_exp, rademacher._remainder_bound
+
+        def exp(*args, **kwargs):
+            if not inside:
+                calls["exp"] += 1
+            return real_exp(*args, **kwargs)
+
+        def remainder(n, N):
+            inside.append(n)
+            try:
+                return real_r(n, N)
+            finally:
+                inside.pop()
+
+        def closed(*args, **kwargs):
+            calls["closed"] += 1
+            return bessel_I32_closed(*args, **kwargs)
+
+        monkeypatch.setattr(libmp, "mpf_exp", exp)
+        monkeypatch.setattr(rademacher, "_remainder_bound", remainder)
+        monkeypatch.setattr(special, "bessel_I32_closed", closed)
+        monkeypatch.setattr(rademacher, "bessel_I32_closed", closed, raising=False)
+        for n in range(1, 151):
+            assert rademacher_round(n) == p_exact(n), n
+        assert calls == {"exp": 0, "closed": 0}
+
+    def test_series_state_within_two_units(self):
+        # X = pi sqrt(24n-1)/6 and 2 pi (24n-1)^{-3/4} over 2^W
+        for n in (2, 3, 150, 2000, 6000, 10**5):
+            wp, X, prefactor = _series_state(n, DEFAULT_PRECISION)
+            w = wp + _FIXED_GUARD
+            ctx = mp_context(4 * w)
+            d = 24 * n - 1
+            assert abs(X - ctx.ldexp(ctx.pi * ctx.sqrt(d) / 6, w)) <= 2, n
+            assert abs(prefactor - ctx.ldexp(2 * ctx.pi / ctx.power(d, ctx.mpf(3) / 4), w)) <= 2, n
 
     def test_term_counts_to_2000(self, monkeypatch):
         # the stop depends on A_k(n) only through the rounded partial sums, so
@@ -158,11 +239,11 @@ class TestRound:
         # was: the totals of terms summed for n <= 500, 1000, 1500 and 2000
         terms = [0] * 2001
 
-        def counted(wp, X, n, k):
+        def counted(n, k, wp, X):
             terms[n] += 1
-            return _term(wp, X, n, k)
+            return _fixed_term(n, k, wp, X)
 
-        monkeypatch.setattr(rademacher, "_term", counted)
+        monkeypatch.setattr(rademacher, "_fixed_term", counted)
         for n in range(1, 2001):
             assert rademacher_round(n) == p_exact(n), n
         assert [sum(terms[:top + 1]) for top in (500, 1000, 1500, 2000)] == [
@@ -181,14 +262,27 @@ class TestPartial:
         # the first K series terms, summed as rademacher_round sums them
         p100 = p_exact(100)
         wp, X, prefactor = _series_state(100, 128)
-        terms = [_term(wp, X, 100, k) for k in range(1, 9)]
-        running = libmp.fzero
-        for term in terms:
-            running = libmp.mpf_add(running, term, wp, "n")
-        total = fraction_from_raw(libmp.mpf_mul(prefactor, running, wp, "n"))
-        first = fraction_from_raw(libmp.mpf_mul(prefactor, terms[0], wp, "n"))
+        scale = 1 << 2 * (wp + _FIXED_GUARD)
+        terms = [_fixed_term(100, k, wp, X) for k in range(1, 9)]
+        total = Fraction(prefactor * sum(terms), scale)
+        first = Fraction(prefactor * terms[0], scale)
         assert abs(total - p100) < Fraction(1, 4)
         assert abs(first / p100 - 1) < Fraction(1, 20)
+
+
+def _selberg(ctx, k, n):
+    # A_k(n) by Selberg's formula in the mpmath context ctx:
+    # sqrt(k/3) sum (-1)^l cos((6l + 1) pi / 6k) over 0 <= l < 2k with
+    # (3l^2 + l)/2 = -n mod k
+    total = sum((-1) ** l * ctx.cospi(ctx.mpf(6 * l + 1) / (6 * k))
+                for l in range(2 * k) if (3 * l * l + l) // 2 % k == -n % k)
+    return ctx.sqrt(ctx.mpf(k) / 3) * total
+
+
+def _delta(ctx, x, w):
+    # Delta_w(x) of the special module docstring, in units of 2^-w
+    lam = 1.01 * x / ctx.ln2 + 2 * ctx.sqrt(w) + 10
+    return lam * (ctx.exp(x) + 3) * (1 + 1 / x) / ctx.sqrt(2 * ctx.pi * x) + 2
 
 
 def _own_remainder(n, N):

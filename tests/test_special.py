@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -7,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
-from partbounds import rademacher, special
+from partbounds import special
 from partbounds.enclosure import fraction_from_raw
-from partbounds.errors import PrecisionError, PreconditionError
+from partbounds.errors import PreconditionError
 from partbounds.special import (
     bessel_I32_closed,
     bessel_I32_quadrature,
@@ -19,7 +20,7 @@ from partbounds.special import (
     mp_context,
     to_fraction,
 )
-from partbounds.verify import BESSEL_GRID
+from partbounds.verify import BESSEL_GRID, run_suite
 
 TOL64 = Fraction(1, 2**64)
 
@@ -43,31 +44,95 @@ def _dedekind(h, k):
     return Fraction(special._dedekind_scaled(h, k), 4 * k * k)
 
 
+def _fraction_phase(h, k, n_mod_k):
+    # the phase of term h of A_k(n) over pi, s(h,k) - 2nh/k, reduced mod 2
+    phi = _dedekind(h, k) - Fraction(2 * n_mod_k * h, k)
+    return phi - 2 * math.floor(phi / 2)
+
+
 def _fraction_phase_kloosterman(k, n_mod_k, prec):
-    # A_k(n) as summed with each phase s(h,k) - 2nh/k built as a Fraction, over
-    # the same fixed-point (cos, sin) integers at prec + 16 bits
-    wp = prec + 16
+    # A_k(n) as summed with each phase built as a Fraction, its table index
+    # the phase times 4k^2, over the same root table
+    w, size, small, big = special._root_table(k, prec)
     re = im = 0
     for h in range(k):
-        if math.gcd(h, k) != 1:
-            continue
-        phi = _dedekind(h, k) - Fraction(2 * n_mod_k * h, k)
-        phi -= 2 * math.floor(phi / 2)
-        c, s = special._cis_pi(phi.numerator, phi.denominator, wp)
-        re += c
-        im += s
-    if abs(im) > 1 << (wp - prec // 2):
-        raise PrecisionError(f"imaginary residue of A_{k}(n) too large")
-    return libmp.from_man_exp(re, -wp, prec, "n"), libmp.from_man_exp(abs(im), -wp, prec, "n")
+        if math.gcd(h, k) == 1:
+            j = _fraction_phase(h, k, n_mod_k) * 4 * k * k
+            assert j.denominator == 1 and 0 <= j < 8 * k * k
+            (c, s), (c2, s2) = big[int(j) // size], small[int(j) % size]
+            re += c * c2 - s * s2
+            im += c * s2 + s * c2
+    return (libmp.from_man_exp(re, -2 * w, prec, "n"),
+            libmp.from_man_exp(abs(im), -2 * w, prec, "n"))
 
 
-@pytest.mark.parametrize("prec", [53, 128, 192])
-def test_integer_phases_keep_every_kloosterman_bit(prec):
+class _Recorded(tuple):
+    # a table that records the indices read from it
+    def __getitem__(self, i):
+        self.read.append(i)
+        return tuple.__getitem__(self, i)
+
+
+@pytest.mark.parametrize("prec", [53, 128])
+def test_table_index_is_the_fraction_phase(monkeypatch, prec):
+    # for each h in turn, the sum reads omega^{aB} and omega^b with
+    # aB + b = (s(h,k) - 2nh/k mod 2) * 4k^2, for every k <= 60 and n mod k
+    real = special._root_table
+
+    def recording(k, p):
+        w, size, small, big = real(k, p)
+        small, big = _Recorded(small), _Recorded(big)
+        small.read, big.read = [], []
+        recording.last = (size, small.read, big.read)
+        return w, size, small, big
+
+    monkeypatch.setattr(special, "_root_table", recording)
     for k in range(1, 61):
         for n_mod_k in range(k):
+            special._kloosterman_cached.__wrapped__(k, n_mod_k, prec)
+            size, small, big = recording.last
+            want = [_fraction_phase(h, k, n_mod_k) * 4 * k * k
+                    for h in range(k) if math.gcd(h, k) == 1]
+            assert all(b < size for b in small), (k, n_mod_k)
+            assert [a * size + b for a, b in zip(big, small)] == want, (k, n_mod_k)
+    monkeypatch.undo()
+    for k in (1, 2, 7, 12, 60):
+        for n_mod_k in range(k):
             assert special._kloosterman_cached(k, n_mod_k, prec) == (
-                _fraction_phase_kloosterman(k, n_mod_k, prec)
-            ), (k, n_mod_k)
+                _fraction_phase_kloosterman(k, n_mod_k, prec)), (k, n_mod_k)
+
+
+def test_root_table_entries_within_their_bound():
+    # omega^b (small) within 1.8 b 2^-w and omega^{aB} (big) within
+    # (1.8 B + 0.71) a 2^-w of their values, against mpmath at 4w bits
+    for k, prec in ((1, 53), (7, 128), (50, 128), (97, 300)):
+        w, size, small, big = special._root_table(k, prec)
+        assert w == prec + 21 + 2 * k.bit_length()
+        assert size * size >= 8 * k * k > (size - 1) ** 2
+        assert len(big) * size >= 8 * k * k > (len(big) - 1) * size
+        ctx = mp_context(4 * w)
+        for table, stride, grow in ((small, 1, 1.8), (big, size, 1.8 * size + 0.71)):
+            for i, (c, s) in enumerate(table):
+                value = ctx.expjpi(ctx.mpf(i * stride) / (4 * k * k))
+                err = abs(ctx.mpc(c, s) / ctx.mpf(2) ** w - value)
+                assert err <= grow * i * ctx.mpf(2) ** -w, (k, stride, i)
+
+
+def test_oracles_take_one_root_of_unity_per_k(monkeypatch):
+    # the Kloosterman table of the oracles suite at n_max 150 makes one
+    # mpf_cos_sin_pi call per (k, wp): 50, for k <= 50 at one precision
+    calls = []
+    real = libmp.mpf_cos_sin_pi
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for memo in (special._root_table, special._kloosterman_cached):
+        memo.cache_clear()
+    monkeypatch.setattr(libmp, "mpf_cos_sin_pi", counted)
+    assert run_suite("oracles", n_max=150).passed
+    assert len(calls) == 50
 
 
 def _selberg_reference(k, ctx):
@@ -84,9 +149,10 @@ def _selberg_reference(k, ctx):
 @pytest.mark.parametrize("prec", [53, 128, 192])
 def test_kloosterman_within_its_stated_error(prec):
     # the fixed-point sum and its one rounding at prec put A_k(n) within
-    # phi(k) 2^-(prec-1) of its value, here Selberg's form at 4 prec bits
+    # phi(k) 2^-(prec-1) of its value, here Selberg's form at 4 prec bits;
+    # the table's guard bits grow with log2 k, so large k keep the bound
     ctx = mp_context(4 * prec)
-    for k in range(1, 61):
+    for k in [*range(1, 61), 100, 250, 500]:
         phi = sum(1 for h in range(k) if math.gcd(h, k) == 1)
         bound = phi * ctx.ldexp(1, 1 - prec)
         for r, ref in enumerate(_selberg_reference(k, ctx)):
@@ -262,95 +328,108 @@ class TestBessel:
                 bessel_I32_series(x)
 
 
-def _context_closed(x, prec):
-    # bessel_I32_closed as it was written with an mpmath context, kept as the
-    # reference for the raw-libmp form
-    xf = to_fraction(x)
-    ctx = special.mp_context(prec + special._bessel_guard_bits(xf))
-    xm = ctx.convert(xf)
-    ex = ctx.exp(xm)
-    inv = 1 / xm
-    val = (ex * (1 - inv) + (1 / ex) * (1 + inv)) / ctx.sqrt(2 * ctx.pi * xm)
-    return libmp.mpf_pos(val._mpf_, prec, "n")
+def _exp_units(t, w):
+    # the stated error of exp_fixed at t = tw 2^-w, in units e^t 2^-w
+    return t / math.log(2) + 2 * math.sqrt(w) + 8
 
 
-def test_raw_closed_keeps_every_round_bit(monkeypatch):
-    # every raw X/k and wp that rademacher_round reads for n <= 400 gives the
-    # bits of its value passed as a Fraction, and of the context form
-    seen = set()
-
-    def recording(x, prec):
-        seen.add((x, prec))
-        return bessel_I32_closed(x, prec)
-
-    monkeypatch.setattr(rademacher, "bessel_I32_closed", recording)
-    for n in range(1, 401):
-        rademacher.rademacher_round(n)
-    assert len(seen) > 4000
-    for x, prec in seen:
-        assert type(x) is tuple and len(x) == 4, x
-        xf = fraction_from_raw(x)
-        got = bessel_I32_closed(x, prec)
-        assert got == bessel_I32_closed(xf, prec) == _context_closed(xf, prec), (x, prec)
+def _delta(x, w):
+    # Delta_w(x) of the special docstring, in units of 2^-w, as a Fraction
+    ctx = mp_context(64)
+    x = ctx.mpf(x.numerator) / x.denominator
+    lam = 1.01 * x / ctx.ln2 + 2 * ctx.sqrt(w) + 10
+    value = lam * (ctx.exp(x) + 3) * (1 + 1 / x) / ctx.sqrt(2 * ctx.pi * x) + 2
+    return fraction_from_raw(value._mpf_)
 
 
-def _raw_points():
-    # 1, 1/2, 3/4, 2^-20 and the 53- and 128-bit floats next to 1 on either
-    # side, raw and normalized, with two unnormalized forms of 1/2 and 1
-    points = [libmp.from_rational(p, q, 128) for p, q in ((1, 1), (1, 2), (3, 4), (1, 2**20))]
-    for bits in (53, 128):
-        points.append(libmp.from_man_exp((1 << bits) - 1, -bits))
-        points.append(libmp.from_man_exp((1 << (bits - 1)) + 1, 1 - bits))
-    return points + [(0, 2, -2, 2), (0, 4, -2, 3)]
+def test_exp_fixed_within_stated_units():
+    # the lemma the kernel's bound rests on, on both sides of the 600-bit
+    # switch inside libmp's exp_basecase
+    rng = random.Random(5)
+    for w in (16, 40, 53, 144, 300, 599, 601, 1200):
+        ctx = mp_context(4 * w)
+        for _ in range(60):
+            tw = rng.randrange(1, rng.choice([1 << w, 10 << w, 10**4 << w]))
+            t = ctx.mpf(tw) / ctx.mpf(2) ** w
+            err = abs(ctx.mpf(special.exp_fixed(tw, w)) / ctx.mpf(2) ** w - ctx.exp(t))
+            assert err <= _exp_units(float(t), w) * ctx.exp(t) * ctx.mpf(2) ** -w, (tw, w)
 
 
-def test_raw_guard_bits_read_off_the_exponent():
-    # the exponent arithmetic against _bessel_guard_bits of the value, on
-    # both sides of 1, where it is easy to be one off, and on 200-bit
-    # mantissas below and just above 1
-    points = _raw_points() + [libmp.from_rational(p, q, 200, "d")
-                              for p, q in ((1, 3), (5, 7), (10**6 + 1, 10**6))]
-    for x in points:
-        assert special._raw_guard_bits(x) == special._bessel_guard_bits(fraction_from_raw(x)), x
-    got = {fraction_from_raw(x): special._raw_guard_bits(x) for x in _raw_points()}
-    assert got[Fraction(1)] == 10
-    assert got[Fraction(1, 2)] == got[Fraction(3, 4)] == 16
-    assert got[Fraction(1, 2**20)] == 10 + 3 * 21
-    assert got[1 - Fraction(1, 2**53)] == 16 and got[1 + Fraction(1, 2**52)] == 10
-
-
-@pytest.mark.parametrize("prec", [53, 128, 300])
-def test_raw_argument_gives_the_fraction_bits(prec):
-    # a raw argument and its Fraction convert to the same working float;
-    # 128-bit and wider arguments are rounded toward zero at 53 bits
-    for x in _raw_points():
-        xf = fraction_from_raw(x)
-        assert bessel_I32_closed(x, prec) == bessel_I32_closed(xf, prec), (x, prec)
-    # 400-bit floats below the two arguments whose last bit changes if x is
-    # converted to nearest, at the precisions where it does
-    for (p, q), at in (((22, 7), 114), ((264678993, 10**6), 53)):
-        x = libmp.from_rational(p, q, 400, "d")
-        assert bessel_I32_closed(x, at) == bessel_I32_closed(fraction_from_raw(x), at)
-    for bad in (libmp.fzero, libmp.from_int(-1), libmp.finf, libmp.fnan):
-        with pytest.raises(PreconditionError):
-            bessel_I32_closed(bad, prec)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    x=st.fractions(min_value=Fraction(1, 10**6), max_value=10**4, max_denominator=10**6),
-    prec=st.integers(53, 4096),
+# x in (0, 10^4], the domain of both oracles, with x <= 1/10 (where the
+# bracket cancels) drawn as often as the rest
+_ORACLE_X = st.one_of(
+    st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(1, 10),
+                 max_denominator=10**12),
+    st.fractions(min_value=Fraction(1, 10), max_value=10**4, max_denominator=10**6),
 )
-@example(x=Fraction(1, 10), prec=128)
-@example(x=Fraction(1, 10**6), prec=4096)
-@example(x=Fraction(10**4), prec=4096)
-# two arguments whose last bit changes if x is converted to nearest
-@example(x=Fraction(22, 7), prec=114)
-@example(x=Fraction(264678993, 10**6), prec=53)
-def test_raw_closed_keeps_every_bit(x, prec):
-    # rademacher's arguments are dyadic and convert exactly under any
-    # rounding; only non-dyadic ones show how x is converted
-    assert bessel_I32_closed(x, prec) == _context_closed(x, prec)
+
+
+@settings(max_examples=120, deadline=None)
+@given(x=_ORACLE_X, prec=st.sampled_from([16, 53, 128, 300]))
+@example(x=Fraction(1, 10**9), prec=300)
+@example(x=Fraction(1, 10), prec=16)
+@example(x=Fraction(1), prec=53)
+@example(x=Fraction(10**4), prec=300)
+def test_kernel_within_delta_of_the_series(x, prec):
+    # the kernel at bessel_I32_closed's w, on x rounded down to w bits, is
+    # within Delta_w of the series at that same dyadic x (evaluated 64 bits
+    # wider, within 2^-(prec+62) relative), and Delta_w is below
+    # 2^-(prec+12) of the value
+    w = prec + special._bessel_guard_bits(x) + 16
+    xw = (x.numerator << w) // x.denominator
+    got = Fraction(special._bessel_fixed(xw, w), 1 << w)
+    series = fraction_from_raw(bessel_I32_series(Fraction(xw, 1 << w), prec + 64))
+    bound = _delta(Fraction(xw, 1 << w), w) / (1 << w)
+    assert abs(got - series) <= bound + series / 2 ** (prec + 62), (x, prec)
+    assert bound <= series / 2 ** (prec + 12), (x, prec)
+
+
+@pytest.mark.parametrize("prec", [53, 128])
+def test_kernel_within_delta_beyond_the_oracle_domain(prec):
+    # past x = 10^4, where neither oracle reaches, against the closed form at
+    # 4w bits in mpmath; the guard bits that count the bits of x keep Delta_w
+    # below 2^-(prec+12) of the value
+    for x in (Fraction(10**5), Fraction(10**6, 3)):
+        w = prec + special._bessel_guard_bits(x) + 16
+        xw = (x.numerator << w) // x.denominator
+        ctx = mp_context(4 * w)
+        xm = ctx.mpf(xw) / ctx.mpf(2) ** w
+        ref = ((ctx.exp(xm) * (1 - 1 / xm) + ctx.exp(-xm) * (1 + 1 / xm))
+               / ctx.sqrt(2 * ctx.pi * xm))
+        err = abs(ctx.mpf(special._bessel_fixed(xw, w)) / ctx.mpf(2) ** w - ref)
+        bound = _delta(Fraction(xw, 1 << w), w)
+        bound = ctx.mpf(bound.numerator) / bound.denominator
+        assert err <= bound * ctx.mpf(2) ** -w, (x, prec)
+        assert bound <= ref * ctx.mpf(2) ** (w - prec - 12), (x, prec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=_ORACLE_X, prec=st.sampled_from([16, 53, 128, 300]))
+@example(x=Fraction(1, 10**6), prec=300)
+@example(x=Fraction(10**4), prec=300)
+def test_closed_agrees_with_series_and_quadrature(x, prec):
+    # closed is within (1 + 2^-11) 2^-prec of I relative, the series within
+    # 2^(2-prec) (test_series_against_library), and the quadrature within
+    # its own 2^-(prec//2) gate before its rounding at prec
+    closed = fraction_from_raw(bessel_I32_closed(x, prec))
+    series = fraction_from_raw(bessel_I32_series(x, prec))
+    quadrature = fraction_from_raw(bessel_I32_quadrature(x, prec))
+    ours = (1 + Fraction(1, 2**11)) / 2**prec
+    assert abs(closed - series) <= (ours + Fraction(4, 2**prec)) * series, (x, prec)
+    theirs = Fraction(1, 2 ** (prec // 2)) + Fraction(2, 2**prec)
+    assert abs(closed - quadrature) <= (ours + theirs) * closed * (1 + ours), (x, prec)
+
+
+def test_closed_matches_the_series_bits():
+    # at BESSEL_GRID (where the oracles suite reads the two forms) and at
+    # 200 seeded points the two forms round to the same bits
+    rng = random.Random(3)
+    points = [(x, prec) for x in BESSEL_GRID for prec in (53, 128, 300)]
+    points += [(Fraction(rng.randrange(1, 10**7), 10 ** rng.randrange(3, 9)),
+                rng.choice([53, 128])) for _ in range(200)]
+    differ = [(x, prec) for x, prec in points
+              if bessel_I32_closed(x, prec) != bessel_I32_series(x, prec)]
+    assert differ == []
 
 
 @pytest.mark.parametrize("prec", [53, 128, 300])
@@ -371,11 +450,12 @@ def test_values_leave_as_raw_floats_at_prec(prec):
         assert bc <= prec and man.bit_length() == bc
     a, residue, closed, series, quadrature = values
     # against the references of the tests above
-    assert closed == _context_closed(x, prec)
     assert fraction_from_raw(residue) < Fraction(1, 2 ** (prec // 2))
     with mpmath.workprec(prec + 64):
         assert abs(mpmath.mpf(a) - 2 * mpmath.cos(mpmath.pi / 18)) < mpmath.mpf(2) ** (4 - prec)
         ref = mpmath.besseli(mpmath.mpf(3) / 2, mpmath.mpf(1) / 3)
+        ours = (1 + mpmath.mpf(2) ** -11) * mpmath.mpf(2) ** -prec
+        assert abs(mpmath.mpf(closed) / ref - 1) < ours
         assert abs(mpmath.mpf(series) / ref - 1) < mpmath.mpf(2) ** (2 - prec)
         assert abs(mpmath.mpf(quadrature) / ref - 1) < mpmath.mpf(2) ** -(prec // 2)
 
@@ -389,9 +469,9 @@ def test_to_fraction_takes_only_exact_values():
 
 def test_series_memos_are_bounded():
     # the most keys one process used at the default oracles + rademacher
-    # ranges: 3852 (_cis_pi), 2149 (_kloosterman_cached), 774 (_dedekind_scaled),
-    # 50 (_phases)
-    for memo, keys in ((special._cis_pi, 3852), (special._kloosterman_cached, 2149),
+    # ranges: 121 (_root_table), 2149 (_kloosterman_cached), 774
+    # (_dedekind_scaled), 50 (_phases)
+    for memo, keys in ((special._root_table, 121), (special._kloosterman_cached, 2149),
                        (special._dedekind_scaled, 774), (special._phases, 50)):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize >= keys
