@@ -14,6 +14,8 @@ The _*_ends helpers are that arithmetic on raw (lo, hi) pairs, for Enclosure
 and the raw-libmp kernels alike.  Each checks the order of the pair it
 returns, so an interval is checked once, where it is built; only
 Enclosure(lo, hi, prec) called from outside checks its own arguments.
+Inside the package every interval is such a checked pair, constants(prec)
+included; an Enclosure is built only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ DEFAULT_PRECISION = 128
 # for Lehmer's bound or 30 more.
 PRECISION_MEMO_MAXSIZE = 4
 
-# Entries kept by each per-index enclosure memo: the k-rank memo and
+# Entries kept by each per-index memo: the k-rank memo and
 # estimates.shifted_terms.  shifted_terms sees at most 5000 keys in a default
 # run (n <= 5000 in the ratio and f(j,n) sweeps; convexity builds none, since
 # its chain is skipped below estimates._chain_floor), but each sweep reads all
@@ -344,9 +346,7 @@ class Enclosure:
 
     @classmethod
     def pi(cls, prec=DEFAULT_PRECISION):
-        lo = _widen_raw(libmp.mpf_pi(prec, _DOWN), prec, _DOWN)
-        hi = _widen_raw(libmp.mpf_pi(prec, _UP), prec, _UP)
-        return cls(lo, hi, prec)
+        return cls(*constants(prec).pi, prec)
 
     # -- views -----------------------------------------------------------
 
@@ -455,33 +455,26 @@ def _wrap(ends, prec):
     return e
 
 
-def sqrt_enclosure(value, prec=DEFAULT_PRECISION):
-    """Enclosure of sqrt(value) for an exact nonnegative int or Fraction."""
-    return Enclosure.from_exact(value, prec).sqrt()
-
-
-def exp_enclosure(value, prec=DEFAULT_PRECISION):
-    """Enclosure of exp(value) for an exact int or Fraction."""
-    return Enclosure.from_exact(value, prec).exp()
-
-
 @lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
 def constants(prec: int) -> SimpleNamespace:
-    """Enclosures of pi, sqrt 2, sqrt 3, sqrt 6, sqrt(2 pi), delta_c and the
-    coefficients of h_error."""
-    pi = Enclosure.pi(prec)
-    sqrt2 = sqrt_enclosure(2, prec)
-    sqrt3 = sqrt_enclosure(3, prec)
-    sqrt_two_pi = (2 * pi).sqrt()
+    """Raw ends of pi, sqrt 2, sqrt 3, sqrt 6, sqrt(2 pi), delta_c and the
+    coefficients of h_error, the one source of each: pi padded outward, the
+    rest by the calls of from_exact(n).sqrt(), (2 * pi).sqrt(),
+    sqrt3 / (sqrt2 * pi) - sqrt3 / sqrt_two_pi (delta_c, about -0.3011),
+    2 * pi * pi / 3 and 8 * pi / sqrt3 in Enclosure arithmetic."""
+    pi = _checked(_widen_raw(libmp.mpf_pi(prec, _DOWN), prec, _DOWN),
+                  _widen_raw(libmp.mpf_pi(prec, _UP), prec, _UP))
+    sqrt2, sqrt3, sqrt6 = (_sqrt_ends(_int_ends(v, prec), prec) for v in (2, 3, 6))
+    two_pi = _mul_ends(pi, _int_ends(2, prec), prec)
+    sqrt_two_pi = _sqrt_ends(two_pi, prec)
     return SimpleNamespace(
         pi=pi,
         sqrt2=sqrt2,
         sqrt3=sqrt3,
-        sqrt6=sqrt_enclosure(6, prec),
+        sqrt6=sqrt6,
         sqrt_two_pi=sqrt_two_pi,
-        # sqrt(3)/(sqrt(2) pi) - sqrt(3)/sqrt(2 pi), about -0.3011
-        delta_c=sqrt3 / (sqrt2 * pi) - sqrt3 / sqrt_two_pi,
-        # 2 pi^2/3 and 8 pi/sqrt 3, in h_error's order of operations
-        h_first=2 * pi * pi / 3,
-        h_second=8 * pi / sqrt3,
+        delta_c=_sub_ends(_div_ends(sqrt3, _mul_ends(sqrt2, pi, prec), prec),
+                          _div_ends(sqrt3, sqrt_two_pi, prec), prec),
+        h_first=_div_ends(_mul_ends(two_pi, pi, prec), _int_ends(3, prec), prec),
+        h_second=_div_ends(_mul_ends(pi, _int_ends(8, prec), prec), sqrt3, prec),
     )

@@ -26,13 +26,13 @@ rational radius (2.71/N, 1350/N, 2075/N, 3926/N, 4.04/ell, 2079/ell,
 3929/ell).  Containment contracts are exercised by sweeping the exact engine
 against each enclosure.
 
-ratio_interval and fjn_ratio_interval, the two estimates the containment
-sweeps call per (n, j), the two k-rank forms and shifted_terms itself are
-raw-libmp kernels: expressions in the enclosure module's _*_ends helpers
-on (lo, hi) pairs, which make the directed-rounding calls of their Enclosure
-expressions without the intermediate objects.  Each helper checks the order
-of the pair it returns, so every interval is checked once, where it is
-built, and no kernel checks one itself.  The Enclosure expressions stay in
+Every kernel here, shifted_terms and the convexity chain included, is an
+expression in the enclosure module's _*_ends helpers on raw (lo, hi) pairs,
+which makes the directed-rounding calls of its Enclosure expression without
+the intermediate objects.  Each helper checks the order of the pair it
+returns, so every interval is checked once, where it is built, and no
+kernel checks one itself.  An Enclosure is built only in the return of a
+public estimate or of a k-rank form.  The Enclosure expressions stay in
 tests/test_estimates.py as references, and the kernels must match them bit
 for bit.
 
@@ -80,6 +80,7 @@ from .enclosure import (
     _widen_ends,
     _wrap,
     constants,
+    fraction_from_raw,
     ratio_pair,
 )
 from .errors import PreconditionError
@@ -149,39 +150,36 @@ def _radius_hi(radius: Fraction, d: int, prec: int):
 
 @lru_cache(maxsize=MEMO_MAXSIZE)
 def shifted_terms(n: int, prec: int) -> SimpleNamespace:
-    """Enclosures of the j-free terms at N = n - 1/24, built once per (n, prec).
+    """Raw ends of the j-free terms at N = n - 1/24, built once per (n, prec).
 
-    N (exact) and Ne (its enclosure), sqrt6_sqrtN (the denominator of every
+    N (an exact Fraction) and Ne, sqrt6_sqrtN (the denominator of every
     exponent), sqrt6_N_sqrtN (callers scale it by 2 or 4, which commutes with
     directed rounding), sqrt3_over_sqrt_two_pi = sqrt3/(sqrt(2 pi) sqrt N),
     sqrt3_over_pi_sqrt2 = sqrt3/(sqrt2 pi sqrt N), delta_c_over_sqrtN, and
     the bracket (1 + sqrt3/(sqrt2 pi sqrt N)) +- 1350/N.
 
-    Built in raw libmp, as the ratio kernels are: the calls and roundings of
-    these Enclosure expressions, with sqrtN = Ne.sqrt():
-    sqrt6 * sqrtN, sqrt6 * Ne * sqrtN, sqrt3 / (sqrt_two_pi * sqrtN),
-    sqrt3 / (pi * sqrt2 * sqrtN), delta_c / sqrtN and
+    The calls and roundings of these Enclosure expressions, with
+    sqrtN = Ne.sqrt() and c the Enclosures of constants(prec):
+    c.sqrt6 * sqrtN, c.sqrt6 * Ne * sqrtN, c.sqrt3 / (c.sqrt_two_pi * sqrtN),
+    c.sqrt3 / (c.pi * c.sqrt2 * sqrtN), c.delta_c / sqrtN and
     (1 + sqrt3_over_pi_sqrt2).plus_minus(1350/N).
     """
     c = constants(prec)
     d = 24 * n - 1  # N = d/24
     ne = _ratio_ends(d, 24, prec)
     s = _sqrt_ends(ne, prec)
-    s3, s6 = (c.sqrt3.lo, c.sqrt3.hi), (c.sqrt6.lo, c.sqrt6.hi)
-    q = _mul_ends((c.pi.lo, c.pi.hi), (c.sqrt2.lo, c.sqrt2.hi), prec)
-    q = _div_ends(s3, _mul_ends(q, s, prec), prec)
+    q = _mul_ends(c.pi, c.sqrt2, prec)
+    q = _div_ends(c.sqrt3, _mul_ends(q, s, prec), prec)
     x = _add_ends(q, _ONE, prec)
     return SimpleNamespace(
         N=shifted_index(n),
-        Ne=_wrap(ne, prec),
-        sqrt6_sqrtN=_wrap(_mul_ends(s6, s, prec), prec),
-        sqrt6_N_sqrtN=_wrap(_mul_ends(_mul_ends(s6, ne, prec), s, prec), prec),
-        sqrt3_over_sqrt_two_pi=_wrap(
-            _div_ends(s3, _mul_ends((c.sqrt_two_pi.lo, c.sqrt_two_pi.hi), s, prec), prec), prec
-        ),
-        sqrt3_over_pi_sqrt2=_wrap(q, prec),
-        delta_c_over_sqrtN=_wrap(_div_ends((c.delta_c.lo, c.delta_c.hi), s, prec), prec),
-        bracket=_wrap(_widen_ends(x, _radius_hi(RATIO_RADIUS_2, d, prec), prec), prec),
+        Ne=ne,
+        sqrt6_sqrtN=_mul_ends(c.sqrt6, s, prec),
+        sqrt6_N_sqrtN=_mul_ends(_mul_ends(c.sqrt6, ne, prec), s, prec),
+        sqrt3_over_sqrt_two_pi=_div_ends(c.sqrt3, _mul_ends(c.sqrt_two_pi, s, prec), prec),
+        sqrt3_over_pi_sqrt2=q,
+        delta_c_over_sqrtN=_div_ends(c.delta_c, s, prec),
+        bracket=_widen_ends(x, _radius_hi(RATIO_RADIUS_2, d, prec), prec),
     )
 
 
@@ -189,18 +187,16 @@ def _pi_j_ends(t: SimpleNamespace, j: int, prec: int):
     # the ends of j, of pi j and of e^{-pi j/sqrt(6N)}, the libmp calls of
     # (-(pi * j / sqrt6_sqrtN)).exp() in Enclosure arithmetic
     jj = _ratio_ends(j, 1, prec)
-    pi, s = constants(prec).pi, t.sqrt6_sqrtN
-    pj = _mul_ends((pi.lo, pi.hi), jj, prec)
-    return jj, pj, _exp_ends(_neg_ends(_div_ends(pj, (s.lo, s.hi), prec)), prec)
+    pj = _mul_ends(constants(prec).pi, jj, prec)
+    return jj, pj, _exp_ends(_neg_ends(_div_ends(pj, t.sqrt6_sqrtN, prec)), prec)
 
 
 def _ratio_tail(t: SimpleNamespace, d: int, e, c, radius, prec: int):
     # the ends of e (c - sqrt3/(sqrt(2 pi) sqrt N) +- radius/N) bracket,
     # N = d/24, for the ends e and centre c
-    g, b = t.sqrt3_over_sqrt_two_pi, t.bracket
-    c = _sub_ends(c, (g.lo, g.hi), prec)
+    c = _sub_ends(c, t.sqrt3_over_sqrt_two_pi, prec)
     c = _widen_ends(c, _radius_hi(radius, d, prec), prec)
-    return _mul_ends(_mul_ends(e, c, prec), (b.lo, b.hi), prec)
+    return _mul_ends(_mul_ends(e, c, prec), t.bracket, prec)
 
 
 def _difference_tail(d: int, e, x, y, radius_a, radius_b, prec: int):
@@ -234,15 +230,14 @@ def ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
     d = 24 * n - 1  # N = d/24
     jj, pj, e = _pi_j_ends(t, j, prec)
     # the centre 1 + j/N - pi j j / (4 sqrt6 N sqrt N)
-    s = t.sqrt6_N_sqrtN
-    q = _div_ends(_mul_ends(pj, jj, prec), _mul_ends((s.lo, s.hi), _FOUR, prec), prec)
+    q = _div_ends(_mul_ends(pj, jj, prec), _mul_ends(t.sqrt6_N_sqrtN, _FOUR, prec), prec)
     c = _sub_ends(_ratio_ends(d + 24 * j, d, prec), q, prec)
     return _wrap(_ratio_tail(t, d, e, c, RATIO_RADIUS_1, prec), prec)
 
 
 def _delta_centres(t: SimpleNamespace, prec: int):
     # the ends of 1 + delta_c/sqrt N and 2 + 2 delta_c/sqrt N
-    dc = (t.delta_c_over_sqrtN.lo, t.delta_c_over_sqrtN.hi)
+    dc = t.delta_c_over_sqrtN
     return _add_ends(dc, _ONE, prec), _add_ends(_mul_ends(dc, _TWO, prec), _TWO, prec)
 
 
@@ -269,7 +264,7 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosu
     k = _ratio_ends(48 * j, d, prec)  # 2j/N
     pjj = _mul_ends(pj, jj, prec)  # pi j j
     x, y = _delta_centres(t, prec)
-    s = (t.sqrt6_N_sqrtN.lo, t.sqrt6_N_sqrtN.hi)
+    s = t.sqrt6_N_sqrtN
     # the centres x + 2j/N - pi j j/(sqrt6 N sqrt N)
     x = _sub_ends(_add_ends(x, k, prec), _div_ends(pjj, s, prec), prec)
     # and y + 2j/N - pi j j/(2 sqrt6 N sqrt N)
@@ -283,9 +278,8 @@ def _j_bracket_ends(t: SimpleNamespace, d: int, big_j: int, prec: int):
     # first ratio bracket, for the convexity chain and the registry's collapse
     # margins: the calls of Fraction(J) / N - pi * J**2 / (4 * t.sqrt6_N_sqrtN)
     # in Enclosure arithmetic, J/N taken as 24J/d
-    pi, s = constants(prec).pi, t.sqrt6_N_sqrtN
-    q = _mul_ends((pi.lo, pi.hi), _int_ends(big_j * big_j, prec), prec)
-    q = _div_ends(q, _mul_ends((s.lo, s.hi), _FOUR, prec), prec)
+    q = _mul_ends(constants(prec).pi, _int_ends(big_j * big_j, prec), prec)
+    q = _div_ends(q, _mul_ends(t.sqrt6_N_sqrtN, _FOUR, prec), prec)
     return _sub_ends(_ratio_ends(24 * big_j, d, prec), q, prec)
 
 
@@ -295,19 +289,29 @@ def _analytic_convexity(n: int, j: int, prec: int) -> bool:
     #   (ii)  j/N - 3 pi j^2/(4 sqrt6 N^{3/2}) >= 0,
     #   (iii) -1 < delta_c/sqrt N + j/N - pi j^2/(4 sqrt6 N^{3/2}) + 3926/N < 0
     # together force f(j,n)/p(n) > 0; each comparison must hold for the
-    # whole interval, else the chain is inconclusive
-    c = constants(prec)
+    # whole interval, else the chain is inconclusive.  The calls of
+    # t.delta_c_over_sqrtN + b + FJN_RADIUS_B / t.N (b the J-bracket),
+    # Fraction(j) / t.N - 3 * pi * j * j / (4 * t.sqrt6_N_sqrtN) and
+    # e * e - 2 * e (e = e^{-a}) in Enclosure arithmetic
     t = shifted_terms(n, prec)
-    b = _wrap(_j_bracket_ends(t, 24 * n - 1, j, prec), prec)
-    B = t.delta_c_over_sqrtN + b + FJN_RADIUS_B / t.N
-    if not (B.strictly_negative() and B.lo_fraction > -1):
+    d = 24 * n - 1  # N = d/24
+    b = _add_ends(t.delta_c_over_sqrtN, _j_bracket_ends(t, d, j, prec), prec)
+    r = FJN_RADIUS_B
+    b = _add_ends(b, _ratio_ends(24 * r.numerator, r.denominator * d, prec), prec)
+    if not _in_unit_gap(b):
         return False
-    second = Fraction(j) / t.N - 3 * c.pi * j * j / (4 * t.sqrt6_N_sqrtN)
-    if not second.lo_fraction >= 0:
+    q = _mul_ends(constants(prec).pi, _int_ends(3, prec), prec)
+    q = _mul_ends(_mul_ends(q, _int_ends(j, prec), prec), _int_ends(j, prec), prec)
+    q = _div_ends(q, _mul_ends(t.sqrt6_N_sqrtN, _FOUR, prec), prec)
+    if fraction_from_raw(_sub_ends(_ratio_ends(24 * j, d, prec), q, prec)[0]) < 0:
         return False
-    exp1 = _wrap(_pi_j_ends(t, j, prec)[2], prec)
-    X = exp1 * exp1 - 2 * exp1
-    return X.strictly_negative() and X.lo_fraction > -1
+    e = _pi_j_ends(t, j, prec)[2]
+    return _in_unit_gap(_sub_ends(_mul_ends(e, e, prec), _mul_ends(e, _TWO, prec), prec))
+
+
+def _in_unit_gap(x) -> bool:
+    # -1 < x < 0 on the whole of the ends x, the test of links (i) and (iii)
+    return libmp.mpf_lt(x[1], libmp.fzero) and fraction_from_raw(x[0]) > -1
 
 
 @lru_cache(maxsize=1)
@@ -319,7 +323,7 @@ def _chain_floor() -> int:
     3926^2 >= delta^2 N for the lower end delta of any enclosure of delta_c.
     That is N <= about 1.6997e8, whatever precision the chain runs at.
     """
-    delta = constants(DEFAULT_PRECISION).delta_c.lo_fraction
+    delta = fraction_from_raw(constants(DEFAULT_PRECISION).delta_c[0])
     return math.floor(FJN_RADIUS_B**2 / delta**2 + Fraction(1, 24))
 
 

@@ -2,11 +2,11 @@
 
 Every closed-form bound used while assembling the interval estimates reduces
 to a claim of the shape "margin expression is positive on a stated domain".
-Each case below packages one such claim: a margin function evaluated as a
-directed-rounding enclosure, together with a sampler for the domain.  The
-driver sweeps a deterministic grid plus seeded random points and reports the
-smallest lower endpoint seen, so a passing run exhibits a strictly positive
-worst margin over the whole sample.
+Each case below packages one such claim: a margin function evaluated as the
+raw (lo, hi) ends of a directed-rounding enclosure, together with a sampler
+for the domain.  A run sweeps a deterministic grid plus seeded random
+points and reports the smallest lower endpoint seen, so a passing run
+exhibits a strictly positive worst margin over the whole sample.
 
 Sampling conventions:
 
@@ -34,22 +34,20 @@ with its second exponential (rademacher._h_ends, which h_error also wraps),
 the correction sum sqrt3/(sqrt2 pi sqrt x) + h, shifted_terms(n) and the
 J-brackets, and sqrt(1 - x).
 
-The margins that dominate the registry's time are raw: expressions in the
-enclosure module's _*_ends helpers on (lo, hi) pairs, which make the libmp
-calls, on the same operands and with the same roundings, of the Enclosure
-expressions they replace, so their endpoints are those expressions' bit for
-bit (tests/test_inequalities.py keeps each expression as a reference and
-compares the two).  Their constants are built once per precision in
-_raw_constants, by the calls the Enclosure expressions made at each point.
-An int operand is exact only when it fits in prec bits, and otherwise rounds
-outward through ratio_pair, as Enclosure._coerce reads it (_int_ends): J^3
-exceeds 2^16 at 16 bits.  Exact rational parts, and the product error bound
-of the collapse cases with its |b| and J/N, are computed on unreduced
-integers and rounded once by ratio_pair, which rounds the value p/q whatever
-the common factors of p and q; the cases that stay exact Fractions or
-Enclosure expressions (geometric-series-100, reciprocal-125,
-exp-convexity-half, sqrt-exp-decreasing, collapse-131,
-bessel-simplify-half) are cheap.
+Every margin is raw: an expression in the enclosure module's _*_ends
+helpers on (lo, hi) pairs, which makes the libmp calls, on the same
+operands and with the same roundings, of the Enclosure expression it
+replaces, so its endpoints are that expression's bit for bit
+(tests/test_inequalities.py keeps each expression as a reference and
+compares the two).  The margins read constants(prec) directly; the
+registry's own constants are built once per precision in _raw_constants,
+by the calls the Enclosure expressions made at each point.  An int operand
+is exact only when it fits in prec bits, and otherwise rounds outward
+through ratio_pair, as Enclosure._coerce reads it (_int_ends): J^3 exceeds
+2^16 at 16 bits.  Exact rational parts, and the product error bound of the
+collapse cases with its |b| and J/N, are either exact Fractions or computed
+on unreduced integers, and are rounded once by ratio_pair, which rounds the
+value p/q whatever the common factors of p and q.
 
 `bessel-tail-sum`, a thousand Bessel terms per point, runs in raw libmp the
 same way.  Each helper checks the order of the pair it returns, once, as
@@ -70,7 +68,6 @@ from mpmath import libmp
 from .enclosure import (
     DEFAULT_PRECISION,
     PRECISION_MEMO_MAXSIZE,
-    Enclosure,
     _add_ends,
     _div_ends,
     _exp_ends,
@@ -80,12 +77,9 @@ from .enclosure import (
     _ratio_ends,
     _sqrt_ends,
     _sub_ends,
-    _wrap,
     constants,
-    exp_enclosure,
     fraction_from_raw,
     scaled_ends,
-    sqrt_enclosure,
 )
 from .errors import PartboundsError, PreconditionError
 from .estimates import (
@@ -101,7 +95,8 @@ from .exact import shifted_index
 from .rademacher import _h_ends, _root_ends
 
 Point = Tuple
-MarginFn = Callable[[Point, int], Enclosure]
+Ends = Tuple  # a checked raw (lo, hi) pair
+MarginFn = Callable[[Point, int], Ends]
 Sampler = Callable[[int, int, random.Random], Iterable[Point]]
 
 GRID_POINTS = 10_000
@@ -116,9 +111,9 @@ _CAP = Fraction(10_000)
 _EDGE = Fraction(1, 10**9)
 
 # One entry: a pair point's four cases read one n in turn, and the pair grid
-# visits each n with up to three j in a row, while a full memo of the
-# thousands of indices the collapse cases visit would add about 6 MB to a
-# pool worker's 27 MB peak.
+# visits each n with up to three j in a row, while a full memo of the 4031
+# indices the collapse cases visit, at 128 bits, would take the pair domain's
+# peak RSS from 20 MB to 32 MB.
 _terms = lru_cache(maxsize=1)(shifted_terms.__wrapped__)
 
 # The radii of the two factors collapse-271 combines into 2.71/N, certified
@@ -131,14 +126,15 @@ _SQRT_FACTOR_RADIUS = Fraction(131, 100)
 TAIL_TERMS = 1000
 
 
-def _min_lo(a: Optional[Enclosure], b: Enclosure) -> Enclosure:
-    if a is None or libmp.mpf_lt(b.lo, a.lo):
+def _min_lo(a: Optional[Ends], b: Ends) -> Ends:
+    if a is None or libmp.mpf_lt(b[0], a[0]):
         return b
     return a
 
 
-def _raw(e: Enclosure):
-    return e.lo, e.hi
+def _exact(r: Fraction, prec: int) -> Ends:
+    # the ends of an exact Fraction, as Enclosure.from_exact rounds it
+    return _ratio_ends(r.numerator, r.denominator, prec)
 
 
 def _interval_sampler(lo: Fraction, hi: Fraction) -> Sampler:
@@ -203,44 +199,36 @@ _PAIRS = _pair_sampler(17, 10_000)
 
 @lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
 def _raw_constants(prec: int) -> SimpleNamespace:
-    """Raw ends of the raw margins' constants at prec bits.
+    """The registry's own constants at prec bits, derived from constants(prec).
 
     Each is built by the calls its Enclosure expression made at every point:
     an exact Fraction by from_exact's ratio_pair, an int by _int_ends, and
-    pi/2, sqrt2 pi, pi/(40 sqrt6), pi^2/24, 4 sqrt6 and (2/5) pi as
-    pi / 2, sqrt2 * pi, pi / (40 * sqrt6), pi * pi / 24, 4 * sqrt6 and
-    Fraction(2, 5) * pi, for the enclosures of constants(prec).
+    pi/2, sqrt2 pi, pi/(40 sqrt6), pi^2/24, 4 sqrt6, (2/5) pi and 2 sqrt2 as
+    pi / 2, sqrt2 * pi, pi / (40 * sqrt6), pi * pi / 24, 4 * sqrt6,
+    Fraction(2, 5) * pi and 2 * sqrt2, for the Enclosures of constants(prec).
     """
     c = constants(prec)
-    pi, sqrt2, sqrt6 = _raw(c.pi), _raw(c.sqrt2), _raw(c.sqrt6)
-
-    def exact(r: Fraction):
-        return _ratio_ends(r.numerator, r.denominator, prec)
-
-    def integer(v: int):
-        return _int_ends(v, prec)
-
-    two, two_fifths = integer(2), exact(Fraction(2, 5))
+    pi, sqrt6 = c.pi, c.sqrt6
+    two, two_fifths = _int_ends(2, prec), _exact(Fraction(2, 5), prec)
     return SimpleNamespace(
-        pi=pi,
-        sqrt3=_raw(c.sqrt3),
-        one=integer(1),
+        one=_int_ends(1, prec),
         two=two,
-        fifteen=integer(15),
-        hundred=integer(100),
-        quarter=exact(Fraction(1, 4)),
-        fifth=exact(Fraction(1, 5)),
-        tenth=exact(Fraction(1, 10)),
+        fifteen=_int_ends(15, prec),
+        hundred=_int_ends(100, prec),
+        quarter=_exact(Fraction(1, 4), prec),
+        fifth=_exact(Fraction(1, 5), prec),
+        tenth=_exact(Fraction(1, 10), prec),
         two_fifths=two_fifths,
-        eleven_tenths=exact(Fraction(11, 10)),
-        ninety_nine_hundredths=exact(Fraction(99, 100)),
-        j_factor_radius=exact(_J_FACTOR_RADIUS),
-        ratio_radius_2=exact(RATIO_RADIUS_2),
+        eleven_tenths=_exact(Fraction(11, 10), prec),
+        ninety_nine_hundredths=_exact(Fraction(99, 100), prec),
+        j_factor_radius=_exact(_J_FACTOR_RADIUS, prec),
+        ratio_radius_2=_exact(RATIO_RADIUS_2, prec),
         neg_half_pi=_neg_ends(_div_ends(pi, two, prec)),
-        sqrt2_pi=_mul_ends(sqrt2, pi, prec),
-        pi_over_40_sqrt6=_div_ends(pi, _mul_ends(sqrt6, integer(40), prec), prec),
-        pi_squared_over_24=_div_ends(_mul_ends(pi, pi, prec), integer(24), prec),
-        four_sqrt6=_mul_ends(sqrt6, integer(4), prec),
+        sqrt2_pi=_mul_ends(c.sqrt2, pi, prec),
+        two_sqrt2=_mul_ends(c.sqrt2, two, prec),
+        pi_over_40_sqrt6=_div_ends(pi, _mul_ends(sqrt6, _int_ends(40, prec), prec), prec),
+        pi_squared_over_24=_div_ends(_mul_ends(pi, pi, prec), _int_ends(24, prec), prec),
+        four_sqrt6=_mul_ends(sqrt6, _int_ends(4, prec), prec),
         two_fifths_pi=_mul_ends(pi, two_fifths, prec),
     )
 
@@ -250,16 +238,15 @@ def _raw_constants(prec: int) -> SimpleNamespace:
 @lru_cache(maxsize=1)
 def _correction_ends(x: Fraction, prec: int):
     # h(x) and the correction sum sqrt3/(sqrt2 pi sqrt x) + h(x), the calls
-    # of c.sqrt3 / (c.sqrt2 * c.pi * sqrt_enclosure(x)) + h_error(x)
-    k = _raw_constants(prec)
+    # of c.sqrt3 / (c.sqrt2 * c.pi * sqrt(x)) + h_error(x)
     h = _h_ends(x, prec)[0]
-    q = _mul_ends(k.sqrt2_pi, _root_ends(x, prec)[1], prec)
-    return h, _add_ends(_div_ends(k.sqrt3, q, prec), h, prec)
+    q = _mul_ends(_raw_constants(prec).sqrt2_pi, _root_ends(x, prec)[1], prec)
+    return h, _add_ends(_div_ends(constants(prec).sqrt3, q, prec), h, prec)
 
 
 @lru_cache(maxsize=1)
 def _rest_root_ends(x: Fraction, prec: int):
-    # sqrt(1 - x), sqrt_enclosure(1 - x) for x = a/b
+    # sqrt(1 - x), Enclosure.from_exact(1 - x).sqrt() for x = a/b
     a, b = x.numerator, x.denominator
     return _sqrt_ends(_ratio_ends(b - a, b, prec), prec)
 
@@ -272,17 +259,16 @@ def _bracket_ends(n: int, big_j: int, prec: int):
 
 # -- margins ---------------------------------------------------------------
 
-def _margin_geometric(point: Point, prec: int) -> Enclosure:
+def _margin_geometric(point: Point, prec: int) -> Ends:
     # 1/(1-z) - 1 - z = z^2/(1-z) for real |z| < 1; check both signs of z.
     (u,) = point
     worst = None
     for z in (u, -u):
-        gap = 100 * z * z - z * z / (1 - z)
-        worst = _min_lo(worst, Enclosure.from_exact(gap, prec))
+        worst = _min_lo(worst, _exact(100 * z * z - z * z / (1 - z), prec))
     return worst
 
 
-def _margin_sqrt_expansion(point: Point, prec: int) -> Enclosure:
+def _margin_sqrt_expansion(point: Point, prec: int) -> Ends:
     # x^3/10 - ((1 - x/2 - x^2/8) - sqrt(1-x)); sqrt(1-x) sits below
     # 1 - x/2 - x^2/8, so the deviation needs no abs.  With x = a/b the
     # exact parts are (8b^2 - 4ab - a^2)/(8b^2) and a^3/(10 b^3).
@@ -291,32 +277,33 @@ def _margin_sqrt_expansion(point: Point, prec: int) -> Enclosure:
     bb = b * b
     deviation = _ratio_ends(8 * bb - 4 * a * b - a * a, 8 * bb, prec)
     deviation = _sub_ends(deviation, _rest_root_ends(x, prec), prec)
-    return _wrap(_sub_ends(_ratio_ends(a**3, 10 * bb * b, prec), deviation, prec), prec)
+    return _sub_ends(_ratio_ends(a**3, 10 * bb * b, prec), deviation, prec)
 
 
-def _margin_inverse_sqrt(point: Point, prec: int) -> Enclosure:
+def _margin_inverse_sqrt(point: Point, prec: int) -> Ends:
     # 1 + (3/5) x - 1/sqrt(1-x), its exact part (5b + 3a)/(5b)
     (x,) = point
     a, b = x.numerator, x.denominator
     inverse = _div_ends(_raw_constants(prec).one, _rest_root_ends(x, prec), prec)
-    return _wrap(_sub_ends(_ratio_ends(5 * b + 3 * a, 5 * b, prec), inverse, prec), prec)
+    return _sub_ends(_ratio_ends(5 * b + 3 * a, 5 * b, prec), inverse, prec)
 
 
-def _margin_reciprocal(point: Point, prec: int) -> Enclosure:
+def _margin_reciprocal(point: Point, prec: int) -> Ends:
     (x,) = point
-    return Enclosure.from_exact(Fraction(5, 4) * x * x - x * x / (1 - x), prec)
+    return _exact(Fraction(5, 4) * x * x - x * x / (1 - x), prec)
 
 
-def _margin_exp_convexity(point: Point, prec: int) -> Enclosure:
+def _margin_exp_convexity(point: Point, prec: int) -> Ends:
     (x,) = point
-    return x * x / 2 + 1 - x - exp_enclosure(-x, prec)
+    return _sub_ends(_exact(x * x / 2 + 1 - x, prec), _exp_ends(_exact(-x, prec), prec), prec)
 
 
-def _margin_tail_envelope(point: Point, prec: int) -> Enclosure:
+def _margin_tail_envelope(point: Point, prec: int) -> Ends:
     # 15 sqrt(x) e^{-(pi/2) sqrt(x/2)} - h(x), the calls of
-    # 15 * (sqrt_enclosure(x) * (-(pi / 2) * sqrt_enclosure(x / 2)).exp()) - h_error(x).
-    # That exponential is h's second one, e^{-(pi/2 * sqrt(xe/2))}, end for end:
-    # * sqrt_enclosure(x/2) is sqrt of the floor and ceiling of x/2 at prec
+    # 15 * (sqrt(x) * (-(pi / 2) * sqrt(x / 2)).exp()) - h_error(x), with
+    # sqrt(v) as Enclosure.from_exact(v).sqrt().  That exponential is h's
+    # second one, e^{-(pi/2 * sqrt(xe/2))}, end for end:
+    # * sqrt(x/2) is sqrt of the floor and ceiling of x/2 at prec
     #   bits, and these are half those of x, since doubling maps the floats
     #   of prec bits onto themselves; so x/2 has the ends of xe/2, whose
     #   division rounds nothing;
@@ -327,17 +314,17 @@ def _margin_tail_envelope(point: Point, prec: int) -> Enclosure:
     h, decay, _ = _h_ends(x, prec)
     envelope = _mul_ends(_root_ends(x, prec)[1], decay, prec)
     envelope = _mul_ends(envelope, _raw_constants(prec).fifteen, prec)
-    return _wrap(_sub_ends(envelope, h, prec), prec)
+    return _sub_ends(envelope, h, prec)
 
 
-def _margin_envelope_decreasing(point: Point, prec: int) -> Enclosure:
+def _margin_envelope_decreasing(point: Point, prec: int) -> Ends:
     # d/dx log(sqrt(x) exp(-(pi/2) sqrt(x/2))) < 0 iff pi sqrt(x) > 2 sqrt(2).
     (x,) = point
-    c = constants(prec)
-    return c.pi * sqrt_enclosure(x, prec) - 2 * c.sqrt2
+    value = _mul_ends(constants(prec).pi, _sqrt_ends(_exact(x, prec), prec), prec)
+    return _sub_ends(value, _raw_constants(prec).two_sqrt2, prec)
 
 
-def _margin_shifted_envelope(point: Point, prec: int) -> Enclosure:
+def _margin_shifted_envelope(point: Point, prec: int) -> Ends:
     # 11/10 - x sqrt(y) e^{-(pi/2) sqrt(y/2)}, y = x - sqrt(x)/2
     (x,) = point
     k = _raw_constants(prec)
@@ -346,24 +333,23 @@ def _margin_shifted_envelope(point: Point, prec: int) -> Enclosure:
     decay = _sqrt_ends(_div_ends(y, k.two, prec), prec)
     decay = _exp_ends(_mul_ends(k.neg_half_pi, decay, prec), prec)
     value = _mul_ends(_mul_ends(_sqrt_ends(y, prec), xe, prec), decay, prec)
-    return _wrap(_sub_ends(k.eleven_tenths, value, prec), prec)
+    return _sub_ends(k.eleven_tenths, value, prec)
 
 
-def _margin_concavity(point: Point, prec: int) -> Enclosure:
+def _margin_concavity(point: Point, prec: int) -> Ends:
     # 1 - x/2 - sqrt(1-x), its exact part (2b - a)/(2b)
     (x,) = point
     a, b = x.numerator, x.denominator
-    gap = _sub_ends(_ratio_ends(2 * b - a, 2 * b, prec), _rest_root_ends(x, prec), prec)
-    return _wrap(gap, prec)
+    return _sub_ends(_ratio_ends(2 * b - a, 2 * b, prec), _rest_root_ends(x, prec), prec)
 
 
-def _margin_correction_sum(point: Point, prec: int) -> Enclosure:
+def _margin_correction_sum(point: Point, prec: int) -> Ends:
     (x,) = point
     k = _raw_constants(prec)
-    return _wrap(_sub_ends(k.ninety_nine_hundredths, _correction_ends(x, prec)[1], prec), prec)
+    return _sub_ends(k.ninety_nine_hundredths, _correction_ends(x, prec)[1], prec)
 
 
-def _margin_exp_argument(point: Point, prec: int) -> Enclosure:
+def _margin_exp_argument(point: Point, prec: int) -> Ends:
     # 1/10 - (pi/(40 sqrt6) + (pi^2/24) inner^2), inner = 1/(10 sqrt x) + 1/4
     (x,) = point
     k = _raw_constants(prec)
@@ -371,46 +357,48 @@ def _margin_exp_argument(point: Point, prec: int) -> Enclosure:
     inner = _add_ends(inner, k.quarter, prec)
     value = _mul_ends(_mul_ends(k.pi_squared_over_24, inner, prec), inner, prec)
     value = _add_ends(k.pi_over_40_sqrt6, value, prec)
-    return _wrap(_sub_ends(k.tenth, value, prec), prec)
+    return _sub_ends(k.tenth, value, prec)
 
 
-def _margin_shift_ratio(point: Point, prec: int) -> Enclosure:
+def _margin_shift_ratio(point: Point, prec: int) -> Ends:
     # 1/5 - 1/(2 sqrt x)
     (x,) = point
     k = _raw_constants(prec)
     half = _div_ends(k.one, _mul_ends(_root_ends(x, prec)[1], k.two, prec), prec)
-    return _wrap(_sub_ends(k.fifth, half, prec), prec)
+    return _sub_ends(k.fifth, half, prec)
 
 
-def _margin_collapse_056(point: Point, prec: int) -> Enclosure:
+def _margin_collapse_056(point: Point, prec: int) -> Ends:
     # 0.56 - (0.4 + pi J^3/den + 0.4 pi J^2/den + 0.1 + 0.1 J/N + 0.04/N),
     # den = 4 sqrt6 (N sqrt N), summed left to right, the 1/N terms exact
     n, j = point
-    k = _raw_constants(prec)
+    k, pi = _raw_constants(prec), constants(prec).pi
     t = _terms(n, prec)
     d = 24 * n - 1  # N = d/24
-    ne = _raw(t.Ne)
-    den = _mul_ends(k.four_sqrt6, _mul_ends(_sqrt_ends(ne, prec), ne, prec), prec)
+    den = _mul_ends(k.four_sqrt6, _mul_ends(_sqrt_ends(t.Ne, prec), t.Ne, prec), prec)
     last = _ratio_ends(24, 25 * d, prec)  # 1/(25 N)
     worst = None
     # The bound is used with both the plain and the doubled shift; the
     # doubled one is the tight branch but both must clear 0.56.
     for big_j in (j, 2 * j):
-        cube = _div_ends(_mul_ends(k.pi, _int_ends(big_j**3, prec), prec), den, prec)
+        cube = _div_ends(_mul_ends(pi, _int_ends(big_j**3, prec), prec), den, prec)
         square = _mul_ends(k.two_fifths_pi, _int_ends(big_j**2, prec), prec)
         err = _add_ends(cube, k.two_fifths, prec)
         err = _add_ends(err, _div_ends(square, den, prec), prec)
         err = _add_ends(err, k.tenth, prec)
         err = _add_ends(err, _ratio_ends(24 * big_j, 10 * d, prec), prec)
         err = _add_ends(err, last, prec)
-        worst = _min_lo(worst, _wrap(_sub_ends(k.j_factor_radius, err, prec), prec))
+        worst = _min_lo(worst, _sub_ends(k.j_factor_radius, err, prec))
     return worst
 
 
-def _margin_collapse_131(point: Point, prec: int) -> Enclosure:
+def _margin_collapse_131(point: Point, prec: int) -> Ends:
+    # 1.31 - (0.3 sqrt3/sqrt(2 pi) + 1.1)
     c = constants(prec)
-    value = Fraction(3, 10) * c.sqrt3 / c.sqrt_two_pi + Fraction(11, 10)
-    return _SQRT_FACTOR_RADIUS - value
+    value = _mul_ends(c.sqrt3, _exact(Fraction(3, 10), prec), prec)
+    value = _div_ends(value, c.sqrt_two_pi, prec)
+    value = _add_ends(value, _raw_constants(prec).eleven_tenths, prec)
+    return _sub_ends(_exact(_SQRT_FACTOR_RADIUS, prec), value, prec)
 
 
 def _magnitude(b):
@@ -446,85 +434,83 @@ def _product_margin(
     )
 
 
-def _margin_collapse_271(point: Point, prec: int) -> Enclosure:
+def _margin_collapse_271(point: Point, prec: int) -> Ends:
     # b1 the J-bracket, b2 = -sqrt3/(sqrt(2 pi) sqrt N), radii 0.56 and 1.31
     n, j = point
     t = _terms(n, prec)
-    b2 = _neg_ends(_raw(t.sqrt3_over_sqrt_two_pi))
+    b2 = _neg_ends(t.sqrt3_over_sqrt_two_pi)
     worst = None
     for big_j in (j, 2 * j):
         margin = _product_margin(
             RATIO_RADIUS_1, 1, 24 * n - 1, _bracket_ends(n, big_j, prec), _J_FACTOR_RADIUS,
             b2, _SQRT_FACTOR_RADIUS, prec,
         )
-        worst = _min_lo(worst, _wrap(margin, prec))
+        worst = _min_lo(worst, margin)
     return worst
 
 
-def _bracket_margin(radius: Fraction, scale: int, n: int, big_j: int, prec: int) -> Enclosure:
+def _bracket_margin(radius: Fraction, scale: int, n: int, big_j: int, prec: int) -> Ends:
     # radius - scale N err for (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N), with
     # b1 = sqrt3/(sqrt2 pi sqrt N) and b2 the J-bracket less
     # sqrt3/(sqrt(2 pi) sqrt N)
     t = _terms(n, prec)
-    b2 = _sub_ends(_bracket_ends(n, big_j, prec), _raw(t.sqrt3_over_sqrt_two_pi), prec)
-    margin = _product_margin(
-        radius, scale, 24 * n - 1, _raw(t.sqrt3_over_pi_sqrt2), RATIO_RADIUS_2,
+    b2 = _sub_ends(_bracket_ends(n, big_j, prec), t.sqrt3_over_sqrt_two_pi, prec)
+    return _product_margin(
+        radius, scale, 24 * n - 1, t.sqrt3_over_pi_sqrt2, RATIO_RADIUS_2,
         b2, RATIO_RADIUS_1, prec,
     )
-    return _wrap(margin, prec)
 
 
-def _margin_collapse_1350(point: Point, prec: int) -> Enclosure:
+def _margin_collapse_1350(point: Point, prec: int) -> Ends:
     # 1350 - x (h + 100 s s), s the correction sum
     (x,) = point
     k = _raw_constants(prec)
     h, s = _correction_ends(x, prec)
     value = _mul_ends(_mul_ends(s, k.hundred, prec), s, prec)
     value = _mul_ends(_add_ends(h, value, prec), _root_ends(x, prec)[0], prec)
-    return _wrap(_sub_ends(k.ratio_radius_2, value, prec), prec)
+    return _sub_ends(k.ratio_radius_2, value, prec)
 
 
-def _margin_collapse_2075(point: Point, prec: int) -> Enclosure:
+def _margin_collapse_2075(point: Point, prec: int) -> Ends:
     n, j = point
     return _bracket_margin(FJN_RADIUS_A, 1, n, 2 * j, prec)
 
 
-def _margin_collapse_3926(point: Point, prec: int) -> Enclosure:
+def _margin_collapse_3926(point: Point, prec: int) -> Ends:
     n, j = point
     return _bracket_margin(FJN_RADIUS_B, 2, n, j, prec)
 
 
-def _margin_bessel_tail(point: Point, prec: int) -> Enclosure:
+def _margin_bessel_tail(point: Point, prec: int) -> Ends:
     # Sums I_3/2(y) = [e^y (1 - 1/y) + e^-y (1 + 1/y)] / sqrt(2 pi y) at
     # y = x/k in raw libmp.  Each step makes the libmp calls, on the same
     # operands and with the same roundings, that this expression in
     # Enclosure arithmetic makes, and its helpers check the order of every
     # endpoint pair that was an Enclosure; 1 +- 1/y = (a +- b k)/a, x = a/b.
     (x,) = point
-    c = constants(prec)
+    c, r = constants(prec), _raw_constants(prec)
     a, b = x.numerator, x.denominator
-    two_pi = 2 * c.pi
-    two_pi = (two_pi.lo, two_pi.hi)
-    one = (libmp.fone,) * 2
+    two_pi = _mul_ends(c.pi, r.two, prec)
     s = (libmp.fzero,) * 2
     for k in range(2, TAIL_TERMS + 1):
         bk = b * k
         y = _ratio_ends(a, bk, prec)
         e = _exp_ends(y, prec)
         m = _mul_ends(e, _ratio_ends(a - bk, a, prec), prec)
-        q = _mul_ends(_div_ends(one, e, prec), _ratio_ends(a + bk, a, prec), prec)
+        q = _mul_ends(_div_ends(r.one, e, prec), _ratio_ends(a + bk, a, prec), prec)
         w = _sqrt_ends(_mul_ends(two_pi, y, prec), prec)
         s = _add_ends(s, _div_ends(_add_ends(m, q, prec), w, prec), prec)
-    rhs = 4 * (x / c.pi).sqrt() * exp_enclosure(x / 2, prec)
-    return rhs - _wrap(s, prec)
+    rhs = _sqrt_ends(_div_ends(_exact(x, prec), c.pi, prec), prec)
+    rhs = _mul_ends(rhs, _int_ends(4, prec), prec)
+    rhs = _mul_ends(rhs, _exp_ends(_exact(x / 2, prec), prec), prec)
+    return _sub_ends(rhs, s, prec)
 
 
-def _margin_bessel_simplify(point: Point, prec: int) -> Enclosure:
+def _margin_bessel_simplify(point: Point, prec: int) -> Ends:
     # 1/x - x/2 changes sign at sqrt(2), so clear both orientations.
     (x,) = point
     base = x * x / 2
-    gap = min(base - (1 / x - x / 2), base - (x / 2 - 1 / x))
-    return Enclosure.from_exact(gap, prec)
+    return _exact(min(base - (1 / x - x / 2), base - (x / 2 - 1 / x)), prec)
 
 
 @dataclass(frozen=True)
@@ -735,7 +721,7 @@ def run_domain(
     for point in sampler(grid, rand, random.Random(seed)):
         count += 1
         for i, case in enumerate(cases):
-            lo = case.margin(point, prec).lo
+            lo = case.margin(point, prec)[0]
             if worst[i] is None or libmp.mpf_lt(lo, worst[i]):
                 worst[i] = lo
                 worst_point[i] = point

@@ -74,6 +74,7 @@ from .enclosure import (
     _widen_ends,
     _wrap,
     constants,
+    fraction_from_raw,
 )
 from .errors import PreconditionError, StabilizationError
 from .estimates import shifted_terms
@@ -117,16 +118,18 @@ def _fixed_term(n: int, k: int, wp: int, X: int) -> int:
 
 @lru_cache(maxsize=1)
 def _lehmer_lead():
-    """R's N^{-1/2} coefficient 44 pi^2 / (225 sqrt 3) as a 64-bit Enclosure,
-    and the first N at which the round can stop.
+    """R's N^{-1/2} coefficient 44 pi^2 / (225 sqrt 3) as 64-bit raw ends, the
+    calls of 44 * c.pi * c.pi / (225 * c.sqrt3) for c = constants(64), and
+    the first N at which the round can stop.
 
-    R(n, N) >= lo / sqrt N for the enclosure's lower end lo, which is at
-    least 1/2 while N <= 4 lo^2 (about 4.97, so N <= 4); there neither the
-    stop test nor the StabilizationError test can pass.
+    R(n, N) >= lo / sqrt N for the lower end lo, which is at least 1/2 while
+    N <= 4 lo^2 (about 4.97, so N <= 4); there neither the stop test nor the
+    StabilizationError test can pass.
     """
     c = constants(64)
-    first = 44 * c.pi * c.pi / (225 * c.sqrt3)
-    lo = first.lo_fraction
+    first = _mul_ends(_mul_ends(c.pi, _int_ends(44, 64), 64), c.pi, 64)
+    first = _div_ends(first, _mul_ends(c.sqrt3, _int_ends(225, 64), 64), 64)
+    lo = fraction_from_raw(first[0])
     return first, math.floor(4 * lo * lo) + 1
 
 
@@ -141,22 +144,21 @@ def _remainder_bound(n: int, N: int):
 
         first / root + second * root * (e - 1 / e) / 2
 
-    with first = _lehmer_lead()[0], root = sqrt_enclosure(N, 64),
-    second = c.pi * c.sqrt2 / 75 / sqrt_enclosure(n - 1, 64),
-    e = (c.pi * sqrt_enclosure(6 * n, 64) / 3 / N).exp() and c = constants(64).
+    with first the Enclosure of _lehmer_lead()[0], root = sqrt(N),
+    second = c.pi * c.sqrt2 / 75 / sqrt(n - 1),
+    e = (c.pi * sqrt(6 n) / 3 / N).exp(), c the Enclosures of constants(64)
+    and each sqrt(v) taken as Enclosure.from_exact(v, 64).sqrt().
     """
     p = 64
     c = constants(p)
-    first = _lehmer_lead()[0]
-    pi = (c.pi.lo, c.pi.hi)
     root = _sqrt_ends(_ratio_ends(N, 1, p), p)
-    second = _div_ends(_mul_ends(pi, (c.sqrt2.lo, c.sqrt2.hi), p), _int_ends(75, p), p)
+    second = _div_ends(_mul_ends(c.pi, c.sqrt2, p), _int_ends(75, p), p)
     second = _div_ends(second, _sqrt_ends(_ratio_ends(n - 1, 1, p), p), p)
-    a = _mul_ends(pi, _sqrt_ends(_ratio_ends(6 * n, 1, p), p), p)
+    a = _mul_ends(c.pi, _sqrt_ends(_ratio_ends(6 * n, 1, p), p), p)
     e = _exp_ends(_div_ends(_div_ends(a, _int_ends(3, p), p), _int_ends(N, p), p), p)
     sinh2 = _sub_ends(e, _div_ends(_int_ends(1, p), e, p), p)
     rest = _div_ends(_mul_ends(_mul_ends(second, root, p), sinh2, p), _int_ends(2, p), p)
-    return _add_ends(_div_ends((first.lo, first.hi), root, p), rest, p)[1]
+    return _add_ends(_div_ends(_lehmer_lead()[0], root, p), rest, p)[1]
 
 
 # R(n, N)'s two coefficients 44 pi^2 / (225 sqrt 3) and pi sqrt 2 / 75 in
@@ -255,20 +257,21 @@ def _h_ends(x: Fraction, prec: int):
         c.h_first * xe * (-(pi * (2 * xe / 3).sqrt())).exp()
         + c.h_second * xe.sqrt() * (-(pi / 2 * (xe / 2).sqrt())).exp()
 
-    with xe the enclosure of x, c = constants(prec) and pi = c.pi.
+    with xe the enclosure of x, c the Enclosures of constants(prec) and
+    pi = c.pi.
     proposition21_interval exponentiates the same pi * (2 * xe / 3).sqrt().
     """
     c = constants(prec)
     xe, sx = _root_ends(x, prec)
-    pi = (c.pi.lo, c.pi.hi)
+    pi = c.pi
     two = _int_ends(2, prec)
     growth = _div_ends(_mul_ends(xe, two, prec), _int_ends(3, prec), prec)
     growth = _mul_ends(pi, _sqrt_ends(growth, prec), prec)
-    first = _mul_ends((c.h_first.lo, c.h_first.hi), xe, prec)
+    first = _mul_ends(c.h_first, xe, prec)
     first = _mul_ends(first, _exp_ends(_neg_ends(growth), prec), prec)
     e = _mul_ends(_div_ends(pi, two, prec), _sqrt_ends(_div_ends(xe, two, prec), prec), prec)
     e = _exp_ends(_neg_ends(e), prec)
-    second = _mul_ends(_mul_ends((c.h_second.lo, c.h_second.hi), sx, prec), e, prec)
+    second = _mul_ends(_mul_ends(c.h_second, sx, prec), e, prec)
     return _add_ends(first, second, prec), e, growth
 
 
@@ -306,19 +309,16 @@ def proposition21_interval(m: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
         prefactor * (1 - t.sqrt3_over_pi_sqrt2).plus_minus(h_error(t.N, prec))
 
     with prefactor = (c.pi * (2 * t.Ne / 3).sqrt()).exp() / (4 * c.sqrt3 * t.Ne),
-    t = shifted_terms(m, prec) and c = constants(prec).  The exponent
-    c.pi * (2 * t.Ne / 3).sqrt() is the one _h_ends builds for h(M), from
-    the same ends of M, so it is built once per interval.
+    t and c the Enclosures of shifted_terms(m, prec) and constants(prec).
+    The exponent c.pi * (2 * t.Ne / 3).sqrt() is the one _h_ends builds for
+    h(M), from the same ends of M, so it is built once per interval.
     """
     if m < 2:
         raise PreconditionError("requires m >= 2")
     t = shifted_terms(m, prec)
-    c = constants(prec)
-    ne = (t.Ne.lo, t.Ne.hi)
     h, _, growth = _h_ends(t.N, prec)
-    den = _mul_ends(_mul_ends((c.sqrt3.lo, c.sqrt3.hi), _int_ends(4, prec), prec), ne, prec)
-    q = t.sqrt3_over_pi_sqrt2
-    bracket = _widen_ends(_sub_ends(_int_ends(1, prec), (q.lo, q.hi), prec), h[1], prec)
+    den = _mul_ends(_mul_ends(constants(prec).sqrt3, _int_ends(4, prec), prec), t.Ne, prec)
+    bracket = _widen_ends(_sub_ends(_int_ends(1, prec), t.sqrt3_over_pi_sqrt2, prec), h[1], prec)
     return _wrap(_mul_ends(_div_ends(_exp_ends(growth, prec), den, prec), bracket, prec), prec)
 
 
@@ -327,4 +327,4 @@ def proposition21_budget(m: int, prec: int = DEFAULT_PRECISION) -> ErrorBudget:
     if m < 2:
         raise PreconditionError("requires m >= 2")
     t = shifted_terms(m, prec)
-    return ErrorBudget(main_correction=t.sqrt3_over_pi_sqrt2, tail_bound=h_error(t.N, prec))
+    return ErrorBudget(_wrap(t.sqrt3_over_pi_sqrt2, prec), h_error(t.N, prec))

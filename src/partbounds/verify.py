@@ -48,6 +48,8 @@ from itertools import repeat
 from operator import contains, eq
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from mpmath import libmp
+
 from .enclosure import DEFAULT_PRECISION, Enclosure, fraction_from_raw
 from .errors import PreconditionError
 from .estimates import (
@@ -83,7 +85,6 @@ from .inequalities import (
     DEFAULT_SEED,
     InequalityResult,
     _lookup,
-    _min_lo,
     group_by_domain,
     run_case,
     run_domain,
@@ -337,19 +338,20 @@ def _suite_containment_ratio(sweep: _Sweep) -> Dict[str, Any]:
 def _suite_containment_fjn(sweep: _Sweep) -> Dict[str, Any]:
     top = sweep.n_max
     default_table().ensure(top)
-    least: Optional[Enclosure] = None
+    least = None  # the least raw lower end
     for n in range(14, top + 1):
         pn = p_exact(n)
         for j in range(1, sweep.j_cap(fjn_j_top(n)) + 1):
             total = fjn_ratio_interval(n, j, sweep.prec)
             margin = sweep.contained("fjn", total, Fraction(f_jn(n, j), pn),
                                      "fjn(%d, %d): exact value escapes the enclosure", n, j)
-            least = _min_lo(least, total)
+            if least is None or libmp.mpf_lt(total.lo, least):
+                least = total.lo
             sweep.row(n=n, j=j, contained=margin >= 0, margin=float(margin))
     return {
         "n_top": top,
         "worst_margin": optional_float(sweep.worst.get("fjn")),
-        "min_lower_endpoint": None if least is None else float(least.lo_fraction),
+        "min_lower_endpoint": None if least is None else float(fraction_from_raw(least)),
     }
 
 

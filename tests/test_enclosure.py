@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 import partbounds
-from partbounds import estimates, inequalities, verify
+from enclosure_views import constants_view, exp_enclosure, sqrt_enclosure
+from partbounds import estimates, inequalities, rademacher, verify
 from partbounds.enclosure import (
     _TRANSCENDENTAL_SLACK,
     NON_FINITE_ERROR,
@@ -25,13 +26,10 @@ from partbounds.enclosure import (
     _sub_ends,
     _widen_ends,
     _widen_raw,
-    constants,
     exact_decimal,
-    exp_enclosure,
     fraction_from_raw,
     ordered,
     ratio_pair,
-    sqrt_enclosure,
 )
 
 rationals = st.fractions(
@@ -586,7 +584,7 @@ def test_exp_encloses_exact_oracle(x, prec):
 def test_pi_and_constants_enclose_exact_oracle(prec):
     lo, hi = pi_oracle(prec)
     assert _encloses(Enclosure.pi(prec), lo, hi)
-    c = constants(prec)
+    c = constants_view(prec)
     assert _encloses(c.pi, lo, hi)
     # sqrt(2 pi), 2 pi^2/3 and 8 pi/sqrt 3, through their squares where needed
     s = c.sqrt_two_pi
@@ -646,6 +644,37 @@ def test_raw_kernels_round_only_through_the_helpers(module):
     # nor check an order: each helper checks the pair it returns, once
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not (imported | named | names) & {"ordered", "_ends"}
+
+
+@pytest.mark.parametrize("module", [estimates, rademacher, inequalities])
+def test_kernels_share_raw_pairs(module):
+    # inside the package every interval is a raw (lo, hi) pair: no kernel
+    # reads an Enclosure's ends, the registry builds no Enclosure, and the
+    # estimates build one only in the return of a public function or of a
+    # k-rank form
+    tree = ast.parse(inspect.getsource(module))
+    assert not {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & {
+        "lo", "hi"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    if module is inequalities:
+        assert not (names | imported) & {"Enclosure", "_wrap"}
+        return
+
+    def wraps(node):
+        return {id(sub) for sub in ast.walk(node)
+                if isinstance(sub, ast.Name) and sub.id == "_wrap"}
+
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert set().union(*map(wraps, functions)) == wraps(tree)
+    for function in functions:
+        returned = set().union(*(wraps(node) for node in ast.walk(function)
+                                 if isinstance(node, ast.Return)))
+        assert wraps(function) == returned, function.name
+        if returned:
+            assert (not function.name.startswith("_")
+                    or function.name in ("_krank_ratio", "_krank_diff")), function.name
 
 
 def test_sweeps_decide_containment_only_in_one_verdict():

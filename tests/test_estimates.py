@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enclosure_views import constants_view, terms_view
 from partbounds import enclosure, estimates, verify
-from partbounds.enclosure import MEMO_MAXSIZE, ORDER_ERROR, Enclosure, constants
+from partbounds.enclosure import MEMO_MAXSIZE, ORDER_ERROR, Enclosure, _wrap
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
     FJN_RADIUS_A,
@@ -127,7 +128,7 @@ class TestFjnInterval:
 class TestExponentialGap:
     def test_x_between_minus_one_and_zero(self):
         # X = e^{-2a} - 2e^{-a} = t^2 - 2t with t in (0,1)
-        c = constants(128)
+        c = constants_view(128)
         for n, j in ((4, 1), (17, 1), (100, 3), (1000, 4), (5000, 17)):
             Ne = Enclosure.from_exact(shifted_index(n), 128)
             t = (-(c.pi * j / (c.sqrt6 * Ne.sqrt()))).exp()
@@ -274,7 +275,7 @@ class TestKrankDiff:
         n = 100
         fj = fjn_ratio_interval(n, 1)
         kd = krank_diff_interval(1, 101, 201)  # 201 - 1 - 101 = n - 1
-        c = constants(128)
+        c = constants_view(128)
         N = shifted_index(n)
         Ne = Enclosure.from_exact(N, 128)
         sqrtN = Ne.sqrt()
@@ -314,7 +315,7 @@ def test_krank_radii_cover_the_dropped_center_terms():
     assert FJN_RADIUS_B + 2 <= KRANK_DIFF_RADIUS_B
     # ell' >= 16, so n = ell'+1 >= 17, where both j = 1 estimates are licensed
     assert ratio_j_top(17) >= 1 and fjn_j_top(17) >= 1
-    c, t = constants(128), shifted_terms(17, 128)
+    c, t = constants_view(128), terms_view(17, 128)
     assert t.N == shifted_index(17) == 16 + Fraction(23, 24)
     for factor, constant in (
         (1 - c.pi / (4 * t.sqrt6_sqrtN), 1),
@@ -439,7 +440,7 @@ def _preamble(n, prec):
 
 
 def _own_ratio(n, j, prec):
-    c = constants(prec)
+    c = constants_view(prec)
     N, Ne, sqrtN = _preamble(n, prec)
     expf = (-(c.pi * j / (c.sqrt6 * sqrtN))).exp()
     center1 = (
@@ -454,7 +455,7 @@ def _own_ratio(n, j, prec):
 
 
 def _own_fjn(n, j, prec):
-    c = constants(prec)
+    c = constants_view(prec)
     N, Ne, sqrtN = _preamble(n, prec)
     exp1 = (-(c.pi * j / (c.sqrt6 * sqrtN))).exp()
     jj = Fraction(2 * j) / N
@@ -469,7 +470,7 @@ def _own_fjn(n, j, prec):
 
 def _own_convexity_link3(n, j, prec):
     # delta_c/sqrt N + the J-bracket at J = j + 3926/N, the bracket summed first
-    c = constants(prec)
+    c = constants_view(prec)
     N, Ne, sqrtN = _preamble(n, prec)
     bracket = Fraction(j) / N - c.pi * j**2 / (4 * c.sqrt6 * Ne * sqrtN)
     return c.delta_c / sqrtN + bracket + Fraction(3926) / N
@@ -477,19 +478,19 @@ def _own_convexity_link3(n, j, prec):
 
 def _assert_link3_keeps_every_endpoint(n, j, prec):
     # link (iii) is the first the chain decides and below N ~ 1.7e8 the
-    # last; catch the enclosure it is decided on
+    # last; catch the ends it is decided on
     seen = []
-    decide = Enclosure.strictly_negative
-    Enclosure.strictly_negative = lambda e: seen.append(e) or decide(e)
+    decide = estimates._in_unit_gap
+    estimates._in_unit_gap = lambda x: seen.append(x) or decide(x)
     try:
         assert not _analytic_convexity(n, j, prec)
     finally:
-        Enclosure.strictly_negative = decide
-    assert _ends(seen) == _ends([_own_convexity_link3(n, j, prec)])
+        estimates._in_unit_gap = decide
+    assert seen == _ends([_own_convexity_link3(n, j, prec)])
 
 
 def _own_krank(lp, prec):
-    c = constants(prec)
+    c = constants_view(prec)
     ell, Le, sqrtL = _preamble(lp + 1, prec)
     u = (-(c.pi / (c.sqrt6 * sqrtL))).exp()
     f1 = (1 - c.sqrt3 / (c.sqrt_two_pi * sqrtL)).plus_minus(Fraction(101, 25) / ell)
@@ -500,7 +501,7 @@ def _own_krank(lp, prec):
 
 
 def _own_prop21(m, prec):
-    c = constants(prec)
+    c = constants_view(prec)
     M, Me, _ = _preamble(m, prec)
     prefactor = (c.pi * (2 * Me / 3).sqrt()).exp() / (4 * c.sqrt3 * Me)
     correction = c.sqrt3 / (c.sqrt2 * c.pi * Me.sqrt())
@@ -516,7 +517,7 @@ def _product_error(b1, r1, b2, r2):
 
 
 def _own_collapse(n, j, prec):
-    c = constants(prec)
+    c = constants_view(prec)
     nn = shifted_index(n)
     sq = Enclosure.from_exact(nn, prec).sqrt()
     margins = []
@@ -581,7 +582,7 @@ def test_shared_terms_keep_every_endpoint(data, n, prec):
         margin((n, j), prec)
         for margin in (_margin_collapse_271, _margin_collapse_2075, _margin_collapse_3926)
     ]
-    assert _ends(margins) == _ends(_own_collapse(n, j, prec))
+    assert margins == _ends(_own_collapse(n, j, prec))
 
     lp = n - 1  # n - k - m at k = 1, m = lp + 2, so ell is the shift of n
     assert _ends(
@@ -602,8 +603,8 @@ def test_link3_sums_the_j_bracket_first():
 
 
 def _enclosure_ratio(n, j, prec):
-    c = constants(prec)
-    t = shifted_terms(n, prec)
+    c = constants_view(prec)
+    t = terms_view(n, prec)
     center1 = (
         1
         + Fraction(j) / t.N
@@ -615,8 +616,8 @@ def _enclosure_ratio(n, j, prec):
 
 
 def _enclosure_fjn(n, j, prec):
-    c = constants(prec)
-    t = shifted_terms(n, prec)
+    c = constants_view(prec)
+    t = terms_view(n, prec)
     exp1 = (-(c.pi * j / t.sqrt6_sqrtN)).exp()
     exp2 = exp1 * exp1
     jj = Fraction(2 * j) / t.N
@@ -630,7 +631,7 @@ def _enclosure_fjn(n, j, prec):
 
 
 def _enclosure_shifted_terms(n, prec):
-    c = constants(prec)
+    c = constants_view(prec)
     N = shifted_index(n)
     Ne = Enclosure.from_exact(N, prec)
     sqrtN = Ne.sqrt()
@@ -649,21 +650,22 @@ def _enclosure_shifted_terms(n, prec):
 def _shifted_terms_fields(n, prec):
     t = shifted_terms.__wrapped__(n, prec)
     assert t.N == shifted_index(n)
-    return [t.Ne, t.sqrt6_sqrtN, t.sqrt6_N_sqrtN, t.sqrt3_over_sqrt_two_pi,
-            t.sqrt3_over_pi_sqrt2, t.delta_c_over_sqrtN, t.bracket]
+    fields = [t.Ne, t.sqrt6_sqrtN, t.sqrt6_N_sqrtN, t.sqrt3_over_sqrt_two_pi,
+              t.sqrt3_over_pi_sqrt2, t.delta_c_over_sqrtN, t.bracket]
+    return [_wrap(ends, prec) for ends in fields]
 
 
 def _enclosure_krank_ratio(lp, prec):
-    c = constants(prec)
-    t = shifted_terms(lp + 1, prec)
+    c = constants_view(prec)
+    t = terms_view(lp + 1, prec)
     u = (-(c.pi * 1 / t.sqrt6_sqrtN)).exp()
     f1 = (1 - t.sqrt3_over_sqrt_two_pi).plus_minus(KRANK_RATIO_RADIUS_1 / t.N)
     return 1 - u * f1 * t.bracket
 
 
 def _enclosure_krank_diff(lp, prec):
-    c = constants(prec)
-    t = shifted_terms(lp + 1, prec)
+    c = constants_view(prec)
+    t = terms_view(lp + 1, prec)
     u = (-(c.pi * 1 / t.sqrt6_sqrtN)).exp()
     termA = (1 + t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_A / t.N)
     termB = (2 + 2 * t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_B / t.N)

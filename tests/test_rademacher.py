@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
+from enclosure_views import constants_view, sqrt_enclosure
 from partbounds import enclosure, rademacher, special
 from partbounds.enclosure import (
     DEFAULT_PRECISION,
     ORDER_ERROR,
     Enclosure,
-    constants,
     fraction_from_raw,
-    sqrt_enclosure,
 )
 from partbounds.errors import PreconditionError, StabilizationError
 from partbounds.exact import p_exact
@@ -100,7 +99,7 @@ class TestRound:
         # coefficient, about 1.1143, so R >= 1/2 for N <= 4 and neither
         # test in the round can pass there
         first, start = _lehmer_lead()
-        lo = first.lo_fraction
+        lo = fraction_from_raw(first[0])
         assert start == 5
         assert Fraction(111431, 100000) < lo < Fraction(111432, 100000)
         assert 4 * lo * lo >= start - 1 and 4 * lo * lo < start
@@ -287,9 +286,10 @@ def _delta(ctx, x, w):
 
 def _own_remainder(n, N):
     # _remainder_bound's Enclosure expression, the form it had before it was
-    # written in raw libmp; the raw form must give this upper end bit for bit
-    c = constants(64)
-    first = _lehmer_lead()[0]
+    # written in raw libmp, with _lehmer_lead's own; the raw forms must give
+    # this upper end bit for bit
+    c = constants_view(64)
+    first = 44 * c.pi * c.pi / (225 * c.sqrt3)
     second = c.pi * c.sqrt2 / 75 / sqrt_enclosure(n - 1, 64)
     a = c.pi * sqrt_enclosure(6 * n, 64) / 3
     root = sqrt_enclosure(N, 64)
@@ -301,7 +301,7 @@ def _own_h(x, prec):
     # h_error's Enclosure expression, the form it had before it wrapped the
     # raw ends of rademacher._h_ends; those must give these endpoints bit for bit
     xe = Enclosure.from_exact(Fraction(x), prec)
-    c = constants(prec)
+    c = constants_view(prec)
     pi = c.pi
     first = c.h_first * xe * (-(pi * (2 * xe / 3).sqrt())).exp()
     second = c.h_second * xe.sqrt() * (-(pi / 2 * (xe / 2).sqrt())).exp()
