@@ -153,6 +153,12 @@ def _int_ends(v: int, prec: int):
     return _ratio_ends(v, 1, prec)
 
 
+def _exact_ends(value, prec: int):
+    """Raw endpoints of an exact int or Fraction at prec bits, as
+    Enclosure.from_exact rounds it: _exact_pair, order-checked."""
+    return _checked(*_exact_pair(value, prec))
+
+
 def _decoded(raw):
     # (M, e) with raw = M 2^e, for a finite raw float
     sign, man, exp, _ = raw

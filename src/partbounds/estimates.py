@@ -70,6 +70,7 @@ from .enclosure import (
     Enclosure,
     _add_ends,
     _div_ends,
+    _exact_ends,
     _exp_ends,
     _int_ends,
     _mul_ends,
@@ -99,7 +100,6 @@ __all__ = [
     "nonkary_diff_check",
     "ratio_interval",
     "ratio_j_top",
-    "shifted_terms",
 ]
 
 RATIO_RADIUS_1 = Fraction(271, 100)
@@ -296,8 +296,7 @@ def _analytic_convexity(n: int, j: int, prec: int) -> bool:
     t = shifted_terms(n, prec)
     d = 24 * n - 1  # N = d/24
     b = _add_ends(t.delta_c_over_sqrtN, _j_bracket_ends(t, d, j, prec), prec)
-    r = FJN_RADIUS_B
-    b = _add_ends(b, _ratio_ends(24 * r.numerator, r.denominator * d, prec), prec)
+    b = _add_ends(b, _exact_ends(FJN_RADIUS_B / t.N, prec), prec)
     if not _in_unit_gap(b):
         return False
     q = _mul_ends(constants(prec).pi, _int_ends(3, prec), prec)

@@ -34,20 +34,22 @@ with its second exponential (rademacher._h_ends, which h_error also wraps),
 the correction sum sqrt3/(sqrt2 pi sqrt x) + h, shifted_terms(n) and the
 J-brackets, and sqrt(1 - x).
 
-Every margin is raw: an expression in the enclosure module's _*_ends
-helpers on (lo, hi) pairs, which makes the libmp calls, on the same
-operands and with the same roundings, of the Enclosure expression it
-replaces, so its endpoints are that expression's bit for bit
+Every margin but collapse-131 is raw: an expression in the enclosure
+module's _*_ends helpers on (lo, hi) pairs, which makes the libmp calls, on
+the same operands and with the same roundings, of the Enclosure expression
+it replaces, so its endpoints are that expression's bit for bit
 (tests/test_inequalities.py keeps each expression as a reference and
-compares the two).  The margins read constants(prec) directly; the
-registry's own constants are built once per precision in _raw_constants,
-by the calls the Enclosure expressions made at each point.  An int operand
-is exact only when it fits in prec bits, and otherwise rounds outward
-through ratio_pair, as Enclosure._coerce reads it (_int_ends): J^3 exceeds
-2^16 at 16 bits.  Exact rational parts, and the product error bound of the
-collapse cases with its |b| and J/N, are either exact Fractions or computed
-on unreduced integers, and are rounded once by ratio_pair, which rounds the
-value p/q whatever the common factors of p and q.
+compares the two).  collapse-131, one point per run, stays an Enclosure
+expression (see its comment) and returns that expression's ends.  The
+margins read constants(prec) directly; the registry's own constants are
+built once per precision in _raw_constants, by the calls the Enclosure
+expressions made at each point.  An int operand is exact only when it fits
+in prec bits, and otherwise rounds outward through ratio_pair, as
+Enclosure._coerce reads it (_int_ends): J^3 exceeds 2^16 at 16 bits.  Exact
+rational parts, and the product error bound of the collapse cases with its
+|b| and J/N, are either exact Fractions or computed on unreduced integers,
+and are rounded once by ratio_pair, which rounds the value p/q whatever the
+common factors of p and q.
 
 `bessel-tail-sum`, a thousand Bessel terms per point, runs in raw libmp the
 same way.  Each helper checks the order of the pair it returns, once, as
@@ -68,8 +70,10 @@ from mpmath import libmp
 from .enclosure import (
     DEFAULT_PRECISION,
     PRECISION_MEMO_MAXSIZE,
+    Enclosure,
     _add_ends,
     _div_ends,
+    _exact_ends,
     _exp_ends,
     _int_ends,
     _mul_ends,
@@ -130,11 +134,6 @@ def _min_lo(a: Optional[Ends], b: Ends) -> Ends:
     if a is None or libmp.mpf_lt(b[0], a[0]):
         return b
     return a
-
-
-def _exact(r: Fraction, prec: int) -> Ends:
-    # the ends of an exact Fraction, as Enclosure.from_exact rounds it
-    return _ratio_ends(r.numerator, r.denominator, prec)
 
 
 def _interval_sampler(lo: Fraction, hi: Fraction) -> Sampler:
@@ -209,20 +208,20 @@ def _raw_constants(prec: int) -> SimpleNamespace:
     """
     c = constants(prec)
     pi, sqrt6 = c.pi, c.sqrt6
-    two, two_fifths = _int_ends(2, prec), _exact(Fraction(2, 5), prec)
+    two, two_fifths = _int_ends(2, prec), _exact_ends(Fraction(2, 5), prec)
     return SimpleNamespace(
         one=_int_ends(1, prec),
         two=two,
         fifteen=_int_ends(15, prec),
         hundred=_int_ends(100, prec),
-        quarter=_exact(Fraction(1, 4), prec),
-        fifth=_exact(Fraction(1, 5), prec),
-        tenth=_exact(Fraction(1, 10), prec),
+        quarter=_exact_ends(Fraction(1, 4), prec),
+        fifth=_exact_ends(Fraction(1, 5), prec),
+        tenth=_exact_ends(Fraction(1, 10), prec),
         two_fifths=two_fifths,
-        eleven_tenths=_exact(Fraction(11, 10), prec),
-        ninety_nine_hundredths=_exact(Fraction(99, 100), prec),
-        j_factor_radius=_exact(_J_FACTOR_RADIUS, prec),
-        ratio_radius_2=_exact(RATIO_RADIUS_2, prec),
+        eleven_tenths=_exact_ends(Fraction(11, 10), prec),
+        ninety_nine_hundredths=_exact_ends(Fraction(99, 100), prec),
+        j_factor_radius=_exact_ends(_J_FACTOR_RADIUS, prec),
+        ratio_radius_2=_exact_ends(RATIO_RADIUS_2, prec),
         neg_half_pi=_neg_ends(_div_ends(pi, two, prec)),
         sqrt2_pi=_mul_ends(c.sqrt2, pi, prec),
         two_sqrt2=_mul_ends(c.sqrt2, two, prec),
@@ -264,7 +263,7 @@ def _margin_geometric(point: Point, prec: int) -> Ends:
     (u,) = point
     worst = None
     for z in (u, -u):
-        worst = _min_lo(worst, _exact(100 * z * z - z * z / (1 - z), prec))
+        worst = _min_lo(worst, _exact_ends(100 * z * z - z * z / (1 - z), prec))
     return worst
 
 
@@ -290,12 +289,13 @@ def _margin_inverse_sqrt(point: Point, prec: int) -> Ends:
 
 def _margin_reciprocal(point: Point, prec: int) -> Ends:
     (x,) = point
-    return _exact(Fraction(5, 4) * x * x - x * x / (1 - x), prec)
+    return _exact_ends(Fraction(5, 4) * x * x - x * x / (1 - x), prec)
 
 
 def _margin_exp_convexity(point: Point, prec: int) -> Ends:
     (x,) = point
-    return _sub_ends(_exact(x * x / 2 + 1 - x, prec), _exp_ends(_exact(-x, prec), prec), prec)
+    tail = _exp_ends(_exact_ends(-x, prec), prec)
+    return _sub_ends(_exact_ends(x * x / 2 + 1 - x, prec), tail, prec)
 
 
 def _margin_tail_envelope(point: Point, prec: int) -> Ends:
@@ -320,7 +320,7 @@ def _margin_tail_envelope(point: Point, prec: int) -> Ends:
 def _margin_envelope_decreasing(point: Point, prec: int) -> Ends:
     # d/dx log(sqrt(x) exp(-(pi/2) sqrt(x/2))) < 0 iff pi sqrt(x) > 2 sqrt(2).
     (x,) = point
-    value = _mul_ends(constants(prec).pi, _sqrt_ends(_exact(x, prec), prec), prec)
+    value = _mul_ends(constants(prec).pi, _sqrt_ends(_exact_ends(x, prec), prec), prec)
     return _sub_ends(value, _raw_constants(prec).two_sqrt2, prec)
 
 
@@ -393,12 +393,14 @@ def _margin_collapse_056(point: Point, prec: int) -> Ends:
 
 
 def _margin_collapse_131(point: Point, prec: int) -> Ends:
-    # 1.31 - (0.3 sqrt3/sqrt(2 pi) + 1.1)
+    # 1.31 - (0.3 sqrt3/sqrt(2 pi) + 1.1), the one margin left in Enclosure
+    # arithmetic: it runs at one point, and the benchmark's smoke test
+    # (perfbench/test_smoke.py) reads its Enclosure calls in a fork-pool
+    # worker as the sign that the workers' counters reach the parent.
     c = constants(prec)
-    value = _mul_ends(c.sqrt3, _exact(Fraction(3, 10), prec), prec)
-    value = _div_ends(value, c.sqrt_two_pi, prec)
-    value = _add_ends(value, _raw_constants(prec).eleven_tenths, prec)
-    return _sub_ends(_exact(_SQRT_FACTOR_RADIUS, prec), value, prec)
+    sqrt3, sqrt_two_pi = Enclosure(*c.sqrt3, prec), Enclosure(*c.sqrt_two_pi, prec)
+    margin = _SQRT_FACTOR_RADIUS - (Fraction(3, 10) * sqrt3 / sqrt_two_pi + Fraction(11, 10))
+    return margin.lo, margin.hi
 
 
 def _magnitude(b):
@@ -500,9 +502,9 @@ def _margin_bessel_tail(point: Point, prec: int) -> Ends:
         q = _mul_ends(_div_ends(r.one, e, prec), _ratio_ends(a + bk, a, prec), prec)
         w = _sqrt_ends(_mul_ends(two_pi, y, prec), prec)
         s = _add_ends(s, _div_ends(_add_ends(m, q, prec), w, prec), prec)
-    rhs = _sqrt_ends(_div_ends(_exact(x, prec), c.pi, prec), prec)
+    rhs = _sqrt_ends(_div_ends(_exact_ends(x, prec), c.pi, prec), prec)
     rhs = _mul_ends(rhs, _int_ends(4, prec), prec)
-    rhs = _mul_ends(rhs, _exp_ends(_exact(x / 2, prec), prec), prec)
+    rhs = _mul_ends(rhs, _exp_ends(_exact_ends(x / 2, prec), prec), prec)
     return _sub_ends(rhs, s, prec)
 
 
@@ -510,7 +512,7 @@ def _margin_bessel_simplify(point: Point, prec: int) -> Ends:
     # 1/x - x/2 changes sign at sqrt(2), so clear both orientations.
     (x,) = point
     base = x * x / 2
-    return _exact(min(base - (1 / x - x / 2), base - (x / 2 - 1 / x)), prec)
+    return _exact_ends(min(base - (1 / x - x / 2), base - (x / 2 - 1 / x)), prec)
 
 
 @dataclass(frozen=True)

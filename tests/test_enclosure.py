@@ -4,6 +4,7 @@ rational arithmetic."""
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from partbounds.enclosure import (
     _sub_ends,
     _widen_ends,
     _widen_raw,
+    constants,
     exact_decimal,
     fraction_from_raw,
     ordered,
@@ -592,6 +594,50 @@ def test_pi_and_constants_enclose_exact_oracle(prec):
     assert _encloses(c.h_first, 2 * lo * lo / 3, 2 * hi * hi / 3)
     h = c.h_second
     assert h.lo_fraction**2 <= 64 * lo * lo / 3 and 64 * hi * hi / 3 <= h.hi_fraction**2
+    for v in (2, 3, 6):
+        root = getattr(c, f"sqrt{v}")
+        assert root.lo_fraction**2 <= v <= root.hi_fraction**2
+    # delta_c = s (1/pi - 1/sqrt pi), s = sqrt(3/2): the bracket is negative
+    # and decreasing in pi, so it lies in [s_hi g(hi), s_lo g(lo)]
+    w = prec + GUARD
+    s_lo, s_hi = _sqrt_bounds(Fraction(3, 2), w)
+    g_lo = 1 / hi - 1 / _sqrt_bounds(hi, w)[0]
+    g_hi = 1 / lo - 1 / _sqrt_bounds(lo, w)[1]
+    assert _encloses(c.delta_c, s_hi * g_lo, s_lo * g_hi)
+
+
+def _sqrt_bounds(x, w):
+    """Exact rational bounds (lo, hi) on sqrt(x), x >= 0, within 2^-w."""
+    scaled = x * 4**w
+    return (Fraction(math.isqrt(math.floor(scaled)), 2**w),
+            Fraction(math.isqrt(math.ceil(scaled)) + 1, 2**w))
+
+
+@pytest.mark.parametrize("prec", [16, 53, 128, 300])
+def test_constants_keep_their_enclosure_expressions(prec):
+    # every field of constants(prec), end for end, against the Enclosure
+    # expression it is built by, written here on its own: pi from mpf_pi
+    # padded outward (Enclosure.pi reads constants, so it is no reference)
+    pi = Enclosure(_widen_raw(libmp.mpf_pi(prec, "f"), prec, "f"),
+                   _widen_raw(libmp.mpf_pi(prec, "c"), prec, "c"), prec)
+    sqrt2, sqrt3, sqrt6 = (Enclosure.from_exact(v, prec).sqrt() for v in (2, 3, 6))
+    sqrt_two_pi = (2 * pi).sqrt()
+    expected = {
+        "pi": pi,
+        "sqrt2": sqrt2,
+        "sqrt3": sqrt3,
+        "sqrt6": sqrt6,
+        "sqrt_two_pi": sqrt_two_pi,
+        "delta_c": sqrt3 / (sqrt2 * pi) - sqrt3 / sqrt_two_pi,
+        "h_first": 2 * pi * pi / 3,
+        "h_second": 8 * pi / sqrt3,
+    }
+    got = vars(constants(prec))
+    assert got.keys() == expected.keys()
+    for name, e in expected.items():
+        assert got[name] == (e.lo, e.hi), name
+    e = Enclosure.pi(prec)
+    assert (e.lo, e.hi) == (pi.lo, pi.hi)
 
 
 def _widen_by_product(raw, prec, rnd):
@@ -649,24 +695,28 @@ def test_raw_kernels_round_only_through_the_helpers(module):
 @pytest.mark.parametrize("module", [estimates, rademacher, inequalities])
 def test_kernels_share_raw_pairs(module):
     # inside the package every interval is a raw (lo, hi) pair: no kernel
-    # reads an Enclosure's ends, the registry builds no Enclosure, and the
-    # estimates build one only in the return of a public function or of a
-    # k-rank form
+    # reads an Enclosure's ends, the registry builds no Enclosure but in
+    # collapse-131's margin (kept for the benchmark's fork-pool smoke test),
+    # and the estimates build one only in the return of a public function or
+    # of a k-rank form
     tree = ast.parse(inspect.getsource(module))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    if module is inequalities:
+        (kept,) = [node for node in functions if node.name == "_margin_collapse_131"]
+        tree.body.remove(kept)
     assert not {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & {
         "lo", "hi"}
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for a in node.names}
     if module is inequalities:
-        assert not (names | imported) & {"Enclosure", "_wrap"}
+        assert not names & {"Enclosure", "_wrap"} and "_wrap" not in imported
         return
 
     def wraps(node):
         return {id(sub) for sub in ast.walk(node)
                 if isinstance(sub, ast.Name) and sub.id == "_wrap"}
 
-    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert set().union(*map(wraps, functions)) == wraps(tree)
     for function in functions:
         returned = set().union(*(wraps(node) for node in ast.walk(function)
