@@ -51,9 +51,23 @@ rational parts, and the product error bound of the collapse cases with its
 and are rounded once by ratio_pair, which rounds the value p/q whatever the
 common factors of p and q.
 
-`bessel-tail-sum`, a thousand Bessel terms per point, runs in raw libmp the
-same way.  Each helper checks the order of the pair it returns, once, as
-Enclosure arithmetic does; no margin checks one itself.
+Each helper checks the order of the pair it returns, once, as Enclosure
+arithmetic does; no margin checks one itself.
+
+bessel-tail-sum alone sums in fixed point: its ends are outward by proof,
+not its interval expression's bit for bit (the tests check that they meet).
+For x = a/b in [20, 100], _tail_sum adds the kernel special._bessel_fixed
+at y' = floor(a 2^w / (b k)) 2^-w, 2 <= k <= TAIL_TERMS, into one integer
+S, with w = prec + 16 + max(g(x/2), g(x/TAIL_TERMS)), g the kernel's
+_bessel_guard_bits, below 2^16 up to prec 4096 (g <= 31 on [1/50, 50]).
+By special's relative bound at y0 = x/TAIL_TERMS and y1 = x/2, each term is
+within delta I(x/k) 2^w of I(x/k) 2^w, delta = 2^-(prec+12) + 2^-(prec+24).
+So the exact sum T has |S - T 2^w| < delta T 2^w < 2^-(prec+11) S, below
+E = (S >> (prec + 10)) + TAIL_TERMS, and T lies strictly inside
+[S - E, S + E] 2^-w; the margin is the right-hand side's enclosure minus
+that interval, rounded outward.  Only the exp_fixed lemma inside Delta_w is
+tested (test_exp_fixed_within_stated_units, to 4150 bits) and not proved;
+E's factor 2 and its TAIL_TERMS units are room beyond the proof.
 """
 
 from __future__ import annotations
@@ -97,6 +111,7 @@ from .estimates import (
 )
 from .exact import shifted_index
 from .rademacher import _h_ends, _root_ends
+from .special import _bessel_fixed, _bessel_guard_bits
 
 Point = Tuple
 Ends = Tuple  # a checked raw (lo, hi) pair
@@ -125,8 +140,9 @@ _terms = lru_cache(maxsize=1)(shifted_terms.__wrapped__)
 _J_FACTOR_RADIUS = Fraction(14, 25)
 _SQRT_FACTOR_RADIUS = Fraction(131, 100)
 
-# The infinite Bessel tail is checked as a long partial sum; anything the
-# partial sum proves is implied for every shorter truncation as well.
+# bessel-tail-sum's last k: its partial sum bounds every shorter one, as the
+# terms are positive, and x / TAIL_TERMS, its least argument, sets the
+# kernel's guard bits (module docstring).
 TAIL_TERMS = 1000
 
 
@@ -483,26 +499,22 @@ def _margin_collapse_3926(point: Point, prec: int) -> Ends:
     return _bracket_margin(FJN_RADIUS_B, 2, n, j, prec)
 
 
-def _margin_bessel_tail(point: Point, prec: int) -> Ends:
-    # Sums I_3/2(y) = [e^y (1 - 1/y) + e^-y (1 + 1/y)] / sqrt(2 pi y) at
-    # y = x/k in raw libmp.  Each step makes the libmp calls, on the same
-    # operands and with the same roundings, that this expression in
-    # Enclosure arithmetic makes, and its helpers check the order of every
-    # endpoint pair that was an Enclosure; 1 +- 1/y = (a +- b k)/a, x = a/b.
-    (x,) = point
-    c, r = constants(prec), _raw_constants(prec)
+def _tail_sum(x: Fraction, prec: int) -> Tuple[int, int, int]:
+    # (S, E, w): the sum of I_3/2(x/k) over 2 <= k <= TAIL_TERMS lies
+    # strictly inside [S - E, S + E] 2^-w (module docstring)
     a, b = x.numerator, x.denominator
-    two_pi = _mul_ends(c.pi, r.two, prec)
-    s = (libmp.fzero,) * 2
-    for k in range(2, TAIL_TERMS + 1):
-        bk = b * k
-        y = _ratio_ends(a, bk, prec)
-        e = _exp_ends(y, prec)
-        m = _mul_ends(e, _ratio_ends(a - bk, a, prec), prec)
-        q = _mul_ends(_div_ends(r.one, e, prec), _ratio_ends(a + bk, a, prec), prec)
-        w = _sqrt_ends(_mul_ends(two_pi, y, prec), prec)
-        s = _add_ends(s, _div_ends(_add_ends(m, q, prec), w, prec), prec)
-    rhs = _sqrt_ends(_div_ends(_exact_ends(x, prec), c.pi, prec), prec)
+    w = prec + 16 + max(_bessel_guard_bits(x / 2), _bessel_guard_bits(x / TAIL_TERMS))
+    xw = a << w
+    total = sum(_bessel_fixed(xw // (b * k), w) for k in range(2, TAIL_TERMS + 1))
+    return total, (total >> (prec + 10)) + TAIL_TERMS, w
+
+
+def _margin_bessel_tail(point: Point, prec: int) -> Ends:
+    (x,) = point
+    total, error, w = _tail_sum(x, prec)
+    s = (_ratio_ends(total - error, 1 << w, prec)[0],
+         _ratio_ends(total + error, 1 << w, prec)[1])
+    rhs = _sqrt_ends(_div_ends(_exact_ends(x, prec), constants(prec).pi, prec), prec)
     rhs = _mul_ends(rhs, _int_ends(4, prec), prec)
     rhs = _mul_ends(rhs, _exp_ends(_exact_ends(x / 2, prec), prec), prec)
     return _sub_ends(rhs, s, prec)
@@ -587,7 +599,7 @@ CASES: Tuple[InequalityCase, ...] = (
         _margin_tail_envelope,
         _interval_sampler(Fraction(12), _CAP),
         # h and the envelope's exponential cost about three cheap margins a
-        # point: 1.3 s of serial CPU against 0.4 s for exp-convexity-half
+        # point: 1.2 s of serial CPU against 0.4 s for exp-convexity-half
         terms=3,
     ),
     InequalityCase(
@@ -672,7 +684,9 @@ CASES: Tuple[InequalityCase, ...] = (
         _interval_sampler(Fraction(20), Fraction(100)),
         grid_points=100,
         random_points=30,
-        terms=TAIL_TERMS,
+        # a point's 999 kernel terms cost about 180 cheap margins: 6.5 ms of
+        # serial CPU against 36 us a point for exp-convexity-half
+        terms=180,
     ),
     InequalityCase(
         "bessel-simplify-half",

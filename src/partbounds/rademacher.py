@@ -23,9 +23,9 @@ kernel's bound (special's docstring),
         <= (phi(k) 2^(1-wp) + 2^-W) 2^W I_{3/2}(x) / k + 3 Delta_W(x),
 
 since |A_k(n)| <= phi(k) <= k, the kernel's argument is within 3 units of
-x, which moves I by at most 3.01 e^x / sqrt(2 pi x) units
-(I_{3/2}' <= I_{1/2} <= e^x / sqrt(2 pi x)), under 0.31 Delta_W(x), and the
-floor adds one unit.  This keeps the fixed-point error eps of the rounded
+x, which moves I by at most 3.01 e^x / sqrt(2 pi x) units (the
+floored-argument lemma in special's docstring), under 0.31 Delta_W(x), and
+the floor adds one unit.  This keeps the fixed-point error eps of the rounded
 value prefactor * (partial sum) far below the 1/2 that the round's safety
 argument leaves for it (rademacher_round):
 * the prefactor is below 1, and e^X < 2^(wp-47) since X < pi sqrt(2n/3)

@@ -48,8 +48,9 @@ units 2^-w of I_{3/2}(x), because:
   bits and squares r times, which is within 2 sqrt(w) + 6 units.  So E is
   within lambda_0 e^x units, lambda_0 = x / ln 2 + 2 sqrt(w) + 8.  The
   second step is read off libmp's exp_basecase, not proved here;
-  test_exp_fixed_within_stated_units checks the whole claim at 16 to 1200
-  bits, on both sides of libmp's switch to another series at 600;
+  test_exp_fixed_within_stated_units checks the whole claim at 16 to 4150
+  bits, on both sides of libmp's switches to other series at 600 and 1500
+  bits (--precision 4096 runs the kernel at about 4150);
 * F is within 2 lambda_0 e^-x + 1 units of e^-x 2^w;
 * the sum adds the two errors, the quotient divides them by x and truncates
   once.  So B_w is within (lambda_0 + 1/4)(e^x + 3)(1 + 1/x) units of
@@ -60,21 +61,35 @@ units 2^-w of I_{3/2}(x), because:
   2 eps I(x) 2^w, which is below 1.44 (e^x + 3)(1 + 1/x) / sqrt(2 pi x)
   units as I(x) <= (e^x + 1) / sqrt(2 pi x); the floor adds one unit.
   (1 + 2 eps)(lambda_0 + 1/4) + 1.44 <= lambda gives Delta_w(x).
-bessel_I32_closed runs the kernel at w = prec + _bessel_guard_bits(x) + 16
-on x rounded down to w bits.  For w below 2^16, Delta_w(x) is below
-2^-(prec+12) I_{3/2}(x) 2^w:
-* for x >= 1, (e^x + 3)(1 + 1/x) <= 15.6 (2 cosh x - 2 sinh(x)/x) and
-  2 <= 6.9 I(x), and w counts the bits of floor(x);
-* below 1, the bracket is at least 2x^2/3 and the 3 log2(1/x) guard bits
-  cover the 1/x^3 that this costs.
-Rounding x down moves I by under 2^-(prec+24) relative, since
-I'/I <= 1 + 3/(2x).  The result is rounded once, to nearest at prec bits,
-so it is within (1 + 2^-11) 2^-prec of I_{3/2}(x) relative.
+Floored-argument lemma: for arguments x' <= x at most m units 2^-w apart,
+0 <= I(x) - I(x') <= m e^x / sqrt(2 pi x) 2^-w, as 0 <= I_{3/2}' <= I_{1/2},
+which increases, and I_{1/2}(x) = (e^x - e^-x) / sqrt(2 pi x).
+
+Relative bound.  Let g = _bessel_guard_bits, 0 < y0 <= y1, and w < 2^16
+with w >= prec + 16 + max(g(y0), g(y1)).  For y in [y0, y1] and y' in
+[y - 2^-w, y], the kernel's preconditions hold at y',
+Delta_w(y') < 2^-(prec+12) I(y') 2^w, and I(y) - I(y') < 2^-(prec+24) I(y).
+Let m = 0 if y0 >= 1, and otherwise g(y0) = 10 + 3m, so y0 > 2^-m; then
+w >= prec + 26 + 3m, y' > 2^-m - 2^-w, and lambda < 1.46 y' + 522 meet the
+preconditions.  With B the bracket 2 cosh y - 2 sinh(y)/y:
+* for y' >= 1, (e^y' + 3)(1 + 1/y') <= 15.6 B(y') and 2 <= 6.9 I(y') bound
+  Delta_w(y') / I(y') by 15.6 lambda + 6.9 < 2^14 y' < 2^(g(y1)+4);
+* below 1, B(y') >= 2y'^2/3 bounds it by (17.2 lambda + 7.6) y'^-3 <
+  2^(14+3m) <= 2^(g(y0)+4); and 2^(g+4) <= 2^-(prec+12) 2^w either way;
+* by the lemma above the floor costs e^y / B(y) 2^-w relative: at most
+  3.7 2^-(prec+27) for y >= 1, and below 1, where e^y / B < 4.1 y^-2, under
+  4.1 2^(2m) 2^-(prec+26+3m).
+A wider w never loosens the bound: lambda(w) 2^-w decreases for w >= 16,
+its log-derivative being 1/(lambda sqrt w) - ln 2 < 0.  bessel_I32_closed
+reads it at y0 = y1 = x, with x rounded down to w = prec + 16 + g(x) bits,
+and rounds once, to nearest at prec bits: within (1 + 2^-11) 2^-prec of
+I_{3/2}(x) relative.
 
 The Bessel function has three independent forms:
 
 * bessel_I32_closed, the elementary closed form on the fixed-point kernel,
-  which rademacher_round also reads directly;
+  which rademacher_round and the registry's bessel-tail-sum also read
+  directly;
 * bessel_I32_series, the power series summed in exact integer brackets: the
   oracle the `oracles` suite checks the closed form against;
 * bessel_I32_quadrature, adaptive quadrature in mp_context, the package's one
@@ -244,12 +259,12 @@ def bessel_I32_closed(x, prec: int = DEFAULT_PRECISION):
         I_{3/2}(x) = [e^x (1 - 1/x) + e^{-x} (1 + 1/x)] / (sqrt(2 pi x)).
     Both exponential terms are kept; nothing is discarded or bounded.
 
-    x is an int or a Fraction.  The fixed-point kernel _bessel_fixed runs at
-    w = prec + _bessel_guard_bits(x) + 16 on x rounded down to w fractional
-    bits, and its value is rounded once, to nearest at prec bits: within
-    (1 + 2^-11) 2^-prec of I_{3/2}(x) relative, for w below 2^16 (module
-    docstring).  e^x is held as an integer of about 1.44x + w bits, so the
-    cost grows with x; the package reads x <= 1000.
+    x is an int or a Fraction; the value is within (1 + 2^-11) 2^-prec of
+    I_{3/2}(x) relative while the kernel's w = prec + 16 +
+    _bessel_guard_bits(x) is below 2^16 (module docstring).  e^x is held as
+    an integer of about 1.44x + w bits, so the cost grows with x: the
+    oracles suite reads x <= 1000, and the kernel's other callers less, the
+    rounds X < 200 (n <= 6000) and the registry x/k <= 50.
     """
     xf = to_fraction(x)
     if xf <= 0:

@@ -3,6 +3,7 @@ the inequality cases."""
 
 import dataclasses
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from partbounds.enclosure import (
     Enclosure,
     _int_ends,
     fraction_from_raw,
+    ordered,
     ratio_pair,
 )
 from partbounds.errors import PartboundsError, PreconditionError
@@ -36,11 +38,13 @@ from partbounds.inequalities import (
     TAIL_TERMS,
     _magnitude,
     _margin_bessel_tail,
+    _tail_sum,
     group_by_domain,
     run_case,
     run_domain,
 )
 from partbounds.rademacher import h_error
+from partbounds.special import bessel_I32_series
 
 ALL_NAMES = {
     "geometric-series-100",
@@ -190,7 +194,7 @@ class TestHelpers:
         assert self._magnitude(e) - Fraction(4, 21) < Fraction(1, 2**100)
 
 
-# -- the raw-libmp Bessel tail against its Enclosure expression -----------
+# -- the fixed-point Bessel tail against its Enclosure expression ---------
 
 def _bessel_halforder(y, prec):
     # [e^y (1 - 1/y) + e^{-y} (1 + 1/y)] / sqrt(2 pi y)
@@ -223,35 +227,49 @@ TAIL_POINTS = [
 
 
 class TestBesselTailKernel:
+    # the fixed-point sum is outward by proof, not the interval expression's
+    # bits: both enclose the same margin, so they meet
     @pytest.mark.parametrize("prec", [16, 53, 128, 300])
     @pytest.mark.parametrize("x", TAIL_POINTS, ids=str)
-    def test_same_endpoints_as_enclosure_expression(self, x, prec, monkeypatch):
-        hulls = []
-        hull = enclosure._hull
-        monkeypatch.setattr(
-            enclosure, "_hull", lambda *args: hulls.append(args) or hull(*args)
-        )
-        got = _margin_bessel_tail((x,), prec)
-        kernel_hulls = len(hulls)
+    def test_meets_the_interval_expression(self, x, prec):
+        lo, hi = map(fraction_from_raw, _margin_bessel_tail((x,), prec))
         want = _own_bessel_tail((x,), prec)
-        assert want.prec == prec and got == (want.lo, want.hi)
-        # a numerator that straddles 0 takes the same hull in both forms;
-        # at 16 bits it does in 754 of the 999 terms at the first point
-        assert 2 * kernel_hulls == len(hulls)
-        if prec == 16 and x == TAIL_POINTS[0]:
-            assert kernel_hulls == 754
+        assert want.prec == prec
+        assert lo <= want.hi_fraction and want.lo_fraction <= hi
+        # and its error bound leaves it no wider than the padded expression
+        assert hi - lo <= want.hi_fraction - want.lo_fraction
 
-    def test_disordered_pair_raises_like_an_enclosure(self, monkeypatch):
-        _margin_bessel_tail((Fraction(50),), 53)  # constants built
+    @pytest.mark.parametrize("prec", [16, 53, 128, 300])
+    def test_returned_pair_is_ordered(self, prec):
+        for x in TAIL_POINTS:
+            assert ordered(*_margin_bessel_tail((x,), prec))
+
+    @pytest.mark.parametrize("prec", [53, 128])
+    def test_sum_within_its_bound_of_the_series(self, prec):
+        # at x = 100 - eps, whose terms are the largest, S 2^-w is within
+        # E 2^-w of the power series summed 64 bits wider, each term within
+        # 2^-(prec+62) relative there
+        x = TAIL_POINTS[2]
+        total, error, w = _tail_sum(x, prec)
+        series = sum(fraction_from_raw(bessel_I32_series(x / k, prec + 64))
+                     for k in range(2, TAIL_TERMS + 1))
+        gap = abs(Fraction(total, 1 << w) - series) + series / 2 ** (prec + 62)
+        assert gap < Fraction(error, 1 << w)
+
+    @pytest.mark.parametrize("prec", [16, 128, 1024, 4096])
+    def test_kernel_arguments_meet_its_preconditions(self, prec, monkeypatch):
+        # every (xw, w) the sum passes at the sampler's ends, from x/1000 at
+        # x = 20 to x/2 at x = 100, meets _bessel_fixed's stated
+        # preconditions, and w stays below the 2^16 of the relative bound
         calls = []
-        order = enclosure.ordered
-        monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: calls.append(1) or order(lo, hi))
-        _margin_bessel_tail((Fraction(50),), 53)
-        # twelve order checks per term, each interval the expression built
-        assert len(calls) >= 12 * (TAIL_TERMS - 1)
-        monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: False)
-        with pytest.raises(ValueError, match=ORDER_ERROR):
-            _margin_bessel_tail((Fraction(50),), 53)
+        monkeypatch.setattr(inequalities, "_bessel_fixed",
+                            lambda xw, w: calls.append((xw, w)) or 1)
+        for (x,) in _interval_ends("bessel-tail-sum"):
+            _tail_sum(x, prec)
+        assert len(calls) == 2 * (TAIL_TERMS - 1)
+        for xw, w in calls:
+            lam = 1.01 * (xw / 2**w) / math.log(2) + 2 * math.sqrt(w) + 10
+            assert 16 <= w < 2**16 and xw * xw >= 1 << w and lam <= 2 ** (w - 2)
 
 
 # -- the raw margins against their Enclosure expressions --------------------
@@ -455,7 +473,6 @@ OWN = {
     "collapse-271": _own_collapse_271,
     "collapse-2075": _own_collapse_2075,
     "collapse-3926": _own_collapse_3926,
-    "bessel-tail-sum": _own_bessel_tail,
     "bessel-simplify-half": _own_bessel_simplify,
 }
 RAW_NAMES = sorted(OWN)
@@ -510,7 +527,9 @@ def _clear_memos():
 
 class TestRawMargins:
     def test_every_case_has_its_expression(self):
-        assert set(OWN) == ALL_NAMES
+        # the Bessel tail's is _own_bessel_tail, which it meets but does not
+        # equal (TestBesselTailKernel)
+        assert set(OWN) == ALL_NAMES - {"bessel-tail-sum"}
 
     @pytest.mark.parametrize("prec", PRECS)
     @pytest.mark.parametrize("name", RAW_NAMES)

@@ -344,11 +344,14 @@ def _delta(x, w):
 
 def test_exp_fixed_within_stated_units():
     # the lemma the kernel's bound rests on, on both sides of the 600-bit
-    # switch inside libmp's exp_basecase
+    # switch inside libmp's exp_basecase and of the 1500-bit switch inside
+    # its exponential_series, up to the about 4150 bits of --precision 4096
     rng = random.Random(5)
-    for w in (16, 40, 53, 144, 300, 599, 601, 1200):
+    for w, samples in [(w, 60) for w in (16, 40, 53, 144, 300, 599, 601, 1200)] + [
+        (w, 30) for w in (1499, 1501, 2048, 4150)
+    ]:
         ctx = mp_context(4 * w)
-        for _ in range(60):
+        for _ in range(samples):
             tw = rng.randrange(1, rng.choice([1 << w, 10 << w, 10**4 << w]))
             t = ctx.mpf(tw) / ctx.mpf(2) ** w
             err = abs(ctx.mpf(special.exp_fixed(tw, w)) / ctx.mpf(2) ** w - ctx.exp(t))
