@@ -6,8 +6,10 @@ verify runs a named sweep (or all of them) and reports per-suite outcomes,
 optionally dumping per-case rows to CSV.  Exit codes: 0 all checks passed,
 1 a verification failed, 2 usage or precondition error (an input past a
 ceiling, a negative --n-max/--j-max, an --n-max, --j-max, --seed or --case
-that no named suite reads, an unknown --case, or an unwritable --json/--csv
-path); `verify` refuses its bad parameters before any suite runs.
+that no named suite reads, an unknown --case, an unwritable --json/--csv
+path, or a standard output that is closed, such as a pipe whose reader has
+exited; the --json and --csv files are written all the same); `verify`
+refuses its bad parameters before any suite runs.
 """
 
 from __future__ import annotations
@@ -360,7 +362,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         seconds=round(time.perf_counter() - started, 6),
     )
     text = doc.to_json()
-    print(text)
+    code = doc.exit_code
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the files are still written; the interpreter flushes stdout again
+        # at exit, which now goes to devnull
+        print(f"error: standard output closed: {exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
     try:
         if args.json_path is not None:
             with open(args.json_path, "w") as handle:
@@ -370,7 +381,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return doc.exit_code
+    return code
 
 
 if __name__ == "__main__":

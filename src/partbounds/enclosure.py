@@ -16,6 +16,19 @@ returns, so an interval is checked once, where it is built; only
 Enclosure(lo, hi, prec) called from outside checks its own arguments.
 Inside the package every interval is such a checked pair, constants(prec)
 included; an Enclosure is built only where a public function returns one.
+
+The helpers round in line, on the (sign, man, exp, bc) integers of a raw
+float: +, -, *, / and sqrt of finite nonzero operands, ratio_pair and the
+pad of an exp or pi endpoint each form libmp's own exact or sticky-bit
+integer (mpf_add's one-unit perturbation of an operand more than 100 bits
+and prec + 4 bits above the other, mpf_div's quotient with a sticky bit,
+mpf_sqrt's floor root with one, math.isqrt's floor root being libmp's) and
+round it once toward -inf or +inf by normalize's step (_rounded).  So each
+end is libmp's directed result bit for bit (tests/test_enclosure.py checks
+them against mpf_add, mpf_mul, mpf_div, mpf_sqrt and from_rational), without
+libmp's special-value dispatch.  Zero and non-finite operands, divisors and
+radicands of mantissa 1, and products and quotients of intervals that
+straddle zero (_hull) go to libmp itself.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from types import SimpleNamespace
 
 from mpmath import libmp
@@ -43,6 +57,7 @@ MEMO_MAXSIZE = 4096
 
 _DOWN = "f"  # toward -inf
 _UP = "c"    # toward +inf
+_ROUNDING = (_DOWN, _UP)  # libmp's mode for up = 0 and 1
 
 # Extra outward ulps applied after transcendental endpoint evaluations.
 # libmp computes exp/pi with guard bits and then rounds directionally; the
@@ -54,12 +69,9 @@ _PAD_SHIFT = _TRANSCENDENTAL_SLACK.bit_length() - 1
 assert _TRANSCENDENTAL_SLACK == 1 << _PAD_SHIFT
 
 _add = libmp.mpf_add
-_sub = libmp.mpf_sub
 _mul = libmp.mpf_mul
 _div = libmp.mpf_div
 _neg = libmp.mpf_neg
-_normalize = libmp.normalize
-_normalize1 = libmp.normalize1
 _new = object.__new__
 
 ORDER_ERROR = "interval endpoints out of order"
@@ -68,18 +80,117 @@ NON_FINITE_ERROR = "non-finite float has no rational value"
 ExactScalar = (int, Fraction)
 
 
+# -- in-line directed rounding (module docstring); up is 1 for a ceiling,
+# toward +inf, and 0 for a floor, toward -inf
+
+
+def _rounded(sign, man, exp, prec, up):
+    """The raw float (-1)^sign man 2^exp, man > 0, rounded to prec bits up or
+    down: normalize's bits."""
+    n = man.bit_length() - prec
+    if n > 0:
+        # the magnitude rounds away from zero for a ceiling of a positive
+        # value and a floor of a negative one
+        man = -(-man >> n) if up != sign else man >> n
+        exp += n
+    if not man & 1:
+        t = (man & -man).bit_length() - 1
+        man >>= t
+        exp += t
+    return sign, man, exp, man.bit_length()
+
+
+def _add_end(s, t, prec, up, negate=0):
+    """s + t, or s - t with negate, at prec bits: mpf_add's bits."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not (sman and tman):
+        return _add(s, t, prec, _ROUNDING[up], negate)
+    tsign ^= negate
+    offset = sexp - texp
+    # mpf_add's shortcut for an operand wholly below the other's rounding
+    # bit: the larger one, perturbed by one unit past prec + 4 bits
+    if offset > 100 and sexp + sbc - texp - tbc > prec + 4:
+        man = (sman << (prec + 4)) + (1 if ssign == tsign else -1)
+        return _rounded(ssign, man, sexp - prec - 4, prec, up)
+    if offset < -100 and texp + tbc - sexp - sbc > prec + 4:
+        man = (tman << (prec + 4)) + (1 if ssign == tsign else -1)
+        return _rounded(tsign, man, texp - prec - 4, prec, up)
+    if ssign:
+        sman = -sman
+    if tsign:
+        tman = -tman
+    if offset >= 0:
+        man = (sman << offset) + tman
+        exp = texp
+    else:
+        man = sman + (tman << -offset)
+        exp = sexp
+    if man > 0:
+        return _rounded(0, man, exp, prec, up)
+    if man:
+        return _rounded(1, -man, exp, prec, up)
+    return libmp.fzero
+
+
+def _mul_end(s, t, prec, up):
+    """s * t at prec bits: mpf_mul's bits."""
+    man = s[1] * t[1]
+    if not man:
+        return _mul(s, t, prec, _ROUNDING[up])
+    return _rounded(s[0] ^ t[0], man, s[2] + t[2], prec, up)
+
+
+def _div_end(s, t, prec, up):
+    """s / t at prec bits: mpf_div's bits, from its quotient and sticky bit."""
+    ssign, sman, sexp, sbc = s
+    tsign, tman, texp, tbc = t
+    if not sman or tman < 2:
+        return _div(s, t, prec, _ROUNDING[up])
+    extra = prec - sbc + tbc + 5
+    if extra < 5:
+        extra = 5
+    man, rem = divmod(sman << extra, tman)
+    if rem:
+        man = (man << 1) | 1
+        extra += 1
+    return _rounded(ssign ^ tsign, man, sexp - texp - extra, prec, up)
+
+
+def _sqrt_end(s, prec, up):
+    """sqrt(s) at prec bits: mpf_sqrt's bits, from the floor root that
+    math.isqrt and libmp's isqrt and sqrtrem all return."""
+    sign, man, exp, bc = s
+    if sign or man < 2:
+        return libmp.mpf_sqrt(s, prec, _ROUNDING[up])
+    if exp & 1:
+        exp -= 1
+        man <<= 1
+        bc += 1
+    shift = 2 * prec - bc + 4
+    if shift < 4:
+        shift = 4
+    shift += shift & 1
+    radicand = man << shift
+    man = isqrt(radicand)
+    if up and man * man != radicand:
+        man = (man << 1) | 1
+        shift += 2
+    return _rounded(0, man, (exp - shift) >> 1, prec, up)
+
+
 def ratio_pair(p: int, q: int, prec: int):
     """(floor, ceiling) of p/q at prec bits, as raw libmp floats.
 
     The bits of from_rational(p, q, prec, "f") and (..., "c"), from the one
-    quotient-and-sticky-bit step that mpf_div takes, normalized once in each
+    quotient-and-sticky-bit step that mpf_div takes, rounded once in each
     direction.
     """
     if not q:
         raise ZeroDivisionError("ratio_pair with q = 0")
     if not p:
         return libmp.fzero, libmp.fzero
-    sign = (p < 0) != (q < 0)
+    sign = int((p < 0) != (q < 0))
     p = abs(p)
     q = abs(q)
     # odd parts and exponents, as from_int leaves them
@@ -88,20 +199,16 @@ def ratio_pair(p: int, q: int, prec: int):
     man = p >> pz
     den = q >> qz
     exp = pz - qz
-    if den == 1:
-        bc = man.bit_length()
-        return (_normalize1(sign, man, exp, bc, prec, _DOWN),
-                _normalize1(sign, man, exp, bc, prec, _UP))
-    extra = max(prec - man.bit_length() + den.bit_length() + 5, 5)
-    quot, rem = divmod(man << extra, den)
-    norm = _normalize
-    if rem:
-        quot = (quot << 1) | 1
-        extra += 1
-        norm = _normalize1
-    bc = quot.bit_length()
-    exp -= extra
-    return norm(sign, quot, exp, bc, prec, _DOWN), norm(sign, quot, exp, bc, prec, _UP)
+    if den != 1:
+        extra = prec - man.bit_length() + den.bit_length() + 5
+        if extra < 5:
+            extra = 5
+        man, rem = divmod(man << extra, den)
+        if rem:
+            man = (man << 1) | 1
+            extra += 1
+        exp -= extra
+    return _rounded(sign, man, exp, prec, 0), _rounded(sign, man, exp, prec, 1)
 
 
 def _exact_pair(value, prec):
@@ -214,20 +321,20 @@ def exact_decimal(num: int, k: int) -> str:
 
 def _widen_raw(raw, prec, rnd):
     # Pad a transcendental result outward by _TRANSCENDENTAL_SLACK ulps.
-    _, man, exp, bc = raw
-    if man and bc <= prec:
-        # |raw| * slack * 2^-prec has at most prec bits, so it is exact
-        pad = (0, man, exp + _PAD_SHIFT - prec, bc)
-    else:
+    _, man, exp, _ = raw
+    up = int(rnd == _UP)
+    if not man:
         pad = libmp.mpf_mul(
             libmp.mpf_abs(raw),
             libmp.from_man_exp(_TRANSCENDENTAL_SLACK, -prec),
             prec,
             _UP,
         )
-    if rnd == _DOWN:
-        return libmp.mpf_sub(raw, pad, prec, _DOWN)
-    return libmp.mpf_add(raw, pad, prec, _UP)
+        return _add(raw, pad, prec, rnd, 1 - up)
+    # |raw| * slack * 2^-prec rounded up, as mpf_mul(|raw|, slack * 2^-prec)
+    # rounds it; exact when raw has at most prec bits
+    pad = _rounded(0, man, exp + _PAD_SHIFT - prec, prec, 1)
+    return _add_end(raw, pad, prec, up, 1 - up)
 
 
 def _neg_ends(x):
@@ -237,25 +344,24 @@ def _neg_ends(x):
 
 def _add_ends(x, y, p):
     """Raw endpoints of x + y at p bits, rounded outward."""
-    return _checked(_add(x[0], y[0], p, _DOWN), _add(x[1], y[1], p, _UP))
+    return _checked(_add_end(x[0], y[0], p, 0), _add_end(x[1], y[1], p, 1))
 
 
 def _sub_ends(x, y, p):
     """Raw endpoints of x - y at p bits, rounded outward."""
-    return _checked(_sub(x[0], y[1], p, _DOWN), _sub(x[1], y[0], p, _UP))
+    return _checked(_add_end(x[0], y[1], p, 0, 1), _add_end(x[1], y[0], p, 1, 1))
 
 
 def _widen_ends(x, r, p):
     """Raw endpoints of x +- r at p bits, for an upper radius r >= 0."""
-    return _checked(_sub(x[0], r, p, _DOWN), _add(x[1], r, p, _UP))
+    return _checked(_add_end(x[0], r, p, 0, 1), _add_end(x[1], r, p, 1))
 
 
 def _sqrt_ends(x, p):
     """Raw endpoints of sqrt(x) at p bits; x must not reach below zero."""
-    if libmp.mpf_lt(x[0], libmp.fzero):
+    if x[0][0]:  # a set sign bit: lo < 0, -inf included
         raise ValueError("sqrt of an interval reaching below zero")
-    # libmp square root is integer-based and honors directed rounding.
-    return _checked(libmp.mpf_sqrt(x[0], p, _DOWN), libmp.mpf_sqrt(x[1], p, _UP))
+    return _checked(_sqrt_end(x[0], p, 0), _sqrt_end(x[1], p, 1))
 
 
 def _exp_ends(x, p):
@@ -289,14 +395,14 @@ def _mul_ends(x, y, p):
     c, d = y
     if not a[0]:
         if not c[0]:
-            return _checked(_mul(a, c, p, _DOWN), _mul(b, d, p, _UP))
+            return _checked(_mul_end(a, c, p, 0), _mul_end(b, d, p, 1))
         if d[0]:
-            return _checked(_mul(b, c, p, _DOWN), _mul(a, d, p, _UP))
+            return _checked(_mul_end(b, c, p, 0), _mul_end(a, d, p, 1))
     elif b[0]:
         if not c[0]:
-            return _checked(_mul(a, d, p, _DOWN), _mul(b, c, p, _UP))
+            return _checked(_mul_end(a, d, p, 0), _mul_end(b, c, p, 1))
         if d[0]:
-            return _checked(_mul(b, d, p, _DOWN), _mul(a, c, p, _UP))
+            return _checked(_mul_end(b, d, p, 0), _mul_end(a, c, p, 1))
     return _checked(*_hull(_mul, a, b, c, d, p))
 
 
@@ -307,9 +413,9 @@ def _div_ends(x, y, p):
     if not c[0] and c[1]:
         # positive divisor and a dividend of one sign: as in _mul_ends
         if not a[0]:
-            return _checked(_div(a, d, p, _DOWN), _div(b, c, p, _UP))
+            return _checked(_div_end(a, d, p, 0), _div_end(b, c, p, 1))
         if b[0]:
-            return _checked(_div(a, c, p, _DOWN), _div(b, d, p, _UP))
+            return _checked(_div_end(a, c, p, 0), _div_end(b, d, p, 1))
     elif not (libmp.mpf_gt(c, libmp.fzero) or libmp.mpf_lt(d, libmp.fzero)):
         raise ZeroDivisionError("interval divisor straddles zero")
     return _checked(*_hull(_div, a, b, c, d, p))

@@ -32,7 +32,9 @@ point, the terms they share are computed once per point, by small memos
 keyed by (point, prec) that keep the last point or two: x and sqrt x, h
 with its second exponential (rademacher._h_ends, which h_error also wraps),
 the correction sum sqrt3/(sqrt2 pi sqrt x) + h, shifted_terms(n) and the
-J-brackets, and sqrt(1 - x).
+J-brackets, and sqrt(1 - x).  collapse-056's terms in n alone,
+4 sqrt6 N sqrt N and 1/(25 N), are built once per n, and its terms in J
+alone, pi J^3 and (2/5) pi J^2, once per J, in a memo of the last eight J.
 
 Every margin but collapse-131 is raw: an expression in the enclosure
 module's _*_ends helpers on (lo, hi) pairs, which makes the libmp calls, on
@@ -47,9 +49,9 @@ expressions made at each point.  An int operand is exact only when it fits
 in prec bits, and otherwise rounds outward through ratio_pair, as
 Enclosure._coerce reads it (_int_ends): J^3 exceeds 2^16 at 16 bits.  Exact
 rational parts, and the product error bound of the collapse cases with its
-|b| and J/N, are either exact Fractions or computed on unreduced integers,
-and are rounded once by ratio_pair, which rounds the value p/q whatever the
-common factors of p and q.
+|b| and J/N, are computed on unreduced integers, and are rounded once by
+ratio_pair, which rounds the value p/q whatever the common factors of p
+and q.  The interval samplers likewise build each point as one Fraction.
 
 Each helper checks the order of the pair it returns, once, as Enclosure
 arithmetic does; no margin checks one itself.
@@ -76,6 +78,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from types import SimpleNamespace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -159,13 +162,17 @@ def _interval_sampler(lo: Fraction, hi: Fraction) -> Sampler:
 
     def sample(grid: int, rand: int, rng: random.Random) -> Iterable[Point]:
         a = lo + span * _EDGE
-        b = hi - span * _EDGE
-        inner = b - a
-        step = inner / (grid - 1)
+        inner = hi - span * _EDGE - a
+        # a + i inner/(grid - 1) and a + inner r/2^53, each built as one
+        # Fraction over the common denominator of a and inner
+        den = lcm(a.denominator, inner.denominator)
+        start = a.numerator * (den // a.denominator)
+        width = inner.numerator * (den // inner.denominator)
+        steps = grid - 1
         for i in range(grid):
-            yield (a + i * step,)
+            yield (Fraction(start * steps + width * i, den * steps),)
         for _ in range(rand):
-            yield (a + inner * Fraction(rng.getrandbits(53), 1 << 53),)
+            yield (Fraction((start << 53) + width * rng.getrandbits(53), den << 53),)
 
     return sample
 
@@ -276,10 +283,12 @@ def _bracket_ends(n: int, big_j: int, prec: int):
 
 def _margin_geometric(point: Point, prec: int) -> Ends:
     # 1/(1-z) - 1 - z = z^2/(1-z) for real |z| < 1; check both signs of z.
+    # With z = s/b, 100 z^2 - z^2/(1-z) = s^2 (100 (b - s) - b)/(b^2 (b - s)).
     (u,) = point
+    a, b = u.numerator, u.denominator
     worst = None
-    for z in (u, -u):
-        worst = _min_lo(worst, _exact_ends(100 * z * z - z * z / (1 - z), prec))
+    for s in (a, -a):
+        worst = _min_lo(worst, _ratio_ends(a * a * (100 * (b - s) - b), b * b * (b - s), prec))
     return worst
 
 
@@ -304,14 +313,18 @@ def _margin_inverse_sqrt(point: Point, prec: int) -> Ends:
 
 
 def _margin_reciprocal(point: Point, prec: int) -> Ends:
+    # (5/4) x^2 - x^2/(1-x) = a^2 (b - 5a)/(4 b^2 (b - a)) for x = a/b
     (x,) = point
-    return _exact_ends(Fraction(5, 4) * x * x - x * x / (1 - x), prec)
+    a, b = x.numerator, x.denominator
+    return _ratio_ends(a * a * (b - 5 * a), 4 * b * b * (b - a), prec)
 
 
 def _margin_exp_convexity(point: Point, prec: int) -> Ends:
+    # x^2/2 + 1 - x - e^{-x}, its exact part (a^2 + 2b^2 - 2ab)/(2b^2)
     (x,) = point
-    tail = _exp_ends(_exact_ends(-x, prec), prec)
-    return _sub_ends(_exact_ends(x * x / 2 + 1 - x, prec), tail, prec)
+    a, b = x.numerator, x.denominator
+    tail = _exp_ends(_ratio_ends(-a, b, prec), prec)
+    return _sub_ends(_ratio_ends(a * a + 2 * b * b - 2 * a * b, 2 * b * b, prec), tail, prec)
 
 
 def _margin_tail_envelope(point: Point, prec: int) -> Ends:
@@ -384,22 +397,37 @@ def _margin_shift_ratio(point: Point, prec: int) -> Ends:
     return _sub_ends(k.fifth, half, prec)
 
 
+@lru_cache(maxsize=1)
+def _collapse_n_terms(n: int, prec: int):
+    # collapse-056's terms in n alone: den = 4 sqrt6 (N sqrt N) and 1/(25 N),
+    # N = d/24
+    t = _terms(n, prec)
+    den = _mul_ends(_raw_constants(prec).four_sqrt6,
+                    _mul_ends(_sqrt_ends(t.Ne, prec), t.Ne, prec), prec)
+    return den, _ratio_ends(24, 25 * (24 * n - 1), prec)
+
+
+@lru_cache(maxsize=8)
+def _collapse_j_terms(big_j: int, prec: int):
+    # collapse-056's terms in J alone: pi J^3 and (2/5) pi J^2; a pair point
+    # reads J = j and 2j, and the pair grid repeats J = 1, 2 at every n
+    return (_mul_ends(constants(prec).pi, _int_ends(big_j**3, prec), prec),
+            _mul_ends(_raw_constants(prec).two_fifths_pi, _int_ends(big_j**2, prec), prec))
+
+
 def _margin_collapse_056(point: Point, prec: int) -> Ends:
     # 0.56 - (0.4 + pi J^3/den + 0.4 pi J^2/den + 0.1 + 0.1 J/N + 0.04/N),
     # den = 4 sqrt6 (N sqrt N), summed left to right, the 1/N terms exact
     n, j = point
-    k, pi = _raw_constants(prec), constants(prec).pi
-    t = _terms(n, prec)
+    k = _raw_constants(prec)
     d = 24 * n - 1  # N = d/24
-    den = _mul_ends(k.four_sqrt6, _mul_ends(_sqrt_ends(t.Ne, prec), t.Ne, prec), prec)
-    last = _ratio_ends(24, 25 * d, prec)  # 1/(25 N)
+    den, last = _collapse_n_terms(n, prec)
     worst = None
     # The bound is used with both the plain and the doubled shift; the
     # doubled one is the tight branch but both must clear 0.56.
     for big_j in (j, 2 * j):
-        cube = _div_ends(_mul_ends(pi, _int_ends(big_j**3, prec), prec), den, prec)
-        square = _mul_ends(k.two_fifths_pi, _int_ends(big_j**2, prec), prec)
-        err = _add_ends(cube, k.two_fifths, prec)
+        cube, square = _collapse_j_terms(big_j, prec)
+        err = _add_ends(_div_ends(cube, den, prec), k.two_fifths, prec)
         err = _add_ends(err, _div_ends(square, den, prec), prec)
         err = _add_ends(err, k.tenth, prec)
         err = _add_ends(err, _ratio_ends(24 * big_j, 10 * d, prec), prec)
@@ -516,15 +544,17 @@ def _margin_bessel_tail(point: Point, prec: int) -> Ends:
          _ratio_ends(total + error, 1 << w, prec)[1])
     rhs = _sqrt_ends(_div_ends(_exact_ends(x, prec), constants(prec).pi, prec), prec)
     rhs = _mul_ends(rhs, _int_ends(4, prec), prec)
-    rhs = _mul_ends(rhs, _exp_ends(_exact_ends(x / 2, prec), prec), prec)
+    half = _ratio_ends(x.numerator, 2 * x.denominator, prec)  # x/2
+    rhs = _mul_ends(rhs, _exp_ends(half, prec), prec)
     return _sub_ends(rhs, s, prec)
 
 
 def _margin_bessel_simplify(point: Point, prec: int) -> Ends:
-    # 1/x - x/2 changes sign at sqrt(2), so clear both orientations.
+    # 1/x - x/2 changes sign at sqrt(2), so clear both orientations: over
+    # 2ab^2, x^2/2 -+ (1/x - x/2) is a^3 -+ (2b^3 - a^2 b) for x = a/b.
     (x,) = point
-    base = x * x / 2
-    return _exact_ends(min(base - (1 / x - x / 2), base - (x / 2 - 1 / x)), prec)
+    a, b = x.numerator, x.denominator
+    return _ratio_ends(a**3 - abs(2 * b**3 - a * a * b), 2 * a * b * b, prec)
 
 
 @dataclass(frozen=True)
@@ -598,9 +628,10 @@ CASES: Tuple[InequalityCase, ...] = (
         "h_error(x) <= 15 sqrt(x) exp(-(pi/2) sqrt(x/2)) for x >= 12",
         _margin_tail_envelope,
         _interval_sampler(Fraction(12), _CAP),
-        # h and the envelope's exponential cost about three cheap margins a
-        # point: 1.2 s of serial CPU against 0.4 s for exp-convexity-half
-        terms=3,
+        # h and the envelope's exponential cost about four cheap margins a
+        # point: 76 us of serial CPU at 128 bits against 19 us a point for
+        # exp-convexity-half
+        terms=4,
     ),
     InequalityCase(
         "sqrt-exp-decreasing",
@@ -684,9 +715,9 @@ CASES: Tuple[InequalityCase, ...] = (
         _interval_sampler(Fraction(20), Fraction(100)),
         grid_points=100,
         random_points=30,
-        # a point's 999 kernel terms cost about 180 cheap margins: 6.5 ms of
-        # serial CPU against 36 us a point for exp-convexity-half
-        terms=180,
+        # a point's 999 kernel terms cost about 320 cheap margins: 6.1 ms of
+        # serial CPU at 128 bits against 19 us a point for exp-convexity-half
+        terms=320,
     ),
     InequalityCase(
         "bessel-simplify-half",

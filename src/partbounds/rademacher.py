@@ -32,7 +32,8 @@ argument leaves for it (rademacher_round):
   and wp > pi sqrt(2n/3) log2(e) + 47.  With X >= pi sqrt(47)/6 > 3.5 this
   gives prefactor * I(X) < 2^(wp-49), so the first part of the bound adds
   under 2^-47 per term (I_{3/2} increases);
-* for x >= 1, lambda <= 1.1 wp and (1 + 1/x) / sqrt(2 pi x) <= 0.8, so
+* for x >= 1, lambda <= 1.1 wp, as x log2(e) < wp - 47 and
+  3 sqrt(W) < 0.09 wp + 37, and (1 + 1/x) / sqrt(2 pi x) <= 0.8, so
   3 Delta_W(x) 2^-W < 3 wp 2^-63;
 * a round ends by N = max(144, ceil(pi sqrt(2n/3))) terms, and N <= max(144, wp):
   from there sinh(pi sqrt(2n/3) / N) <= sinh(1) pi sqrt(2n/3) / N, so

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -343,6 +346,28 @@ class TestInputLimits:
         )
         assert code == 2
         assert captured.err.startswith("error:")
+
+    def test_closed_stdout_is_usage_error(self, tmp_path):
+        # a pipe whose reader has gone, in a fresh interpreter, which would
+        # flush stdout again at exit: the files are still written
+        json_path, csv_path = tmp_path / "doc.json", tmp_path / "rows.csv"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "partbounds.cli", "verify", "oracles", "--n-max", "10",
+                 "--json", str(json_path), "--csv", str(csv_path)],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert json.loads(json_path.read_text())["command"] == "verify"
+        assert csv_path.read_text().startswith("suite,")
 
     def test_table_ceiling(self, capsys):
         code, captured = run(capsys, "exact", str(TABLE_CEILING + 1))

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import random
 from fractions import Fraction
 
 from functools import lru_cache
@@ -22,8 +23,15 @@ from partbounds.enclosure import (
     _TRANSCENDENTAL_SLACK,
     NON_FINITE_ERROR,
     Enclosure,
+    _add_end,
     _add_ends,
+    _div_end,
+    _div_ends,
+    _mul_end,
+    _mul_ends,
     _neg_ends,
+    _sqrt_end,
+    _sqrt_ends,
     _sub_ends,
     _widen_ends,
     _widen_raw,
@@ -471,6 +479,88 @@ def test_ordered_one_top_bit():
         for x in (lo, neg(lo), libmp.fzero, libmp.finf, libmp.fninf, libmp.fnan):
             assert ordered(special, x) == (not libmp.mpf_gt(special, x))
             assert ordered(x, special) == (not libmp.mpf_gt(x, special))
+
+
+# -- the in-line kernels are libmp's directed roundings ---------------------
+
+KERNEL_PRECISIONS = [16, 53, 64, 128, 300, 4096]
+
+
+def _random_raw(rng):
+    """A raw float: zero, or either sign with a mantissa of 1 to 300 bits
+    and an exponent within +-600."""
+    if rng.random() < 0.05:
+        return libmp.fzero
+    bits = rng.randint(1, 300)
+    man = rng.randint(1 << (bits - 1), (1 << bits) - 1)
+    return libmp.from_man_exp(rng.choice((1, -1)) * man, rng.randint(-600, 600))
+
+
+def _random_pair(rng):
+    a, b = _random_raw(rng), _random_raw(rng)
+    return (b, a) if libmp.mpf_gt(a, b) else (a, b)
+
+
+def _libmp_hull(op, x, y, p):
+    # the least downward and the greatest upward of the four endpoint results
+    down = [op(u, v, p, "f") for u in x for v in y]
+    up = [op(u, v, p, "c") for u in x for v in y]
+    return (min(down, key=fraction_from_raw), max(up, key=fraction_from_raw))
+
+
+def _perturbs(s, t, p):
+    # mpf_add's one-unit shortcut: both nonzero, t more than 100 bits and
+    # prec + 4 bits below s
+    return (s[1] and t[1] and s[2] - t[2] > 100
+            and s[2] + s[3] - t[2] - t[3] > p + 4)
+
+
+@pytest.mark.parametrize("prec", KERNEL_PRECISIONS)
+def test_kernels_round_as_libmp(prec):
+    rng = random.Random(prec)
+    perturbed = set()
+    for _ in range(1000):
+        s, t = _random_raw(rng), _random_raw(rng)
+        perturbed.update(side for side, (u, v) in enumerate(((s, t), (t, s)))
+                         if _perturbs(u, v, prec))
+        for up, rnd in ((0, "f"), (1, "c")):
+            for negate in (0, 1):
+                assert _add_end(s, t, prec, up, negate) == libmp.mpf_add(s, t, prec, rnd, negate)
+            assert _mul_end(s, t, prec, up) == libmp.mpf_mul(s, t, prec, rnd)
+            if t != libmp.fzero:
+                assert _div_end(s, t, prec, up) == libmp.mpf_div(s, t, prec, rnd)
+            root = libmp.mpf_abs(s)
+            assert _sqrt_end(root, prec, up) == libmp.mpf_sqrt(root, prec, rnd)
+            assert _widen_raw(s, prec, rnd) == _widen_by_product(s, prec, rnd)
+        p = rng.choice((1, -1)) * (libmp.to_int(libmp.mpf_abs(s)) or 1) << rng.randint(0, 600)
+        q = rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 300)) | 1
+        q <<= rng.randint(0, 600)
+        assert ratio_pair(p, q, prec) == (libmp.from_rational(p, q, prec, "f"),
+                                          libmp.from_rational(p, q, prec, "c"))
+    # the shortcut ran with the larger operand on either side; at 4096 bits
+    # no two operands drawn are prec + 4 bits apart
+    assert perturbed == ({0, 1} if prec < 1000 else set())
+
+
+@pytest.mark.parametrize("prec", KERNEL_PRECISIONS)
+def test_interval_helpers_round_as_libmp(prec):
+    rng = random.Random(-prec)
+    zero = libmp.fzero
+    for _ in range(200):
+        x, y = _random_pair(rng), _random_pair(rng)
+        assert _add_ends(x, y, prec) == (libmp.mpf_add(x[0], y[0], prec, "f"),
+                                         libmp.mpf_add(x[1], y[1], prec, "c"))
+        assert _sub_ends(x, y, prec) == (libmp.mpf_sub(x[0], y[1], prec, "f"),
+                                         libmp.mpf_sub(x[1], y[0], prec, "c"))
+        assert _mul_ends(x, y, prec) == _libmp_hull(libmp.mpf_mul, x, y, prec)
+        if libmp.mpf_gt(y[0], zero) or libmp.mpf_lt(y[1], zero):
+            assert _div_ends(x, y, prec) == _libmp_hull(libmp.mpf_div, x, y, prec)
+        r = libmp.mpf_abs(y[1])
+        assert _widen_ends(x, r, prec) == (libmp.mpf_sub(x[0], r, prec, "f"),
+                                           libmp.mpf_add(x[1], r, prec, "c"))
+        root = tuple(sorted(map(libmp.mpf_abs, x), key=fraction_from_raw))
+        assert _sqrt_ends(root, prec) == (libmp.mpf_sqrt(root[0], prec, "f"),
+                                          libmp.mpf_sqrt(root[1], prec, "c"))
 
 
 # -- the transcendental slack against an exact oracle -----------------------

@@ -519,6 +519,8 @@ def _clear_memos():
         inequalities._correction_ends,
         inequalities._rest_root_ends,
         inequalities._bracket_ends,
+        inequalities._collapse_n_terms,
+        inequalities._collapse_j_terms,
         rademacher._root_ends,
         rademacher._h_ends,
     ):
@@ -655,6 +657,11 @@ class TestDomains:
         assert inequalities._terms.cache_info().misses <= 75
         brackets = inequalities._bracket_ends.cache_info()
         assert brackets.misses <= 2 * 75 and brackets.hits >= 2 * 75
+        # collapse-056's terms in n at most once per point, and its terms in
+        # J mostly from the memo: the grid reads J = 1 and 2 at every n
+        assert inequalities._collapse_n_terms.cache_info().misses <= 75
+        j_terms = inequalities._collapse_j_terms.cache_info()
+        assert j_terms.hits > j_terms.misses
 
     def test_cases_of_two_domains_are_refused(self):
         with pytest.raises(PreconditionError, match="do not share one domain"):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
+from mpmath.libmp import ln2_fixed
 
 from partbounds import special
 from partbounds.enclosure import fraction_from_raw
@@ -328,16 +329,22 @@ class TestBessel:
                 bessel_I32_series(x)
 
 
+def _basecase_units(w):
+    # the stated error of exp_fixed's step after its reduction by ln 2, the
+    # step read off libmp's exp_basecase
+    return 3 * math.sqrt(w) + 6
+
+
 def _exp_units(t, w):
     # the stated error of exp_fixed at t = tw 2^-w, in units e^t 2^-w
-    return t / math.log(2) + 2 * math.sqrt(w) + 8
+    return t / math.log(2) + _basecase_units(w) + 2
 
 
 def _delta(x, w):
     # Delta_w(x) of the special docstring, in units of 2^-w, as a Fraction
     ctx = mp_context(64)
     x = ctx.mpf(x.numerator) / x.denominator
-    lam = 1.01 * x / ctx.ln2 + 2 * ctx.sqrt(w) + 10
+    lam = 1.01 * x / ctx.ln2 + 3 * ctx.sqrt(w) + 10
     value = lam * (ctx.exp(x) + 3) * (1 + 1 / x) / ctx.sqrt(2 * ctx.pi * x) + 2
     return fraction_from_raw(value._mpf_)
 
@@ -345,17 +352,31 @@ def _delta(x, w):
 def test_exp_fixed_within_stated_units():
     # the lemma the kernel's bound rests on, on both sides of the 600-bit
     # switch inside libmp's exp_basecase and of the 1500-bit switch inside
-    # its exponential_series, up to the about 4150 bits of --precision 4096
+    # its exponential_series, up to the about 4150 bits of --precision 4096.
+    # Its proved step: ln2_fixed(w) is ln 2 2^w floored, so the n = tw //
+    # ln2_fixed(w) copies subtracted move the argument by under n units; that
+    # step alone nearly fills its allowance where ln 2 2^w lies just below
+    # an integer (0.98 units above ln2_fixed at w = 1200).  The step read
+    # off exp_basecase is measured against e^x with that move taken out, and
+    # its worst sample must keep a quarter of its allowance free.
     rng = random.Random(5)
     for w, samples in [(w, 60) for w in (16, 40, 53, 144, 300, 599, 601, 1200)] + [
         (w, 30) for w in (1499, 1501, 2048, 4150)
     ]:
         ctx = mp_context(4 * w)
+        unit = ctx.mpf(2) ** -w
+        ln2 = ln2_fixed(w)
+        assert 0 <= ctx.ln2 / unit - ln2 < 1, w
+        worst = 0
         for _ in range(samples):
             tw = rng.randrange(1, rng.choice([1 << w, 10 << w, 10**4 << w]))
-            t = ctx.mpf(tw) / ctx.mpf(2) ** w
-            err = abs(ctx.mpf(special.exp_fixed(tw, w)) / ctx.mpf(2) ** w - ctx.exp(t))
-            assert err <= _exp_units(float(t), w) * ctx.exp(t) * ctx.mpf(2) ** -w, (tw, w)
+            t = ctx.mpf(tw) * unit
+            got = ctx.mpf(special.exp_fixed(tw, w)) * unit
+            assert abs(got - ctx.exp(t)) <= _exp_units(float(t), w) * ctx.exp(t) * unit, (tw, w)
+            n, reduced = divmod(tw, ln2)
+            moved = ctx.exp(ctx.mpf(reduced) * unit) * ctx.mpf(2) ** n
+            worst = max(worst, abs(got - moved) / (moved * unit) / _basecase_units(w))
+        assert worst < ctx.mpf(3) / 4, (w, worst)
 
 
 # x in (0, 10^4], the domain of both oracles, with x <= 1/10 (where the
@@ -404,6 +425,20 @@ def test_kernel_within_delta_beyond_the_oracle_domain(prec):
         bound = ctx.mpf(bound.numerator) / bound.denominator
         assert err <= bound * ctx.mpf(2) ** -w, (x, prec)
         assert bound <= ref * ctx.mpf(2) ** (w - prec - 12), (x, prec)
+
+
+@pytest.mark.parametrize("prec", [16, 128, 4096])
+def test_guard_bits_meet_the_relative_bound(prec):
+    # Delta_w, with lambda's 3 sqrt(w), stays below 2^-(prec+12) of I at the
+    # kernel's w = prec + 16 + _bessel_guard_bits(x), where the bracket
+    # cancels below 1, on both sides of 1 and up to x = 10^4: the guard bits
+    # need no change for the wider lambda
+    for x in (Fraction(1, 10**6), Fraction(1, 50), Fraction(999, 1000), Fraction(1),
+              Fraction(3, 2), Fraction(50), Fraction(10**4)):
+        w = prec + 16 + special._bessel_guard_bits(x)
+        xw = Fraction((x.numerator << w) // x.denominator, 1 << w)
+        value = fraction_from_raw(bessel_I32_series(xw, 64))
+        assert _delta(xw, w) < value * (1 - Fraction(1, 2**60)) * 2 ** (w - prec - 12), (x, prec)
 
 
 @settings(max_examples=40, deadline=None)

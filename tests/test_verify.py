@@ -701,12 +701,13 @@ class TestInequalityDispatch:
         monkeypatch.setitem(inequalities.CASE_INDEX, thirty.name, thirty)
         groups = inequalities.group_by_domain([thirty.name, names[0], names[-1]])
         assert groups[_dispatch_order(groups)[0]] == (names[0], names[-1])
-        # in the registry, the measured weights of tail-envelope-15 (three
-        # margins a point) and bessel-tail-sum (180 on 130 points) send them
-        # ahead of the 22000-cost domain and the cheap ones
+        # in the registry, the measured weights of tail-envelope-15 (four
+        # margins a point: 44000, level with the two four-case domains, and
+        # equal costs keep their order) and bessel-tail-sum (320 on 130
+        # points) send them ahead of the 22000-cost domain and the cheap ones
         groups = inequalities.group_by_domain([case.name for case in inequalities.CASES])
         assert [groups[i][0] for i in _dispatch_order(groups)] == [
-            "shifted-envelope-11", "sqrt-expansion-01", "collapse-056", "tail-envelope-15",
+            "shifted-envelope-11", "sqrt-expansion-01", "tail-envelope-15", "collapse-056",
             "bessel-tail-sum", "sqrt-exp-decreasing", "geometric-series-100",
             "exp-convexity-half", "collapse-131",
         ]
