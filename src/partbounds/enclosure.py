@@ -251,6 +251,21 @@ def _ratio_ends(p: int, q: int, prec: int):
     return _checked(*ratio_pair(p, q, prec))
 
 
+def _dyadic_end(m: int, z: int, prec: int, up):
+    # m 2^-z rounded up or down, from_man_exp's bits
+    if m > 0:
+        return _rounded(0, m, -z, prec, up)
+    if m:
+        return _rounded(1, -m, -z, prec, up)
+    return libmp.fzero
+
+
+def _dyadic_ends(lo: int, hi: int, z: int, prec: int):
+    """Raw endpoints of [lo 2^-z, hi 2^-z] at prec bits, rounded outward; no
+    2^z is built, so z may be of any size."""
+    return _checked(_dyadic_end(lo, z, prec, 0), _dyadic_end(hi, z, prec, 1))
+
+
 def _int_ends(v: int, prec: int):
     """Raw endpoints of an int operand at prec bits, as Enclosure arithmetic
     reads one: exact (from_int) when it fits in prec bits, else ratio_pair's."""
@@ -569,11 +584,10 @@ def _wrap(ends, prec):
 
 @lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
 def constants(prec: int) -> SimpleNamespace:
-    """Raw ends of pi, sqrt 2, sqrt 3, sqrt 6, sqrt(2 pi), delta_c and the
-    coefficients of h_error, the one source of each: pi padded outward, the
-    rest by the calls of from_exact(n).sqrt(), (2 * pi).sqrt(),
-    sqrt3 / (sqrt2 * pi) - sqrt3 / sqrt_two_pi (delta_c, about -0.3011),
-    2 * pi * pi / 3 and 8 * pi / sqrt3 in Enclosure arithmetic."""
+    """Raw ends of pi, sqrt 2, sqrt 3, sqrt 6, sqrt(2 pi) and delta_c, the
+    one source of each: pi padded outward, the rest by the calls of
+    from_exact(n).sqrt(), (2 * pi).sqrt() and sqrt3 / (sqrt2 * pi) -
+    sqrt3 / sqrt_two_pi (delta_c, about -0.3011) in Enclosure arithmetic."""
     pi = _checked(_widen_raw(libmp.mpf_pi(prec, _DOWN), prec, _DOWN),
                   _widen_raw(libmp.mpf_pi(prec, _UP), prec, _UP))
     sqrt2, sqrt3, sqrt6 = (_sqrt_ends(_int_ends(v, prec), prec) for v in (2, 3, 6))
@@ -587,6 +601,4 @@ def constants(prec: int) -> SimpleNamespace:
         sqrt_two_pi=sqrt_two_pi,
         delta_c=_sub_ends(_div_ends(sqrt3, _mul_ends(sqrt2, pi, prec), prec),
                           _div_ends(sqrt3, sqrt_two_pi, prec), prec),
-        h_first=_div_ends(_mul_ends(two_pi, pi, prec), _int_ends(3, prec), prec),
-        h_second=_div_ends(_mul_ends(pi, _int_ends(8, prec), prec), sqrt3, prec),
     )

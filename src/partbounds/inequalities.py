@@ -29,39 +29,46 @@ name, with the same points and result as the name's row of its domain.
 
 Because the cases of a domain are evaluated one after the other at each
 point, the terms they share are computed once per point, by small memos
-keyed by (point, prec) that keep the last point or two: x and sqrt x, h
-with its second exponential (rademacher._h_ends, which h_error also wraps),
-the correction sum sqrt3/(sqrt2 pi sqrt x) + h, shifted_terms(n) and the
-J-brackets, and sqrt(1 - x).  collapse-056's terms in n alone,
-4 sqrt6 N sqrt N and 1/(25 N), are built once per n, and its terms in J
-alone, pi J^3 and (2/5) pi J^2, once per J, in a memo of the last eight J.
+that keep the last point or two: x and sqrt x, h with its decay factor
+(rademacher._h_ends, which h_error also wraps), the correction sum
+sqrt3/(sqrt2 pi sqrt x) + h, shifted_terms(n) and the J-brackets, and
+sqrt(1 - x).  Each is keyed by the point's integers and prec: the numerator
+and denominator of x = a/b, or n and J, never a Fraction, whose hash takes a
+modular inverse.  collapse-056's terms in n alone, 4 sqrt6 N sqrt N and
+1/(25 N), are built once per n, and its terms in J alone, pi J^3 and
+(2/5) pi J^2, once per J, in a memo of the last eight J.
 
 Every margin but collapse-131 is raw: an expression in the enclosure
-module's _*_ends helpers on (lo, hi) pairs, which makes the libmp calls, on
-the same operands and with the same roundings, of the Enclosure expression
-it replaces, so its endpoints are that expression's bit for bit
-(tests/test_inequalities.py keeps each expression as a reference and
-compares the two).  collapse-131, one point per run, stays an Enclosure
-expression (see its comment) and returns that expression's ends.  The
-margins read constants(prec) directly; the registry's own constants are
-built once per precision in _raw_constants, by the calls the Enclosure
-expressions made at each point.  An int operand is exact only when it fits
-in prec bits, and otherwise rounds outward through ratio_pair, as
-Enclosure._coerce reads it (_int_ends): J^3 exceeds 2^16 at 16 bits.  Exact
-rational parts, and the product error bound of the collapse cases with its
-|b| and J/N, are computed on unreduced integers, and are rounded once by
-ratio_pair, which rounds the value p/q whatever the common factors of p
-and q.  The interval samplers likewise build each point as one Fraction.
+module's _*_ends helpers on (lo, hi) pairs.  Fourteen of them make the libmp
+calls, on the same operands and with the same roundings, of the Enclosure
+expression they replace, so their endpoints are libmp's, that expression's
+bit for bit (tests/test_inequalities.py keeps each expression as a
+reference and compares the two).  collapse-131, one point per run, stays an
+Enclosure expression (see its comment) and returns that expression's ends.
+The other five read fixed-point kernels of the special module, so their
+endpoints are outward by proof and only meet their expressions':
+bessel-tail-sum on special._bessel_fixed (below); tail-envelope-15,
+correction-sum-099 and collapse-1350, which take h and its decay factor from
+rademacher._h_ends; and shifted-envelope-11 (below), the last four on
+special._decay_fixed, whose proof is in special's docstring.  The margins
+read constants(prec) directly; the registry's own constants are built once
+per precision in _raw_constants, by the calls the Enclosure expressions made
+at each point.  An int operand is exact only when it fits in prec bits, and
+otherwise rounds outward through ratio_pair, as Enclosure._coerce reads it
+(_int_ends): J^3 exceeds 2^16 at 16 bits.  Exact rational parts, and the
+product error bound of the collapse cases with its |b| and J/N, are computed
+on unreduced integers, and are rounded once by ratio_pair, which rounds the
+value p/q whatever the common factors of p and q.  The interval samplers
+likewise build each point as one Fraction.
 
 Each helper checks the order of the pair it returns, once, as Enclosure
 arithmetic does; no margin checks one itself.
 
-bessel-tail-sum alone sums in fixed point: its ends are outward by proof,
-not its interval expression's bit for bit (the tests check that they meet).
-For x = a/b in [20, 100], _tail_sum adds the kernel special._bessel_fixed
-at y' = floor(a 2^w / (b k)) 2^-w, 2 <= k <= TAIL_TERMS, into one integer
-S, with w = prec + 16 + max(g(x/2), g(x/TAIL_TERMS)), g the kernel's
-_bessel_guard_bits, below 2^16 up to prec 4096 (g <= 31 on [1/50, 50]).
+bessel-tail-sum sums in fixed point.  For x = a/b in [20, 100], _tail_sum
+adds the kernel special._bessel_fixed at y' = floor(a 2^w / (b k)) 2^-w,
+2 <= k <= TAIL_TERMS, into one integer S, with w = prec + 16 +
+max(g(x/2), g(x/TAIL_TERMS)), g the kernel's _bessel_guard_bits, below 2^16
+up to prec 4096 (g <= 31 on [1/50, 50]).
 By special's relative bound at y0 = x/TAIL_TERMS and y1 = x/2, each term is
 within delta I(x/k) 2^w of I(x/k) 2^w, delta = 2^-(prec+12) + 2^-(prec+24).
 So the exact sum T has |S - T 2^w| < delta T 2^w < 2^-(prec+11) S, below
@@ -70,6 +77,19 @@ E = (S >> (prec + 10)) + TAIL_TERMS, and T lies strictly inside
 that interval, rounded outward.  Only the exp_fixed lemma inside Delta_w is
 tested (test_exp_fixed_within_stated_units, to 4150 bits) and not proved;
 E's factor 2 and its TAIL_TERMS units are room beyond the proof.
+
+shifted-envelope-11 bounds x d(Y), d(Y) = sqrt(Y) e^{-(pi/2) sqrt(Y/2)} and
+Y = x - sqrt(x)/2, for x = a/b in [335/24, 10^4], at w = prec + DECAY_GUARD:
+* _shifted_floor gives Yw with Y 2^w - 2 < Yw <= Y 2^w, so Y' = Yw 2^-w lies
+  within 2^(1-w) below Y, and Y' > 12;
+* the kernel at Y' gives (D, E, z) with d(Y') within E 2^-z of D 2^-z;
+* d decreases for Y >= 1, where pi sqrt(Y) > 2 sqrt 2 (which
+  sqrt-exp-decreasing certifies), so d(Y) <= d(Y') <= (D + E) 2^-z;
+* there |(ln d)'| = b2/(2 sqrt Y) - 1/(2Y) < 0.56, so
+  d(Y) >= d(Y') (1 - 1.12 2^-w) >= (D - E - floor(D 2^(1-w)) - 1) 2^-z.
+So the margin 11/10 - x d(Y) lies between (11 b 2^z - 10 a (D + E)) and
+(11 b 2^z - 10 a (D - E - floor(D 2^(1-w)) - 1)), over 10 b 2^z, each end
+rounded once, outward, by ratio_pair.
 """
 
 from __future__ import annotations
@@ -78,7 +98,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 from types import SimpleNamespace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -89,6 +109,7 @@ from .enclosure import (
     PRECISION_MEMO_MAXSIZE,
     Enclosure,
     _add_ends,
+    _checked,
     _div_ends,
     _exact_ends,
     _exp_ends,
@@ -100,6 +121,7 @@ from .enclosure import (
     _sub_ends,
     constants,
     fraction_from_raw,
+    ratio_pair,
     scaled_ends,
 )
 from .errors import PartboundsError, PreconditionError
@@ -113,8 +135,8 @@ from .estimates import (
     shifted_terms,
 )
 from .exact import shifted_index
-from .rademacher import _h_ends, _root_ends
-from .special import _bessel_fixed, _bessel_guard_bits
+from .rademacher import _h_ends
+from .special import DECAY_GUARD, _bessel_fixed, _bessel_guard_bits, _decay_fixed
 
 Point = Tuple
 Ends = Tuple  # a checked raw (lo, hi) pair
@@ -225,9 +247,9 @@ def _raw_constants(prec: int) -> SimpleNamespace:
 
     Each is built by the calls its Enclosure expression made at every point:
     an exact Fraction by from_exact's ratio_pair, an int by _int_ends, and
-    pi/2, sqrt2 pi, pi/(40 sqrt6), pi^2/24, 4 sqrt6, (2/5) pi and 2 sqrt2 as
-    pi / 2, sqrt2 * pi, pi / (40 * sqrt6), pi * pi / 24, 4 * sqrt6,
-    Fraction(2, 5) * pi and 2 * sqrt2, for the Enclosures of constants(prec).
+    sqrt2 pi, pi/(40 sqrt6), pi^2/24, 4 sqrt6, (2/5) pi and 2 sqrt2 as
+    sqrt2 * pi, pi / (40 * sqrt6), pi * pi / 24, 4 * sqrt6, Fraction(2, 5) * pi
+    and 2 * sqrt2, for the Enclosures of constants(prec).
     """
     c = constants(prec)
     pi, sqrt6 = c.pi, c.sqrt6
@@ -241,11 +263,9 @@ def _raw_constants(prec: int) -> SimpleNamespace:
         fifth=_exact_ends(Fraction(1, 5), prec),
         tenth=_exact_ends(Fraction(1, 10), prec),
         two_fifths=two_fifths,
-        eleven_tenths=_exact_ends(Fraction(11, 10), prec),
         ninety_nine_hundredths=_exact_ends(Fraction(99, 100), prec),
         j_factor_radius=_exact_ends(_J_FACTOR_RADIUS, prec),
         ratio_radius_2=_exact_ends(RATIO_RADIUS_2, prec),
-        neg_half_pi=_neg_ends(_div_ends(pi, two, prec)),
         sqrt2_pi=_mul_ends(c.sqrt2, pi, prec),
         two_sqrt2=_mul_ends(c.sqrt2, two, prec),
         pi_over_40_sqrt6=_div_ends(pi, _mul_ends(sqrt6, _int_ends(40, prec), prec), prec),
@@ -258,18 +278,24 @@ def _raw_constants(prec: int) -> SimpleNamespace:
 # -- per-point terms that the cases of one domain share -------------------
 
 @lru_cache(maxsize=1)
-def _correction_ends(x: Fraction, prec: int):
-    # h(x) and the correction sum sqrt3/(sqrt2 pi sqrt x) + h(x), the calls
-    # of c.sqrt3 / (c.sqrt2 * c.pi * sqrt(x)) + h_error(x)
-    h = _h_ends(x, prec)[0]
-    q = _mul_ends(_raw_constants(prec).sqrt2_pi, _root_ends(x, prec)[1], prec)
+def _root_ends(a: int, b: int, prec: int):
+    # x = a/b and sqrt x, read in turn by four cases of [335/24, 10^4]
+    xe = _ratio_ends(a, b, prec)
+    return xe, _sqrt_ends(xe, prec)
+
+
+@lru_cache(maxsize=1)
+def _correction_ends(a: int, b: int, prec: int):
+    # h(x) and the correction sum sqrt3/(sqrt2 pi sqrt x) + h(x) at x = a/b,
+    # the calls of c.sqrt3 / (c.sqrt2 * c.pi * sqrt(x)) + h_error(x)
+    h = _h_ends(a, b, prec)[0]
+    q = _mul_ends(_raw_constants(prec).sqrt2_pi, _root_ends(a, b, prec)[1], prec)
     return h, _add_ends(_div_ends(constants(prec).sqrt3, q, prec), h, prec)
 
 
 @lru_cache(maxsize=1)
-def _rest_root_ends(x: Fraction, prec: int):
+def _rest_root_ends(a: int, b: int, prec: int):
     # sqrt(1 - x), Enclosure.from_exact(1 - x).sqrt() for x = a/b
-    a, b = x.numerator, x.denominator
     return _sqrt_ends(_ratio_ends(b - a, b, prec), prec)
 
 
@@ -300,7 +326,7 @@ def _margin_sqrt_expansion(point: Point, prec: int) -> Ends:
     a, b = x.numerator, x.denominator
     bb = b * b
     deviation = _ratio_ends(8 * bb - 4 * a * b - a * a, 8 * bb, prec)
-    deviation = _sub_ends(deviation, _rest_root_ends(x, prec), prec)
+    deviation = _sub_ends(deviation, _rest_root_ends(a, b, prec), prec)
     return _sub_ends(_ratio_ends(a**3, 10 * bb * b, prec), deviation, prec)
 
 
@@ -308,7 +334,7 @@ def _margin_inverse_sqrt(point: Point, prec: int) -> Ends:
     # 1 + (3/5) x - 1/sqrt(1-x), its exact part (5b + 3a)/(5b)
     (x,) = point
     a, b = x.numerator, x.denominator
-    inverse = _div_ends(_raw_constants(prec).one, _rest_root_ends(x, prec), prec)
+    inverse = _div_ends(_raw_constants(prec).one, _rest_root_ends(a, b, prec), prec)
     return _sub_ends(_ratio_ends(5 * b + 3 * a, 5 * b, prec), inverse, prec)
 
 
@@ -328,22 +354,11 @@ def _margin_exp_convexity(point: Point, prec: int) -> Ends:
 
 
 def _margin_tail_envelope(point: Point, prec: int) -> Ends:
-    # 15 sqrt(x) e^{-(pi/2) sqrt(x/2)} - h(x), the calls of
-    # 15 * (sqrt(x) * (-(pi / 2) * sqrt(x / 2)).exp()) - h_error(x), with
-    # sqrt(v) as Enclosure.from_exact(v).sqrt().  That exponential is h's
-    # second one, e^{-(pi/2 * sqrt(xe/2))}, end for end:
-    # * sqrt(x/2) is sqrt of the floor and ceiling of x/2 at prec
-    #   bits, and these are half those of x, since doubling maps the floats
-    #   of prec bits onto themselves; so x/2 has the ends of xe/2, whose
-    #   division rounds nothing;
-    # * with A = pi/2 > 0 and B >= 0, _mul_ends(-A, B) is
-    #   (-a_hi b_hi rounded down, -a_lo b_lo rounded up), and rounding -v
-    #   down is -(v rounded up), so it is the negation of _mul_ends(A, B).
+    # 15 sqrt(x) e^{-(pi/2) sqrt(x/2)} - h(x): h's decay factor and h, both
+    # from the decay kernel
     (x,) = point
-    h, decay, _ = _h_ends(x, prec)
-    envelope = _mul_ends(_root_ends(x, prec)[1], decay, prec)
-    envelope = _mul_ends(envelope, _raw_constants(prec).fifteen, prec)
-    return _sub_ends(envelope, h, prec)
+    h, decay = _h_ends(x.numerator, x.denominator, prec)
+    return _sub_ends(_mul_ends(decay, _raw_constants(prec).fifteen, prec), h, prec)
 
 
 def _margin_envelope_decreasing(point: Point, prec: int) -> Ends:
@@ -353,36 +368,44 @@ def _margin_envelope_decreasing(point: Point, prec: int) -> Ends:
     return _sub_ends(value, _raw_constants(prec).two_sqrt2, prec)
 
 
+def _shifted_floor(a: int, b: int, w: int) -> int:
+    # Y 2^w rounded down by under 2 units, for Y = x - sqrt(x)/2 and x = a/b:
+    # r = isqrt(floor(a 4^(w-1) / b)) has r <= sqrt(x) 2^(w-1) < r + 1
+    return (a << w) // b - isqrt((a << (2 * w - 2)) // b) - 1
+
+
 def _margin_shifted_envelope(point: Point, prec: int) -> Ends:
-    # 11/10 - x sqrt(y) e^{-(pi/2) sqrt(y/2)}, y = x - sqrt(x)/2
+    # 11/10 - x d(Y), d(Y) = sqrt(Y) e^{-(pi/2) sqrt(Y/2)}, Y = x - sqrt(x)/2:
+    # the decay kernel at Y rounded down, each end one rounding of a ratio
+    # of integers (module docstring)
     (x,) = point
-    k = _raw_constants(prec)
-    xe, sx = _root_ends(x, prec)
-    y = _sub_ends(xe, _div_ends(sx, k.two, prec), prec)
-    decay = _sqrt_ends(_div_ends(y, k.two, prec), prec)
-    decay = _exp_ends(_mul_ends(k.neg_half_pi, decay, prec), prec)
-    value = _mul_ends(_mul_ends(_sqrt_ends(y, prec), xe, prec), decay, prec)
-    return _sub_ends(k.eleven_tenths, value, prec)
+    a, b = x.numerator, x.denominator
+    w = prec + DECAY_GUARD
+    _, d, e, z = _decay_fixed(_shifted_floor(a, b, w), 1 << w, w, first=False)
+    top, den = 11 * b << z, 10 * b << z
+    return _checked(ratio_pair(top - 10 * a * (d + e), den, prec)[0],
+                    ratio_pair(top - 10 * a * (d - e - (d >> (w - 1)) - 1), den, prec)[1])
 
 
 def _margin_concavity(point: Point, prec: int) -> Ends:
     # 1 - x/2 - sqrt(1-x), its exact part (2b - a)/(2b)
     (x,) = point
     a, b = x.numerator, x.denominator
-    return _sub_ends(_ratio_ends(2 * b - a, 2 * b, prec), _rest_root_ends(x, prec), prec)
+    return _sub_ends(_ratio_ends(2 * b - a, 2 * b, prec), _rest_root_ends(a, b, prec), prec)
 
 
 def _margin_correction_sum(point: Point, prec: int) -> Ends:
     (x,) = point
-    k = _raw_constants(prec)
-    return _sub_ends(k.ninety_nine_hundredths, _correction_ends(x, prec)[1], prec)
+    s = _correction_ends(x.numerator, x.denominator, prec)[1]
+    return _sub_ends(_raw_constants(prec).ninety_nine_hundredths, s, prec)
 
 
 def _margin_exp_argument(point: Point, prec: int) -> Ends:
     # 1/10 - (pi/(40 sqrt6) + (pi^2/24) inner^2), inner = 1/(10 sqrt x) + 1/4
     (x,) = point
     k = _raw_constants(prec)
-    inner = _div_ends(k.tenth, _root_ends(x, prec)[1], prec)
+    root = _root_ends(x.numerator, x.denominator, prec)[1]
+    inner = _div_ends(k.tenth, root, prec)
     inner = _add_ends(inner, k.quarter, prec)
     value = _mul_ends(_mul_ends(k.pi_squared_over_24, inner, prec), inner, prec)
     value = _add_ends(k.pi_over_40_sqrt6, value, prec)
@@ -393,7 +416,8 @@ def _margin_shift_ratio(point: Point, prec: int) -> Ends:
     # 1/5 - 1/(2 sqrt x)
     (x,) = point
     k = _raw_constants(prec)
-    half = _div_ends(k.one, _mul_ends(_root_ends(x, prec)[1], k.two, prec), prec)
+    root = _root_ends(x.numerator, x.denominator, prec)[1]
+    half = _div_ends(k.one, _mul_ends(root, k.two, prec), prec)
     return _sub_ends(k.fifth, half, prec)
 
 
@@ -510,10 +534,11 @@ def _bracket_margin(radius: Fraction, scale: int, n: int, big_j: int, prec: int)
 def _margin_collapse_1350(point: Point, prec: int) -> Ends:
     # 1350 - x (h + 100 s s), s the correction sum
     (x,) = point
+    a, b = x.numerator, x.denominator
     k = _raw_constants(prec)
-    h, s = _correction_ends(x, prec)
+    h, s = _correction_ends(a, b, prec)
     value = _mul_ends(_mul_ends(s, k.hundred, prec), s, prec)
-    value = _mul_ends(_add_ends(h, value, prec), _root_ends(x, prec)[0], prec)
+    value = _mul_ends(_add_ends(h, value, prec), _root_ends(a, b, prec)[0], prec)
     return _sub_ends(k.ratio_radius_2, value, prec)
 
 
@@ -567,11 +592,14 @@ class InequalityCase:
     sampler: Sampler
     grid_points: int = GRID_POINTS
     random_points: int = RANDOM_POINTS
+    # a point's serial CPU in its domain's sweep, in margin terms of 1 us at
+    # 128 bits (measured; see CASES)
     terms: int = 1
 
     @property
     def cost(self) -> int:
-        """Relative running time: sampled points times margin terms per point."""
+        """Relative running time: sampled points times a point's terms, about
+        the case's serial CPU in microseconds."""
         return (self.grid_points + self.random_points) * self.terms
 
     @property
@@ -592,82 +620,97 @@ class InequalityResult:
     passed: bool
 
 
+# Each case's terms is its serial CPU per point at 128 bits, in us, measured
+# in its domain's sweep (the first case to read a shared memo pays for it),
+# three runs on a 2-vCPU VM.  So a domain's summed cost ranks it by measured
+# CPU, which verify dispatches longest first: the pairs 1.15 s (104 us a
+# point), bessel-tail-sum 0.83 s (6.4 ms a point), [335/24, 10^4] 0.83 s
+# (75 us), (0, 1/5) 0.28 s (25 us), exp-convexity-half and tail-envelope-15
+# 0.20 s each (18 us), [1, 10^4] 0.14 s (12 us), geometric-series-100 0.07 s.
 CASES: Tuple[InequalityCase, ...] = (
     InequalityCase(
         "geometric-series-100",
         "|1/(1-z) - 1 - z| <= 100 z^2 for 0 < |z| < 0.99",
         _margin_geometric,
         _interval_sampler(Fraction(0), Fraction(99, 100)),
+        terms=6,
     ),
     InequalityCase(
         "sqrt-expansion-01",
         "|sqrt(1-x) - 1 + x/2 + x^2/8| <= 0.1 x^3 on (0, 0.2)",
         _margin_sqrt_expansion,
         _SMALL,
+        terms=12,
     ),
     InequalityCase(
         "inverse-sqrt-06",
         "1/sqrt(1-x) - 1 <= 0.6 x on (0, 0.2)",
         _margin_inverse_sqrt,
         _SMALL,
+        terms=6,
     ),
     InequalityCase(
         "reciprocal-125",
         "|1/(1-x) - 1 - x| <= 1.25 x^2 on (0, 0.2)",
         _margin_reciprocal,
         _SMALL,
+        terms=3,
     ),
     InequalityCase(
         "exp-convexity-half",
         "exp(-x) - 1 + x <= x^2/2 for x > 0",
         _margin_exp_convexity,
         _interval_sampler(Fraction(0), _CAP),
+        terms=18,
     ),
     InequalityCase(
         "tail-envelope-15",
         "h_error(x) <= 15 sqrt(x) exp(-(pi/2) sqrt(x/2)) for x >= 12",
         _margin_tail_envelope,
         _interval_sampler(Fraction(12), _CAP),
-        # h and the envelope's exponential cost about four cheap margins a
-        # point: 76 us of serial CPU at 128 bits against 19 us a point for
-        # exp-convexity-half
-        terms=4,
+        terms=18,
     ),
     InequalityCase(
         "sqrt-exp-decreasing",
         "pi sqrt(x) > 2 sqrt(2) for x >= 1, so the decay envelope decreases",
         _margin_envelope_decreasing,
         _FROM_ONE,
+        terms=9,
     ),
     InequalityCase(
         "shifted-envelope-11",
         "N sqrt(Y) exp(-(pi/2) sqrt(Y/2)) <= 1.1 with Y = N - sqrt(N)/2",
         _margin_shifted_envelope,
         _FROM_CORNER,
+        terms=17,
     ),
     InequalityCase(
         "concavity-sqrt-positive",
         "1 - x/2 - sqrt(1-x) > 0 on (0, 0.2)",
         _margin_concavity,
         _SMALL,
+        terms=4,
     ),
     InequalityCase(
         "correction-sum-099",
         "sqrt(3)/(sqrt(2) pi sqrt(N)) + h_error(N) < 0.99 for N >= 335/24",
         _margin_correction_sum,
         _FROM_CORNER,
+        terms=32,
     ),
     InequalityCase(
         "exp-argument-01",
         "pi/(40 sqrt(6)) + (pi^2/24) (1/(10 sqrt(N)) + 1/4)^2 <= 0.1",
         _margin_exp_argument,
         _FROM_CORNER,
+        terms=11,
     ),
     InequalityCase(
         "shift-ratio-02",
         "1/(2 sqrt(N)) < 1/5 for N >= 335/24, so shifts stay in the x < 0.2 range",
         _margin_shift_ratio,
         _FROM_CORNER,
+        terms=6,
     ),
     InequalityCase(
         "collapse-056",
@@ -675,6 +718,7 @@ CASES: Tuple[InequalityCase, ...] = (
         " + 0.1 + 0.1 J/N + 0.04/N <= 0.56 for J in {j, 2j} over admissible pairs",
         _margin_collapse_056,
         _PAIRS,
+        terms=50,
     ),
     InequalityCase(
         "collapse-131",
@@ -689,24 +733,28 @@ CASES: Tuple[InequalityCase, ...] = (
         "(1 + b1 +- 0.56/N)(1 + b2 +- 1.31/N) stays within 2.71/N of 1 + b1 + b2",
         _margin_collapse_271,
         _PAIRS,
+        terms=35,
     ),
     InequalityCase(
         "collapse-1350",
         "N (h_error(N) + 100 (sqrt(3)/(sqrt(2) pi sqrt(N)) + h_error(N))^2) <= 1350",
         _margin_collapse_1350,
         _FROM_CORNER,
+        terms=9,
     ),
     InequalityCase(
         "collapse-2075",
         "(1 + b1 +- 1350/N)(1 + b2 +- 2.71/N) stays within 2075/N of 1 + b1 + b2",
         _margin_collapse_2075,
         _PAIRS,
+        terms=10,
     ),
     InequalityCase(
         "collapse-3926",
         "2 (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N) stays within 3926/N of the center",
         _margin_collapse_3926,
         _PAIRS,
+        terms=9,
     ),
     InequalityCase(
         "bessel-tail-sum",
@@ -715,15 +763,14 @@ CASES: Tuple[InequalityCase, ...] = (
         _interval_sampler(Fraction(20), Fraction(100)),
         grid_points=100,
         random_points=30,
-        # a point's 999 kernel terms cost about 320 cheap margins: 6.1 ms of
-        # serial CPU at 128 bits against 19 us a point for exp-convexity-half
-        terms=320,
+        terms=6400,
     ),
     InequalityCase(
         "bessel-simplify-half",
         "|1/x - x/2| <= x^2/2 for x >= 1",
         _margin_bessel_simplify,
         _FROM_ONE,
+        terms=3,
     ),
 )
 

@@ -48,6 +48,11 @@ The one-term truncation also yields a rigorous two-sided enclosure of p(m):
 the k = 1 term with its algebraic prefactor expanded, plus an explicit
 envelope h(M) absorbing both the expansion remainder and the entire k >= 2
 tail.  That enclosure is what the ratio estimates downstream consume.
+h_error's ends, which the registry's three h cases also read (_h_ends), are
+outward by proof: special._decay_fixed's fixed-point integers with one error
+bound per point (special's docstring), rounded outward.  Given them,
+proposition21_interval's ends are libmp's, its Enclosure expression's bit for
+bit.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import libmp
@@ -65,10 +69,10 @@ from .enclosure import (
     Enclosure,
     _add_ends,
     _div_ends,
+    _dyadic_ends,
     _exp_ends,
     _int_ends,
     _mul_ends,
-    _neg_ends,
     _ratio_ends,
     _sqrt_ends,
     _sub_ends,
@@ -79,7 +83,7 @@ from .enclosure import (
 )
 from .errors import PreconditionError, StabilizationError
 from .estimates import shifted_terms
-from .special import _bessel_fixed, kloosterman_A, to_fraction
+from .special import DECAY_GUARD, _bessel_fixed, _decay_fixed, kloosterman_A, to_fraction
 
 __all__ = [
     "ErrorBudget",
@@ -238,42 +242,13 @@ def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
 
 
 @lru_cache(maxsize=1)
-def _root_ends(x: Fraction, prec: int):
-    """Raw ends of x and sqrt x at prec bits, for x >= 0.
-
-    h and the registry's margins at one point read both, one after the
-    other, so the memo keeps the last point only.
-    """
-    xe = _ratio_ends(x.numerator, x.denominator, prec)
-    return xe, _sqrt_ends(xe, prec)
-
-
-@lru_cache(maxsize=1)
-def _h_ends(x: Fraction, prec: int):
-    """Raw ends of h(x), for x > 0, of its second term's exponential
-    e^{-(pi/2) sqrt(x/2)} and of the exponent pi sqrt(2x/3) of its first.
-
-    The libmp calls, operands and roundings of the Enclosure expression
-
-        c.h_first * xe * (-(pi * (2 * xe / 3).sqrt())).exp()
-        + c.h_second * xe.sqrt() * (-(pi / 2 * (xe / 2).sqrt())).exp()
-
-    with xe the enclosure of x, c the Enclosures of constants(prec) and
-    pi = c.pi.
-    proposition21_interval exponentiates the same pi * (2 * xe / 3).sqrt().
-    """
-    c = constants(prec)
-    xe, sx = _root_ends(x, prec)
-    pi = c.pi
-    two = _int_ends(2, prec)
-    growth = _div_ends(_mul_ends(xe, two, prec), _int_ends(3, prec), prec)
-    growth = _mul_ends(pi, _sqrt_ends(growth, prec), prec)
-    first = _mul_ends(c.h_first, xe, prec)
-    first = _mul_ends(first, _exp_ends(_neg_ends(growth), prec), prec)
-    e = _mul_ends(_div_ends(pi, two, prec), _sqrt_ends(_div_ends(xe, two, prec), prec), prec)
-    e = _exp_ends(_neg_ends(e), prec)
-    second = _mul_ends(_mul_ends(c.h_second, sx, prec), e, prec)
-    return _add_ends(first, second, prec), e, growth
+def _h_ends(a: int, b: int, prec: int):
+    """Raw ends of h(x) and of its decay factor sqrt(x) e^{-(pi/2) sqrt(x/2)},
+    for x = a/b > 0: special._decay_fixed's integers at prec + DECAY_GUARD
+    bits, each [H - E, H + E] 2^-z rounded outward.  They are outward by the
+    proof in special's docstring, not an interval expression's bits."""
+    h, d, e, z = _decay_fixed(a, b, prec + DECAY_GUARD)
+    return _dyadic_ends(h - e, h + e, z, prec), _dyadic_ends(d - e, d + e, z, prec)
 
 
 def h_error(x, prec: int = DEFAULT_PRECISION) -> Enclosure:
@@ -283,11 +258,13 @@ def h_error(x, prec: int = DEFAULT_PRECISION) -> Enclosure:
            e^{-(pi/2) sqrt(x/2)}.
 
     Decreasing for x >= 12; h(335/24) is about 0.862, already below 1.
+    x is an int or a Fraction; the ends are the fixed-point decay kernel's
+    (special._decay_fixed), outward by the proof in special's docstring.
     """
     xf = to_fraction(x)
     if xf <= 0:
         raise PreconditionError("requires x > 0")
-    return _wrap(_h_ends(xf, prec)[0], prec)
+    return _wrap(_h_ends(xf.numerator, xf.denominator, prec)[0], prec)
 
 
 # ErrorBudget and proposition21_budget stay only for perfbench's tracer.
@@ -311,14 +288,18 @@ def proposition21_interval(m: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
 
     with prefactor = (c.pi * (2 * t.Ne / 3).sqrt()).exp() / (4 * c.sqrt3 * t.Ne),
     t and c the Enclosures of shifted_terms(m, prec) and constants(prec).
-    The exponent c.pi * (2 * t.Ne / 3).sqrt() is the one _h_ends builds for
-    h(M), from the same ends of M, so it is built once per interval.
+    So the ends are libmp's bit for bit given h_error's, which are outward by
+    proof.  The exponent pi sqrt(2M/3) is built here alone; h reads its own
+    in fixed point.
     """
     if m < 2:
         raise PreconditionError("requires m >= 2")
     t = shifted_terms(m, prec)
-    h, _, growth = _h_ends(t.N, prec)
-    den = _mul_ends(_mul_ends(constants(prec).sqrt3, _int_ends(4, prec), prec), t.Ne, prec)
+    c = constants(prec)
+    h = _h_ends(24 * m - 1, 24, prec)[0]
+    growth = _div_ends(_mul_ends(t.Ne, _int_ends(2, prec), prec), _int_ends(3, prec), prec)
+    growth = _mul_ends(c.pi, _sqrt_ends(growth, prec), prec)
+    den = _mul_ends(_mul_ends(c.sqrt3, _int_ends(4, prec), prec), t.Ne, prec)
     bracket = _widen_ends(_sub_ends(_int_ends(1, prec), t.sqrt3_over_pi_sqrt2, prec), h[1], prec)
     return _wrap(_mul_ends(_div_ends(_exp_ends(growth, prec), den, prec), bracket, prec), prec)
 

@@ -95,6 +95,45 @@ The Bessel function has three independent forms:
   oracle the `oracles` suite checks the closed form against;
 * bessel_I32_quadrature, adaptive quadrature in mp_context, the package's one
   mpmath context: read only by the tier-1 tests, which compare all three forms.
+
+Decay kernel.  The envelope h(x) = C1 x e^{-b1 sqrt x} + C2 sqrt(x)
+e^{-b2 sqrt x}, with C1 = 2 pi^2/3, C2 = 8 pi/sqrt 3, b1 = pi sqrt(2/3) and
+b2 = pi/(2 sqrt 2), and its decay factor d(x) = sqrt(x) e^{-b2 sqrt x}.
+_decay_fixed(p, q, w), for integers p, q >= 1 and w >= 16, returns integers
+(H, D, E, z) with h(p/q) and d(p/q) within E 2^-z of H 2^-z and D 2^-z.  The
+scale 2^-z is kept apart from the integers (z grows like 2 sqrt x bits), so
+e^-300 is a mantissa, not an underflow.  With e = bitlen(p) - bitlen(q), so
+2^(e-1) < x < 2^(e+1), it works at v = w + 8 + floor((|e| + 1)/2) bits;
+"units" are 2^-v or 2^-w as stated.  Every factor is an exact integer with a
+relative error, so the point's total error is bounded once:
+* _decay_constants(v) floors once the products of pi_fixed(v), within a unit
+  of pi 2^v, and the floored roots isqrt(k 4^v): b1 and b2 within 3 units,
+  C1 within 5.2 and C2 within 14.1, so each C within 2^-v relative;
+  ln2_fixed(v) = L is within a unit of ln 2 2^v;
+* N = floor(x 4^v) and S = isqrt(N) have S > 2^(w+7) by the choice of v, and
+  sqrt(x) 2^v - 2 < S <= sqrt(x) 2^v: S within 2^-(w+6) relative, N within
+  2^-(2w+14);
+* for t = b sqrt x, T = floor(B S 2^-v) is within 3 sqrt x + 6.2 units of
+  t 2^v.  n = ceil(T/L) and U = nL - T, in [0, L), give u = n ln 2 - t with
+  e^-t = 2^-n e^u exactly, and U 2^-v within (n + 3 sqrt x + 6.2) 2^-v of u,
+  where n < 3.71 sqrt x + 1.01.  As sqrt x < 2^((e+1)/2), that is under 0.07
+  units 2^-w, and u_w = floor(U 2^(w-v)) adds one: u' = u_w 2^-w has
+  |u' - u| < 1.07 2^-w and 0 <= u' <= ln 2 + 2^-v;
+* so exp_fixed(u_w, w) reads the lemma of the Bessel kernel below ln 2 + 2^-v,
+  where lambda_0 < 3 sqrt w + 9.01, and with e^{u'} within 1.071 2^-w of
+  e^u relative, it is within (3 sqrt w + 10.1) 2^-w of e^u 2^w relative;
+* each of D' = S E2 and the terms C2 S E2 and C1 N E1 is an exact product
+  of factors within those relative errors, so within rho = (3 sqrt w + 10.2)
+  2^-w of d, or of h's term, times 2^(v+w+n2), 2^(2v+w+n2) and 2^(3v+w+n1);
+* z = 2v + w + n2.  D = D' 2^v is exact, and the first term is brought to
+  2^-z by a floor shift of v + n1 - n2 >= v bits (n1 >= n2, as B1 > B2), one
+  unit: |H - h 2^z| <= rho h 2^z + 1 and |D - d 2^z| <= rho d 2^z, where
+  d <= h / C2;
+* E = floor(H lambda 2^-w) + 2 with lambda = 3 floor(sqrt w) + 14 >=
+  3 sqrt w + 11 covers both, since h 2^z <= (H + 1)/(1 - rho).
+With first false the kernel skips h's first term, so H is C2 D alone and E
+bounds D's error the same way.  rademacher._h_ends rounds [H - E, H + E]
+2^-z outward for h_error, and the registry's shifted-envelope-11 reads D.
 """
 
 from __future__ import annotations
@@ -273,6 +312,46 @@ def bessel_I32_closed(x, prec: int = DEFAULT_PRECISION):
     w = prec + _bessel_guard_bits(xf) + 16
     value = _bessel_fixed((xf.numerator << w) // xf.denominator, w)
     return libmp.from_man_exp(value, -w, prec, "n")
+
+
+# fractional bits of the decay kernel above the precision of its callers' ends
+DECAY_GUARD = 20
+
+
+@lru_cache(maxsize=64)
+def _decay_constants(v: int):
+    # b1 = pi sqrt(2/3), b2 = pi/(2 sqrt 2), C1 = 2 pi^2/3, C2 = 8 pi/sqrt 3
+    # and ln 2 over 2^v, within the units of the module docstring
+    pi = libmp.pi_fixed(v)
+    r2, r3, r6 = (math.isqrt(k << 2 * v) for k in (2, 3, 6))
+    return (pi * r6 // (3 << v), pi * r2 // (4 << v), 2 * pi * pi // (3 << v),
+            8 * pi * r3 // (3 << v), libmp.ln2_fixed(v))
+
+
+def _decay_fixed(p: int, q: int, w: int, first: bool = True):
+    """(H, D, E, z): h(x) and d(x) = sqrt(x) e^{-(pi/2) sqrt(x/2)} at
+    x = p/q > 0 lie within E 2^-z of H 2^-z and D 2^-z, for w >= 16; with
+    first false, H is h's second term C2 d(x) alone.  The proof is in the
+    module docstring."""
+    e = p.bit_length() - q.bit_length()
+    v = w + 8 + (abs(e) + 1) // 2
+    b1, b2, c1, c2, ln2 = _decay_constants(v)
+    big = (p << 2 * v) // q
+    root = math.isqrt(big)
+
+    def factor(b):
+        # e^{-b sqrt x} = 2^-n e^u: exp_fixed of u at w bits, and n
+        t = b * root >> v
+        n = -(-t // ln2)
+        return exp_fixed((n * ln2 - t) >> (v - w), w), n
+
+    e2, n2 = factor(b2)
+    d = root * e2
+    h = c2 * d
+    if first:
+        e1, n1 = factor(b1)
+        h += c1 * big * e1 >> (v + n1 - n2)
+    return h, d << v, (h * (3 * math.isqrt(w) + 14) >> w) + 2, 2 * v + w + n2
 
 
 # the domain of both Bessel oracles; the series needs about 7100 terms at the top

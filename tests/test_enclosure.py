@@ -678,12 +678,9 @@ def test_pi_and_constants_enclose_exact_oracle(prec):
     assert _encloses(Enclosure.pi(prec), lo, hi)
     c = constants_view(prec)
     assert _encloses(c.pi, lo, hi)
-    # sqrt(2 pi), 2 pi^2/3 and 8 pi/sqrt 3, through their squares where needed
+    # sqrt(2 pi), through its square
     s = c.sqrt_two_pi
     assert s.lo_fraction**2 <= 2 * lo and 2 * hi <= s.hi_fraction**2
-    assert _encloses(c.h_first, 2 * lo * lo / 3, 2 * hi * hi / 3)
-    h = c.h_second
-    assert h.lo_fraction**2 <= 64 * lo * lo / 3 and 64 * hi * hi / 3 <= h.hi_fraction**2
     for v in (2, 3, 6):
         root = getattr(c, f"sqrt{v}")
         assert root.lo_fraction**2 <= v <= root.hi_fraction**2
@@ -719,8 +716,6 @@ def test_constants_keep_their_enclosure_expressions(prec):
         "sqrt6": sqrt6,
         "sqrt_two_pi": sqrt_two_pi,
         "delta_c": sqrt3 / (sqrt2 * pi) - sqrt3 / sqrt_two_pi,
-        "h_first": 2 * pi * pi / 3,
-        "h_second": 8 * pi / sqrt3,
     }
     got = vars(constants(prec))
     assert got.keys() == expected.keys()

@@ -11,9 +11,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
+from mpmath.libmp import ln2_fixed
 
-from enclosure_views import constants_view, exp_enclosure, sqrt_enclosure, terms_view
-from partbounds import enclosure, inequalities, rademacher
+from enclosure_views import (
+    constants_view,
+    exp_enclosure,
+    h_enclosure,
+    h_mpmath,
+    sqrt_enclosure,
+    terms_view,
+)
+from partbounds import enclosure, inequalities, rademacher, special
 from partbounds.enclosure import (
     ORDER_ERROR,
     Enclosure,
@@ -43,8 +52,7 @@ from partbounds.inequalities import (
     run_case,
     run_domain,
 )
-from partbounds.rademacher import h_error
-from partbounds.special import bessel_I32_series
+from partbounds.special import DECAY_GUARD, bessel_I32_series, mp_context
 
 ALL_NAMES = {
     "geometric-series-100",
@@ -274,8 +282,9 @@ class TestBesselTailKernel:
 
 # -- the raw margins against their Enclosure expressions --------------------
 # Each _own_* is the margin's Enclosure expression, the form it had before it
-# ran on raw ends; the raw margin must give these endpoints bit for bit.
-# h_error is checked against its own expression in test_rademacher.py.
+# ran on raw ends.  The raw margins in OWN must give these endpoints bit for
+# bit; the four in DECAY_OWN read the fixed-point decay kernel, so theirs are
+# outward by proof and only meet the expression's (TestDecayMargins).
 
 def _own_min_lo(margins):
     # the first of the least lower endpoints, as _min_lo keeps it
@@ -347,7 +356,7 @@ def _own_envelope(x, prec):
 
 def _own_tail_envelope(point, prec):
     (x,) = point
-    return 15 * _own_envelope(x, prec) - h_error(x, prec)
+    return 15 * _own_envelope(x, prec) - h_enclosure(x, prec)
 
 
 def _own_shifted_envelope(point, prec):
@@ -359,14 +368,14 @@ def _own_shifted_envelope(point, prec):
 
 
 def _own_correction_sum(x, h, prec):
-    # sqrt(3)/(sqrt(2) pi sqrt(x)) + h, with h = h_error(x)
+    # sqrt(3)/(sqrt(2) pi sqrt(x)) + h, with h an enclosure of h(x)
     c = constants_view(prec)
     return c.sqrt3 / (c.sqrt2 * c.pi * sqrt_enclosure(x, prec)) + h
 
 
 def _own_correction(point, prec):
     (x,) = point
-    return Fraction(99, 100) - _own_correction_sum(x, h_error(x, prec), prec)
+    return Fraction(99, 100) - _own_correction_sum(x, h_enclosure(x, prec), prec)
 
 
 def _own_exp_argument(point, prec):
@@ -384,7 +393,7 @@ def _own_shift_ratio(point, prec):
 
 def _own_collapse_1350(point, prec):
     (x,) = point
-    h = h_error(x, prec)
+    h = h_enclosure(x, prec)
     s = _own_correction_sum(x, h, prec)
     return RATIO_RADIUS_2 - x * (h + 100 * s * s)
 
@@ -461,13 +470,9 @@ OWN = {
     "reciprocal-125": _own_reciprocal,
     "exp-convexity-half": _own_exp_convexity,
     "concavity-sqrt-positive": _own_concavity,
-    "tail-envelope-15": _own_tail_envelope,
     "sqrt-exp-decreasing": _own_envelope_decreasing,
-    "shifted-envelope-11": _own_shifted_envelope,
-    "correction-sum-099": _own_correction,
     "exp-argument-01": _own_exp_argument,
     "shift-ratio-02": _own_shift_ratio,
-    "collapse-1350": _own_collapse_1350,
     "collapse-056": _own_collapse_056,
     "collapse-131": _own_collapse_131,
     "collapse-271": _own_collapse_271,
@@ -475,7 +480,31 @@ OWN = {
     "collapse-3926": _own_collapse_3926,
     "bessel-simplify-half": _own_bessel_simplify,
 }
+DECAY_OWN = {
+    "tail-envelope-15": _own_tail_envelope,
+    "shifted-envelope-11": _own_shifted_envelope,
+    "correction-sum-099": _own_correction,
+    "collapse-1350": _own_collapse_1350,
+}
 RAW_NAMES = sorted(OWN)
+DECAY_NAMES = sorted(DECAY_OWN)
+DECAY_PRECS = (16, 53, 128, 300, 1024, 4096)
+
+
+def _mp_decay_margin(name, x, ctx):
+    # the margin of a decay case at x in mpmath, and its largest term
+    xm = ctx.mpf(x.numerator) / x.denominator
+    h, d = h_mpmath(x, ctx)
+    s = ctx.sqrt(3) / (ctx.sqrt(2) * ctx.pi * ctx.sqrt(xm)) + h
+    if name == "tail-envelope-15":
+        return 15 * d - h, 15 * d
+    if name == "shifted-envelope-11":
+        y = xm - ctx.sqrt(xm) / 2
+        decay = ctx.sqrt(y) * ctx.exp(-ctx.pi / 2 * ctx.sqrt(y / 2))
+        return ctx.mpf(11) / 10 - xm * decay, ctx.mpf(11) / 10
+    if name == "correction-sum-099":
+        return ctx.mpf(99) / 100 - s, ctx.mpf(1)
+    return 1350 - xm * (h + 100 * s * s), ctx.mpf(1350)
 PRECS = (16, 53, 128, 300)
 # at 16 bits the doubled shift 2j = 48 has a cube above 2^16
 WIDE_PAIR = (10_000, fjn_j_top(10_000))
@@ -521,7 +550,7 @@ def _clear_memos():
         inequalities._bracket_ends,
         inequalities._collapse_n_terms,
         inequalities._collapse_j_terms,
-        rademacher._root_ends,
+        inequalities._root_ends,
         rademacher._h_ends,
     ):
         memo.cache_clear()
@@ -530,8 +559,9 @@ def _clear_memos():
 class TestRawMargins:
     def test_every_case_has_its_expression(self):
         # the Bessel tail's is _own_bessel_tail, which it meets but does not
-        # equal (TestBesselTailKernel)
-        assert set(OWN) == ALL_NAMES - {"bessel-tail-sum"}
+        # equal (TestBesselTailKernel), as the four in DECAY_OWN meet theirs
+        assert not set(OWN) & set(DECAY_OWN)
+        assert set(OWN) | set(DECAY_OWN) == ALL_NAMES - {"bessel-tail-sum"}
 
     @pytest.mark.parametrize("prec", PRECS)
     @pytest.mark.parametrize("name", RAW_NAMES)
@@ -567,7 +597,7 @@ class TestRawMargins:
             point = (a + (b - a) * u,)
         _assert_same_ends(name, point, prec)
 
-    @pytest.mark.parametrize("name", RAW_NAMES)
+    @pytest.mark.parametrize("name", sorted(RAW_NAMES + DECAY_NAMES))
     def test_disordered_pair_raises_like_an_enclosure(self, name, monkeypatch):
         point = _check_points(name)[0]
         CASE_INDEX[name].margin(point, 53)
@@ -576,20 +606,81 @@ class TestRawMargins:
         with pytest.raises(ValueError, match=ORDER_ERROR):
             CASE_INDEX[name].margin(point, 53)
 
-    @pytest.mark.parametrize("prec", PRECS)
-    def test_envelope_reads_h_decay(self, prec):
-        # tail-envelope-15 takes its exponential from h: the ends of x/2 are
-        # half those of x, and the product with -(pi/2) is the negated one
-        c = constants_view(prec)
-        half_pi = c.pi / 2
-        for (x,) in _check_points("tail-envelope-15") + [(Fraction(335, 24),), (Fraction(7, 3),)]:
-            xe = Enclosure.from_exact(x, prec)
-            root = sqrt_enclosure(x / 2, prec)
-            assert (root.lo, root.hi) == ((xe / 2).sqrt().lo, (xe / 2).sqrt().hi)
-            negated, product = (-half_pi) * root, -(half_pi * root)
-            assert (negated.lo, negated.hi) == (product.lo, product.hi)
-            decay = rademacher._h_ends(x, prec)[1]
-            assert decay == (negated.exp().lo, negated.exp().hi)
+
+class TestDecayMargins:
+    # tail-envelope-15, correction-sum-099 and collapse-1350 read h and its
+    # decay factor from rademacher._h_ends, and shifted-envelope-11 reads the
+    # decay factor at Y = x - sqrt(x)/2: all from special._decay_fixed, so
+    # their ends are outward by proof, not the Enclosure expression's bits
+    @staticmethod
+    def _points(name):
+        return _check_points(name) + [(Fraction(335, 24),), (Fraction(777, 7),)]
+
+    @pytest.mark.parametrize("prec", DECAY_PRECS)
+    @pytest.mark.parametrize("name", DECAY_NAMES)
+    def test_meets_the_enclosure_expression(self, name, prec):
+        for point in self._points(name):
+            lo, hi = CASE_INDEX[name].margin(point, prec)
+            want = DECAY_OWN[name](point, prec)
+            assert want.prec == prec
+            assert libmp.mpf_le(lo, want.hi) and libmp.mpf_le(want.lo, hi), point
+
+    @pytest.mark.parametrize("prec", DECAY_PRECS)
+    @pytest.mark.parametrize("name", DECAY_NAMES)
+    def test_within_the_stated_bound_of_mpmath(self, name, prec):
+        # the ends contain the margin, in mpmath at 2 prec + 64 bits, and
+        # each lies within 2^(6 - prec) of the margin's largest term
+        ctx = mp_context(2 * prec + 64)
+        for point in self._points(name):
+            value, scale = _mp_decay_margin(name, point[0], ctx)
+            lo, hi = (ctx.make_mpf(end) for end in CASE_INDEX[name].margin(point, prec))
+            bound = scale * ctx.ldexp(1, 6 - prec)
+            assert value - bound <= lo <= value <= hi <= value + bound, (point, prec)
+
+    @pytest.mark.parametrize("prec", [16, 128, 1024, 4096])
+    @pytest.mark.parametrize("name", DECAY_NAMES)
+    def test_kernel_arguments_meet_its_preconditions(self, name, prec, monkeypatch):
+        # every (p, q, w) the kernel receives at the sampler's ends has
+        # p, q >= 1 and w = prec + DECAY_GUARD >= 16, shifted-envelope-11's Y
+        # rounded down is at least 1, where the decay factor decreases, and
+        # every exp_fixed argument is reduced: 0 <= tw <= ln2_fixed(w) + 1
+        kernel, exps = [], []
+        real_kernel, real_exp = special._decay_fixed, special.exp_fixed
+
+        def record(p, q, w, first=True):
+            kernel.append((p, q, w, first))
+            return real_kernel(p, q, w, first)
+
+        for module in (rademacher, inequalities):
+            monkeypatch.setattr(module, "_decay_fixed", record)
+        monkeypatch.setattr(special, "exp_fixed",
+                            lambda tw, w: exps.append((tw, w)) or real_exp(tw, w))
+        for point in _interval_ends(name):
+            _clear_memos()
+            CASE_INDEX[name].margin(point, prec)
+        w = prec + DECAY_GUARD
+        assert len(kernel) == 2 and len(exps) == sum(2 if c[3] else 1 for c in kernel)
+        for p, q, kw, first in kernel:
+            assert p >= 1 and q >= 1 and kw == w >= 16
+            if not first:
+                assert q == 1 << w and p >= q
+        for tw, ew in exps:
+            assert ew == w and 0 <= tw <= ln2_fixed(w) + 1
+
+    @pytest.mark.parametrize("w", [36, 73, 148, 320, 1044])
+    def test_shifted_floor_within_two_units_below(self, w):
+        # Y 2^w - 2 < Yw <= Y 2^w for Y = x - sqrt(x)/2, decided exactly on
+        # squares: with A = x 2^w and X = x 4^(w-1), Y 2^w = A - sqrt(X)
+        rng = random.Random(w)
+        points = [x for (x,) in self._points("shifted-envelope-11")]
+        points += [Fraction(rng.randrange(335 * 10**9, 24 * 10**13), 24 * 10**9)
+                   for _ in range(40)]
+        for x in points:
+            low = inequalities._shifted_floor(x.numerator, x.denominator, w)
+            above = x * 2**w - low  # A - Yw, which exceeds sqrt(X)
+            big_x = x * 4 ** (w - 1)
+            assert above > 0 and above * above >= big_x, x
+            assert above - 2 < 0 or (above - 2) ** 2 < big_x, x
 
 
 # -- domains -----------------------------------------------------------------
@@ -616,6 +707,19 @@ class TestDomains:
         )
         assert len(groups) == 9
         assert sum(len(group) for group in groups) == len(CASES)
+
+    def test_sweep_hashes_no_fraction(self, monkeypatch):
+        # the per-point memos are keyed by the point's integers: a Fraction
+        # key would be hashed at every lookup, a modular inverse each time
+        names = SHARED_DOMAINS["[335/24, 10^4]"]
+        _clear_memos()
+        hashed = []
+        real = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__", lambda x: hashed.append(x) or real(x))
+        assert hash(Fraction(1, 3)) == real(Fraction(1, 3)) and len(hashed) == 1
+        hashed.clear()
+        assert [result.points for result in run_domain(names)] == [11_000] * len(names)
+        assert hashed == []
 
     @pytest.mark.parametrize("domain", sorted(SHARED_DOMAINS))
     def test_domain_run_equals_single_case_runs(self, domain, monkeypatch):
@@ -644,7 +748,7 @@ class TestDomains:
             _shrink(monkeypatch, name, 60, 15)
         _clear_memos()
         run_domain(names)
-        for memo in (rademacher._root_ends, rademacher._h_ends, inequalities._correction_ends):
+        for memo in (inequalities._root_ends, rademacher._h_ends, inequalities._correction_ends):
             assert memo.cache_info().misses == 75
         names = SHARED_DOMAINS["pairs"]
         for name in names:

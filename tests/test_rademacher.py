@@ -1,17 +1,15 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import libmp
 
-from enclosure_views import constants_view, sqrt_enclosure
+from enclosure_views import constants_view, h_enclosure, h_mpmath, sqrt_enclosure
 from partbounds import enclosure, rademacher, special
 from partbounds.enclosure import (
     DEFAULT_PRECISION,
     ORDER_ERROR,
-    Enclosure,
     fraction_from_raw,
 )
 from partbounds.errors import PreconditionError, StabilizationError
@@ -297,51 +295,68 @@ def _own_remainder(n, N):
     return (first / root + second * root * (e - 1 / e) / 2).hi
 
 
-def _own_h(x, prec):
-    # h_error's Enclosure expression, the form it had before it wrapped the
-    # raw ends of rademacher._h_ends; those must give these endpoints bit for bit
-    xe = Enclosure.from_exact(Fraction(x), prec)
-    c = constants_view(prec)
-    pi = c.pi
-    first = c.h_first * xe * (-(pi * (2 * xe / 3).sqrt())).exp()
-    second = c.h_second * xe.sqrt() * (-(pi / 2 * (xe / 2).sqrt())).exp()
-    return first + second
-
-
-def _assert_h_keeps_every_endpoint(x, prec):
-    got, want = h_error(x, prec), _own_h(x, prec)
-    assert (got.lo, got.hi, got.prec) == (want.lo, want.hi, want.prec)
-
-
-# the ends of the registry's domains of h and the golden worst points there
+# across (0, 10^6]: the ends of the registry's domains of h and the golden
+# worst points there
 H_POINTS = [
+    Fraction(1, 10**6),
+    Fraction(1, 3),
     Fraction(12),
     Fraction(335, 24),
     Fraction(22333349311, 1600000000),
     Fraction(2499999997503, 250000000),
     Fraction(10_000),
-    Fraction(1, 3),
+    Fraction(10**6),
 ]
+H_PRECS = [16, 53, 128, 300, 1024, 4096]
 
 
 class TestErrorEnvelope:
-    @pytest.mark.parametrize("prec", [16, 53, 128, 300])
-    def test_raw_h_same_endpoints_as_enclosure_expression(self, prec):
+    @pytest.mark.parametrize("prec", H_PRECS)
+    def test_meets_the_enclosure_expression(self, prec):
+        # the kernel's ends are outward by proof, not the expression's bits:
+        # both enclose h(x), so they meet, and the kernel's are no wider
         for x in H_POINTS:
-            _assert_h_keeps_every_endpoint(x, prec)
+            got, want = h_error(x, prec), h_enclosure(x, prec)
+            assert got.prec == want.prec == prec
+            assert libmp.mpf_le(got.lo, want.hi) and libmp.mpf_le(want.lo, got.hi), x
+            assert got.hi_fraction - got.lo_fraction <= want.hi_fraction - want.lo_fraction, x
 
-    @settings(max_examples=100, deadline=None)
-    @given(
-        x=st.fractions(min_value=Fraction(1, 10**6), max_value=10**4, max_denominator=10**12),
-        prec=st.sampled_from([16, 53, 128, 300]),
+    @pytest.mark.parametrize("prec", H_PRECS)
+    def test_within_the_stated_bound_of_mpmath(self, prec):
+        # each end lies between h and h +- (2E 2^-z plus one ulp at prec),
+        # with (H, D, E, z) the kernel's integers and h in mpmath at
+        # 2 prec + 64 bits
+        ctx = mp_context(2 * prec + 64)
+        for x in H_POINTS:
+            h = h_mpmath(x, ctx)[0]
+            _, _, e, z = special._decay_fixed(x.numerator, x.denominator,
+                                              prec + special.DECAY_GUARD)
+            bound = 2 * e * ctx.ldexp(1, -z) + h * ctx.ldexp(1, 1 - prec)
+            got = h_error(x, prec)
+            lo, hi = ctx.make_mpf(got.lo), ctx.make_mpf(got.hi)
+            assert h - bound <= lo <= h <= hi <= h + bound, (x, prec)
+
+    @pytest.mark.parametrize("prec", [16, 4096])
+    @pytest.mark.parametrize(
+        "x", [Fraction(1, 10**30), Fraction(1, 7), Fraction(12), Fraction(10**4), 10**30], ids=str
     )
-    def test_raw_h_at_drawn_points(self, x, prec):
-        _assert_h_keeps_every_endpoint(x, prec)
+    def test_extreme_inputs(self, x, prec):
+        # ordered ends that contain h, in bounded time, from e^-10^-15 to
+        # e^-(2.6 10^15), whose scale no float exponent of 53 bits reaches
+        started = time.perf_counter()
+        got = h_error(x, prec)
+        assert time.perf_counter() - started < 5.0
+        ctx = mp_context(2 * prec + 64)
+        h = h_mpmath(Fraction(x), ctx)[0]
+        assert ctx.make_mpf(got.lo) <= h <= ctx.make_mpf(got.hi), x
+
+    def test_float_argument_is_refused(self):
+        with pytest.raises(TypeError):
+            h_error(12.0)
 
     def test_disordered_pair_raises_like_an_enclosure(self, monkeypatch):
         h_error(Fraction(50), 53)  # constants built
         rademacher._h_ends.cache_clear()
-        rademacher._root_ends.cache_clear()
         monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: False)
         with pytest.raises(ValueError, match=ORDER_ERROR):
             h_error(Fraction(50), 53)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpmath import libmp
 from mpmath.libmp import ln2_fixed
 
+from enclosure_views import h_mpmath
 from partbounds import special
 from partbounds.enclosure import fraction_from_raw
 from partbounds.errors import PreconditionError
@@ -349,6 +350,24 @@ def _delta(x, w):
     return fraction_from_raw(value._mpf_)
 
 
+def _exp_fixed_worst(w, draws):
+    # each exp_fixed(tw, w) within its stated units of e^t, t = tw 2^-w, and
+    # the worst share of its allowance the step read off exp_basecase used
+    ctx = mp_context(4 * w)
+    unit = ctx.mpf(2) ** -w
+    ln2 = ln2_fixed(w)
+    assert 0 <= ctx.ln2 / unit - ln2 < 1, w
+    worst = 0
+    for tw in draws:
+        t = ctx.mpf(tw) * unit
+        got = ctx.mpf(special.exp_fixed(tw, w)) * unit
+        assert abs(got - ctx.exp(t)) <= _exp_units(float(t), w) * ctx.exp(t) * unit, (tw, w)
+        n, reduced = divmod(tw, ln2)
+        moved = ctx.exp(ctx.mpf(reduced) * unit) * ctx.mpf(2) ** n
+        worst = max(worst, abs(got - moved) / (moved * unit) / _basecase_units(w))
+    return worst
+
+
 def test_exp_fixed_within_stated_units():
     # the lemma the kernel's bound rests on, on both sides of the 600-bit
     # switch inside libmp's exp_basecase and of the 1500-bit switch inside
@@ -363,20 +382,20 @@ def test_exp_fixed_within_stated_units():
     for w, samples in [(w, 60) for w in (16, 40, 53, 144, 300, 599, 601, 1200)] + [
         (w, 30) for w in (1499, 1501, 2048, 4150)
     ]:
-        ctx = mp_context(4 * w)
-        unit = ctx.mpf(2) ** -w
-        ln2 = ln2_fixed(w)
-        assert 0 <= ctx.ln2 / unit - ln2 < 1, w
-        worst = 0
-        for _ in range(samples):
-            tw = rng.randrange(1, rng.choice([1 << w, 10 << w, 10**4 << w]))
-            t = ctx.mpf(tw) * unit
-            got = ctx.mpf(special.exp_fixed(tw, w)) * unit
-            assert abs(got - ctx.exp(t)) <= _exp_units(float(t), w) * ctx.exp(t) * unit, (tw, w)
-            n, reduced = divmod(tw, ln2)
-            moved = ctx.exp(ctx.mpf(reduced) * unit) * ctx.mpf(2) ** n
-            worst = max(worst, abs(got - moved) / (moved * unit) / _basecase_units(w))
-        assert worst < ctx.mpf(3) / 4, (w, worst)
+        draws = [rng.randrange(1, rng.choice([1 << w, 10 << w, 10**4 << w]))
+                 for _ in range(samples)]
+        worst = _exp_fixed_worst(w, draws)
+        assert worst < 0.75, (w, worst)
+    # the decay kernel's shape: reduced arguments 0 <= tw <= ln2_fixed(w) + 1
+    # at its widths prec + DECAY_GUARD, for the registry's 128 bits and the
+    # precisions its tests and h_error's read
+    rng = random.Random(7)
+    for prec in (16, 53, 128, 300, 1024, 4096):
+        w = prec + special.DECAY_GUARD
+        top = ln2_fixed(w) + 1
+        draws = [0, top] + [rng.randrange(top + 1) for _ in range(40 if w < 1500 else 20)]
+        worst = _exp_fixed_worst(w, draws)
+        assert worst < 0.75, (w, worst)
 
 
 # x in (0, 10^4], the domain of both oracles, with x <= 1/10 (where the
@@ -513,3 +532,87 @@ def test_series_memos_are_bounded():
                        (special._dedekind_scaled, 774), (special._phases, 50)):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize >= keys
+
+
+# -- the decay kernel behind h and its decay factor ------------------------
+
+# across (0, 10^6], the registry's domain ends and golden worst points among
+# them, and two extremes far beyond it
+DECAY_POINTS = [
+    Fraction(1, 10**30),
+    Fraction(1, 10**6),
+    Fraction(1, 7),
+    Fraction(1),
+    Fraction(12),
+    Fraction(335, 24),
+    Fraction(22333349311, 1600000000),
+    Fraction(2499999997503, 250000000),
+    Fraction(10**4),
+    Fraction(10**6),
+    Fraction(10**30),
+]
+DECAY_PRECS = [16, 53, 128, 300, 1024, 4096]
+
+
+def _decay_reference(x, prec):
+    # h(x), d(x) and h's second term in mpmath at 2 prec + 64 bits, within
+    # 2^-(2 prec + 48) of each relative
+    ctx = mp_context(2 * prec + 64)
+    h, d = h_mpmath(x, ctx)
+    return ctx, h, d, 8 * ctx.pi / ctx.sqrt(3) * d
+
+
+@pytest.mark.parametrize("prec", DECAY_PRECS)
+def test_decay_kernel_within_its_bound(prec):
+    # H 2^-z and D 2^-z within E 2^-z of h and d, and with first false H is
+    # h's second term within its own E
+    w = prec + special.DECAY_GUARD
+    for x in DECAY_POINTS:
+        ctx, h, d, second = _decay_reference(x, prec)
+        slack = h * ctx.mpf(2) ** -(2 * prec + 48)
+        H, D, E, z = special._decay_fixed(x.numerator, x.denominator, w)
+        unit = ctx.ldexp(1, -z)
+        assert abs(H * unit - h) + slack <= E * unit, (x, prec)
+        assert abs(D * unit - d) + slack <= E * unit, (x, prec)
+        H2, D2, E2, z2 = special._decay_fixed(x.numerator, x.denominator, w, first=False)
+        assert (D2, z2) == (D, z)
+        assert abs(H2 * unit - second) + slack <= E2 * unit, (x, prec)
+
+
+@pytest.mark.parametrize("prec", DECAY_PRECS)
+def test_decay_bound_covers_the_proof(prec):
+    # E is at least what the docstring's last step needs: rho h 2^z plus the
+    # unit of the first term's floor, rho = (3 sqrt w + 10.2) 2^-w
+    w = prec + special.DECAY_GUARD
+    for x in DECAY_POINTS:
+        ctx, h, _, _ = _decay_reference(x, prec)
+        _, _, E, z = special._decay_fixed(x.numerator, x.denominator, w)
+        assert E >= (3 * ctx.sqrt(w) + ctx.mpf("10.2")) * h * ctx.ldexp(1, z - w) + 1, (x, prec)
+
+
+@pytest.mark.parametrize("prec", DECAY_PRECS)
+def test_decay_reduced_arguments_within_stated_units(prec, monkeypatch):
+    # each exp_fixed(tw, w) the kernel makes reads a reduced argument
+    # 0 <= tw <= ln2_fixed(w) + 1, within 1.07 units 2^-w of
+    # u = n ln 2 - b sqrt x, where e^{-b sqrt x} = 2^-n e^u, for b2 and
+    # then b1; the floor into w bits alone takes it past half of that
+    calls = []
+    real = special.exp_fixed
+    monkeypatch.setattr(special, "exp_fixed", lambda tw, w: calls.append((tw, w)) or real(tw, w))
+    w = prec + special.DECAY_GUARD
+    ctx = mp_context(2 * w + 64)
+    worst = 0
+    for x in DECAY_POINTS:
+        calls.clear()
+        special._decay_fixed(x.numerator, x.denominator, w)
+        root = ctx.sqrt(ctx.mpf(x.numerator) / x.denominator)
+        betas = [ctx.pi / (2 * ctx.sqrt(2)), ctx.pi * ctx.sqrt(ctx.mpf(2) / 3)]
+        assert [call[1] for call in calls] == [w, w]
+        for (tw, _), beta in zip(calls, betas):
+            assert 0 <= tw <= ln2_fixed(w) + 1, (x, prec)
+            got = ctx.ldexp(tw, -w)
+            n = ctx.nint((got + beta * root) / ctx.ln2)
+            units = abs(got - (n * ctx.ln2 - beta * root)) * ctx.ldexp(1, w)
+            assert units < 1.07, (x, prec, units)
+            worst = max(worst, units)
+    assert worst > 0.5
