@@ -275,9 +275,9 @@ def fjn_ratio_interval(n: int, j: int, prec: int = DEFAULT_PRECISION) -> Enclosu
 
 def _j_bracket_ends(t: SimpleNamespace, d: int, big_j: int, prec: int):
     # the ends of J/N - pi J^2/(4 sqrt6 N^(3/2)), N = d/24, the j-part of the
-    # first ratio bracket, for the convexity chain and the registry's collapse
-    # margins: the calls of Fraction(J) / N - pi * J**2 / (4 * t.sqrt6_N_sqrtN)
-    # in Enclosure arithmetic, J/N taken as 24J/d
+    # first ratio bracket, for the convexity chain: the calls of
+    # Fraction(J) / N - pi * J**2 / (4 * t.sqrt6_N_sqrtN) in Enclosure
+    # arithmetic, J/N taken as 24J/d
     q = _mul_ends(constants(prec).pi, _int_ends(big_j * big_j, prec), prec)
     q = _div_ends(q, _mul_ends(t.sqrt6_N_sqrtN, _FOUR, prec), prec)
     return _sub_ends(_ratio_ends(24 * big_j, d, prec), q, prec)

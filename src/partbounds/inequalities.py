@@ -31,52 +31,121 @@ Because the cases of a domain are evaluated one after the other at each
 point, the terms they share are computed once per point, by small memos
 that keep the last point or two: x and sqrt x, h with its decay factor
 (rademacher._h_ends, which h_error also wraps), the correction sum
-sqrt3/(sqrt2 pi sqrt x) + h, shifted_terms(n) and the J-brackets, and
-sqrt(1 - x).  Each is keyed by the point's integers and prec: the numerator
-and denominator of x = a/b, or n and J, never a Fraction, whose hash takes a
-modular inverse.  collapse-056's terms in n alone, 4 sqrt6 N sqrt N and
-1/(25 N), are built once per n, and its terms in J alone, pi J^3 and
-(2/5) pi J^2, once per J, in a memo of the last eight J.
+sqrt3/(sqrt2 pi sqrt x) + h, sqrt(1 - x), and the pair margins' integer
+bounds in n alone and in J = j and 2j.  Each is keyed by the point's
+integers and prec: the numerator and denominator of x = a/b, or n and J,
+never a Fraction, whose hash takes a modular inverse.
 
 Every margin but collapse-131 is raw: an expression in the enclosure
-module's _*_ends helpers on (lo, hi) pairs.  Fourteen of them make the libmp
-calls, on the same operands and with the same roundings, of the Enclosure
-expression they replace, so their endpoints are libmp's, that expression's
-bit for bit (tests/test_inequalities.py keeps each expression as a
-reference and compares the two).  collapse-131, one point per run, stays an
-Enclosure expression (see its comment) and returns that expression's ends.
-The other five read fixed-point kernels of the special module, so their
-endpoints are outward by proof and only meet their expressions':
-bessel-tail-sum on special._bessel_fixed (below); tail-envelope-15,
-correction-sum-099 and collapse-1350, which take h and its decay factor from
-rademacher._h_ends; and shifted-envelope-11 (below), the last four on
-special._decay_fixed, whose proof is in special's docstring.  The margins
-read constants(prec) directly; the registry's own constants are built once
-per precision in _raw_constants, by the calls the Enclosure expressions made
-at each point.  An int operand is exact only when it fits in prec bits, and
-otherwise rounds outward through ratio_pair, as Enclosure._coerce reads it
-(_int_ends): J^3 exceeds 2^16 at 16 bits.  Exact rational parts, and the
-product error bound of the collapse cases with its |b| and J/N, are computed
-on unreduced integers, and are rounded once by ratio_pair, which rounds the
-value p/q whatever the common factors of p and q.  The interval samplers
-likewise build each point as one Fraction.
+module's _*_ends helpers on (lo, hi) pairs, or integers rounded once.  Ten
+of them make the libmp calls, on the same operands and with the same
+roundings, of the Enclosure expression they replace, so their endpoints are
+libmp's, that expression's bit for bit (tests/test_inequalities.py keeps
+each expression as a reference and compares the two).  collapse-131, one
+point per run, stays an Enclosure expression (see its comment) and returns
+that expression's ends.  The other nine are outward by proof and only meet
+their expressions': bessel-tail-sum on special._bessel_fixed and one power
+series (below); tail-envelope-15, correction-sum-099 and collapse-1350,
+which take h and its decay factor from rademacher._h_ends; shifted-envelope-11
+(below), the last four on special._decay_fixed, whose proof is in special's
+docstring; and collapse-056, collapse-271, collapse-2075 and collapse-3926,
+exact integer bounds (below).  The margins read constants(prec) directly;
+the registry's own constants are built once per precision in _raw_constants,
+by the calls the Enclosure expressions made at each point.  An int operand
+is exact only when it fits in prec bits, and otherwise rounds outward
+through ratio_pair, as Enclosure._coerce reads it (_int_ends).  Exact
+rational parts are computed on unreduced integers, and are rounded once by
+ratio_pair, which rounds the value p/q whatever the common factors of p and
+q.  The interval samplers likewise build each point as one Fraction.
 
 Each helper checks the order of the pair it returns, once, as Enclosure
 arithmetic does; no margin checks one itself.
 
 bessel-tail-sum sums in fixed point.  For x = a/b in [20, 100], _tail_sum
-adds the kernel special._bessel_fixed at y' = floor(a 2^w / (b k)) 2^-w,
-2 <= k <= TAIL_TERMS, into one integer S, with w = prec + 16 +
-max(g(x/2), g(x/TAIL_TERMS)), g the kernel's _bessel_guard_bits, below 2^16
-up to prec 4096 (g <= 31 on [1/50, 50]).
-By special's relative bound at y0 = x/TAIL_TERMS and y1 = x/2, each term is
-within delta I(x/k) 2^w of I(x/k) 2^w, delta = 2^-(prec+12) + 2^-(prec+24).
-So the exact sum T has |S - T 2^w| < delta T 2^w < 2^-(prec+11) S, below
-E = (S >> (prec + 10)) + TAIL_TERMS, and T lies strictly inside
-[S - E, S + E] 2^-w; the margin is the right-hand side's enclosure minus
-that interval, rounded outward.  Only the exp_fixed lemma inside Delta_w is
+splits the sum at K = FAR_START = 20, where x/k <= 5 from k = K on.
+
+Near terms, 2 <= k < K.  It adds the kernel special._bessel_fixed at
+y' = floor(a 2^w / (b k)) 2^-w into one integer S_n, with w = prec + 16 +
+max(g(x/2), g(x/(K - 1))), g the kernel's _bessel_guard_bits (g <= 16 on
+[1, 50]), below 2^16 up to prec 4096.  By special's relative bound at
+y0 = x/(K - 1) and y1 = x/2, each term is within delta I(x/k) 2^w of
+I(x/k) 2^w, delta = 2^-(prec+12) + 2^-(prec+24).  So their exact sum T_n
+has |S_n - T_n 2^w| < delta T_n 2^w < 2^-(prec+11) S_n, below
+E_n = (S_n >> (prec + 10)) + K.  Only the exp_fixed lemma inside Delta_w is
 tested (test_exp_fixed_within_stated_units, to 4150 bits) and not proved;
-E's factor 2 and its TAIL_TERMS units are room beyond the proof.
+E_n's factor 2 and its K units are room beyond the proof.
+
+Far terms, K <= k <= TAIL_TERMS, the L = 981 others.  By the power series
+of I_{3/2} (DLMF 10.25.2), with u = x/K <= 5 and every term positive,
+
+    sum_k I_{3/2}(x/k) = sqrt(2/pi) u^(3/2) sum_m t_m zeta_m,
+    t_m = u^(2m) / (2^m m! (2m + 3)!!),  zeta_m = sum_k (K/k)^(2m + 3/2).
+
+At W = prec + FAR_GUARD bits, in units 2^-W:
+* _power_sums(prec), once per precision, floors z_k = (K/k)^(3/2) 2^W as
+  isqrt(floor(K^3 4^W / k^3)), below by under a unit, and then takes
+  z_k <- floor(z_k K^2 / k^2) once per m, a factor at most 1 and a floor.
+  So z_k(m) lies under m + 1 units below (K/k)^(2m+3/2) 2^W, and the sum
+  Z_m has zeta_m 2^W in [Z_m, Z_m + L (m + 1)); a z_k at 0 stays 0 and is
+  dropped;
+* _far_sum takes T_0 = floor(2^W / 3) and the forward recurrence
+  T_m = floor(T_{m-1} a^2 / (b^2 K^2 2m (2m + 3))), so T_m = t_m 2^W - e_m
+  with e_0 < 1 and e_m < rho_m e_{m-1} + 1, rho_m = u^2 / (2m (2m + 3)).
+  No floor is amplified by the powers of u^2 <= 25: rho_1 <= 5/2 and
+  rho_m <= 25/28 from m = 2 on, so e_1 < 3.5 and e_m < 10 throughout.
+  (Horner's rule in u^2 at W bits multiplies each floor by up to 25 a
+  step instead; at 1024 bits it kept only about 2^-725 of the sum);
+* so each T_m Z_m lies below t_m zeta_m 4^W by at most 10 zeta_m 2^W +
+  L (m + 1) t_m 2^W <= 10 z0 + L (m + 1)(T_m + 10), z0 = Z_0 + L, as
+  zeta_m <= zeta_0 < z0 2^-W;
+* the sum stops after the first term m >= 2 with T_m < 2^_FAR_STOP.  From
+  m + 1 on, rho <= 25 / (2 (m + 1)(2m + 5)) <= 1/2, so the terms left add
+  at most 2 t_(m+1) zeta_0 <= t_m zeta_0 < z0 (T_m + 10) 4^-W.
+  _power_sums builds Z_m up to where the recurrence at u = 5 stops; T_m
+  grows with u, so every u <= 5 stops within the table.
+So sum_m t_m zeta_m 4^W lies in [P, P + err], P the sum of the T_m Z_m
+and err the sum of those bounds.  sqrt(2/pi) u^(3/2) 2^W, the root of
+2 a^3 4^W / (pi b^3 K^3), lies in [G_lo, G_hi]: G_lo is the isqrt of that
+quotient floored at pi_fixed(W) + 1, and G_hi one more than the isqrt of it
+raised at pi_fixed(W) - 1, as pi_fixed(W) is within a unit of pi 2^W.  So
+the far sum lies in [F_lo, F_hi] 2^-w, F_lo = floor(G_lo P 2^(w - 3W)) and
+F_hi = floor(G_hi (P + err) 2^(w - 3W)) + 1, a unit or two apart.
+
+With S = S_n + F_lo and E = E_n + F_hi - F_lo, the whole sum lies strictly
+inside [S - E, S + E] 2^-w; the margin is the right-hand side's enclosure
+minus that interval, rounded outward.  The exp_fixed lemma, in the near
+terms, is the one step not proved.
+
+The (n, j) pair margins are exact integer bounds.  With N = d/24, d = 24n - 1,
+sqrt(6 N^3) = d sqrt(d)/48 and sqrt N = sqrt(d/24), so their irrational
+terms are
+
+    q = pi J^2 / (4 sqrt(6 N^3)) = 12 pi J^2 / (d sqrt d),
+    c = sqrt3 / (sqrt(2 pi) sqrt N) = 6 / sqrt(pi d),
+    b = sqrt3 / (sqrt2 pi sqrt N) = 6 / (pi sqrt d),
+
+each monotone in pi and in sqrt d.  At w = prec + PAIR_GUARD, _pi_bounds
+reads pi's raw ends from constants(prec) as integers [lo, hi] 2^-k and
+takes sqrt(pi) in [s_lo, s_hi + 1) 2^-w by isqrt, and _n_bounds takes the
+floor root r = isqrt(d 4^w), so sqrt d is in [r, r + 1) 2^-w (isqrt of a
+floor is the floor of the root).  Putting in the ends that make a term
+least, or greatest, and flooring, or raising, the quotient gives integers
+with q, c, b and the J-bracket J/N - q = 24J/d - q within [lo, hi] 2^-w
+(_n_bounds, _j_bounds):
+* collapse-056's 0.56 - (0.4 + pi J^3/(4 sqrt6 N^(3/2)) + 0.4 pi J^2/(4 sqrt6
+  N^(3/2)) + 0.1 + 0.1 J/N + 0.04/N) is 3/50 - 24(5J + 2)/(50 d) -
+  q (5J + 2)/5, which decreases in q: over 50 d 2^w its lower end reads q's
+  upper integer and its upper end q's lower one;
+* a product margin, radius - scale N err with err = a1 a2 + (r1/N)(1 + a2 +
+  r2/N) + (r2/N)(1 + a1) and a = |b|, decreases in a1 and a2: its lower end
+  reads the larger magnitude of each bound, max(-lo, hi), and its upper end
+  the smaller, max(0, lo, -hi) (_product_margin).  collapse-271 has b1 the
+  J-bracket and b2 = -c; collapse-2075 and collapse-3926 have b1 = b and
+  b2 the J-bracket less c, its bounds subtracted end by end.
+Each end is rounded once, outward, by ratio_pair.  So the ends enclose the
+margin at the exact |b|; the Enclosure expressions they replace read |b|
+from prec-bit enclosures of b, at or above it, so their values lie at or
+below it, and meet the new ends at a wider precision.
 
 shifted-envelope-11 bounds x d(Y), d(Y) = sqrt(Y) e^{-(pi/2) sqrt(Y/2)} and
 Y = x - sqrt(x)/2, for x = a/b in [335/24, 10^4], at w = prec + DECAY_GUARD:
@@ -115,7 +184,6 @@ from .enclosure import (
     _exp_ends,
     _int_ends,
     _mul_ends,
-    _neg_ends,
     _ratio_ends,
     _sqrt_ends,
     _sub_ends,
@@ -125,15 +193,7 @@ from .enclosure import (
     scaled_ends,
 )
 from .errors import PartboundsError, PreconditionError
-from .estimates import (
-    FJN_RADIUS_A,
-    FJN_RADIUS_B,
-    RATIO_RADIUS_1,
-    RATIO_RADIUS_2,
-    _j_bracket_ends,
-    fjn_j_top,
-    shifted_terms,
-)
+from .estimates import FJN_RADIUS_A, FJN_RADIUS_B, RATIO_RADIUS_1, RATIO_RADIUS_2, fjn_j_top
 from .exact import shifted_index
 from .rademacher import _h_ends
 from .special import DECAY_GUARD, _bessel_fixed, _bessel_guard_bits, _decay_fixed
@@ -154,21 +214,24 @@ _CAP = Fraction(10_000)
 # Relative pull-in applied to both domain endpoints.
 _EDGE = Fraction(1, 10**9)
 
-# One entry: a pair point's four cases read one n in turn, and the pair grid
-# visits each n with up to three j in a row, while a full memo of the 4031
-# indices the collapse cases visit, at 128 bits, would take the pair domain's
-# peak RSS from 20 MB to 32 MB.
-_terms = lru_cache(maxsize=1)(shifted_terms.__wrapped__)
-
 # The radii of the two factors collapse-271 combines into 2.71/N, certified
 # by collapse-056 and collapse-131.
 _J_FACTOR_RADIUS = Fraction(14, 25)
 _SQRT_FACTOR_RADIUS = Fraction(131, 100)
 
 # bessel-tail-sum's last k: its partial sum bounds every shorter one, as the
-# terms are positive, and x / TAIL_TERMS, its least argument, sets the
-# kernel's guard bits (module docstring).
+# terms are positive.  The terms from k = FAR_START on, where x/k <= 5, are
+# summed as one power series in (x/FAR_START)^2 at FAR_GUARD bits above prec,
+# and the terms below it one by one on the Bessel kernel (module docstring).
 TAIL_TERMS = 1000
+FAR_START = 20
+FAR_GUARD = 56
+# the far terms' count, and the bits below which the series stops
+_FAR_TERMS = TAIL_TERMS - FAR_START + 1
+_FAR_STOP = 12
+
+# the collapse pair margins' integer bounds carry w = prec + PAIR_GUARD bits
+PAIR_GUARD = 32
 
 
 def _min_lo(a: Optional[Ends], b: Ends) -> Ends:
@@ -247,13 +310,12 @@ def _raw_constants(prec: int) -> SimpleNamespace:
 
     Each is built by the calls its Enclosure expression made at every point:
     an exact Fraction by from_exact's ratio_pair, an int by _int_ends, and
-    sqrt2 pi, pi/(40 sqrt6), pi^2/24, 4 sqrt6, (2/5) pi and 2 sqrt2 as
-    sqrt2 * pi, pi / (40 * sqrt6), pi * pi / 24, 4 * sqrt6, Fraction(2, 5) * pi
-    and 2 * sqrt2, for the Enclosures of constants(prec).
+    sqrt2 pi, pi/(40 sqrt6), pi^2/24 and 2 sqrt2 as sqrt2 * pi,
+    pi / (40 * sqrt6), pi * pi / 24 and 2 * sqrt2, for the Enclosures of
+    constants(prec).
     """
     c = constants(prec)
-    pi, sqrt6 = c.pi, c.sqrt6
-    two, two_fifths = _int_ends(2, prec), _exact_ends(Fraction(2, 5), prec)
+    pi, two = c.pi, _int_ends(2, prec)
     return SimpleNamespace(
         one=_int_ends(1, prec),
         two=two,
@@ -262,16 +324,12 @@ def _raw_constants(prec: int) -> SimpleNamespace:
         quarter=_exact_ends(Fraction(1, 4), prec),
         fifth=_exact_ends(Fraction(1, 5), prec),
         tenth=_exact_ends(Fraction(1, 10), prec),
-        two_fifths=two_fifths,
         ninety_nine_hundredths=_exact_ends(Fraction(99, 100), prec),
-        j_factor_radius=_exact_ends(_J_FACTOR_RADIUS, prec),
         ratio_radius_2=_exact_ends(RATIO_RADIUS_2, prec),
         sqrt2_pi=_mul_ends(c.sqrt2, pi, prec),
         two_sqrt2=_mul_ends(c.sqrt2, two, prec),
-        pi_over_40_sqrt6=_div_ends(pi, _mul_ends(sqrt6, _int_ends(40, prec), prec), prec),
+        pi_over_40_sqrt6=_div_ends(pi, _mul_ends(c.sqrt6, _int_ends(40, prec), prec), prec),
         pi_squared_over_24=_div_ends(_mul_ends(pi, pi, prec), _int_ends(24, prec), prec),
-        four_sqrt6=_mul_ends(sqrt6, _int_ends(4, prec), prec),
-        two_fifths_pi=_mul_ends(pi, two_fifths, prec),
     )
 
 
@@ -297,12 +355,6 @@ def _correction_ends(a: int, b: int, prec: int):
 def _rest_root_ends(a: int, b: int, prec: int):
     # sqrt(1 - x), Enclosure.from_exact(1 - x).sqrt() for x = a/b
     return _sqrt_ends(_ratio_ends(b - a, b, prec), prec)
-
-
-@lru_cache(maxsize=2)
-def _bracket_ends(n: int, big_j: int, prec: int):
-    # the J-bracket at N = n - 1/24, which a pair point reads at J = j and 2j
-    return _j_bracket_ends(_terms(n, prec), 24 * n - 1, big_j, prec)
 
 
 # -- margins ---------------------------------------------------------------
@@ -421,42 +473,75 @@ def _margin_shift_ratio(point: Point, prec: int) -> Ends:
     return _sub_ends(k.fifth, half, prec)
 
 
+# -- the (n, j) pair margins on integer bounds ------------------------------
+# Each pair margin is monotone in pi, in sqrt(6 N^3) = d sqrt(d)/48 and in
+# sqrt N = sqrt(d/24), N = d/24: its ends read pi's integer ends and one
+# floor root of d per n (module docstring).
+
+def _pi_bounds(pi, w: int):
+    # (lo, hi, k, s_lo, s_hi, w): pi within [lo, hi] 2^-k, the ends of the
+    # raw pair pi, and sqrt(pi) within [s_lo, s_hi + 1) 2^-w
+    lo, hi, k = scaled_ends(*pi)
+    return lo, hi, k, isqrt((lo << 2 * w) >> k), isqrt((hi << 2 * w) >> k), w
+
+
+@lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
+def _pair_pi(prec: int):
+    return _pi_bounds(constants(prec).pi, prec + PAIR_GUARD)
+
+
+def _n_bounds(d: int, pi):
+    """(r, c, b) for d = 24n - 1 and _pi_bounds pi: sqrt(d) within
+    [r, r + 1) 2^-w, and (lo, hi) integers with c = 6/sqrt(pi d) =
+    sqrt3/(sqrt(2 pi) sqrt N) and b = 6/(pi sqrt d) = sqrt3/(sqrt2 pi sqrt N)
+    within [lo, hi] 2^-w."""
+    lo, hi, k, s_lo, s_hi, w = pi
+    r = isqrt(d << 2 * w)
+    c = (6 << 3 * w) // ((s_hi + 1) * (r + 1)), -(-(6 << 3 * w) // (s_lo * r))
+    b = (6 << k + 2 * w) // (hi * (r + 1)), -(-(6 << k + 2 * w) // (lo * r))
+    return r, c, b
+
+
 @lru_cache(maxsize=1)
-def _collapse_n_terms(n: int, prec: int):
-    # collapse-056's terms in n alone: den = 4 sqrt6 (N sqrt N) and 1/(25 N),
-    # N = d/24
-    t = _terms(n, prec)
-    den = _mul_ends(_raw_constants(prec).four_sqrt6,
-                    _mul_ends(_sqrt_ends(t.Ne, prec), t.Ne, prec), prec)
-    return den, _ratio_ends(24, 25 * (24 * n - 1), prec)
+def _pair_n_terms(n: int, prec: int):
+    # one entry: a pair point's four cases read one n in turn, and the pair
+    # grid visits each n with up to three j in a row
+    return _n_bounds(24 * n - 1, _pair_pi(prec))
 
 
-@lru_cache(maxsize=8)
-def _collapse_j_terms(big_j: int, prec: int):
-    # collapse-056's terms in J alone: pi J^3 and (2/5) pi J^2; a pair point
-    # reads J = j and 2j, and the pair grid repeats J = 1, 2 at every n
-    return (_mul_ends(constants(prec).pi, _int_ends(big_j**3, prec), prec),
-            _mul_ends(_raw_constants(prec).two_fifths_pi, _int_ends(big_j**2, prec), prec))
+def _j_bounds(d: int, big_j: int, pi, r: int):
+    """(q, bracket) for d = 24n - 1, _pi_bounds pi and _n_bounds r: (lo, hi)
+    integers with q = pi J^2/(4 sqrt(6 N^3)) = 12 pi J^2/(d sqrt d) and the
+    J-bracket J/N - q = 24J/d - q within [lo, hi] 2^-w."""
+    lo, hi, k, _, _, w = pi
+    top = 12 * big_j * big_j << 2 * w
+    q = (top * lo) // (d * (r + 1) << k), -(-(top * hi) // (d * r << k))
+    ratio = 24 * big_j << w
+    return q, (ratio // d - q[1], -(-ratio // d) - q[0])
+
+
+@lru_cache(maxsize=2)
+def _pair_j_terms(n: int, big_j: int, prec: int):
+    # a pair point reads J = j and 2j
+    return _j_bounds(24 * n - 1, big_j, _pair_pi(prec), _pair_n_terms(n, prec)[0])
 
 
 def _margin_collapse_056(point: Point, prec: int) -> Ends:
     # 0.56 - (0.4 + pi J^3/den + 0.4 pi J^2/den + 0.1 + 0.1 J/N + 0.04/N),
-    # den = 4 sqrt6 (N sqrt N), summed left to right, the 1/N terms exact
+    # den = 4 sqrt6 N^(3/2), is 3/50 - 24(5J + 2)/(50 d) - q (5J + 2)/5 with
+    # q = pi J^2/den: over 50 d 2^w, each end rounded once
     n, j = point
-    k = _raw_constants(prec)
-    d = 24 * n - 1  # N = d/24
-    den, last = _collapse_n_terms(n, prec)
+    d = 24 * n - 1
+    w = prec + PAIR_GUARD
     worst = None
     # The bound is used with both the plain and the doubled shift; the
     # doubled one is the tight branch but both must clear 0.56.
     for big_j in (j, 2 * j):
-        cube, square = _collapse_j_terms(big_j, prec)
-        err = _add_ends(_div_ends(cube, den, prec), k.two_fifths, prec)
-        err = _add_ends(err, _div_ends(square, den, prec), prec)
-        err = _add_ends(err, k.tenth, prec)
-        err = _add_ends(err, _ratio_ends(24 * big_j, 10 * d, prec), prec)
-        err = _add_ends(err, last, prec)
-        worst = _min_lo(worst, _sub_ends(k.j_factor_radius, err, prec))
+        q_lo, q_hi = _pair_j_terms(n, big_j, prec)[0]
+        five = 5 * big_j + 2
+        top, den = (3 * d - 24 * five) << w, 50 * d << w
+        worst = _min_lo(worst, _checked(ratio_pair(top - 10 * d * five * q_hi, den, prec)[0],
+                                        ratio_pair(top - 10 * d * five * q_lo, den, prec)[1]))
     return worst
 
 
@@ -471,12 +556,6 @@ def _margin_collapse_131(point: Point, prec: int) -> Ends:
     return margin.lo, margin.hi
 
 
-def _magnitude(b):
-    # (M, k) with |t| <= M/2^k for every t in the ends b: the larger of -lo, hi
-    L, H, k = scaled_ends(*b)
-    return max(-L, H), k
-
-
 def _product_margin(
     radius: Fraction, scale: int, d: int, b1, r1: Fraction, b2, r2: Fraction, prec: int
 ):
@@ -485,35 +564,36 @@ def _product_margin(
         err = a1 a2 + (r1/N)(1 + a2 + r2/N) + (r2/N)(1 + a1)
 
     on |(1 + b1 + E1)(1 + b2 + E2) - (1 + b1 + b2)| with |E1| <= r1/N,
-    |E2| <= r2/N, where a1 and a2 bound |b1| and |b2| by the larger
-    magnitude of their ends.  Computed on unreduced integers over the common
-    denominator 2^{2k} D1 D2, with a = A/2^k and r/N = P/D, and rounded once.
+    |E2| <= r2/N, a1 = |b1| and a2 = |b2|.  b1 and b2 are integer bounds
+    (lo, hi) over 2^w; err increases with a1 and a2, so the lower end reads
+    the larger magnitude of each bound and the upper end the smaller.  Each
+    end is computed on unreduced integers over the common denominator
+    2^{2w} D1 D2, with r/N = P/D, and rounded once.
     """
-    A1, k1 = _magnitude(b1)
-    A2, k2 = _magnitude(b2)
-    k = max(k1, k2)
-    A1 <<= k - k1
-    A2 <<= k - k2
-    K = 1 << k
+    K = 1 << prec + PAIR_GUARD
     P1, D1 = 24 * r1.numerator, r1.denominator * d
     P2, D2 = 24 * r2.numerator, r2.denominator * d
-    E = A1 * A2 * D1 * D2 + (P1 * ((K + A2) * D2 + P2 * K) + P2 * (K + A1) * D1) * K
     Q = 24 * K * K * D1 * D2
-    return _ratio_ends(
-        radius.numerator * Q - radius.denominator * scale * d * E, radius.denominator * Q, prec
-    )
+
+    def end(A1, A2, up):
+        E = A1 * A2 * D1 * D2 + (P1 * ((K + A2) * D2 + P2 * K) + P2 * (K + A1) * D1) * K
+        num = radius.numerator * Q - radius.denominator * scale * d * E
+        return ratio_pair(num, radius.denominator * Q, prec)[up]
+
+    (lo1, hi1), (lo2, hi2) = b1, b2
+    return _checked(end(max(-lo1, hi1), max(-lo2, hi2), 0),
+                    end(max(0, lo1, -hi1), max(0, lo2, -hi2), 1))
 
 
 def _margin_collapse_271(point: Point, prec: int) -> Ends:
     # b1 the J-bracket, b2 = -sqrt3/(sqrt(2 pi) sqrt N), radii 0.56 and 1.31
     n, j = point
-    t = _terms(n, prec)
-    b2 = _neg_ends(t.sqrt3_over_sqrt_two_pi)
+    c_lo, c_hi = _pair_n_terms(n, prec)[1]
     worst = None
     for big_j in (j, 2 * j):
         margin = _product_margin(
-            RATIO_RADIUS_1, 1, 24 * n - 1, _bracket_ends(n, big_j, prec), _J_FACTOR_RADIUS,
-            b2, _SQRT_FACTOR_RADIUS, prec,
+            RATIO_RADIUS_1, 1, 24 * n - 1, _pair_j_terms(n, big_j, prec)[1], _J_FACTOR_RADIUS,
+            (-c_hi, -c_lo), _SQRT_FACTOR_RADIUS, prec,
         )
         worst = _min_lo(worst, margin)
     return worst
@@ -523,11 +603,11 @@ def _bracket_margin(radius: Fraction, scale: int, n: int, big_j: int, prec: int)
     # radius - scale N err for (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N), with
     # b1 = sqrt3/(sqrt2 pi sqrt N) and b2 the J-bracket less
     # sqrt3/(sqrt(2 pi) sqrt N)
-    t = _terms(n, prec)
-    b2 = _sub_ends(_bracket_ends(n, big_j, prec), t.sqrt3_over_sqrt_two_pi, prec)
+    _, (c_lo, c_hi), b1 = _pair_n_terms(n, prec)
+    j_lo, j_hi = _pair_j_terms(n, big_j, prec)[1]
     return _product_margin(
-        radius, scale, 24 * n - 1, t.sqrt3_over_pi_sqrt2, RATIO_RADIUS_2,
-        b2, RATIO_RADIUS_1, prec,
+        radius, scale, 24 * n - 1, b1, RATIO_RADIUS_2, (j_lo - c_hi, j_hi - c_lo),
+        RATIO_RADIUS_1, prec,
     )
 
 
@@ -552,14 +632,67 @@ def _margin_collapse_3926(point: Point, prec: int) -> Ends:
     return _bracket_margin(FJN_RADIUS_B, 2, n, j, prec)
 
 
+@lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
+def _power_sums(prec: int) -> Tuple[int, ...]:
+    """Z_m, m = 0..M, with the power sum zeta_m = sum over FAR_START <= k <=
+    TAIL_TERMS of (FAR_START/k)^(2m + 3/2) in [Z_m, Z_m + _FAR_TERMS (m + 1))
+    2^-W, W = prec + FAR_GUARD; M is where the series at x/FAR_START = 5
+    stops (module docstring)."""
+    w = prec + FAR_GUARD
+    k2 = FAR_START * FAR_START
+    ks = range(FAR_START, TAIL_TERMS + 1)
+    squares = [k * k for k in ks]
+    # (FAR_START/k)^(3/2) 2^W floored, then a factor (FAR_START/k)^2 a step
+    powers = [isqrt((k2 * FAR_START << 2 * w) // k**3) for k in ks]
+    sums, t, m = [sum(powers)], (1 << w) // 3, 0
+    while m < 2 or t >> _FAR_STOP:
+        m += 1
+        powers = [z * k2 // s for z, s in zip(powers, squares)]
+        while not powers[-1]:
+            powers.pop()
+        sums.append(sum(powers))
+        t = t * 25 // (2 * m * (2 * m + 3))
+    return tuple(sums)
+
+
+def _far_sum(a: int, b: int, w: int, prec: int) -> Tuple[int, int]:
+    # (F_lo, F_hi): the sum of I_3/2(x/k) over FAR_START <= k <= TAIL_TERMS
+    # lies in [F_lo, F_hi] 2^-w for x = a/b <= 5 FAR_START (module docstring)
+    big = prec + FAR_GUARD
+    zs = _power_sums(prec)
+    z0 = zs[0] + _FAR_TERMS
+    a2, b2 = a * a, b * b * FAR_START * FAR_START
+    t = (1 << big) // 3
+    total = err = 0
+    for m, z in enumerate(zs):
+        if m:
+            t = t * a2 // (b2 * 2 * m * (2 * m + 3))
+        total += t * z
+        err += _FAR_TERMS * (m + 1) * (t + 10)
+        if m >= 2 and not t >> _FAR_STOP:
+            break
+    err += z0 * (10 * (m + 1) + t + 10)
+    # sqrt(2/pi) (x/FAR_START)^(3/2) 2^W, floored and raised, from pi_fixed
+    pi = libmp.pi_fixed(big)
+    top, cube = 2 * a2 * a << 3 * big, b2 * b * FAR_START
+    g_lo = isqrt(top // ((pi + 1) * cube))
+    g_hi = isqrt(-(-top // ((pi - 1) * cube))) + 1
+    shift = 3 * big - w
+    return g_lo * total >> shift, (g_hi * (total + err) >> shift) + 1
+
+
 def _tail_sum(x: Fraction, prec: int) -> Tuple[int, int, int]:
     # (S, E, w): the sum of I_3/2(x/k) over 2 <= k <= TAIL_TERMS lies
-    # strictly inside [S - E, S + E] 2^-w (module docstring)
+    # strictly inside [S - E, S + E] 2^-w, for 0 < x <= 5 FAR_START (module
+    # docstring)
     a, b = x.numerator, x.denominator
-    w = prec + 16 + max(_bessel_guard_bits(x / 2), _bessel_guard_bits(x / TAIL_TERMS))
+    if not 0 < a <= 5 * FAR_START * b:
+        raise PreconditionError(f"bessel-tail-sum requires 0 < x <= {5 * FAR_START}")
+    w = prec + 16 + max(_bessel_guard_bits(x / 2), _bessel_guard_bits(x / (FAR_START - 1)))
     xw = a << w
-    total = sum(_bessel_fixed(xw // (b * k), w) for k in range(2, TAIL_TERMS + 1))
-    return total, (total >> (prec + 10)) + TAIL_TERMS, w
+    near = sum(_bessel_fixed(xw // (b * k), w) for k in range(2, FAR_START))
+    far_lo, far_hi = _far_sum(a, b, w, prec)
+    return near + far_lo, (near >> (prec + 10)) + FAR_START + far_hi - far_lo, w
 
 
 def _margin_bessel_tail(point: Point, prec: int) -> Ends:
@@ -623,10 +756,11 @@ class InequalityResult:
 # Each case's terms is its serial CPU per point at 128 bits, in us, measured
 # in its domain's sweep (the first case to read a shared memo pays for it),
 # three runs on a 2-vCPU VM.  So a domain's summed cost ranks it by measured
-# CPU, which verify dispatches longest first: the pairs 1.15 s (104 us a
-# point), bessel-tail-sum 0.83 s (6.4 ms a point), [335/24, 10^4] 0.83 s
-# (75 us), (0, 1/5) 0.28 s (25 us), exp-convexity-half and tail-envelope-15
-# 0.20 s each (18 us), [1, 10^4] 0.14 s (12 us), geometric-series-100 0.07 s.
+# CPU, which verify dispatches longest first: [335/24, 10^4] 0.83 s (75 us a
+# point), the pairs 0.55 s (46 us), (0, 1/5) 0.28 s (25 us),
+# exp-convexity-half and tail-envelope-15 0.20 s each (18 us), [1, 10^4]
+# 0.14 s (12 us), geometric-series-100 0.07 s, bessel-tail-sum 0.02 s (180 us
+# a point).
 CASES: Tuple[InequalityCase, ...] = (
     InequalityCase(
         "geometric-series-100",
@@ -718,7 +852,7 @@ CASES: Tuple[InequalityCase, ...] = (
         " + 0.1 + 0.1 J/N + 0.04/N <= 0.56 for J in {j, 2j} over admissible pairs",
         _margin_collapse_056,
         _PAIRS,
-        terms=50,
+        terms=14,
     ),
     InequalityCase(
         "collapse-131",
@@ -733,7 +867,7 @@ CASES: Tuple[InequalityCase, ...] = (
         "(1 + b1 +- 0.56/N)(1 + b2 +- 1.31/N) stays within 2.71/N of 1 + b1 + b2",
         _margin_collapse_271,
         _PAIRS,
-        terms=35,
+        terms=16,
     ),
     InequalityCase(
         "collapse-1350",
@@ -747,14 +881,14 @@ CASES: Tuple[InequalityCase, ...] = (
         "(1 + b1 +- 1350/N)(1 + b2 +- 2.71/N) stays within 2075/N of 1 + b1 + b2",
         _margin_collapse_2075,
         _PAIRS,
-        terms=10,
+        terms=8,
     ),
     InequalityCase(
         "collapse-3926",
         "2 (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N) stays within 3926/N of the center",
         _margin_collapse_3926,
         _PAIRS,
-        terms=9,
+        terms=8,
     ),
     InequalityCase(
         "bessel-tail-sum",
@@ -763,7 +897,7 @@ CASES: Tuple[InequalityCase, ...] = (
         _interval_sampler(Fraction(20), Fraction(100)),
         grid_points=100,
         random_points=30,
-        terms=6400,
+        terms=180,
     ),
     InequalityCase(
         "bessel-simplify-half",

@@ -27,9 +27,9 @@ from partbounds.enclosure import (
     ORDER_ERROR,
     Enclosure,
     _int_ends,
+    constants,
     fraction_from_raw,
     ordered,
-    ratio_pair,
 )
 from partbounds.errors import PartboundsError, PreconditionError
 from partbounds.estimates import (
@@ -44,9 +44,17 @@ from partbounds.inequalities import (
     CASES,
     CASE_INDEX,
     DEFAULT_SEED,
+    FAR_GUARD,
+    FAR_START,
+    PAIR_GUARD,
     TAIL_TERMS,
-    _magnitude,
+    _far_sum,
+    _j_bounds,
     _margin_bessel_tail,
+    _n_bounds,
+    _pi_bounds,
+    _power_sums,
+    _product_margin,
     _tail_sum,
     group_by_domain,
     run_case,
@@ -79,7 +87,7 @@ ALL_NAMES = {
 
 
 def _budget(name):
-    # The Bessel tail sums a thousand terms per point, so keep it tiny here.
+    # The Bessel tail is registered with 130 points, so keep it small here.
     return (10, 3) if name == "bessel-tail-sum" else (120, 25)
 
 
@@ -184,22 +192,37 @@ def _own_abs_upper(e):
     return max(-e.lo_fraction, e.hi_fraction)
 
 
-class TestHelpers:
-    # _magnitude, the collapse margins' raw |b| bound, against abs_upper's
-    def _magnitude(self, e):
-        M, k = _magnitude((e.lo, e.hi))
-        assert Fraction(M, 1 << k) == _own_abs_upper(e)
-        return Fraction(M, 1 << k)
+class TestProductMargin:
+    # _product_margin's |b| bounds, from integer ends over 2^w, against
+    # abs_upper's larger magnitude (the lower end) and the least |t| over the
+    # ends (the upper end)
+    @staticmethod
+    def _ends(b1, b2):
+        ends = _product_margin(
+            Fraction(271, 100), 1, 407, b1, Fraction(14, 25), b2, Fraction(131, 100), 128
+        )
+        return map(fraction_from_raw, ends)
 
-    def test_abs_upper_symmetric(self):
-        assert self._magnitude(Enclosure.from_exact(-2, 128)) == 2
-        assert self._magnitude(Enclosure.from_exact(2, 128)) == 2
+    @staticmethod
+    def _exact(a1, a2):
+        n = Fraction(407, 24)
+        r1, r2 = Fraction(14, 25) / n, Fraction(131, 100) / n
+        return Fraction(271, 100) - n * (a1 * a2 + r1 * (1 + a2 + r2) + r2 * (1 + a1))
 
-    def test_abs_upper_straddling_zero(self):
-        e = Enclosure.from_exact(Fraction(-1, 3), 128) + Fraction(1, 7)
-        # Enclosure of -4/21; magnitude bound must cover the lower endpoint.
-        assert self._magnitude(e) >= Fraction(4, 21)
-        assert self._magnitude(e) - Fraction(4, 21) < Fraction(1, 2**100)
+    def test_one_sided_bounds(self):
+        w = 128 + PAIR_GUARD
+        b1, b2 = (-(3 << w) // 7, -(2 << w) // 7), ((1 << w) // 9, (1 << w) // 8)
+        lo, hi = self._ends(b1, b2)
+        assert lo <= self._exact(-Fraction(b1[0], 1 << w), Fraction(b2[1], 1 << w))
+        assert hi >= self._exact(-Fraction(b1[1], 1 << w), Fraction(b2[0], 1 << w))
+
+    def test_bound_straddling_zero(self):
+        # the larger magnitude covers the lower end; |b| may be 0 above
+        w = 128 + PAIR_GUARD
+        b1, b2 = (-(4 << w) // 21, (1 << w) // 7), ((1 << w) // 9, (1 << w) // 8)
+        lo, hi = self._ends(b1, b2)
+        assert lo <= self._exact(Fraction(4, 21), Fraction(1, 8))
+        assert self._exact(0, Fraction(1, 9)) <= hi
 
 
 # -- the fixed-point Bessel tail against its Enclosure expression ---------
@@ -228,7 +251,7 @@ _RNG = random.Random(20221)
 
 TAIL_POINTS = [
     20 + _EDGE,  # 250000001/12500000, the golden worst point
-    Fraction(50),  # y = 1 at k = 50, so 1 - 1/y is exactly 0
+    Fraction(50),  # x/k = 1 at k = 50, a term of the far series
     100 - _EDGE,
     Fraction(_RNG.randint(20 * 10**6, 100 * 10**6), _RNG.randint(10**6, 10**6 + 999)),
 ]
@@ -252,11 +275,12 @@ class TestBesselTailKernel:
         for x in TAIL_POINTS:
             assert ordered(*_margin_bessel_tail((x,), prec))
 
-    @pytest.mark.parametrize("prec", [53, 128])
+    @pytest.mark.parametrize("prec", [53, 128, 1024])
     def test_sum_within_its_bound_of_the_series(self, prec):
         # at x = 100 - eps, whose terms are the largest, S 2^-w is within
         # E 2^-w of the power series summed 64 bits wider, each term within
-        # 2^-(prec+62) relative there
+        # 2^-(prec+62) relative there; E is about 2^-(prec+10) of S, so at
+        # 1024 bits a far sum whose floors grow with powers of (x/20)^2 fails
         x = TAIL_POINTS[2]
         total, error, w = _tail_sum(x, prec)
         series = sum(fraction_from_raw(bessel_I32_series(x / k, prec + 64))
@@ -264,17 +288,54 @@ class TestBesselTailKernel:
         gap = abs(Fraction(total, 1 << w) - series) + series / 2 ** (prec + 62)
         assert gap < Fraction(error, 1 << w)
 
+    @pytest.mark.parametrize("prec", [16, 53, 128, 1024])
+    @pytest.mark.parametrize("x", TAIL_POINTS, ids=str)
+    def test_far_sum_brackets_the_series(self, x, prec):
+        # the far terms alone, k >= FAR_START, lie in [F_lo, F_hi] 2^-w, and
+        # that bracket is at most two units wide at the widest w the tail uses
+        w = prec + 32
+        far_lo, far_hi = _far_sum(x.numerator, x.denominator, w, prec)
+        series = sum(fraction_from_raw(bessel_I32_series(x / k, prec + 64))
+                     for k in range(FAR_START, TAIL_TERMS + 1))
+        slack = series / 2 ** (prec + 62)
+        assert Fraction(far_lo, 1 << w) < series - slack
+        assert series + slack < Fraction(far_hi, 1 << w)
+        assert far_hi - far_lo <= 2
+
+    @pytest.mark.parametrize("prec", [16, 53])
+    def test_power_sums_within_stated_units(self, prec):
+        # zeta_m = sum of (20/k)^(2m + 3/2) over 20 <= k <= 1000 lies in
+        # [Z_m, Z_m + 981 (m + 1)) 2^-W, against exact Fraction sums of each
+        # term's floor and ceiling over 2^C
+        big, c = prec + FAR_GUARD, prec + FAR_GUARD + 34
+        terms = TAIL_TERMS - FAR_START + 1
+        for m, z in enumerate(_power_sums(prec)):
+            lo = hi = Fraction(0)
+            for k in range(FAR_START, TAIL_TERMS + 1):
+                root = math.isqrt((FAR_START << 2 * c) // k)  # sqrt(20/k) 2^C, floored
+                num, den = FAR_START ** (2 * m + 1), k ** (2 * m + 1)
+                lo += Fraction(num * root // den, 1 << c)
+                hi += Fraction(-(-num * (root + 1) // den), 1 << c)
+            assert Fraction(z, 1 << big) <= hi, m
+            assert lo < Fraction(z + terms * (m + 1), 1 << big), m
+            assert hi - Fraction(z, 1 << big) < Fraction(terms * (m + 1), 1 << big), m
+
+    def test_domain_is_checked(self):
+        # the far series' floors are bounded for x/20 <= 5 only
+        with pytest.raises(PreconditionError, match="requires 0 < x <= 100"):
+            _tail_sum(Fraction(100) + _EDGE, 53)
+
     @pytest.mark.parametrize("prec", [16, 128, 1024, 4096])
     def test_kernel_arguments_meet_its_preconditions(self, prec, monkeypatch):
-        # every (xw, w) the sum passes at the sampler's ends, from x/1000 at
-        # x = 20 to x/2 at x = 100, meets _bessel_fixed's stated
+        # every (xw, w) the near terms pass at the sampler's ends, from x/19
+        # at x = 20 to x/2 at x = 100, meets _bessel_fixed's stated
         # preconditions, and w stays below the 2^16 of the relative bound
         calls = []
         monkeypatch.setattr(inequalities, "_bessel_fixed",
                             lambda xw, w: calls.append((xw, w)) or 1)
         for (x,) in _interval_ends("bessel-tail-sum"):
             _tail_sum(x, prec)
-        assert len(calls) == 2 * (TAIL_TERMS - 1)
+        assert len(calls) == 2 * (FAR_START - 2)
         for xw, w in calls:
             lam = 1.01 * (xw / 2**w) / math.log(2) + 2 * math.sqrt(w) + 10
             assert 16 <= w < 2**16 and xw * xw >= 1 << w and lam <= 2 ** (w - 2)
@@ -283,8 +344,9 @@ class TestBesselTailKernel:
 # -- the raw margins against their Enclosure expressions --------------------
 # Each _own_* is the margin's Enclosure expression, the form it had before it
 # ran on raw ends.  The raw margins in OWN must give these endpoints bit for
-# bit; the four in DECAY_OWN read the fixed-point decay kernel, so theirs are
-# outward by proof and only meet the expression's (TestDecayMargins).
+# bit; the four in DECAY_OWN read the fixed-point decay kernel, and the four
+# in PAIR_OWN integer bounds, so theirs are outward by proof and only meet
+# the expression's (TestDecayMargins, TestPairMargins).
 
 def _own_min_lo(margins):
     # the first of the least lower endpoints, as _min_lo keeps it
@@ -473,11 +535,7 @@ OWN = {
     "sqrt-exp-decreasing": _own_envelope_decreasing,
     "exp-argument-01": _own_exp_argument,
     "shift-ratio-02": _own_shift_ratio,
-    "collapse-056": _own_collapse_056,
     "collapse-131": _own_collapse_131,
-    "collapse-271": _own_collapse_271,
-    "collapse-2075": _own_collapse_2075,
-    "collapse-3926": _own_collapse_3926,
     "bessel-simplify-half": _own_bessel_simplify,
 }
 DECAY_OWN = {
@@ -486,8 +544,15 @@ DECAY_OWN = {
     "correction-sum-099": _own_correction,
     "collapse-1350": _own_collapse_1350,
 }
+PAIR_OWN = {
+    "collapse-056": _own_collapse_056,
+    "collapse-271": _own_collapse_271,
+    "collapse-2075": _own_collapse_2075,
+    "collapse-3926": _own_collapse_3926,
+}
 RAW_NAMES = sorted(OWN)
 DECAY_NAMES = sorted(DECAY_OWN)
+PAIR_NAMES = sorted(PAIR_OWN)
 DECAY_PRECS = (16, 53, 128, 300, 1024, 4096)
 
 
@@ -543,13 +608,12 @@ def _assert_same_ends(name, point, prec):
 
 def _clear_memos():
     for memo in (
-        inequalities._terms,
         inequalities._raw_constants,
         inequalities._correction_ends,
         inequalities._rest_root_ends,
-        inequalities._bracket_ends,
-        inequalities._collapse_n_terms,
-        inequalities._collapse_j_terms,
+        inequalities._pair_pi,
+        inequalities._pair_n_terms,
+        inequalities._pair_j_terms,
         inequalities._root_ends,
         rademacher._h_ends,
     ):
@@ -559,9 +623,10 @@ def _clear_memos():
 class TestRawMargins:
     def test_every_case_has_its_expression(self):
         # the Bessel tail's is _own_bessel_tail, which it meets but does not
-        # equal (TestBesselTailKernel), as the four in DECAY_OWN meet theirs
-        assert not set(OWN) & set(DECAY_OWN)
-        assert set(OWN) | set(DECAY_OWN) == ALL_NAMES - {"bessel-tail-sum"}
+        # equal (TestBesselTailKernel), as the four in DECAY_OWN and the four
+        # in PAIR_OWN meet theirs
+        assert len(OWN) + len(DECAY_OWN) + len(PAIR_OWN) == len(ALL_NAMES) - 1
+        assert set(OWN) | set(DECAY_OWN) | set(PAIR_OWN) == ALL_NAMES - {"bessel-tail-sum"}
 
     @pytest.mark.parametrize("prec", PRECS)
     @pytest.mark.parametrize("name", RAW_NAMES)
@@ -569,27 +634,10 @@ class TestRawMargins:
         for point in _check_points(name):
             _assert_same_ends(name, point, prec)
 
-    def test_wide_pair_point_rounds_its_cube(self):
-        # the cube of J = 48 has more than 16 bits, so it enters through
-        # ratio_pair, as Enclosure._coerce reads such an int, and the margins
-        # still agree; an odd int of 17 bits rounds outward there
-        n, j = WIDE_PAIR
-        cube = (2 * j) ** 3
-        assert cube > 2**16
-        assert _int_ends(cube, 16) == ratio_pair(cube, 1, 16)
-        wide = Enclosure.from_exact(0, 16) + (2**16 + 1)
-        assert _int_ends(2**16 + 1, 16) == (wide.lo, wide.hi) and wide.lo != wide.hi
-        for name in RAW_NAMES:
-            if _is_pair_case(name):
-                _assert_same_ends(name, WIDE_PAIR, 16)
-
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), name=st.sampled_from(RAW_NAMES), prec=st.sampled_from(PRECS))
     def test_same_endpoints_at_drawn_points(self, data, name, prec):
-        if _is_pair_case(name):
-            n = data.draw(st.integers(17, 10_000), label="n")
-            point = (n, data.draw(st.integers(1, fjn_j_top(n)), label="j"))
-        elif name == "collapse-131":
+        if name == "collapse-131":
             point = ()  # its one point
         else:
             (a,), (b,) = _interval_ends(name)
@@ -597,7 +645,7 @@ class TestRawMargins:
             point = (a + (b - a) * u,)
         _assert_same_ends(name, point, prec)
 
-    @pytest.mark.parametrize("name", sorted(RAW_NAMES + DECAY_NAMES))
+    @pytest.mark.parametrize("name", sorted(RAW_NAMES + DECAY_NAMES + PAIR_NAMES))
     def test_disordered_pair_raises_like_an_enclosure(self, name, monkeypatch):
         point = _check_points(name)[0]
         CASE_INDEX[name].margin(point, 53)
@@ -683,6 +731,65 @@ class TestDecayMargins:
             assert above - 2 < 0 or (above - 2) ** 2 < big_x, x
 
 
+class TestPairMargins:
+    # the four pair margins are exact integer bounds, monotone in pi and in
+    # the floor root of d, each end rounded once: outward by proof, not the
+    # Enclosure expression's bits.  collapse-056's expression encloses the
+    # same margin; the product margins' expressions evaluate the bound at
+    # |b| read from prec-bit enclosures of b, which lie at or above |b|, so
+    # their value lies at or below the margin the new ends enclose, and
+    # meets them at prec + 200 bits
+    @staticmethod
+    def _assert_encloses(name, point, prec):
+        lo, hi = CASE_INDEX[name].margin(point, prec)
+        want, wide = PAIR_OWN[name](point, prec), PAIR_OWN[name](point, prec + 200)
+        assert want.prec == prec and wide.prec == prec + 200
+        assert libmp.mpf_le(lo, wide.hi) and libmp.mpf_le(wide.lo, hi), (point, prec)
+        assert libmp.mpf_le(want.lo, hi), (point, prec)
+        if name == "collapse-056":
+            assert libmp.mpf_le(lo, want.hi), (point, prec)
+
+    @pytest.mark.parametrize("prec", PRECS)
+    @pytest.mark.parametrize("name", PAIR_NAMES)
+    def test_meets_the_enclosure_expression(self, name, prec):
+        # the golden worst point, (17, 1) and (10^4, 24), whose doubled
+        # shift has a cube of more than 16 bits
+        for point in _check_points(name):
+            self._assert_encloses(name, point, prec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(PAIR_NAMES), prec=st.sampled_from(PRECS))
+    def test_meets_at_drawn_points(self, data, name, prec):
+        n = data.draw(st.integers(17, 10**5), label="n")
+        self._assert_encloses(name, (n, data.draw(st.integers(1, fjn_j_top(n)), label="j")), prec)
+
+    @pytest.mark.parametrize("prec", [16, 128])
+    def test_integer_bounds_hold_exactly(self, prec):
+        # every bound of _n_bounds and _j_bounds, decided on squares against
+        # pi's ends [lo, hi] 2^-k: at small w and d, where dropping the + 1
+        # of a floor root's upper bound moves a bound by about a unit, and at
+        # the registry's w over its (n, J)
+        pi = constants(prec).pi
+        cases = [(d, big_j, w) for d in range(1, 121) for big_j in (1, 2, 5)
+                 for w in range(1, 13)]
+        cases += [(24 * n - 1, big_j, prec + PAIR_GUARD)
+                  for n in (17, 18, 400, 9973, 10_000) for big_j in (1, 2 * fjn_j_top(n))]
+        for d, big_j, w in cases:
+            lo, hi, k, s_lo, s_hi, _ = bounds = _pi_bounds(pi, w)
+            r, c, b = _n_bounds(d, bounds)
+            q, bracket = _j_bounds(d, big_j, bounds, r)
+            four, point = 4**w, (d, big_j, w)
+            assert r * r <= d * four < (r + 1) ** 2, point
+            assert s_lo * s_lo << k <= lo * four < (s_hi + 1) ** 2 << k, point
+            # c = 6/sqrt(pi d), b = 6/(pi sqrt d), q = 12 pi J^2/(d sqrt d)
+            assert c[0] ** 2 * hi * d <= 36 * four << k <= c[1] ** 2 * lo * d, point
+            assert b[0] ** 2 * hi * hi * d <= 36 * four << 2 * k <= b[1] ** 2 * lo * lo * d, point
+            assert q[0] ** 2 * d**3 << 2 * k <= 144 * lo * lo * big_j**4 * four, point
+            assert 144 * hi * hi * big_j**4 * four <= q[1] ** 2 * d**3 << 2 * k, point
+            # the J-bracket 24J/d - q
+            assert (bracket[0] + q[1]) * d <= 24 * big_j << w <= (bracket[1] + q[0]) * d, point
+
+
 # -- domains -----------------------------------------------------------------
 
 SHARED_DOMAINS = {
@@ -755,17 +862,13 @@ class TestDomains:
             _shrink(monkeypatch, name, 60, 15)
         _clear_memos()
         run_domain(names)
-        # at most one build of the shifted terms per point, none when the
-        # point keeps the last one's n; the J-brackets at j and 2j at most
-        # once, and collapse-2075 and collapse-3926 read them from the memo
-        assert inequalities._terms.cache_info().misses <= 75
-        brackets = inequalities._bracket_ends.cache_info()
-        assert brackets.misses <= 2 * 75 and brackets.hits >= 2 * 75
-        # collapse-056's terms in n at most once per point, and its terms in
-        # J mostly from the memo: the grid reads J = 1 and 2 at every n
-        assert inequalities._collapse_n_terms.cache_info().misses <= 75
-        j_terms = inequalities._collapse_j_terms.cache_info()
-        assert j_terms.hits > j_terms.misses
+        # at most one build of the terms in n per point, none when the point
+        # keeps the last one's n; the terms in J at j and 2j at most once,
+        # and collapse-271, collapse-2075 and collapse-3926 read them from
+        # the memo
+        assert inequalities._pair_n_terms.cache_info().misses <= 75
+        j_terms = inequalities._pair_j_terms.cache_info()
+        assert j_terms.misses <= 2 * 75 and j_terms.hits >= 4 * 75
 
     def test_cases_of_two_domains_are_refused(self):
         with pytest.raises(PreconditionError, match="do not share one domain"):

@@ -702,15 +702,14 @@ class TestInequalityDispatch:
         groups = inequalities.group_by_domain([thirty.name, names[0], names[-1]])
         assert groups[_dispatch_order(groups)[0]] == (names[0], names[-1])
         # in the registry every case weighs its measured serial us a point,
-        # so the domains go in order of measured CPU: the pairs, then
-        # bessel-tail-sum and [335/24, 10^4] (0.83 s each), then the cheap
-        # ones; exp-convexity-half and tail-envelope-15 cost the same, and
-        # equal costs keep their order
+        # so the domains go in order of measured CPU: [335/24, 10^4], the
+        # pairs, then the cheap ones; exp-convexity-half and
+        # tail-envelope-15 cost the same, and equal costs keep their order
         groups = inequalities.group_by_domain([case.name for case in inequalities.CASES])
         assert [groups[i][0] for i in _dispatch_order(groups)] == [
-            "collapse-056", "bessel-tail-sum", "shifted-envelope-11", "sqrt-expansion-01",
-            "exp-convexity-half", "tail-envelope-15", "sqrt-exp-decreasing",
-            "geometric-series-100", "collapse-131",
+            "shifted-envelope-11", "collapse-056", "sqrt-expansion-01", "exp-convexity-half",
+            "tail-envelope-15", "sqrt-exp-decreasing", "geometric-series-100",
+            "bessel-tail-sum", "collapse-131",
         ]
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
@@ -728,10 +727,11 @@ class TestInequalityDispatch:
         assert _run_inequality_cases(names, 128, inequalities.DEFAULT_SEED) == expected
 
     def test_longest_case_dispatched_first(self):
-        # the four cases on the (n, j) pairs take the most serial CPU
+        # the five cases on [335/24, 10^4] take the most serial CPU
         groups = inequalities.group_by_domain([case.name for case in inequalities.CASES])
         assert groups[_dispatch_order(groups)[0]] == (
-            "collapse-056", "collapse-271", "collapse-2075", "collapse-3926",
+            "shifted-envelope-11", "correction-sum-099", "exp-argument-01", "shift-ratio-02",
+            "collapse-1350",
         )
 
     def test_case_error_propagates_without_rerun(self, monkeypatch, tmp_path):
