@@ -44,8 +44,8 @@ from mpmath import libmp
 DEFAULT_PRECISION = 128
 
 # Entries kept by each precision-keyed memo (constants, special.mp_context,
-# inequalities._raw_constants, _pair_pi and _power_sums): a run uses its
-# working precision and 64 bits for Lehmer's bound or 30 more.
+# inequalities._fixed_constants and _power_sums): a run uses its working
+# precision and 64 bits for Lehmer's bound or 30 more.
 PRECISION_MEMO_MAXSIZE = 4
 
 # Entries kept by each per-index memo: the k-rank memo and

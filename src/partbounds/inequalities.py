@@ -29,37 +29,31 @@ name, with the same points and result as the name's row of its domain.
 
 Because the cases of a domain are evaluated one after the other at each
 point, the terms they share are computed once per point, by small memos
-that keep the last point or two: x and sqrt x, h with its decay factor
-(rademacher._h_ends, which h_error also wraps), the correction sum
-sqrt3/(sqrt2 pi sqrt x) + h, sqrt(1 - x), and the pair margins' integer
-bounds in n alone and in J = j and 2j.  Each is keyed by the point's
-integers and prec: the numerator and denominator of x = a/b, or n and J,
-never a Fraction, whose hash takes a modular inverse.
+that keep the last point or two: the floor root of x, or of 1 - x, h with
+the correction sum sqrt3/(sqrt2 pi sqrt x) + h, and the pair margins'
+integer bounds in n alone and in J = j and 2j.  Each is keyed by the
+point's integers and prec: the numerator and denominator of x = a/b, or n
+and J, never a Fraction, whose hash takes a modular inverse.
 
-Every margin but collapse-131 is raw: an expression in the enclosure
-module's _*_ends helpers on (lo, hi) pairs, or integers rounded once.  Ten
-of them make the libmp calls, on the same operands and with the same
+Every margin but collapse-131 is raw: integers rounded once, or an
+expression in the enclosure module's _*_ends helpers on (lo, hi) pairs.
+Four of them make the libmp calls, on the same operands and with the same
 roundings, of the Enclosure expression they replace, so their endpoints are
 libmp's, that expression's bit for bit (tests/test_inequalities.py keeps
-each expression as a reference and compares the two).  collapse-131, one
-point per run, stays an Enclosure expression (see its comment) and returns
-that expression's ends.  The other nine are outward by proof and only meet
+each expression as a reference and compares the two): geometric-series-100,
+reciprocal-125 and bessel-simplify-half, each one exact rational rounded
+once by ratio_pair, which rounds p/q whatever the common factors of p and
+q, and exp-convexity-half below its split (below).  collapse-131, one point
+per run, stays an Enclosure expression (see its comment) and returns that
+expression's ends.  The other fifteen are outward by proof and only meet
 their expressions': bessel-tail-sum on special._bessel_fixed and one power
-series (below); tail-envelope-15, correction-sum-099 and collapse-1350,
-which take h and its decay factor from rademacher._h_ends; shifted-envelope-11
-(below), the last four on special._decay_fixed, whose proof is in special's
-docstring; and collapse-056, collapse-271, collapse-2075 and collapse-3926,
-exact integer bounds (below).  The margins read constants(prec) directly;
-the registry's own constants are built once per precision in _raw_constants,
-by the calls the Enclosure expressions made at each point.  An int operand
-is exact only when it fits in prec bits, and otherwise rounds outward
-through ratio_pair, as Enclosure._coerce reads it (_int_ends).  Exact
-rational parts are computed on unreduced integers, and are rounded once by
-ratio_pair, which rounds the value p/q whatever the common factors of p and
-q.  The interval samplers likewise build each point as one Fraction.
+series; the eleven fixed-point margins, four of them on
+special._decay_fixed, whose proof is in special's docstring; and the four
+(n, j) pair margins, exact integer bounds (each below).  The interval
+samplers build each point as one Fraction.
 
-Each helper checks the order of the pair it returns, once, as Enclosure
-arithmetic does; no margin checks one itself.
+Each helper, _dyadic_ends included, checks the order of the pair it
+returns, once, as Enclosure arithmetic does; no margin checks one itself.
 
 bessel-tail-sum sums in fixed point.  For x = a/b in [20, 100], _tail_sum
 splits the sum at K = FAR_START = 20, where x/k <= 5 from k = K on.
@@ -124,7 +118,7 @@ terms are
     c = sqrt3 / (sqrt(2 pi) sqrt N) = 6 / sqrt(pi d),
     b = sqrt3 / (sqrt2 pi sqrt N) = 6 / (pi sqrt d),
 
-each monotone in pi and in sqrt d.  At w = prec + PAIR_GUARD, _pi_bounds
+each monotone in pi and in sqrt d.  At w = prec + FIXED_GUARD, _pi_bounds
 reads pi's raw ends from constants(prec) as integers [lo, hi] 2^-k and
 takes sqrt(pi) in [s_lo, s_hi + 1) 2^-w by isqrt, and _n_bounds takes the
 floor root r = isqrt(d 4^w), so sqrt d is in [r, r + 1) 2^-w (isqrt of a
@@ -142,10 +136,11 @@ with q, c, b and the J-bracket J/N - q = 24J/d - q within [lo, hi] 2^-w
   the smaller, max(0, lo, -hi) (_product_margin).  collapse-271 has b1 the
   J-bracket and b2 = -c; collapse-2075 and collapse-3926 have b1 = b and
   b2 the J-bracket less c, its bounds subtracted end by end.
-Each end is rounded once, outward, by ratio_pair.  So the ends enclose the
-margin at the exact |b|; the Enclosure expressions they replace read |b|
-from prec-bit enclosures of b, at or above it, so their values lie at or
-below it, and meet the new ends at a wider precision.
+Each end, an exact quotient y of integers, is floored, or raised, to 2^-w
+and rounded once, outward, by _dyadic_ends (nested floors, below).  So the
+ends enclose the margin at the exact |b|; the Enclosure expressions they
+replace read |b| from prec-bit enclosures of b, at or above it, so their
+values lie at or below it, and meet the new ends at a wider precision.
 
 shifted-envelope-11 bounds x d(Y), d(Y) = sqrt(Y) e^{-(pi/2) sqrt(Y/2)} and
 Y = x - sqrt(x)/2, for x = a/b in [335/24, 10^4], at w = prec + DECAY_GUARD:
@@ -157,8 +152,69 @@ Y = x - sqrt(x)/2, for x = a/b in [335/24, 10^4], at w = prec + DECAY_GUARD:
 * there |(ln d)'| = b2/(2 sqrt Y) - 1/(2Y) < 0.56, so
   d(Y) >= d(Y') (1 - 1.12 2^-w) >= (D - E - floor(D 2^(1-w)) - 1) 2^-z.
 So the margin 11/10 - x d(Y) lies between (11 b 2^z - 10 a (D + E)) and
-(11 b 2^z - 10 a (D - E - floor(D 2^(1-w)) - 1)), over 10 b 2^z, each end
-rounded once, outward, by ratio_pair.
+(11 b 2^z - 10 a (D - E - floor(D 2^(1-w)) - 1)), over 10 b 2^z: each end
+is floored, or raised, to 2^-z and rounded once, outward, by _dyadic_ends.
+
+Nested floors.  Let y be a real with |y| >= 2^-(FIXED_GUARD + 1), so that
+its binade [2^(e-1), 2^e) has e >= -FIXED_GUARD.  The prec-bit floats in
+it are multiples of 2^(e - prec), and so of 2^-w, w = prec + FIXED_GUARD;
+so the floor of y to a multiple of 2^-w lies between y's prec-bit floor and
+y, and the prec-bit floor of it is y's: the two floors nest, and the two
+ceilings likewise.  The pair margins and shifted-envelope-11 floor, or
+raise, the quotients that ratio_pair rounded before to 2^-w, or to the
+finer 2^-z, and _dyadic_ends rounds that.  The least of their sampled
+margins, collapse-056's, is about 0.0018, so both ends are the quotient's
+prec-bit floor and ceiling, ratio_pair's bits, with one rounding instead of
+two (tests/test_inequalities.py compares them).  Below 2^-33 they would
+still be outward, as every floor is.
+
+Fixed-point margins.  Eleven margins form integer ends [L, H] over 2^w,
+w = prec + FIXED_GUARD, or over the decay kernel's 2^-z, and round them once,
+outward, by _dyadic_ends: correction-sum-099, exp-argument-01,
+shift-ratio-02 and collapse-1350 on [335/24, 10^4]; sqrt-expansion-01,
+inverse-sqrt-06 and concavity-sqrt-positive on (0, 1/5); tail-envelope-15,
+sqrt-exp-decreasing, exp-convexity-half past its split, and
+shifted-envelope-11 (above).  They read:
+* _fixed_constants(prec), once per precision: pi in [P - 1, P + 1] 2^-w,
+  P = pi_fixed(w) within a unit of pi 2^w (as special reads it); and
+  sqrt 6, sqrt(3/2) and 2 sqrt 2 in [r, r + 1] 2^-w, r the floor roots
+  isqrt(6 4^w), isqrt(3 4^w / 2) and isqrt(8 4^w);
+* one floor root r = isqrt(floor(p 4^w / q)) per point (_floor_root), so
+  sqrt(p/q) lies in [r, r + 1) 2^-w, as the isqrt of a floor is the floor
+  of the root: of x = a/b, or of 1 - x = (b - a)/b on (0, 1/5);
+* an exact rational part R as floor(R 2^w) and ceil(R 2^w);
+* h and its decay factor d from special._decay_fixed at prec + DECAY_GUARD,
+  within E 2^-z of H 2^-z and D 2^-z.
+Each margin is monotone in each of these terms, so an end that puts in the
+bounds which make the margin least, or greatest, and floors, or raises,
+each quotient is outward:
+* shift-ratio-02, 1/5 - 1/(2 sqrt x), increases in sqrt x;
+* exp-argument-01, 1/10 - pi/(40 sqrt 6) - (pi^2/24) i^2 with i =
+  1/(10 sqrt x) + 1/4 > 0, decreases in pi and i, and i decreases in sqrt x;
+  the margin increases in sqrt 6;
+* sqrt-exp-decreasing, pi sqrt x - 2 sqrt 2, increases in pi and sqrt x
+  and decreases in 2 sqrt 2;
+* on (0, 1/5), with u = sqrt(1 - x): sqrt-expansion-01 is R + u,
+  concavity-sqrt-positive R - u and inverse-sqrt-06 R - 1/u;
+* correction-sum-099 and collapse-1350 read h and the correction sum s =
+  sqrt(3/2)/(pi sqrt x) + h over 2^w (_correction): h's ends [H - E, H + E]
+  2^-z floored and raised to 2^-w, nonnegative as H > E, and s, which
+  increases in sqrt(3/2) and h and decreases in pi and sqrt x.  99/100 - s
+  decreases in s, and 1350 - x (h + 100 s^2) in h and in s >= 0;
+* tail-envelope-15, 15 d - h, lies in [15 D - H - 16 E, 15 D - H + 16 E]
+  2^-z, with no further floor;
+* exp-convexity-half is R - e^-x, R = x^2/2 + 1 - x.  ln2_fixed(v), v =
+  w + 8, is within a unit of ln 2 2^v, so m = floor(x 2^v / (ln2_fixed(v) +
+  1)) has m < x / ln 2 and 0 < e^-x < 2^-m.  Where m >= w (x above about
+  w ln 2; the test is a 2^v >= b w (ln2_fixed(v) + 1), no division), the
+  margin lies in (R - 2^-w, R), inside [floor(R 2^w) - 1, ceil(R 2^w)]
+  2^-w.  Below the split it keeps its Enclosure expression's _exp_ends
+  calls, bit for bit.
+pi_fixed and ln2_fixed are libmp's constants truncated from a wider
+evaluation, read as within a unit here as in special's kernels.
+tests/test_inequalities.py decides the integer bounds and the roots' and
+constants' ends exactly, and checks those two units against wider
+enclosures.
 """
 
 from __future__ import annotations
@@ -177,9 +233,8 @@ from .enclosure import (
     DEFAULT_PRECISION,
     PRECISION_MEMO_MAXSIZE,
     Enclosure,
-    _add_ends,
-    _checked,
     _div_ends,
+    _dyadic_ends,
     _exact_ends,
     _exp_ends,
     _int_ends,
@@ -189,13 +244,11 @@ from .enclosure import (
     _sub_ends,
     constants,
     fraction_from_raw,
-    ratio_pair,
     scaled_ends,
 )
 from .errors import PartboundsError, PreconditionError
 from .estimates import FJN_RADIUS_A, FJN_RADIUS_B, RATIO_RADIUS_1, RATIO_RADIUS_2, fjn_j_top
 from .exact import shifted_index
-from .rademacher import _h_ends
 from .special import DECAY_GUARD, _bessel_fixed, _bessel_guard_bits, _decay_fixed
 
 Point = Tuple
@@ -230,8 +283,8 @@ FAR_GUARD = 56
 _FAR_TERMS = TAIL_TERMS - FAR_START + 1
 _FAR_STOP = 12
 
-# the collapse pair margins' integer bounds carry w = prec + PAIR_GUARD bits
-PAIR_GUARD = 32
+# the fixed-point margins' integer ends carry w = prec + FIXED_GUARD bits
+FIXED_GUARD = 32
 
 
 def _min_lo(a: Optional[Ends], b: Ends) -> Ends:
@@ -305,56 +358,62 @@ _PAIRS = _pair_sampler(17, 10_000)
 
 
 @lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
-def _raw_constants(prec: int) -> SimpleNamespace:
-    """The registry's own constants at prec bits, derived from constants(prec).
-
-    Each is built by the calls its Enclosure expression made at every point:
-    an exact Fraction by from_exact's ratio_pair, an int by _int_ends, and
-    sqrt2 pi, pi/(40 sqrt6), pi^2/24 and 2 sqrt2 as sqrt2 * pi,
-    pi / (40 * sqrt6), pi * pi / 24 and 2 * sqrt2, for the Enclosures of
-    constants(prec).
-    """
-    c = constants(prec)
-    pi, two = c.pi, _int_ends(2, prec)
-    return SimpleNamespace(
-        one=_int_ends(1, prec),
-        two=two,
-        fifteen=_int_ends(15, prec),
-        hundred=_int_ends(100, prec),
-        quarter=_exact_ends(Fraction(1, 4), prec),
-        fifth=_exact_ends(Fraction(1, 5), prec),
-        tenth=_exact_ends(Fraction(1, 10), prec),
-        ninety_nine_hundredths=_exact_ends(Fraction(99, 100), prec),
-        ratio_radius_2=_exact_ends(RATIO_RADIUS_2, prec),
-        sqrt2_pi=_mul_ends(c.sqrt2, pi, prec),
-        two_sqrt2=_mul_ends(c.sqrt2, two, prec),
-        pi_over_40_sqrt6=_div_ends(pi, _mul_ends(c.sqrt6, _int_ends(40, prec), prec), prec),
-        pi_squared_over_24=_div_ends(_mul_ends(pi, pi, prec), _int_ends(24, prec), prec),
+def _fixed_constants(prec: int) -> SimpleNamespace:
+    """The registry's integer constants at w = prec + FIXED_GUARD, built on
+    first use at each precision: pi, sqrt 6, sqrt(3/2) and 2 sqrt 2 as
+    (lo, hi) with the constant in [lo, hi] 2^-w; split = w (L + 1), L =
+    ln2_fixed(w + 8), exp-convexity-half's split point; and pair_pi, the pair
+    margins' _pi_bounds (module docstring)."""
+    w = prec + FIXED_GUARD
+    pi = libmp.pi_fixed(w)
+    sqrt6, sqrt_three_halves, two_sqrt2 = (
+        (r, r + 1) for r in (isqrt(6 << 2 * w), isqrt(3 << 2 * w - 1), isqrt(8 << 2 * w))
     )
+    return SimpleNamespace(
+        w=w,
+        pi=(pi - 1, pi + 1),
+        sqrt6=sqrt6,
+        sqrt_three_halves=sqrt_three_halves,
+        two_sqrt2=two_sqrt2,
+        split=w * (libmp.ln2_fixed(w + 8) + 1),
+        pair_pi=_pi_bounds(constants(prec).pi, w),
+    )
+
+
+def _floor(p: int, q: int, w: int) -> int:
+    # floor(p 2^w / q)
+    return (p << w) // q
+
+
+def _ceil(p: int, q: int, w: int) -> int:
+    # ceil(p 2^w / q)
+    return -((-p << w) // q)
 
 
 # -- per-point terms that the cases of one domain share -------------------
 
 @lru_cache(maxsize=1)
-def _root_ends(a: int, b: int, prec: int):
-    # x = a/b and sqrt x, read in turn by four cases of [335/24, 10^4]
-    xe = _ratio_ends(a, b, prec)
-    return xe, _sqrt_ends(xe, prec)
+def _floor_root(p: int, q: int, w: int) -> int:
+    # floor(sqrt(p/q) 2^w): the isqrt of a floor is the floor of the root.
+    # x = a/b on [335/24, 10^4], read by four of its cases, and 1 - x on
+    # (0, 1/5), by three
+    return isqrt((p << 2 * w) // q)
 
 
 @lru_cache(maxsize=1)
-def _correction_ends(a: int, b: int, prec: int):
-    # h(x) and the correction sum sqrt3/(sqrt2 pi sqrt x) + h(x) at x = a/b,
-    # the calls of c.sqrt3 / (c.sqrt2 * c.pi * sqrt(x)) + h_error(x)
-    h = _h_ends(a, b, prec)[0]
-    q = _mul_ends(_raw_constants(prec).sqrt2_pi, _root_ends(a, b, prec)[1], prec)
-    return h, _add_ends(_div_ends(constants(prec).sqrt3, q, prec), h, prec)
-
-
-@lru_cache(maxsize=1)
-def _rest_root_ends(a: int, b: int, prec: int):
-    # sqrt(1 - x), Enclosure.from_exact(1 - x).sqrt() for x = a/b
-    return _sqrt_ends(_ratio_ends(b - a, b, prec), prec)
+def _correction(a: int, b: int, prec: int):
+    """(h, s): h(x) and the correction sum s = sqrt(3/2)/(pi sqrt x) + h(x)
+    at x = a/b, each (lo, hi) integers over 2^w with lo >= 0 (module
+    docstring)."""
+    k = _fixed_constants(prec)
+    w = k.w
+    r = _floor_root(a, b, w)
+    big, _, e, z = _decay_fixed(a, b, prec + DECAY_GUARD)
+    shift = z - w
+    h = (big - e) >> shift, -(-(big + e) >> shift)
+    (p_lo, p_hi), (t_lo, t_hi) = k.pi, k.sqrt_three_halves
+    return h, ((t_lo << 2 * w) // (p_hi * (r + 1)) + h[0],
+               -(-(t_hi << 2 * w) // (p_lo * r)) + h[1])
 
 
 # -- margins ---------------------------------------------------------------
@@ -372,22 +431,26 @@ def _margin_geometric(point: Point, prec: int) -> Ends:
 
 def _margin_sqrt_expansion(point: Point, prec: int) -> Ends:
     # x^3/10 - ((1 - x/2 - x^2/8) - sqrt(1-x)); sqrt(1-x) sits below
-    # 1 - x/2 - x^2/8, so the deviation needs no abs.  With x = a/b the
-    # exact parts are (8b^2 - 4ab - a^2)/(8b^2) and a^3/(10 b^3).
+    # 1 - x/2 - x^2/8, so the deviation needs no abs.  With x = a/b its
+    # exact part is (4a^3 - 5b (8b^2 - 4ab - a^2))/(40 b^3), plus sqrt(1-x)
     (x,) = point
     a, b = x.numerator, x.denominator
+    w = prec + FIXED_GUARD
     bb = b * b
-    deviation = _ratio_ends(8 * bb - 4 * a * b - a * a, 8 * bb, prec)
-    deviation = _sub_ends(deviation, _rest_root_ends(a, b, prec), prec)
-    return _sub_ends(_ratio_ends(a**3, 10 * bb * b, prec), deviation, prec)
+    num, den = 4 * a**3 - 5 * b * (8 * bb - 4 * a * b - a * a), 40 * bb * b
+    r = _floor_root(b - a, b, w)
+    return _dyadic_ends(_floor(num, den, w) + r, _ceil(num, den, w) + r + 1, w, prec)
 
 
 def _margin_inverse_sqrt(point: Point, prec: int) -> Ends:
     # 1 + (3/5) x - 1/sqrt(1-x), its exact part (5b + 3a)/(5b)
     (x,) = point
     a, b = x.numerator, x.denominator
-    inverse = _div_ends(_raw_constants(prec).one, _rest_root_ends(a, b, prec), prec)
-    return _sub_ends(_ratio_ends(5 * b + 3 * a, 5 * b, prec), inverse, prec)
+    w = prec + FIXED_GUARD
+    r = _floor_root(b - a, b, w)
+    one = 1 << 2 * w
+    return _dyadic_ends(_floor(5 * b + 3 * a, 5 * b, w) + (-one // r),
+                        _ceil(5 * b + 3 * a, 5 * b, w) - one // (r + 1), w, prec)
 
 
 def _margin_reciprocal(point: Point, prec: int) -> Ends:
@@ -398,26 +461,36 @@ def _margin_reciprocal(point: Point, prec: int) -> Ends:
 
 
 def _margin_exp_convexity(point: Point, prec: int) -> Ends:
-    # x^2/2 + 1 - x - e^{-x}, its exact part (a^2 + 2b^2 - 2ab)/(2b^2)
+    # x^2/2 + 1 - x - e^{-x}, its exact part R = (a^2 + 2b^2 - 2ab)/(2b^2):
+    # past the split e^{-x} < 2^-w, below it the Enclosure expression's calls
     (x,) = point
     a, b = x.numerator, x.denominator
+    num, den = a * a + 2 * b * b - 2 * a * b, 2 * b * b
+    k = _fixed_constants(prec)
+    w = k.w
+    if a << w + 8 >= b * k.split:
+        return _dyadic_ends(_floor(num, den, w) - 1, _ceil(num, den, w), w, prec)
     tail = _exp_ends(_ratio_ends(-a, b, prec), prec)
-    return _sub_ends(_ratio_ends(a * a + 2 * b * b - 2 * a * b, 2 * b * b, prec), tail, prec)
+    return _sub_ends(_ratio_ends(num, den, prec), tail, prec)
 
 
 def _margin_tail_envelope(point: Point, prec: int) -> Ends:
     # 15 sqrt(x) e^{-(pi/2) sqrt(x/2)} - h(x): h's decay factor and h, both
-    # from the decay kernel
+    # from the decay kernel, within E 2^-z of D and H
     (x,) = point
-    h, decay = _h_ends(x.numerator, x.denominator, prec)
-    return _sub_ends(_mul_ends(decay, _raw_constants(prec).fifteen, prec), h, prec)
+    big, d, e, z = _decay_fixed(x.numerator, x.denominator, prec + DECAY_GUARD)
+    m = 15 * d - big
+    return _dyadic_ends(m - 16 * e, m + 16 * e, z, prec)
 
 
 def _margin_envelope_decreasing(point: Point, prec: int) -> Ends:
     # d/dx log(sqrt(x) exp(-(pi/2) sqrt(x/2))) < 0 iff pi sqrt(x) > 2 sqrt(2).
     (x,) = point
-    value = _mul_ends(constants(prec).pi, _sqrt_ends(_exact_ends(x, prec), prec), prec)
-    return _sub_ends(value, _raw_constants(prec).two_sqrt2, prec)
+    k = _fixed_constants(prec)
+    w = k.w
+    r = _floor_root(x.numerator, x.denominator, w)
+    (p_lo, p_hi), (t_lo, t_hi) = k.pi, k.two_sqrt2
+    return _dyadic_ends((p_lo * r >> w) - t_hi, -(-p_hi * (r + 1) >> w) - t_lo, w, prec)
 
 
 def _shifted_floor(a: int, b: int, w: int) -> int:
@@ -428,49 +501,62 @@ def _shifted_floor(a: int, b: int, w: int) -> int:
 
 def _margin_shifted_envelope(point: Point, prec: int) -> Ends:
     # 11/10 - x d(Y), d(Y) = sqrt(Y) e^{-(pi/2) sqrt(Y/2)}, Y = x - sqrt(x)/2:
-    # the decay kernel at Y rounded down, each end one rounding of a ratio
-    # of integers (module docstring)
+    # the decay kernel at Y rounded down, each end a floor or a ceiling over
+    # 2^-z (module docstring)
     (x,) = point
     a, b = x.numerator, x.denominator
     w = prec + DECAY_GUARD
     _, d, e, z = _decay_fixed(_shifted_floor(a, b, w), 1 << w, w, first=False)
-    top, den = 11 * b << z, 10 * b << z
-    return _checked(ratio_pair(top - 10 * a * (d + e), den, prec)[0],
-                    ratio_pair(top - 10 * a * (d - e - (d >> (w - 1)) - 1), den, prec)[1])
+    top, den = 11 * b << z, 10 * b
+    return _dyadic_ends((top - 10 * a * (d + e)) // den,
+                        -((10 * a * (d - e - (d >> (w - 1)) - 1) - top) // den), z, prec)
 
 
 def _margin_concavity(point: Point, prec: int) -> Ends:
     # 1 - x/2 - sqrt(1-x), its exact part (2b - a)/(2b)
     (x,) = point
     a, b = x.numerator, x.denominator
-    return _sub_ends(_ratio_ends(2 * b - a, 2 * b, prec), _rest_root_ends(a, b, prec), prec)
+    w = prec + FIXED_GUARD
+    r = _floor_root(b - a, b, w)
+    return _dyadic_ends(_floor(2 * b - a, 2 * b, w) - r - 1, _ceil(2 * b - a, 2 * b, w) - r,
+                        w, prec)
 
 
 def _margin_correction_sum(point: Point, prec: int) -> Ends:
+    # 99/100 - s, s the correction sum
     (x,) = point
-    s = _correction_ends(x.numerator, x.denominator, prec)[1]
-    return _sub_ends(_raw_constants(prec).ninety_nine_hundredths, s, prec)
+    w = prec + FIXED_GUARD
+    s_lo, s_hi = _correction(x.numerator, x.denominator, prec)[1]
+    return _dyadic_ends(_floor(99, 100, w) - s_hi, _ceil(99, 100, w) - s_lo, w, prec)
+
+
+def _inner_bounds(r: int, w: int) -> Tuple[int, int]:
+    # 1/(10 sqrt x) + 1/4 within [lo, hi] 2^-w, for sqrt x in [r, r + 1) 2^-w
+    one, quarter = 1 << 2 * w, 1 << w - 2
+    return one // (10 * (r + 1)) + quarter, -(-one // (10 * r)) + quarter
 
 
 def _margin_exp_argument(point: Point, prec: int) -> Ends:
     # 1/10 - (pi/(40 sqrt6) + (pi^2/24) inner^2), inner = 1/(10 sqrt x) + 1/4
     (x,) = point
-    k = _raw_constants(prec)
-    root = _root_ends(x.numerator, x.denominator, prec)[1]
-    inner = _div_ends(k.tenth, root, prec)
-    inner = _add_ends(inner, k.quarter, prec)
-    value = _mul_ends(_mul_ends(k.pi_squared_over_24, inner, prec), inner, prec)
-    value = _add_ends(k.pi_over_40_sqrt6, value, prec)
-    return _sub_ends(k.tenth, value, prec)
+    k = _fixed_constants(prec)
+    w = k.w
+    i_lo, i_hi = _inner_bounds(_floor_root(x.numerator, x.denominator, w), w)
+    (p_lo, p_hi), (s_lo, s_hi) = k.pi, k.sqrt6
+    cube = 24 << 3 * w
+    v_lo = (p_lo << w) // (40 * s_hi) + (p_lo * i_lo) ** 2 // cube
+    v_hi = -(-(p_hi << w) // (40 * s_lo)) - (-(p_hi * i_hi) ** 2 // cube)
+    return _dyadic_ends(_floor(1, 10, w) - v_hi, _ceil(1, 10, w) - v_lo, w, prec)
 
 
 def _margin_shift_ratio(point: Point, prec: int) -> Ends:
     # 1/5 - 1/(2 sqrt x)
     (x,) = point
-    k = _raw_constants(prec)
-    root = _root_ends(x.numerator, x.denominator, prec)[1]
-    half = _div_ends(k.one, _mul_ends(root, k.two, prec), prec)
-    return _sub_ends(k.fifth, half, prec)
+    w = prec + FIXED_GUARD
+    r = _floor_root(x.numerator, x.denominator, w)
+    half = 1 << 2 * w - 1
+    return _dyadic_ends(_floor(1, 5, w) + (-half // r), _ceil(1, 5, w) - half // (r + 1),
+                        w, prec)
 
 
 # -- the (n, j) pair margins on integer bounds ------------------------------
@@ -483,11 +569,6 @@ def _pi_bounds(pi, w: int):
     # raw pair pi, and sqrt(pi) within [s_lo, s_hi + 1) 2^-w
     lo, hi, k = scaled_ends(*pi)
     return lo, hi, k, isqrt((lo << 2 * w) >> k), isqrt((hi << 2 * w) >> k), w
-
-
-@lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
-def _pair_pi(prec: int):
-    return _pi_bounds(constants(prec).pi, prec + PAIR_GUARD)
 
 
 def _n_bounds(d: int, pi):
@@ -506,7 +587,7 @@ def _n_bounds(d: int, pi):
 def _pair_n_terms(n: int, prec: int):
     # one entry: a pair point's four cases read one n in turn, and the pair
     # grid visits each n with up to three j in a row
-    return _n_bounds(24 * n - 1, _pair_pi(prec))
+    return _n_bounds(24 * n - 1, _fixed_constants(prec).pair_pi)
 
 
 def _j_bounds(d: int, big_j: int, pi, r: int):
@@ -523,25 +604,26 @@ def _j_bounds(d: int, big_j: int, pi, r: int):
 @lru_cache(maxsize=2)
 def _pair_j_terms(n: int, big_j: int, prec: int):
     # a pair point reads J = j and 2j
-    return _j_bounds(24 * n - 1, big_j, _pair_pi(prec), _pair_n_terms(n, prec)[0])
+    return _j_bounds(24 * n - 1, big_j, _fixed_constants(prec).pair_pi,
+                     _pair_n_terms(n, prec)[0])
 
 
 def _margin_collapse_056(point: Point, prec: int) -> Ends:
     # 0.56 - (0.4 + pi J^3/den + 0.4 pi J^2/den + 0.1 + 0.1 J/N + 0.04/N),
     # den = 4 sqrt6 N^(3/2), is 3/50 - 24(5J + 2)/(50 d) - q (5J + 2)/5 with
-    # q = pi J^2/den: over 50 d 2^w, each end rounded once
+    # q = pi J^2/den: over 50 d, each end floored or raised to 2^-w
     n, j = point
     d = 24 * n - 1
-    w = prec + PAIR_GUARD
+    w = prec + FIXED_GUARD
     worst = None
     # The bound is used with both the plain and the doubled shift; the
     # doubled one is the tight branch but both must clear 0.56.
     for big_j in (j, 2 * j):
         q_lo, q_hi = _pair_j_terms(n, big_j, prec)[0]
         five = 5 * big_j + 2
-        top, den = (3 * d - 24 * five) << w, 50 * d << w
-        worst = _min_lo(worst, _checked(ratio_pair(top - 10 * d * five * q_hi, den, prec)[0],
-                                        ratio_pair(top - 10 * d * five * q_lo, den, prec)[1]))
+        top, den, step = (3 * d - 24 * five) << w, 50 * d, 10 * d * five
+        worst = _min_lo(worst, _dyadic_ends((top - step * q_hi) // den,
+                                            -((step * q_lo - top) // den), w, prec))
     return worst
 
 
@@ -568,21 +650,23 @@ def _product_margin(
     (lo, hi) over 2^w; err increases with a1 and a2, so the lower end reads
     the larger magnitude of each bound and the upper end the smaller.  Each
     end is computed on unreduced integers over the common denominator
-    2^{2w} D1 D2, with r/N = P/D, and rounded once.
+    2^{2w} D1 D2, with r/N = P/D, floored or raised to 2^-w and rounded once.
     """
-    K = 1 << prec + PAIR_GUARD
+    w = prec + FIXED_GUARD
+    K = 1 << w
     P1, D1 = 24 * r1.numerator, r1.denominator * d
     P2, D2 = 24 * r2.numerator, r2.denominator * d
-    Q = 24 * K * K * D1 * D2
+    # the margin times 2^w is (top - err(a1, a2)) / den
+    Q = 24 * K * D1 * D2
+    top, den = radius.numerator * Q * K, radius.denominator * Q
 
-    def end(A1, A2, up):
+    def err(A1, A2):
         E = A1 * A2 * D1 * D2 + (P1 * ((K + A2) * D2 + P2 * K) + P2 * (K + A1) * D1) * K
-        num = radius.numerator * Q - radius.denominator * scale * d * E
-        return ratio_pair(num, radius.denominator * Q, prec)[up]
+        return radius.denominator * scale * d * E
 
     (lo1, hi1), (lo2, hi2) = b1, b2
-    return _checked(end(max(-lo1, hi1), max(-lo2, hi2), 0),
-                    end(max(0, lo1, -hi1), max(0, lo2, -hi2), 1))
+    return _dyadic_ends((top - err(max(-lo1, hi1), max(-lo2, hi2))) // den,
+                        -((err(max(0, lo1, -hi1), max(0, lo2, -hi2)) - top) // den), w, prec)
 
 
 def _margin_collapse_271(point: Point, prec: int) -> Ends:
@@ -612,14 +696,16 @@ def _bracket_margin(radius: Fraction, scale: int, n: int, big_j: int, prec: int)
 
 
 def _margin_collapse_1350(point: Point, prec: int) -> Ends:
-    # 1350 - x (h + 100 s s), s the correction sum
+    # 1350 - x (h + 100 s^2), s the correction sum: over 2^w, with h and s
+    # integer ends over 2^w, it is 1350 2^w - a (h 2^w + 100 s^2) / (b 2^w)
     (x,) = point
     a, b = x.numerator, x.denominator
-    k = _raw_constants(prec)
-    h, s = _correction_ends(a, b, prec)
-    value = _mul_ends(_mul_ends(s, k.hundred, prec), s, prec)
-    value = _mul_ends(_add_ends(h, value, prec), _root_ends(a, b, prec)[0], prec)
-    return _sub_ends(k.ratio_radius_2, value, prec)
+    w = prec + FIXED_GUARD
+    (h_lo, h_hi), (s_lo, s_hi) = _correction(a, b, prec)
+    rn, rd = RATIO_RADIUS_2.numerator, RATIO_RADIUS_2.denominator
+    top, den = rn * b << 2 * w, rd * b << w
+    return _dyadic_ends((top - rd * a * ((h_hi << w) + 100 * s_hi * s_hi)) // den,
+                        -((rd * a * ((h_lo << w) + 100 * s_lo * s_lo) - top) // den), w, prec)
 
 
 def _margin_collapse_2075(point: Point, prec: int) -> Ends:
@@ -755,33 +841,33 @@ class InequalityResult:
 
 # Each case's terms is its serial CPU per point at 128 bits, in us, measured
 # in its domain's sweep (the first case to read a shared memo pays for it),
-# three runs on a 2-vCPU VM.  So a domain's summed cost ranks it by measured
-# CPU, which verify dispatches longest first: [335/24, 10^4] 0.83 s (75 us a
-# point), the pairs 0.55 s (46 us), (0, 1/5) 0.28 s (25 us),
-# exp-convexity-half and tail-envelope-15 0.20 s each (18 us), [1, 10^4]
-# 0.14 s (12 us), geometric-series-100 0.07 s, bessel-tail-sum 0.02 s (180 us
-# a point).
+# the median of three runs on a 2-vCPU VM.  So a domain's summed cost ranks
+# it by measured CPU, which verify dispatches longest first: [335/24, 10^4]
+# 0.54 s (47 us a point), the pairs 0.48 s (41 us), (0, 1/5) and
+# tail-envelope-15 0.20 and 0.18 s (15 us each), [1, 10^4] 0.15 s (11 us),
+# geometric-series-100 0.12 s (9 us), exp-convexity-half 0.06 s (4 us),
+# bessel-tail-sum 0.03 s (226 us a point).
 CASES: Tuple[InequalityCase, ...] = (
     InequalityCase(
         "geometric-series-100",
         "|1/(1-z) - 1 - z| <= 100 z^2 for 0 < |z| < 0.99",
         _margin_geometric,
         _interval_sampler(Fraction(0), Fraction(99, 100)),
-        terms=6,
+        terms=9,
     ),
     InequalityCase(
         "sqrt-expansion-01",
         "|sqrt(1-x) - 1 + x/2 + x^2/8| <= 0.1 x^3 on (0, 0.2)",
         _margin_sqrt_expansion,
         _SMALL,
-        terms=12,
+        terms=5,
     ),
     InequalityCase(
         "inverse-sqrt-06",
         "1/sqrt(1-x) - 1 <= 0.6 x on (0, 0.2)",
         _margin_inverse_sqrt,
         _SMALL,
-        terms=6,
+        terms=4,
     ),
     InequalityCase(
         "reciprocal-125",
@@ -795,56 +881,56 @@ CASES: Tuple[InequalityCase, ...] = (
         "exp(-x) - 1 + x <= x^2/2 for x > 0",
         _margin_exp_convexity,
         _interval_sampler(Fraction(0), _CAP),
-        terms=18,
+        terms=4,
     ),
     InequalityCase(
         "tail-envelope-15",
         "h_error(x) <= 15 sqrt(x) exp(-(pi/2) sqrt(x/2)) for x >= 12",
         _margin_tail_envelope,
         _interval_sampler(Fraction(12), _CAP),
-        terms=18,
+        terms=15,
     ),
     InequalityCase(
         "sqrt-exp-decreasing",
         "pi sqrt(x) > 2 sqrt(2) for x >= 1, so the decay envelope decreases",
         _margin_envelope_decreasing,
         _FROM_ONE,
-        terms=9,
+        terms=6,
     ),
     InequalityCase(
         "shifted-envelope-11",
         "N sqrt(Y) exp(-(pi/2) sqrt(Y/2)) <= 1.1 with Y = N - sqrt(N)/2",
         _margin_shifted_envelope,
         _FROM_CORNER,
-        terms=17,
+        terms=14,
     ),
     InequalityCase(
         "concavity-sqrt-positive",
         "1 - x/2 - sqrt(1-x) > 0 on (0, 0.2)",
         _margin_concavity,
         _SMALL,
-        terms=4,
+        terms=3,
     ),
     InequalityCase(
         "correction-sum-099",
         "sqrt(3)/(sqrt(2) pi sqrt(N)) + h_error(N) < 0.99 for N >= 335/24",
         _margin_correction_sum,
         _FROM_CORNER,
-        terms=32,
+        terms=20,
     ),
     InequalityCase(
         "exp-argument-01",
         "pi/(40 sqrt(6)) + (pi^2/24) (1/(10 sqrt(N)) + 1/4)^2 <= 0.1",
         _margin_exp_argument,
         _FROM_CORNER,
-        terms=11,
+        terms=6,
     ),
     InequalityCase(
         "shift-ratio-02",
         "1/(2 sqrt(N)) < 1/5 for N >= 335/24, so shifts stay in the x < 0.2 range",
         _margin_shift_ratio,
         _FROM_CORNER,
-        terms=6,
+        terms=3,
     ),
     InequalityCase(
         "collapse-056",
@@ -852,7 +938,7 @@ CASES: Tuple[InequalityCase, ...] = (
         " + 0.1 + 0.1 J/N + 0.04/N <= 0.56 for J in {j, 2j} over admissible pairs",
         _margin_collapse_056,
         _PAIRS,
-        terms=14,
+        terms=12,
     ),
     InequalityCase(
         "collapse-131",
@@ -867,28 +953,28 @@ CASES: Tuple[InequalityCase, ...] = (
         "(1 + b1 +- 0.56/N)(1 + b2 +- 1.31/N) stays within 2.71/N of 1 + b1 + b2",
         _margin_collapse_271,
         _PAIRS,
-        terms=16,
+        terms=15,
     ),
     InequalityCase(
         "collapse-1350",
         "N (h_error(N) + 100 (sqrt(3)/(sqrt(2) pi sqrt(N)) + h_error(N))^2) <= 1350",
         _margin_collapse_1350,
         _FROM_CORNER,
-        terms=9,
+        terms=4,
     ),
     InequalityCase(
         "collapse-2075",
         "(1 + b1 +- 1350/N)(1 + b2 +- 2.71/N) stays within 2075/N of 1 + b1 + b2",
         _margin_collapse_2075,
         _PAIRS,
-        terms=8,
+        terms=7,
     ),
     InequalityCase(
         "collapse-3926",
         "2 (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N) stays within 3926/N of the center",
         _margin_collapse_3926,
         _PAIRS,
-        terms=8,
+        terms=7,
     ),
     InequalityCase(
         "bessel-tail-sum",
@@ -897,14 +983,14 @@ CASES: Tuple[InequalityCase, ...] = (
         _interval_sampler(Fraction(20), Fraction(100)),
         grid_points=100,
         random_points=30,
-        terms=180,
+        terms=226,
     ),
     InequalityCase(
         "bessel-simplify-half",
         "|1/x - x/2| <= x^2/2 for x >= 1",
         _margin_bessel_simplify,
         _FROM_ONE,
-        terms=3,
+        terms=5,
     ),
 )
 

@@ -48,9 +48,9 @@ The one-term truncation also yields a rigorous two-sided enclosure of p(m):
 the k = 1 term with its algebraic prefactor expanded, plus an explicit
 envelope h(M) absorbing both the expansion remainder and the entire k >= 2
 tail.  That enclosure is what the ratio estimates downstream consume.
-h_error's ends, which the registry's three h cases also read (_h_ends), are
-outward by proof: special._decay_fixed's fixed-point integers with one error
-bound per point (special's docstring), rounded outward.  Given them,
+h_error's ends (_h_ends) are outward by proof: special._decay_fixed's
+fixed-point integers with one error bound per point (special's docstring),
+rounded outward.  Given them,
 proposition21_interval's ends are libmp's, its Enclosure expression's bit for
 bit.
 """
@@ -241,14 +241,13 @@ def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
             raise StabilizationError(f"series for n={n} did not settle by R(n, {k}) < 1/8")
 
 
-@lru_cache(maxsize=1)
 def _h_ends(a: int, b: int, prec: int):
-    """Raw ends of h(x) and of its decay factor sqrt(x) e^{-(pi/2) sqrt(x/2)},
-    for x = a/b > 0: special._decay_fixed's integers at prec + DECAY_GUARD
-    bits, each [H - E, H + E] 2^-z rounded outward.  They are outward by the
-    proof in special's docstring, not an interval expression's bits."""
-    h, d, e, z = _decay_fixed(a, b, prec + DECAY_GUARD)
-    return _dyadic_ends(h - e, h + e, z, prec), _dyadic_ends(d - e, d + e, z, prec)
+    """Raw ends of h(x) for x = a/b > 0: special._decay_fixed's integers at
+    prec + DECAY_GUARD bits, [H - E, H + E] 2^-z rounded outward.  They are
+    outward by the proof in special's docstring, not an interval
+    expression's bits."""
+    h, _, e, z = _decay_fixed(a, b, prec + DECAY_GUARD)
+    return _dyadic_ends(h - e, h + e, z, prec)
 
 
 def h_error(x, prec: int = DEFAULT_PRECISION) -> Enclosure:
@@ -264,7 +263,7 @@ def h_error(x, prec: int = DEFAULT_PRECISION) -> Enclosure:
     xf = to_fraction(x)
     if xf <= 0:
         raise PreconditionError("requires x > 0")
-    return _wrap(_h_ends(xf.numerator, xf.denominator, prec)[0], prec)
+    return _wrap(_h_ends(xf.numerator, xf.denominator, prec), prec)
 
 
 # ErrorBudget and proposition21_budget stay only for perfbench's tracer.
@@ -296,7 +295,7 @@ def proposition21_interval(m: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
         raise PreconditionError("requires m >= 2")
     t = shifted_terms(m, prec)
     c = constants(prec)
-    h = _h_ends(24 * m - 1, 24, prec)[0]
+    h = _h_ends(24 * m - 1, 24, prec)
     growth = _div_ends(_mul_ends(t.Ne, _int_ends(2, prec), prec), _int_ends(3, prec), prec)
     growth = _mul_ends(c.pi, _sqrt_ends(growth, prec), prec)
     den = _mul_ends(_mul_ends(c.sqrt3, _int_ends(4, prec), prec), t.Ne, prec)

@@ -133,7 +133,9 @@ relative error, so the point's total error is bounded once:
   3 sqrt w + 11 covers both, since h 2^z <= (H + 1)/(1 - rho).
 With first false the kernel skips h's first term, so H is C2 D alone and E
 bounds D's error the same way.  rademacher._h_ends rounds [H - E, H + E]
-2^-z outward for h_error, and the registry's shifted-envelope-11 reads D.
+2^-z outward for h_error and proposition21_interval; the registry reads
+the integers themselves: tail-envelope-15, correction-sum-099 and
+collapse-1350 H, D and E, and shifted-envelope-11 D and E.
 """
 
 from __future__ import annotations

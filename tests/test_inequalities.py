@@ -22,7 +22,7 @@ from enclosure_views import (
     sqrt_enclosure,
     terms_view,
 )
-from partbounds import enclosure, inequalities, rademacher, special
+from partbounds import enclosure, inequalities, special
 from partbounds.enclosure import (
     ORDER_ERROR,
     Enclosure,
@@ -30,6 +30,7 @@ from partbounds.enclosure import (
     constants,
     fraction_from_raw,
     ordered,
+    ratio_pair,
 )
 from partbounds.errors import PartboundsError, PreconditionError
 from partbounds.estimates import (
@@ -46,15 +47,22 @@ from partbounds.inequalities import (
     DEFAULT_SEED,
     FAR_GUARD,
     FAR_START,
-    PAIR_GUARD,
+    FIXED_GUARD,
     TAIL_TERMS,
+    _correction,
     _far_sum,
+    _fixed_constants,
+    _floor_root,
+    _inner_bounds,
     _j_bounds,
     _margin_bessel_tail,
     _n_bounds,
+    _pair_j_terms,
+    _pair_n_terms,
     _pi_bounds,
     _power_sums,
     _product_margin,
+    _shifted_floor,
     _tail_sum,
     group_by_domain,
     run_case,
@@ -150,25 +158,25 @@ class TestWorstMargins:
         assert n >= 17 and j >= 1 and 16 * j * j < n
 
 
+FROZEN_SPOTS = [
+    ("tail-envelope-15", (Fraction(12),), "0.0252", "0.0253"),
+    ("collapse-131", (), "0.0027", "0.00271"),
+    ("shifted-envelope-11", (Fraction(335, 24),), "0.0796", "0.0797"),
+    ("collapse-056", (17, 1), "0.00177", "0.00178"),
+    ("sqrt-exp-decreasing", (Fraction(1),), "0.3131", "0.3132"),
+    ("exp-argument-01", (Fraction(335, 24),), "0.0364", "0.0365"),
+    ("correction-sum-099", (Fraction(335, 24),), "0.0244", "0.0245"),
+    ("collapse-271", (17, 1), "0.289", "0.2891"),
+    ("collapse-2075", (17, 1), "414.08", "414.09"),
+    ("collapse-3926", (17, 1), "482.003", "482.005"),
+    ("collapse-1350", (Fraction(335, 24),), "36.77", "36.78"),
+]
+
+
 class TestFrozenSpots:
     """Margin values at the tight corner of each domain, frozen as brackets."""
 
-    @pytest.mark.parametrize(
-        "name,point,lo,hi",
-        [
-            ("tail-envelope-15", (Fraction(12),), "0.0252", "0.0253"),
-            ("collapse-131", (), "0.0027", "0.00271"),
-            ("shifted-envelope-11", (Fraction(335, 24),), "0.0796", "0.0797"),
-            ("collapse-056", (17, 1), "0.00177", "0.00178"),
-            ("sqrt-exp-decreasing", (Fraction(1),), "0.3131", "0.3132"),
-            ("exp-argument-01", (Fraction(335, 24),), "0.0364", "0.0365"),
-            ("correction-sum-099", (Fraction(335, 24),), "0.0244", "0.0245"),
-            ("collapse-271", (17, 1), "0.289", "0.2891"),
-            ("collapse-2075", (17, 1), "414.08", "414.09"),
-            ("collapse-3926", (17, 1), "482.003", "482.005"),
-            ("collapse-1350", (Fraction(335, 24),), "36.77", "36.78"),
-        ],
-    )
+    @pytest.mark.parametrize("name,point,lo,hi", FROZEN_SPOTS)
     def test_corner_margin_bracket(self, name, point, lo, hi):
         m = CASE_INDEX[name].margin(point, 128)
         assert Fraction(lo) < fraction_from_raw(m[0]) < Fraction(hi)
@@ -210,7 +218,7 @@ class TestProductMargin:
         return Fraction(271, 100) - n * (a1 * a2 + r1 * (1 + a2 + r2) + r2 * (1 + a1))
 
     def test_one_sided_bounds(self):
-        w = 128 + PAIR_GUARD
+        w = 128 + FIXED_GUARD
         b1, b2 = (-(3 << w) // 7, -(2 << w) // 7), ((1 << w) // 9, (1 << w) // 8)
         lo, hi = self._ends(b1, b2)
         assert lo <= self._exact(-Fraction(b1[0], 1 << w), Fraction(b2[1], 1 << w))
@@ -218,7 +226,7 @@ class TestProductMargin:
 
     def test_bound_straddling_zero(self):
         # the larger magnitude covers the lower end; |b| may be 0 above
-        w = 128 + PAIR_GUARD
+        w = 128 + FIXED_GUARD
         b1, b2 = (-(4 << w) // 21, (1 << w) // 7), ((1 << w) // 9, (1 << w) // 8)
         lo, hi = self._ends(b1, b2)
         assert lo <= self._exact(Fraction(4, 21), Fraction(1, 8))
@@ -344,9 +352,11 @@ class TestBesselTailKernel:
 # -- the raw margins against their Enclosure expressions --------------------
 # Each _own_* is the margin's Enclosure expression, the form it had before it
 # ran on raw ends.  The raw margins in OWN must give these endpoints bit for
-# bit; the four in DECAY_OWN read the fixed-point decay kernel, and the four
-# in PAIR_OWN integer bounds, so theirs are outward by proof and only meet
-# the expression's (TestDecayMargins, TestPairMargins).
+# bit, as exp-convexity-half must below its split.  The others are outward
+# by proof and only meet the expression's: shifted-envelope-11 in DECAY_OWN
+# reads the fixed-point decay kernel, the four in PAIR_OWN integer bounds and
+# the ten in FIXED_OWN integer ends over 2^w, three of them on the decay
+# kernel too (TestDecayMargins, TestPairMargins, TestFixedMargins).
 
 def _own_min_lo(margins):
     # the first of the least lower endpoints, as _min_lo keeps it
@@ -527,22 +537,12 @@ def _own_collapse_3926(point, prec):
 
 OWN = {
     "geometric-series-100": _own_geometric,
-    "sqrt-expansion-01": _own_sqrt_expansion,
-    "inverse-sqrt-06": _own_inverse_sqrt,
     "reciprocal-125": _own_reciprocal,
-    "exp-convexity-half": _own_exp_convexity,
-    "concavity-sqrt-positive": _own_concavity,
-    "sqrt-exp-decreasing": _own_envelope_decreasing,
-    "exp-argument-01": _own_exp_argument,
-    "shift-ratio-02": _own_shift_ratio,
     "collapse-131": _own_collapse_131,
     "bessel-simplify-half": _own_bessel_simplify,
 }
 DECAY_OWN = {
-    "tail-envelope-15": _own_tail_envelope,
     "shifted-envelope-11": _own_shifted_envelope,
-    "correction-sum-099": _own_correction,
-    "collapse-1350": _own_collapse_1350,
 }
 PAIR_OWN = {
     "collapse-056": _own_collapse_056,
@@ -550,10 +550,26 @@ PAIR_OWN = {
     "collapse-2075": _own_collapse_2075,
     "collapse-3926": _own_collapse_3926,
 }
+FIXED_OWN = {
+    "sqrt-expansion-01": _own_sqrt_expansion,
+    "inverse-sqrt-06": _own_inverse_sqrt,
+    "concavity-sqrt-positive": _own_concavity,
+    "exp-convexity-half": _own_exp_convexity,
+    "sqrt-exp-decreasing": _own_envelope_decreasing,
+    "tail-envelope-15": _own_tail_envelope,
+    "correction-sum-099": _own_correction,
+    "exp-argument-01": _own_exp_argument,
+    "shift-ratio-02": _own_shift_ratio,
+    "collapse-1350": _own_collapse_1350,
+}
 RAW_NAMES = sorted(OWN)
-DECAY_NAMES = sorted(DECAY_OWN)
 PAIR_NAMES = sorted(PAIR_OWN)
+FIXED_NAMES = sorted(FIXED_OWN)
+# the cases that read special._decay_fixed
+DECAY_NAMES = sorted(["tail-envelope-15", "shifted-envelope-11", "correction-sum-099",
+                      "collapse-1350"])
 DECAY_PRECS = (16, 53, 128, 300, 1024, 4096)
+FIXED_PRECS = (16, 53, 128, 300, 1024)
 
 
 def _mp_decay_margin(name, x, ctx):
@@ -608,14 +624,11 @@ def _assert_same_ends(name, point, prec):
 
 def _clear_memos():
     for memo in (
-        inequalities._raw_constants,
-        inequalities._correction_ends,
-        inequalities._rest_root_ends,
-        inequalities._pair_pi,
+        inequalities._fixed_constants,
+        inequalities._floor_root,
+        inequalities._correction,
         inequalities._pair_n_terms,
         inequalities._pair_j_terms,
-        inequalities._root_ends,
-        rademacher._h_ends,
     ):
         memo.cache_clear()
 
@@ -623,10 +636,11 @@ def _clear_memos():
 class TestRawMargins:
     def test_every_case_has_its_expression(self):
         # the Bessel tail's is _own_bessel_tail, which it meets but does not
-        # equal (TestBesselTailKernel), as the four in DECAY_OWN and the four
-        # in PAIR_OWN meet theirs
-        assert len(OWN) + len(DECAY_OWN) + len(PAIR_OWN) == len(ALL_NAMES) - 1
-        assert set(OWN) | set(DECAY_OWN) | set(PAIR_OWN) == ALL_NAMES - {"bessel-tail-sum"}
+        # equal (TestBesselTailKernel), as the cases in DECAY_OWN, PAIR_OWN
+        # and FIXED_OWN meet theirs
+        families = (OWN, DECAY_OWN, PAIR_OWN, FIXED_OWN)
+        assert sum(map(len, families)) == len(ALL_NAMES) - 1
+        assert set().union(*families) == ALL_NAMES - {"bessel-tail-sum"}
 
     @pytest.mark.parametrize("prec", PRECS)
     @pytest.mark.parametrize("name", RAW_NAMES)
@@ -645,7 +659,7 @@ class TestRawMargins:
             point = (a + (b - a) * u,)
         _assert_same_ends(name, point, prec)
 
-    @pytest.mark.parametrize("name", sorted(RAW_NAMES + DECAY_NAMES + PAIR_NAMES))
+    @pytest.mark.parametrize("name", sorted(CASE_INDEX.keys() - {"bessel-tail-sum"}))
     def test_disordered_pair_raises_like_an_enclosure(self, name, monkeypatch):
         point = _check_points(name)[0]
         CASE_INDEX[name].margin(point, 53)
@@ -657,9 +671,10 @@ class TestRawMargins:
 
 class TestDecayMargins:
     # tail-envelope-15, correction-sum-099 and collapse-1350 read h and its
-    # decay factor from rademacher._h_ends, and shifted-envelope-11 reads the
-    # decay factor at Y = x - sqrt(x)/2: all from special._decay_fixed, so
-    # their ends are outward by proof, not the Enclosure expression's bits
+    # decay factor from special._decay_fixed's integers, and
+    # shifted-envelope-11 reads the decay factor at Y = x - sqrt(x)/2 from
+    # it, so their ends are outward by proof, not the Enclosure expression's
+    # bits
     @staticmethod
     def _points(name):
         return _check_points(name) + [(Fraction(335, 24),), (Fraction(777, 7),)]
@@ -669,7 +684,7 @@ class TestDecayMargins:
     def test_meets_the_enclosure_expression(self, name, prec):
         for point in self._points(name):
             lo, hi = CASE_INDEX[name].margin(point, prec)
-            want = DECAY_OWN[name](point, prec)
+            want = {**DECAY_OWN, **FIXED_OWN}[name](point, prec)
             assert want.prec == prec
             assert libmp.mpf_le(lo, want.hi) and libmp.mpf_le(want.lo, hi), point
 
@@ -699,8 +714,7 @@ class TestDecayMargins:
             kernel.append((p, q, w, first))
             return real_kernel(p, q, w, first)
 
-        for module in (rademacher, inequalities):
-            monkeypatch.setattr(module, "_decay_fixed", record)
+        monkeypatch.setattr(inequalities, "_decay_fixed", record)
         monkeypatch.setattr(special, "exp_fixed",
                             lambda tw, w: exps.append((tw, w)) or real_exp(tw, w))
         for point in _interval_ends(name):
@@ -772,7 +786,7 @@ class TestPairMargins:
         pi = constants(prec).pi
         cases = [(d, big_j, w) for d in range(1, 121) for big_j in (1, 2, 5)
                  for w in range(1, 13)]
-        cases += [(24 * n - 1, big_j, prec + PAIR_GUARD)
+        cases += [(24 * n - 1, big_j, prec + FIXED_GUARD)
                   for n in (17, 18, 400, 9973, 10_000) for big_j in (1, 2 * fjn_j_top(n))]
         for d, big_j, w in cases:
             lo, hi, k, s_lo, s_hi, _ = bounds = _pi_bounds(pi, w)
@@ -788,6 +802,238 @@ class TestPairMargins:
             assert 144 * hi * hi * big_j**4 * four <= q[1] ** 2 * d**3 << 2 * k, point
             # the J-bracket 24J/d - q
             assert (bracket[0] + q[1]) * d <= 24 * big_j << w <= (bracket[1] + q[0]) * d, point
+
+
+    @pytest.mark.parametrize("prec", FIXED_PRECS)
+    @pytest.mark.parametrize("name", PAIR_NAMES + ["shifted-envelope-11"])
+    def test_same_ends_as_ratio_pair(self, name, prec):
+        # each end, floored or raised to 2^-w and rounded once, is the
+        # ratio_pair end of the same quotient: the nested floors of the
+        # module docstring
+        points = _check_points(name)
+        if name == "shifted-envelope-11":
+            rng = random.Random(prec)
+            points += [(Fraction(rng.randrange(335 * 10**9, 24 * 10**13), 24 * 10**9),)
+                       for _ in range(20)]
+        else:
+            points += [(17, 1), (10**5, fjn_j_top(10**5))]
+        for point in points:
+            assert CASE_INDEX[name].margin(point, prec) == RATIO_PAIR[name](point, prec), point
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(PAIR_NAMES), prec=st.sampled_from(FIXED_PRECS))
+    def test_same_ends_as_ratio_pair_at_drawn_points(self, data, name, prec):
+        n = data.draw(st.integers(17, 10**5), label="n")
+        point = (n, data.draw(st.integers(1, fjn_j_top(n)), label="j"))
+        assert CASE_INDEX[name].margin(point, prec) == RATIO_PAIR[name](point, prec)
+
+
+# The pair margins and shifted-envelope-11 as they rounded each end before:
+# one ratio_pair of the same integers, its other end thrown away.
+
+def _ratio_pair_ends(lo_num, hi_num, den, prec):
+    return ratio_pair(lo_num, den, prec)[0], ratio_pair(hi_num, den, prec)[1]
+
+
+def _ratio_pair_056(point, prec):
+    n, j = point
+    d, w = 24 * n - 1, prec + FIXED_GUARD
+    margins = []
+    for big_j in (j, 2 * j):
+        q_lo, q_hi = _pair_j_terms(n, big_j, prec)[0]
+        five = 5 * big_j + 2
+        top, den = (3 * d - 24 * five) << w, 50 * d << w
+        margins.append(_ratio_pair_ends(top - 10 * d * five * q_hi, top - 10 * d * five * q_lo,
+                                        den, prec))
+    return min(margins, key=lambda m: fraction_from_raw(m[0]))
+
+
+def _ratio_pair_product(radius, scale, d, b1, r1, b2, r2, prec):
+    K = 1 << prec + FIXED_GUARD
+    P1, D1 = 24 * r1.numerator, r1.denominator * d
+    P2, D2 = 24 * r2.numerator, r2.denominator * d
+    Q = 24 * K * K * D1 * D2
+
+    def num(A1, A2):
+        E = A1 * A2 * D1 * D2 + (P1 * ((K + A2) * D2 + P2 * K) + P2 * (K + A1) * D1) * K
+        return radius.numerator * Q - radius.denominator * scale * d * E
+
+    (lo1, hi1), (lo2, hi2) = b1, b2
+    return _ratio_pair_ends(num(max(-lo1, hi1), max(-lo2, hi2)),
+                            num(max(0, lo1, -hi1), max(0, lo2, -hi2)), radius.denominator * Q,
+                            prec)
+
+
+def _ratio_pair_271(point, prec):
+    n, j = point
+    c_lo, c_hi = _pair_n_terms(n, prec)[1]
+    margins = [
+        _ratio_pair_product(RATIO_RADIUS_1, 1, 24 * n - 1, _pair_j_terms(n, big_j, prec)[1],
+                            Fraction(14, 25), (-c_hi, -c_lo), Fraction(131, 100), prec)
+        for big_j in (j, 2 * j)
+    ]
+    return min(margins, key=lambda m: fraction_from_raw(m[0]))
+
+
+def _ratio_pair_bracket(radius, scale, n, big_j, prec):
+    _, (c_lo, c_hi), b1 = _pair_n_terms(n, prec)
+    j_lo, j_hi = _pair_j_terms(n, big_j, prec)[1]
+    return _ratio_pair_product(radius, scale, 24 * n - 1, b1, RATIO_RADIUS_2,
+                               (j_lo - c_hi, j_hi - c_lo), RATIO_RADIUS_1, prec)
+
+
+def _ratio_pair_shifted(point, prec):
+    (x,) = point
+    a, b = x.numerator, x.denominator
+    w = prec + DECAY_GUARD
+    _, d, e, z = special._decay_fixed(_shifted_floor(a, b, w), 1 << w, w, first=False)
+    top, den = 11 * b << z, 10 * b << z
+    return _ratio_pair_ends(top - 10 * a * (d + e), top - 10 * a * (d - e - (d >> (w - 1)) - 1),
+                            den, prec)
+
+
+RATIO_PAIR = {
+    "collapse-056": _ratio_pair_056,
+    "collapse-271": _ratio_pair_271,
+    "collapse-2075": lambda point, prec: _ratio_pair_bracket(FJN_RADIUS_A, 1, point[0],
+                                                             2 * point[1], prec),
+    "collapse-3926": lambda point, prec: _ratio_pair_bracket(FJN_RADIUS_B, 2, point[0],
+                                                             point[1], prec),
+    "shifted-envelope-11": _ratio_pair_shifted,
+}
+
+
+class TestFixedMargins:
+    # the ten fixed-point margins are integer ends over 2^w (or the decay
+    # kernel's 2^-z), monotone in pi, the roots and h, each end rounded once:
+    # outward by proof, not the Enclosure expression's bits.  Their ends
+    # meet the expression's at prec + 200 bits, and their lower end is at or
+    # above the expression's at prec
+    @staticmethod
+    def _assert_encloses(name, point, prec):
+        lo, hi = CASE_INDEX[name].margin(point, prec)
+        want, wide = FIXED_OWN[name](point, prec), FIXED_OWN[name](point, prec + 200)
+        assert want.prec == prec and wide.prec == prec + 200
+        assert libmp.mpf_le(lo, wide.hi) and libmp.mpf_le(wide.lo, hi), (point, prec)
+        assert libmp.mpf_le(want.lo, lo), (point, prec)
+
+    @pytest.mark.parametrize("prec", FIXED_PRECS)
+    @pytest.mark.parametrize("name", FIXED_NAMES)
+    def test_meets_the_enclosure_expression(self, name, prec):
+        # the frozen corners, the golden worst point and the sampler's ends
+        corners = [point for spot, point, _, _ in FROZEN_SPOTS if spot == name]
+        for point in corners + _check_points(name):
+            self._assert_encloses(name, point, prec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(FIXED_NAMES), prec=st.sampled_from(FIXED_PRECS))
+    def test_meets_at_drawn_points(self, data, name, prec):
+        (a,), (b,) = _interval_ends(name)
+        u = Fraction(data.draw(st.integers(0, 2**53), label="u"), 2**53)
+        self._assert_encloses(name, (a + (b - a) * u,), prec)
+
+    @pytest.mark.parametrize("prec", [16, 128, 1024])
+    def test_constants_hold_exactly(self, prec):
+        # the roots' constants decided on squares, pi's and ln 2's units
+        # against wider enclosures
+        k = _fixed_constants(prec)
+        w = k.w
+        four = 4**w
+        for (lo, hi), square in ((k.sqrt6, 6 * four), (k.sqrt_three_halves, 3 * four // 2),
+                                 (k.two_sqrt2, 8 * four)):
+            assert hi == lo + 1 and lo * lo < square < hi * hi
+        wide = constants(w + 64).pi
+        assert Fraction(k.pi[0], 1 << w) < fraction_from_raw(wide[0])
+        assert fraction_from_raw(wide[1]) < Fraction(k.pi[1], 1 << w)
+        v = w + 8
+        big = ln2_fixed(v)
+        ctx = mp_context(v + 64)
+        assert ctx.mpf(big - 1) / 2**v < ctx.ln2 < ctx.mpf(big + 1) / 2**v
+        assert k.split == w * (big + 1)
+
+    @staticmethod
+    def _points(w):
+        # points of the three domains with roots and at small w, where
+        # dropping the + 1 of a floor root's upper bound moves a bound by
+        # about a unit
+        rng = random.Random(w)
+        points = [Fraction(335, 24), Fraction(1), Fraction(10**4), Fraction(1, 5 * 10**9),
+                  Fraction(1, 5), Fraction(9, 16), Fraction(777, 7)]
+        points += [Fraction(rng.randrange(1, 10**13), rng.randrange(1, 10**9)) for _ in range(60)]
+        return points
+
+    @pytest.mark.parametrize("w", [2, 3, 5, 8, 13, 48, 160, 1056])
+    def test_roots_and_inner_bounds_hold_exactly(self, w):
+        # sqrt(p/q) in [r, r + 1) 2^-w, decided on squares, and the inner
+        # 1/(10 sqrt x) + 1/4 within [lo, hi] 2^-w: (lo - 2^(w-2))^2 100 x <=
+        # 4^w <= (hi - 2^(w-2))^2 100 x
+        four, quarter = 4**w, 1 << w - 2
+        for x in self._points(w):
+            r = _floor_root(x.numerator, x.denominator, w)
+            assert r * r <= x * four < (r + 1) ** 2, x
+            if x < 1:
+                r = _floor_root(x.denominator - x.numerator, x.denominator, w)
+                assert r * r <= (1 - x) * four < (r + 1) ** 2, x
+            if x * four >= 1:
+                lo, hi = _inner_bounds(_floor_root(x.numerator, x.denominator, w), w)
+                assert (lo - quarter) ** 2 * 100 * x <= four <= (hi - quarter) ** 2 * 100 * x, x
+
+    @pytest.mark.parametrize("prec", [16, 53, 128, 1024])
+    def test_correction_bounds_hold_exactly(self, prec):
+        # h's ends hold [H - E, H + E] 2^-z, both nonnegative, and c =
+        # sqrt(3/2)/(pi sqrt x) in [s_lo - h_lo, s_hi - h_hi] 2^-w at pi's
+        # and sqrt(3/2)'s ends: (c_lo p_hi)^2 x <= t_lo^2 4^w and
+        # (c_hi p_lo)^2 x >= t_hi^2 4^w
+        k = _fixed_constants(prec)
+        w = k.w
+        (p_lo, p_hi), (t_lo, t_hi) = k.pi, k.sqrt_three_halves
+        rng = random.Random(prec)
+        points = [Fraction(335, 24), Fraction(10**4), Fraction(777, 7)]
+        points += [Fraction(rng.randrange(335 * 10**9, 24 * 10**13), 24 * 10**9)
+                   for _ in range(60)]
+        for x in points:
+            (h_lo, h_hi), (s_lo, s_hi) = _correction(x.numerator, x.denominator, prec)
+            big, _, e, z = special._decay_fixed(x.numerator, x.denominator, prec + DECAY_GUARD)
+            assert 0 <= h_lo << z - w <= big - e and big + e <= h_hi << z - w, x
+            c_lo, c_hi = s_lo - h_lo, s_hi - h_hi
+            assert 0 <= c_lo and (c_lo * p_hi) ** 2 * x <= t_lo**2 * 4**w, x
+            assert (c_hi * p_lo) ** 2 * x >= t_hi**2 * 4**w, x
+
+    @pytest.mark.parametrize("prec", FIXED_PRECS)
+    def test_exp_step_holds_exactly(self, prec):
+        # past the split, m = floor(x 2^v / (L + 1)) >= w and m (L + 1) <=
+        # x 2^v, so m ln 2 < x (ln 2 < (L + 1) 2^-v, test_constants_hold_
+        # exactly) and e^-x < 2^-m <= 2^-w; the split is decided without
+        # the division
+        k = _fixed_constants(prec)
+        w = k.w
+        v = w + 8
+        step = k.split // w  # L + 1
+        split = Fraction(k.split, 1 << v)
+        ctx = mp_context(2 * v)
+        (first,), (last,) = _interval_ends("exp-convexity-half")
+        for x in (split, split - Fraction(1, 10**12), split + Fraction(1, 10**12), first, last,
+                  Fraction(w * 7, 10), Fraction(w * 69315, 10**5)):
+            a, b = x.numerator, x.denominator
+            m = (a << v) // (b * step)
+            past = a << v >= b * k.split
+            assert past == (m >= w) and m * step * b <= a << v, x
+            if past:
+                assert ctx.exp(-ctx.mpf(a) / b) < ctx.ldexp(1, -w), x
+
+    @pytest.mark.parametrize("prec", FIXED_PRECS)
+    def test_exp_convexity_keeps_its_expression_below_the_split(self, prec):
+        # bit for bit below x = w ln 2, from the sampler's first point to
+        # just under the split
+        k = _fixed_constants(prec)
+        split = Fraction(k.split, 1 << k.w + 8)
+        (first,), _ = _interval_ends("exp-convexity-half")
+        rng = random.Random(prec)
+        below = [first, _golden_point("exp-convexity-half")[0], split - Fraction(1, 10**12),
+                 split / 2] + [split * Fraction(rng.randrange(1, 10**6), 10**6) for _ in range(20)]
+        for x in below:
+            want = _own_exp_convexity((x,), prec)
+            assert CASE_INDEX["exp-convexity-half"].margin((x,), prec) == (want.lo, want.hi), x
 
 
 # -- domains -----------------------------------------------------------------
@@ -850,13 +1096,23 @@ class TestDomains:
         assert run_domain(names)[1].worst_point == first == run_case("collapse-271").worst_point
 
     def test_shared_terms_built_once_per_point(self, monkeypatch):
-        names = SHARED_DOMAINS["[335/24, 10^4]"]
-        for name in names:
-            _shrink(monkeypatch, name, 60, 15)
-        _clear_memos()
-        run_domain(names)
-        for memo in (inequalities._root_ends, rademacher._h_ends, inequalities._correction_ends):
-            assert memo.cache_info().misses == 75
+        # on [335/24, 10^4] correction-sum-099 builds the root of x and the
+        # correction terms, exp-argument-01 and shift-ratio-02 read the root
+        # and collapse-1350 the terms; on (0, 1/5) sqrt-expansion-01 builds
+        # the root of 1 - x and two cases read it, with no constant; the
+        # constants are built once
+        for domain, root_hits, correction, built in (("[335/24, 10^4]", 150, (75, 75), 1),
+                                                     ("(0, 1/5)", 150, (0, 0), 0)):
+            names = SHARED_DOMAINS[domain]
+            for name in names:
+                _shrink(monkeypatch, name, 60, 15)
+            _clear_memos()
+            run_domain(names)
+            root = inequalities._floor_root.cache_info()
+            assert (root.misses, root.hits) == (75, root_hits)
+            terms = inequalities._correction.cache_info()
+            assert (terms.misses, terms.hits) == correction
+            assert inequalities._fixed_constants.cache_info().misses == built
         names = SHARED_DOMAINS["pairs"]
         for name in names:
             _shrink(monkeypatch, name, 60, 15)

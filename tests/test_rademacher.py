@@ -356,7 +356,6 @@ class TestErrorEnvelope:
 
     def test_disordered_pair_raises_like_an_enclosure(self, monkeypatch):
         h_error(Fraction(50), 53)  # constants built
-        rademacher._h_ends.cache_clear()
         monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: False)
         with pytest.raises(ValueError, match=ORDER_ERROR):
             h_error(Fraction(50), 53)

@@ -703,12 +703,12 @@ class TestInequalityDispatch:
         assert groups[_dispatch_order(groups)[0]] == (names[0], names[-1])
         # in the registry every case weighs its measured serial us a point,
         # so the domains go in order of measured CPU: [335/24, 10^4], the
-        # pairs, then the cheap ones; exp-convexity-half and
-        # tail-envelope-15 cost the same, and equal costs keep their order
+        # pairs, then the cheap ones; (0, 1/5) and tail-envelope-15 cost the
+        # same, and equal costs keep their order
         groups = inequalities.group_by_domain([case.name for case in inequalities.CASES])
         assert [groups[i][0] for i in _dispatch_order(groups)] == [
-            "shifted-envelope-11", "collapse-056", "sqrt-expansion-01", "exp-convexity-half",
-            "tail-envelope-15", "sqrt-exp-decreasing", "geometric-series-100",
+            "shifted-envelope-11", "collapse-056", "sqrt-expansion-01", "tail-envelope-15",
+            "sqrt-exp-decreasing", "geometric-series-100", "exp-convexity-half",
             "bessel-tail-sum", "collapse-131",
         ]
 
