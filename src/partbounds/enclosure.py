@@ -43,9 +43,9 @@ from mpmath import libmp
 
 DEFAULT_PRECISION = 128
 
-# Entries kept by each precision-keyed memo (constants, special.mp_context,
-# inequalities._fixed_constants and _power_sums): a run uses its working
-# precision and 64 bits for Lehmer's bound or 30 more.
+# Entries kept by each precision-keyed memo (constants, special.mp_context
+# and inequalities._power_sums): a run uses its working precision and 64 bits
+# for Lehmer's bound or 30 more.  fixed.at_width, keyed by width, has its own.
 PRECISION_MEMO_MAXSIZE = 4
 
 # Entries kept by each per-index memo: the k-rank memo and

@@ -65,9 +65,9 @@ max(g(x/2), g(x/(K - 1))), g the kernel's _bessel_guard_bits (g <= 16 on
 y0 = x/(K - 1) and y1 = x/2, each term is within delta I(x/k) 2^w of
 I(x/k) 2^w, delta = 2^-(prec+12) + 2^-(prec+24).  So their exact sum T_n
 has |S_n - T_n 2^w| < delta T_n 2^w < 2^-(prec+11) S_n, below
-E_n = (S_n >> (prec + 10)) + K.  Only the exp_fixed lemma inside Delta_w is
-tested (test_exp_fixed_within_stated_units, to 4150 bits) and not proved;
-E_n's factor 2 and its K units are room beyond the proof.
+E_n = (S_n >> (prec + 10)) + K.  Only fixed's exponential lemma inside
+Delta_w is tested (to 4150 bits) and not proved; E_n's factor 2 and its K
+units are room beyond the proof.
 
 Far terms, K <= k <= TAIL_TERMS, the L = 981 others.  By the power series
 of I_{3/2} (DLMF 10.25.2), with u = x/K <= 5 and every term positive,
@@ -77,7 +77,7 @@ of I_{3/2} (DLMF 10.25.2), with u = x/K <= 5 and every term positive,
 
 At W = prec + FAR_GUARD bits, in units 2^-W:
 * _power_sums(prec), once per precision, floors z_k = (K/k)^(3/2) 2^W as
-  isqrt(floor(K^3 4^W / k^3)), below by under a unit, and then takes
+  the floor root of K^3 / k^3 (fixed), below by under a unit, and then takes
   z_k <- floor(z_k K^2 / k^2) once per m, a factor at most 1 and a floor.
   So z_k(m) lies under m + 1 units below (K/k)^(2m+3/2) 2^W, and the sum
   Z_m has zeta_m 2^W in [Z_m, Z_m + L (m + 1)); a z_k at 0 stays 0 and is
@@ -100,15 +100,15 @@ At W = prec + FAR_GUARD bits, in units 2^-W:
 So sum_m t_m zeta_m 4^W lies in [P, P + err], P the sum of the T_m Z_m
 and err the sum of those bounds.  sqrt(2/pi) u^(3/2) 2^W, the root of
 2 a^3 4^W / (pi b^3 K^3), lies in [G_lo, G_hi]: G_lo is the isqrt of that
-quotient floored at pi_fixed(W) + 1, and G_hi one more than the isqrt of it
-raised at pi_fixed(W) - 1, as pi_fixed(W) is within a unit of pi 2^W.  So
+quotient floored at pi's upper end, and G_hi one more than the isqrt of it
+raised at pi's lower end, fixed.pi_ends(W).  So
 the far sum lies in [F_lo, F_hi] 2^-w, F_lo = floor(G_lo P 2^(w - 3W)) and
 F_hi = floor(G_hi (P + err) 2^(w - 3W)) + 1, a unit or two apart.
 
 With S = S_n + F_lo and E = E_n + F_hi - F_lo, the whole sum lies strictly
 inside [S - E, S + E] 2^-w; the margin is the right-hand side's enclosure
-minus that interval, rounded outward.  The exp_fixed lemma, in the near
-terms, is the one step not proved.
+minus that interval, rounded outward.  fixed's exponential lemma, in the
+near terms, is the one step not proved.
 
 The (n, j) pair margins are exact integer bounds.  With N = d/24, d = 24n - 1,
 sqrt(6 N^3) = d sqrt(d)/48 and sqrt N = sqrt(d/24), so their irrational
@@ -121,8 +121,8 @@ terms are
 each monotone in pi and in sqrt d.  At w = prec + FIXED_GUARD, _pi_bounds
 reads pi's raw ends from constants(prec) as integers [lo, hi] 2^-k and
 takes sqrt(pi) in [s_lo, s_hi + 1) 2^-w by isqrt, and _n_bounds takes the
-floor root r = isqrt(d 4^w), so sqrt d is in [r, r + 1) 2^-w (isqrt of a
-floor is the floor of the root).  Putting in the ends that make a term
+floor root r of d, so sqrt d is in [r, r + 1) 2^-w (fixed's floor-root
+lemma).  Putting in the ends that make a term
 least, or greatest, and flooring, or raising, the quotient gives integers
 with q, c, b and the J-bracket J/N - q = 24J/d - q within [lo, hi] 2^-w
 (_n_bounds, _j_bounds):
@@ -175,13 +175,11 @@ shift-ratio-02 and collapse-1350 on [335/24, 10^4]; sqrt-expansion-01,
 inverse-sqrt-06 and concavity-sqrt-positive on (0, 1/5); tail-envelope-15,
 sqrt-exp-decreasing, exp-convexity-half past its split, and
 shifted-envelope-11 (above).  They read:
-* _fixed_constants(prec), once per precision: pi in [P - 1, P + 1] 2^-w,
-  P = pi_fixed(w) within a unit of pi 2^w (as special reads it); and
-  sqrt 6, sqrt(3/2) and 2 sqrt 2 in [r, r + 1] 2^-w, r the floor roots
-  isqrt(6 4^w), isqrt(3 4^w / 2) and isqrt(8 4^w);
-* one floor root r = isqrt(floor(p 4^w / q)) per point (_floor_root), so
-  sqrt(p/q) lies in [r, r + 1) 2^-w, as the isqrt of a floor is the floor
-  of the root: of x = a/b, or of 1 - x = (b - a)/b on (0, 1/5);
+* _fixed_constants(w), once per width in fixed.at_width: pi in
+  fixed.pi_ends(w), and sqrt 6, sqrt(3/2) and 2 sqrt 2 in their
+  fixed.root_ends, [r, r + 1] 2^-w with r the floor root (fixed's lemmas);
+* one floor root r per point (_floor_root), of x = a/b, or of 1 - x =
+  (b - a)/b on (0, 1/5), so that root lies in [r, r + 1) 2^-w;
 * an exact rational part R as floor(R 2^w) and ceil(R 2^w);
 * h and its decay factor d from special._decay_fixed at prec + DECAY_GUARD,
   within E 2^-z of H 2^-z and D 2^-z.
@@ -203,18 +201,15 @@ each quotient is outward:
   decreases in s, and 1350 - x (h + 100 s^2) in h and in s >= 0;
 * tail-envelope-15, 15 d - h, lies in [15 D - H - 16 E, 15 D - H + 16 E]
   2^-z, with no further floor;
-* exp-convexity-half is R - e^-x, R = x^2/2 + 1 - x.  ln2_fixed(v), v =
-  w + 8, is within a unit of ln 2 2^v, so m = floor(x 2^v / (ln2_fixed(v) +
-  1)) has m < x / ln 2 and 0 < e^-x < 2^-m.  Where m >= w (x above about
-  w ln 2; the test is a 2^v >= b w (ln2_fixed(v) + 1), no division), the
+* exp-convexity-half is R - e^-x, R = x^2/2 + 1 - x.  ln 2 lies below
+  U 2^-v, U the upper end of fixed.ln2_ends(v), v = w + 8, so m =
+  floor(x 2^v / U) has m < x / ln 2 and 0 < e^-x < 2^-m.  Where m >= w
+  (x above about w ln 2; the test is a 2^v >= b w U, no division), the
   margin lies in (R - 2^-w, R), inside [floor(R 2^w) - 1, ceil(R 2^w)]
   2^-w.  Below the split it keeps its Enclosure expression's _exp_ends
   calls, bit for bit.
-pi_fixed and ln2_fixed are libmp's constants truncated from a wider
-evaluation, read as within a unit here as in special's kernels.
-tests/test_inequalities.py decides the integer bounds and the roots' and
-constants' ends exactly, and checks those two units against wider
-enclosures.
+tests/test_fixed.py checks the constants' and roots' ends, and
+tests/test_inequalities.py decides the margins' integer bounds exactly.
 """
 
 from __future__ import annotations
@@ -229,6 +224,7 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from mpmath import libmp
 
+from . import fixed
 from .enclosure import (
     DEFAULT_PRECISION,
     PRECISION_MEMO_MAXSIZE,
@@ -357,26 +353,20 @@ _FROM_CORNER = _interval_sampler(_CORNER, _CAP)
 _PAIRS = _pair_sampler(17, 10_000)
 
 
-@lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
-def _fixed_constants(prec: int) -> SimpleNamespace:
-    """The registry's integer constants at w = prec + FIXED_GUARD, built on
-    first use at each precision: pi, sqrt 6, sqrt(3/2) and 2 sqrt 2 as
-    (lo, hi) with the constant in [lo, hi] 2^-w; split = w (L + 1), L =
-    ln2_fixed(w + 8), exp-convexity-half's split point; and pair_pi, the pair
-    margins' _pi_bounds (module docstring)."""
-    w = prec + FIXED_GUARD
-    pi = libmp.pi_fixed(w)
-    sqrt6, sqrt_three_halves, two_sqrt2 = (
-        (r, r + 1) for r in (isqrt(6 << 2 * w), isqrt(3 << 2 * w - 1), isqrt(8 << 2 * w))
-    )
+def _fixed_constants(w: int) -> SimpleNamespace:
+    """The registry's integer constants over 2^w, w = prec + FIXED_GUARD,
+    read through fixed.at_width: pi, sqrt 6, sqrt(3/2) and 2 sqrt 2 as
+    (lo, hi) with the constant in [lo, hi] 2^-w; split = w U, U the upper
+    end of fixed.ln2_ends(w + 8), exp-convexity-half's split point; and
+    pair_pi, the pair margins' _pi_bounds (module docstring)."""
     return SimpleNamespace(
         w=w,
-        pi=(pi - 1, pi + 1),
-        sqrt6=sqrt6,
-        sqrt_three_halves=sqrt_three_halves,
-        two_sqrt2=two_sqrt2,
-        split=w * (libmp.ln2_fixed(w + 8) + 1),
-        pair_pi=_pi_bounds(constants(prec).pi, w),
+        pi=fixed.pi_ends(w),
+        sqrt6=fixed.root_ends(6, 1, w),
+        sqrt_three_halves=fixed.root_ends(3, 2, w),
+        two_sqrt2=fixed.root_ends(8, 1, w),
+        split=w * fixed.ln2_ends(w + 8)[1],
+        pair_pi=_pi_bounds(constants(w - FIXED_GUARD).pi, w),
     )
 
 
@@ -394,10 +384,9 @@ def _ceil(p: int, q: int, w: int) -> int:
 
 @lru_cache(maxsize=1)
 def _floor_root(p: int, q: int, w: int) -> int:
-    # floor(sqrt(p/q) 2^w): the isqrt of a floor is the floor of the root.
-    # x = a/b on [335/24, 10^4], read by four of its cases, and 1 - x on
-    # (0, 1/5), by three
-    return isqrt((p << 2 * w) // q)
+    # floor(sqrt(p/q) 2^w) for x = a/b on [335/24, 10^4], read by four of
+    # its cases, and 1 - x on (0, 1/5), by three
+    return fixed.floor_root(p, q, w)
 
 
 @lru_cache(maxsize=1)
@@ -405,8 +394,8 @@ def _correction(a: int, b: int, prec: int):
     """(h, s): h(x) and the correction sum s = sqrt(3/2)/(pi sqrt x) + h(x)
     at x = a/b, each (lo, hi) integers over 2^w with lo >= 0 (module
     docstring)."""
-    k = _fixed_constants(prec)
-    w = k.w
+    w = prec + FIXED_GUARD
+    k = fixed.at_width(_fixed_constants, w)
     r = _floor_root(a, b, w)
     big, _, e, z = _decay_fixed(a, b, prec + DECAY_GUARD)
     shift = z - w
@@ -466,9 +455,8 @@ def _margin_exp_convexity(point: Point, prec: int) -> Ends:
     (x,) = point
     a, b = x.numerator, x.denominator
     num, den = a * a + 2 * b * b - 2 * a * b, 2 * b * b
-    k = _fixed_constants(prec)
-    w = k.w
-    if a << w + 8 >= b * k.split:
+    w = prec + FIXED_GUARD
+    if a << w + 8 >= b * fixed.at_width(_fixed_constants, w).split:
         return _dyadic_ends(_floor(num, den, w) - 1, _ceil(num, den, w), w, prec)
     tail = _exp_ends(_ratio_ends(-a, b, prec), prec)
     return _sub_ends(_ratio_ends(num, den, prec), tail, prec)
@@ -486,8 +474,8 @@ def _margin_tail_envelope(point: Point, prec: int) -> Ends:
 def _margin_envelope_decreasing(point: Point, prec: int) -> Ends:
     # d/dx log(sqrt(x) exp(-(pi/2) sqrt(x/2))) < 0 iff pi sqrt(x) > 2 sqrt(2).
     (x,) = point
-    k = _fixed_constants(prec)
-    w = k.w
+    w = prec + FIXED_GUARD
+    k = fixed.at_width(_fixed_constants, w)
     r = _floor_root(x.numerator, x.denominator, w)
     (p_lo, p_hi), (t_lo, t_hi) = k.pi, k.two_sqrt2
     return _dyadic_ends((p_lo * r >> w) - t_hi, -(-p_hi * (r + 1) >> w) - t_lo, w, prec)
@@ -495,8 +483,8 @@ def _margin_envelope_decreasing(point: Point, prec: int) -> Ends:
 
 def _shifted_floor(a: int, b: int, w: int) -> int:
     # Y 2^w rounded down by under 2 units, for Y = x - sqrt(x)/2 and x = a/b:
-    # r = isqrt(floor(a 4^(w-1) / b)) has r <= sqrt(x) 2^(w-1) < r + 1
-    return (a << w) // b - isqrt((a << (2 * w - 2)) // b) - 1
+    # the floor root r of x at w - 1 has r <= sqrt(x) 2^(w-1) < r + 1
+    return (a << w) // b - fixed.floor_root(a, b, w - 1) - 1
 
 
 def _margin_shifted_envelope(point: Point, prec: int) -> Ends:
@@ -539,8 +527,8 @@ def _inner_bounds(r: int, w: int) -> Tuple[int, int]:
 def _margin_exp_argument(point: Point, prec: int) -> Ends:
     # 1/10 - (pi/(40 sqrt6) + (pi^2/24) inner^2), inner = 1/(10 sqrt x) + 1/4
     (x,) = point
-    k = _fixed_constants(prec)
-    w = k.w
+    w = prec + FIXED_GUARD
+    k = fixed.at_width(_fixed_constants, w)
     i_lo, i_hi = _inner_bounds(_floor_root(x.numerator, x.denominator, w), w)
     (p_lo, p_hi), (s_lo, s_hi) = k.pi, k.sqrt6
     cube = 24 << 3 * w
@@ -577,7 +565,7 @@ def _n_bounds(d: int, pi):
     sqrt3/(sqrt(2 pi) sqrt N) and b = 6/(pi sqrt d) = sqrt3/(sqrt2 pi sqrt N)
     within [lo, hi] 2^-w."""
     lo, hi, k, s_lo, s_hi, w = pi
-    r = isqrt(d << 2 * w)
+    r = fixed.floor_root(d, 1, w)
     c = (6 << 3 * w) // ((s_hi + 1) * (r + 1)), -(-(6 << 3 * w) // (s_lo * r))
     b = (6 << k + 2 * w) // (hi * (r + 1)), -(-(6 << k + 2 * w) // (lo * r))
     return r, c, b
@@ -587,7 +575,7 @@ def _n_bounds(d: int, pi):
 def _pair_n_terms(n: int, prec: int):
     # one entry: a pair point's four cases read one n in turn, and the pair
     # grid visits each n with up to three j in a row
-    return _n_bounds(24 * n - 1, _fixed_constants(prec).pair_pi)
+    return _n_bounds(24 * n - 1, fixed.at_width(_fixed_constants, prec + FIXED_GUARD).pair_pi)
 
 
 def _j_bounds(d: int, big_j: int, pi, r: int):
@@ -604,7 +592,8 @@ def _j_bounds(d: int, big_j: int, pi, r: int):
 @lru_cache(maxsize=2)
 def _pair_j_terms(n: int, big_j: int, prec: int):
     # a pair point reads J = j and 2j
-    return _j_bounds(24 * n - 1, big_j, _fixed_constants(prec).pair_pi,
+    return _j_bounds(24 * n - 1, big_j,
+                     fixed.at_width(_fixed_constants, prec + FIXED_GUARD).pair_pi,
                      _pair_n_terms(n, prec)[0])
 
 
@@ -729,7 +718,7 @@ def _power_sums(prec: int) -> Tuple[int, ...]:
     ks = range(FAR_START, TAIL_TERMS + 1)
     squares = [k * k for k in ks]
     # (FAR_START/k)^(3/2) 2^W floored, then a factor (FAR_START/k)^2 a step
-    powers = [isqrt((k2 * FAR_START << 2 * w) // k**3) for k in ks]
+    powers = [fixed.floor_root(k2 * FAR_START, k**3, w) for k in ks]
     sums, t, m = [sum(powers)], (1 << w) // 3, 0
     while m < 2 or t >> _FAR_STOP:
         m += 1
@@ -758,11 +747,11 @@ def _far_sum(a: int, b: int, w: int, prec: int) -> Tuple[int, int]:
         if m >= 2 and not t >> _FAR_STOP:
             break
     err += z0 * (10 * (m + 1) + t + 10)
-    # sqrt(2/pi) (x/FAR_START)^(3/2) 2^W, floored and raised, from pi_fixed
-    pi = libmp.pi_fixed(big)
+    # sqrt(2/pi) (x/FAR_START)^(3/2) 2^W, floored and raised, from pi's ends
+    p_lo, p_hi = fixed.pi_ends(big)
     top, cube = 2 * a2 * a << 3 * big, b2 * b * FAR_START
-    g_lo = isqrt(top // ((pi + 1) * cube))
-    g_hi = isqrt(-(-top // ((pi - 1) * cube))) + 1
+    g_lo = isqrt(top // (p_hi * cube))
+    g_hi = isqrt(-(-top // (p_lo * cube))) + 1
     shift = 3 * big - w
     return g_lo * total >> shift, (g_hi * (total + err) >> shift) + 1
 

@@ -12,8 +12,9 @@ Hardy-Ramanujan-Rademacher formula", LMS J. Comput. Math. 2012, eq. 1.8).
 
 As in Johansson's implementation, the terms are summed in integer fixed
 point, here at W = wp + 16 fractional bits ("units" below are 2^-W).
-X = pi sqrt(24n-1)/6 and the prefactor 2 pi (24n-1)^{-3/4} come from isqrt
-and libmp's pi_fixed, each within 2 units.  Term k is
+X = pi sqrt(24n-1)/6 and the prefactor 2 pi (24n-1)^{-3/4} come from
+fixed.pi and fixed's floor roots (its within-a-unit and floor-root lemmas),
+each within 2 units.  Term k is
 T_k = floor(a_k I_k / (k 2^W)), where a_k is kloosterman_A(k, n, wp)
 (within phi(k) 2^(1-wp) of A_k(n)) floored to W bits (one unit more), and
 I_k = special._bessel_fixed(floor(X / k), W).  With x = X/k and Delta_W the
@@ -64,6 +65,7 @@ from functools import lru_cache
 
 from mpmath import libmp
 
+from . import fixed
 from .enclosure import (
     DEFAULT_PRECISION,
     Enclosure,
@@ -108,8 +110,8 @@ def _series_state(n: int, prec: int):
     w = wp + _FIXED_GUARD
     d = 24 * n - 1
     g = (d.bit_length() + 1) // 2  # 2^g >= sqrt d
-    X = libmp.pi_fixed(w + g) * math.isqrt(d << 2 * w) // (6 << (w + g))
-    prefactor = (libmp.pi_fixed(w) << (w + 1)) // math.isqrt(math.isqrt(d ** 3 << 4 * w))
+    X = fixed.pi(w + g) * fixed.floor_root(d, 1, w) // (6 << (w + g))
+    prefactor = (fixed.pi(w) << (w + 1)) // math.isqrt(fixed.floor_root(d ** 3, 1, 2 * w))
     return wp, X, prefactor
 
 

@@ -33,30 +33,23 @@ once, to nearest at prec bits, which adds at most |A_k(n)| 2^-prec (and
 value.
 
 Bessel kernel.  _bessel_fixed(xw, w) evaluates the closed form at
-x = xw 2^-w in fixed point over 2^w: E = exp_fixed(xw, w),
+x = xw 2^-w in fixed point over 2^w: E = fixed.exp(xw, w),
 F = floor(2^(2w) / E), the bracket B_w = E + F - floor((E - F) 2^w / xw),
-and floor(B_w 2^w / isqrt(2 pi_fixed(w) xw)).  For w >= 16, x >= 2^(-w/2)
+and floor(B_w 2^w / isqrt(2 fixed.pi(w) xw)).  For w >= 16, x >= 2^(-w/2)
 and lambda <= 2^(w-2) it is within
 
     Delta_w(x) = lambda (e^x + 3)(1 + 1/x) / sqrt(2 pi x) + 2,
     lambda = 1.01 x / ln 2 + 3 sqrt(w) + 10,
 
 units 2^-w of I_{3/2}(x), because:
-* exp_fixed subtracts n = floor(x / ln 2) copies of ln2_fixed(w), which is
-  ln 2 2^w floored, so its reduced argument t is off by at most n units.  It
-  then sums about sqrt(w) Taylor terms of e^{t 2^-r} at r ~ sqrt(w) guard
-  bits and squares r times, which is within 3 sqrt(w) + 6 units.  So E is
-  within lambda_0 e^x units, lambda_0 = x / ln 2 + 3 sqrt(w) + 8.  The
-  second step is read off libmp's exp_basecase, not proved here, and its
-  allowance is about three times what it was seen to use;
-  test_exp_fixed_within_stated_units checks both steps, and the whole claim,
-  at 16 to 4150 bits, on both sides of libmp's switches to other series at
-  600 and 1500 bits (--precision 4096 runs the kernel at about 4150);
+* E is within lambda_0 e^x units, lambda_0 = x / ln 2 + 3 sqrt(w) + 8, by
+  fixed's exponential lemma, whose step read off libmp is the one step not
+  proved here;
 * F is within 2 lambda_0 e^-x + 1 units of e^-x 2^w;
 * the sum adds the two errors, the quotient divides them by x and truncates
   once.  So B_w is within (lambda_0 + 1/4)(e^x + 3)(1 + 1/x) units of
   (2 cosh x - 2 sinh(x)/x) 2^w;
-* pi_fixed is within one unit, so the isqrt is within a relative
+* fixed.pi(w) is within a unit (fixed), so the isqrt is within a relative
   eps <= (1/pi + 1/sqrt(2 pi x)) 2^-w <= 2^(-3w/4) of sqrt(2 pi x) 2^w;
 * dividing by it scales B_w's error by at most 1 + 2 eps and adds at most
   2 eps I(x) 2^w, which is below 1.44 (e^x + 3)(1 + 1/x) / sqrt(2 pi x)
@@ -106,22 +99,21 @@ e^-300 is a mantissa, not an underflow.  With e = bitlen(p) - bitlen(q), so
 2^(e-1) < x < 2^(e+1), it works at v = w + 8 + floor((|e| + 1)/2) bits;
 "units" are 2^-v or 2^-w as stated.  Every factor is an exact integer with a
 relative error, so the point's total error is bounded once:
-* _decay_constants(v) floors once the products of pi_fixed(v), within a unit
-  of pi 2^v, and the floored roots isqrt(k 4^v): b1 and b2 within 3 units,
-  C1 within 5.2 and C2 within 14.1, so each C within 2^-v relative;
-  ln2_fixed(v) = L is within a unit of ln 2 2^v;
-* N = floor(x 4^v) and S = isqrt(N) have S > 2^(w+7) by the choice of v, and
-  sqrt(x) 2^v - 2 < S <= sqrt(x) 2^v: S within 2^-(w+6) relative, N within
-  2^-(2w+14);
-* for t = b sqrt x, T = floor(B S 2^-v) is within 3 sqrt x + 6.2 units of
-  t 2^v.  n = ceil(T/L) and U = nL - T, in [0, L), give u = n ln 2 - t with
-  e^-t = 2^-n e^u exactly, and U 2^-v within (n + 3 sqrt x + 6.2) 2^-v of u,
-  where n < 3.71 sqrt x + 1.01.  As sqrt x < 2^((e+1)/2), that is under 0.07
-  units 2^-w, and u_w = floor(U 2^(w-v)) adds one: u' = u_w 2^-w has
-  |u' - u| < 1.07 2^-w and 0 <= u' <= ln 2 + 2^-v;
-* so exp_fixed(u_w, w) reads the lemma of the Bessel kernel below ln 2 + 2^-v,
-  where lambda_0 < 3 sqrt w + 9.01, and with e^{u'} within 1.071 2^-w of
-  e^u relative, it is within (3 sqrt w + 10.1) 2^-w of e^u 2^w relative;
+* _decay_constants(v), kept in fixed.at_width, floors once the products of
+  fixed.pi(v), within a unit, and the floor roots of 2, 3 and 6 over 2^v
+  (fixed): b1 and b2 within 3 units, C1 within 5.2 and C2 within 14.1, so
+  each C within 2^-v relative;
+* N = floor(x 4^v) and S = isqrt(N), the floor root, have S > 2^(w+7) by
+  the choice of v, and sqrt(x) 2^v - 2 < S <= sqrt(x) 2^v: S within
+  2^-(w+6) relative, N within 2^-(2w+14);
+* for t = b sqrt x, T = floor(B S 2^-v) is within delta = 3 sqrt x + 6.2
+  units of t 2^v, and fixed.exp_neg(T, v, w) gives E1 (for b1) or E2 (for
+  b2) and n, with e^-t = 2^-n e^u and n < 3.71 sqrt x + 1.01.  As
+  sqrt x < 2^((e+1)/2), (n + delta) 2^-v is under 0.07 2^-w, so fixed's
+  reduction lemma puts the reduced argument u' within 1.07 2^-w of u and
+  the exponential within (3 sqrt w + 9.01) e^u' units; with e^u' within
+  1.071 2^-w of e^u relative, it is within (3 sqrt w + 10.1) 2^-w of e^u 2^w
+  relative;
 * each of D' = S E2 and the terms C2 S E2 and C1 N E1 is an exact product
   of factors within those relative errors, so within rho = (3 sqrt w + 10.2)
   2^-w of d, or of h's term, times 2^(v+w+n2), 2^(2v+w+n2) and 2^(3v+w+n1);
@@ -147,8 +139,8 @@ from functools import lru_cache
 
 from mpmath import libmp
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp.libelefun import exp_fixed
 
+from . import fixed
 from .enclosure import DEFAULT_PRECISION, PRECISION_MEMO_MAXSIZE
 from .errors import PrecisionError, PreconditionError
 
@@ -268,7 +260,7 @@ def kloosterman_imag_residue(k: int, n: int, prec: int = DEFAULT_PRECISION):
 
 def _bessel_guard_bits(x: Fraction) -> int:
     # the bracket e^x(1-1/x) + e^{-x}(1+1/x) cancels from size ~1/x down to
-    # ~x^2 as x -> 0, costing about 3*log2(1/x) bits; above 1, exp_fixed's
+    # ~x^2 as x -> 0, costing about 3*log2(1/x) bits; above 1, fixed.exp's
     # reduction by ln 2 costs about log2(x) bits
     if x >= 1:
         return 10 + (x.numerator // x.denominator).bit_length()
@@ -279,12 +271,12 @@ def _bessel_guard_bits(x: Fraction) -> int:
 def _bessel_fixed(xw: int, w: int) -> int:
     """I_{3/2}(x) 2^w as an integer, for x = xw 2^-w, by the closed form
     [(e^x + e^-x) - (e^x - e^-x)/x] / sqrt(2 pi x) in fixed point at w
-    fractional bits: libmp's exp_fixed, one integer reciprocal for e^-x and
-    one isqrt.  Within Delta_w(x) of I_{3/2}(x) 2^w (module docstring)."""
-    ex = exp_fixed(xw, w)
+    fractional bits: fixed.exp, one integer reciprocal for e^-x and one
+    isqrt.  Within Delta_w(x) of I_{3/2}(x) 2^w (module docstring)."""
+    ex = fixed.exp(xw, w)
     inv = (1 << 2 * w) // ex
     bracket = ex + inv - ((ex - inv) << w) // xw
-    return (bracket << w) // math.isqrt(2 * libmp.pi_fixed(w) * xw)
+    return (bracket << w) // math.isqrt(2 * fixed.pi(w) * xw)
 
 
 def bessel_I32_closed(x, prec: int = DEFAULT_PRECISION):
@@ -320,14 +312,14 @@ def bessel_I32_closed(x, prec: int = DEFAULT_PRECISION):
 DECAY_GUARD = 20
 
 
-@lru_cache(maxsize=64)
 def _decay_constants(v: int):
-    # b1 = pi sqrt(2/3), b2 = pi/(2 sqrt 2), C1 = 2 pi^2/3, C2 = 8 pi/sqrt 3
-    # and ln 2 over 2^v, within the units of the module docstring
-    pi = libmp.pi_fixed(v)
-    r2, r3, r6 = (math.isqrt(k << 2 * v) for k in (2, 3, 6))
+    # b1 = pi sqrt(2/3), b2 = pi/(2 sqrt 2), C1 = 2 pi^2/3 and C2 = 8 pi/sqrt 3
+    # over 2^v, within the units of the module docstring; read through
+    # fixed.at_width
+    pi = fixed.pi(v)
+    r2, r3, r6 = (fixed.floor_root(k, 1, v) for k in (2, 3, 6))
     return (pi * r6 // (3 << v), pi * r2 // (4 << v), 2 * pi * pi // (3 << v),
-            8 * pi * r3 // (3 << v), libmp.ln2_fixed(v))
+            8 * pi * r3 // (3 << v))
 
 
 def _decay_fixed(p: int, q: int, w: int, first: bool = True):
@@ -337,21 +329,14 @@ def _decay_fixed(p: int, q: int, w: int, first: bool = True):
     module docstring."""
     e = p.bit_length() - q.bit_length()
     v = w + 8 + (abs(e) + 1) // 2
-    b1, b2, c1, c2, ln2 = _decay_constants(v)
+    b1, b2, c1, c2 = fixed.at_width(_decay_constants, v)
     big = (p << 2 * v) // q
     root = math.isqrt(big)
-
-    def factor(b):
-        # e^{-b sqrt x} = 2^-n e^u: exp_fixed of u at w bits, and n
-        t = b * root >> v
-        n = -(-t // ln2)
-        return exp_fixed((n * ln2 - t) >> (v - w), w), n
-
-    e2, n2 = factor(b2)
+    e2, n2 = fixed.exp_neg(b2 * root >> v, v, w)
     d = root * e2
     h = c2 * d
     if first:
-        e1, n1 = factor(b1)
+        e1, n1 = fixed.exp_neg(b1 * root >> v, v, w)
         h += c1 * big * e1 >> (v + n1 - n2)
     return h, d << v, (h * (3 * math.isqrt(w) + 14) >> w) + 2, 2 * v + w + n2
 

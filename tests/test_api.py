@@ -14,11 +14,13 @@ from pathlib import Path
 import pytest
 
 import partbounds
-from partbounds import estimates, exact, rademacher
+from partbounds import estimates, exact, fixed, rademacher
 from partbounds.cli import main
 from partbounds.enclosure import PRECISION_MEMO_MAXSIZE, Enclosure, constants
 from partbounds.estimates import ratio_interval
 from partbounds.exact import PartitionTable
+from partbounds.fixed import WIDTH_MEMO_MAXSIZE
+from partbounds.inequalities import _power_sums
 from partbounds.special import mp_context
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -140,14 +142,20 @@ def test_index_keyed_memos_are_bounded():
 
 
 @pytest.mark.parametrize(
-    "memo, query",
-    [(constants, lambda prec: ratio_interval(20, 1, prec)), (mp_context, mp_context)],
-    ids=["constants", "mp_context"],
+    "memo, bound, query",
+    [
+        (constants, PRECISION_MEMO_MAXSIZE, lambda prec: ratio_interval(20, 1, prec)),
+        (mp_context, PRECISION_MEMO_MAXSIZE, mp_context),
+        (_power_sums, PRECISION_MEMO_MAXSIZE, _power_sums),
+        # h_error reads the decay constants at one width per precision
+        (fixed.at_width, WIDTH_MEMO_MAXSIZE, lambda prec: rademacher.h_error(20, prec)),
+    ],
+    ids=["constants", "mp_context", "_power_sums", "fixed.at_width"],
 )
-def test_precision_memo_size_is_bounded(memo, query):
+def test_precision_memo_size_is_bounded(memo, bound, query):
     # more distinct precisions than the bound, as a library caller may use
-    assert memo.cache_info().maxsize == PRECISION_MEMO_MAXSIZE
-    for prec in range(16, 16 + PRECISION_MEMO_MAXSIZE + 10):
+    assert memo.cache_info().maxsize == bound
+    for prec in range(16, 16 + bound + 10):
         query(prec)
-        assert memo.cache_info().currsize <= PRECISION_MEMO_MAXSIZE
-    assert memo.cache_info().currsize == PRECISION_MEMO_MAXSIZE
+        assert memo.cache_info().currsize <= bound
+    assert memo.cache_info().currsize == bound

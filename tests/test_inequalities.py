@@ -22,7 +22,7 @@ from enclosure_views import (
     sqrt_enclosure,
     terms_view,
 )
-from partbounds import enclosure, inequalities, special
+from partbounds import enclosure, fixed, inequalities, special
 from partbounds.enclosure import (
     ORDER_ERROR,
     Enclosure,
@@ -624,7 +624,7 @@ def _assert_same_ends(name, point, prec):
 
 def _clear_memos():
     for memo in (
-        inequalities._fixed_constants,
+        fixed.at_width,
         inequalities._floor_root,
         inequalities._correction,
         inequalities._pair_n_terms,
@@ -706,17 +706,16 @@ class TestDecayMargins:
         # every (p, q, w) the kernel receives at the sampler's ends has
         # p, q >= 1 and w = prec + DECAY_GUARD >= 16, shifted-envelope-11's Y
         # rounded down is at least 1, where the decay factor decreases, and
-        # every exp_fixed argument is reduced: 0 <= tw <= ln2_fixed(w) + 1
+        # every fixed.exp argument is reduced: 0 <= tw <= ln2_fixed(w) + 1
         kernel, exps = [], []
-        real_kernel, real_exp = special._decay_fixed, special.exp_fixed
+        real_kernel, real_exp = special._decay_fixed, fixed.exp
 
         def record(p, q, w, first=True):
             kernel.append((p, q, w, first))
             return real_kernel(p, q, w, first)
 
         monkeypatch.setattr(inequalities, "_decay_fixed", record)
-        monkeypatch.setattr(special, "exp_fixed",
-                            lambda tw, w: exps.append((tw, w)) or real_exp(tw, w))
+        monkeypatch.setattr(fixed, "exp", lambda tw, w: exps.append((tw, w)) or real_exp(tw, w))
         for point in _interval_ends(name):
             _clear_memos()
             CASE_INDEX[name].margin(point, prec)
@@ -932,30 +931,11 @@ class TestFixedMargins:
         u = Fraction(data.draw(st.integers(0, 2**53), label="u"), 2**53)
         self._assert_encloses(name, (a + (b - a) * u,), prec)
 
-    @pytest.mark.parametrize("prec", [16, 128, 1024])
-    def test_constants_hold_exactly(self, prec):
-        # the roots' constants decided on squares, pi's and ln 2's units
-        # against wider enclosures
-        k = _fixed_constants(prec)
-        w = k.w
-        four = 4**w
-        for (lo, hi), square in ((k.sqrt6, 6 * four), (k.sqrt_three_halves, 3 * four // 2),
-                                 (k.two_sqrt2, 8 * four)):
-            assert hi == lo + 1 and lo * lo < square < hi * hi
-        wide = constants(w + 64).pi
-        assert Fraction(k.pi[0], 1 << w) < fraction_from_raw(wide[0])
-        assert fraction_from_raw(wide[1]) < Fraction(k.pi[1], 1 << w)
-        v = w + 8
-        big = ln2_fixed(v)
-        ctx = mp_context(v + 64)
-        assert ctx.mpf(big - 1) / 2**v < ctx.ln2 < ctx.mpf(big + 1) / 2**v
-        assert k.split == w * (big + 1)
-
     @staticmethod
     def _points(w):
-        # points of the three domains with roots and at small w, where
-        # dropping the + 1 of a floor root's upper bound moves a bound by
-        # about a unit
+        # points of the two domains whose margins read 1/sqrt(x), and at
+        # small w, where dropping the + 1 of a floor root's upper bound moves
+        # a bound by about a unit
         rng = random.Random(w)
         points = [Fraction(335, 24), Fraction(1), Fraction(10**4), Fraction(1, 5 * 10**9),
                   Fraction(1, 5), Fraction(9, 16), Fraction(777, 7)]
@@ -963,17 +943,12 @@ class TestFixedMargins:
         return points
 
     @pytest.mark.parametrize("w", [2, 3, 5, 8, 13, 48, 160, 1056])
-    def test_roots_and_inner_bounds_hold_exactly(self, w):
-        # sqrt(p/q) in [r, r + 1) 2^-w, decided on squares, and the inner
-        # 1/(10 sqrt x) + 1/4 within [lo, hi] 2^-w: (lo - 2^(w-2))^2 100 x <=
-        # 4^w <= (hi - 2^(w-2))^2 100 x
+    def test_inner_bounds_hold_exactly(self, w):
+        # the inner 1/(10 sqrt x) + 1/4 within [lo, hi] 2^-w, from the floor
+        # root of x (tests/test_fixed.py): (lo - 2^(w-2))^2 100 x <= 4^w <=
+        # (hi - 2^(w-2))^2 100 x
         four, quarter = 4**w, 1 << w - 2
         for x in self._points(w):
-            r = _floor_root(x.numerator, x.denominator, w)
-            assert r * r <= x * four < (r + 1) ** 2, x
-            if x < 1:
-                r = _floor_root(x.denominator - x.numerator, x.denominator, w)
-                assert r * r <= (1 - x) * four < (r + 1) ** 2, x
             if x * four >= 1:
                 lo, hi = _inner_bounds(_floor_root(x.numerator, x.denominator, w), w)
                 assert (lo - quarter) ** 2 * 100 * x <= four <= (hi - quarter) ** 2 * 100 * x, x
@@ -984,7 +959,7 @@ class TestFixedMargins:
         # sqrt(3/2)/(pi sqrt x) in [s_lo - h_lo, s_hi - h_hi] 2^-w at pi's
         # and sqrt(3/2)'s ends: (c_lo p_hi)^2 x <= t_lo^2 4^w and
         # (c_hi p_lo)^2 x >= t_hi^2 4^w
-        k = _fixed_constants(prec)
+        k = _fixed_constants(prec + FIXED_GUARD)
         w = k.w
         (p_lo, p_hi), (t_lo, t_hi) = k.pi, k.sqrt_three_halves
         rng = random.Random(prec)
@@ -1001,16 +976,16 @@ class TestFixedMargins:
 
     @pytest.mark.parametrize("prec", FIXED_PRECS)
     def test_exp_step_holds_exactly(self, prec):
-        # past the split, m = floor(x 2^v / (L + 1)) >= w and m (L + 1) <=
-        # x 2^v, so m ln 2 < x (ln 2 < (L + 1) 2^-v, test_constants_hold_
-        # exactly) and e^-x < 2^-m <= 2^-w; the split is decided without
-        # the division
-        k = _fixed_constants(prec)
+        # past the split, m = floor(x 2^v / U) >= w and m U <= x 2^v, so
+        # m ln 2 < x (ln 2 < U 2^-v) and e^-x < 2^-m <= 2^-w; the split is
+        # decided without the division
+        k = _fixed_constants(prec + FIXED_GUARD)
         w = k.w
         v = w + 8
-        step = k.split // w  # L + 1
+        step = k.split // w  # U
         split = Fraction(k.split, 1 << v)
         ctx = mp_context(2 * v)
+        assert step * w == k.split and ctx.ln2 < ctx.ldexp(step, -v)
         (first,), (last,) = _interval_ends("exp-convexity-half")
         for x in (split, split - Fraction(1, 10**12), split + Fraction(1, 10**12), first, last,
                   Fraction(w * 7, 10), Fraction(w * 69315, 10**5)):
@@ -1025,7 +1000,7 @@ class TestFixedMargins:
     def test_exp_convexity_keeps_its_expression_below_the_split(self, prec):
         # bit for bit below x = w ln 2, from the sampler's first point to
         # just under the split
-        k = _fixed_constants(prec)
+        k = _fixed_constants(prec + FIXED_GUARD)
         split = Fraction(k.split, 1 << k.w + 8)
         (first,), _ = _interval_ends("exp-convexity-half")
         rng = random.Random(prec)
@@ -1100,19 +1075,26 @@ class TestDomains:
         # correction terms, exp-argument-01 and shift-ratio-02 read the root
         # and collapse-1350 the terms; on (0, 1/5) sqrt-expansion-01 builds
         # the root of 1 - x and two cases read it, with no constant; the
-        # constants are built once
-        for domain, root_hits, correction, built in (("[335/24, 10^4]", 150, (75, 75), 1),
-                                                     ("(0, 1/5)", 150, (0, 0), 0)):
+        # constants are built once, in fixed.at_width
+        built = []
+        real_constants = inequalities._fixed_constants
+        monkeypatch.setattr(inequalities, "_fixed_constants",
+                            lambda w: built.append(w) or real_constants(w))
+        for domain, root_hits, correction, widths in (
+            ("[335/24, 10^4]", 150, (75, 75), [enclosure.DEFAULT_PRECISION + FIXED_GUARD]),
+            ("(0, 1/5)", 150, (0, 0), []),
+        ):
             names = SHARED_DOMAINS[domain]
             for name in names:
                 _shrink(monkeypatch, name, 60, 15)
             _clear_memos()
+            built.clear()
             run_domain(names)
             root = inequalities._floor_root.cache_info()
             assert (root.misses, root.hits) == (75, root_hits)
             terms = inequalities._correction.cache_info()
             assert (terms.misses, terms.hits) == correction
-            assert inequalities._fixed_constants.cache_info().misses == built
+            assert built == widths
         names = SHARED_DOMAINS["pairs"]
         for name in names:
             _shrink(monkeypatch, name, 60, 15)

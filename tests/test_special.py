@@ -10,7 +10,7 @@ from mpmath import libmp
 from mpmath.libmp import ln2_fixed
 
 from enclosure_views import h_mpmath
-from partbounds import special
+from partbounds import fixed, special
 from partbounds.enclosure import fraction_from_raw
 from partbounds.errors import PreconditionError
 from partbounds.special import (
@@ -330,17 +330,6 @@ class TestBessel:
                 bessel_I32_series(x)
 
 
-def _basecase_units(w):
-    # the stated error of exp_fixed's step after its reduction by ln 2, the
-    # step read off libmp's exp_basecase
-    return 3 * math.sqrt(w) + 6
-
-
-def _exp_units(t, w):
-    # the stated error of exp_fixed at t = tw 2^-w, in units e^t 2^-w
-    return t / math.log(2) + _basecase_units(w) + 2
-
-
 def _delta(x, w):
     # Delta_w(x) of the special docstring, in units of 2^-w, as a Fraction
     ctx = mp_context(64)
@@ -348,54 +337,6 @@ def _delta(x, w):
     lam = 1.01 * x / ctx.ln2 + 3 * ctx.sqrt(w) + 10
     value = lam * (ctx.exp(x) + 3) * (1 + 1 / x) / ctx.sqrt(2 * ctx.pi * x) + 2
     return fraction_from_raw(value._mpf_)
-
-
-def _exp_fixed_worst(w, draws):
-    # each exp_fixed(tw, w) within its stated units of e^t, t = tw 2^-w, and
-    # the worst share of its allowance the step read off exp_basecase used
-    ctx = mp_context(4 * w)
-    unit = ctx.mpf(2) ** -w
-    ln2 = ln2_fixed(w)
-    assert 0 <= ctx.ln2 / unit - ln2 < 1, w
-    worst = 0
-    for tw in draws:
-        t = ctx.mpf(tw) * unit
-        got = ctx.mpf(special.exp_fixed(tw, w)) * unit
-        assert abs(got - ctx.exp(t)) <= _exp_units(float(t), w) * ctx.exp(t) * unit, (tw, w)
-        n, reduced = divmod(tw, ln2)
-        moved = ctx.exp(ctx.mpf(reduced) * unit) * ctx.mpf(2) ** n
-        worst = max(worst, abs(got - moved) / (moved * unit) / _basecase_units(w))
-    return worst
-
-
-def test_exp_fixed_within_stated_units():
-    # the lemma the kernel's bound rests on, on both sides of the 600-bit
-    # switch inside libmp's exp_basecase and of the 1500-bit switch inside
-    # its exponential_series, up to the about 4150 bits of --precision 4096.
-    # Its proved step: ln2_fixed(w) is ln 2 2^w floored, so the n = tw //
-    # ln2_fixed(w) copies subtracted move the argument by under n units; that
-    # step alone nearly fills its allowance where ln 2 2^w lies just below
-    # an integer (0.98 units above ln2_fixed at w = 1200).  The step read
-    # off exp_basecase is measured against e^x with that move taken out, and
-    # its worst sample must keep a quarter of its allowance free.
-    rng = random.Random(5)
-    for w, samples in [(w, 60) for w in (16, 40, 53, 144, 300, 599, 601, 1200)] + [
-        (w, 30) for w in (1499, 1501, 2048, 4150)
-    ]:
-        draws = [rng.randrange(1, rng.choice([1 << w, 10 << w, 10**4 << w]))
-                 for _ in range(samples)]
-        worst = _exp_fixed_worst(w, draws)
-        assert worst < 0.75, (w, worst)
-    # the decay kernel's shape: reduced arguments 0 <= tw <= ln2_fixed(w) + 1
-    # at its widths prec + DECAY_GUARD, for the registry's 128 bits and the
-    # precisions its tests and h_error's read
-    rng = random.Random(7)
-    for prec in (16, 53, 128, 300, 1024, 4096):
-        w = prec + special.DECAY_GUARD
-        top = ln2_fixed(w) + 1
-        draws = [0, top] + [rng.randrange(top + 1) for _ in range(40 if w < 1500 else 20)]
-        worst = _exp_fixed_worst(w, draws)
-        assert worst < 0.75, (w, worst)
 
 
 # x in (0, 10^4], the domain of both oracles, with x <= 1/10 (where the
@@ -592,13 +533,13 @@ def test_decay_bound_covers_the_proof(prec):
 
 @pytest.mark.parametrize("prec", DECAY_PRECS)
 def test_decay_reduced_arguments_within_stated_units(prec, monkeypatch):
-    # each exp_fixed(tw, w) the kernel makes reads a reduced argument
+    # each fixed.exp(tw, w) the kernel makes reads a reduced argument
     # 0 <= tw <= ln2_fixed(w) + 1, within 1.07 units 2^-w of
     # u = n ln 2 - b sqrt x, where e^{-b sqrt x} = 2^-n e^u, for b2 and
     # then b1; the floor into w bits alone takes it past half of that
     calls = []
-    real = special.exp_fixed
-    monkeypatch.setattr(special, "exp_fixed", lambda tw, w: calls.append((tw, w)) or real(tw, w))
+    real = fixed.exp
+    monkeypatch.setattr(fixed, "exp", lambda tw, w: calls.append((tw, w)) or real(tw, w))
     w = prec + special.DECAY_GUARD
     ctx = mp_context(2 * w + 64)
     worst = 0
