@@ -118,11 +118,11 @@ terms are
     c = sqrt3 / (sqrt(2 pi) sqrt N) = 6 / sqrt(pi d),
     b = sqrt3 / (sqrt2 pi sqrt N) = 6 / (pi sqrt d),
 
-each monotone in pi and in sqrt d.  At w = prec + FIXED_GUARD, _pi_bounds
-reads pi's raw ends from constants(prec) as integers [lo, hi] 2^-k and
-takes sqrt(pi) in [s_lo, s_hi + 1) 2^-w by isqrt, and _n_bounds takes the
-floor root r of d, so sqrt d is in [r, r + 1) 2^-w (fixed's floor-root
-lemma).  Putting in the ends that make a term
+each monotone in pi and in sqrt d.  At w = prec + FIXED_GUARD, pi lies in
+fixed.pi_ends(w) = [lo, hi] 2^-w and sqrt(pi) in [s_lo, s_hi + 1) 2^-w,
+s_lo and s_hi the floor roots of lo 2^-w and hi 2^-w (_fixed_constants),
+and _n_bounds takes the floor root r of d, so sqrt d is in [r, r + 1) 2^-w
+(fixed's lemmas).  Putting in the ends that make a term
 least, or greatest, and flooring, or raising, the quotient gives integers
 with q, c, b and the J-bracket J/N - q = 24J/d - q within [lo, hi] 2^-w
 (_n_bounds, _j_bounds):
@@ -240,7 +240,6 @@ from .enclosure import (
     _sub_ends,
     constants,
     fraction_from_raw,
-    scaled_ends,
 )
 from .errors import PartboundsError, PreconditionError
 from .estimates import FJN_RADIUS_A, FJN_RADIUS_B, RATIO_RADIUS_1, RATIO_RADIUS_2, fjn_j_top
@@ -356,17 +355,19 @@ _PAIRS = _pair_sampler(17, 10_000)
 def _fixed_constants(w: int) -> SimpleNamespace:
     """The registry's integer constants over 2^w, w = prec + FIXED_GUARD,
     read through fixed.at_width: pi, sqrt 6, sqrt(3/2) and 2 sqrt 2 as
-    (lo, hi) with the constant in [lo, hi] 2^-w; split = w U, U the upper
-    end of fixed.ln2_ends(w + 8), exp-convexity-half's split point; and
-    pair_pi, the pair margins' _pi_bounds (module docstring)."""
+    (lo, hi) with the constant in [lo, hi] 2^-w; sqrt_pi, (lo, hi) with
+    sqrt pi in [lo, hi + 1) 2^-w; and split = w U, U the upper end of
+    fixed.ln2_ends(w + 8), exp-convexity-half's split point (module
+    docstring)."""
+    pi = fixed.pi_ends(w)
     return SimpleNamespace(
         w=w,
-        pi=fixed.pi_ends(w),
+        pi=pi,
+        sqrt_pi=tuple(fixed.floor_root(end, 1 << w, w) for end in pi),
         sqrt6=fixed.root_ends(6, 1, w),
         sqrt_three_halves=fixed.root_ends(3, 2, w),
         two_sqrt2=fixed.root_ends(8, 1, w),
         split=w * fixed.ln2_ends(w + 8)[1],
-        pair_pi=_pi_bounds(constants(w - FIXED_GUARD).pi, w),
     )
 
 
@@ -552,22 +553,17 @@ def _margin_shift_ratio(point: Point, prec: int) -> Ends:
 # sqrt N = sqrt(d/24), N = d/24: its ends read pi's integer ends and one
 # floor root of d per n (module docstring).
 
-def _pi_bounds(pi, w: int):
-    # (lo, hi, k, s_lo, s_hi, w): pi within [lo, hi] 2^-k, the ends of the
-    # raw pair pi, and sqrt(pi) within [s_lo, s_hi + 1) 2^-w
-    lo, hi, k = scaled_ends(*pi)
-    return lo, hi, k, isqrt((lo << 2 * w) >> k), isqrt((hi << 2 * w) >> k), w
-
-
-def _n_bounds(d: int, pi):
-    """(r, c, b) for d = 24n - 1 and _pi_bounds pi: sqrt(d) within
-    [r, r + 1) 2^-w, and (lo, hi) integers with c = 6/sqrt(pi d) =
-    sqrt3/(sqrt(2 pi) sqrt N) and b = 6/(pi sqrt d) = sqrt3/(sqrt2 pi sqrt N)
-    within [lo, hi] 2^-w."""
-    lo, hi, k, s_lo, s_hi, w = pi
+def _n_bounds(d: int, k):
+    """(r, c, b) for d = 24n - 1 and the registry constants k over 2^w:
+    sqrt(d) within [r, r + 1) 2^-w, and (lo, hi) integers with c =
+    6/sqrt(pi d) = sqrt3/(sqrt(2 pi) sqrt N) and b = 6/(pi sqrt d) =
+    sqrt3/(sqrt2 pi sqrt N) within [lo, hi] 2^-w."""
+    w = k.w
+    (lo, hi), (s_lo, s_hi) = k.pi, k.sqrt_pi
     r = fixed.floor_root(d, 1, w)
-    c = (6 << 3 * w) // ((s_hi + 1) * (r + 1)), -(-(6 << 3 * w) // (s_lo * r))
-    b = (6 << k + 2 * w) // (hi * (r + 1)), -(-(6 << k + 2 * w) // (lo * r))
+    top = 6 << 3 * w
+    c = top // ((s_hi + 1) * (r + 1)), -(-top // (s_lo * r))
+    b = top // (hi * (r + 1)), -(-top // (lo * r))
     return r, c, b
 
 
@@ -575,16 +571,18 @@ def _n_bounds(d: int, pi):
 def _pair_n_terms(n: int, prec: int):
     # one entry: a pair point's four cases read one n in turn, and the pair
     # grid visits each n with up to three j in a row
-    return _n_bounds(24 * n - 1, fixed.at_width(_fixed_constants, prec + FIXED_GUARD).pair_pi)
+    return _n_bounds(24 * n - 1, fixed.at_width(_fixed_constants, prec + FIXED_GUARD))
 
 
-def _j_bounds(d: int, big_j: int, pi, r: int):
-    """(q, bracket) for d = 24n - 1, _pi_bounds pi and _n_bounds r: (lo, hi)
-    integers with q = pi J^2/(4 sqrt(6 N^3)) = 12 pi J^2/(d sqrt d) and the
-    J-bracket J/N - q = 24J/d - q within [lo, hi] 2^-w."""
-    lo, hi, k, _, _, w = pi
+def _j_bounds(d: int, big_j: int, k, r: int):
+    """(q, bracket) for d = 24n - 1, the registry constants k over 2^w and
+    _n_bounds r: (lo, hi) integers with q = pi J^2/(4 sqrt(6 N^3)) =
+    12 pi J^2/(d sqrt d) and the J-bracket J/N - q = 24J/d - q within
+    [lo, hi] 2^-w."""
+    w = k.w
+    lo, hi = k.pi
     top = 12 * big_j * big_j << 2 * w
-    q = (top * lo) // (d * (r + 1) << k), -(-(top * hi) // (d * r << k))
+    q = (top * lo) // (d * (r + 1) << w), -(-(top * hi) // (d * r << w))
     ratio = 24 * big_j << w
     return q, (ratio // d - q[1], -(-ratio // d) - q[0])
 
@@ -592,8 +590,7 @@ def _j_bounds(d: int, big_j: int, pi, r: int):
 @lru_cache(maxsize=2)
 def _pair_j_terms(n: int, big_j: int, prec: int):
     # a pair point reads J = j and 2j
-    return _j_bounds(24 * n - 1, big_j,
-                     fixed.at_width(_fixed_constants, prec + FIXED_GUARD).pair_pi,
+    return _j_bounds(24 * n - 1, big_j, fixed.at_width(_fixed_constants, prec + FIXED_GUARD),
                      _pair_n_terms(n, prec)[0])
 
 

@@ -59,7 +59,6 @@ from partbounds.inequalities import (
     _n_bounds,
     _pair_j_terms,
     _pair_n_terms,
-    _pi_bounds,
     _power_sums,
     _product_margin,
     _shifted_floor,
@@ -779,26 +778,26 @@ class TestPairMargins:
     @pytest.mark.parametrize("prec", [16, 128])
     def test_integer_bounds_hold_exactly(self, prec):
         # every bound of _n_bounds and _j_bounds, decided on squares against
-        # pi's ends [lo, hi] 2^-k: at small w and d, where dropping the + 1
+        # pi's ends [lo, hi] 2^-w: at small w and d, where dropping the + 1
         # of a floor root's upper bound moves a bound by about a unit, and at
         # the registry's w over its (n, J)
-        pi = constants(prec).pi
         cases = [(d, big_j, w) for d in range(1, 121) for big_j in (1, 2, 5)
                  for w in range(1, 13)]
         cases += [(24 * n - 1, big_j, prec + FIXED_GUARD)
                   for n in (17, 18, 400, 9973, 10_000) for big_j in (1, 2 * fjn_j_top(n))]
         for d, big_j, w in cases:
-            lo, hi, k, s_lo, s_hi, _ = bounds = _pi_bounds(pi, w)
-            r, c, b = _n_bounds(d, bounds)
-            q, bracket = _j_bounds(d, big_j, bounds, r)
+            k = _fixed_constants(w)
+            (lo, hi), (s_lo, s_hi) = k.pi, k.sqrt_pi
+            r, c, b = _n_bounds(d, k)
+            q, bracket = _j_bounds(d, big_j, k, r)
             four, point = 4**w, (d, big_j, w)
             assert r * r <= d * four < (r + 1) ** 2, point
-            assert s_lo * s_lo << k <= lo * four < (s_hi + 1) ** 2 << k, point
+            assert s_lo * s_lo << w <= lo * four < (s_hi + 1) ** 2 << w, point
             # c = 6/sqrt(pi d), b = 6/(pi sqrt d), q = 12 pi J^2/(d sqrt d)
-            assert c[0] ** 2 * hi * d <= 36 * four << k <= c[1] ** 2 * lo * d, point
-            assert b[0] ** 2 * hi * hi * d <= 36 * four << 2 * k <= b[1] ** 2 * lo * lo * d, point
-            assert q[0] ** 2 * d**3 << 2 * k <= 144 * lo * lo * big_j**4 * four, point
-            assert 144 * hi * hi * big_j**4 * four <= q[1] ** 2 * d**3 << 2 * k, point
+            assert c[0] ** 2 * hi * d <= 36 * four << w <= c[1] ** 2 * lo * d, point
+            assert b[0] ** 2 * hi * hi * d <= 36 * four << 2 * w <= b[1] ** 2 * lo * lo * d, point
+            assert q[0] ** 2 * d**3 << 2 * w <= 144 * lo * lo * big_j**4 * four, point
+            assert 144 * hi * hi * big_j**4 * four <= q[1] ** 2 * d**3 << 2 * w, point
             # the J-bracket 24J/d - q
             assert (bracket[0] + q[1]) * d <= 24 * big_j << w <= (bracket[1] + q[0]) * d, point
 
