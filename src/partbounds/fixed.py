@@ -29,10 +29,10 @@ whole claim, at 16 to 4150 bits, on both sides of libmp's switches to other
 series at 600 and 1500 bits (--precision 4096 runs the kernels at about
 4150).
 
-Reduction.  exp_neg(T, v, w) takes e^-t for t >= 0 with T 2^-v within delta
-units 2^-v of t, for integers T >= 0 and v >= w + 8.  With L = ln2(v) it
-returns (E, n), n = ceil(T/L), and E = exp(u_w, w) at the reduced argument
-u_w = floor(U 2^(w-v)), U = nL - T in [0, L):
+Reduction.  exp_neg(tv, v, w) takes e^-t for t >= 0 with tv 2^-v within
+delta units 2^-v of t, for integers tv >= 0 and v >= w + 8.  With L = ln2(v)
+it returns (E, n), n = ceil(tv/L), and E = exp(u_w, w) at the reduced
+argument u_w = floor(U 2^(w-v)), U = nL - tv in [0, L):
 * u = n ln 2 - t has e^-t = 2^-n e^u exactly;
 * U 2^-v is within (n + delta) 2^-v of u, as nL is within n units 2^-v of
   n ln 2 2^v, and the floor adds under 2^-w: u' = u_w 2^-w has
@@ -45,19 +45,20 @@ registry constants) are built on first use and kept in one memo, at_width;
 nothing is built at import.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import isqrt
 
-from mpmath.libmp import ln2_fixed, pi_fixed
-from mpmath.libmp.libelefun import exp_fixed
+# libmp's kernels, read through these names alone (module docstring)
+from mpmath.libmp import ln2_fixed as ln2, pi_fixed as pi
+from mpmath.libmp.libelefun import exp_fixed as exp
 
 # Entries kept by at_width.  A 128-bit registry run reads 7 keys: the decay
-# constants at the 6 widths v its x in [335/24, 10^4] reach, and the registry
-# constants at prec + 32.  A process that also runs the suites and h_error
-# reads the decay constants at each precision it evaluates h at, about six
-# widths a precision, so a precision-sized bound would thrash.
+# constants at the 6 widths v that x in [335/24, 10^4] reaches, and the
+# registry constants at prec + 32; the default suites read the same 6 decay
+# widths.  So a process reads about 7 keys per precision it runs at, and a
+# bound of PRECISION_MEMO_MAXSIZE (4) would evict within one run.  64 holds
+# nine precisions; an entry is a few integers of about w bits, under 3 kB at
+# 4096 bits.
 WIDTH_MEMO_MAXSIZE = 64
 
 
@@ -69,20 +70,10 @@ def at_width(build, w: int):
     return build(w)
 
 
-def pi(w: int) -> int:
-    """pi 2^w within a unit (module docstring)."""
-    return pi_fixed(w)
-
-
 def pi_ends(w: int):
     """(lo, hi) with pi in [lo, hi] 2^-w."""
     p = pi(w)
     return p - 1, p + 1
-
-
-def ln2(w: int) -> int:
-    """ln 2 2^w within a unit (module docstring)."""
-    return ln2_fixed(w)
 
 
 def ln2_ends(w: int):
@@ -102,16 +93,10 @@ def root_ends(p: int, q: int, w: int):
     return r, r + 1
 
 
-def exp(xw: int, w: int) -> int:
-    """e^x 2^w for x = xw 2^-w >= 0, within lambda_0 e^x units (module
-    docstring)."""
-    return exp_fixed(xw, w)
-
-
-def exp_neg(t: int, v: int, w: int):
-    """(E, n): e^-(t 2^-v) = 2^-n e^u, and E = exp(u_w, w) at u_w 2^-w within
-    (n + delta) 2^-v + 2^-w of u, for t within delta units 2^-v (module
-    docstring)."""
+def exp_neg(tv: int, v: int, w: int):
+    """(E, n) with e^-t = 2^-n e^u and E = exp(u_w, w), u_w 2^-w within
+    (n + delta) 2^-v + 2^-w of u, for t within delta units 2^-v of tv 2^-v
+    (module docstring)."""
     big = ln2(v)
-    n = -(-t // big)
-    return exp((n * big - t) >> (v - w), w), n
+    n = -(-tv // big)
+    return exp((n * big - tv) >> (v - w), w), n

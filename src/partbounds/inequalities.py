@@ -558,8 +558,7 @@ def _n_bounds(d: int, k):
     sqrt(d) within [r, r + 1) 2^-w, and (lo, hi) integers with c =
     6/sqrt(pi d) = sqrt3/(sqrt(2 pi) sqrt N) and b = 6/(pi sqrt d) =
     sqrt3/(sqrt2 pi sqrt N) within [lo, hi] 2^-w."""
-    w = k.w
-    (lo, hi), (s_lo, s_hi) = k.pi, k.sqrt_pi
+    (lo, hi), (s_lo, s_hi), w = k.pi, k.sqrt_pi, k.w
     r = fixed.floor_root(d, 1, w)
     top = 6 << 3 * w
     c = top // ((s_hi + 1) * (r + 1)), -(-top // (s_lo * r))
@@ -579,8 +578,7 @@ def _j_bounds(d: int, big_j: int, k, r: int):
     _n_bounds r: (lo, hi) integers with q = pi J^2/(4 sqrt(6 N^3)) =
     12 pi J^2/(d sqrt d) and the J-bracket J/N - q = 24J/d - q within
     [lo, hi] 2^-w."""
-    w = k.w
-    lo, hi = k.pi
+    (lo, hi), w = k.pi, k.w
     top = 12 * big_j * big_j << 2 * w
     q = (top * lo) // (d * (r + 1) << w), -(-(top * hi) // (d * r << w))
     ratio = 24 * big_j << w
