@@ -8,8 +8,9 @@ Within a unit.  pi(w) and ln2(w) are libmp's fixed-point constants: each is
 evaluated at about 1.05 w + 10 bits, the widest value asked for so far is
 kept, and it is shifted down to w bits.  Each is read as within a unit of
 pi 2^w and ln 2 2^w on libmp's word, not proved here; tests/test_fixed.py
-checks both against wider values at the widths the kernels use.  So pi lies
-in [P - 1, P + 1] 2^-w (pi_ends) and ln 2 in [L - 1, L + 1] 2^-w (ln2_ends).
+checks both against wider values at the widths the kernels use.  So with
+P = pi(w) and L = ln2(w), pi lies in [P - 1, P + 1] 2^-w (pi_ends) and ln 2
+in [L - 1, L + 1] 2^-w (ln2_ends).
 
 Floor root.  For integers p >= 0, q >= 1 and w >= 0, floor_root(p, q, w) =
 isqrt(floor(p 4^w / q)) is floor(sqrt(p/q) 2^w): an integer r has r^2 <= y
@@ -34,15 +35,14 @@ delta units 2^-v of t, for integers tv >= 0 and v >= w + 8.  With L = ln2(v)
 it returns (E, n), n = ceil(tv/L), and E = exp(u_w, w) at the reduced
 argument u_w = floor(U 2^(w-v)), U = nL - tv in [0, L):
 * u = n ln 2 - t has e^-t = 2^-n e^u exactly;
-* U 2^-v is within (n + delta) 2^-v of u, as nL is within n units 2^-v of
-  n ln 2 2^v, and the floor adds under 2^-w: u' = u_w 2^-w has
+* U 2^-v is within (n + delta) 2^-v of u, as nL is within n of n ln 2 2^v,
+  and the floor adds under 2^-w: u' = u_w 2^-w has
   |u' - u| < (n + delta) 2^-v + 2^-w and 0 <= u' <= ln 2 + 2^-v;
 * so by the exponential lemma at x = u', x / ln 2 < 1.01, E is within
   (3 sqrt(w) + 9.01) e^u' units.
 
-Every width's derived constants (special's decay constants, inequalities'
-registry constants) are built on first use and kept in one memo, at_width;
-nothing is built at import.
+The constants the kernels derive per width are built on first use, never at
+import, and kept in one memo, at_width.
 """
 
 from functools import lru_cache

@@ -560,9 +560,8 @@ def _n_bounds(d: int, k):
     sqrt3/(sqrt2 pi sqrt N) within [lo, hi] 2^-w."""
     (lo, hi), (s_lo, s_hi), w = k.pi, k.sqrt_pi, k.w
     r = fixed.floor_root(d, 1, w)
-    top = 6 << 3 * w
-    c = top // ((s_hi + 1) * (r + 1)), -(-top // (s_lo * r))
-    b = top // (hi * (r + 1)), -(-top // (lo * r))
+    c = (6 << 3 * w) // ((s_hi + 1) * (r + 1)), -(-(6 << 3 * w) // (s_lo * r))
+    b = (6 << 3 * w) // (hi * (r + 1)), -(-(6 << 3 * w) // (lo * r))
     return r, c, b
 
 
