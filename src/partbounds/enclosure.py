@@ -49,10 +49,11 @@ DEFAULT_PRECISION = 128
 PRECISION_MEMO_MAXSIZE = 4
 
 # Entries kept by each per-index memo: the k-rank memo and
-# estimates.shifted_terms.  shifted_terms sees at most 5000 keys in a default
-# run (n <= 5000 in the ratio and f(j,n) sweeps; convexity builds none, since
-# its chain is skipped below estimates._chain_floor), but each sweep reads all
-# shifts of one index before the next, so eviction costs no rebuild.
+# estimates.shifted_terms, keyed by (n, w).  shifted_terms sees at most 5000
+# keys in a default run (n <= 5000 in the ratio and f(j,n) sweeps, all at one
+# w; convexity builds none, since its chain is skipped below
+# estimates._chain_floor), but each sweep reads all shifts of one index before
+# the next, so eviction costs no rebuild.
 MEMO_MAXSIZE = 4096
 
 _DOWN = "f"  # toward -inf

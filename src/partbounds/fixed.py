@@ -52,6 +52,10 @@ from math import isqrt
 from mpmath.libmp import ln2_fixed as ln2, pi_fixed as pi
 from mpmath.libmp.libelefun import exp_fixed as exp
 
+# the bits above prec that the registry's margins and the estimates carry
+# their integer ends at: w = prec + FIXED_GUARD
+FIXED_GUARD = 32
+
 # Entries kept by at_width.  A 128-bit registry run reads 7 keys: the decay
 # constants at the 6 widths v that x in [335/24, 10^4] reaches, and the
 # registry constants at prec + 32; the default suites read the same 6 decay

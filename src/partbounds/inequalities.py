@@ -244,6 +244,7 @@ from .enclosure import (
 from .errors import PartboundsError, PreconditionError
 from .estimates import FJN_RADIUS_A, FJN_RADIUS_B, RATIO_RADIUS_1, RATIO_RADIUS_2, fjn_j_top
 from .exact import shifted_index
+from .fixed import FIXED_GUARD
 from .special import DECAY_GUARD, _bessel_fixed, _bessel_guard_bits, _decay_fixed
 
 Point = Tuple
@@ -277,10 +278,6 @@ FAR_GUARD = 56
 # the far terms' count, and the bits below which the series stops
 _FAR_TERMS = TAIL_TERMS - FAR_START + 1
 _FAR_STOP = 12
-
-# the fixed-point margins' integer ends carry w = prec + FIXED_GUARD bits
-FIXED_GUARD = 32
-
 
 def _min_lo(a: Optional[Ends], b: Ends) -> Ends:
     if a is None or libmp.mpf_lt(b[0], a[0]):
@@ -767,8 +764,7 @@ def _tail_sum(x: Fraction, prec: int) -> Tuple[int, int, int]:
 def _margin_bessel_tail(point: Point, prec: int) -> Ends:
     (x,) = point
     total, error, w = _tail_sum(x, prec)
-    s = (_ratio_ends(total - error, 1 << w, prec)[0],
-         _ratio_ends(total + error, 1 << w, prec)[1])
+    s = _dyadic_ends(total - error, total + error, w, prec)
     rhs = _sqrt_ends(_div_ends(_exact_ends(x, prec), constants(prec).pi, prec), prec)
     rhs = _mul_ends(rhs, _int_ends(4, prec), prec)
     half = _ratio_ends(x.numerator, 2 * x.denominator, prec)  # x/2

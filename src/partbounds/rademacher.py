@@ -51,9 +51,28 @@ envelope h(M) absorbing both the expansion remainder and the entire k >= 2
 tail.  That enclosure is what the ratio estimates downstream consume.
 h_error's ends (_h_ends) are outward by proof: special._decay_fixed's
 fixed-point integers with one error bound per point (special's docstring),
-rounded outward.  Given them,
-proposition21_interval's ends are libmp's, its Enclosure expression's bit for
-bit.
+rounded outward.
+
+proposition21_interval is _prop21_fixed's integer ends over 2^w, w = prec +
+FIXED_GUARD, rounded once, outward.  With M = d/24, d = 24m - 1, the
+enclosure is 2 sqrt3 e^x/d (1 - kappa2/sqrt M +- h(M)), x = pi sqrt(2M/3)
+= pi sqrt(d)/6, as e^x/(4 sqrt3 M) = 2 sqrt3 e^x/d.  Its ends, each
+outward by monotonicity as in the estimates' docstring:
+* x lies in [x0, x1] 2^-w: pi's ends (fixed.pi_ends) times the floor root r
+  of d/36 and r + 1, floored and raised;
+* by fixed's exponential lemma E = fixed.exp(x0, w) is within lambda_0
+  e^x0 units of e^x0 2^w, lambda_0 = x0/ln 2 + 3 sqrt(w) + 8 <= L =
+  floor(1.5 x0) + 3 isqrt(w) + 12.  So e^x0 2^w >= E/(1 + L 2^-w) >
+  E - floor(E L 2^-w) - 1 and, while L 2^-w <= 1/2 (x0 below 2^(w-3)),
+  e^x0 2^w <= E/(1 - L 2^-w) <= E + floor(2 E L 2^-w) + 1;
+* e^x <= e^x1 <= e^x0 (1 + 2(x1 - x0)), as e^t <= 1 + 2t on [0, 1];
+* sqrt 3 lies in fixed.root_ends(3, 1, w), and 2 sqrt3 e^x/d > 0 between
+  the products of the lower and of the upper ends over d, floored and raised;
+* kappa2/sqrt M is shifted_terms(m, w).kappa2, and h(M) lies below (H + E)
+  2^-z, raised to 2^-w, for _decay_fixed's (H, E, z) at prec + DECAY_GUARD;
+* the bracket 1 - kappa2/sqrt M +- h may have a negative lower end, so the
+  product with the positive prefactor reads the ends as estimates._scale
+  does.
 """
 
 from __future__ import annotations
@@ -78,13 +97,14 @@ from .enclosure import (
     _ratio_ends,
     _sqrt_ends,
     _sub_ends,
-    _widen_ends,
     _wrap,
     constants,
     fraction_from_raw,
 )
 from .errors import PreconditionError, StabilizationError
-from .estimates import shifted_terms
+from .estimates import _constants, _scale, shifted_terms
+from .exact import shifted_index
+from .fixed import FIXED_GUARD
 from .special import DECAY_GUARD, _bessel_fixed, _decay_fixed, kloosterman_A, to_fraction
 
 __all__ = [
@@ -277,37 +297,47 @@ class ErrorBudget:
     tail_bound: Enclosure
 
 
+def _prop21_fixed(m: int, prec: int):
+    """(lo, hi, w): p(m)'s one-term enclosure in [lo, hi] 2^-w (module
+    docstring), unrounded."""
+    w = prec + FIXED_GUARD
+    t = shifted_terms(m, w)
+    k = fixed.at_width(_constants, w)
+    (p0, p1), (s0, s1) = k.pi, k.sqrt3
+    r = fixed.floor_root(t.d, 36, w)
+    x0, x1 = p0 * r >> w, -(-(p1 * (r + 1)) >> w)
+    big = fixed.exp(x0, w)
+    units = (3 * x0 >> (w + 1)) + 3 * math.isqrt(w) + 12
+    g0 = big - (big * units >> w) - 1
+    g1 = big + (2 * big * units >> w) + 1
+    g1 = -(-(g1 * ((1 << w) + 2 * (x1 - x0))) >> w)
+    den = t.d << w
+    factor = 2 * s0 * g0 // den, -(-(2 * s1 * g1) // den)
+    h, _, e, z = _decay_fixed(t.d, 24, prec + DECAY_GUARD)
+    h = -(-(h + e) >> (z - w))
+    (b0, b1), one = t.kappa2, 1 << w
+    return (*_scale(factor, (one - b1 - h, one - b0 + h), w), w)
+
+
 def proposition21_interval(m: int, prec: int = DEFAULT_PRECISION) -> Enclosure:
     """Two-sided enclosure of p(m) from the one-term truncation.
 
         p(m) in e^{pi sqrt(2M/3)} / (4 sqrt(3) M) * [1 - sqrt(3)/(sqrt(2) pi
-        sqrt(M)) +- h(M)],   M = m - 1/24.
+        sqrt(M)) +- h(M)],   M = m - 1/24,
 
-    The libmp calls, operands and roundings of the Enclosure expression
-
-        prefactor * (1 - t.sqrt3_over_pi_sqrt2).plus_minus(h_error(t.N, prec))
-
-    with prefactor = (c.pi * (2 * t.Ne / 3).sqrt()).exp() / (4 * c.sqrt3 * t.Ne),
-    t and c the Enclosures of shifted_terms(m, prec) and constants(prec).
-    So the ends are libmp's bit for bit given h_error's, which are outward by
-    proof.  The exponent pi sqrt(2M/3) is built here alone; h reads its own
-    in fixed point.
+    _prop21_fixed's integer ends rounded once, outward by the lemmas in the
+    module docstring.  The exponent pi sqrt(2M/3) is built here alone; h
+    reads its own in fixed point.
     """
     if m < 2:
         raise PreconditionError("requires m >= 2")
-    t = shifted_terms(m, prec)
-    c = constants(prec)
-    h = _h_ends(24 * m - 1, 24, prec)
-    growth = _div_ends(_mul_ends(t.Ne, _int_ends(2, prec), prec), _int_ends(3, prec), prec)
-    growth = _mul_ends(c.pi, _sqrt_ends(growth, prec), prec)
-    den = _mul_ends(_mul_ends(c.sqrt3, _int_ends(4, prec), prec), t.Ne, prec)
-    bracket = _widen_ends(_sub_ends(_int_ends(1, prec), t.sqrt3_over_pi_sqrt2, prec), h[1], prec)
-    return _wrap(_mul_ends(_div_ends(_exp_ends(growth, prec), den, prec), bracket, prec), prec)
+    return _wrap(_dyadic_ends(*_prop21_fixed(m, prec), prec), prec)
 
 
 def proposition21_budget(m: int, prec: int = DEFAULT_PRECISION) -> ErrorBudget:
     """The width sources behind proposition21_interval for the same m."""
     if m < 2:
         raise PreconditionError("requires m >= 2")
-    t = shifted_terms(m, prec)
-    return ErrorBudget(_wrap(t.sqrt3_over_pi_sqrt2, prec), h_error(t.N, prec))
+    w = prec + FIXED_GUARD
+    main = _dyadic_ends(*shifted_terms(m, w).kappa2, w, prec)
+    return ErrorBudget(_wrap(main, prec), h_error(shifted_index(m), prec))

@@ -2,15 +2,17 @@
 sqrt and exp at an exact point, and h in Enclosure arithmetic and in mpmath,
 for the tests' reference expressions.
 
-Inside the package constants(prec) and shifted_terms(n, prec) hold raw
-pairs; a reference written in Enclosure arithmetic reads them through these
-views, so it stays an expression independent of the helper calls it checks.
+Inside the package constants(prec) holds raw pairs; a reference written in
+Enclosure arithmetic reads them through constants_view, and the j-free terms
+of the estimates through terms_view, so it stays an expression independent
+of the kernels it checks.
 """
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 from partbounds.enclosure import DEFAULT_PRECISION, Enclosure, _wrap, constants
-from partbounds.estimates import shifted_terms
+from partbounds.exact import shifted_index
 
 
 def constants_view(prec):
@@ -19,10 +21,26 @@ def constants_view(prec):
 
 
 def terms_view(n, prec):
-    """shifted_terms(n, prec) with each raw pair as its Enclosure; N stays the
-    exact Fraction."""
-    terms = vars(shifted_terms(n, prec)).items()
-    return SimpleNamespace(**{k: v if k == "N" else _wrap(v, prec) for k, v in terms})
+    """The j-free terms at N = n - 1/24 as Enclosure expressions, the form
+    estimates.shifted_terms held before its terms became integer ends: N
+    (the exact Fraction), Ne, sqrt6_sqrtN, sqrt6_N_sqrtN,
+    sqrt3_over_sqrt_two_pi, sqrt3_over_pi_sqrt2, delta_c_over_sqrtN and the
+    bracket (1 + sqrt3_over_pi_sqrt2) +- 1350/N."""
+    c = constants_view(prec)
+    N = shifted_index(n)
+    Ne = Enclosure.from_exact(N, prec)
+    sqrtN = Ne.sqrt()
+    q = c.sqrt3 / (c.pi * c.sqrt2 * sqrtN)
+    return SimpleNamespace(
+        N=N,
+        Ne=Ne,
+        sqrt6_sqrtN=c.sqrt6 * sqrtN,
+        sqrt6_N_sqrtN=c.sqrt6 * Ne * sqrtN,
+        sqrt3_over_sqrt_two_pi=c.sqrt3 / (c.sqrt_two_pi * sqrtN),
+        sqrt3_over_pi_sqrt2=q,
+        delta_c_over_sqrtN=c.delta_c / sqrtN,
+        bracket=(1 + q).plus_minus(Fraction(1350) / N),
+    )
 
 
 def sqrt_enclosure(value, prec=DEFAULT_PRECISION):

@@ -17,7 +17,6 @@ import partbounds
 from partbounds import estimates, exact, fixed, rademacher
 from partbounds.cli import main
 from partbounds.enclosure import PRECISION_MEMO_MAXSIZE, Enclosure, constants
-from partbounds.estimates import ratio_interval
 from partbounds.exact import PartitionTable
 from partbounds.fixed import WIDTH_MEMO_MAXSIZE
 from partbounds.inequalities import _power_sums
@@ -144,7 +143,7 @@ def test_index_keyed_memos_are_bounded():
 @pytest.mark.parametrize(
     "memo, bound, query",
     [
-        (constants, PRECISION_MEMO_MAXSIZE, lambda prec: ratio_interval(20, 1, prec)),
+        (constants, PRECISION_MEMO_MAXSIZE, lambda prec: Enclosure.pi(prec)),
         (mp_context, PRECISION_MEMO_MAXSIZE, mp_context),
         (_power_sums, PRECISION_MEMO_MAXSIZE, _power_sums),
         # h_error reads the decay constants at one width per precision

@@ -783,7 +783,7 @@ def test_kernels_share_raw_pairs(module):
     # reads an Enclosure's ends, the registry builds no Enclosure but in
     # collapse-131's margin (kept for the benchmark's fork-pool smoke test),
     # and the estimates build one only in the return of a public function or
-    # of a k-rank form
+    # of the k-rank memo
     tree = ast.parse(inspect.getsource(module))
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     if module is inequalities:
@@ -808,8 +808,8 @@ def test_kernels_share_raw_pairs(module):
                                  if isinstance(node, ast.Return)))
         assert wraps(function) == returned, function.name
         if returned:
-            assert (not function.name.startswith("_")
-                    or function.name in ("_krank_ratio", "_krank_diff")), function.name
+            assert not function.name.startswith("_") or function.name == "_krank_forms", (
+                function.name)
 
 
 def test_sweeps_decide_containment_only_in_one_verdict():

@@ -1,4 +1,6 @@
+import inspect
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from mpmath.libmp import mpf_le
 
 from enclosure_views import constants_view, terms_view
-from partbounds import enclosure, estimates, verify
-from partbounds.enclosure import MEMO_MAXSIZE, ORDER_ERROR, Enclosure, _wrap
+from partbounds import enclosure, estimates, rademacher, verify
+from partbounds.enclosure import MEMO_MAXSIZE, ORDER_ERROR, Enclosure, _dyadic_ends, _wrap
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
     FJN_RADIUS_A,
@@ -20,11 +22,12 @@ from partbounds.estimates import (
     RATIO_RADIUS_2,
     CertificateKind,
     _analytic_convexity,
+    _chain_fixed,
     _chain_floor,
-    _krank_diff,
+    _fjn_fixed,
+    _krank_fixed,
     _krank_forms,
-    _krank_ratio,
-    _pi_j_ends,
+    _ratio_fixed,
     convexity_certificate,
     fjn_ratio_interval,
     krank_boundary_value,
@@ -42,7 +45,9 @@ from partbounds.inequalities import (
     _margin_collapse_2075,
     _margin_collapse_3926,
 )
-from partbounds.rademacher import h_error, proposition21_interval
+from partbounds.fixed import FIXED_GUARD
+from partbounds.rademacher import _prop21_fixed, h_error, proposition21_interval
+from partbounds.special import mp_context
 
 
 def _width(e):
@@ -402,24 +407,25 @@ class TestInjection:
         assert _shift_map(12, 5, 2) == (True, False)
 
 
-def _krank_query(form):
-    # the public query of a k-rank form, keyed as _krank_forms is on n - k - m
-    public = {_krank_ratio: krank_ratio_interval, _krank_diff: krank_diff_interval}[form]
+def _krank_query(public):
+    # a public k-rank query keyed, as _krank_forms is, on lp = n - k - m
     return lambda lp, prec: public(1, lp + 2, 2 * lp + 3, prec)
 
 
 @pytest.mark.parametrize(
-    "builder, first",
-    [(_krank_ratio, 16), (_krank_diff, 16), (_krank_forms, 16), (shifted_terms, 1)],
+    "memo, query, first",
+    [
+        (_krank_forms, _krank_query(krank_ratio_interval), 16),
+        (_krank_forms, _krank_query(krank_diff_interval), 16),
+        (_krank_forms, _krank_forms, 16),
+        (shifted_terms, lambda n, prec: shifted_terms(n, prec + FIXED_GUARD), 1),
+    ],
+    ids=["krank_ratio_interval", "krank_diff_interval", "_krank_forms", "shifted_terms"],
 )
-def test_memo_size_is_bounded(builder, first):
+def test_memo_size_is_bounded(memo, query, first):
     # more distinct keys than the bound, at the least precision to stay cheap;
-    # each k-rank form is asked for through its public query, and the one
-    # memo _krank_forms keeps both
-    if builder in (_krank_ratio, _krank_diff):
-        memo, query = _krank_forms, _krank_query(builder)
-    else:
-        memo = query = builder
+    # both k-rank forms are kept by the one memo _krank_forms
+    memo.cache_clear()
     assert memo.cache_info().maxsize == MEMO_MAXSIZE
     for key in range(first, first + MEMO_MAXSIZE + 10):
         query(key, 16)
@@ -428,10 +434,10 @@ def test_memo_size_is_bounded(builder, first):
     memo.cache_clear()
 
 
-# The formulas as each function wrote them before they shared shifted_terms,
-# operand for operand, so a re-associated shared term changes an endpoint.
-# The ratio and f(j,n) radii are the paper's literals (2.71, 1350, 2075,
-# 3926), so a changed radius constant changes an endpoint too.
+# The reference Enclosure expressions of the estimates, each written as the
+# paper states it and independent of the kernels: the kernels' integer ends
+# must contain them at prec + 200 bits, and, rounded, lie within
+# REFERENCE_ULPS of them at prec.
 
 
 def _preamble(n, prec):
@@ -475,19 +481,6 @@ def _own_convexity_link3(n, j, prec):
     N, Ne, sqrtN = _preamble(n, prec)
     bracket = Fraction(j) / N - c.pi * j**2 / (4 * c.sqrt6 * Ne * sqrtN)
     return c.delta_c / sqrtN + bracket + Fraction(3926) / N
-
-
-def _assert_link3_keeps_every_endpoint(n, j, prec):
-    # link (iii) is the first the chain decides and below N ~ 1.7e8 the
-    # last; catch the ends it is decided on
-    seen = []
-    decide = estimates._in_unit_gap
-    estimates._in_unit_gap = lambda x: seen.append(x) or decide(x)
-    try:
-        assert not _analytic_convexity(n, j, prec)
-    finally:
-        estimates._in_unit_gap = decide
-    assert seen == _ends([_own_convexity_link3(n, j, prec)])
 
 
 def _own_krank(lp, prec):
@@ -545,17 +538,95 @@ def _own_collapse(n, j, prec):
     return [min(margins, key=lambda m: m.lo_fraction), m2075, m3926]
 
 
+def _own_chain(n, j, prec):
+    # the chain's three links: link (iii), then j/N - 3 pi j^2/(4 sqrt6
+    # N^(3/2)) and e^-2a - 2 e^-a
+    c = constants_view(prec)
+    N, Ne, sqrtN = _preamble(n, prec)
+    e = (-(c.pi * j / (c.sqrt6 * sqrtN))).exp()
+    link2 = Fraction(j) / N - 3 * c.pi * j * j / (4 * c.sqrt6 * Ne * sqrtN)
+    return [_own_convexity_link3(n, j, prec), link2, e * e - 2 * e]
+
+
 def _ends(encs):
     return [(e.lo, e.hi) for e in encs]
 
 
+# How far a rounded end may lie outside the reference's end at prec, in
+# units of the reference end's binade: the kernels round once, from 2^-32
+# below prec, where the reference rounds at every step, so only an end
+# within about 2^-32 ulp of a float can round one ulp outside.
+REFERENCE_ULPS = 1
+
+
+def _ulp(x: Fraction, prec: int) -> Fraction:
+    # 2^(e + 1 - prec) for 2^(e-1) < |x| < 2^(e+1): at least one unit in the
+    # last place of a prec-bit float of x's size, and at most two
+    if not x:
+        return Fraction(0)
+    e = abs(x.numerator).bit_length() - x.denominator.bit_length()
+    return Fraction(2) ** (e + 1 - prec)
+
+
+def _assert_kernel_ends(lo, hi, w, want, wide, prec):
+    # [lo, hi] 2^-w contains the reference at prec + 200 (wide), and its
+    # outward rounding at prec lies within REFERENCE_ULPS of the reference
+    # at prec (want); returns that rounding as (lo, hi) raw floats
+    assert Fraction(lo, 1 << w) <= wide.lo_fraction, (lo, w, wide)
+    assert wide.hi_fraction <= Fraction(hi, 1 << w), (hi, w, wide)
+    rounded = _wrap(_dyadic_ends(lo, hi, w, prec), prec)
+    slack_lo = _ulp(want.lo_fraction, prec) or _ulp(want.hi_fraction, prec)
+    slack_hi = _ulp(want.hi_fraction, prec) or _ulp(want.lo_fraction, prec)
+    assert rounded.lo_fraction >= want.lo_fraction - REFERENCE_ULPS * slack_lo, (rounded, want)
+    assert rounded.hi_fraction <= want.hi_fraction + REFERENCE_ULPS * slack_hi, (rounded, want)
+    return rounded.lo, rounded.hi
+
+
+def _check_ratio(n, j, prec):
+    lo, hi, w = _ratio_fixed(n, j, prec)
+    assert w == prec + FIXED_GUARD
+    ends = _assert_kernel_ends(lo, hi, w, _own_ratio(n, j, prec), _own_ratio(n, j, prec + 200),
+                               prec)
+    assert _ends([ratio_interval(n, j, prec)]) == [ends]
+
+
+def _check_fjn(n, j, prec):
+    lo, hi, w = _fjn_fixed(n, j, prec)
+    ends = _assert_kernel_ends(lo, hi, w, _own_fjn(n, j, prec), _own_fjn(n, j, prec + 200), prec)
+    assert _ends([fjn_ratio_interval(n, j, prec)]) == [ends]
+
+
+def _check_krank(lp, prec):
+    ratio, diff, w = _krank_fixed(lp, prec)
+    got = [_assert_kernel_ends(*ends, w, want, wide, prec)
+           for ends, want, wide in zip((ratio, diff), _own_krank(lp, prec),
+                                       _own_krank(lp, prec + 200))]
+    assert _ends(_krank_forms.__wrapped__(lp, prec)) == got
+
+
+def _check_prop21(m, prec):
+    lo, hi, w = _prop21_fixed(m, prec)
+    ends = _assert_kernel_ends(lo, hi, w, _own_prop21(m, prec), _own_prop21(m, prec + 200), prec)
+    assert _ends([proposition21_interval(m, prec)]) == [ends]
+
+
+def _check_chain(n, j, prec):
+    # each link's integer ends contain the link at prec + 200, and the
+    # chain's verdict reads them
+    b, q, x, w = _chain_fixed(n, j, prec)
+    for (lo, hi), wide in zip((b, q, x), _own_chain(n, j, prec + 200)):
+        assert Fraction(lo, 1 << w) <= wide.lo_fraction <= wide.hi_fraction <= Fraction(hi, 1 << w)
+    one = 1 << w
+    verdict = -one < b[0] and b[1] < 0 and q[0] >= 0 and -one < x[0] and x[1] < 0
+    assert _analytic_convexity(n, j, prec) is verdict
+
+
 @pytest.mark.parametrize("prec", [16, 53, 128, 300])
-def test_raw_truncation_interval_keeps_every_endpoint(prec):
-    # the one-term truncation interval, built in raw libmp, against its
-    # Enclosure expression at every m <= 400
-    ms = range(2, 401)
-    assert _ends(proposition21_interval(m, prec) for m in ms) == _ends(
-        _own_prop21(m, prec) for m in ms)
+def test_truncation_kernel_encloses_its_expression(prec):
+    # the one-term truncation interval against its Enclosure expression at
+    # every m <= 400
+    for m in range(2, 401):
+        _check_prop21(m, prec)
 
 
 @settings(max_examples=150, deadline=None)
@@ -564,20 +635,17 @@ def test_raw_truncation_interval_keeps_every_endpoint(prec):
     n=st.one_of(st.integers(14, 300), st.integers(14, 100_000)),
     prec=st.sampled_from([53, 128, 300]),
 )
-def test_shared_terms_keep_every_endpoint(data, n, prec):
-    j = data.draw(st.integers(0, ratio_j_top(n)), label="j")
-    assert _ends([ratio_interval(n, j, prec)]) == _ends([_own_ratio(n, j, prec)])
-
-    m = data.draw(st.integers(n - math.isqrt(n - 1), n), label="prop21 m")
-    assert _ends([proposition21_interval(m, prec)]) == _ends([_own_prop21(m, prec)])
+def test_shared_terms_enclose_their_expressions(data, n, prec):
+    # the estimates and the registry's pair margins at one drawn point
+    _check_ratio(n, data.draw(st.integers(0, ratio_j_top(n)), label="j"), prec)
+    _check_prop21(data.draw(st.integers(n - math.isqrt(n - 1), n), label="prop21 m"), prec)
 
     if n < 17:
         return  # no licensed f(j,n) shift, and too small an ell for k-rank
 
     j = data.draw(st.integers(1, fjn_j_top(n)), label="fjn j")
-    assert _ends([fjn_ratio_interval(n, j, prec)]) == _ends([_own_fjn(n, j, prec)])
-
-    _assert_link3_keeps_every_endpoint(n, j, prec)
+    _check_fjn(n, j, prec)
+    _check_chain(n, j, prec)
 
     # the registry's product margins are exact integer bounds, outward by
     # proof: they meet the expressions at prec + 200 bits, which read |b|
@@ -592,186 +660,97 @@ def test_shared_terms_keep_every_endpoint(data, n, prec):
     ):
         assert mpf_le(lo, wide.hi) and mpf_le(wide.lo, hi) and mpf_le(want.lo, hi)
 
-    lp = n - 1  # n - k - m at k = 1, m = lp + 2, so ell is the shift of n
-    assert _ends(
-        [krank_ratio_interval(1, lp + 2, 2 * lp + 3, prec),
-         krank_diff_interval(1, lp + 2, 2 * lp + 3, prec)]
-    ) == _ends(_own_krank(lp, prec))
+    _check_krank(n - 1, prec)  # lp = n - 1, so ell is the shift of n
 
 
-def test_link3_sums_the_j_bracket_first():
-    # a point where summing the J-bracket before delta_c/sqrt N, as link (iii)
-    # does, moves an endpoint
-    _assert_link3_keeps_every_endpoint(4897, 1, 53)
-
-
-# ratio_interval and fjn_ratio_interval as Enclosure expressions, the form
-# each had before it ran as a raw-libmp kernel; each kernel must give these
-# endpoints bit for bit.
-
-
-def _enclosure_ratio(n, j, prec):
-    c = constants_view(prec)
-    t = terms_view(n, prec)
-    center1 = (
-        1
-        + Fraction(j) / t.N
-        - c.pi * j * j / (4 * t.sqrt6_N_sqrtN)
-        - t.sqrt3_over_sqrt_two_pi
-    )
-    expf = (-(c.pi * j / t.sqrt6_sqrtN)).exp()
-    return expf * center1.plus_minus(RATIO_RADIUS_1 / t.N) * t.bracket
-
-
-def _enclosure_fjn(n, j, prec):
-    c = constants_view(prec)
-    t = terms_view(n, prec)
-    exp1 = (-(c.pi * j / t.sqrt6_sqrtN)).exp()
-    exp2 = exp1 * exp1
-    jj = Fraction(2 * j) / t.N
-    centerA = 1 + t.delta_c_over_sqrtN + jj - c.pi * j * j / t.sqrt6_N_sqrtN
-    termA = centerA.plus_minus(FJN_RADIUS_A / t.N)
-    centerB = (
-        2 + 2 * t.delta_c_over_sqrtN + jj - c.pi * j * j / (2 * t.sqrt6_N_sqrtN)
-    )
-    termB = centerB.plus_minus(FJN_RADIUS_B / t.N)
-    return 1 + exp2 * termA - exp1 * termB
-
-
-def _enclosure_shifted_terms(n, prec):
-    c = constants_view(prec)
-    N = shifted_index(n)
-    Ne = Enclosure.from_exact(N, prec)
-    sqrtN = Ne.sqrt()
-    sqrt3_over_pi_sqrt2 = c.sqrt3 / (c.pi * c.sqrt2 * sqrtN)
-    return [
-        Ne,
-        c.sqrt6 * sqrtN,
-        c.sqrt6 * Ne * sqrtN,
-        c.sqrt3 / (c.sqrt_two_pi * sqrtN),
-        sqrt3_over_pi_sqrt2,
-        c.delta_c / sqrtN,
-        (1 + sqrt3_over_pi_sqrt2).plus_minus(RATIO_RADIUS_2 / N),
-    ]
-
-
-def _shifted_terms_fields(n, prec):
-    t = shifted_terms.__wrapped__(n, prec)
-    assert t.N == shifted_index(n)
-    fields = [t.Ne, t.sqrt6_sqrtN, t.sqrt6_N_sqrtN, t.sqrt3_over_sqrt_two_pi,
-              t.sqrt3_over_pi_sqrt2, t.delta_c_over_sqrtN, t.bracket]
-    return [_wrap(ends, prec) for ends in fields]
-
-
-def _enclosure_krank_ratio(lp, prec):
-    c = constants_view(prec)
-    t = terms_view(lp + 1, prec)
-    u = (-(c.pi * 1 / t.sqrt6_sqrtN)).exp()
-    f1 = (1 - t.sqrt3_over_sqrt_two_pi).plus_minus(KRANK_RATIO_RADIUS_1 / t.N)
-    return 1 - u * f1 * t.bracket
-
-
-def _enclosure_krank_diff(lp, prec):
-    c = constants_view(prec)
-    t = terms_view(lp + 1, prec)
-    u = (-(c.pi * 1 / t.sqrt6_sqrtN)).exp()
-    termA = (1 + t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_A / t.N)
-    termB = (2 + 2 * t.delta_c_over_sqrtN).plus_minus(KRANK_DIFF_RADIUS_B / t.N)
-    return 1 + u * u * termA - u * termB
-
-
-def _enclosure_krank_forms(lp, prec):
-    return _enclosure_krank_ratio(lp, prec), _enclosure_krank_diff(lp, prec)
-
-
-def _with_hulls(fn, *args):
-    # fn's result and how often it took the four-product hull
-    hulls = []
-    hull = enclosure._hull
-    enclosure._hull = lambda *a: hulls.append(a) or hull(*a)
-    try:
-        e = fn(*args)
-    finally:
-        enclosure._hull = hull
-    many = isinstance(e, (list, tuple))
-    ends = [(x.lo, x.hi, x.prec) for x in e] if many else (e.lo, e.hi, e.prec)
-    return ends, len(hulls)
+def test_link3_encloses_its_expression():
+    # a point where summing the J-bracket before delta_c/sqrt N moved an
+    # endpoint of link (iii) in prec-bit arithmetic
+    _check_chain(4897, 1, 53)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
     n=st.one_of(st.integers(14, 400), st.integers(14, 10**8)),
-    prec=st.one_of(st.sampled_from([16, 53, 128, 300, 4096]), st.integers(16, 4096)),
+    prec=st.sampled_from([16, 53, 128, 300, 1024]),
 )
-def test_kernels_are_their_enclosure_expressions(data, n, prec):
-    j = data.draw(st.integers(0, ratio_j_top(n)), label="j")
-    assert _with_hulls(ratio_interval, n, j, prec) == _with_hulls(_enclosure_ratio, n, j, prec)
+def test_kernels_enclose_their_expressions(data, n, prec):
+    _check_ratio(n, data.draw(st.integers(0, ratio_j_top(n)), label="j"), prec)
     if fjn_j_top(n):
         j = data.draw(st.integers(1, fjn_j_top(n)), label="fjn j")
-        assert _with_hulls(fjn_ratio_interval, n, j, prec) == _with_hulls(
-            _enclosure_fjn, n, j, prec
-        )
-    assert _with_hulls(_shifted_terms_fields, n, prec) == _with_hulls(
-        _enclosure_shifted_terms, n, prec
-    )
+        _check_fjn(n, j, prec)
+        _check_chain(n, j, prec)
     if n >= 17:
-        lp = n - 1  # ell = lp + 23/24 is the shift of n
-        assert _with_hulls(_krank_forms.__wrapped__, lp, prec) == _with_hulls(
-            _enclosure_krank_forms, lp, prec
-        )
+        _check_krank(n - 1, prec)  # ell = n - 1 + 23/24 is the shift of n
+    _check_prop21(n, prec)
 
 
-@pytest.mark.parametrize("n", [14, 17, 99, 10**6, 10**12])
+@pytest.mark.parametrize("n", [14, 17, 99, 10**6, 10**12, 10**40])
 @pytest.mark.parametrize("prec", [16, 4096])
 def test_kernels_at_the_window_edges(n, prec):
     for j in (0, ratio_j_top(n)):
-        assert _with_hulls(ratio_interval, n, j, prec) == _with_hulls(
-            _enclosure_ratio, n, j, prec
-        )
+        _check_ratio(n, j, prec)
     for j in {1, fjn_j_top(n)} if fjn_j_top(n) else ():
-        assert _with_hulls(fjn_ratio_interval, n, j, prec) == _with_hulls(
-            _enclosure_fjn, n, j, prec
-        )
-    assert _with_hulls(_shifted_terms_fields, n, prec) == _with_hulls(
-        _enclosure_shifted_terms, n, prec
-    )
+        _check_fjn(n, j, prec)
+        _check_chain(n, j, prec)
     if n >= 17:
-        assert _with_hulls(_krank_forms.__wrapped__, n - 1, prec) == _with_hulls(
-            _enclosure_krank_forms, n - 1, prec
-        )
+        _check_krank(n - 1, prec)
+    if n <= 10**6:
+        _check_prop21(n, prec)
 
 
-# one check per interval the Enclosure expression builds (18 and 37), less
-# the repeats of j, pi j, pi j j and 2j/N, which the kernels build once, and
-# the exact constants 1, 2 and 4
-@pytest.mark.parametrize("kernel, j, checks", [(ratio_interval, 3, 14), (fjn_ratio_interval, 2, 24)])
-def test_every_order_check_is_live(kernel, j, checks, monkeypatch):
-    kernel(200, j, 53)  # constants and shifted terms built
-    _assert_checks_live(lambda: kernel(200, j, 53), checks, monkeypatch)
+@pytest.mark.parametrize("prec", [16, 53, 128, 300, 1024, 4096])
+def test_constants_hold_exactly(prec):
+    # the estimates' constants enclose pi, sqrt 3, sqrt 6, kappa1, kappa2
+    # and delta_c, against mpmath 64 bits wider, at the kernels' widths and
+    # at the chain's widths for d up to 2^40
+    ctx = mp_context(prec + FIXED_GUARD + 40 + 64)
+    kappa1 = ctx.sqrt(3) / ctx.sqrt(2 * ctx.pi)
+    kappa2 = ctx.sqrt(3) / (ctx.sqrt(2) * ctx.pi)
+    want = {"pi": ctx.pi, "sqrt3": ctx.sqrt(3), "sqrt6": ctx.sqrt(6), "kappa1": kappa1,
+            "kappa2": kappa2, "delta_c": kappa2 - kappa1}
+    for w in range(prec + FIXED_GUARD, prec + FIXED_GUARD + 41):
+        k = estimates._constants(w)
+        for name, value in want.items():
+            lo, hi = getattr(k, name)
+            assert ctx.mpf(lo) / 2**w < value < ctx.mpf(hi) / 2**w, (name, w)
 
 
-# the same for the memoized builders, run unwrapped so each call builds:
-# their Enclosure expressions build 14, 11 and 19 intervals, less the exact
-# constants 1 and 2.  Each k-rank form is counted with the 5 checks of the
-# _pi_j_ends it is built on; _krank_forms builds both forms on one _pi_j_ends,
-# 10 + 15 checks less the 5 they share
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(14, 10**12), prec=st.sampled_from([16, 53, 128, 300, 1024]), data=st.data())
+def test_decay_and_radii_hold_exactly(n, prec, data):
+    # a = pi j/sqrt(6N) over 2^(w+8) and e^-a over 2^w, against mpmath 64
+    # bits wider; each radius c/N raised, decided on exact fractions
+    j = data.draw(st.integers(0, ratio_j_top(n)), label="j")
+    w = prec + FIXED_GUARD
+    t = shifted_terms(n, w)
+    (a0, a1), (e0, e1) = estimates._decay(t, j, w)
+    ctx = mp_context(2 * w + 64)
+    a = ctx.pi * j / ctx.sqrt(6 * ctx.mpf(24 * n - 1) / 24)
+    v = w + 8
+    assert ctx.mpf(a0) / 2**v <= a <= ctx.mpf(a1) / 2**v
+    assert 0 <= ctx.mpf(e0) / 2**w <= ctx.exp(-a) <= ctx.mpf(e1) / 2**w
+    for radius in (RATIO_RADIUS_1, RATIO_RADIUS_2, FJN_RADIUS_A, FJN_RADIUS_B,
+                   KRANK_RATIO_RADIUS_1, KRANK_DIFF_RADIUS_A, KRANK_DIFF_RADIUS_B):
+        exact = radius / shifted_index(n) * (1 << w)
+        assert exact <= estimates._radius(radius, t.d, w) < exact + 1
+
+
 @pytest.mark.parametrize(
-    "builder, checks",
-    [(shifted_terms, 13), (_krank_ratio, 10), (_krank_diff, 15), (_krank_forms, 20)],
+    "call, checks",
+    [
+        (lambda: ratio_interval(200, 3, 53), 1),
+        (lambda: fjn_ratio_interval(200, 2, 53), 1),
+        (lambda: _krank_forms.__wrapped__(200, 53), 2),
+        (lambda: proposition21_interval(200, 53), 1),
+    ],
+    ids=["ratio_interval", "fjn_ratio_interval", "_krank_forms", "proposition21_interval"],
 )
-def test_every_builder_order_check_is_live(builder, checks, monkeypatch):
-    _krank_forms(200, 53)  # constants and shifted terms built
-    if builder in (_krank_ratio, _krank_diff):
-        t = shifted_terms(201, 53)  # ell = 200 + 23/24 is the shift of 201
-        _assert_checks_live(
-            lambda: builder(t, 24 * 200 + 23, _pi_j_ends(t, 1, 53)[2], 53), checks, monkeypatch
-        )
-    else:
-        _assert_checks_live(lambda: builder.__wrapped__(200, 53), checks, monkeypatch)
-
-
-def _assert_checks_live(call, checks, monkeypatch):
+def test_each_returned_interval_is_checked_once(call, checks, monkeypatch):
+    # every estimate is rounded once, in _dyadic_ends, whose order check is
+    # the one check of each Enclosure returned, and a failing check raises
+    call()  # constants and shifted terms built
     order = enclosure.ordered
     calls = []
     monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: calls.append(1) or order(lo, hi))
@@ -784,3 +763,18 @@ def _assert_checks_live(call, checks, monkeypatch):
         )
         with pytest.raises(ValueError, match=ORDER_ERROR):
             call()
+
+
+def test_estimates_read_only_fixed_point_ends():
+    # the estimates and the truncation interval are built on integer ends
+    # alone: none names the padded transcendental slack or an interval
+    # helper of the enclosure module
+    named = re.compile(r"\b(_TRANSCENDENTAL_SLACK|_exp_ends|_(add|sub|mul|div|sqrt)_ends)\b")
+    sources = {
+        "estimates.py": inspect.getsource(estimates),
+        **{fn.__name__: inspect.getsource(fn) for fn in (
+            proposition21_interval, rademacher._prop21_fixed, rademacher.proposition21_budget)},
+    }
+    found = [f"{name}:{n}" for name, text in sources.items()
+             for n, line in enumerate(text.splitlines(), 1) if named.search(line)]
+    assert not found
