@@ -10,25 +10,22 @@ Exact integers and fractions enter through directed conversion, never through
 a float, so enclosures built from exact data are correct by construction.
 Precision is always an argument; no global mpmath state is touched.
 
-The _*_ends helpers are that arithmetic on raw (lo, hi) pairs, for Enclosure
-and the raw-libmp kernels alike.  Each checks the order of the pair it
-returns, so an interval is checked once, where it is built; only
-Enclosure(lo, hi, prec) called from outside checks its own arguments.
-Inside the package every interval is such a checked pair, constants(prec)
-included; an Enclosure is built only where a public function returns one.
+The _*_ends helpers are that arithmetic on raw (lo, hi) pairs, each end one
+libmp call (mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_sqrt or mpf_exp) rounded
+toward -inf or +inf; a product or quotient is the hull of its four endpoint
+results (_hull).  Each helper checks the order of the pair it returns, so an
+interval is checked once, where it is built; only Enclosure(lo, hi, prec)
+called from outside checks its own arguments.  Inside the package that
+arithmetic builds constants(prec) and collapse-131's margin, at one point
+per run; every estimate and every other margin is integer ends rounded
+once, and an Enclosure is built only where a public function returns one.
 
-The helpers round in line, on the (sign, man, exp, bc) integers of a raw
-float: +, -, *, / and sqrt of finite nonzero operands, ratio_pair and the
-pad of an exp or pi endpoint each form libmp's own exact or sticky-bit
-integer (mpf_add's one-unit perturbation of an operand more than 100 bits
-and prec + 4 bits above the other, mpf_div's quotient with a sticky bit,
-mpf_sqrt's floor root with one, math.isqrt's floor root being libmp's) and
-round it once toward -inf or +inf by normalize's step (_rounded).  So each
-end is libmp's directed result bit for bit (tests/test_enclosure.py checks
-them against mpf_add, mpf_mul, mpf_div, mpf_sqrt and from_rational), without
-libmp's special-value dispatch.  Zero and non-finite operands, divisors and
-radicands of mantissa 1, and products and quotients of intervals that
-straddle zero (_hull) go to libmp itself.
+ratio_pair and _dyadic_ends round one exact value in line, on the (sign,
+man, exp, bc) integers of a raw float: each forms libmp's exact or
+sticky-bit integer (mpf_div's quotient with a sticky bit) and rounds it
+once toward -inf or +inf by normalize's step (_rounded).  So each end is
+from_rational's or from_man_exp's bit for bit (tests/test_enclosure.py
+checks them), without libmp's special-value dispatch.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from types import SimpleNamespace
 
 from mpmath import libmp
@@ -44,8 +40,8 @@ from mpmath import libmp
 DEFAULT_PRECISION = 128
 
 # Entries kept by each precision-keyed memo (constants, special.mp_context
-# and inequalities._power_sums): a run uses its working precision and 64 bits
-# for Lehmer's bound or 30 more.  fixed.at_width, keyed by width, has its own.
+# and inequalities._power_sums): a run uses its working precision, or 30
+# more in the oracles.  fixed.at_width, keyed by width, has its own.
 PRECISION_MEMO_MAXSIZE = 4
 
 # Entries kept by each per-index memo: the k-rank memo and
@@ -58,18 +54,14 @@ MEMO_MAXSIZE = 4096
 
 _DOWN = "f"  # toward -inf
 _UP = "c"    # toward +inf
-_ROUNDING = (_DOWN, _UP)  # libmp's mode for up = 0 and 1
 
 # Extra outward ulps applied after transcendental endpoint evaluations.
 # libmp computes exp/pi with guard bits and then rounds directionally; the
 # guard-bit argument is empirical rather than proven, so we pad the result.
 _TRANSCENDENTAL_SLACK = 8
-# The pad of a p-bit float x is |x| * 2^(_PAD_SHIFT - p), exact by a shift of
-# the exponent, which needs the slack to be a power of two.
-_PAD_SHIFT = _TRANSCENDENTAL_SLACK.bit_length() - 1
-assert _TRANSCENDENTAL_SLACK == 1 << _PAD_SHIFT
 
 _add = libmp.mpf_add
+_sub = libmp.mpf_sub
 _mul = libmp.mpf_mul
 _div = libmp.mpf_div
 _neg = libmp.mpf_neg
@@ -81,8 +73,8 @@ NON_FINITE_ERROR = "non-finite float has no rational value"
 ExactScalar = (int, Fraction)
 
 
-# -- in-line directed rounding (module docstring); up is 1 for a ceiling,
-# toward +inf, and 0 for a floor, toward -inf
+# -- one exact value rounded in line (module docstring); up is 1 for a
+# ceiling, toward +inf, and 0 for a floor, toward -inf
 
 
 def _rounded(sign, man, exp, prec, up):
@@ -99,85 +91,6 @@ def _rounded(sign, man, exp, prec, up):
         man >>= t
         exp += t
     return sign, man, exp, man.bit_length()
-
-
-def _add_end(s, t, prec, up, negate=0):
-    """s + t, or s - t with negate, at prec bits: mpf_add's bits."""
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    if not (sman and tman):
-        return _add(s, t, prec, _ROUNDING[up], negate)
-    tsign ^= negate
-    offset = sexp - texp
-    # mpf_add's shortcut for an operand wholly below the other's rounding
-    # bit: the larger one, perturbed by one unit past prec + 4 bits
-    if offset > 100 and sexp + sbc - texp - tbc > prec + 4:
-        man = (sman << (prec + 4)) + (1 if ssign == tsign else -1)
-        return _rounded(ssign, man, sexp - prec - 4, prec, up)
-    if offset < -100 and texp + tbc - sexp - sbc > prec + 4:
-        man = (tman << (prec + 4)) + (1 if ssign == tsign else -1)
-        return _rounded(tsign, man, texp - prec - 4, prec, up)
-    if ssign:
-        sman = -sman
-    if tsign:
-        tman = -tman
-    if offset >= 0:
-        man = (sman << offset) + tman
-        exp = texp
-    else:
-        man = sman + (tman << -offset)
-        exp = sexp
-    if man > 0:
-        return _rounded(0, man, exp, prec, up)
-    if man:
-        return _rounded(1, -man, exp, prec, up)
-    return libmp.fzero
-
-
-def _mul_end(s, t, prec, up):
-    """s * t at prec bits: mpf_mul's bits."""
-    man = s[1] * t[1]
-    if not man:
-        return _mul(s, t, prec, _ROUNDING[up])
-    return _rounded(s[0] ^ t[0], man, s[2] + t[2], prec, up)
-
-
-def _div_end(s, t, prec, up):
-    """s / t at prec bits: mpf_div's bits, from its quotient and sticky bit."""
-    ssign, sman, sexp, sbc = s
-    tsign, tman, texp, tbc = t
-    if not sman or tman < 2:
-        return _div(s, t, prec, _ROUNDING[up])
-    extra = prec - sbc + tbc + 5
-    if extra < 5:
-        extra = 5
-    man, rem = divmod(sman << extra, tman)
-    if rem:
-        man = (man << 1) | 1
-        extra += 1
-    return _rounded(ssign ^ tsign, man, sexp - texp - extra, prec, up)
-
-
-def _sqrt_end(s, prec, up):
-    """sqrt(s) at prec bits: mpf_sqrt's bits, from the floor root that
-    math.isqrt and libmp's isqrt and sqrtrem all return."""
-    sign, man, exp, bc = s
-    if sign or man < 2:
-        return libmp.mpf_sqrt(s, prec, _ROUNDING[up])
-    if exp & 1:
-        exp -= 1
-        man <<= 1
-        bc += 1
-    shift = 2 * prec - bc + 4
-    if shift < 4:
-        shift = 4
-    shift += shift & 1
-    radicand = man << shift
-    man = isqrt(radicand)
-    if up and man * man != radicand:
-        man = (man << 1) | 1
-        shift += 2
-    return _rounded(0, man, (exp - shift) >> 1, prec, up)
 
 
 def ratio_pair(p: int, q: int, prec: int):
@@ -276,12 +189,6 @@ def _int_ends(v: int, prec: int):
     return _ratio_ends(v, 1, prec)
 
 
-def _exact_ends(value, prec: int):
-    """Raw endpoints of an exact int or Fraction at prec bits, as
-    Enclosure.from_exact rounds it: _exact_pair, order-checked."""
-    return _checked(*_exact_pair(value, prec))
-
-
 def _decoded(raw):
     # (M, e) with raw = M 2^e, for a finite raw float
     sign, man, exp, _ = raw
@@ -337,20 +244,8 @@ def exact_decimal(num: int, k: int) -> str:
 
 def _widen_raw(raw, prec, rnd):
     # Pad a transcendental result outward by _TRANSCENDENTAL_SLACK ulps.
-    _, man, exp, _ = raw
-    up = int(rnd == _UP)
-    if not man:
-        pad = libmp.mpf_mul(
-            libmp.mpf_abs(raw),
-            libmp.from_man_exp(_TRANSCENDENTAL_SLACK, -prec),
-            prec,
-            _UP,
-        )
-        return _add(raw, pad, prec, rnd, 1 - up)
-    # |raw| * slack * 2^-prec rounded up, as mpf_mul(|raw|, slack * 2^-prec)
-    # rounds it; exact when raw has at most prec bits
-    pad = _rounded(0, man, exp + _PAD_SHIFT - prec, prec, 1)
-    return _add_end(raw, pad, prec, up, 1 - up)
+    pad = _mul(libmp.mpf_abs(raw), libmp.from_man_exp(_TRANSCENDENTAL_SLACK, -prec), prec, _UP)
+    return (_sub if rnd == _DOWN else _add)(raw, pad, prec, rnd)
 
 
 def _neg_ends(x):
@@ -360,24 +255,24 @@ def _neg_ends(x):
 
 def _add_ends(x, y, p):
     """Raw endpoints of x + y at p bits, rounded outward."""
-    return _checked(_add_end(x[0], y[0], p, 0), _add_end(x[1], y[1], p, 1))
+    return _checked(_add(x[0], y[0], p, _DOWN), _add(x[1], y[1], p, _UP))
 
 
 def _sub_ends(x, y, p):
     """Raw endpoints of x - y at p bits, rounded outward."""
-    return _checked(_add_end(x[0], y[1], p, 0, 1), _add_end(x[1], y[0], p, 1, 1))
+    return _checked(_sub(x[0], y[1], p, _DOWN), _sub(x[1], y[0], p, _UP))
 
 
 def _widen_ends(x, r, p):
     """Raw endpoints of x +- r at p bits, for an upper radius r >= 0."""
-    return _checked(_add_end(x[0], r, p, 0, 1), _add_end(x[1], r, p, 1))
+    return _checked(_sub(x[0], r, p, _DOWN), _add(x[1], r, p, _UP))
 
 
 def _sqrt_ends(x, p):
     """Raw endpoints of sqrt(x) at p bits; x must not reach below zero."""
     if x[0][0]:  # a set sign bit: lo < 0, -inf included
         raise ValueError("sqrt of an interval reaching below zero")
-    return _checked(_sqrt_end(x[0], p, 0), _sqrt_end(x[1], p, 1))
+    return _checked(libmp.mpf_sqrt(x[0], p, _DOWN), libmp.mpf_sqrt(x[1], p, _UP))
 
 
 def _exp_ends(x, p):
@@ -403,38 +298,15 @@ def _hull(op, a, b, c, d, p):
 
 def _mul_ends(x, y, p):
     """Raw endpoints of x * y at p bits, rounded outward."""
-    # Sign-case table: unless a factor straddles zero, the signs pick the
-    # two extreme endpoint products.  Directed rounding is monotone, so
-    # these are the endpoints the four-product hull would find.
-    # A set sign bit on hi means hi < 0; a clear one on lo means lo >= 0.
-    a, b = x
-    c, d = y
-    if not a[0]:
-        if not c[0]:
-            return _checked(_mul_end(a, c, p, 0), _mul_end(b, d, p, 1))
-        if d[0]:
-            return _checked(_mul_end(b, c, p, 0), _mul_end(a, d, p, 1))
-    elif b[0]:
-        if not c[0]:
-            return _checked(_mul_end(a, d, p, 0), _mul_end(b, c, p, 1))
-        if d[0]:
-            return _checked(_mul_end(b, d, p, 0), _mul_end(a, c, p, 1))
-    return _checked(*_hull(_mul, a, b, c, d, p))
+    return _checked(*_hull(_mul, *x, *y, p))
 
 
 def _div_ends(x, y, p):
     """Raw endpoints of x / y at p bits, rounded outward."""
-    a, b = x
     c, d = y
-    if not c[0] and c[1]:
-        # positive divisor and a dividend of one sign: as in _mul_ends
-        if not a[0]:
-            return _checked(_div_end(a, d, p, 0), _div_end(b, c, p, 1))
-        if b[0]:
-            return _checked(_div_end(a, c, p, 0), _div_end(b, d, p, 1))
-    elif not (libmp.mpf_gt(c, libmp.fzero) or libmp.mpf_lt(d, libmp.fzero)):
+    if not (libmp.mpf_gt(c, libmp.fzero) or libmp.mpf_lt(d, libmp.fzero)):
         raise ZeroDivisionError("interval divisor straddles zero")
-    return _checked(*_hull(_div, a, b, c, d, p))
+    return _checked(*_hull(_div, *x, *y, p))
 
 
 def _arith(ends, swap=False):
@@ -519,9 +391,6 @@ class Enclosure:
     def strictly_positive(self) -> bool:
         return libmp.mpf_gt(self.lo, libmp.fzero)
 
-    def strictly_negative(self) -> bool:
-        return libmp.mpf_lt(self.hi, libmp.fzero)
-
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other):
@@ -585,21 +454,13 @@ def _wrap(ends, prec):
 
 @lru_cache(maxsize=PRECISION_MEMO_MAXSIZE)
 def constants(prec: int) -> SimpleNamespace:
-    """Raw ends of pi, sqrt 2, sqrt 3, sqrt 6, sqrt(2 pi) and delta_c, the
-    one source of each: pi padded outward, the rest by the calls of
-    from_exact(n).sqrt(), (2 * pi).sqrt() and sqrt3 / (sqrt2 * pi) -
-    sqrt3 / sqrt_two_pi (delta_c, about -0.3011) in Enclosure arithmetic."""
+    """Raw ends of pi, sqrt 3 and sqrt(2 pi), the one source of each: pi
+    padded outward, the others by the calls of from_exact(3).sqrt() and
+    (2 * pi).sqrt() in Enclosure arithmetic."""
     pi = _checked(_widen_raw(libmp.mpf_pi(prec, _DOWN), prec, _DOWN),
                   _widen_raw(libmp.mpf_pi(prec, _UP), prec, _UP))
-    sqrt2, sqrt3, sqrt6 = (_sqrt_ends(_int_ends(v, prec), prec) for v in (2, 3, 6))
-    two_pi = _mul_ends(pi, _int_ends(2, prec), prec)
-    sqrt_two_pi = _sqrt_ends(two_pi, prec)
     return SimpleNamespace(
         pi=pi,
-        sqrt2=sqrt2,
-        sqrt3=sqrt3,
-        sqrt6=sqrt6,
-        sqrt_two_pi=sqrt_two_pi,
-        delta_c=_sub_ends(_div_ends(sqrt3, _mul_ends(sqrt2, pi, prec), prec),
-                          _div_ends(sqrt3, sqrt_two_pi, prec), prec),
+        sqrt3=_sqrt_ends(_int_ends(3, prec), prec),
+        sqrt_two_pi=_sqrt_ends(_mul_ends(pi, _int_ends(2, prec), prec), prec),
     )

@@ -65,13 +65,11 @@ Decay.  _decay's A0 and A1 are integers with a in [a0, a1], a0 = A0 2^-v
 and a1 = A1 2^-v.  In every license a < pi/(2 sqrt6) (1 + 1/335)^(1/2) <
 0.65 < ln 2 (4j^2 < n gives a^2 < (pi^2/24) n/N, and n >= 14), so
 fixed.exp_neg(A0, v, w), at t = a0 exactly (delta = 0), gives (E, m) with
-m <= 1.  By fixed's reduction lemma the reduced u' lies within 2^-v + 2^-w
-of u, and E within (3 sqrt(w) + 9.01) e^u' units of e^u' 2^w, where u, u' <=
-ln 2 + 2^-v.  So e^-a0 2^(w+m) = e^u 2^w lies within 2.0001 (1.004 +
-3 sqrt(w) + 9.01) <= 6 isqrt(w) + 27 = _exp_units(w) units of E, for
-16 <= w < 2^16.  Then e^-a <= e^-a0 lies below (E + _exp_units(w)) 2^-m
-raised, and e^-a >= e^-a1 >= e^-a0 (1 - (a1 - a0)), as e^-x >= 1 - x, lies
-above (E - _exp_units(w)) (2^v - (A1 - A0)) 2^-(v+m) floored.  Both ends
+m <= 1.  By fixed's reduction lemma e^-a0 2^(w+m) = e^u 2^w lies within
+k = fixed.reduced_units(w, m) = 6 isqrt(w) + 27 units of E, for
+16 <= w < 2^16.  Then e^-a <= e^-a0 lies below (E + k) 2^-m raised, and
+e^-a >= e^-a1 >= e^-a0 (1 - (a1 - a0)), as e^-x >= 1 - x, lies above
+(E - k) (2^v - (A1 - A0)) 2^-(v+m) floored.  Both ends
 are nonnegative, so e^-2a lies between their squares.  This rests on fixed's
 exponential lemma, whose series step, read off libmp, is the one step not
 proved.
@@ -233,11 +231,6 @@ def shifted_terms(n: int, w: int) -> SimpleNamespace:
     )
 
 
-def _exp_units(w: int) -> int:
-    # the units of e^-a0 2^(w+m) that E may be off by (module docstring)
-    return 6 * math.isqrt(w) + 27
-
-
 def _decay(t: SimpleNamespace, j: int, w: int):
     """(a, e): a = pi j/sqrt(6N) as (a0, a1) over 2^v, v = w + 8, and e^-a
     as (lo, hi) over 2^w, from one fixed.exp_neg (module docstring)."""
@@ -245,7 +238,7 @@ def _decay(t: SimpleNamespace, j: int, w: int):
     alpha0, alpha1, g = t.alpha
     a0, a1 = j * alpha0 >> g, -(-(j * alpha1) >> g)
     big, m = fixed.exp_neg(a0, v, w)
-    err = _exp_units(w)
+    err = fixed.reduced_units(w, m)
     return (a0, a1), ((big - err) * ((1 << v) - (a1 - a0)) >> (v + m),
                       -(-(big + err) >> m))
 

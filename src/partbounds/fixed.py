@@ -30,6 +30,13 @@ whole claim, at 16 to 4150 bits, on both sides of libmp's switches to other
 series at 600 and 1500 bits (--precision 4096 runs the kernels at about
 4150).
 
+Exponential ends.  exp_ends(xw, w) = (lo, hi) has e^x 2^w in [lo, hi] for
+x = xw 2^-w: with E = exp(xw, w), lambda_0 < L = floor(1.5 x) +
+3 isqrt(w) + 12, as x / ln 2 < floor(1.5 x) + 1 and 3 sqrt(w) <
+3 isqrt(w) + 3.  So e^x 2^w >= E/(1 + L 2^-w) > E - floor(E L 2^-w) - 1 =
+lo and, while L 2^-w <= 1/2 (x below 2^(w-3), w >= 16), e^x 2^w <=
+E/(1 - L 2^-w) <= E + floor(2 E L 2^-w) + 1 = hi.
+
 Reduction.  exp_neg(tv, v, w) takes e^-t for t >= 0 with tv 2^-v within
 delta units 2^-v of t, for integers tv >= 0 and v >= w + 8.  With L = ln2(v)
 it returns (E, n), n = ceil(tv/L), and E = exp(u_w, w) at the reduced
@@ -39,7 +46,13 @@ argument u_w = floor(U 2^(w-v)), U = nL - tv in [0, L):
   and the floor adds under 2^-w: u' = u_w 2^-w has
   |u' - u| < (n + delta) 2^-v + 2^-w and 0 <= u' <= ln 2 + 2^-v;
 * so by the exponential lemma at x = u', x / ln 2 < 1.01, E is within
-  (3 sqrt(w) + 9.01) e^u' units.
+  (3 sqrt(w) + 9.01) e^u' units;
+* for delta <= 1 and n + 2 <= 2^(v-16), u and u' lie below ln 2 + 2^-16,
+  so e^u, e^u' < 2.0001, and |e^u' - e^u| 2^w < 2.0001 ((n + 1)/256 + 1).
+  So e^u 2^w is within 2.0001 (3 sqrt(w) + 9.01) + 2.0001 ((n + 1)/256 + 1)
+  < reduced_units(w, n) = 6 isqrt(w) + 27 + floor(n / 64) units of E, for
+  16 <= w < 2^16: 6.0003 sqrt(w) < 6 isqrt(w) + 6.08, and
+  2.0001 (n + 1)/256 < floor(n / 64) + 0.51.
 
 The constants the kernels derive per width are built on first use, never at
 import, and kept in one memo, at_width.
@@ -95,6 +108,20 @@ def root_ends(p: int, q: int, w: int):
     """(lo, hi) with sqrt(p/q) in [lo, hi] 2^-w, one unit apart."""
     r = floor_root(p, q, w)
     return r, r + 1
+
+
+def exp_ends(xw: int, w: int):
+    """(lo, hi) with e^x 2^w in [lo, hi], for x = xw 2^-w >= 0 below
+    2^(w-3) (module docstring)."""
+    big = exp(xw, w)
+    units = (3 * xw >> (w + 1)) + 3 * isqrt(w) + 12
+    return big - (big * units >> w) - 1, big + (2 * big * units >> w) + 1
+
+
+def reduced_units(w: int, n: int) -> int:
+    """The units 2^-w within which exp_neg's E lies of e^u 2^w, for
+    delta <= 1 (module docstring)."""
+    return 6 * isqrt(w) + 27 + (n >> 6)
 
 
 def exp_neg(tv: int, v: int, w: int):

@@ -35,25 +35,24 @@ integer bounds in n alone and in J = j and 2j.  Each is keyed by the
 point's integers and prec: the numerator and denominator of x = a/b, or n
 and J, never a Fraction, whose hash takes a modular inverse.
 
-Every margin but collapse-131 is raw: integers rounded once, or an
-expression in the enclosure module's _*_ends helpers on (lo, hi) pairs.
-Four of them make the libmp calls, on the same operands and with the same
-roundings, of the Enclosure expression they replace, so their endpoints are
-libmp's, that expression's bit for bit (tests/test_inequalities.py keeps
-each expression as a reference and compares the two): geometric-series-100,
-reciprocal-125 and bessel-simplify-half, each one exact rational rounded
-once by ratio_pair, which rounds p/q whatever the common factors of p and
-q, and exp-convexity-half below its split (below).  collapse-131, one point
-per run, stays an Enclosure expression (see its comment) and returns that
-expression's ends.  The other fifteen are outward by proof and only meet
-their expressions': bessel-tail-sum on special._bessel_fixed and one power
-series; the eleven fixed-point margins, four of them on
+Every margin but collapse-131 is raw: integers rounded once.  Three of
+them keep libmp's bits: geometric-series-100, reciprocal-125 and
+bessel-simplify-half are each one exact rational rounded once by
+ratio_pair, which rounds p/q whatever the common factors of p and q, so
+their ends are those of the Enclosure expression they replace
+(tests/test_inequalities.py keeps each expression as a reference and
+compares the two).  collapse-131, one point per run, stays an Enclosure
+expression (see its comment) and returns that expression's ends.  The
+other sixteen are outward by proof and only meet their expressions':
+bessel-tail-sum on special._bessel_fixed, one power series and fixed's
+exponential ends; the eleven fixed-point margins, four of them on
 special._decay_fixed, whose proof is in special's docstring; and the four
 (n, j) pair margins, exact integer bounds (each below).  The interval
 samplers build each point as one Fraction.
 
-Each helper, _dyadic_ends included, checks the order of the pair it
-returns, once, as Enclosure arithmetic does; no margin checks one itself.
+Each helper, _ratio_ends and _dyadic_ends, checks the order of the pair
+it returns, once, as Enclosure arithmetic does; no margin checks one
+itself.
 
 bessel-tail-sum sums in fixed point.  For x = a/b in [20, 100], _tail_sum
 splits the sum at K = FAR_START = 20, where x/k <= 5 from k = K on.
@@ -106,9 +105,19 @@ the far sum lies in [F_lo, F_hi] 2^-w, F_lo = floor(G_lo P 2^(w - 3W)) and
 F_hi = floor(G_hi (P + err) 2^(w - 3W)) + 1, a unit or two apart.
 
 With S = S_n + F_lo and E = E_n + F_hi - F_lo, the whole sum lies strictly
-inside [S - E, S + E] 2^-w; the margin is the right-hand side's enclosure
-minus that interval, rounded outward.  fixed's exponential lemma, in the
-near terms, is the one step not proved.
+inside [S - E, S + E] 2^-w.  The right-hand side 4 sqrt(x/pi) e^(x/2)
+lies in [Q_lo, Q_hi] 2^-w, each end floored, or raised, from ends over
+2^w that make it least, or greatest:
+* sqrt(x/pi) in [r_lo, r_hi + 1) 2^-w, r_lo and r_hi the floor roots of
+  a 2^w / (b P1) and a 2^w / (b P0) for pi in fixed.pi_ends(w) = [P0, P1]
+  2^-w (fixed's lemmas);
+* with t the floor of x/2 over 2^w, e^(t 2^-w) 2^w in fixed.exp_ends(t, w)
+  = [e_lo, e_hi] (fixed's exponential ends), and e^(x/2) <= e^(t 2^-w)
+  (1 + 2^(1-w)), as x/2 - t 2^-w < 2^-w and e^u <= 1 + 2u on [0, 1]: so
+  e^(x/2) 2^w in [e_lo, e_hi + floor(e_hi 2^(1-w)) + 1].
+The margin's ends are Q_lo - S - E and Q_hi - S + E over 2^w, rounded once
+by _dyadic_ends.  fixed's exponential lemma, in the near terms and the
+right-hand side, is the one step not proved.
 
 The (n, j) pair margins are exact integer bounds.  With N = d/24, d = 24n - 1,
 sqrt(6 N^3) = d sqrt(d)/48 and sqrt N = sqrt(d/24), so their irrational
@@ -173,7 +182,7 @@ w = prec + FIXED_GUARD, or over the decay kernel's 2^-z, and round them once,
 outward, by _dyadic_ends: correction-sum-099, exp-argument-01,
 shift-ratio-02 and collapse-1350 on [335/24, 10^4]; sqrt-expansion-01,
 inverse-sqrt-06 and concavity-sqrt-positive on (0, 1/5); tail-envelope-15,
-sqrt-exp-decreasing, exp-convexity-half past its split, and
+sqrt-exp-decreasing, exp-convexity-half (both sides of its split), and
 shifted-envelope-11 (above).  They read:
 * _fixed_constants(w), once per width in fixed.at_width: pi in
   fixed.pi_ends(w), and sqrt 6, sqrt(3/2) and 2 sqrt 2 in their
@@ -206,8 +215,13 @@ each quotient is outward:
   floor(x 2^v / U) has m < x / ln 2 and 0 < e^-x < 2^-m.  Where m >= w
   (x above about w ln 2; the test is a 2^v >= b w U, no division), the
   margin lies in (R - 2^-w, R), inside [floor(R 2^w) - 1, ceil(R 2^w)]
-  2^-w.  Below the split it keeps its Enclosure expression's _exp_ends
-  calls, bit for bit.
+  2^-w.  Below the split, with v = w + 8 and tv = floor(x 2^v), within a
+  unit 2^-v of x, fixed.exp_neg(tv, v, w) gives (E, m) with e^-x = 2^-m e^u
+  (fixed's reduction lemma, delta = 1), and e^u 2^w within
+  k = fixed.reduced_units(w, m) units of E, as m + 2 <= w + 3 <= 2^(v-16)
+  and 48 <= w < 2^16 up to prec 4096.  So the margin
+  lies in [floor(R 2^w) - ceil((E + k) 2^-m), ceil(R 2^w) -
+  floor((E - k) 2^-m)] 2^-w.
 tests/test_fixed.py checks the constants' and roots' ends, and
 tests/test_inequalities.py decides the margins' integer bounds exactly.
 """
@@ -229,15 +243,8 @@ from .enclosure import (
     DEFAULT_PRECISION,
     PRECISION_MEMO_MAXSIZE,
     Enclosure,
-    _div_ends,
     _dyadic_ends,
-    _exact_ends,
-    _exp_ends,
-    _int_ends,
-    _mul_ends,
     _ratio_ends,
-    _sqrt_ends,
-    _sub_ends,
     constants,
     fraction_from_raw,
 )
@@ -449,15 +456,20 @@ def _margin_reciprocal(point: Point, prec: int) -> Ends:
 
 def _margin_exp_convexity(point: Point, prec: int) -> Ends:
     # x^2/2 + 1 - x - e^{-x}, its exact part R = (a^2 + 2b^2 - 2ab)/(2b^2):
-    # past the split e^{-x} < 2^-w, below it the Enclosure expression's calls
+    # past the split e^{-x} < 2^-w, below it e^{-x} = 2^-m e^u from
+    # fixed.exp_neg, e^u 2^w within fixed.reduced_units of E (module
+    # docstring)
     (x,) = point
     a, b = x.numerator, x.denominator
     num, den = a * a + 2 * b * b - 2 * a * b, 2 * b * b
     w = prec + FIXED_GUARD
-    if a << w + 8 >= b * fixed.at_width(_fixed_constants, w).split:
+    v = w + 8
+    if a << v >= b * fixed.at_width(_fixed_constants, w).split:
         return _dyadic_ends(_floor(num, den, w) - 1, _ceil(num, den, w), w, prec)
-    tail = _exp_ends(_ratio_ends(-a, b, prec), prec)
-    return _sub_ends(_ratio_ends(num, den, prec), tail, prec)
+    big, m = fixed.exp_neg((a << v) // b, v, w)
+    err = fixed.reduced_units(w, m)
+    return _dyadic_ends(_floor(num, den, w) - (-(-(big + err) >> m)),
+                        _ceil(num, den, w) - (big - err >> m), w, prec)
 
 
 def _margin_tail_envelope(point: Point, prec: int) -> Ends:
@@ -762,14 +774,18 @@ def _tail_sum(x: Fraction, prec: int) -> Tuple[int, int, int]:
 
 
 def _margin_bessel_tail(point: Point, prec: int) -> Ends:
+    # 4 sqrt(x/pi) e^{x/2} less the sum, each end over the sum's 2^-w:
+    # sqrt(x/pi) from pi's ends, e^{x/2} from fixed.exp_ends at x/2 floored
+    # (module docstring)
     (x,) = point
+    a, b = x.numerator, x.denominator
     total, error, w = _tail_sum(x, prec)
-    s = _dyadic_ends(total - error, total + error, w, prec)
-    rhs = _sqrt_ends(_div_ends(_exact_ends(x, prec), constants(prec).pi, prec), prec)
-    rhs = _mul_ends(rhs, _int_ends(4, prec), prec)
-    half = _ratio_ends(x.numerator, 2 * x.denominator, prec)  # x/2
-    rhs = _mul_ends(rhs, _exp_ends(half, prec), prec)
-    return _sub_ends(rhs, s, prec)
+    p_lo, p_hi = fixed.pi_ends(w)
+    g_lo, g_hi = fixed.exp_ends((a << w) // (2 * b), w)
+    root_hi = fixed.floor_root(a << w, b * p_lo, w) + 1
+    rhs_lo = 4 * fixed.floor_root(a << w, b * p_hi, w) * g_lo >> w
+    rhs_hi = -(-4 * root_hi * (g_hi + (g_hi >> w - 1) + 1) >> w)
+    return _dyadic_ends(rhs_lo - total - error, rhs_hi - total + error, w, prec)
 
 
 def _margin_bessel_simplify(point: Point, prec: int) -> Ends:

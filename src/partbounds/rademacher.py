@@ -45,6 +45,24 @@ argument leaves for it (rademacher_round):
   add under K 2^-63.
 So eps < K 2^-44 < 2^-28 for wp below 2^16.
 
+The stop test reads Lehmer's bound
+R(n, N) = A / sqrt N + B sqrt(N/(n-1)) sinh(y), with A = 44 pi^2/(225 sqrt 3),
+B = pi sqrt 2/75 and y = pi sqrt(6n)/(3N), as _remainder_bound's integer
+upper end over 2^W.  Each factor is bounded by fixed's ends at W (its
+within-a-unit and floor-root lemmas): pi in [P0, P1] 2^-W (fixed.pi_ends),
+sqrt 3 in [s0, s0 + 1] and sqrt 2 in [q0, q1] 2^-W (fixed.root_ends), and
+the floor roots r of N, m of n - 1 and t of 6n, so sqrt N in [r, r + 1),
+sqrt(n - 1) >= m and sqrt(6n) < t + 1, over 2^W:
+* A lies in [A0, A1] 2^-W, A0 = floor(44 P0^2 / (225 (s0 + 1))) and
+  A1 = ceil(44 P1^2 / (225 s0)) (_lehmer_lead), so A / sqrt N <= A1 / r,
+  raised to 2^-W;
+* y <= y1 2^-W, y1 = ceil(P1 (t + 1) / (3N 2^W)), and e^(y1 2^-W) 2^W <= U,
+  the upper end of fixed.exp_ends(y1, W) (fixed's exponential ends; y1 2^-W
+  < pi sqrt(2n/3) + 1 lies far below 2^(W-3)).  sinh and u - 1/u increase,
+  so 2 sinh(y) <= (U - floor(4^W / U)) 2^-W = S 2^-W;
+* so B sqrt(N/(n-1)) sinh(y) 2^W <= P1 q1 (r + 1) S / (150 m 4^W), raised.
+R's upper end is the sum of the two raised terms.
+
 The one-term truncation also yields a rigorous two-sided enclosure of p(m):
 the k = 1 term with its algebraic prefactor expanded, plus an explicit
 envelope h(M) absorbing both the expansion remainder and the entire k >= 2
@@ -60,12 +78,8 @@ enclosure is 2 sqrt3 e^x/d (1 - kappa2/sqrt M +- h(M)), x = pi sqrt(2M/3)
 outward by monotonicity as in the estimates' docstring:
 * x lies in [x0, x1] 2^-w: pi's ends (fixed.pi_ends) times the floor root r
   of d/36 and r + 1, floored and raised;
-* by fixed's exponential lemma E = fixed.exp(x0, w) is within lambda_0
-  e^x0 units of e^x0 2^w, lambda_0 = x0/ln 2 + 3 sqrt(w) + 8 <= L =
-  floor(1.5 x0) + 3 isqrt(w) + 12.  So e^x0 2^w >= E/(1 + L 2^-w) >
-  E - floor(E L 2^-w) - 1 and, while L 2^-w <= 1/2 (x0 below 2^(w-3)),
-  e^x0 2^w <= E/(1 - L 2^-w) <= E + floor(2 E L 2^-w) + 1;
-* e^x <= e^x1 <= e^x0 (1 + 2(x1 - x0)), as e^t <= 1 + 2t on [0, 1];
+* e^x0 2^w lies in fixed.exp_ends(x0, w) (fixed's exponential ends), and
+  e^x <= e^x1 <= e^x0 (1 + 2(x1 - x0)), as e^t <= 1 + 2t on [0, 1];
 * sqrt 3 lies in fixed.root_ends(3, 1, w), and 2 sqrt3 e^x/d > 0 between
   the products of the lower and of the upper ends over d, floored and raised;
 * kappa2/sqrt M is shifted_terms(m, w).kappa2, and h(M) lies below (H + E)
@@ -80,27 +94,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from mpmath import libmp
 
 from . import fixed
-from .enclosure import (
-    DEFAULT_PRECISION,
-    Enclosure,
-    _add_ends,
-    _div_ends,
-    _dyadic_ends,
-    _exp_ends,
-    _int_ends,
-    _mul_ends,
-    _ratio_ends,
-    _sqrt_ends,
-    _sub_ends,
-    _wrap,
-    constants,
-    fraction_from_raw,
-)
+from .enclosure import DEFAULT_PRECISION, Enclosure, _dyadic_ends, _wrap
 from .errors import PreconditionError, StabilizationError
 from .estimates import _constants, _scale, shifted_terms
 from .exact import shifted_index
@@ -143,49 +141,35 @@ def _fixed_term(n: int, k: int, wp: int, X: int) -> int:
     return a * _bessel_fixed(X // k, w) // (k << w)
 
 
-@lru_cache(maxsize=1)
-def _lehmer_lead():
-    """R's N^{-1/2} coefficient 44 pi^2 / (225 sqrt 3) as 64-bit raw ends, the
-    calls of 44 * c.pi * c.pi / (225 * c.sqrt3) for c = constants(64), and
-    the first N at which the round can stop.
+def _lehmer_lead(w: int):
+    """R's N^{-1/2} coefficient A = 44 pi^2 / (225 sqrt 3) as (A0, A1) with A
+    in [A0, A1] 2^-w (module docstring), read through fixed.at_width.
 
-    R(n, N) >= lo / sqrt N for the lower end lo, which is at least 1/2 while
-    N <= 4 lo^2 (about 4.97, so N <= 4); there neither the stop test nor the
+    R(n, N) >= A0 2^-w / sqrt N, which is at least 1/2 while N <= 4 A0^2 4^-w
+    (about 4.97, so N <= 4); there neither the stop test nor the
     StabilizationError test can pass.
     """
-    c = constants(64)
-    first = _mul_ends(_mul_ends(c.pi, _int_ends(44, 64), 64), c.pi, 64)
-    first = _div_ends(first, _mul_ends(c.sqrt3, _int_ends(225, 64), 64), 64)
-    lo = fraction_from_raw(first[0])
-    return first, math.floor(4 * lo * lo) + 1
+    (p0, p1), (s0, _) = fixed.pi_ends(w), fixed.root_ends(3, 1, w)
+    return 44 * p0 * p0 // (225 * (s0 + 1)), -(-44 * p1 * p1 // (225 * s0))
 
 
-def _remainder_bound(n: int, N: int):
+def _remainder_bound(n: int, N: int, w: int) -> int:
     """Lehmer's bound on |p(n) - prefactor * (sum of the first N terms)|, for
-    n >= 2 and N >= 1, as the raw hi of a 64-bit interval:
+    n >= 2 and N >= 1, as an integer upper end over 2^w of
 
         R(n, N) = 44 pi^2 / (225 sqrt 3) N^{-1/2}
-                  + pi sqrt 2 / 75 (N / (n-1))^{1/2} sinh(pi sqrt(2n/3) / N).
+                  + pi sqrt 2 / 75 (N / (n-1))^{1/2} sinh(pi sqrt(2n/3) / N),
 
-    The libmp calls, operands and roundings of the Enclosure expression
-
-        first / root + second * root * (e - 1 / e) / 2
-
-    with first the Enclosure of _lehmer_lead()[0], root = sqrt(N),
-    second = c.pi * c.sqrt2 / 75 / sqrt(n - 1),
-    e = (c.pi * sqrt(6 n) / 3 / N).exp(), c the Enclosures of constants(64)
-    and each sqrt(v) taken as Enclosure.from_exact(v, 64).sqrt().
+    outward by the lemma in the module docstring while pi sqrt(2n/3) / N lies
+    below 2^(w-4).
     """
-    p = 64
-    c = constants(p)
-    root = _sqrt_ends(_ratio_ends(N, 1, p), p)
-    second = _div_ends(_mul_ends(c.pi, c.sqrt2, p), _int_ends(75, p), p)
-    second = _div_ends(second, _sqrt_ends(_ratio_ends(n - 1, 1, p), p), p)
-    a = _mul_ends(c.pi, _sqrt_ends(_ratio_ends(6 * n, 1, p), p), p)
-    e = _exp_ends(_div_ends(_div_ends(a, _int_ends(3, p), p), _int_ends(N, p), p), p)
-    sinh2 = _sub_ends(e, _div_ends(_int_ends(1, p), e, p), p)
-    rest = _div_ends(_mul_ends(_mul_ends(second, root, p), sinh2, p), _int_ends(2, p), p)
-    return _add_ends(_div_ends(_lehmer_lead()[0], root, p), rest, p)[1]
+    p1 = fixed.pi_ends(w)[1]
+    r = fixed.floor_root(N, 1, w)
+    first = -((-fixed.at_width(_lehmer_lead, w)[1] << w) // r)
+    y1 = -(-p1 * (fixed.floor_root(6 * n, 1, w) + 1) // (3 * N << w))
+    big = fixed.exp_ends(y1, w)[1]
+    top = p1 * fixed.root_ends(2, 1, w)[1] * (r + 1) * (big - (1 << 2 * w) // big)
+    return first - (-top // (150 * fixed.floor_root(n - 1, 1, w) << 2 * w))
 
 
 # R(n, N)'s two coefficients 44 pi^2 / (225 sqrt 3) and pi sqrt 2 / 75 in
@@ -223,18 +207,19 @@ def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
     StabilizationError instead of guessing.  n = 1 is answered directly,
     since R divides by n - 1.
 
-    The rigorous 64-bit R (_remainder_bound) is evaluated only where one of
-    the two tests can pass.  Below the first N where R can fall under 1/2
-    (_lehmer_lead) neither can.  From there on, a double-precision estimate
-    est of R (_remainder_estimate) is taken first, and low = est (1 - 2^-30)
-    stands for a lower bound of R.  If low >= 1/8 and gap + low >= 1/2, then
-    R >= 1/8 fails the StabilizationError test and gap + R >= 1/2 fails the
-    stop test, so R is not evaluated.  low is a lower bound unless libm's
-    sqrt and sinh err by more than 2^-30 relative: gap is read as a float
-    rounded down, and the one float sum errs by 2^-53 of gap + low, far
-    inside low's allowance of at least 2^-33.  A wrong skip only costs one
-    more term: the round still returns only after the rigorous R passes the
-    unchanged test, so it can never return a wrong integer.
+    The rigorous R (_remainder_bound, over 2^W) is evaluated only where one
+    of the two tests can pass, and both compare integers over 2^W.  Below
+    the first N where R can fall under 1/2 (_lehmer_lead) neither can.  From
+    there on, a double-precision estimate est of R (_remainder_estimate) is
+    taken first, and low = est (1 - 2^-30) stands for a lower bound of R.  If
+    low >= 1/8 and gap + low >= 1/2, then R >= 1/8 fails the
+    StabilizationError test and gap + R >= 1/2 fails the stop test, so R is
+    not evaluated.  low is a lower bound unless libm's sqrt and sinh err by
+    more than 2^-30 relative: gap is read as the nearest float, and it and
+    the one float sum each err by 2^-53 of gap + low, far inside low's
+    allowance of at least 2^-33.  A wrong skip only costs one more term: the
+    round still returns only after the rigorous R passes the unchanged test,
+    so it can never return a wrong integer.
     """
     if n < 1:
         raise PreconditionError("requires n >= 1")
@@ -242,9 +227,11 @@ def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
         return 1
     wp, X, prefactor = _series_state(n, prec)
     w = wp + _FIXED_GUARD
-    # 1/2 - 2^(16-wp): the round's safety is the unit to the next integer
-    threshold = libmp.mpf_sub(libmp.from_man_exp(1, -1), libmp.from_man_exp(1, 16 - wp), wp, "n")
-    start = _lehmer_lead()[1]
+    # 1/2 - 2^(16-wp) over 2^w: the round's safety is the unit to the next
+    # integer
+    threshold = (1 << (w - 1)) - (1 << (w + 16 - wp))
+    lead = fixed.at_width(_lehmer_lead, w)[0]
+    start = (lead * lead >> (2 * w - 2)) + 1
     running = 0
     for k in itertools.count(1):
         running += _fixed_term(n, k, wp, X)
@@ -252,14 +239,14 @@ def rademacher_round(n: int, prec: int = DEFAULT_PRECISION) -> int:
             continue
         value = prefactor * running >> w
         nearest = (value + (1 << (w - 1))) >> w
-        gap = libmp.from_man_exp(abs(value - (nearest << w)), -w)
+        gap = abs(value - (nearest << w))
         low = _remainder_estimate(n, k) * _ESTIMATE_SHARE
-        if low >= 0.125 and libmp.to_float(gap) + low >= 0.5:
+        if low >= 0.125 and gap / (1 << w) + low >= 0.5:
             continue
-        tail = _remainder_bound(n, k)
-        if libmp.mpf_lt(libmp.mpf_add(gap, tail, wp, "n"), threshold):
+        tail = _remainder_bound(n, k, w)
+        if gap + tail < threshold:
             return nearest
-        if libmp.mpf_lt(libmp.mpf_shift(tail, 2), threshold):
+        if 4 * tail < threshold:
             raise StabilizationError(f"series for n={n} did not settle by R(n, {k}) < 1/8")
 
 
@@ -306,10 +293,7 @@ def _prop21_fixed(m: int, prec: int):
     (p0, p1), (s0, s1) = k.pi, k.sqrt3
     r = fixed.floor_root(t.d, 36, w)
     x0, x1 = p0 * r >> w, -(-(p1 * (r + 1)) >> w)
-    big = fixed.exp(x0, w)
-    units = (3 * x0 >> (w + 1)) + 3 * math.isqrt(w) + 12
-    g0 = big - (big * units >> w) - 1
-    g1 = big + (2 * big * units >> w) + 1
+    g0, g1 = fixed.exp_ends(x0, w)
     g1 = -(-(g1 * ((1 << w) + 2 * (x1 - x0))) >> w)
     den = t.d << w
     factor = 2 * s0 * g0 // den, -(-(2 * s1 * g1) // den)

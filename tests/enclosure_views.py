@@ -16,8 +16,14 @@ from partbounds.exact import shifted_index
 
 
 def constants_view(prec):
-    """constants(prec) with each raw pair as its Enclosure."""
-    return SimpleNamespace(**{k: _wrap(v, prec) for k, v in vars(constants(prec)).items()})
+    """constants(prec) with each raw pair as its Enclosure, and sqrt 2, sqrt 6
+    and delta_c = sqrt3 / (sqrt2 pi) - sqrt3 / sqrt(2 pi) (about -0.3011) by
+    the Enclosure calls that built them in the package before only the tests
+    read them."""
+    c = SimpleNamespace(**{k: _wrap(v, prec) for k, v in vars(constants(prec)).items()})
+    c.sqrt2, c.sqrt6 = (Enclosure.from_exact(v, prec).sqrt() for v in (2, 6))
+    c.delta_c = c.sqrt3 / (c.sqrt2 * c.pi) - c.sqrt3 / c.sqrt_two_pi
+    return c
 
 
 def terms_view(n, prec):

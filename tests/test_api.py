@@ -1,6 +1,7 @@
 """Every exported name resolves and every imported name is used, so
 deletions leave no stale exports or imports, no package function asserts,
-every name the benchmark's tracer patches still exists, the partition table
+every name the benchmark's tracer patches still exists, no module but
+enclosure names its interval helpers, the partition table
 grows only through the method it times, and no module-level memo grows
 without bound."""
 
@@ -8,6 +9,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -94,12 +96,31 @@ def test_tracer_patches_and_restores_its_names():
     finally:
         tracer.restore()
     patched = {key for key, value in during.items() if value is not before.get(key)}
-    assert {(Enclosure, name) for name in ("__add__", "__mul__", "from_exact", "contains",
-                                           "containment_margin")} <= patched
+    # every Enclosure method the tracer names, arithmetic and decisions:
+    # collapse-131 alone calls the arithmetic in the package now, so a
+    # deletion of one of these would otherwise fail only the benchmark
+    assert {(Enclosure, name) for name in (
+        "__add__", "__neg__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__",
+        "sqrt", "exp", "plus_minus", "from_exact", "from_bounds", "pi", "contains",
+        "containment_margin")} <= patched
     assert (PartitionTable, "ensure") in patched
     after = _package_bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_interval_helpers_named_only_in_enclosure():
+    # outside the enclosure module the package builds no interval from
+    # libmp's padded exp and pi or from the raw-pair arithmetic: every
+    # estimate and margin is integer ends rounded once (_dyadic_ends,
+    # _ratio_ends), and collapse-131 calls Enclosure's own operators
+    named = re.compile(r"\b(_TRANSCENDENTAL_SLACK|_widen_raw|_exp_ends|_int_ends|_exact_ends"
+                       r"|_(add|sub|mul|div|sqrt)_ends)\b")
+    found = [f"{path.name}:{n}"
+             for path in sorted(Path(partbounds.__file__).parent.glob("*.py"))
+             if path.name != "enclosure.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1) if named.search(line)]
+    assert not found
 
 
 def test_table_grows_only_through_ensure(monkeypatch, capsys):

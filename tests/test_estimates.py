@@ -1,6 +1,4 @@
-import inspect
 import math
-import re
 from fractions import Fraction
 
 import pytest
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath.libmp import mpf_le
 
 from enclosure_views import constants_view, terms_view
-from partbounds import enclosure, estimates, rademacher, verify
+from partbounds import enclosure, estimates, verify
 from partbounds.enclosure import MEMO_MAXSIZE, ORDER_ERROR, Enclosure, _dyadic_ends, _wrap
 from partbounds.errors import PreconditionError
 from partbounds.estimates import (
@@ -763,18 +761,3 @@ def test_each_returned_interval_is_checked_once(call, checks, monkeypatch):
         )
         with pytest.raises(ValueError, match=ORDER_ERROR):
             call()
-
-
-def test_estimates_read_only_fixed_point_ends():
-    # the estimates and the truncation interval are built on integer ends
-    # alone: none names the padded transcendental slack or an interval
-    # helper of the enclosure module
-    named = re.compile(r"\b(_TRANSCENDENTAL_SLACK|_exp_ends|_(add|sub|mul|div|sqrt)_ends)\b")
-    sources = {
-        "estimates.py": inspect.getsource(estimates),
-        **{fn.__name__: inspect.getsource(fn) for fn in (
-            proposition21_interval, rademacher._prop21_fixed, rademacher.proposition21_budget)},
-    }
-    found = [f"{name}:{n}" for name, text in sources.items()
-             for n, line in enumerate(text.splitlines(), 1) if named.search(line)]
-    assert not found

@@ -120,6 +120,38 @@ def test_exp_fixed_within_stated_units(w, reduced):
     assert worst < 0.75, worst
 
 
+@pytest.mark.parametrize("w", [15, 16, 63, 144, 1023, 1056])
+def test_exp_ends_cover_the_lemma_allowance(w):
+    # the exponential ends: lo <= E/(1 + lambda_0 2^-w) and
+    # E/(1 - lambda_0 2^-w) <= hi, lambda_0 = x/ln 2 + 3 sqrt(w) + 8, in
+    # mpmath 64 bits wider than E, and e^x 2^w inside them.  At x just below
+    # 2k/3, floor(1.5 x) falls almost a unit short of 1.5 x, and at w one
+    # below a square 3 isqrt(w) almost 3 short of 3 sqrt(w): there the
+    # allowance exceeds lambda_0 by under a unit.  The callers' arguments
+    # run up to pi sqrt(2n/3)/5 at n = 10^5
+    ctx = mp_context(2 * w + 64)
+    args = [((2 * k) << w) // 3 - 1 for k in (1, 2, 30)] + [x << w for x in (0, 1, 50, 230)]
+    for xw in args:
+        lo, hi = fixed.exp_ends(xw, w)
+        big, x = ctx.mpf(fixed.exp(xw, w)), ctx.ldexp(xw, -w)
+        share = (x / ctx.ln2 + 3 * ctx.sqrt(w) + 8) * ctx.ldexp(1, -w)
+        assert lo <= big / (1 + share) and big / (1 - share) <= hi, (xw, w)
+        assert lo <= ctx.ldexp(ctx.exp(x), w) <= hi, (xw, w)
+
+
+@pytest.mark.parametrize("w", [16, 24, 48, 63, 160, 255, 4095, 65024, 65535])
+def test_reduced_units_cover_the_lemma(w):
+    # 2.0001 (3 sqrt(w) + 9.01) + 2.0001 ((n + 1)/256 + 1) lies below
+    # reduced_units(w, n) at every n whose remainder mod 64 is 63 or 0, the
+    # least and the most room floor(n / 64) leaves, up to the w + 1 of the
+    # registry's exp-convexity-half
+    ctx = mp_context(128)
+    for n in sorted({0, 1, 63, 64, 127, 128, 191, w - w % 64 - 1, w + 1}):
+        if 0 <= n <= w + 1:
+            bound = 2.0001 * (3 * ctx.sqrt(w) + 9.01) + 2.0001 * ((n + 1) / ctx.mpf(256) + 1)
+            assert bound < fixed.reduced_units(w, n), (w, n)
+
+
 def test_libmp_primitives_are_named_only_in_fixed():
     # one source for pi, ln 2 and the exponential in fixed point: every other
     # module reads them through partbounds.fixed

@@ -26,8 +26,8 @@ from partbounds import enclosure, fixed, inequalities, special
 from partbounds.enclosure import (
     ORDER_ERROR,
     Enclosure,
+    _dyadic_ends,
     _int_ends,
-    constants,
     fraction_from_raw,
     ordered,
     ratio_pair,
@@ -243,14 +243,17 @@ def _bessel_halforder(y, prec):
     return numerator / (2 * c.pi * y).sqrt()
 
 
+def _own_bessel_right_side(x, prec):
+    # 4 sqrt(x/pi) e^(x/2), the Enclosure expression of the right-hand side
+    return 4 * (x / constants_view(prec).pi).sqrt() * exp_enclosure(x / 2, prec)
+
+
 def _own_bessel_tail(point, prec):
     (x,) = point
-    c = constants_view(prec)
     total = Enclosure.from_exact(0, prec)
     for k in range(2, TAIL_TERMS + 1):
         total = total + _bessel_halforder(x / k, prec)
-    rhs = 4 * (x / c.pi).sqrt() * exp_enclosure(x / 2, prec)
-    return rhs - total
+    return _own_bessel_right_side(x, prec) - total
 
 
 _EDGE = Fraction(80, 10**9)  # the sampler's 1e-9 pull-in on [20, 100]
@@ -276,6 +279,22 @@ class TestBesselTailKernel:
         assert lo <= want.hi_fraction and want.lo_fraction <= hi
         # and its error bound leaves it no wider than the padded expression
         assert hi - lo <= want.hi_fraction - want.lo_fraction
+
+    @pytest.mark.parametrize("prec", [16, 53, 128, 300, 1024])
+    @pytest.mark.parametrize("x", TAIL_POINTS, ids=str)
+    def test_right_side_meets_its_expression(self, x, prec):
+        # less the same sum S, the integer ends of 4 sqrt(x/pi) e^(x/2) meet
+        # its Enclosure expression at prec + 200 bits, and are no wider
+        # than that expression at prec, with a lower end at or above its:
+        # the margin the parent's chain returned, rhs - S rounded
+        lo, hi = map(fraction_from_raw, _margin_bessel_tail((x,), prec))
+        total, error, w = _tail_sum(x, prec)
+        s_lo, s_hi = Fraction(total - error, 1 << w), Fraction(total + error, 1 << w)
+        wide = _own_bessel_right_side(x, prec + 200)
+        assert lo <= wide.hi_fraction - s_lo and wide.lo_fraction - s_hi <= hi
+        s = Enclosure(*_dyadic_ends(total - error, total + error, w, prec), prec)
+        want = _own_bessel_right_side(x, prec) - s
+        assert want.lo_fraction <= lo and hi - lo <= want.hi_fraction - want.lo_fraction
 
     @pytest.mark.parametrize("prec", [16, 53, 128, 300])
     def test_returned_pair_is_ordered(self, prec):
@@ -351,11 +370,11 @@ class TestBesselTailKernel:
 # -- the raw margins against their Enclosure expressions --------------------
 # Each _own_* is the margin's Enclosure expression, the form it had before it
 # ran on raw ends.  The raw margins in OWN must give these endpoints bit for
-# bit, as exp-convexity-half must below its split.  The others are outward
-# by proof and only meet the expression's: shifted-envelope-11 in DECAY_OWN
-# reads the fixed-point decay kernel, the four in PAIR_OWN integer bounds and
-# the ten in FIXED_OWN integer ends over 2^w, three of them on the decay
-# kernel too (TestDecayMargins, TestPairMargins, TestFixedMargins).
+# bit.  The others are outward by proof and only meet the expression's:
+# shifted-envelope-11 in DECAY_OWN reads the fixed-point decay kernel, the
+# four in PAIR_OWN integer bounds and the ten in FIXED_OWN integer ends over
+# 2^w, three of them on the decay kernel too (TestDecayMargins,
+# TestPairMargins, TestFixedMargins).
 
 def _own_min_lo(margins):
     # the first of the least lower endpoints, as _min_lo keeps it
@@ -996,9 +1015,11 @@ class TestFixedMargins:
                 assert ctx.exp(-ctx.mpf(a) / b) < ctx.ldexp(1, -w), x
 
     @pytest.mark.parametrize("prec", FIXED_PRECS)
-    def test_exp_convexity_keeps_its_expression_below_the_split(self, prec):
-        # bit for bit below x = w ln 2, from the sampler's first point to
-        # just under the split
+    def test_exp_convexity_meets_its_expression_below_the_split(self, prec):
+        # below x = w ln 2, from the sampler's first point to just under the
+        # split, the ends on fixed.exp_neg meet the Enclosure expression at
+        # prec + 200 bits, and are no wider than it at prec, with a lower
+        # end at or above its (so the worst margin can only rise)
         k = _fixed_constants(prec + FIXED_GUARD)
         split = Fraction(k.split, 1 << k.w + 8)
         (first,), _ = _interval_ends("exp-convexity-half")
@@ -1006,8 +1027,28 @@ class TestFixedMargins:
         below = [first, _golden_point("exp-convexity-half")[0], split - Fraction(1, 10**12),
                  split / 2] + [split * Fraction(rng.randrange(1, 10**6), 10**6) for _ in range(20)]
         for x in below:
-            want = _own_exp_convexity((x,), prec)
-            assert CASE_INDEX["exp-convexity-half"].margin((x,), prec) == (want.lo, want.hi), x
+            lo, hi = map(fraction_from_raw, CASE_INDEX["exp-convexity-half"].margin((x,), prec))
+            want, wide = _own_exp_convexity((x,), prec), _own_exp_convexity((x,), prec + 200)
+            assert lo <= wide.hi_fraction and wide.lo_fraction <= hi, x
+            assert want.lo_fraction <= lo and hi - lo <= want.hi_fraction - want.lo_fraction, x
+
+    @pytest.mark.parametrize("prec", FIXED_PRECS)
+    def test_exp_convexity_holds_exactly_below_the_split(self, prec):
+        # the margin x^2/2 + 1 - x - e^-x, in mpmath at 2 w + 64 bits, lies
+        # in the ends, which are within 2^(-w) (2 k + 4) of it plus the
+        # rounding to prec bits, k the reduced exponential's allowance
+        w = prec + FIXED_GUARD
+        k = _fixed_constants(w)
+        split = Fraction(k.split, 1 << w + 8)
+        ctx = mp_context(2 * w + 64)
+        rng = random.Random(-prec)
+        for x in [Fraction(1, 10**5), split / 2, split - Fraction(1, 10**12)] + [
+                split * Fraction(rng.randrange(1, 10**6), 10**6) for _ in range(20)]:
+            xm = ctx.mpf(x.numerator) / x.denominator
+            value = xm * xm / 2 + 1 - xm - ctx.exp(-xm)
+            lo, hi = (ctx.make_mpf(end) for end in CASE_INDEX["exp-convexity-half"].margin((x,), prec))
+            slack = ctx.ldexp(2 * fixed.reduced_units(w, w + 1) + 4, -w) + abs(value) * ctx.ldexp(1, 1 - prec)
+            assert value - slack <= lo <= value <= hi <= value + slack, x
 
 
 # -- domains -----------------------------------------------------------------

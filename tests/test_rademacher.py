@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import libmp
 
 from enclosure_views import constants_view, h_enclosure, h_mpmath, sqrt_enclosure
@@ -68,42 +70,57 @@ class TestRound:
             want = p_exact(n)
             assert got == want, n
             wp, _, prefactor = _series_state(n, DEFAULT_PRECISION)
-            prefactor = Fraction(prefactor, 1 << (wp + _FIXED_GUARD))
+            w = wp + _FIXED_GUARD
+            prefactor = Fraction(prefactor, 1 << w)
             partial = Fraction(0)
             for N, term in enumerate(terms, 1):
                 partial += term
-                bound = fraction_from_raw(_remainder_bound(n, N))
+                bound = Fraction(_remainder_bound(n, N, w), 1 << w)
                 assert abs(want - prefactor * partial) <= bound, (n, N)
 
     def test_remainder_bound_is_lehmers(self):
-        # each R(n, N) against Lehmer's formula typed again, in an mpmath context
-        ctx = mp_context(128)
+        # each R(n, N) against Lehmer's formula typed again, in an mpmath
+        # context, at the round's width for n
         for n, N in ((2, 1), (2, 30), (112, 6), (1000, 34), (3000, 45)):
+            w = _round_width(n)
+            ctx = mp_context(2 * w + 64)
             formula = (44 * ctx.pi ** 2 / (225 * ctx.sqrt(3)) / ctx.sqrt(N)
                        + ctx.pi * ctx.sqrt(2) / 75 * ctx.sqrt(ctx.mpf(N) / (n - 1))
                        * ctx.sinh(ctx.pi / N * ctx.sqrt(ctx.mpf(2 * n) / 3)))
-            hi = ctx.make_mpf(_remainder_bound(n, N))
+            hi = ctx.ldexp(_remainder_bound(n, N, w), -w)
             assert formula <= hi <= formula * (1 + ctx.mpf(2) ** -50), (n, N)
 
-    def test_raw_remainder_is_the_enclosure_expression(self):
-        # bit for bit, across the depths rounds reach and the ones they skip
-        points = [(n, N) for n in range(2, 400, 3) for N in range(1, 30, 2)]
-        points += [(n, N) for n in (5000, 10**5, 2 * 10**6) for N in (5, 40, 400)]
-        for n, N in points:
-            assert _remainder_bound(n, N) == _own_remainder(n, N), (n, N)
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 10**5), N=st.integers(1, 400))
+    @example(n=2, N=1)
+    @example(n=10**5, N=5)
+    @example(n=2 * 10**6, N=5)
+    @example(n=2 * 10**6, N=400)
+    def test_remainder_meets_the_enclosure_expression(self, n, N):
+        # the integer upper end at the round's width lies at or above the
+        # lower end of R's Enclosure expression at 264 bits, so it meets R's
+        # enclosure there, and is no wider than the 64-bit expression the
+        # stop test read before: at or below its upper end
+        w = _round_width(n)
+        got = Fraction(_remainder_bound(n, N, w), 1 << w)
+        assert _own_remainder(n, N, 64 + 200).lo_fraction <= got, (n, N)
+        assert got <= _own_remainder(n, N, 64).hi_fraction, (n, N)
 
     def test_remainder_starts_where_it_can_stop(self):
-        # R(n, N) >= lo / sqrt N for the 64-bit lower end lo of its first
+        # R(n, N) >= A0 2^-w / sqrt N for the lower end A0 of its first
         # coefficient, about 1.1143, so R >= 1/2 for N <= 4 and neither
-        # test in the round can pass there
-        first, start = _lehmer_lead()
-        lo = fraction_from_raw(first[0])
-        assert start == 5
-        assert Fraction(111431, 100000) < lo < Fraction(111432, 100000)
-        assert 4 * lo * lo >= start - 1 and 4 * lo * lo < start
-        for n in (2, 3, 150, 3000):
+        # test in the round can pass there; at every width a round reads
+        for prec, n in ((16, 2), (128, 150), (128, 3000), (1024, 10**5)):
+            w = _series_state(n, prec)[0] + _FIXED_GUARD
+            ctx = mp_context(2 * w + 64)
+            lo, hi = _lehmer_lead(w)
+            lead = 44 * ctx.pi ** 2 / (225 * ctx.sqrt(3))
+            assert ctx.ldexp(lo, -w) <= lead <= ctx.ldexp(hi, -w) and hi - lo <= 4, w
+            start = (lo * lo >> (2 * w - 2)) + 1
+            assert start == 5
+            assert 4 * lo * lo >= (start - 1) << 2 * w and 4 * lo * lo < start << 2 * w
             for N in range(1, start):
-                assert fraction_from_raw(_remainder_bound(n, N)) >= Fraction(1, 2), (n, N)
+                assert Fraction(_remainder_bound(n, N, w), 1 << w) >= Fraction(1, 2), (n, N)
 
     def test_estimate_share_is_below_the_bound(self):
         # wherever the pre-test could skip R on the estimate alone, the share
@@ -114,7 +131,8 @@ class TestRound:
                 low = _remainder_estimate(n, N) * _ESTIMATE_SHARE
                 if low >= 0.125:
                     checked += 1
-                    assert Fraction(low) <= fraction_from_raw(_remainder_bound(n, N)), (n, N)
+                    w = _round_width(n)
+                    assert Fraction(low) <= Fraction(_remainder_bound(n, N, w), 1 << w), (n, N)
         assert checked > 15000
 
     def test_one_rigorous_remainder_per_round(self, monkeypatch):
@@ -122,9 +140,9 @@ class TestRound:
         # evaluation per round, 149 for 2 <= n <= 150
         calls = []
 
-        def counted(n, N):
+        def counted(n, N, w):
             calls.append(n)
-            return _remainder_bound(n, N)
+            return _remainder_bound(n, N, w)
 
         monkeypatch.setattr(rademacher, "_remainder_bound", counted)
         for n in range(1, 151):
@@ -190,30 +208,20 @@ class TestRound:
         assert max(total.values()) < ctx.ldexp(1, -40)
 
     def test_rounds_take_no_float_exponential(self, monkeypatch):
-        # the terms come from the fixed-point kernel: no bessel_I32_closed
-        # call, and libmp.mpf_exp only inside Lehmer's 64-bit R
+        # the terms come from the fixed-point kernel and R from fixed's
+        # exponential ends: no bessel_I32_closed call, and no libmp.mpf_exp
         calls = {"exp": 0, "closed": 0}
-        inside = []
-        real_exp, real_r = libmp.mpf_exp, rademacher._remainder_bound
+        real_exp = libmp.mpf_exp
 
         def exp(*args, **kwargs):
-            if not inside:
-                calls["exp"] += 1
+            calls["exp"] += 1
             return real_exp(*args, **kwargs)
-
-        def remainder(n, N):
-            inside.append(n)
-            try:
-                return real_r(n, N)
-            finally:
-                inside.pop()
 
         def closed(*args, **kwargs):
             calls["closed"] += 1
             return bessel_I32_closed(*args, **kwargs)
 
         monkeypatch.setattr(libmp, "mpf_exp", exp)
-        monkeypatch.setattr(rademacher, "_remainder_bound", remainder)
         monkeypatch.setattr(special, "bessel_I32_closed", closed)
         monkeypatch.setattr(rademacher, "bessel_I32_closed", closed, raising=False)
         for n in range(1, 151):
@@ -282,17 +290,21 @@ def _delta(ctx, x, w):
     return lam * (ctx.exp(x) + 3) * (1 + 1 / x) / ctx.sqrt(2 * ctx.pi * x) + 2
 
 
-def _own_remainder(n, N):
-    # _remainder_bound's Enclosure expression, the form it had before it was
-    # written in raw libmp, with _lehmer_lead's own; the raw forms must give
-    # this upper end bit for bit
-    c = constants_view(64)
+def _round_width(n):
+    # the width W = wp + 16 of n's round at the default precision
+    return _series_state(n, DEFAULT_PRECISION)[0] + _FIXED_GUARD
+
+
+def _own_remainder(n, N, prec):
+    # R(n, N)'s Enclosure expression at prec bits, the form the stop test
+    # read at 64 bits before R became integer ends
+    c = constants_view(prec)
     first = 44 * c.pi * c.pi / (225 * c.sqrt3)
-    second = c.pi * c.sqrt2 / 75 / sqrt_enclosure(n - 1, 64)
-    a = c.pi * sqrt_enclosure(6 * n, 64) / 3
-    root = sqrt_enclosure(N, 64)
+    second = c.pi * c.sqrt2 / 75 / sqrt_enclosure(n - 1, prec)
+    a = c.pi * sqrt_enclosure(6 * n, prec) / 3
+    root = sqrt_enclosure(N, prec)
     e = (a / N).exp()
-    return (first / root + second * root * (e - 1 / e) / 2).hi
+    return first / root + second * root * (e - 1 / e) / 2
 
 
 # across (0, 10^6]: the ends of the registry's domains of h and the golden
