@@ -17,8 +17,9 @@ results (_hull).  Each helper checks the order of the pair it returns, so an
 interval is checked once, where it is built; only Enclosure(lo, hi, prec)
 called from outside checks its own arguments.  Inside the package that
 arithmetic builds constants(prec) and collapse-131's margin, at one point
-per run; every estimate and every other margin is integer ends rounded
-once, and an Enclosure is built only where a public function returns one.
+per run; every estimate is integer ends rounded once, every other margin an
+exact lower end that the registry's sweep rounds down once (ratio_pair),
+and an Enclosure is built only where a public function returns one.
 
 ratio_pair and _dyadic_ends round one exact value in line, on the (sign,
 man, exp, bc) integers of a raw float: each forms libmp's exact or

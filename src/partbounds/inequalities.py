@@ -2,11 +2,13 @@
 
 Every closed-form bound used while assembling the interval estimates reduces
 to a claim of the shape "margin expression is positive on a stated domain".
-Each case below packages one such claim: a margin function evaluated as the
-raw (lo, hi) ends of a directed-rounding enclosure, together with a sampler
-for the domain.  A run sweeps a deterministic grid plus seeded random
-points and reports the smallest lower endpoint seen, so a passing run
-exhibits a strictly positive worst margin over the whole sample.
+Each case below packages one such claim: a margin function that returns an
+exact lower end of the margin, a rational (num, den) with den > 0, together
+with a sampler for the domain.  The claim is only "margin > 0", so nothing
+forms an upper end.  A run sweeps a deterministic grid plus seeded random
+points and reports the least lower end seen, rounded down once to the run's
+precision, so a passing run exhibits a strictly positive worst margin over
+the whole sample.
 
 Sampling conventions:
 
@@ -23,36 +25,35 @@ A domain is one sampler object with its grid and random budget, and cases
 registered with the same three share it: [335/24, 10^4] carries five cases,
 the (n, j) pairs four, (0, 1/5) four and [1, 10^4] two.  run_domain is the
 one sweep: it draws a domain's points once, from one random.Random(seed),
-evaluates each of its cases at each point, and keeps each case's worst lower
-endpoint, ties going to the first point.  run_case is that sweep over one
-name, with the same points and result as the name's row of its domain.
+evaluates each of its cases at each point, and keeps each case's least
+exact end by integer cross-multiplication.  Only an end below the least so
+far is rounded, once, down to prec bits by ratio_pair, and the kept point
+moves only when that rounded end is strictly below the kept one.  As floor
+is monotone, the result is the first point with the least rounded end, the
+same as rounding every end.  run_case is that sweep over one name, with the
+same points and result as the name's row of its domain.
 
 Because the cases of a domain are evaluated one after the other at each
 point, the terms they share are computed once per point, by small memos
-that keep the last point or two: the floor root of x, or of 1 - x, h with
-the correction sum sqrt3/(sqrt2 pi sqrt x) + h, and the pair margins'
-integer bounds in n alone and in J = j and 2j.  Each is keyed by the
-point's integers and prec: the numerator and denominator of x = a/b, or n
-and J, never a Fraction, whose hash takes a modular inverse.
+that keep the last point or two: the floor root of x, or of 1 - x, the
+upper ends of h and of the correction sum sqrt3/(sqrt2 pi sqrt x) + h, and
+the pair margins' integer bounds in n alone and in J = j and 2j.  Each is
+keyed by the point's integers and prec: the numerator and denominator of
+x = a/b, or n and J, never a Fraction, whose hash takes a modular inverse.
 
-Every margin but collapse-131 is raw: integers rounded once.  Three of
-them keep libmp's bits: geometric-series-100, reciprocal-125 and
-bessel-simplify-half are each one exact rational rounded once by
-ratio_pair, which rounds p/q whatever the common factors of p and q, so
-their ends are those of the Enclosure expression they replace
+Three margins are one exact rational, unrounded: geometric-series-100,
+reciprocal-125 and bessel-simplify-half return p/q as it stands, and
+ratio_pair rounds p/q whatever the common factors of p and q, so their
+rounded ends are those of the Enclosure expression they replace
 (tests/test_inequalities.py keeps each expression as a reference and
 compares the two).  collapse-131, one point per run, stays an Enclosure
-expression (see its comment) and returns that expression's ends.  The
-other sixteen are outward by proof and only meet their expressions':
-bessel-tail-sum on special._bessel_fixed, one power series and fixed's
-exponential ends; the eleven fixed-point margins, four of them on
-special._decay_fixed, whose proof is in special's docstring; and the four
-(n, j) pair margins, exact integer bounds (each below).  The interval
+expression (see its comment) and returns that expression's lower end,
+decoded exactly.  The other sixteen are integer ends over 2^z, at or below
+the margin by proof: bessel-tail-sum on special._bessel_fixed, one power
+series and fixed's exponential ends; the eleven fixed-point margins, four of
+them on special._decay_fixed, whose proof is in special's docstring; and the
+four (n, j) pair margins, exact integer bounds (each below).  The interval
 samplers build each point as one Fraction.
-
-Each helper, _ratio_ends and _dyadic_ends, checks the order of the pair
-it returns, once, as Enclosure arithmetic does; no margin checks one
-itself.
 
 bessel-tail-sum sums in fixed point.  For x = a/b in [20, 100], _tail_sum
 splits the sum at K = FAR_START = 20, where x/k <= 5 from k = K on.
@@ -106,18 +107,14 @@ F_hi = floor(G_hi (P + err) 2^(w - 3W)) + 1, a unit or two apart.
 
 With S = S_n + F_lo and E = E_n + F_hi - F_lo, the whole sum lies strictly
 inside [S - E, S + E] 2^-w.  The right-hand side 4 sqrt(x/pi) e^(x/2)
-lies in [Q_lo, Q_hi] 2^-w, each end floored, or raised, from ends over
-2^w that make it least, or greatest:
-* sqrt(x/pi) in [r_lo, r_hi + 1) 2^-w, r_lo and r_hi the floor roots of
-  a 2^w / (b P1) and a 2^w / (b P0) for pi in fixed.pi_ends(w) = [P0, P1]
-  2^-w (fixed's lemmas);
-* with t the floor of x/2 over 2^w, e^(t 2^-w) 2^w in fixed.exp_ends(t, w)
-  = [e_lo, e_hi] (fixed's exponential ends), and e^(x/2) <= e^(t 2^-w)
-  (1 + 2^(1-w)), as x/2 - t 2^-w < 2^-w and e^u <= 1 + 2u on [0, 1]: so
-  e^(x/2) 2^w in [e_lo, e_hi + floor(e_hi 2^(1-w)) + 1].
-The margin's ends are Q_lo - S - E and Q_hi - S + E over 2^w, rounded once
-by _dyadic_ends.  fixed's exponential lemma, in the near terms and the
-right-hand side, is the one step not proved.
+lies above Q_lo 2^-w, floored from ends over 2^w that make it least:
+* sqrt(x/pi) >= r_lo 2^-w, r_lo the floor root of a 2^w / (b P1) for pi
+  in fixed.pi_ends(w) = [P0, P1] 2^-w (fixed's lemmas);
+* with t the floor of x/2 over 2^w, e^(x/2) 2^w >= e^(t 2^-w) 2^w >= e_lo,
+  the lower end of fixed.exp_ends(t, w) (fixed's exponential ends).
+The margin's lower end is Q_lo - S - E over 2^w.  fixed's exponential
+lemma, in the near terms and the right-hand side, is the one step not
+proved.
 
 The (n, j) pair margins are exact integer bounds.  With N = d/24, d = 24n - 1,
 sqrt(6 N^3) = d sqrt(d)/48 and sqrt N = sqrt(d/24), so their irrational
@@ -138,18 +135,18 @@ with q, c, b and the J-bracket J/N - q = 24J/d - q within [lo, hi] 2^-w
 * collapse-056's 0.56 - (0.4 + pi J^3/(4 sqrt6 N^(3/2)) + 0.4 pi J^2/(4 sqrt6
   N^(3/2)) + 0.1 + 0.1 J/N + 0.04/N) is 3/50 - 24(5J + 2)/(50 d) -
   q (5J + 2)/5, which decreases in q: over 50 d 2^w its lower end reads q's
-  upper integer and its upper end q's lower one;
+  upper integer;
 * a product margin, radius - scale N err with err = a1 a2 + (r1/N)(1 + a2 +
   r2/N) + (r2/N)(1 + a1) and a = |b|, decreases in a1 and a2: its lower end
-  reads the larger magnitude of each bound, max(-lo, hi), and its upper end
-  the smaller, max(0, lo, -hi) (_product_margin).  collapse-271 has b1 the
-  J-bracket and b2 = -c; collapse-2075 and collapse-3926 have b1 = b and
-  b2 the J-bracket less c, its bounds subtracted end by end.
-Each end, an exact quotient y of integers, is floored, or raised, to 2^-w
-and rounded once, outward, by _dyadic_ends (nested floors, below).  So the
-ends enclose the margin at the exact |b|; the Enclosure expressions they
-replace read |b| from prec-bit enclosures of b, at or above it, so their
-values lie at or below it, and meet the new ends at a wider precision.
+  reads the larger magnitude of each bound, max(-lo, hi) (_product_margin).
+  collapse-271 has b1 the J-bracket and b2 = -c; collapse-2075 and
+  collapse-3926 have b1 = b and b2 the J-bracket less c, its bounds
+  subtracted end by end.
+Each lower end, an exact quotient y of integers, is floored to 2^-w (nested
+floors, below).  So it lies below the margin at the exact |b|; the Enclosure
+expressions it replaces read |b| from prec-bit enclosures of b, at or above
+it, so their values lie at or below it, and their upper ends lie above the
+new lower end at a wider precision.
 
 shifted-envelope-11 bounds x d(Y), d(Y) = sqrt(Y) e^{-(pi/2) sqrt(Y/2)} and
 Y = x - sqrt(x)/2, for x = a/b in [335/24, 10^4], at w = prec + DECAY_GUARD:
@@ -157,44 +154,39 @@ Y = x - sqrt(x)/2, for x = a/b in [335/24, 10^4], at w = prec + DECAY_GUARD:
   within 2^(1-w) below Y, and Y' > 12;
 * the kernel at Y' gives (D, E, z) with d(Y') within E 2^-z of D 2^-z;
 * d decreases for Y >= 1, where pi sqrt(Y) > 2 sqrt 2 (which
-  sqrt-exp-decreasing certifies), so d(Y) <= d(Y') <= (D + E) 2^-z;
-* there |(ln d)'| = b2/(2 sqrt Y) - 1/(2Y) < 0.56, so
-  d(Y) >= d(Y') (1 - 1.12 2^-w) >= (D - E - floor(D 2^(1-w)) - 1) 2^-z.
-So the margin 11/10 - x d(Y) lies between (11 b 2^z - 10 a (D + E)) and
-(11 b 2^z - 10 a (D - E - floor(D 2^(1-w)) - 1)), over 10 b 2^z: each end
-is floored, or raised, to 2^-z and rounded once, outward, by _dyadic_ends.
+  sqrt-exp-decreasing certifies), so d(Y) <= d(Y') <= (D + E) 2^-z.
+So the margin 11/10 - x d(Y) is at least (11 b 2^z - 10 a (D + E)) over
+10 b 2^z, floored to 2^-z.
 
 Nested floors.  Let y be a real with |y| >= 2^-(FIXED_GUARD + 1), so that
 its binade [2^(e-1), 2^e) has e >= -FIXED_GUARD.  The prec-bit floats in
 it are multiples of 2^(e - prec), and so of 2^-w, w = prec + FIXED_GUARD;
 so the floor of y to a multiple of 2^-w lies between y's prec-bit floor and
-y, and the prec-bit floor of it is y's: the two floors nest, and the two
-ceilings likewise.  The pair margins and shifted-envelope-11 floor, or
-raise, the quotients that ratio_pair rounded before to 2^-w, or to the
-finer 2^-z, and _dyadic_ends rounds that.  The least of their sampled
-margins, collapse-056's, is about 0.0018, so both ends are the quotient's
-prec-bit floor and ceiling, ratio_pair's bits, with one rounding instead of
-two (tests/test_inequalities.py compares them).  Below 2^-33 they would
-still be outward, as every floor is.
+y, and the prec-bit floor of it is y's: the two floors nest.  The pair
+margins and shifted-envelope-11 floor the quotients that ratio_pair rounded
+before to 2^-w, or to the finer 2^-z, and run_domain rounds that down once.
+The least of their sampled margins, collapse-056's, is about 0.0018, so the
+rounded end is the quotient's prec-bit floor, ratio_pair's bits, with one
+rounding instead of two (tests/test_inequalities.py compares them).  Below
+2^-33 it would still lie below the margin, as every floor does.
 
-Fixed-point margins.  Eleven margins form integer ends [L, H] over 2^w,
-w = prec + FIXED_GUARD, or over the decay kernel's 2^-z, and round them once,
-outward, by _dyadic_ends: correction-sum-099, exp-argument-01,
-shift-ratio-02 and collapse-1350 on [335/24, 10^4]; sqrt-expansion-01,
-inverse-sqrt-06 and concavity-sqrt-positive on (0, 1/5); tail-envelope-15,
-sqrt-exp-decreasing, exp-convexity-half (both sides of its split), and
-shifted-envelope-11 (above).  They read:
+Fixed-point margins.  Eleven margins form an integer lower end L over 2^w,
+w = prec + FIXED_GUARD, or over the decay kernel's 2^-z: correction-sum-099,
+exp-argument-01, shift-ratio-02 and collapse-1350 on [335/24, 10^4];
+sqrt-expansion-01, inverse-sqrt-06 and concavity-sqrt-positive on (0, 1/5);
+tail-envelope-15, sqrt-exp-decreasing, exp-convexity-half (both sides of its
+split), and shifted-envelope-11 (above).  They read:
 * _fixed_constants(w), once per width in fixed.at_width: pi in
   fixed.pi_ends(w), and sqrt 6, sqrt(3/2) and 2 sqrt 2 in their
   fixed.root_ends, [r, r + 1] 2^-w with r the floor root (fixed's lemmas);
 * one floor root r per point (_floor_root), of x = a/b, or of 1 - x =
   (b - a)/b on (0, 1/5), so that root lies in [r, r + 1) 2^-w;
-* an exact rational part R as floor(R 2^w) and ceil(R 2^w);
+* an exact rational part R as floor(R 2^w);
 * h and its decay factor d from special._decay_fixed at prec + DECAY_GUARD,
   within E 2^-z of H 2^-z and D 2^-z.
-Each margin is monotone in each of these terms, so an end that puts in the
-bounds which make the margin least, or greatest, and floors, or raises,
-each quotient is outward:
+Each margin is monotone in each of these terms, so a lower end that puts in
+the bounds which make the margin least, and floors each quotient, lies at
+or below it:
 * shift-ratio-02, 1/5 - 1/(2 sqrt x), increases in sqrt x;
 * exp-argument-01, 1/10 - pi/(40 sqrt 6) - (pi^2/24) i^2 with i =
   1/(10 sqrt x) + 1/4 > 0, decreases in pi and i, and i decreases in sqrt x;
@@ -203,25 +195,24 @@ each quotient is outward:
   and decreases in 2 sqrt 2;
 * on (0, 1/5), with u = sqrt(1 - x): sqrt-expansion-01 is R + u,
   concavity-sqrt-positive R - u and inverse-sqrt-06 R - 1/u;
-* correction-sum-099 and collapse-1350 read h and the correction sum s =
-  sqrt(3/2)/(pi sqrt x) + h over 2^w (_correction): h's ends [H - E, H + E]
-  2^-z floored and raised to 2^-w, nonnegative as H > E, and s, which
-  increases in sqrt(3/2) and h and decreases in pi and sqrt x.  99/100 - s
-  decreases in s, and 1350 - x (h + 100 s^2) in h and in s >= 0;
-* tail-envelope-15, 15 d - h, lies in [15 D - H - 16 E, 15 D - H + 16 E]
-  2^-z, with no further floor;
+* correction-sum-099 and collapse-1350 read the upper ends of h and of the
+  correction sum s = sqrt(3/2)/(pi sqrt x) + h over 2^w (_correction): h's,
+  H + E over 2^-z raised to 2^-w, and s's, as s increases in sqrt(3/2) and
+  h and decreases in pi and sqrt x.  99/100 - s decreases in s, and
+  1350 - x (h + 100 s^2) in h and in s >= 0;
+* tail-envelope-15, 15 d - h, lies above (15 D - H - 16 E) 2^-z, with no
+  further floor;
 * exp-convexity-half is R - e^-x, R = x^2/2 + 1 - x.  ln 2 lies below
   U 2^-v, U the upper end of fixed.ln2_ends(v), v = w + 8, so m =
   floor(x 2^v / U) has m < x / ln 2 and 0 < e^-x < 2^-m.  Where m >= w
   (x above about w ln 2; the test is a 2^v >= b w U, no division), the
-  margin lies in (R - 2^-w, R), inside [floor(R 2^w) - 1, ceil(R 2^w)]
-  2^-w.  Below the split, with v = w + 8 and tv = floor(x 2^v), within a
-  unit 2^-v of x, fixed.exp_neg(tv, v, w) gives (E, m) with e^-x = 2^-m e^u
-  (fixed's reduction lemma, delta = 1), and e^u 2^w within
-  k = fixed.reduced_units(w, m) units of E, as m + 2 <= w + 3 <= 2^(v-16)
-  and 48 <= w < 2^16 up to prec 4096.  So the margin
-  lies in [floor(R 2^w) - ceil((E + k) 2^-m), ceil(R 2^w) -
-  floor((E - k) 2^-m)] 2^-w.
+  margin lies above R - 2^-w, so above (floor(R 2^w) - 1) 2^-w.  Below the
+  split, with v = w + 8 and tv = floor(x 2^v), within a unit 2^-v of x,
+  fixed.exp_neg(tv, v, w) gives (E, m) with e^-x = 2^-m e^u (fixed's
+  reduction lemma, delta = 1), and e^u 2^w within k = fixed.reduced_units(w,
+  m) units of E, as m + 2 <= w + 3 <= 2^(v-16) and 48 <= w < 2^16 up to
+  prec 4096.  So the margin lies above (floor(R 2^w) - ceil((E + k) 2^-m))
+  2^-w.
 tests/test_fixed.py checks the constants' and roots' ends, and
 tests/test_inequalities.py decides the margins' integer bounds exactly.
 """
@@ -236,17 +227,14 @@ from math import isqrt, lcm
 from types import SimpleNamespace
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from mpmath import libmp
-
 from . import fixed
 from .enclosure import (
     DEFAULT_PRECISION,
     PRECISION_MEMO_MAXSIZE,
     Enclosure,
-    _dyadic_ends,
-    _ratio_ends,
     constants,
     fraction_from_raw,
+    ratio_pair,
 )
 from .errors import PartboundsError, PreconditionError
 from .estimates import FJN_RADIUS_A, FJN_RADIUS_B, RATIO_RADIUS_1, RATIO_RADIUS_2, fjn_j_top
@@ -255,8 +243,8 @@ from .fixed import FIXED_GUARD
 from .special import DECAY_GUARD, _bessel_fixed, _bessel_guard_bits, _decay_fixed
 
 Point = Tuple
-Ends = Tuple  # a checked raw (lo, hi) pair
-MarginFn = Callable[[Point, int], Ends]
+LowerEnd = Tuple[int, int]  # an exact lower end num/den of a margin, den > 0
+MarginFn = Callable[[Point, int], LowerEnd]
 Sampler = Callable[[int, int, random.Random], Iterable[Point]]
 
 GRID_POINTS = 10_000
@@ -286,10 +274,14 @@ FAR_GUARD = 56
 _FAR_TERMS = TAIL_TERMS - FAR_START + 1
 _FAR_STOP = 12
 
-def _min_lo(a: Optional[Ends], b: Ends) -> Ends:
-    if a is None or libmp.mpf_lt(b[0], a[0]):
-        return b
-    return a
+def _least(ends: Iterable[LowerEnd]) -> LowerEnd:
+    # the first of the least exact ends, compared by cross-multiplication
+    ends = iter(ends)
+    least = next(ends)
+    for num, den in ends:
+        if num * least[1] < least[0] * den:
+            least = num, den
+    return least
 
 
 def _interval_sampler(lo: Fraction, hi: Fraction) -> Sampler:
@@ -380,11 +372,6 @@ def _floor(p: int, q: int, w: int) -> int:
     return (p << w) // q
 
 
-def _ceil(p: int, q: int, w: int) -> int:
-    # ceil(p 2^w / q)
-    return -((-p << w) // q)
-
-
 # -- per-point terms that the cases of one domain share -------------------
 
 @lru_cache(maxsize=1)
@@ -395,35 +382,28 @@ def _floor_root(p: int, q: int, w: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def _correction(a: int, b: int, prec: int):
-    """(h, s): h(x) and the correction sum s = sqrt(3/2)/(pi sqrt x) + h(x)
-    at x = a/b, each (lo, hi) integers over 2^w with lo >= 0 (module
-    docstring)."""
+def _correction(a: int, b: int, prec: int) -> Tuple[int, int]:
+    """(h, s): upper ends over 2^w of h(x) and of the correction sum
+    s = sqrt(3/2)/(pi sqrt x) + h(x) at x = a/b (module docstring)."""
     w = prec + FIXED_GUARD
     k = fixed.at_width(_fixed_constants, w)
     r = _floor_root(a, b, w)
     big, _, e, z = _decay_fixed(a, b, prec + DECAY_GUARD)
-    shift = z - w
-    h = (big - e) >> shift, -(-(big + e) >> shift)
-    (p_lo, p_hi), (t_lo, t_hi) = k.pi, k.sqrt_three_halves
-    return h, ((t_lo << 2 * w) // (p_hi * (r + 1)) + h[0],
-               -(-(t_hi << 2 * w) // (p_lo * r)) + h[1])
+    h = -(-(big + e) >> z - w)
+    return h, -(-(k.sqrt_three_halves[1] << 2 * w) // (k.pi[0] * r)) + h
 
 
 # -- margins ---------------------------------------------------------------
 
-def _margin_geometric(point: Point, prec: int) -> Ends:
+def _margin_geometric(point: Point, prec: int) -> LowerEnd:
     # 1/(1-z) - 1 - z = z^2/(1-z) for real |z| < 1; check both signs of z.
     # With z = s/b, 100 z^2 - z^2/(1-z) = s^2 (100 (b - s) - b)/(b^2 (b - s)).
     (u,) = point
     a, b = u.numerator, u.denominator
-    worst = None
-    for s in (a, -a):
-        worst = _min_lo(worst, _ratio_ends(a * a * (100 * (b - s) - b), b * b * (b - s), prec))
-    return worst
+    return _least((a * a * (100 * (b - s) - b), b * b * (b - s)) for s in (a, -a))
 
 
-def _margin_sqrt_expansion(point: Point, prec: int) -> Ends:
+def _margin_sqrt_expansion(point: Point, prec: int) -> LowerEnd:
     # x^3/10 - ((1 - x/2 - x^2/8) - sqrt(1-x)); sqrt(1-x) sits below
     # 1 - x/2 - x^2/8, so the deviation needs no abs.  With x = a/b its
     # exact part is (4a^3 - 5b (8b^2 - 4ab - a^2))/(40 b^3), plus sqrt(1-x)
@@ -433,28 +413,26 @@ def _margin_sqrt_expansion(point: Point, prec: int) -> Ends:
     bb = b * b
     num, den = 4 * a**3 - 5 * b * (8 * bb - 4 * a * b - a * a), 40 * bb * b
     r = _floor_root(b - a, b, w)
-    return _dyadic_ends(_floor(num, den, w) + r, _ceil(num, den, w) + r + 1, w, prec)
+    return _floor(num, den, w) + r, 1 << w
 
 
-def _margin_inverse_sqrt(point: Point, prec: int) -> Ends:
+def _margin_inverse_sqrt(point: Point, prec: int) -> LowerEnd:
     # 1 + (3/5) x - 1/sqrt(1-x), its exact part (5b + 3a)/(5b)
     (x,) = point
     a, b = x.numerator, x.denominator
     w = prec + FIXED_GUARD
     r = _floor_root(b - a, b, w)
-    one = 1 << 2 * w
-    return _dyadic_ends(_floor(5 * b + 3 * a, 5 * b, w) + (-one // r),
-                        _ceil(5 * b + 3 * a, 5 * b, w) - one // (r + 1), w, prec)
+    return _floor(5 * b + 3 * a, 5 * b, w) + (-(1 << 2 * w) // r), 1 << w
 
 
-def _margin_reciprocal(point: Point, prec: int) -> Ends:
+def _margin_reciprocal(point: Point, prec: int) -> LowerEnd:
     # (5/4) x^2 - x^2/(1-x) = a^2 (b - 5a)/(4 b^2 (b - a)) for x = a/b
     (x,) = point
     a, b = x.numerator, x.denominator
-    return _ratio_ends(a * a * (b - 5 * a), 4 * b * b * (b - a), prec)
+    return a * a * (b - 5 * a), 4 * b * b * (b - a)
 
 
-def _margin_exp_convexity(point: Point, prec: int) -> Ends:
+def _margin_exp_convexity(point: Point, prec: int) -> LowerEnd:
     # x^2/2 + 1 - x - e^{-x}, its exact part R = (a^2 + 2b^2 - 2ab)/(2b^2):
     # past the split e^{-x} < 2^-w, below it e^{-x} = 2^-m e^u from
     # fixed.exp_neg, e^u 2^w within fixed.reduced_units of E (module
@@ -465,30 +443,26 @@ def _margin_exp_convexity(point: Point, prec: int) -> Ends:
     w = prec + FIXED_GUARD
     v = w + 8
     if a << v >= b * fixed.at_width(_fixed_constants, w).split:
-        return _dyadic_ends(_floor(num, den, w) - 1, _ceil(num, den, w), w, prec)
+        return _floor(num, den, w) - 1, 1 << w
     big, m = fixed.exp_neg((a << v) // b, v, w)
-    err = fixed.reduced_units(w, m)
-    return _dyadic_ends(_floor(num, den, w) - (-(-(big + err) >> m)),
-                        _ceil(num, den, w) - (big - err >> m), w, prec)
+    return _floor(num, den, w) + (-(big + fixed.reduced_units(w, m)) >> m), 1 << w
 
 
-def _margin_tail_envelope(point: Point, prec: int) -> Ends:
+def _margin_tail_envelope(point: Point, prec: int) -> LowerEnd:
     # 15 sqrt(x) e^{-(pi/2) sqrt(x/2)} - h(x): h's decay factor and h, both
     # from the decay kernel, within E 2^-z of D and H
     (x,) = point
     big, d, e, z = _decay_fixed(x.numerator, x.denominator, prec + DECAY_GUARD)
-    m = 15 * d - big
-    return _dyadic_ends(m - 16 * e, m + 16 * e, z, prec)
+    return 15 * d - big - 16 * e, 1 << z
 
 
-def _margin_envelope_decreasing(point: Point, prec: int) -> Ends:
+def _margin_envelope_decreasing(point: Point, prec: int) -> LowerEnd:
     # d/dx log(sqrt(x) exp(-(pi/2) sqrt(x/2))) < 0 iff pi sqrt(x) > 2 sqrt(2).
     (x,) = point
     w = prec + FIXED_GUARD
     k = fixed.at_width(_fixed_constants, w)
     r = _floor_root(x.numerator, x.denominator, w)
-    (p_lo, p_hi), (t_lo, t_hi) = k.pi, k.two_sqrt2
-    return _dyadic_ends((p_lo * r >> w) - t_hi, -(-p_hi * (r + 1) >> w) - t_lo, w, prec)
+    return (k.pi[0] * r >> w) - k.two_sqrt2[1], 1 << w
 
 
 def _shifted_floor(a: int, b: int, w: int) -> int:
@@ -497,64 +471,54 @@ def _shifted_floor(a: int, b: int, w: int) -> int:
     return (a << w) // b - fixed.floor_root(a, b, w - 1) - 1
 
 
-def _margin_shifted_envelope(point: Point, prec: int) -> Ends:
+def _margin_shifted_envelope(point: Point, prec: int) -> LowerEnd:
     # 11/10 - x d(Y), d(Y) = sqrt(Y) e^{-(pi/2) sqrt(Y/2)}, Y = x - sqrt(x)/2:
-    # the decay kernel at Y rounded down, each end a floor or a ceiling over
-    # 2^-z (module docstring)
+    # the decay kernel at Y rounded down, the end a floor over 2^-z (module
+    # docstring)
     (x,) = point
     a, b = x.numerator, x.denominator
     w = prec + DECAY_GUARD
     _, d, e, z = _decay_fixed(_shifted_floor(a, b, w), 1 << w, w, first=False)
-    top, den = 11 * b << z, 10 * b
-    return _dyadic_ends((top - 10 * a * (d + e)) // den,
-                        -((10 * a * (d - e - (d >> (w - 1)) - 1) - top) // den), z, prec)
+    return ((11 * b << z) - 10 * a * (d + e)) // (10 * b), 1 << z
 
 
-def _margin_concavity(point: Point, prec: int) -> Ends:
+def _margin_concavity(point: Point, prec: int) -> LowerEnd:
     # 1 - x/2 - sqrt(1-x), its exact part (2b - a)/(2b)
     (x,) = point
     a, b = x.numerator, x.denominator
     w = prec + FIXED_GUARD
-    r = _floor_root(b - a, b, w)
-    return _dyadic_ends(_floor(2 * b - a, 2 * b, w) - r - 1, _ceil(2 * b - a, 2 * b, w) - r,
-                        w, prec)
+    return _floor(2 * b - a, 2 * b, w) - _floor_root(b - a, b, w) - 1, 1 << w
 
 
-def _margin_correction_sum(point: Point, prec: int) -> Ends:
+def _margin_correction_sum(point: Point, prec: int) -> LowerEnd:
     # 99/100 - s, s the correction sum
     (x,) = point
     w = prec + FIXED_GUARD
-    s_lo, s_hi = _correction(x.numerator, x.denominator, prec)[1]
-    return _dyadic_ends(_floor(99, 100, w) - s_hi, _ceil(99, 100, w) - s_lo, w, prec)
+    return _floor(99, 100, w) - _correction(x.numerator, x.denominator, prec)[1], 1 << w
 
 
-def _inner_bounds(r: int, w: int) -> Tuple[int, int]:
-    # 1/(10 sqrt x) + 1/4 within [lo, hi] 2^-w, for sqrt x in [r, r + 1) 2^-w
-    one, quarter = 1 << 2 * w, 1 << w - 2
-    return one // (10 * (r + 1)) + quarter, -(-one // (10 * r)) + quarter
+def _inner_upper(r: int, w: int) -> int:
+    # 1/(10 sqrt x) + 1/4 at or below this over 2^w, for sqrt x >= r 2^-w
+    return -(-(1 << 2 * w) // (10 * r)) + (1 << w - 2)
 
 
-def _margin_exp_argument(point: Point, prec: int) -> Ends:
+def _margin_exp_argument(point: Point, prec: int) -> LowerEnd:
     # 1/10 - (pi/(40 sqrt6) + (pi^2/24) inner^2), inner = 1/(10 sqrt x) + 1/4
     (x,) = point
     w = prec + FIXED_GUARD
     k = fixed.at_width(_fixed_constants, w)
-    i_lo, i_hi = _inner_bounds(_floor_root(x.numerator, x.denominator, w), w)
-    (p_lo, p_hi), (s_lo, s_hi) = k.pi, k.sqrt6
-    cube = 24 << 3 * w
-    v_lo = (p_lo << w) // (40 * s_hi) + (p_lo * i_lo) ** 2 // cube
-    v_hi = -(-(p_hi << w) // (40 * s_lo)) - (-(p_hi * i_hi) ** 2 // cube)
-    return _dyadic_ends(_floor(1, 10, w) - v_hi, _ceil(1, 10, w) - v_lo, w, prec)
+    inner = _inner_upper(_floor_root(x.numerator, x.denominator, w), w)
+    p_hi = k.pi[1]
+    value = -(-(p_hi << w) // (40 * k.sqrt6[0])) - (-(p_hi * inner) ** 2 // (24 << 3 * w))
+    return _floor(1, 10, w) - value, 1 << w
 
 
-def _margin_shift_ratio(point: Point, prec: int) -> Ends:
+def _margin_shift_ratio(point: Point, prec: int) -> LowerEnd:
     # 1/5 - 1/(2 sqrt x)
     (x,) = point
     w = prec + FIXED_GUARD
     r = _floor_root(x.numerator, x.denominator, w)
-    half = 1 << 2 * w - 1
-    return _dyadic_ends(_floor(1, 5, w) + (-half // r), _ceil(1, 5, w) - half // (r + 1),
-                        w, prec)
+    return _floor(1, 5, w) + (-(1 << 2 * w - 1) // r), 1 << w
 
 
 # -- the (n, j) pair margins on integer bounds ------------------------------
@@ -600,26 +564,24 @@ def _pair_j_terms(n: int, big_j: int, prec: int):
                      _pair_n_terms(n, prec)[0])
 
 
-def _margin_collapse_056(point: Point, prec: int) -> Ends:
+def _margin_collapse_056(point: Point, prec: int) -> LowerEnd:
     # 0.56 - (0.4 + pi J^3/den + 0.4 pi J^2/den + 0.1 + 0.1 J/N + 0.04/N),
     # den = 4 sqrt6 N^(3/2), is 3/50 - 24(5J + 2)/(50 d) - q (5J + 2)/5 with
-    # q = pi J^2/den: over 50 d, each end floored or raised to 2^-w
+    # q = pi J^2/den: over 50 d, floored to 2^-w.  The bound is used with
+    # both the plain and the doubled shift; the doubled one is the tight
+    # branch but both must clear 0.56.
     n, j = point
     d = 24 * n - 1
     w = prec + FIXED_GUARD
-    worst = None
-    # The bound is used with both the plain and the doubled shift; the
-    # doubled one is the tight branch but both must clear 0.56.
+    ends = []
     for big_j in (j, 2 * j):
-        q_lo, q_hi = _pair_j_terms(n, big_j, prec)[0]
         five = 5 * big_j + 2
-        top, den, step = (3 * d - 24 * five) << w, 50 * d, 10 * d * five
-        worst = _min_lo(worst, _dyadic_ends((top - step * q_hi) // den,
-                                            -((step * q_lo - top) // den), w, prec))
-    return worst
+        top = (3 * d - 24 * five) << w
+        ends.append((top - 10 * d * five * _pair_j_terms(n, big_j, prec)[0][1]) // (50 * d))
+    return min(ends), 1 << w
 
 
-def _margin_collapse_131(point: Point, prec: int) -> Ends:
+def _margin_collapse_131(point: Point, prec: int) -> LowerEnd:
     # 1.31 - (0.3 sqrt3/sqrt(2 pi) + 1.1), the one margin left in Enclosure
     # arithmetic: it runs at one point, and the benchmark's smoke test
     # (perfbench/test_smoke.py) reads its Enclosure calls in a fork-pool
@@ -627,55 +589,51 @@ def _margin_collapse_131(point: Point, prec: int) -> Ends:
     c = constants(prec)
     sqrt3, sqrt_two_pi = Enclosure(*c.sqrt3, prec), Enclosure(*c.sqrt_two_pi, prec)
     margin = _SQRT_FACTOR_RADIUS - (Fraction(3, 10) * sqrt3 / sqrt_two_pi + Fraction(11, 10))
-    return margin.lo, margin.hi
+    lo = margin.lo_fraction
+    return lo.numerator, lo.denominator
 
 
 def _product_margin(
     radius: Fraction, scale: int, d: int, b1, r1: Fraction, b2, r2: Fraction, prec: int
 ):
-    """Ends of radius - scale N err, N = d/24, for the exact bound
+    """The lower end of radius - scale N err, N = d/24, for the exact bound
 
         err = a1 a2 + (r1/N)(1 + a2 + r2/N) + (r2/N)(1 + a1)
 
     on |(1 + b1 + E1)(1 + b2 + E2) - (1 + b1 + b2)| with |E1| <= r1/N,
     |E2| <= r2/N, a1 = |b1| and a2 = |b2|.  b1 and b2 are integer bounds
     (lo, hi) over 2^w; err increases with a1 and a2, so the lower end reads
-    the larger magnitude of each bound and the upper end the smaller.  Each
-    end is computed on unreduced integers over the common denominator
-    2^{2w} D1 D2, with r/N = P/D, floored or raised to 2^-w and rounded once.
+    the larger magnitude of each bound.  It is computed on unreduced
+    integers over the common denominator 2^{2w} D1 D2, with r/N = P/D, and
+    floored to 2^-w.
     """
     w = prec + FIXED_GUARD
     K = 1 << w
     P1, D1 = 24 * r1.numerator, r1.denominator * d
     P2, D2 = 24 * r2.numerator, r2.denominator * d
-    # the margin times 2^w is (top - err(a1, a2)) / den
+    # the margin times 2^w is (top - err) / den
     Q = 24 * K * D1 * D2
-    top, den = radius.numerator * Q * K, radius.denominator * Q
-
-    def err(A1, A2):
-        E = A1 * A2 * D1 * D2 + (P1 * ((K + A2) * D2 + P2 * K) + P2 * (K + A1) * D1) * K
-        return radius.denominator * scale * d * E
-
     (lo1, hi1), (lo2, hi2) = b1, b2
-    return _dyadic_ends((top - err(max(-lo1, hi1), max(-lo2, hi2))) // den,
-                        -((err(max(0, lo1, -hi1), max(0, lo2, -hi2)) - top) // den), w, prec)
+    A1, A2 = max(-lo1, hi1), max(-lo2, hi2)
+    err = A1 * A2 * D1 * D2 + (P1 * ((K + A2) * D2 + P2 * K) + P2 * (K + A1) * D1) * K
+    return (radius.numerator * Q * K - radius.denominator * scale * d * err) // (
+        radius.denominator * Q), K
 
 
-def _margin_collapse_271(point: Point, prec: int) -> Ends:
+def _margin_collapse_271(point: Point, prec: int) -> LowerEnd:
     # b1 the J-bracket, b2 = -sqrt3/(sqrt(2 pi) sqrt N), radii 0.56 and 1.31
     n, j = point
     c_lo, c_hi = _pair_n_terms(n, prec)[1]
-    worst = None
-    for big_j in (j, 2 * j):
-        margin = _product_margin(
+    return _least(
+        _product_margin(
             RATIO_RADIUS_1, 1, 24 * n - 1, _pair_j_terms(n, big_j, prec)[1], _J_FACTOR_RADIUS,
             (-c_hi, -c_lo), _SQRT_FACTOR_RADIUS, prec,
         )
-        worst = _min_lo(worst, margin)
-    return worst
+        for big_j in (j, 2 * j)
+    )
 
 
-def _bracket_margin(radius: Fraction, scale: int, n: int, big_j: int, prec: int) -> Ends:
+def _bracket_margin(radius: Fraction, scale: int, n: int, big_j: int, prec: int) -> LowerEnd:
     # radius - scale N err for (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N), with
     # b1 = sqrt3/(sqrt2 pi sqrt N) and b2 the J-bracket less
     # sqrt3/(sqrt(2 pi) sqrt N)
@@ -687,25 +645,23 @@ def _bracket_margin(radius: Fraction, scale: int, n: int, big_j: int, prec: int)
     )
 
 
-def _margin_collapse_1350(point: Point, prec: int) -> Ends:
+def _margin_collapse_1350(point: Point, prec: int) -> LowerEnd:
     # 1350 - x (h + 100 s^2), s the correction sum: over 2^w, with h and s
-    # integer ends over 2^w, it is 1350 2^w - a (h 2^w + 100 s^2) / (b 2^w)
+    # upper ends over 2^w, it is 1350 2^w - a (h 2^w + 100 s^2) / (b 2^w)
     (x,) = point
     a, b = x.numerator, x.denominator
     w = prec + FIXED_GUARD
-    (h_lo, h_hi), (s_lo, s_hi) = _correction(a, b, prec)
+    h, s = _correction(a, b, prec)
     rn, rd = RATIO_RADIUS_2.numerator, RATIO_RADIUS_2.denominator
-    top, den = rn * b << 2 * w, rd * b << w
-    return _dyadic_ends((top - rd * a * ((h_hi << w) + 100 * s_hi * s_hi)) // den,
-                        -((rd * a * ((h_lo << w) + 100 * s_lo * s_lo) - top) // den), w, prec)
+    return ((rn * b << 2 * w) - rd * a * ((h << w) + 100 * s * s)) // (rd * b << w), 1 << w
 
 
-def _margin_collapse_2075(point: Point, prec: int) -> Ends:
+def _margin_collapse_2075(point: Point, prec: int) -> LowerEnd:
     n, j = point
     return _bracket_margin(FJN_RADIUS_A, 1, n, 2 * j, prec)
 
 
-def _margin_collapse_3926(point: Point, prec: int) -> Ends:
+def _margin_collapse_3926(point: Point, prec: int) -> LowerEnd:
     n, j = point
     return _bracket_margin(FJN_RADIUS_B, 2, n, j, prec)
 
@@ -773,27 +729,24 @@ def _tail_sum(x: Fraction, prec: int) -> Tuple[int, int, int]:
     return near + far_lo, (near >> (prec + 10)) + FAR_START + far_hi - far_lo, w
 
 
-def _margin_bessel_tail(point: Point, prec: int) -> Ends:
-    # 4 sqrt(x/pi) e^{x/2} less the sum, each end over the sum's 2^-w:
-    # sqrt(x/pi) from pi's ends, e^{x/2} from fixed.exp_ends at x/2 floored
+def _margin_bessel_tail(point: Point, prec: int) -> LowerEnd:
+    # 4 sqrt(x/pi) e^{x/2} less the sum, over the sum's 2^-w: sqrt(x/pi)
+    # from pi's upper end, e^{x/2} from fixed.exp_ends at x/2 floored
     # (module docstring)
     (x,) = point
     a, b = x.numerator, x.denominator
     total, error, w = _tail_sum(x, prec)
-    p_lo, p_hi = fixed.pi_ends(w)
-    g_lo, g_hi = fixed.exp_ends((a << w) // (2 * b), w)
-    root_hi = fixed.floor_root(a << w, b * p_lo, w) + 1
-    rhs_lo = 4 * fixed.floor_root(a << w, b * p_hi, w) * g_lo >> w
-    rhs_hi = -(-4 * root_hi * (g_hi + (g_hi >> w - 1) + 1) >> w)
-    return _dyadic_ends(rhs_lo - total - error, rhs_hi - total + error, w, prec)
+    root = fixed.floor_root(a << w, b * fixed.pi_ends(w)[1], w)
+    rhs = 4 * root * fixed.exp_ends((a << w) // (2 * b), w)[0] >> w
+    return rhs - total - error, 1 << w
 
 
-def _margin_bessel_simplify(point: Point, prec: int) -> Ends:
+def _margin_bessel_simplify(point: Point, prec: int) -> LowerEnd:
     # 1/x - x/2 changes sign at sqrt(2), so clear both orientations: over
     # 2ab^2, x^2/2 -+ (1/x - x/2) is a^3 -+ (2b^3 - a^2 b) for x = a/b.
     (x,) = point
     a, b = x.numerator, x.denominator
-    return _ratio_ends(a**3 - abs(2 * b**3 - a * a * b), 2 * a * b * b, prec)
+    return a**3 - abs(2 * b**3 - a * a * b), 2 * a * b * b
 
 
 @dataclass(frozen=True)
@@ -835,97 +788,99 @@ class InequalityResult:
 
 
 # Each case's terms is its serial CPU per point at 128 bits, in us, measured
-# in its domain's sweep (the first case to read a shared memo pays for it),
-# the median of three runs on a 2-vCPU VM.  So a domain's summed cost ranks
-# it by measured CPU, which verify dispatches longest first: [335/24, 10^4]
-# 0.54 s (47 us a point), the pairs 0.48 s (41 us), (0, 1/5) and
-# tail-envelope-15 0.20 and 0.18 s (15 us each), [1, 10^4] 0.15 s (11 us),
-# geometric-series-100 0.12 s (9 us), exp-convexity-half 0.06 s (4 us),
-# bessel-tail-sum 0.03 s (226 us a point).
+# in its domain's sweep (the first case to read a shared memo pays for it,
+# and a domain's first case also carries the sampler's and the sweep's own
+# time), the median of five runs on a 2-vCPU VM.  So a domain's summed cost
+# ranks it by measured CPU, which verify dispatches longest first:
+# [335/24, 10^4] 0.44 s (40 us a point), the pairs 0.26 s (24 us),
+# tail-envelope-15 0.21 s (19 us), (0, 1/5) 0.11 s (10 us), [1, 10^4]
+# 0.07 s (6 us), geometric-series-100 0.04 s (4 us), exp-convexity-half
+# 0.03 s (3 us), bessel-tail-sum 0.02 s (183 us a point); collapse-131, one
+# point of about 0.2 ms, keeps the default.
 CASES: Tuple[InequalityCase, ...] = (
     InequalityCase(
         "geometric-series-100",
         "|1/(1-z) - 1 - z| <= 100 z^2 for 0 < |z| < 0.99",
         _margin_geometric,
         _interval_sampler(Fraction(0), Fraction(99, 100)),
-        terms=9,
+        terms=4,
     ),
     InequalityCase(
         "sqrt-expansion-01",
         "|sqrt(1-x) - 1 + x/2 + x^2/8| <= 0.1 x^3 on (0, 0.2)",
         _margin_sqrt_expansion,
         _SMALL,
-        terms=5,
+        terms=7,
     ),
     InequalityCase(
         "inverse-sqrt-06",
         "1/sqrt(1-x) - 1 <= 0.6 x on (0, 0.2)",
         _margin_inverse_sqrt,
         _SMALL,
-        terms=4,
+        terms=1,
     ),
     InequalityCase(
         "reciprocal-125",
         "|1/(1-x) - 1 - x| <= 1.25 x^2 on (0, 0.2)",
         _margin_reciprocal,
         _SMALL,
-        terms=3,
+        terms=1,
     ),
     InequalityCase(
         "exp-convexity-half",
         "exp(-x) - 1 + x <= x^2/2 for x > 0",
         _margin_exp_convexity,
         _interval_sampler(Fraction(0), _CAP),
-        terms=4,
+        terms=3,
     ),
     InequalityCase(
         "tail-envelope-15",
         "h_error(x) <= 15 sqrt(x) exp(-(pi/2) sqrt(x/2)) for x >= 12",
         _margin_tail_envelope,
         _interval_sampler(Fraction(12), _CAP),
-        terms=15,
+        terms=19,
     ),
     InequalityCase(
         "sqrt-exp-decreasing",
         "pi sqrt(x) > 2 sqrt(2) for x >= 1, so the decay envelope decreases",
         _margin_envelope_decreasing,
         _FROM_ONE,
-        terms=6,
+        terms=5,
     ),
     InequalityCase(
         "shifted-envelope-11",
         "N sqrt(Y) exp(-(pi/2) sqrt(Y/2)) <= 1.1 with Y = N - sqrt(N)/2",
         _margin_shifted_envelope,
         _FROM_CORNER,
-        terms=14,
+        terms=17,
     ),
     InequalityCase(
         "concavity-sqrt-positive",
         "1 - x/2 - sqrt(1-x) > 0 on (0, 0.2)",
         _margin_concavity,
         _SMALL,
-        terms=3,
+        terms=1,
     ),
     InequalityCase(
         "correction-sum-099",
         "sqrt(3)/(sqrt(2) pi sqrt(N)) + h_error(N) < 0.99 for N >= 335/24",
         _margin_correction_sum,
         _FROM_CORNER,
-        terms=20,
+        terms=17,
     ),
     InequalityCase(
         "exp-argument-01",
         "pi/(40 sqrt(6)) + (pi^2/24) (1/(10 sqrt(N)) + 1/4)^2 <= 0.1",
         _margin_exp_argument,
         _FROM_CORNER,
-        terms=6,
+        terms=3,
     ),
     InequalityCase(
         "shift-ratio-02",
         "1/(2 sqrt(N)) < 1/5 for N >= 335/24, so shifts stay in the x < 0.2 range",
         _margin_shift_ratio,
         _FROM_CORNER,
-        terms=3,
+        terms=1,
     ),
     InequalityCase(
         "collapse-056",
@@ -933,7 +888,7 @@ CASES: Tuple[InequalityCase, ...] = (
         " + 0.1 + 0.1 J/N + 0.04/N <= 0.56 for J in {j, 2j} over admissible pairs",
         _margin_collapse_056,
         _PAIRS,
-        terms=12,
+        terms=11,
     ),
     InequalityCase(
         "collapse-131",
@@ -948,28 +903,28 @@ CASES: Tuple[InequalityCase, ...] = (
         "(1 + b1 +- 0.56/N)(1 + b2 +- 1.31/N) stays within 2.71/N of 1 + b1 + b2",
         _margin_collapse_271,
         _PAIRS,
-        terms=15,
+        terms=7,
     ),
     InequalityCase(
         "collapse-1350",
         "N (h_error(N) + 100 (sqrt(3)/(sqrt(2) pi sqrt(N)) + h_error(N))^2) <= 1350",
         _margin_collapse_1350,
         _FROM_CORNER,
-        terms=4,
+        terms=2,
     ),
     InequalityCase(
         "collapse-2075",
         "(1 + b1 +- 1350/N)(1 + b2 +- 2.71/N) stays within 2075/N of 1 + b1 + b2",
         _margin_collapse_2075,
         _PAIRS,
-        terms=7,
+        terms=3,
     ),
     InequalityCase(
         "collapse-3926",
         "2 (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N) stays within 3926/N of the center",
         _margin_collapse_3926,
         _PAIRS,
-        terms=7,
+        terms=3,
     ),
     InequalityCase(
         "bessel-tail-sum",
@@ -978,14 +933,14 @@ CASES: Tuple[InequalityCase, ...] = (
         _interval_sampler(Fraction(20), Fraction(100)),
         grid_points=100,
         random_points=30,
-        terms=226,
+        terms=183,
     ),
     InequalityCase(
         "bessel-simplify-half",
         "|1/x - x/2| <= x^2/2 for x >= 1",
         _margin_bessel_simplify,
         _FROM_ONE,
-        terms=5,
+        terms=1,
     ),
 )
 
@@ -1013,8 +968,9 @@ def run_domain(
     names: Sequence[str], prec: int = DEFAULT_PRECISION, seed: int = DEFAULT_SEED
 ) -> List[InequalityResult]:
     """Sweep the named cases, which share one domain, over its grid and
-    random points, and report each one's worst margin enclosure lower
-    endpoint, in the order of the names.
+    random points, and report each one's least lower end rounded down to
+    prec bits, and the first point with that rounded end, in the order of
+    the names.
 
     The points are drawn once, and every case is evaluated at each point
     before the next is drawn, so the per-point memos serve them all.
@@ -1023,17 +979,24 @@ def run_domain(
     sampler, grid, rand = cases[0].domain
     if any(case.domain != cases[0].domain for case in cases):
         raise PreconditionError(f"inequality cases {', '.join(names)} do not share one domain")
-    # raw lower endpoints compare exactly; only the worst become Fractions
+    # each case's least exact end, and its rounding, which only an end below
+    # it can lower; rounded ends are normalized raw floats, so two are equal
+    # exactly when their tuples are
+    least: List[Optional[LowerEnd]] = [None] * len(cases)
     worst = [None] * len(cases)
     worst_point: List[Point] = [()] * len(cases)
     count = 0
     for point in sampler(grid, rand, random.Random(seed)):
         count += 1
         for i, case in enumerate(cases):
-            lo = case.margin(point, prec)[0]
-            if worst[i] is None or libmp.mpf_lt(lo, worst[i]):
-                worst[i] = lo
-                worst_point[i] = point
+            num, den = case.margin(point, prec)
+            kept = least[i]
+            if kept is None or num * kept[1] < kept[0] * den:
+                least[i] = num, den
+                lo = ratio_pair(num, den, prec)[0]
+                if lo != worst[i]:
+                    worst[i] = lo
+                    worst_point[i] = point
     if not count:
         raise PartboundsError(f"inequality case {names[0]!r}: its sampler yielded no point")
     results = []
@@ -1047,6 +1010,6 @@ def run_case(
     name: str, prec: int = DEFAULT_PRECISION, seed: int = DEFAULT_SEED
 ) -> InequalityResult:
     """Sweep the named case over its registered grid and random points and
-    report the worst margin enclosure lower endpoint: run_domain over the
-    one name."""
+    report its least lower end rounded down to prec bits: run_domain over
+    the one name."""
     return run_domain([name], prec=prec, seed=seed)[0]

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import mpf_le
 
 from enclosure_views import constants_view, terms_view
 from partbounds import enclosure, estimates, verify
@@ -645,18 +644,12 @@ def test_shared_terms_enclose_their_expressions(data, n, prec):
     _check_fjn(n, j, prec)
     _check_chain(n, j, prec)
 
-    # the registry's product margins are exact integer bounds, outward by
-    # proof: they meet the expressions at prec + 200 bits, which read |b|
-    # almost exactly, and lie at or above their lower ends at prec, which
-    # read |b| rounded up
-    margins = [
-        margin((n, j), prec)
-        for margin in (_margin_collapse_271, _margin_collapse_2075, _margin_collapse_3926)
-    ]
-    for (lo, hi), want, wide in zip(
-        margins, _own_collapse(n, j, prec), _own_collapse(n, j, prec + 200)
-    ):
-        assert mpf_le(lo, wide.hi) and mpf_le(wide.lo, hi) and mpf_le(want.lo, hi)
+    # the registry's product margins are exact integer lower ends, below the
+    # margin by proof: they lie below the expressions' upper ends at
+    # prec + 200 bits, which read |b| almost exactly
+    margins = (_margin_collapse_271, _margin_collapse_2075, _margin_collapse_3926)
+    for margin, wide in zip(margins, _own_collapse(n, j, prec + 200)):
+        assert Fraction(*margin((n, j), prec)) <= wide.hi_fraction
 
     _check_krank(n - 1, prec)  # lp = n - 1, so ell is the shift of n
 

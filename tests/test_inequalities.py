@@ -1,5 +1,5 @@
-"""Reduced-budget sweeps, frozen spot margins, domains and raw margins of
-the inequality cases."""
+"""Reduced-budget sweeps, frozen spot margins, domains, the tie rule and
+the exact lower ends of the inequality cases."""
 
 import dataclasses
 import json
@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import libmp
 from mpmath.libmp import ln2_fixed
 
 from enclosure_views import (
@@ -23,15 +22,7 @@ from enclosure_views import (
     terms_view,
 )
 from partbounds import enclosure, fixed, inequalities, special
-from partbounds.enclosure import (
-    ORDER_ERROR,
-    Enclosure,
-    _dyadic_ends,
-    _int_ends,
-    fraction_from_raw,
-    ordered,
-    ratio_pair,
-)
+from partbounds.enclosure import Enclosure, _dyadic_ends, fraction_from_raw, ratio_pair
 from partbounds.errors import PartboundsError, PreconditionError
 from partbounds.estimates import (
     FJN_RADIUS_A,
@@ -53,9 +44,8 @@ from partbounds.inequalities import (
     _far_sum,
     _fixed_constants,
     _floor_root,
-    _inner_bounds,
+    _inner_upper,
     _j_bounds,
-    _margin_bessel_tail,
     _n_bounds,
     _pair_j_terms,
     _pair_n_terms,
@@ -102,6 +92,13 @@ def _shrink(monkeypatch, name, grid, rand):
     """Register a copy of the named case with a reduced point budget."""
     case = dataclasses.replace(CASE_INDEX[name], grid_points=grid, random_points=rand)
     monkeypatch.setitem(CASE_INDEX, name, case)
+
+
+def _lower(name, point, prec):
+    """The case's exact lower end at point, and that end rounded down to prec
+    bits as run_domain rounds it, both as Fractions."""
+    num, den = CASE_INDEX[name].margin(point, prec)
+    return Fraction(num, den), fraction_from_raw(ratio_pair(num, den, prec)[0])
 
 
 class TestRegistry:
@@ -177,21 +174,20 @@ class TestFrozenSpots:
 
     @pytest.mark.parametrize("name,point,lo,hi", FROZEN_SPOTS)
     def test_corner_margin_bracket(self, name, point, lo, hi):
-        m = CASE_INDEX[name].margin(point, 128)
-        assert Fraction(lo) < fraction_from_raw(m[0]) < Fraction(hi)
+        exact, rounded = _lower(name, point, 128)
+        assert Fraction(lo) < rounded <= exact < Fraction(hi)
 
     def test_geometric_min_branch_is_positive_z(self):
         # At u = 0.9 the z = +u branch is the tight one: 81 - 8.1 = 72.9.
-        m = CASE_INDEX["geometric-series-100"].margin((Fraction(9, 10),), 128)
-        assert fraction_from_raw(m[0]) <= Fraction(729, 10)
-        assert Fraction(729, 10) - fraction_from_raw(m[0]) < Fraction(1, 2**100)
+        exact, rounded = _lower("geometric-series-100", (Fraction(9, 10),), 128)
+        assert exact == Fraction(729, 10)
+        assert Fraction(729, 10) - rounded < Fraction(1, 2**100)
 
     def test_bessel_simplify_tight_near_one(self):
-        margin = CASE_INDEX["bessel-simplify-half"].margin
-        tight = margin((Fraction(1_000_001, 1_000_000),), 128)
-        assert 0 < fraction_from_raw(tight[0]) < Fraction(1, 10**5)
+        tight = _lower("bessel-simplify-half", (Fraction(1_000_001, 1_000_000),), 128)[1]
+        assert 0 < tight < Fraction(1, 10**5)
         # Past the sign change of 1/x - x/2 the other branch takes over.
-        assert fraction_from_raw(margin((Fraction(141, 100),), 128)[0]) > Fraction(9, 10)
+        assert _lower("bessel-simplify-half", (Fraction(141, 100),), 128)[1] > Fraction(9, 10)
 
 
 def _own_abs_upper(e):
@@ -200,15 +196,13 @@ def _own_abs_upper(e):
 
 
 class TestProductMargin:
-    # _product_margin's |b| bounds, from integer ends over 2^w, against
-    # abs_upper's larger magnitude (the lower end) and the least |t| over the
-    # ends (the upper end)
+    # _product_margin's lower end reads the larger magnitude of each |b|
+    # bound, from integer ends over 2^w, as abs_upper does
     @staticmethod
-    def _ends(b1, b2):
-        ends = _product_margin(
+    def _lower_end(b1, b2):
+        return Fraction(*_product_margin(
             Fraction(271, 100), 1, 407, b1, Fraction(14, 25), b2, Fraction(131, 100), 128
-        )
-        return map(fraction_from_raw, ends)
+        ))
 
     @staticmethod
     def _exact(a1, a2):
@@ -219,17 +213,14 @@ class TestProductMargin:
     def test_one_sided_bounds(self):
         w = 128 + FIXED_GUARD
         b1, b2 = (-(3 << w) // 7, -(2 << w) // 7), ((1 << w) // 9, (1 << w) // 8)
-        lo, hi = self._ends(b1, b2)
+        lo = self._lower_end(b1, b2)
         assert lo <= self._exact(-Fraction(b1[0], 1 << w), Fraction(b2[1], 1 << w))
-        assert hi >= self._exact(-Fraction(b1[1], 1 << w), Fraction(b2[0], 1 << w))
 
     def test_bound_straddling_zero(self):
-        # the larger magnitude covers the lower end; |b| may be 0 above
+        # the larger magnitude covers the lower end
         w = 128 + FIXED_GUARD
         b1, b2 = (-(4 << w) // 21, (1 << w) // 7), ((1 << w) // 9, (1 << w) // 8)
-        lo, hi = self._ends(b1, b2)
-        assert lo <= self._exact(Fraction(4, 21), Fraction(1, 8))
-        assert self._exact(0, Fraction(1, 9)) <= hi
+        assert self._lower_end(b1, b2) <= self._exact(Fraction(4, 21), Fraction(1, 8))
 
 
 # -- the fixed-point Bessel tail against its Enclosure expression ---------
@@ -269,37 +260,31 @@ TAIL_POINTS = [
 
 class TestBesselTailKernel:
     # the fixed-point sum is outward by proof, not the interval expression's
-    # bits: both enclose the same margin, so they meet
+    # bits: the lower end lies below the margin the expression encloses
     @pytest.mark.parametrize("prec", [16, 53, 128, 300])
     @pytest.mark.parametrize("x", TAIL_POINTS, ids=str)
     def test_meets_the_interval_expression(self, x, prec):
-        lo, hi = map(fraction_from_raw, _margin_bessel_tail((x,), prec))
+        exact, rounded = _lower("bessel-tail-sum", (x,), prec)
         want = _own_bessel_tail((x,), prec)
         assert want.prec == prec
-        assert lo <= want.hi_fraction and want.lo_fraction <= hi
-        # and its error bound leaves it no wider than the padded expression
-        assert hi - lo <= want.hi_fraction - want.lo_fraction
+        assert exact <= want.hi_fraction
+        # and its error bound keeps it at or above the padded expression's
+        assert want.lo_fraction <= rounded
 
     @pytest.mark.parametrize("prec", [16, 53, 128, 300, 1024])
     @pytest.mark.parametrize("x", TAIL_POINTS, ids=str)
     def test_right_side_meets_its_expression(self, x, prec):
-        # less the same sum S, the integer ends of 4 sqrt(x/pi) e^(x/2) meet
-        # its Enclosure expression at prec + 200 bits, and are no wider
-        # than that expression at prec, with a lower end at or above its:
-        # the margin the parent's chain returned, rhs - S rounded
-        lo, hi = map(fraction_from_raw, _margin_bessel_tail((x,), prec))
+        # less the same sum S, the integer lower end of 4 sqrt(x/pi) e^(x/2)
+        # lies below its Enclosure expression at prec + 200 bits, and rounded
+        # at prec at or above that expression's lower end at prec: the
+        # margin the parent's chain returned, rhs - S rounded
+        exact, rounded = _lower("bessel-tail-sum", (x,), prec)
         total, error, w = _tail_sum(x, prec)
-        s_lo, s_hi = Fraction(total - error, 1 << w), Fraction(total + error, 1 << w)
         wide = _own_bessel_right_side(x, prec + 200)
-        assert lo <= wide.hi_fraction - s_lo and wide.lo_fraction - s_hi <= hi
+        assert exact <= wide.hi_fraction - Fraction(total - error, 1 << w)
         s = Enclosure(*_dyadic_ends(total - error, total + error, w, prec), prec)
         want = _own_bessel_right_side(x, prec) - s
-        assert want.lo_fraction <= lo and hi - lo <= want.hi_fraction - want.lo_fraction
-
-    @pytest.mark.parametrize("prec", [16, 53, 128, 300])
-    def test_returned_pair_is_ordered(self, prec):
-        for x in TAIL_POINTS:
-            assert ordered(*_margin_bessel_tail((x,), prec))
+        assert want.lo_fraction <= rounded
 
     @pytest.mark.parametrize("prec", [53, 128, 1024])
     def test_sum_within_its_bound_of_the_series(self, prec):
@@ -367,14 +352,15 @@ class TestBesselTailKernel:
             assert 16 <= w < 2**16 and xw * xw >= 1 << w and lam <= 2 ** (w - 2)
 
 
-# -- the raw margins against their Enclosure expressions --------------------
+# -- the lower ends against their Enclosure expressions ----------------------
 # Each _own_* is the margin's Enclosure expression, the form it had before it
-# ran on raw ends.  The raw margins in OWN must give these endpoints bit for
-# bit.  The others are outward by proof and only meet the expression's:
-# shifted-envelope-11 in DECAY_OWN reads the fixed-point decay kernel, the
-# four in PAIR_OWN integer bounds and the ten in FIXED_OWN integer ends over
-# 2^w, three of them on the decay kernel too (TestDecayMargins,
-# TestPairMargins, TestFixedMargins).
+# returned an exact lower end.  The margins in OWN, rounded down to prec bits
+# as run_domain rounds them, must give these lower endpoints bit for bit.
+# The others lie below the margin by proof and so below the expression's
+# upper end: shifted-envelope-11 in DECAY_OWN reads the fixed-point decay
+# kernel, the four in PAIR_OWN integer bounds and the ten in FIXED_OWN
+# integer ends over 2^w, three of them on the decay kernel too
+# (TestDecayMargins, TestPairMargins, TestFixedMargins).
 
 def _own_min_lo(margins):
     # the first of the least lower endpoints, as _min_lo keeps it
@@ -635,9 +621,9 @@ def _check_points(name):
 
 
 def _assert_same_ends(name, point, prec):
-    got = CASE_INDEX[name].margin(point, prec)
+    num, den = CASE_INDEX[name].margin(point, prec)
     want = OWN[name](point, prec)
-    assert want.prec == prec and got == (want.lo, want.hi)
+    assert want.prec == prec and ratio_pair(num, den, prec)[0] == want.lo
 
 
 def _clear_memos():
@@ -677,22 +663,20 @@ class TestRawMargins:
             point = (a + (b - a) * u,)
         _assert_same_ends(name, point, prec)
 
-    @pytest.mark.parametrize("name", sorted(CASE_INDEX.keys() - {"bessel-tail-sum"}))
-    def test_disordered_pair_raises_like_an_enclosure(self, name, monkeypatch):
-        point = _check_points(name)[0]
-        CASE_INDEX[name].margin(point, 53)
-        _clear_memos()
-        monkeypatch.setattr(enclosure, "ordered", lambda lo, hi: False)
-        with pytest.raises(ValueError, match=ORDER_ERROR):
-            CASE_INDEX[name].margin(point, 53)
+    @pytest.mark.parametrize("name", sorted(ALL_NAMES))
+    def test_lower_end_is_an_exact_rational(self, name):
+        # (num, den) of ints with den > 0, which run_domain cross-multiplies
+        for point in ([(Fraction(50),)] if name == "bessel-tail-sum" else _check_points(name)):
+            num, den = CASE_INDEX[name].margin(point, 53)
+            assert type(num) is int and type(den) is int and den > 0, point
 
 
 class TestDecayMargins:
     # tail-envelope-15, correction-sum-099 and collapse-1350 read h and its
     # decay factor from special._decay_fixed's integers, and
     # shifted-envelope-11 reads the decay factor at Y = x - sqrt(x)/2 from
-    # it, so their ends are outward by proof, not the Enclosure expression's
-    # bits
+    # it, so their lower ends lie below the margin by proof, not by the
+    # Enclosure expression's bits
     @staticmethod
     def _points(name):
         return _check_points(name) + [(Fraction(335, 24),), (Fraction(777, 7),)]
@@ -701,22 +685,24 @@ class TestDecayMargins:
     @pytest.mark.parametrize("name", DECAY_NAMES)
     def test_meets_the_enclosure_expression(self, name, prec):
         for point in self._points(name):
-            lo, hi = CASE_INDEX[name].margin(point, prec)
             want = {**DECAY_OWN, **FIXED_OWN}[name](point, prec)
             assert want.prec == prec
-            assert libmp.mpf_le(lo, want.hi) and libmp.mpf_le(want.lo, hi), point
+            assert _lower(name, point, prec)[0] <= want.hi_fraction, point
 
     @pytest.mark.parametrize("prec", DECAY_PRECS)
     @pytest.mark.parametrize("name", DECAY_NAMES)
     def test_within_the_stated_bound_of_mpmath(self, name, prec):
-        # the ends contain the margin, in mpmath at 2 prec + 64 bits, and
-        # each lies within 2^(6 - prec) of the margin's largest term
+        # the lower end, exact and rounded down to prec bits, lies below the
+        # margin, in mpmath at 2 prec + 64 bits, and the rounded end within
+        # 2^(6 - prec) of the margin's largest term
         ctx = mp_context(2 * prec + 64)
         for point in self._points(name):
             value, scale = _mp_decay_margin(name, point[0], ctx)
-            lo, hi = (ctx.make_mpf(end) for end in CASE_INDEX[name].margin(point, prec))
+            num, den = CASE_INDEX[name].margin(point, prec)
+            lo = ctx.make_mpf(ratio_pair(num, den, prec)[0])
+            top = ctx.make_mpf(ratio_pair(num, den, 2 * prec + 64)[1])
             bound = scale * ctx.ldexp(1, 6 - prec)
-            assert value - bound <= lo <= value <= hi <= value + bound, (point, prec)
+            assert value - bound <= lo <= top <= value, (point, prec)
 
     @pytest.mark.parametrize("prec", [16, 128, 1024, 4096])
     @pytest.mark.parametrize("name", DECAY_NAMES)
@@ -764,21 +750,20 @@ class TestDecayMargins:
 
 class TestPairMargins:
     # the four pair margins are exact integer bounds, monotone in pi and in
-    # the floor root of d, each end rounded once: outward by proof, not the
-    # Enclosure expression's bits.  collapse-056's expression encloses the
-    # same margin; the product margins' expressions evaluate the bound at
-    # |b| read from prec-bit enclosures of b, which lie at or above |b|, so
-    # their value lies at or below the margin the new ends enclose, and
-    # meets them at prec + 200 bits
+    # the floor root of d, their lower ends below the margin by proof, not
+    # by the Enclosure expression's bits.  collapse-056's expression
+    # encloses the same margin; the product margins' expressions evaluate
+    # the bound at |b| read from prec-bit enclosures of b, which lie at or
+    # above |b|, so their value lies at or below the margin the new lower
+    # end lies below, and their upper end at prec + 200 bits above it
     @staticmethod
     def _assert_encloses(name, point, prec):
-        lo, hi = CASE_INDEX[name].margin(point, prec)
+        lo = _lower(name, point, prec)[0]
         want, wide = PAIR_OWN[name](point, prec), PAIR_OWN[name](point, prec + 200)
         assert want.prec == prec and wide.prec == prec + 200
-        assert libmp.mpf_le(lo, wide.hi) and libmp.mpf_le(wide.lo, hi), (point, prec)
-        assert libmp.mpf_le(want.lo, hi), (point, prec)
+        assert lo <= wide.hi_fraction, (point, prec)
         if name == "collapse-056":
-            assert libmp.mpf_le(lo, want.hi), (point, prec)
+            assert lo <= want.hi_fraction, (point, prec)
 
     @pytest.mark.parametrize("prec", PRECS)
     @pytest.mark.parametrize("name", PAIR_NAMES)
@@ -824,8 +809,8 @@ class TestPairMargins:
     @pytest.mark.parametrize("prec", FIXED_PRECS)
     @pytest.mark.parametrize("name", PAIR_NAMES + ["shifted-envelope-11"])
     def test_same_ends_as_ratio_pair(self, name, prec):
-        # each end, floored or raised to 2^-w and rounded once, is the
-        # ratio_pair end of the same quotient: the nested floors of the
+        # the lower end, floored to 2^-w and rounded down once, is the
+        # ratio_pair floor of the same quotient: the nested floors of the
         # module docstring
         points = _check_points(name)
         if name == "shifted-envelope-11":
@@ -835,34 +820,34 @@ class TestPairMargins:
         else:
             points += [(17, 1), (10**5, fjn_j_top(10**5))]
         for point in points:
-            assert CASE_INDEX[name].margin(point, prec) == RATIO_PAIR[name](point, prec), point
+            assert _rounded_lower(name, point, prec) == RATIO_PAIR[name](point, prec), point
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), name=st.sampled_from(PAIR_NAMES), prec=st.sampled_from(FIXED_PRECS))
     def test_same_ends_as_ratio_pair_at_drawn_points(self, data, name, prec):
         n = data.draw(st.integers(17, 10**5), label="n")
         point = (n, data.draw(st.integers(1, fjn_j_top(n)), label="j"))
-        assert CASE_INDEX[name].margin(point, prec) == RATIO_PAIR[name](point, prec)
+        assert _rounded_lower(name, point, prec) == RATIO_PAIR[name](point, prec)
 
 
-# The pair margins and shifted-envelope-11 as they rounded each end before:
-# one ratio_pair of the same integers, its other end thrown away.
+def _rounded_lower(name, point, prec):
+    # the raw float run_domain rounds the case's lower end to
+    return ratio_pair(*CASE_INDEX[name].margin(point, prec), prec)[0]
 
-def _ratio_pair_ends(lo_num, hi_num, den, prec):
-    return ratio_pair(lo_num, den, prec)[0], ratio_pair(hi_num, den, prec)[1]
 
+# The pair margins and shifted-envelope-11 as they rounded the lower end
+# before: the ratio_pair floor of the same integers.
 
 def _ratio_pair_056(point, prec):
     n, j = point
     d, w = 24 * n - 1, prec + FIXED_GUARD
     margins = []
     for big_j in (j, 2 * j):
-        q_lo, q_hi = _pair_j_terms(n, big_j, prec)[0]
+        q_hi = _pair_j_terms(n, big_j, prec)[0][1]
         five = 5 * big_j + 2
         top, den = (3 * d - 24 * five) << w, 50 * d << w
-        margins.append(_ratio_pair_ends(top - 10 * d * five * q_hi, top - 10 * d * five * q_lo,
-                                        den, prec))
-    return min(margins, key=lambda m: fraction_from_raw(m[0]))
+        margins.append(ratio_pair(top - 10 * d * five * q_hi, den, prec)[0])
+    return min(margins, key=fraction_from_raw)
 
 
 def _ratio_pair_product(radius, scale, d, b1, r1, b2, r2, prec):
@@ -871,14 +856,11 @@ def _ratio_pair_product(radius, scale, d, b1, r1, b2, r2, prec):
     P2, D2 = 24 * r2.numerator, r2.denominator * d
     Q = 24 * K * K * D1 * D2
 
-    def num(A1, A2):
-        E = A1 * A2 * D1 * D2 + (P1 * ((K + A2) * D2 + P2 * K) + P2 * (K + A1) * D1) * K
-        return radius.numerator * Q - radius.denominator * scale * d * E
-
     (lo1, hi1), (lo2, hi2) = b1, b2
-    return _ratio_pair_ends(num(max(-lo1, hi1), max(-lo2, hi2)),
-                            num(max(0, lo1, -hi1), max(0, lo2, -hi2)), radius.denominator * Q,
-                            prec)
+    A1, A2 = max(-lo1, hi1), max(-lo2, hi2)
+    E = A1 * A2 * D1 * D2 + (P1 * ((K + A2) * D2 + P2 * K) + P2 * (K + A1) * D1) * K
+    return ratio_pair(radius.numerator * Q - radius.denominator * scale * d * E,
+                      radius.denominator * Q, prec)[0]
 
 
 def _ratio_pair_271(point, prec):
@@ -889,7 +871,7 @@ def _ratio_pair_271(point, prec):
                             Fraction(14, 25), (-c_hi, -c_lo), Fraction(131, 100), prec)
         for big_j in (j, 2 * j)
     ]
-    return min(margins, key=lambda m: fraction_from_raw(m[0]))
+    return min(margins, key=fraction_from_raw)
 
 
 def _ratio_pair_bracket(radius, scale, n, big_j, prec):
@@ -904,9 +886,7 @@ def _ratio_pair_shifted(point, prec):
     a, b = x.numerator, x.denominator
     w = prec + DECAY_GUARD
     _, d, e, z = special._decay_fixed(_shifted_floor(a, b, w), 1 << w, w, first=False)
-    top, den = 11 * b << z, 10 * b << z
-    return _ratio_pair_ends(top - 10 * a * (d + e), top - 10 * a * (d - e - (d >> (w - 1)) - 1),
-                            den, prec)
+    return ratio_pair((11 * b << z) - 10 * a * (d + e), 10 * b << z, prec)[0]
 
 
 RATIO_PAIR = {
@@ -921,18 +901,18 @@ RATIO_PAIR = {
 
 
 class TestFixedMargins:
-    # the ten fixed-point margins are integer ends over 2^w (or the decay
-    # kernel's 2^-z), monotone in pi, the roots and h, each end rounded once:
-    # outward by proof, not the Enclosure expression's bits.  Their ends
-    # meet the expression's at prec + 200 bits, and their lower end is at or
-    # above the expression's at prec
+    # the ten fixed-point margins are integer lower ends over 2^w (or the
+    # decay kernel's 2^-z), monotone in pi, the roots and h: below the margin
+    # by proof, not by the Enclosure expression's bits.  Their exact lower
+    # end lies below the expression's upper end at prec + 200 bits, and
+    # rounded at prec it is at or above the expression's lower end at prec
     @staticmethod
     def _assert_encloses(name, point, prec):
-        lo, hi = CASE_INDEX[name].margin(point, prec)
+        exact, rounded = _lower(name, point, prec)
         want, wide = FIXED_OWN[name](point, prec), FIXED_OWN[name](point, prec + 200)
         assert want.prec == prec and wide.prec == prec + 200
-        assert libmp.mpf_le(lo, wide.hi) and libmp.mpf_le(wide.lo, hi), (point, prec)
-        assert libmp.mpf_le(want.lo, lo), (point, prec)
+        assert exact <= wide.hi_fraction, (point, prec)
+        assert want.lo_fraction <= rounded, (point, prec)
 
     @pytest.mark.parametrize("prec", FIXED_PRECS)
     @pytest.mark.parametrize("name", FIXED_NAMES)
@@ -961,36 +941,32 @@ class TestFixedMargins:
         return points
 
     @pytest.mark.parametrize("w", [2, 3, 5, 8, 13, 48, 160, 1056])
-    def test_inner_bounds_hold_exactly(self, w):
-        # the inner 1/(10 sqrt x) + 1/4 within [lo, hi] 2^-w, from the floor
-        # root of x (tests/test_fixed.py): (lo - 2^(w-2))^2 100 x <= 4^w <=
-        # (hi - 2^(w-2))^2 100 x
+    def test_inner_upper_holds_exactly(self, w):
+        # the inner 1/(10 sqrt x) + 1/4 at or below hi 2^-w, from the floor
+        # root of x (tests/test_fixed.py): 4^w <= (hi - 2^(w-2))^2 100 x
         four, quarter = 4**w, 1 << w - 2
         for x in self._points(w):
             if x * four >= 1:
-                lo, hi = _inner_bounds(_floor_root(x.numerator, x.denominator, w), w)
-                assert (lo - quarter) ** 2 * 100 * x <= four <= (hi - quarter) ** 2 * 100 * x, x
+                hi = _inner_upper(_floor_root(x.numerator, x.denominator, w), w)
+                assert four <= (hi - quarter) ** 2 * 100 * x, x
 
     @pytest.mark.parametrize("prec", [16, 53, 128, 1024])
     def test_correction_bounds_hold_exactly(self, prec):
-        # h's ends hold [H - E, H + E] 2^-z, both nonnegative, and c =
-        # sqrt(3/2)/(pi sqrt x) in [s_lo - h_lo, s_hi - h_hi] 2^-w at pi's
-        # and sqrt(3/2)'s ends: (c_lo p_hi)^2 x <= t_lo^2 4^w and
-        # (c_hi p_lo)^2 x >= t_hi^2 4^w
+        # h's upper end holds H + E over 2^-z, and c = sqrt(3/2)/(pi sqrt x)
+        # lies at or below s - h over 2^w at pi's and sqrt(3/2)'s ends:
+        # (c p_lo)^2 x >= t_hi^2 4^w
         k = _fixed_constants(prec + FIXED_GUARD)
         w = k.w
-        (p_lo, p_hi), (t_lo, t_hi) = k.pi, k.sqrt_three_halves
+        p_lo, t_hi = k.pi[0], k.sqrt_three_halves[1]
         rng = random.Random(prec)
         points = [Fraction(335, 24), Fraction(10**4), Fraction(777, 7)]
         points += [Fraction(rng.randrange(335 * 10**9, 24 * 10**13), 24 * 10**9)
                    for _ in range(60)]
         for x in points:
-            (h_lo, h_hi), (s_lo, s_hi) = _correction(x.numerator, x.denominator, prec)
+            h, s = _correction(x.numerator, x.denominator, prec)
             big, _, e, z = special._decay_fixed(x.numerator, x.denominator, prec + DECAY_GUARD)
-            assert 0 <= h_lo << z - w <= big - e and big + e <= h_hi << z - w, x
-            c_lo, c_hi = s_lo - h_lo, s_hi - h_hi
-            assert 0 <= c_lo and (c_lo * p_hi) ** 2 * x <= t_lo**2 * 4**w, x
-            assert (c_hi * p_lo) ** 2 * x >= t_hi**2 * 4**w, x
+            assert big + e <= h << z - w, x
+            assert ((s - h) * p_lo) ** 2 * x >= t_hi**2 * 4**w, x
 
     @pytest.mark.parametrize("prec", FIXED_PRECS)
     def test_exp_step_holds_exactly(self, prec):
@@ -1017,9 +993,9 @@ class TestFixedMargins:
     @pytest.mark.parametrize("prec", FIXED_PRECS)
     def test_exp_convexity_meets_its_expression_below_the_split(self, prec):
         # below x = w ln 2, from the sampler's first point to just under the
-        # split, the ends on fixed.exp_neg meet the Enclosure expression at
-        # prec + 200 bits, and are no wider than it at prec, with a lower
-        # end at or above its (so the worst margin can only rise)
+        # split, the lower end on fixed.exp_neg lies below the Enclosure
+        # expression's upper end at prec + 200 bits, and rounded at prec at
+        # or above its lower end at prec (so the worst margin can only rise)
         k = _fixed_constants(prec + FIXED_GUARD)
         split = Fraction(k.split, 1 << k.w + 8)
         (first,), _ = _interval_ends("exp-convexity-half")
@@ -1027,16 +1003,15 @@ class TestFixedMargins:
         below = [first, _golden_point("exp-convexity-half")[0], split - Fraction(1, 10**12),
                  split / 2] + [split * Fraction(rng.randrange(1, 10**6), 10**6) for _ in range(20)]
         for x in below:
-            lo, hi = map(fraction_from_raw, CASE_INDEX["exp-convexity-half"].margin((x,), prec))
+            exact, rounded = _lower("exp-convexity-half", (x,), prec)
             want, wide = _own_exp_convexity((x,), prec), _own_exp_convexity((x,), prec + 200)
-            assert lo <= wide.hi_fraction and wide.lo_fraction <= hi, x
-            assert want.lo_fraction <= lo and hi - lo <= want.hi_fraction - want.lo_fraction, x
+            assert exact <= wide.hi_fraction and want.lo_fraction <= rounded, x
 
     @pytest.mark.parametrize("prec", FIXED_PRECS)
     def test_exp_convexity_holds_exactly_below_the_split(self, prec):
         # the margin x^2/2 + 1 - x - e^-x, in mpmath at 2 w + 64 bits, lies
-        # in the ends, which are within 2^(-w) (2 k + 4) of it plus the
-        # rounding to prec bits, k the reduced exponential's allowance
+        # above the lower end, which is within 2^(-w) (2 k + 4) of it plus
+        # the rounding to prec bits, k the reduced exponential's allowance
         w = prec + FIXED_GUARD
         k = _fixed_constants(w)
         split = Fraction(k.split, 1 << w + 8)
@@ -1046,9 +1021,9 @@ class TestFixedMargins:
                 split * Fraction(rng.randrange(1, 10**6), 10**6) for _ in range(20)]:
             xm = ctx.mpf(x.numerator) / x.denominator
             value = xm * xm / 2 + 1 - xm - ctx.exp(-xm)
-            lo, hi = (ctx.make_mpf(end) for end in CASE_INDEX["exp-convexity-half"].margin((x,), prec))
+            lo = ctx.make_mpf(_rounded_lower("exp-convexity-half", (x,), prec))
             slack = ctx.ldexp(2 * fixed.reduced_units(w, w + 1) + 4, -w) + abs(value) * ctx.ldexp(1, 1 - prec)
-            assert value - slack <= lo <= value <= hi <= value + slack, x
+            assert value - slack <= lo <= value, x
 
 
 # -- domains -----------------------------------------------------------------
@@ -1103,9 +1078,7 @@ class TestDomains:
         names = SHARED_DOMAINS["pairs"]
         for name in names:
             _shrink(monkeypatch, name, 60, 15)
-        flat = dataclasses.replace(
-            CASE_INDEX["collapse-271"], margin=lambda point, prec: _int_ends(1, prec)
-        )
+        flat = dataclasses.replace(CASE_INDEX["collapse-271"], margin=lambda point, prec: (1, 1))
         monkeypatch.setitem(CASE_INDEX, "collapse-271", flat)
         first = next(iter(CASE_INDEX[names[0]].sampler(60, 15, random.Random(DEFAULT_SEED))))
         assert run_domain(names)[1].worst_point == first == run_case("collapse-271").worst_point
@@ -1151,3 +1124,59 @@ class TestDomains:
     def test_cases_of_two_domains_are_refused(self):
         with pytest.raises(PreconditionError, match="do not share one domain"):
             run_domain(["reciprocal-125", "collapse-131"])
+
+
+# -- the tie rule against a brute force ---------------------------------------
+
+def _brute_force(names, prec):
+    # every point's lower end rounded down by ratio_pair, each case keeping
+    # the first point whose rounded end is strictly the least
+    cases = [CASE_INDEX[name] for name in names]
+    sampler, grid, rand = cases[0].domain
+    worst = [None] * len(cases)
+    for point in sampler(grid, rand, random.Random(DEFAULT_SEED)):
+        for i, case in enumerate(cases):
+            lo = fraction_from_raw(ratio_pair(*case.margin(point, prec), prec)[0])
+            if worst[i] is None or lo < worst[i][0]:
+                worst[i] = lo, point
+    return worst
+
+
+DOMAINS = inequalities.group_by_domain([case.name for case in CASES])
+
+
+class TestTieRule:
+    # run_domain rounds only an end below the least exact one so far; the
+    # brute force rounds every end, and both keep the same point
+    @pytest.mark.parametrize("prec", [16, 53])
+    @pytest.mark.parametrize("names", DOMAINS, ids=lambda names: names[0])
+    def test_cut_budgets_match_the_brute_force(self, names, prec, monkeypatch):
+        for name in names:
+            if name != "collapse-131":
+                _shrink(monkeypatch, name, *_budget(name))
+        got = [(r.worst_margin, r.worst_point) for r in run_domain(names, prec=prec)]
+        assert got == _brute_force(names, prec)
+
+    @pytest.mark.parametrize("names", DOMAINS, ids=lambda names: names[0])
+    def test_golden_rows_match_the_brute_force(self, names):
+        golden = Path(__file__).resolve().parents[1] / "docs" / "golden"
+        rows = {row["case"]: row for row in json.loads((golden / "registry-rows.json").read_text())}
+        want = [(Fraction(rows[name]["worst_margin_exact"]), _golden_point(name)) for name in names]
+        assert _brute_force(names, 128) == want
+
+    def test_equal_roundings_keep_the_first_point(self, monkeypatch):
+        # the second point's exact end is below the first's, but at 16 bits
+        # both round down to 1, so the first point stays the worst; at 53
+        # bits the second is strictly below and takes its place
+        ends = {(0,): (2**20 + 2, 2**20), (1,): (2**20 + 1, 2**20)}
+        case = dataclasses.replace(
+            CASE_INDEX["collapse-131"], name="tie-pair", margin=lambda point, prec: ends[point],
+            sampler=lambda grid, rand, rng: iter(ends), grid_points=2,
+        )
+        monkeypatch.setitem(CASE_INDEX, case.name, case)
+        first, second = (ratio_pair(*ends[point], 16)[0] for point in ends)
+        assert first == second and Fraction(*ends[(1,)]) < Fraction(*ends[(0,)])
+        for prec, point in ((16, (0,)), (53, (1,))):
+            [result] = run_domain(["tie-pair"], prec=prec)
+            assert (result.worst_margin, result.worst_point) == _brute_force(["tie-pair"], prec)[0]
+            assert result.worst_point == point and result.points == 2
