@@ -26,12 +26,12 @@ registered with the same three share it: [335/24, 10^4] carries five cases,
 the (n, j) pairs four, (0, 1/5) four and [1, 10^4] two.  run_domain is the
 one sweep: it draws a domain's points once, from one random.Random(seed),
 evaluates each of its cases at each point, and keeps each case's least
-exact end by integer cross-multiplication.  Only an end below the least so
-far is rounded, once, down to prec bits by ratio_pair, and the kept point
-moves only when that rounded end is strictly below the kept one.  As floor
-is monotone, the result is the first point with the least rounded end, the
-same as rounding every end.  run_case is that sweep over one name, with the
-same points and result as the name's row of its domain.
+exact end by integer cross-multiplication, rounding down to prec bits by
+ratio_pair only an end below it.  Its result is the first point with the
+least rounded end, the same as rounding every end, and merge_shares joins
+the results of contiguous shares of the sequence into it (run_domain's
+docstring).  run_case is that sweep over one name, with the same points and
+result as the name's row of its domain.
 
 Because the cases of a domain are evaluated one after the other at each
 point, the terms they share are computed once per point, by small memos
@@ -220,7 +220,7 @@ tests/test_inequalities.py decides the margins' integer bounds exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
@@ -245,7 +245,10 @@ from .special import DECAY_GUARD, _bessel_fixed, _bessel_guard_bits, _decay_fixe
 Point = Tuple
 LowerEnd = Tuple[int, int]  # an exact lower end num/den of a margin, den > 0
 MarginFn = Callable[[Point, int], LowerEnd]
-Sampler = Callable[[int, int, random.Random], Iterable[Point]]
+# sampler(grid, rand, rng, start, stop) yields the points at positions
+# [start, stop) of its domain's sequence, the grid points and then rand draws
+# from rng; it makes the draws before start, so a cut moves no point
+Sampler = Callable[[int, int, random.Random, int, int], Iterable[Point]]
 
 GRID_POINTS = 10_000
 RANDOM_POINTS = 1_000
@@ -289,19 +292,22 @@ def _interval_sampler(lo: Fraction, hi: Fraction) -> Sampler:
     hi = Fraction(hi)
     span = hi - lo
 
-    def sample(grid: int, rand: int, rng: random.Random) -> Iterable[Point]:
+    def sample(grid: int, rand: int, rng: random.Random, start: int, stop: int) -> Iterable[Point]:
         a = lo + span * _EDGE
         inner = hi - span * _EDGE - a
         # a + i inner/(grid - 1) and a + inner r/2^53, each built as one
         # Fraction over the common denominator of a and inner
         den = lcm(a.denominator, inner.denominator)
-        start = a.numerator * (den // a.denominator)
+        base = a.numerator * (den // a.denominator)
         width = inner.numerator * (den // inner.denominator)
         steps = grid - 1
-        for i in range(grid):
-            yield (Fraction(start * steps + width * i, den * steps),)
-        for _ in range(rand):
-            yield (Fraction((start << 53) + width * rng.getrandbits(53), den << 53),)
+        for i in range(start, min(grid, stop)):
+            yield (Fraction(base * steps + width * i, den * steps),)
+        first = max(grid, start)
+        for _ in range(grid, first):
+            rng.getrandbits(53)
+        for _ in range(first, stop):
+            yield (Fraction((base << 53) + width * rng.getrandbits(53), den << 53),)
 
     return sample
 
@@ -311,32 +317,38 @@ def _pair_sampler(n_lo: int, n_hi: int) -> Sampler:
 
     The grid walks n upward taking the smallest, middle, and largest
     admissible j; random points draw n and j uniformly from the same set.
+    A position counts the points yielded before it: an n with no j yields none.
     """
 
-    def sample(grid: int, rand: int, rng: random.Random) -> Iterable[Point]:
+    def sample(grid: int, rand: int, rng: random.Random, start: int, stop: int) -> Iterable[Point]:
         count = 0
         n = n_lo
-        while count < grid and n <= n_hi:
+        top = min(grid, stop)
+        while count < top and n <= n_hi:
             jm = fjn_j_top(n)
             if jm >= 1:
-                for j in sorted({1, max(1, jm // 2), jm}):
-                    if count >= grid:
-                        break
-                    yield (n, j)
+                for j in sorted({1, max(1, jm // 2), jm})[:top - count]:
+                    if count >= start:
+                        yield (n, j)
                     count += 1
             n += 1
         for _ in range(rand):
+            if count >= stop:
+                return
             n = rng.randint(n_lo, n_hi)
             jm = fjn_j_top(n)
             if jm >= 1:
-                yield (n, rng.randint(1, jm))
+                j = rng.randint(1, jm)
+                if count >= start:
+                    yield (n, j)
+                count += 1
 
     return sample
 
 
 def _point_sampler() -> Sampler:
-    def sample(grid: int, rand: int, rng: random.Random) -> Iterable[Point]:
-        yield ()
+    def sample(grid: int, rand: int, rng: random.Random, start: int, stop: int) -> Iterable[Point]:
+        return [()][start:stop]
 
     return sample
 
@@ -759,20 +771,11 @@ class InequalityCase:
     sampler: Sampler
     grid_points: int = GRID_POINTS
     random_points: int = RANDOM_POINTS
-    # a point's serial CPU in its domain's sweep, in margin terms of 1 us at
-    # 128 bits (measured; see CASES)
-    terms: int = 1
-
-    @property
-    def cost(self) -> int:
-        """Relative running time: sampled points times a point's terms, about
-        the case's serial CPU in microseconds."""
-        return (self.grid_points + self.random_points) * self.terms
 
     @property
     def domain(self) -> Tuple[Sampler, int, int]:
         """The sampler object and budget: cases with equal domains sample the
-        same points, and run_domain draws them once for all of them."""
+        same sequence of points, and run_domain draws each once for all of them."""
         return self.sampler, self.grid_points, self.random_points
 
 
@@ -787,100 +790,78 @@ class InequalityResult:
     passed: bool
 
 
-# Each case's terms is its serial CPU per point at 128 bits, in us, measured
-# in its domain's sweep (the first case to read a shared memo pays for it,
-# and a domain's first case also carries the sampler's and the sweep's own
-# time), the median of five runs on a 2-vCPU VM.  So a domain's summed cost
-# ranks it by measured CPU, which verify dispatches longest first:
-# [335/24, 10^4] 0.44 s (40 us a point), the pairs 0.26 s (24 us),
-# tail-envelope-15 0.21 s (19 us), (0, 1/5) 0.11 s (10 us), [1, 10^4]
-# 0.07 s (6 us), geometric-series-100 0.04 s (4 us), exp-convexity-half
-# 0.03 s (3 us), bessel-tail-sum 0.02 s (183 us a point); collapse-131, one
-# point of about 0.2 ms, keeps the default.
 CASES: Tuple[InequalityCase, ...] = (
     InequalityCase(
         "geometric-series-100",
         "|1/(1-z) - 1 - z| <= 100 z^2 for 0 < |z| < 0.99",
         _margin_geometric,
         _interval_sampler(Fraction(0), Fraction(99, 100)),
-        terms=4,
     ),
     InequalityCase(
         "sqrt-expansion-01",
         "|sqrt(1-x) - 1 + x/2 + x^2/8| <= 0.1 x^3 on (0, 0.2)",
         _margin_sqrt_expansion,
         _SMALL,
-        terms=7,
     ),
     InequalityCase(
         "inverse-sqrt-06",
         "1/sqrt(1-x) - 1 <= 0.6 x on (0, 0.2)",
         _margin_inverse_sqrt,
         _SMALL,
-        terms=1,
     ),
     InequalityCase(
         "reciprocal-125",
         "|1/(1-x) - 1 - x| <= 1.25 x^2 on (0, 0.2)",
         _margin_reciprocal,
         _SMALL,
-        terms=1,
     ),
     InequalityCase(
         "exp-convexity-half",
         "exp(-x) - 1 + x <= x^2/2 for x > 0",
         _margin_exp_convexity,
         _interval_sampler(Fraction(0), _CAP),
-        terms=3,
     ),
     InequalityCase(
         "tail-envelope-15",
         "h_error(x) <= 15 sqrt(x) exp(-(pi/2) sqrt(x/2)) for x >= 12",
         _margin_tail_envelope,
         _interval_sampler(Fraction(12), _CAP),
-        terms=19,
     ),
     InequalityCase(
         "sqrt-exp-decreasing",
         "pi sqrt(x) > 2 sqrt(2) for x >= 1, so the decay envelope decreases",
         _margin_envelope_decreasing,
         _FROM_ONE,
-        terms=5,
     ),
     InequalityCase(
         "shifted-envelope-11",
         "N sqrt(Y) exp(-(pi/2) sqrt(Y/2)) <= 1.1 with Y = N - sqrt(N)/2",
         _margin_shifted_envelope,
         _FROM_CORNER,
-        terms=17,
     ),
     InequalityCase(
         "concavity-sqrt-positive",
         "1 - x/2 - sqrt(1-x) > 0 on (0, 0.2)",
         _margin_concavity,
         _SMALL,
-        terms=1,
     ),
     InequalityCase(
         "correction-sum-099",
         "sqrt(3)/(sqrt(2) pi sqrt(N)) + h_error(N) < 0.99 for N >= 335/24",
         _margin_correction_sum,
         _FROM_CORNER,
-        terms=17,
     ),
     InequalityCase(
         "exp-argument-01",
         "pi/(40 sqrt(6)) + (pi^2/24) (1/(10 sqrt(N)) + 1/4)^2 <= 0.1",
         _margin_exp_argument,
         _FROM_CORNER,
-        terms=3,
     ),
     InequalityCase(
         "shift-ratio-02",
         "1/(2 sqrt(N)) < 1/5 for N >= 335/24, so shifts stay in the x < 0.2 range",
         _margin_shift_ratio,
         _FROM_CORNER,
-        terms=1,
     ),
     InequalityCase(
         "collapse-056",
@@ -888,7 +869,6 @@ CASES: Tuple[InequalityCase, ...] = (
         " + 0.1 + 0.1 J/N + 0.04/N <= 0.56 for J in {j, 2j} over admissible pairs",
         _margin_collapse_056,
         _PAIRS,
-        terms=11,
     ),
     InequalityCase(
         "collapse-131",
@@ -903,28 +883,24 @@ CASES: Tuple[InequalityCase, ...] = (
         "(1 + b1 +- 0.56/N)(1 + b2 +- 1.31/N) stays within 2.71/N of 1 + b1 + b2",
         _margin_collapse_271,
         _PAIRS,
-        terms=7,
     ),
     InequalityCase(
         "collapse-1350",
         "N (h_error(N) + 100 (sqrt(3)/(sqrt(2) pi sqrt(N)) + h_error(N))^2) <= 1350",
         _margin_collapse_1350,
         _FROM_CORNER,
-        terms=2,
     ),
     InequalityCase(
         "collapse-2075",
         "(1 + b1 +- 1350/N)(1 + b2 +- 2.71/N) stays within 2075/N of 1 + b1 + b2",
         _margin_collapse_2075,
         _PAIRS,
-        terms=3,
     ),
     InequalityCase(
         "collapse-3926",
         "2 (1 + b1 +- 1350/N)(1 + b2 +- 2.71/N) stays within 3926/N of the center",
         _margin_collapse_3926,
         _PAIRS,
-        terms=3,
     ),
     InequalityCase(
         "bessel-tail-sum",
@@ -933,14 +909,12 @@ CASES: Tuple[InequalityCase, ...] = (
         _interval_sampler(Fraction(20), Fraction(100)),
         grid_points=100,
         random_points=30,
-        terms=183,
     ),
     InequalityCase(
         "bessel-simplify-half",
         "|1/x - x/2| <= x^2/2 for x >= 1",
         _margin_bessel_simplify,
         _FROM_ONE,
-        terms=1,
     ),
 )
 
@@ -965,15 +939,25 @@ def group_by_domain(names: Sequence[str]) -> List[Tuple[str, ...]]:
 
 
 def run_domain(
-    names: Sequence[str], prec: int = DEFAULT_PRECISION, seed: int = DEFAULT_SEED
+    names: Sequence[str], prec: int = DEFAULT_PRECISION, seed: int = DEFAULT_SEED,
+    start: int = 0, stop: Optional[int] = None,
 ) -> List[InequalityResult]:
-    """Sweep the named cases, which share one domain, over its grid and
-    random points, and report each one's least lower end rounded down to
-    prec bits, and the first point with that rounded end, in the order of
-    the names.
+    """Sweep the named cases, which share one domain, over the points at
+    positions [start, stop) of its sequence, stop None for its end, and
+    report each one's least lower end rounded down to prec bits, and the
+    first point with that rounded end, in the order of the names.
 
     The points are drawn once, and every case is evaluated at each point
     before the next is drawn, so the per-point memos serve them all.
+
+    Only an end below the least exact end so far is rounded, and the point
+    moves only when that rounding is below the kept one.  This keeps the
+    first point p whose end rounds to the least, R: rounding is monotone, so
+    the ends before p, and their least, round above R, p's end lies below
+    that least and is kept, and no later end rounds below R.  So contiguous
+    shares of the sequence, merged by merge_shares, give the whole sweep's
+    result: the least share margin is R, and the first share that reports R
+    holds p, as every share before it rounds each end above R.
     """
     cases = [_lookup(name) for name in names]
     sampler, grid, rand = cases[0].domain
@@ -986,7 +970,8 @@ def run_domain(
     worst = [None] * len(cases)
     worst_point: List[Point] = [()] * len(cases)
     count = 0
-    for point in sampler(grid, rand, random.Random(seed)):
+    stop = grid + rand if stop is None else stop
+    for point in sampler(grid, rand, random.Random(seed), start, stop):
         count += 1
         for i, case in enumerate(cases):
             num, den = case.margin(point, prec)
@@ -1004,6 +989,27 @@ def run_domain(
         margin = fraction_from_raw(lo)
         results.append(InequalityResult(case.name, count, margin, point, margin > 0))
     return results
+
+
+def share_ranges(names: Sequence[str], workers: int) -> List[Tuple[int, int]]:
+    """[start, stop) ranges cutting the names' domain of total points into
+    one share per worker at the positions total s // workers, or one point
+    a share if it has fewer points than workers, so that none is empty."""
+    _, grid, rand = _lookup(names[0]).domain
+    total = grid + rand
+    parts = max(1, min(workers, total))
+    return [(total * s // parts, total * (s + 1) // parts) for s in range(parts)]
+
+
+def merge_shares(shares: Sequence[List[InequalityResult]]) -> List[InequalityResult]:
+    """One domain's results from run_domain over its shares in draw order:
+    each case's points summed, and its least worst margin at the point of
+    the first share that reports it, the whole sweep's (run_domain)."""
+    return [
+        replace(min(results, key=lambda result: result.worst_margin),
+                points=sum(result.points for result in results))
+        for results in zip(*shares)
+    ]
 
 
 def run_case(

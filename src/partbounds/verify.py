@@ -5,12 +5,12 @@ Default ranges are the ones the package promises to satisfy, so running
 every suite back to back is the complete verification gate; the acceptance
 tests read these reports instead of sweeping a second time.  Sweep loops
 are deterministic; only the inequality registry fans out across worker
-processes.  The pool's unit is a domain, the cases that share one sampler
-and budget and so one sweep of its points (inequalities.run_domain).  The
-domains are dispatched longest first, by the summed cost of their cases, one
-at a time, and the results are collected in registry order, so parallel and
-sequential runs produce identical reports.  A run of one --case calls
-inequalities.run_case, the same sweep over that one name.
+processes.  The pool's unit is one contiguous share, per usable worker, of
+a domain's points (a domain is the cases that share a sampler and budget,
+swept together by inequalities.run_domain).  The shares go in registry
+order and each domain's merge in draw order (inequalities.merge_shares), so
+pooled runs and in-process runs of whole domains give identical reports.  A
+run of one --case calls inequalities.run_case, the same sweep of one name.
 
 Each row of _SUITES names the parameters its suite reads, the one source
 of their routing: run_suites refuses bad input (an unread parameter, a
@@ -48,8 +48,6 @@ from itertools import repeat
 from operator import contains, eq
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from mpmath import libmp
-
 from .enclosure import DEFAULT_PRECISION, Enclosure, fraction_from_raw
 from .errors import PreconditionError
 from .estimates import (
@@ -80,14 +78,15 @@ from .exact import (
     shifted_index,
 )
 from .inequalities import (
-    CASE_INDEX,
     CASES,
     DEFAULT_SEED,
     InequalityResult,
     _lookup,
     group_by_domain,
+    merge_shares,
     run_case,
     run_domain,
+    share_ranges,
 )
 from .rademacher import proposition21_interval, rademacher_round
 from .reports import SuiteReport, fraction_str, optional_float
@@ -338,20 +337,20 @@ def _suite_containment_ratio(sweep: _Sweep) -> Dict[str, Any]:
 def _suite_containment_fjn(sweep: _Sweep) -> Dict[str, Any]:
     top = sweep.n_max
     default_table().ensure(top)
-    least = None  # the least raw lower end
+    least = None  # the least lower end
     for n in range(14, top + 1):
         pn = p_exact(n)
         for j in range(1, sweep.j_cap(fjn_j_top(n)) + 1):
             total = fjn_ratio_interval(n, j, sweep.prec)
             margin = sweep.contained("fjn", total, Fraction(f_jn(n, j), pn),
                                      "fjn(%d, %d): exact value escapes the enclosure", n, j)
-            if least is None or libmp.mpf_lt(total.lo, least):
-                least = total.lo
+            lo = total.lo_fraction
+            least = lo if least is None else min(least, lo)
             sweep.row(n=n, j=j, contained=margin >= 0, margin=float(margin))
     return {
         "n_top": top,
         "worst_margin": optional_float(sweep.worst.get("fjn")),
-        "min_lower_endpoint": None if least is None else float(fraction_from_raw(least)),
+        "min_lower_endpoint": optional_float(least),
     }
 
 
@@ -559,13 +558,6 @@ def _suite_nonkary(sweep: _Sweep) -> Dict[str, Any]:
     return {"identity_top": identity_top, "n_top": top, "licensed_cases": positives}
 
 
-def _dispatch_order(groups: List[Tuple[str, ...]]) -> List[int]:
-    """Indices of the domain groups, the longest first by the summed cost of
-    their cases; equal costs keep their order."""
-    return sorted(range(len(groups)),
-                  key=lambda i: -sum(CASE_INDEX[name].cost for name in groups[i]))
-
-
 def _usable_cpus() -> int:
     # os.cpu_count() also counts CPUs outside this process's affinity mask
     if hasattr(os, "sched_getaffinity"):
@@ -577,7 +569,7 @@ def _run_inequality_cases(
     names: List[str], prec: int, seed: int
 ) -> List[InequalityResult]:
     groups = group_by_domain(names)
-    workers = min(len(groups), _usable_cpus())
+    workers = _usable_cpus()
     pool = None
     if workers > 1:
         # only a pool that cannot start falls back; a case's error propagates
@@ -588,14 +580,15 @@ def _run_inequality_cases(
     if pool is None:
         results = [run_domain(group, prec=prec, seed=seed) for group in groups]
     else:
-        # longest-processing-time first, one domain per task, so the longest
-        # does not start last behind a chunk of short ones
+        # one contiguous share of each domain per worker, so no domain runs
+        # alone at the end however its cost compares with the others'
         with pool:
-            pending = {
-                i: pool.apply_async(run_domain, (groups[i],), {"prec": prec, "seed": seed})
-                for i in _dispatch_order(groups)
-            }
-            results = [pending[i].get() for i in range(len(groups))]
+            pending = [
+                [pool.apply_async(run_domain, (group, prec, seed, start, stop))
+                 for start, stop in share_ranges(group, workers)]
+                for group in groups
+            ]
+            results = [merge_shares([task.get() for task in tasks]) for tasks in pending]
     by_name = {result.name: result for group in results for result in group}
     return [by_name[name] for name in names]
 

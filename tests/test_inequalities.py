@@ -54,8 +54,10 @@ from partbounds.inequalities import (
     _shifted_floor,
     _tail_sum,
     group_by_domain,
+    merge_shares,
     run_case,
     run_domain,
+    share_ranges,
 )
 from partbounds.special import DECAY_GUARD, bessel_I32_series, mp_context
 
@@ -609,7 +611,7 @@ def _golden_point(name):
 
 def _interval_ends(name):
     # the sampler's pulled-in domain ends, its first and last grid points
-    return list(CASE_INDEX[name].sampler(2, 0, random.Random(0)))
+    return list(CASE_INDEX[name].sampler(2, 0, random.Random(0), 0, 2))
 
 
 def _check_points(name):
@@ -1080,7 +1082,7 @@ class TestDomains:
             _shrink(monkeypatch, name, 60, 15)
         flat = dataclasses.replace(CASE_INDEX["collapse-271"], margin=lambda point, prec: (1, 1))
         monkeypatch.setitem(CASE_INDEX, "collapse-271", flat)
-        first = next(iter(CASE_INDEX[names[0]].sampler(60, 15, random.Random(DEFAULT_SEED))))
+        first = next(iter(CASE_INDEX[names[0]].sampler(60, 15, random.Random(DEFAULT_SEED), 0, 75)))
         assert run_domain(names)[1].worst_point == first == run_case("collapse-271").worst_point
 
     def test_shared_terms_built_once_per_point(self, monkeypatch):
@@ -1134,7 +1136,7 @@ def _brute_force(names, prec):
     cases = [CASE_INDEX[name] for name in names]
     sampler, grid, rand = cases[0].domain
     worst = [None] * len(cases)
-    for point in sampler(grid, rand, random.Random(DEFAULT_SEED)):
+    for point in sampler(grid, rand, random.Random(DEFAULT_SEED), 0, grid + rand):
         for i, case in enumerate(cases):
             lo = fraction_from_raw(ratio_pair(*case.margin(point, prec), prec)[0])
             if worst[i] is None or lo < worst[i][0]:
@@ -1171,12 +1173,47 @@ class TestTieRule:
         ends = {(0,): (2**20 + 2, 2**20), (1,): (2**20 + 1, 2**20)}
         case = dataclasses.replace(
             CASE_INDEX["collapse-131"], name="tie-pair", margin=lambda point, prec: ends[point],
-            sampler=lambda grid, rand, rng: iter(ends), grid_points=2,
+            sampler=lambda grid, rand, rng, start, stop: list(ends)[start:stop],
+            grid_points=2,
         )
         monkeypatch.setitem(CASE_INDEX, case.name, case)
         first, second = (ratio_pair(*ends[point], 16)[0] for point in ends)
         assert first == second and Fraction(*ends[(1,)]) < Fraction(*ends[(0,)])
+        # two workers put the two points in shares of their own
+        ranges = share_ranges(["tie-pair"], 2)
+        assert ranges == [(0, 1), (1, 2)]
         for prec, point in ((16, (0,)), (53, (1,))):
             [result] = run_domain(["tie-pair"], prec=prec)
             assert (result.worst_margin, result.worst_point) == _brute_force(["tie-pair"], prec)[0]
             assert result.worst_point == point and result.points == 2
+            shares = [run_domain(["tie-pair"], prec, DEFAULT_SEED, *share) for share in ranges]
+            assert merge_shares(shares) == [result]
+
+    @pytest.mark.parametrize("prec", [16, 128])
+    @pytest.mark.parametrize("names", DOMAINS, ids=lambda names: names[0])
+    def test_merged_shares_match_the_whole_sweep(self, names, prec, monkeypatch):
+        for name in names:
+            if name != "collapse-131":
+                _shrink(monkeypatch, name, *_budget(name))
+        whole = run_domain(names, prec=prec)
+        assert [(r.worst_margin, r.worst_point) for r in whole] == _brute_force(names, prec)
+        for workers in (1, 2, 3, 4):
+            ranges = share_ranges(names, workers)
+            assert len(ranges) == (1 if names == ("collapse-131",) else workers)
+            shares = [run_domain(names, prec, DEFAULT_SEED, *share) for share in ranges]
+            assert merge_shares(shares) == whole
+
+    @pytest.mark.parametrize("names", DOMAINS, ids=lambda names: names[0])
+    def test_shares_draw_the_whole_sequence(self, names, monkeypatch):
+        # 6 grid points and 30 draws: from two workers on, every share but
+        # the first starts inside the random segment, past draws it skips
+        for name in names:
+            _shrink(monkeypatch, name, 6, 30)
+        sampler, grid, rand = CASE_INDEX[names[0]].domain
+        whole = list(sampler(grid, rand, random.Random(DEFAULT_SEED), 0, grid + rand))
+        for workers in (2, 3, 4):
+            ranges = share_ranges(names, workers)
+            assert ranges[0][0] == 0 and ranges[-1][1] == 36 and ranges[1][0] >= grid
+            drawn = [point for start, stop in ranges
+                     for point in sampler(grid, rand, random.Random(DEFAULT_SEED), start, stop)]
+            assert drawn == whole

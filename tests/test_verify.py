@@ -18,7 +18,6 @@ from partbounds.estimates import fjn_j_top, ratio_j_top
 from partbounds.exact import PartitionTable, default_table, p_exact
 from partbounds.verify import (
     SUITE_NAMES,
-    _dispatch_order,
     _run_inequality_cases,
     _Sweep,
     run_suite,
@@ -663,8 +662,8 @@ def _usable_cpus(monkeypatch, count):
 
 
 class TestInequalityDispatch:
-    # cheap copies of one case at several grid sizes, listed out of cost
-    # order, each its own domain, and one more case that shares the first's
+    # cheap copies of one case at several grid sizes, each its own domain,
+    # and one more case that shares the first's
     GRIDS = (20, 240, 5, 120, 60)
 
     def _register(self, monkeypatch):
@@ -684,34 +683,11 @@ class TestInequalityDispatch:
         names = self._register(monkeypatch)
         groups = inequalities.group_by_domain(names)
         assert [len(group) for group in groups] == [2, 1, 1, 1, 1]
-        # the shared domain's cost is the sum of its two cases'
-        assert [groups[i][0].split("-")[1] for i in _dispatch_order(groups)] == [
-            "240", "120", "60", "20", "5"
-        ]
         expected = [inequalities.run_case(name) for name in names]
-        for cpus in (2, 1):
+        # two and three workers merge shares of each domain, one sweeps whole ones
+        for cpus in (3, 2, 1):
             _usable_cpus(monkeypatch, cpus)
             assert _run_inequality_cases(names, 128, inequalities.DEFAULT_SEED) == expected
-
-    def test_summed_cost_orders_domains(self, monkeypatch):
-        # two cases at grid 20 outweigh one at 30: their domain goes first
-        names = self._register(monkeypatch)
-        thirty = dataclasses.replace(
-            inequalities.CASE_INDEX["reciprocal-125"], name="dispatch-30",
-            grid_points=30, random_points=7,
-        )
-        monkeypatch.setitem(inequalities.CASE_INDEX, thirty.name, thirty)
-        groups = inequalities.group_by_domain([thirty.name, names[0], names[-1]])
-        assert groups[_dispatch_order(groups)[0]] == (names[0], names[-1])
-        # in the registry every case weighs its measured serial us a point,
-        # so the domains go in order of measured CPU: [335/24, 10^4], the
-        # pairs, tail-envelope-15, (0, 1/5), then the cheap ones
-        groups = inequalities.group_by_domain([case.name for case in inequalities.CASES])
-        assert [groups[i][0] for i in _dispatch_order(groups)] == [
-            "shifted-envelope-11", "collapse-056", "tail-envelope-15", "sqrt-expansion-01",
-            "sqrt-exp-decreasing", "geometric-series-100", "exp-convexity-half",
-            "bessel-tail-sum", "collapse-131",
-        ]
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
     def test_one_usable_cpu_runs_in_process(self, monkeypatch):
@@ -726,14 +702,6 @@ class TestInequalityDispatch:
 
         monkeypatch.setattr(verify.multiprocessing, "get_context", no_pool)
         assert _run_inequality_cases(names, 128, inequalities.DEFAULT_SEED) == expected
-
-    def test_longest_case_dispatched_first(self):
-        # the five cases on [335/24, 10^4] take the most serial CPU
-        groups = inequalities.group_by_domain([case.name for case in inequalities.CASES])
-        assert groups[_dispatch_order(groups)[0]] == (
-            "shifted-envelope-11", "correction-sum-099", "exp-argument-01", "shift-ratio-02",
-            "collapse-1350",
-        )
 
     def test_case_error_propagates_without_rerun(self, monkeypatch, tmp_path):
         # every evaluation leaves a marker, so a sequential rerun would show
